@@ -6,11 +6,15 @@
 #   ./ci.sh --quick       tier-1 subset only (see ROADMAP.md):
 #                         cargo build --release && cargo test -q
 #   ./ci.sh --bench-json  run every bench target under PATHALG_BENCH_MAX_MS
-#                         and write the perf-trajectory artifact
-#                         (bench id → ns/iter) at the repo root; the output
-#                         file is $PATHALG_BENCH_OUT (default BENCH_PR10.json)
+#                         and write the perf artifact (bench id → ns/iter)
+#                         at the repo root; the output file is
+#                         $PATHALG_BENCH_OUT (default BENCH_FRESH.json,
+#                         untracked). A PR that changes performance
+#                         regenerates the one committed baseline with
+#                         PATHALG_BENCH_OUT=BENCH_BASELINE.json
 #   ./ci.sh --perf-diff OLD.json NEW.json [--threshold X] [--geomean]
-#                         compare two trajectory artifacts: per-target
+#                         compare two perf artifacts (CI: BENCH_BASELINE.json
+#                         against the fresh run, --geomean): per-target
 #                         geometric-mean ratios over the shared ids, the
 #                         worst individual regressions, and clearly-labelled
 #                         added/removed id sections; fails if any shared
@@ -79,11 +83,11 @@ full() {
 }
 
 # Runs every bench target with the vendored criterion's JSON-lines emitter
-# enabled, then assembles $PATHALG_BENCH_OUT (default BENCH_PR10.json): a flat
+# enabled, then assembles $PATHALG_BENCH_OUT (default BENCH_FRESH.json): a flat
 # "target/bench-id" → ns/iter map. PATHALG_BENCH_MAX_MS caps the
 # per-benchmark measurement window.
 bench_json() {
-    local out="${PATHALG_BENCH_OUT:-BENCH_PR10.json}"
+    local out="${PATHALG_BENCH_OUT:-BENCH_FRESH.json}"
     local jsonl="${out}.jsonl.tmp"
     rm -f "$jsonl" "$out"
 

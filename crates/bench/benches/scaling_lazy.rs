@@ -6,8 +6,9 @@
 //! bounded walks on a *complete* directed graph — the canonical cyclic
 //! generator where the materialised closure grows as `(n-1)^L` per source
 //! while the sliced answer is one path per ordered node pair. The
-//! materialised side runs the engine's CSR frontier expansion followed by
-//! the γ/τ/π operators; the lazy side runs `Pmr::sliced`, which stops each
+//! materialised side runs the engine's frontier expansion (`phi_frontier`
+//! over the prebuilt `σℓ(Edges)` base) followed by the γ/τ/π operators; the
+//! lazy side runs `Pmr::sliced`, which stops each
 //! source after one level thanks to the reachability analysis. Both produce
 //! byte-identical output (pinned in `tests/cross_validation.rs`); only the
 //! work differs. A Trail variant and a sparse SNB Shortest variant complete
@@ -15,15 +16,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathalg_bench::snb;
+use pathalg_core::condition::Condition;
 use pathalg_core::ops::group_by::{group_by, GroupKey};
 use pathalg_core::ops::order_by::{order_by, OrderKey};
 use pathalg_core::ops::projection::{projection, ProjectionSpec, Take};
 use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
+use pathalg_core::ops::selection::selection;
+use pathalg_core::pathset::PathSet;
 use pathalg_core::slice::SliceSpec;
 use pathalg_engine::exec::ExecutionConfig;
-use pathalg_engine::physical::frontier::phi_frontier_csr;
+use pathalg_engine::physical::frontier::phi_frontier;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::generator::structured::complete_graph;
+use pathalg_graph::graph::PropertyGraph;
 use pathalg_pmr::Pmr;
 use std::time::Duration;
 
@@ -39,9 +44,17 @@ fn top1_spec() -> (ProjectionSpec, SliceSpec) {
     )
 }
 
-/// Full materialisation: CSR frontier closure, then γST → τA → π(*,*,1).
-fn materialized_top1(csr: &CsrGraph, semantics: PathSemantics, cfg: &RecursionConfig) -> usize {
-    let closure = phi_frontier_csr(csr, semantics, cfg, &ExecutionConfig::default()).unwrap();
+fn label_base(graph: &PropertyGraph, label: &str) -> PathSet {
+    selection(
+        graph,
+        &Condition::edge_label(1, label),
+        &PathSet::edges(graph),
+    )
+}
+
+/// Full materialisation: frontier closure, then γST → τA → π(*,*,1).
+fn materialized_top1(base: &PathSet, semantics: PathSemantics, cfg: &RecursionConfig) -> usize {
+    let closure = phi_frontier(semantics, base, cfg, &ExecutionConfig::default()).unwrap();
     let (spec, _) = top1_spec();
     projection(
         &spec,
@@ -70,8 +83,9 @@ fn bench_walk_topk(c: &mut Criterion) {
     for n in [6usize, 7] {
         let graph = complete_graph(n, "k");
         let csr = CsrGraph::with_label(&graph, "k");
-        group.bench_with_input(BenchmarkId::new("materialized", n), &csr, |b, csr| {
-            b.iter(|| materialized_top1(csr, PathSemantics::Walk, &cfg))
+        let base = label_base(&graph, "k");
+        group.bench_with_input(BenchmarkId::new("materialized", n), &base, |b, base| {
+            b.iter(|| materialized_top1(base, PathSemantics::Walk, &cfg))
         });
         group.bench_with_input(BenchmarkId::new("lazy", n), &csr, |b, csr| {
             b.iter(|| lazy_top1(csr, PathSemantics::Walk, cfg))
@@ -96,8 +110,9 @@ fn bench_trail_topk(c: &mut Criterion) {
     let n = 4usize;
     let graph = complete_graph(n, "k");
     let csr = CsrGraph::with_label(&graph, "k");
-    group.bench_with_input(BenchmarkId::new("materialized", n), &csr, |b, csr| {
-        b.iter(|| materialized_top1(csr, PathSemantics::Trail, &cfg))
+    let base = label_base(&graph, "k");
+    group.bench_with_input(BenchmarkId::new("materialized", n), &base, |b, base| {
+        b.iter(|| materialized_top1(base, PathSemantics::Trail, &cfg))
     });
     group.bench_with_input(BenchmarkId::new("lazy", n), &csr, |b, csr| {
         b.iter(|| lazy_top1(csr, PathSemantics::Trail, cfg))
@@ -121,8 +136,9 @@ fn bench_shortest_topk(c: &mut Criterion) {
     };
     let graph = snb(200);
     let csr = CsrGraph::with_label(&graph, "Knows");
-    group.bench_with_input(BenchmarkId::new("materialized", 200), &csr, |b, csr| {
-        b.iter(|| materialized_top1(csr, PathSemantics::Shortest, &cfg))
+    let base = label_base(&graph, "Knows");
+    group.bench_with_input(BenchmarkId::new("materialized", 200), &base, |b, base| {
+        b.iter(|| materialized_top1(base, PathSemantics::Shortest, &cfg))
     });
     group.bench_with_input(BenchmarkId::new("lazy", 200), &csr, |b, csr| {
         b.iter(|| lazy_top1(csr, PathSemantics::Shortest, cfg))

@@ -18,10 +18,10 @@
 //!   holds at every thread count — which is what makes the series meaningful
 //!   on a single-CPU container, where threads add scheduling cost but no
 //!   cores (the same caveat BENCH_PR2 documents for the §7 engine).
-//! * **K-graph closure** — the full two-hop trail closure of K4 (a root-ϕ
-//!   join-chain drain, the `choose_scan_phi_impl` dispatch): nothing to
-//!   slice, so this family tracks the batch scheduler's overhead against
-//!   the serial drain.
+//! * **K-graph closure** — the full two-hop trail closure of K4 (the
+//!   join-chain kernel drain the engine dispatches every ϕ over a chain
+//!   to): nothing to slice, so this family tracks the batch scheduler's
+//!   overhead against the serial drain.
 //!
 //! Output equality between every series is pinned in
 //! `tests/cross_validation.rs`; this bench measures the work.

@@ -1,13 +1,14 @@
-//! Scaling study — the parallel CSR-native frontier engine for ϕ vs. the
+//! Scaling study — the parallel per-source frontier engine for ϕ vs. the
 //! semi-naïve fixpoint, swept over thread count × graph size.
 //!
 //! This is the headline benchmark of the frontier engine (DESIGN.md §7): the
 //! same `ϕShortest(σKnows(Edges))` workload is evaluated by the semi-naïve
-//! fixpoint, by `phi_frontier` at 1/2/4/8 threads, and by the CSR-native
-//! specialisation that never materialises the base relation. The length
-//! bound keeps the closure finite on the dense Knows subgraph so the sweep
-//! measures engine overhead, not result-set explosion. A bounded-walk sweep
-//! exercises the unrestricted semantics on the same graphs.
+//! fixpoint and by `phi_frontier` at 1/2/4/8 threads (the kernel drain that
+//! never materialises the base relation is measured by
+//! `scaling_lazy_parallel` and `scaling_million`). The length bound keeps
+//! the closure finite on the dense Knows subgraph so the sweep measures
+//! engine overhead, not result-set explosion. A bounded-walk sweep exercises
+//! the unrestricted semantics on the same graphs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathalg_bench::snb;
@@ -16,9 +17,8 @@ use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::ops::selection::selection;
 use pathalg_core::pathset::PathSet;
 use pathalg_engine::exec::ExecutionConfig;
-use pathalg_engine::physical::frontier::{phi_frontier, phi_frontier_csr};
+use pathalg_engine::physical::frontier::phi_frontier;
 use pathalg_engine::physical::phi_seminaive;
-use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
 use std::time::Duration;
 
@@ -49,7 +49,6 @@ fn bench_shortest_knows(c: &mut Criterion) {
     for persons in [200usize, 800] {
         let graph = snb(persons);
         let base = knows_base(&graph);
-        let csr = CsrGraph::with_label(&graph, "Knows");
         group.bench_with_input(BenchmarkId::new("seminaive", persons), &base, |b, base| {
             b.iter(|| {
                 phi_seminaive(PathSemantics::Shortest, base, &cfg)
@@ -71,20 +70,6 @@ fn bench_shortest_knows(c: &mut Criterion) {
                 },
             );
         }
-        // The CSR-native fast path: expansion directly over the
-        // label-restricted adjacency snapshot, base never materialised.
-        let exec = ExecutionConfig::with_threads(4);
-        group.bench_with_input(
-            BenchmarkId::new("frontier_csr/t4", persons),
-            &csr,
-            |b, csr| {
-                b.iter(|| {
-                    phi_frontier_csr(csr, PathSemantics::Shortest, &cfg, &exec)
-                        .unwrap()
-                        .len()
-                })
-            },
-        );
     }
     group.finish();
 }

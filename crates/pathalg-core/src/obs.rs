@@ -35,7 +35,8 @@ use std::time::Duration;
 pub struct WorkCounters {
     /// Arena steps allocated by PMR expansions (prefix-sharing nodes).
     pub arena_steps: u64,
-    /// Base segments materialised by lazy arena joins.
+    /// Level-0 base paths generated by the lazy scan/chain kernel: join
+    /// segments for a chain, single edges for a label scan.
     pub base_segments: u64,
     /// Paths emitted by enumerations (after target-mask filtering) plus
     /// paths produced by materialising closures.

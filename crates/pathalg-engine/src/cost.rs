@@ -112,24 +112,21 @@ fn leaf(cardinality: f64) -> CostEstimate {
     }
 }
 
-/// The physical implementations of ϕ the engine can dispatch a `Recursive`
-/// node to (see [`crate::physical`]).
+/// The two physical realisations of ϕ the engine dispatches a `Recursive`
+/// node to. Which one runs is decided by the *shape* of the base alone — no
+/// estimate, threshold or configuration value takes part:
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PhiImpl {
-    /// The semi-naïve fixpoint — lowest setup cost, best for tiny bases.
-    Seminaive,
-    /// The parallel per-source frontier engine
-    /// ([`crate::physical::frontier::phi_frontier`]).
+    /// The per-source frontier engine
+    /// ([`crate::physical::frontier::phi_frontier`]) — every base that has
+    /// to be materialised first (anything but a label scan or a join chain
+    /// of label scans).
     Frontier,
-    /// The BFS specialised to Shortest semantics
-    /// ([`crate::physical::phi_bfs_shortest`]).
-    BfsShortest,
-    /// The lazy compact path-multiset representation (`pathalg-pmr`):
-    /// chosen when a plan's root is a slicing π pipeline over a recursive
-    /// label scan or label-scan join chain ([`choose_pipeline_impl`]), or
-    /// for a root-level serial ϕ over such a chain
-    /// ([`choose_scan_phi_impl`]) where the PMR's prefix-sharing arena
-    /// replaces join materialisation and per-path storage.
+    /// A full drain of the lazy scan/chain kernel (`pathalg-pmr`): the base
+    /// is a label scan or a join chain of label scans, so neither it nor any
+    /// join side is materialised. Sliced π pipelines over the same bases
+    /// run the same kernel with the limits pushed in
+    /// ([`choose_pipeline_strategy`]).
     PmrLazy,
 }
 
@@ -138,18 +135,16 @@ impl PhiImpl {
     /// joins` decision table.
     pub fn name(&self) -> &'static str {
         match self {
-            PhiImpl::Seminaive => "seminaive",
             PhiImpl::Frontier => "frontier",
-            PhiImpl::BfsShortest => "bfs-shortest",
             PhiImpl::PmrLazy => "pmr-lazy",
         }
     }
 }
 
-/// A stats-driven estimate of one recursive closure, the input of the
-/// adaptive strategy choice ([`choose_phi_impl`], [`choose_pipeline_impl`]).
-/// The numbers are coarse on purpose — they only ever change *which* of the
-/// result-identical physical implementations runs.
+/// A stats-driven estimate of one recursive closure: what admission control
+/// ([`estimate_plan_closures`]) judges a query on, what `EXPLAIN` prints next
+/// to a strategy, and the seed of the parallel batch weights. The numbers are
+/// coarse on purpose — they never change results.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClosureEstimate {
     /// Estimated cardinality of the base relation (segments for a join
@@ -356,114 +351,6 @@ fn collect_plan_closures(
     }
 }
 
-/// With graph statistics available, a closure estimated below this many
-/// paths stays on the semi-naïve fixpoint even when the base exceeds
-/// [`ExecutionConfig::frontier_min_base`]: the whole evaluation is cheaper
-/// than the frontier's per-source index construction.
-pub const SEMINAIVE_MAX_ESTIMATED_CLOSURE: f64 = 128.0;
-
-/// On a multi-threaded configuration, a sliced pipeline whose closure is
-/// estimated below this many paths is materialised through the parallel
-/// frontier instead of the (serial) lazy PMR: with nothing to cut, the
-/// extra workers win.
-pub const PARALLEL_MATERIALIZE_MAX_CLOSURE: f64 = 512.0;
-
-/// Picks the physical implementation for one ϕ node.
-///
-/// Called by the engine evaluator *after* the base relation is materialised,
-/// so the decision uses the exact base cardinality; when graph statistics
-/// are available ([`crate::exec::EngineEvaluator::with_graph_stats`]) the
-/// static base-size thresholds are replaced by the closure estimate — a
-/// predicted blow-up inflates `estimate.paths` past
-/// [`SEMINAIVE_MAX_ESTIMATED_CLOSURE`] and goes to the frontier engine even
-/// for tiny bases (where the static threshold would keep the fixpoint), and
-/// a predicted-tiny closure stays on the fixpoint even for larger bases.
-/// Any multi-threaded configuration forces the frontier engine — it is the
-/// only implementation that can use the extra threads, and its
-/// deterministic merge keeps results order-stable. All choices produce the
-/// same path set (cross-validated in `tests/cross_validation.rs`), so this
-/// function only ever affects performance.
-pub fn choose_phi_impl(
-    semantics: PathSemantics,
-    base_paths: usize,
-    exec: &ExecutionConfig,
-    estimate: Option<&ClosureEstimate>,
-) -> PhiImpl {
-    if exec.threads > 1 {
-        return PhiImpl::Frontier;
-    }
-    match estimate {
-        Some(est) => {
-            if est.paths <= SEMINAIVE_MAX_ESTIMATED_CLOSURE {
-                return PhiImpl::Seminaive;
-            }
-        }
-        None => {
-            if base_paths < exec.frontier_min_base {
-                return PhiImpl::Seminaive;
-            }
-        }
-    }
-    if semantics == PathSemantics::Shortest && base_paths <= exec.bfs_shortest_max_base {
-        return PhiImpl::BfsShortest;
-    }
-    PhiImpl::Frontier
-}
-
-/// A non-root join chain whose closure is estimated above this many paths
-/// is dispatched to the lazy arena join even though its parent needs the
-/// materialised set: skipping the hash join and per-path storage during the
-/// expansion dominates once the closure (or the joined base) is
-/// substantial.
-pub const CHAIN_LAZY_MIN_ESTIMATED_CLOSURE: f64 = 256.0;
-
-/// Picks the physical implementation for a `ϕ` node over a label scan or a
-/// join chain of label scans (`chain_len` hops), which never materialises
-/// its base relation.
-///
-/// A *root-level* multi-hop chain goes to the lazy arena join
-/// ([`PhiImpl::PmrLazy`]) at **any** thread count — the expansion skips the
-/// hash join and the base `PathSet` entirely, and multi-threaded
-/// configurations run it through the per-source batch scheduler
-/// (`pathalg_pmr::parallel`) with a byte-identical merged order. A
-/// *non-root* chain consults the closure estimate: a predicted-substantial
-/// closure ([`CHAIN_LAZY_MIN_ESTIMATED_CLOSURE`]) or a predicted blow-up
-/// also takes the arena join (its output feeds the parent materialised
-/// either way); small closures keep the frontier, whose setup is cheaper.
-/// Root-level *serial* ϕShortest single scans keep the §8 rule (the
-/// prefix-sharing arena replaces per-path materialisation during the
-/// saturating BFS). Unbounded Walk stays on the materialising path so the
-/// infinite-answer error surfaces exactly as the reference reports it. All
-/// choices produce byte-identical output sequences.
-pub fn choose_scan_phi_impl(
-    semantics: PathSemantics,
-    exec: &ExecutionConfig,
-    at_root: bool,
-    chain_len: usize,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
-    estimate: Option<&ClosureEstimate>,
-) -> PhiImpl {
-    let walk_unbounded = semantics == PathSemantics::Walk && recursion.max_length.is_none();
-    if walk_unbounded {
-        return PhiImpl::Frontier;
-    }
-    if chain_len >= 2 {
-        if at_root {
-            return PhiImpl::PmrLazy;
-        }
-        if estimate
-            .is_some_and(|est| est.blows_up() || est.paths >= CHAIN_LAZY_MIN_ESTIMATED_CLOSURE)
-        {
-            return PhiImpl::PmrLazy;
-        }
-        return PhiImpl::Frontier;
-    }
-    if at_root && exec.threads <= 1 && semantics == PathSemantics::Shortest {
-        return PhiImpl::PmrLazy;
-    }
-    PhiImpl::Frontier
-}
-
 /// Recognises a whole plan whose root is a *slicing* γ/τ/π pipeline over a
 /// recursive label scan or label-scan join chain (optionally with an
 /// endpoint σ between γ and ϕ) — the shapes where lazy top-k enumeration
@@ -493,16 +380,11 @@ pub enum LazyMode {
     Parallel,
 }
 
-/// The adaptive variant of [`choose_pipeline_impl`] — per node it picks one
-/// of **three** strategies instead of hard-falling-back:
+/// [`choose_pipeline_impl`] plus the schedule: a sliceable pipeline is
+/// always evaluated lazily, and the only choice left is how.
 ///
-/// * *parallel frontier* (returns `None`): a multi-threaded configuration
-///   whose closure is estimated tiny ([`PARALLEL_MATERIALIZE_MAX_CLOSURE`])
-///   and non-exploding — with nothing to cut, materialising on all workers
-///   wins;
-/// * *parallel lazy* ([`LazyMode::Parallel`]): every other multi-threaded
-///   case without a `max_paths` bound — the batch scheduler keeps the lazy
-///   cut **and** the workers;
+/// * *parallel lazy* ([`LazyMode::Parallel`]): multi-threaded configurations
+///   — the batch scheduler keeps the lazy cut **and** the workers;
 /// * *serial lazy* ([`LazyMode::Serial`]): single-threaded configurations —
 ///   and `max_paths`-bounded runs of *cross-source-coupled* specs (a
 ///   partition limit, or the γ∅ global cap). Those limits make the serial
@@ -532,19 +414,14 @@ pub fn choose_pipeline_strategy<'a>(
             .expect("lazy_eligible checked the base is a scan chain");
         estimate_closure(s, &chain, sliced.semantics, recursion)
     });
-    if exec.threads > 1 {
-        if let Some(est) = &estimate {
-            if !est.blows_up() && est.paths <= PARALLEL_MATERIALIZE_MAX_CLOSURE {
-                return None;
-            }
-        }
-        let claim_coupled = sliced.spec.max_partitions.is_some()
-            || sliced.spec.group_key == pathalg_core::ops::group_by::GroupKey::Empty;
-        if recursion.max_paths.is_none() || !claim_coupled {
-            return Some((sliced, estimate, LazyMode::Parallel));
-        }
-    }
-    Some((sliced, estimate, LazyMode::Serial))
+    let claim_coupled = sliced.spec.max_partitions.is_some()
+        || sliced.spec.group_key == pathalg_core::ops::group_by::GroupKey::Empty;
+    let mode = if exec.threads > 1 && (recursion.max_paths.is_none() || !claim_coupled) {
+        LazyMode::Parallel
+    } else {
+        LazyMode::Serial
+    };
+    Some((sliced, estimate, mode))
 }
 
 /// Estimated fraction of paths satisfying a condition.
@@ -674,55 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn phi_impl_choice_covers_all_three_implementations() {
-        use PathSemantics::*;
-        let serial = ExecutionConfig::default();
-        let parallel = ExecutionConfig::with_threads(4);
-        // Any parallel configuration forces the frontier engine.
-        assert_eq!(
-            choose_phi_impl(Trail, 4, &parallel, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_phi_impl(Shortest, 4, &parallel, None),
-            PhiImpl::Frontier
-        );
-        // Tiny bases stay on the semi-naïve fixpoint.
-        assert_eq!(choose_phi_impl(Trail, 4, &serial, None), PhiImpl::Seminaive);
-        assert_eq!(
-            choose_phi_impl(Shortest, 4, &serial, None),
-            PhiImpl::Seminaive
-        );
-        // Medium Shortest bases go to the specialised BFS…
-        assert_eq!(
-            choose_phi_impl(Shortest, 64, &serial, None),
-            PhiImpl::BfsShortest
-        );
-        // …while everything else at scale uses the frontier engine.
-        assert_eq!(choose_phi_impl(Trail, 64, &serial, None), PhiImpl::Frontier);
-        assert_eq!(
-            choose_phi_impl(Shortest, 5000, &serial, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_phi_impl(Walk, 5000, &serial, None),
-            PhiImpl::Frontier
-        );
-        // The static thresholds are configuration, not magic numbers.
-        let tuned = ExecutionConfig {
-            frontier_min_base: 2,
-            bfs_shortest_max_base: 3,
-            ..ExecutionConfig::default()
-        };
-        assert_eq!(choose_phi_impl(Trail, 4, &tuned, None), PhiImpl::Frontier);
-        assert_eq!(
-            choose_phi_impl(Shortest, 64, &tuned, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(choose_phi_impl(Trail, 1, &tuned, None), PhiImpl::Seminaive);
-    }
-
-    #[test]
     fn closure_estimates_separate_blowups_from_saturating_closures() {
         use pathalg_graph::generator::structured::{chain_graph, complete_graph};
         let recursion = RecursionConfig::default();
@@ -756,131 +584,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_driven_choice_overrides_the_static_thresholds() {
-        use pathalg_graph::generator::structured::{chain_graph, complete_graph};
-        let serial = ExecutionConfig::default();
-        let recursion = RecursionConfig::default();
-        // Tiny cyclic base that explodes: the estimator sends it to the
-        // frontier where the static threshold would have kept the fixpoint.
-        let dense = GraphStats::compute(&complete_graph(5, "k"));
-        let est = estimate_closure(&dense, &["k"], PathSemantics::Trail, &recursion);
-        assert_eq!(
-            choose_phi_impl(PathSemantics::Trail, 20, &serial, Some(&est)),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_phi_impl(PathSemantics::Trail, 20, &serial, None),
-            PhiImpl::Seminaive
-        );
-        // Acyclic base whose closure stays tiny: the estimator keeps the
-        // fixpoint where the static base threshold (tightened here to make
-        // the contrast visible at this scale) would pay for the frontier.
-        let tuned = ExecutionConfig {
-            frontier_min_base: 4,
-            ..ExecutionConfig::default()
-        };
-        let sparse = GraphStats::compute(&chain_graph(11, "k"));
-        let est = estimate_closure(&sparse, &["k"], PathSemantics::Acyclic, &recursion);
-        assert!(est.paths <= SEMINAIVE_MAX_ESTIMATED_CLOSURE);
-        assert_eq!(
-            choose_phi_impl(PathSemantics::Acyclic, 10, &tuned, Some(&est)),
-            PhiImpl::Seminaive
-        );
-        assert_eq!(
-            choose_phi_impl(PathSemantics::Acyclic, 10, &tuned, None),
-            PhiImpl::Frontier
-        );
-    }
-
-    #[test]
-    fn scan_and_pipeline_choosers_pick_pmr_lazy_where_it_pays() {
-        use pathalg_core::ops::projection::{ProjectionSpec, Take};
-        use pathalg_core::ops::recursive::RecursionConfig;
-        use pathalg_core::GroupKey;
-
-        let serial = ExecutionConfig::default();
-        let parallel = ExecutionConfig::with_threads(4);
-        let rec = RecursionConfig::default();
-        // Root-level serial ϕShortest scans take the PMR…
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Shortest, &serial, true, 1, &rec, None),
-            PhiImpl::PmrLazy
-        );
-        // …but non-root, parallel, or non-Shortest single scans stay on the
-        // frontier.
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Shortest, &serial, false, 1, &rec, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Shortest, &parallel, true, 1, &rec, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, true, 1, &rec, None),
-            PhiImpl::Frontier
-        );
-        // Root-level join chains take the lazy arena join under every
-        // bounded semantics — in parallel configurations too, where the
-        // enumeration runs through the per-source batch scheduler…
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, true, 2, &rec, None),
-            PhiImpl::PmrLazy
-        );
-        assert_eq!(
-            choose_scan_phi_impl(
-                PathSemantics::Walk,
-                &serial,
-                true,
-                2,
-                &RecursionConfig::with_max_length(4),
-                None
-            ),
-            PhiImpl::PmrLazy
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &parallel, true, 2, &rec, None),
-            PhiImpl::PmrLazy
-        );
-        // …but unbounded Walk keeps the materialising error-detection path.
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Walk, &serial, true, 2, &rec, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Walk, &parallel, true, 2, &rec, None),
-            PhiImpl::Frontier
-        );
-        // Non-root chains consult the estimator instead of silently
-        // materialising: a predicted-substantial closure takes the arena
-        // join, a predicted-tiny one keeps the frontier, and without
-        // statistics the static rule stays conservative.
-        let big = ClosureEstimate {
-            base: 500.0,
-            expansion: 2.0,
-            cyclic: true,
-            levels: 8.0,
-            paths: 100_000.0,
-        };
-        let tiny = ClosureEstimate {
-            base: 4.0,
-            expansion: 0.5,
-            cyclic: false,
-            levels: 8.0,
-            paths: 8.0,
-        };
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, false, 2, &rec, Some(&big)),
-            PhiImpl::PmrLazy
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, false, 2, &rec, Some(&tiny)),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, false, 2, &rec, None),
-            PhiImpl::Frontier
-        );
+    fn pipeline_recogniser_accepts_slicing_shapes_only() {
+        use pathalg_core::ops::projection::Take;
 
         let recursion = RecursionConfig::default();
         let sliced = knows_scan()
@@ -940,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_strategy_is_three_way() {
+    fn pipeline_strategy_is_always_lazy_and_schedules_by_threads() {
         use pathalg_core::ops::projection::Take;
         use pathalg_graph::generator::structured::{chain_graph, complete_graph};
 
@@ -957,10 +662,13 @@ mod tests {
         // Parallel without statistics: lazy, scheduled in batches.
         let (_, _, mode) = choose_pipeline_strategy(&plan, &recursion, &parallel, None).unwrap();
         assert_eq!(mode, LazyMode::Parallel);
-        // Parallel + provably tiny closure: hand back to the parallel
-        // frontier (the graph is a short Knows chain).
+        // A provably tiny closure stays lazy too: no estimate moves a
+        // sliceable pipeline off the kernel.
         let sparse = GraphStats::compute(&chain_graph(6, "Knows"));
-        assert!(choose_pipeline_strategy(&plan, &recursion, &parallel, Some(&sparse)).is_none());
+        let (_, est, mode) =
+            choose_pipeline_strategy(&plan, &recursion, &parallel, Some(&sparse)).unwrap();
+        assert_eq!(mode, LazyMode::Parallel);
+        assert!(!est.unwrap().blows_up());
         // Parallel + predicted blow-up: parallel lazy, with the estimate.
         let dense = GraphStats::compute(&complete_graph(6, "Knows"));
         let (_, est, mode) =

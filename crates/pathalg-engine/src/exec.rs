@@ -4,28 +4,33 @@
 //! *reference* interpreter: one algorithm per operator, single-threaded,
 //! always the semi-naïve fixpoint for ϕ. [`EngineEvaluator`] is the engine's
 //! physical counterpart: it walks the same logical plans and calls the same
-//! `pathalg-core` operator implementations for σ/⋈/∪/γ/τ/π, but dispatches
-//! every ϕ node through the cost model
-//! ([`crate::cost::choose_phi_impl`]) to one of the physical
-//! implementations in [`crate::physical`] — including the parallel CSR-native
-//! frontier engine, configured by [`ExecutionConfig`].
+//! `pathalg-core` operator implementations for σ/⋈/∪/γ/τ/π, and realises
+//! every ϕ node one of two ways, decided by the shape of its base alone
+//! ([`crate::cost::PhiImpl`]):
 //!
-//! Plans of the shape `ϕ(σ_{label(edge(1))=ℓ}(Edges(G)))` — the base relation
-//! of every `[:ℓ+]` pattern — additionally skip the base materialisation:
-//! the engine builds a label-restricted [`CsrGraph`] snapshot and expands
-//! directly over its adjacency. The collected [`EvalStats`] charge the
-//! skipped operators exactly as the reference evaluator would, so `EXPLAIN
-//! ANALYZE` output stays comparable between the two interpreters.
+//! * a base of the shape `σℓ1(Edges) ⋈ … ⋈ σℓk(Edges)` — the base relation
+//!   of every `[:ℓ+]` and `[(:ℓ1/…/:ℓk)+]` pattern — is never materialised:
+//!   the engine builds one label-restricted [`CsrGraph`] snapshot per hop
+//!   and drains the lazy scan/chain kernel ([`pathalg_pmr::Pmr`]) over them,
+//!   serially at one thread and through the per-source batch scheduler
+//!   ([`pathalg_pmr::parallel`]) above one;
+//! * every other base is evaluated first and expanded by the per-source
+//!   frontier engine ([`crate::physical::frontier::phi_frontier`]).
+//!
+//! A sliceable `π(τ?(γ(σ?(ϕ(…)))))` pipeline over a scan/chain base runs the
+//! same kernel with the limits pushed into the enumeration
+//! ([`crate::cost::choose_pipeline_strategy`]). The collected [`EvalStats`]
+//! charge the skipped operators exactly as the reference evaluator would, so
+//! `EXPLAIN ANALYZE` output stays comparable between the two interpreters.
 //!
 //! Results are identical to the reference evaluator as *sets* for every
 //! plan, thread count, and batch size (cross-validated in
-//! `tests/cross_validation.rs`); the frontier engine's merge discipline
+//! `tests/cross_validation.rs`); the batch-order merge of both realisations
 //! additionally makes the engine's own output ordering independent of
 //! [`ExecutionConfig::threads`].
 
 use crate::cost::{
-    choose_phi_impl, choose_pipeline_strategy, choose_scan_phi_impl, estimate_phi, ClosureEstimate,
-    LazyMode, PhiImpl,
+    choose_pipeline_strategy, estimate_closure, estimate_phi, ClosureEstimate, LazyMode, PhiImpl,
 };
 use pathalg_core::budget::CancelToken;
 use pathalg_core::condition::Condition;
@@ -53,8 +58,7 @@ use pathalg_pmr::parallel::{self as pmr_parallel, ParallelConfig};
 use pathalg_pmr::{EndpointFilter, Pmr};
 use std::sync::Arc;
 
-use crate::physical::frontier::{phi_frontier_csr_with_cancel, phi_frontier_with_cancel};
-use crate::physical::{phi_bfs_shortest_with_cancel, phi_seminaive};
+use crate::physical::frontier::phi_frontier_with_cancel;
 
 /// One recorded strategy decision: which physical implementation a ϕ node or
 /// sliced pipeline was dispatched to, and the closure estimate (when graph
@@ -64,13 +68,15 @@ use crate::physical::{phi_bfs_shortest_with_cancel, phi_seminaive};
 pub struct StrategyDecision {
     /// Display form of the operator the decision applies to.
     pub operator: String,
-    /// Short name of the chosen implementation ([`PhiImpl::name`],
-    /// `"lazy-sliced-pipeline"`, or `"parallel-lazy-pipeline"`).
+    /// Short name of the chosen implementation: [`PhiImpl::name`] for a ϕ
+    /// node (`"pmr-lazy"` — a full kernel drain — or `"frontier"`), and
+    /// `"lazy-sliced-pipeline"` / `"parallel-lazy-pipeline"` for a sliced
+    /// pipeline.
     pub chosen: &'static str,
     /// The worker-thread count the decision was made for
-    /// ([`ExecutionConfig::threads`]) — strategy choices depend on it, so it
-    /// is recorded to make them reproducible from `explain()` and the
-    /// `repro joins` table.
+    /// ([`ExecutionConfig::threads`]) — the serial/parallel schedule depends
+    /// on it, so it is recorded to make decisions reproducible from
+    /// `explain()` and the `repro joins` table.
     pub threads: usize,
     /// The estimate behind the choice, if statistics were available.
     pub estimate: Option<ClosureEstimate>,
@@ -90,7 +96,11 @@ impl std::fmt::Display for StrategyDecision {
     }
 }
 
-/// Parallel-execution knobs of the [`QueryRunner`](crate::runner::QueryRunner).
+/// Parallel-execution knobs of the [`QueryRunner`](crate::runner::QueryRunner)
+/// — the only two values execution is configured by. Neither changes which
+/// implementation of ϕ runs (the base's shape decides that, see the module
+/// docs) nor any result byte; they set how many workers share a ϕ and how
+/// its sources are batched.
 ///
 /// The defaults are serial: parallelism is opt-in because the engine's
 /// workloads start paying for thread scheduling only once the per-source
@@ -99,25 +109,11 @@ impl std::fmt::Display for StrategyDecision {
 /// allocations, small enough to balance skewed degree distributions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecutionConfig {
-    /// Number of worker threads for the frontier engine (≤ 1 means inline
-    /// serial execution with zero synchronisation overhead).
+    /// Number of worker threads (≤ 1 means inline serial execution with zero
+    /// synchronisation overhead).
     pub threads: usize,
-    /// Number of source nodes per scheduling batch.
+    /// Maximum number of source nodes per scheduling batch.
     pub batch_size: usize,
-    /// Below this base cardinality the frontier engine's per-source index
-    /// construction is not worth its setup cost and the semi-naïve fixpoint
-    /// wins — used as the static fallback when no [`GraphStats`]-driven
-    /// closure estimate is available (see
-    /// [`crate::cost::choose_phi_impl`]). Default
-    /// [`ExecutionConfig::DEFAULT_FRONTIER_MIN_BASE`].
-    pub frontier_min_base: usize,
-    /// Up to this base cardinality the single-threaded Shortest BFS, which
-    /// shares the fixpoint's simple data structures but prunes by endpoint
-    /// distance, is competitive with the frontier engine; beyond it the
-    /// frontier's per-source distance tables and clone-free level rotation
-    /// dominate. Default
-    /// [`ExecutionConfig::DEFAULT_BFS_SHORTEST_MAX_BASE`].
-    pub bfs_shortest_max_base: usize,
 }
 
 impl Default for ExecutionConfig {
@@ -125,23 +121,11 @@ impl Default for ExecutionConfig {
         Self {
             threads: 1,
             batch_size: 32,
-            frontier_min_base: Self::DEFAULT_FRONTIER_MIN_BASE,
-            bfs_shortest_max_base: Self::DEFAULT_BFS_SHORTEST_MAX_BASE,
         }
     }
 }
 
 impl ExecutionConfig {
-    /// Default of [`ExecutionConfig::frontier_min_base`], measured on the
-    /// `ablations` bench: below ~24 base paths the fixpoint's lack of setup
-    /// beats the frontier's per-source batching.
-    pub const DEFAULT_FRONTIER_MIN_BASE: usize = 24;
-
-    /// Default of [`ExecutionConfig::bfs_shortest_max_base`]: up to ~96 base
-    /// paths the specialised Shortest BFS and the frontier are within noise
-    /// of each other; the simpler algorithm wins the tie.
-    pub const DEFAULT_BFS_SHORTEST_MAX_BASE: usize = 96;
-
     /// A configuration with `threads` workers and the default batch size.
     pub fn with_threads(threads: usize) -> Self {
         Self {
@@ -160,16 +144,15 @@ pub struct EngineEvaluator<'g> {
     cancel: Option<Arc<CancelToken>>,
     stats: EvalStats,
     work: WorkCounters,
-    depth: usize,
     lazy_pipeline_fired: bool,
     decisions: Vec<StrategyDecision>,
 }
 
 impl<'g> EngineEvaluator<'g> {
     /// Creates an evaluator over `graph` with the given recursion bounds and
-    /// execution configuration. Strategy choices fall back to the static
-    /// base-size thresholds of [`ExecutionConfig`]; attach statistics with
-    /// [`EngineEvaluator::with_graph_stats`] for the adaptive estimator.
+    /// execution configuration. Attach statistics with
+    /// [`EngineEvaluator::with_graph_stats`] to have every strategy decision
+    /// carry its closure estimate.
     pub fn new(
         graph: &'g PropertyGraph,
         recursion: RecursionConfig,
@@ -183,16 +166,16 @@ impl<'g> EngineEvaluator<'g> {
             cancel: None,
             stats: EvalStats::default(),
             work: WorkCounters::default(),
-            depth: 0,
             lazy_pipeline_fired: false,
             decisions: Vec::new(),
         }
     }
 
-    /// Attaches precomputed [`GraphStats`], switching every ϕ dispatch from
-    /// the static thresholds to the stats-driven closure estimator
-    /// ([`crate::cost::estimate_phi`]). The runner always does this; the
-    /// choice never changes results, only which implementation runs.
+    /// Attaches precomputed [`GraphStats`]: every ϕ dispatch then records its
+    /// closure estimate ([`crate::cost::estimate_phi`]) next to the strategy
+    /// it ran, and parallel kernel drains weight their batches by it. The
+    /// runner always does this; statistics never change results or which
+    /// implementation runs.
     pub fn with_graph_stats(mut self, stats: &'g GraphStats) -> Self {
         self.graph_stats = Some(stats);
         self
@@ -224,9 +207,10 @@ impl<'g> EngineEvaluator<'g> {
         self.stats
     }
 
-    /// The deterministic PMR work counters accumulated across every lazy
-    /// dispatch this evaluator performed (serial and parallel, full drains
-    /// and sliced pipelines); zero when no lazy strategy fired. Parallel
+    /// The deterministic work counters accumulated across every ϕ this
+    /// evaluator dispatched: the kernel's own [`Pmr::work_counters`] for
+    /// scan/chain bases (serial and parallel, full drains and sliced
+    /// pipelines), the emission count for materialised bases. Parallel
     /// dispatches fold in the batch-order merged [`ParallelRun::work`]
     /// totals, so on serial-parity schedules the counters match the serial
     /// run byte for byte at every thread count.
@@ -252,14 +236,6 @@ impl<'g> EngineEvaluator<'g> {
     /// Evaluates an expression, returning paths or a solution space according
     /// to the root operator.
     pub fn eval(&mut self, expr: &PlanExpr) -> Result<EvalOutput, AlgebraError> {
-        let at_root = self.depth == 0;
-        self.depth += 1;
-        let out = self.eval_node(expr, at_root);
-        self.depth -= 1;
-        out
-    }
-
-    fn eval_node(&mut self, expr: &PlanExpr, at_root: bool) -> Result<EvalOutput, AlgebraError> {
         self.stats.operators_evaluated += 1;
         let out = match expr {
             PlanExpr::Nodes => EvalOutput::Paths(PathSet::nodes(self.graph)),
@@ -282,179 +258,37 @@ impl<'g> EngineEvaluator<'g> {
             PlanExpr::Recursive { semantics, input } => {
                 self.check_cancel()?;
                 self.stats.recursive_calls += 1;
-                let chain: Option<Vec<&str>> = input.label_scan_chain();
-                let estimate = match (&chain, self.graph_stats) {
-                    (Some(labels), Some(stats)) => Some(crate::cost::estimate_closure(
-                        stats,
-                        labels,
-                        *semantics,
-                        &self.recursion,
-                    )),
-                    (None, Some(stats)) => {
-                        Some(estimate_phi(stats, *semantics, input, &self.recursion))
-                    }
-                    _ => None,
-                };
-                let chain_choice = chain.as_ref().map(|labels| {
-                    choose_scan_phi_impl(
-                        *semantics,
-                        &self.exec,
-                        at_root,
-                        labels.len(),
-                        &self.recursion,
-                        estimate.as_ref(),
-                    )
-                });
-                match (chain, chain_choice) {
-                    (Some(labels), _) if labels.len() == 1 => {
-                        // CSR-native fast path: never materialise σℓ(Edges(G))
-                        // as a PathSet; expand over the label-restricted CSR.
-                        let label = labels[0];
-                        let csr = CsrGraph::with_label(self.graph, label);
-                        self.charge_skipped(self.graph.edge_count()); // Edges(G)
-                        self.charge_skipped(csr.edge_count()); // σ label
-                        let chosen = chain_choice.expect("chain is Some");
-                        self.record_decision(
-                            format!("ϕ{} over label scan :{label}", semantics.keyword()),
-                            chosen.name(),
-                            estimate,
-                        );
-                        let out = match chosen {
-                            // Root-level serial ϕShortest: same expansion, but
-                            // paths live as prefix-sharing PMR arena steps
-                            // until emission. Output sequence identical to
-                            // the frontier.
-                            PhiImpl::PmrLazy => {
-                                let mut pmr = Pmr::from_csr(csr, *semantics, self.recursion);
-                                if let Some(token) = &self.cancel {
-                                    pmr.share_cancel(token.clone());
-                                }
-                                let out = pmr.enumerate_all()?;
-                                self.work.merge(&pmr.work_counters());
-                                out
-                            }
-                            _ => {
-                                let out = phi_frontier_csr_with_cancel(
-                                    &csr,
-                                    *semantics,
-                                    &self.recursion,
-                                    &self.exec,
-                                    self.cancel.as_deref(),
-                                )?;
-                                // The frontier produces exactly the paths it
-                                // keeps, so its emission count matches what
-                                // the PMR reports on the same full drain.
-                                self.work.paths_emitted += out.len() as u64;
-                                out
-                            }
-                        };
-                        EvalOutput::Paths(out)
-                    }
-                    (Some(labels), Some(PhiImpl::PmrLazy)) => {
-                        // Lazy endpoint-keyed join: the per-hop CSR indexes
-                        // replace the hash join; neither join side, the join
-                        // result, nor the base PathSet is materialised.
-                        // Output sequence identical to join-then-frontier —
-                        // multi-threaded configurations enumerate through
-                        // the per-source batch scheduler, whose batch-order
-                        // merge reproduces the same sequence.
-                        self.record_decision(
-                            format!("ϕ{} over join chain {labels:?}", semantics.keyword()),
-                            PhiImpl::PmrLazy.name(),
-                            estimate,
-                        );
-                        let hops: Arc<[CsrGraph]> = labels
-                            .iter()
-                            .map(|l| CsrGraph::with_label(self.graph, l))
-                            .collect();
-                        for csr in hops.iter() {
-                            self.charge_skipped(self.graph.edge_count()); // Edges(G)
-                            self.charge_skipped(csr.edge_count()); // σ label
-                        }
-                        let (out, segments) = if self.exec.threads > 1 {
-                            let (semantics, recursion) = (*semantics, self.recursion);
-                            let cancel = self.cancel.clone();
-                            let factory = || {
-                                let mut pmr =
-                                    Pmr::from_shared_join(hops.clone(), semantics, recursion);
-                                if let Some(token) = &cancel {
-                                    pmr.share_cancel(token.clone());
-                                }
-                                pmr
-                            };
-                            let sources = factory().sources();
-                            let weights = source_weights(&hops[0], estimate.as_ref(), &sources);
-                            let run = pmr_parallel::enumerate_all(
-                                &factory,
-                                &sources,
-                                Some(&weights),
-                                &self.parallel_config(),
-                                recursion.max_paths,
-                            )?;
-                            self.work.merge(&run.work);
-                            (run.paths, run.base_segments.unwrap_or(0))
-                        } else {
-                            let mut pmr =
-                                Pmr::from_shared_join(hops.clone(), *semantics, self.recursion);
-                            if let Some(token) = &self.cancel {
-                                pmr.share_cancel(token.clone());
-                            }
-                            let out = pmr.enumerate_all()?;
-                            let segments = pmr.base_segments().unwrap_or(0);
-                            self.work.merge(&pmr.work_counters());
-                            (out, segments)
-                        };
-                        // Charge the k−1 joins with the slice of the join
-                        // output the expansion actually generated.
-                        self.stats.join_calls += labels.len() - 1;
-                        for _ in 1..labels.len() {
-                            self.charge_skipped(segments);
-                        }
-                        EvalOutput::Paths(out)
-                    }
-                    _ => {
+                let out = match input.label_scan_chain() {
+                    Some(labels) => self.drain_chain_kernel(&labels, *semantics)?,
+                    None => {
+                        let estimate = self
+                            .graph_stats
+                            .map(|stats| estimate_phi(stats, *semantics, input, &self.recursion));
                         let base = self.eval_paths_internal(input, "recursive")?;
-                        let chosen =
-                            choose_phi_impl(*semantics, base.len(), &self.exec, estimate.as_ref());
                         self.record_decision(
                             format!(
                                 "ϕ{} over materialised base ({} paths)",
                                 semantics.keyword(),
                                 base.len()
                             ),
-                            chosen.name(),
+                            PhiImpl::Frontier.name(),
                             estimate,
                         );
-                        let out = match chosen {
-                            // The cost model only dispatches the fixpoint for
-                            // tiny bases; the arm-entry check above is its
-                            // cancellation point.
-                            PhiImpl::Seminaive => {
-                                phi_seminaive(*semantics, &base, &self.recursion)?
-                            }
-                            PhiImpl::BfsShortest => phi_bfs_shortest_with_cancel(
-                                &base,
-                                &self.recursion,
-                                self.cancel.as_deref(),
-                            )?,
-                            // `choose_phi_impl` never picks the PMR for a
-                            // materialised base — it only applies to label
-                            // scans and sliced pipelines.
-                            PhiImpl::Frontier | PhiImpl::PmrLazy => phi_frontier_with_cancel(
-                                *semantics,
-                                &base,
-                                &self.recursion,
-                                &self.exec,
-                                self.cancel.as_deref(),
-                            )?,
-                        };
-                        // Every materialised-base implementation emits
-                        // exactly its output; count it so closures that never
-                        // touch the PMR still report work.
+                        let out = phi_frontier_with_cancel(
+                            *semantics,
+                            &base,
+                            &self.recursion,
+                            &self.exec,
+                            self.cancel.as_deref(),
+                        )?;
+                        // The frontier emits exactly its output; count it so
+                        // closures that never touch the kernel still report
+                        // work.
                         self.work.paths_emitted += out.len() as u64;
-                        EvalOutput::Paths(out)
+                        out
                     }
-                }
+                };
+                EvalOutput::Paths(out)
             }
             PlanExpr::GroupBy { key, input } => {
                 let input = self.eval_paths_internal(input, "group-by")?;
@@ -487,7 +321,7 @@ impl<'g> EngineEvaluator<'g> {
     /// the first-node part restricts the source schedule, the last-node part
     /// becomes a target mask consulted before any path is reconstructed and
     /// inside the reachability-based source stop. Returns `None` when the
-    /// cost model keeps the plan on the materialising path.
+    /// plan is not a lazily evaluable sliceable pipeline.
     ///
     /// The collected [`EvalStats`] charge the bypassed operators with the
     /// work the lazy evaluation actually performed (arena steps generated,
@@ -537,56 +371,26 @@ impl<'g> EngineEvaluator<'g> {
             },
             estimate,
         );
-        let (out, generated) = match mode {
-            LazyMode::Serial => {
-                let mut pmr = if chain.len() == 1 {
-                    Pmr::from_label_scan(self.graph, chain[0], plan.semantics, self.recursion)
-                } else {
-                    Pmr::from_label_chain(self.graph, &chain, plan.semantics, self.recursion)
-                };
-                pmr.restrict_endpoints(EndpointFilter {
-                    sources: source_mask,
-                    targets: target_mask,
-                });
-                if let Some(token) = &self.cancel {
-                    pmr.share_cancel(token.clone());
-                }
+        let hops = self.chain_hops(&chain);
+        let schedule = (mode == LazyMode::Parallel)
+            .then(|| pmr_parallel::source_schedule(&hops[0], source_mask.as_deref()));
+        let factory = self.kernel_factory(
+            hops.clone(),
+            plan.semantics,
+            EndpointFilter {
+                sources: source_mask,
+                targets: target_mask,
+            },
+        );
+        let (out, generated) = match schedule {
+            None => {
+                let mut pmr = factory();
                 let out = pmr.sliced(&plan.spec)?;
-                let generated = pmr.steps_generated();
                 self.work.merge(&pmr.work_counters());
-                (out, generated)
+                (out, pmr.steps_generated())
             }
-            LazyMode::Parallel => {
-                // One shared snapshot per hop, Arc-cloned into every batch
-                // worker — built once, never deep-copied per batch.
-                let scan: Option<Arc<CsrGraph>> = (chain.len() == 1)
-                    .then(|| Arc::new(CsrGraph::with_label(self.graph, chain[0])));
-                let hops: Arc<[CsrGraph]> = match &scan {
-                    Some(_) => Arc::from(Vec::new()),
-                    None => chain
-                        .iter()
-                        .map(|l| CsrGraph::with_label(self.graph, l))
-                        .collect(),
-                };
-                let (semantics, recursion) = (plan.semantics, self.recursion);
-                let cancel = self.cancel.clone();
-                let factory = || {
-                    let mut pmr = match &scan {
-                        Some(csr) => Pmr::from_shared_csr(csr.clone(), semantics, recursion),
-                        None => Pmr::from_shared_join(hops.clone(), semantics, recursion),
-                    };
-                    pmr.restrict_endpoints(EndpointFilter {
-                        sources: source_mask.clone(),
-                        targets: target_mask.clone(),
-                    });
-                    if let Some(token) = &cancel {
-                        pmr.share_cancel(token.clone());
-                    }
-                    pmr
-                };
-                let sources = factory().sources();
-                let hop0 = scan.as_deref().unwrap_or_else(|| &hops[0]);
-                let weights = source_weights(hop0, estimate.as_ref(), &sources);
+            Some(sources) => {
+                let weights = source_weights(&hops[0], estimate.as_ref(), &sources);
                 let run = pmr_parallel::sliced(
                     &factory,
                     &plan.spec,
@@ -616,6 +420,91 @@ impl<'g> EngineEvaluator<'g> {
                     + usize::from(plan.filter.is_some()));
         self.stats.max_intermediate = self.stats.max_intermediate.max(generated);
         Ok(Some(out))
+    }
+
+    /// Materialising `ϕ_semantics(σℓ1(E) ⋈ … ⋈ σℓk(E))` is draining the
+    /// scan/chain kernel: neither a join side, the join result, nor the base
+    /// `PathSet` is built. One thread drains it serially; more run it
+    /// through the per-source batch scheduler, whose batch-order merge
+    /// reproduces the serial sequence (and the serial error, unbounded Walk
+    /// included). Charges the bypassed Edges/σ/⋈ operators as the reference
+    /// evaluator would, the joins with the slice of their output the
+    /// expansion actually generated.
+    fn drain_chain_kernel(
+        &mut self,
+        labels: &[&str],
+        semantics: PathSemantics,
+    ) -> Result<PathSet, AlgebraError> {
+        let estimate = self
+            .graph_stats
+            .map(|stats| estimate_closure(stats, labels, semantics, &self.recursion));
+        self.record_decision(
+            match labels {
+                [label] => format!("ϕ{} over label scan :{label}", semantics.keyword()),
+                _ => format!("ϕ{} over join chain {labels:?}", semantics.keyword()),
+            },
+            PhiImpl::PmrLazy.name(),
+            estimate,
+        );
+        let hops = self.chain_hops(labels);
+        for csr in hops.iter() {
+            self.charge_skipped(self.graph.edge_count()); // Edges(G)
+            self.charge_skipped(csr.edge_count()); // σ label
+        }
+        let factory = self.kernel_factory(hops.clone(), semantics, EndpointFilter::default());
+        let (out, segments) = if self.exec.threads > 1 {
+            let sources = pmr_parallel::source_schedule(&hops[0], None);
+            let weights = source_weights(&hops[0], estimate.as_ref(), &sources);
+            let run = pmr_parallel::enumerate_all(
+                &factory,
+                &sources,
+                Some(&weights),
+                &self.parallel_config(),
+                self.recursion.max_paths,
+            )?;
+            self.work.merge(&run.work);
+            (run.paths, run.work.base_segments as usize)
+        } else {
+            let mut pmr = factory();
+            let out = pmr.enumerate_all()?;
+            let work = pmr.work_counters();
+            self.work.merge(&work);
+            (out, work.base_segments as usize)
+        };
+        self.stats.join_calls += labels.len() - 1;
+        for _ in 1..labels.len() {
+            self.charge_skipped(segments);
+        }
+        Ok(out)
+    }
+
+    /// One label-restricted CSR snapshot per hop of a scan chain, shared by
+    /// every kernel built over it (a label scan is the one-hop chain).
+    fn chain_hops(&self, labels: &[&str]) -> Arc<[CsrGraph]> {
+        labels
+            .iter()
+            .map(|l| CsrGraph::with_label(self.graph, l))
+            .collect()
+    }
+
+    /// Builds fresh, unpulled kernels over `hops` — one for a serial run,
+    /// one per batch for a parallel one — with the endpoint-σ pushdown and
+    /// this evaluator's cancellation token installed.
+    fn kernel_factory(
+        &self,
+        hops: Arc<[CsrGraph]>,
+        semantics: PathSemantics,
+        filter: EndpointFilter,
+    ) -> impl Fn() -> Pmr<'static> + Sync {
+        let (recursion, cancel) = (self.recursion, self.cancel.clone());
+        move || {
+            let mut pmr = Pmr::from_shared_join(hops.clone(), semantics, recursion);
+            pmr.restrict_endpoints(filter.clone());
+            if let Some(token) = &cancel {
+                pmr.share_cancel(token.clone());
+            }
+            pmr
+        }
     }
 
     /// Evaluates a per-node condition (a pure first- or last-node predicate,
@@ -660,11 +549,8 @@ impl<'g> EngineEvaluator<'g> {
         if let PlanExpr::Recursive { semantics, input } = expr {
             if let Some(chain) = input.label_scan_chain() {
                 if *semantics != PathSemantics::Walk || self.recursion.max_length.is_some() {
-                    let pmr = if chain.len() == 1 {
-                        Pmr::from_label_scan(self.graph, chain[0], *semantics, self.recursion)
-                    } else {
-                        Pmr::from_label_chain(self.graph, &chain, *semantics, self.recursion)
-                    };
+                    let pmr =
+                        Pmr::from_shared_join(self.chain_hops(&chain), *semantics, self.recursion);
                     return Ok(PathSetRepr::lazy(Box::new(pmr)));
                 }
             }
@@ -745,7 +631,7 @@ fn source_weights(
 mod tests {
     use super::*;
     use crate::cost::choose_pipeline_impl;
-    use crate::physical::frontier::phi_frontier_csr;
+    use crate::physical::frontier::phi_frontier;
     use pathalg_core::condition::Condition;
     use pathalg_core::eval::Evaluator;
     use pathalg_core::ops::projection::ProjectionSpec;
@@ -786,7 +672,6 @@ mod tests {
                     ExecutionConfig {
                         threads,
                         batch_size: 2,
-                        ..ExecutionConfig::default()
                     },
                 );
                 let out = engine.eval_paths(&plan).unwrap();
@@ -810,6 +695,62 @@ mod tests {
         );
         engine.eval_paths(&plan).unwrap();
         assert_eq!(engine.stats(), reference.stats());
+    }
+
+    #[test]
+    fn dispatch_is_decided_by_the_shape_of_the_base_alone() {
+        let f = Figure1::new();
+        let knows = || PlanExpr::edges().select(Condition::edge_label(1, "Knows"));
+        let likes = || PlanExpr::edges().select(Condition::edge_label(1, "Likes"));
+        let chain = likes().join(PlanExpr::edges().select(Condition::edge_label(1, "Has_creator")));
+        let cases = [
+            (knows().recursive(PathSemantics::Trail), "pmr-lazy"),
+            (chain.recursive(PathSemantics::Trail), "pmr-lazy"),
+            // A union is neither a scan nor a chain: materialise, then the
+            // frontier — tiny base or not.
+            (
+                knows().union(likes()).recursive(PathSemantics::Trail),
+                "frontier",
+            ),
+        ];
+        for (plan, expected) in cases {
+            for threads in [1, 4] {
+                let mut engine = EngineEvaluator::new(
+                    &f.graph,
+                    RecursionConfig::default(),
+                    ExecutionConfig::with_threads(threads),
+                );
+                engine.eval_paths(&plan).unwrap();
+                let chosen: Vec<_> = engine.decisions().iter().map(|d| d.chosen).collect();
+                assert_eq!(chosen, [expected], "{plan} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn unbounded_walk_over_a_cyclic_scan_errors_through_the_kernel_drain() {
+        let f = Figure1::new();
+        let walk = PlanExpr::edges()
+            .select(Condition::edge_label(1, "Knows"))
+            .recursive(PathSemantics::Walk);
+        let mut errors = Vec::new();
+        for threads in [1, 2, 8] {
+            let mut engine = EngineEvaluator::new(
+                &f.graph,
+                RecursionConfig::unbounded(),
+                ExecutionConfig {
+                    threads,
+                    batch_size: 2,
+                },
+            );
+            let err = engine.eval_paths(&walk).unwrap_err();
+            assert!(
+                matches!(err, AlgebraError::RecursionLimitExceeded { .. }),
+                "{err} at {threads} threads"
+            );
+            errors.push(err);
+        }
+        assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
     }
 
     #[test]
@@ -854,14 +795,18 @@ mod tests {
             ),
         ];
         for (phi, order, gkey, spec) in cases {
-            // The materialised engine pipeline: CSR frontier + core γ/τ/π.
+            // The materialised pipeline: frontier over σℓ(Edges) + core γ/τ/π.
             let PlanExpr::Recursive { semantics, .. } = &phi else {
                 unreachable!()
             };
-            let csr = CsrGraph::with_label(&f.graph, "Knows");
-            let closure = phi_frontier_csr(
-                &csr,
+            let base = selection(
+                &f.graph,
+                &Condition::edge_label(1, "Knows"),
+                &PathSet::edges(&f.graph),
+            );
+            let closure = phi_frontier(
                 *semantics,
+                &base,
                 &RecursionConfig::default(),
                 &ExecutionConfig::default(),
             )

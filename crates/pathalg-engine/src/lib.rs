@@ -5,24 +5,25 @@
 //! algorithm for each operator", Section 7.2). This crate supplies those
 //! algorithms and ties the whole stack together:
 //!
-//! * [`physical`] — alternative physical implementations of the recursive
-//!   operator: the semi-naïve fixpoint from `pathalg-core`, a literal
-//!   (naïve) transcription of Definition 4.1 used as an ablation baseline,
-//!   a DFS enumeration with restrictor pruning, a BFS specialised to the
-//!   shortest-path semantics, and the parallel CSR-native frontier engine
-//!   ([`physical::frontier`], DESIGN.md §7). All of them are cross-checked
-//!   against each other in the tests and raced in the benchmark harness.
+//! * [`physical`] — physical implementations of the recursive operator over
+//!   a materialised base: the parallel per-source frontier engine the
+//!   evaluator dispatches ([`physical::frontier`], DESIGN.md §7), and the
+//!   §8.2 ablation baselines kept as test oracles — the semi-naïve fixpoint
+//!   from `pathalg-core`, a literal (naïve) transcription of Definition 4.1,
+//!   a DFS enumeration with restrictor pruning, and a BFS specialised to the
+//!   shortest-path semantics. All of them are cross-checked against each
+//!   other in the tests and raced in the benchmark harness.
 //! * [`exec`] — [`exec::ExecutionConfig`] (thread count, source batch size)
-//!   and [`exec::EngineEvaluator`], the engine-level plan interpreter that
-//!   dispatches every ϕ through the cost model and recognises label-scan
-//!   bases for the CSR fast path.
+//!   and [`exec::EngineEvaluator`], the engine-level plan interpreter: a ϕ
+//!   over a label scan or a join chain of label scans drains `pathalg-pmr`'s
+//!   lazy scan/chain kernel, every other ϕ runs the frontier engine.
 //! * [`cost`] — a simple cardinality/cost model over
 //!   [`pathalg_graph::stats::GraphStats`], the ingredient Section 7.3 says a
-//!   cost-based optimizer needs, plus the physical ϕ-implementation choosers
-//!   ([`cost::choose_phi_impl`], [`cost::choose_scan_phi_impl`], and
-//!   [`cost::choose_pipeline_impl`], which routes slicing γ/τ/π pipelines
-//!   over label scans to `pathalg-pmr`'s lazy path-multiset representation —
-//!   DESIGN.md §8).
+//!   cost-based optimizer needs, the closure estimator behind admission
+//!   control and `EXPLAIN` ([`cost::estimate_plan_closures`]), and
+//!   [`cost::choose_pipeline_impl`], which recognises the slicing γ/τ/π
+//!   pipelines the kernel evaluates with their limits pushed in
+//!   (DESIGN.md §8).
 //! * [`baseline`] — end-to-end evaluation of a parsed query with the
 //!   classical automaton-product algorithm instead of the algebra, used as an
 //!   independent correctness oracle and benchmark comparator.

@@ -1,13 +1,18 @@
-//! Physical implementations of the recursive operator ϕ.
+//! Physical implementations of the recursive operator ϕ over a materialised
+//! base.
 //!
 //! The algebra fixes *what* ϕ computes; how to compute it is an engineering
-//! choice (Section 8.2 surveys the design space). This module provides five
-//! interchangeable implementations over the same input — a set of base paths —
-//! so that the ablation benchmarks can compare them and the tests can use
-//! them as mutual oracles:
+//! choice (Section 8.2 surveys the design space). The engine dispatches
+//! exactly one of the functions below — [`frontier::phi_frontier`], for
+//! every base it has to materialise; a base that is a label scan or a join
+//! chain of label scans is never materialised and goes to the lazy
+//! `pathalg-pmr` kernel instead (see [`crate::exec`]). The other four take
+//! the same input — a set of base paths — and are kept as the §8.2 ablation
+//! baselines the benches compare and the oracles the tests check the
+//! dispatched paths against; nothing on the query path calls them:
 //!
 //! * [`phi_seminaive`] — re-export of the frontier-based fixpoint from
-//!   `pathalg-core` (the default).
+//!   `pathalg-core`, the executable specification.
 //! * [`phi_naive`] — a literal transcription of Definition 4.1: at every
 //!   iteration the *entire* accumulated set is re-joined with the base set.
 //!   Quadratic re-derivation, kept as the textbook baseline.
@@ -17,16 +22,12 @@
 //!   shortest-path semantics: paths are generated level by level and a
 //!   per-endpoint-pair distance table cuts the search off as soon as longer
 //!   candidates appear.
-//! * [`frontier::phi_frontier`] — the parallel, CSR-native per-source
-//!   frontier engine (DESIGN.md §7): partitions the sources into batches,
-//!   expands the batches concurrently, and merges deterministically. Its
-//!   label-scan specialisation [`frontier::phi_frontier_csr`] evaluates
-//!   `ϕ(σℓ(Edges))` directly over a [`pathalg_graph::csr::CsrGraph`]
-//!   without materialising the base relation.
+//! * [`frontier::phi_frontier`] — the parallel per-source frontier engine
+//!   (DESIGN.md §7): partitions the sources into batches, expands the
+//!   batches concurrently, and merges deterministically.
 
 pub mod frontier;
 
-use pathalg_core::budget::CancelToken;
 use pathalg_core::error::AlgebraError;
 use pathalg_core::fasthash::FastMap;
 use pathalg_core::ops::join::join;
@@ -36,7 +37,7 @@ use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
 use pathalg_graph::ids::NodeId;
 
-/// The default semi-naïve fixpoint (delegates to `pathalg-core`).
+/// The semi-naïve fixpoint (delegates to `pathalg-core`).
 pub fn phi_seminaive(
     semantics: PathSemantics,
     base: &PathSet,
@@ -171,16 +172,6 @@ pub fn phi_dfs(
 /// is dropped as soon as a strictly shorter path between the same endpoints is
 /// known.
 pub fn phi_bfs_shortest(base: &PathSet, config: &RecursionConfig) -> Result<PathSet, AlgebraError> {
-    phi_bfs_shortest_with_cancel(base, config, None)
-}
-
-/// [`phi_bfs_shortest`] with a cooperative [`CancelToken`], polled once per
-/// BFS level.
-pub fn phi_bfs_shortest_with_cancel(
-    base: &PathSet,
-    config: &RecursionConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<PathSet, AlgebraError> {
     let mut by_first: FastMap<NodeId, Vec<&Path>> = FastMap::default();
     for p in base.iter() {
         if !p.is_empty() {
@@ -202,9 +193,6 @@ pub fn phi_bfs_shortest_with_cancel(
         }
     }
     while !frontier.is_empty() {
-        if let Some(token) = cancel {
-            token.check()?;
-        }
         let mut next = Vec::new();
         for current in &frontier {
             let Some(extensions) = by_first.get(&current.last()) else {

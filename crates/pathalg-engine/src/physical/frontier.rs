@@ -1,4 +1,4 @@
-//! The parallel, CSR-native frontier engine for ϕ.
+//! The parallel per-source frontier engine for ϕ over a materialised base.
 //!
 //! Every other physical implementation of ϕ in this crate evaluates the
 //! fixpoint as a sequence of *global* rounds: one shared frontier, one shared
@@ -10,9 +10,10 @@
 //! from one source never needs to observe another source's state. The engine
 //! therefore:
 //!
-//! 1. groups the base relation by `First(p)` into a CSR-shaped index (or
-//!    uses `pathalg-graph`'s label-restricted [`CsrGraph`] directly when the
-//!    base is a label scan, skipping path materialisation altogether),
+//! 1. groups the base relation by `First(p)` into a CSR-shaped index (a
+//!    base that *is* a label scan or a join chain of label scans never gets
+//!    here: the engine drains the lazy `pathalg-pmr` kernel over the label
+//!    CSRs instead, skipping path materialisation altogether),
 //! 2. partitions the sources into contiguous batches of
 //!    [`ExecutionConfig::batch_size`],
 //! 3. expands the batches concurrently on a scoped pool
@@ -52,8 +53,6 @@ use pathalg_core::ops::recursive::{
 };
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
-use pathalg_graph::csr::CsrGraph;
-use pathalg_graph::frontier::Frontier;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::NodeId;
 use pathalg_rpq::automaton_eval::AutomatonEvaluator;
@@ -132,79 +131,6 @@ pub fn phi_frontier_with_cancel(
                     &budget,
                     need_dedup,
                     &base_acyclic,
-                    &mut levels,
-                    &mut out,
-                )?;
-            }
-            Ok(out)
-        },
-    );
-
-    merge_batches(batches)
-}
-
-/// ϕ directly over a label-restricted CSR snapshot: the base relation is the
-/// edge set of `csr` (every edge as a length-1 path), which is never
-/// materialised as a `PathSet`. This is the hot path the planner dispatches
-/// `ϕ(σ_{label(edge(1))=ℓ}(Edges(G)))` plans to.
-pub fn phi_frontier_csr(
-    csr: &CsrGraph,
-    semantics: PathSemantics,
-    config: &RecursionConfig,
-    exec: &ExecutionConfig,
-) -> Result<PathSet, AlgebraError> {
-    phi_frontier_csr_with_cancel(csr, semantics, config, exec, None)
-}
-
-/// [`phi_frontier_csr`] with a cooperative [`CancelToken`], polled once per
-/// source (and once per expansion level inside each source, so even one
-/// explosive source stops promptly).
-pub fn phi_frontier_csr_with_cancel(
-    csr: &CsrGraph,
-    semantics: PathSemantics,
-    config: &RecursionConfig,
-    exec: &ExecutionConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<PathSet, AlgebraError> {
-    let sources: Vec<NodeId> = (0..csr.node_count())
-        .map(|i| NodeId(i as u32))
-        .filter(|&n| csr.out_degree(n) > 0)
-        .collect();
-    let budget = PathBudget::new(config.max_paths);
-
-    let batches = parallel_map_chunks(
-        exec.threads,
-        exec.batch_size,
-        &sources,
-        |_, chunk| -> Result<Vec<Path>, AlgebraError> {
-            let mut out = Vec::new();
-            // Per-batch scratch: the Shortest visited set + distance table
-            // (reset per source — sparse or dense by fill factor) and the
-            // level buffers recycled across sources.
-            let mut scratch = if semantics == PathSemantics::Shortest {
-                Some((
-                    Frontier::new(csr.node_count()),
-                    vec![0usize; csr.node_count()],
-                ))
-            } else {
-                None
-            };
-            let mut levels = LevelBuffers::default();
-            for &source in chunk {
-                if let Some(token) = cancel {
-                    token.check()?;
-                }
-                if let Some((seen, _)) = &mut scratch {
-                    seen.reset();
-                }
-                expand_csr_source(
-                    source,
-                    csr,
-                    semantics,
-                    config,
-                    &budget,
-                    cancel,
-                    scratch.as_mut(),
                     &mut levels,
                     &mut out,
                 )?;
@@ -460,115 +386,6 @@ fn expand_base_source(
     Ok(())
 }
 
-/// Expands one source directly over the CSR edge base, appending this
-/// source's result paths to `out` in level (= length) order.
-#[allow(clippy::too_many_arguments)]
-fn expand_csr_source(
-    source: NodeId,
-    csr: &CsrGraph,
-    semantics: PathSemantics,
-    config: &RecursionConfig,
-    budget: &PathBudget,
-    cancel: Option<&CancelToken>,
-    mut scratch: Option<&mut (Frontier, Vec<usize>)>,
-    levels: &mut LevelBuffers,
-    out: &mut Vec<Path>,
-) -> Result<(), AlgebraError> {
-    let walk_unbounded = semantics == PathSemantics::Walk && config.max_length.is_none();
-    let start = out.len();
-    let LevelBuffers { cur, next } = levels;
-    debug_assert!(cur.is_empty() && next.is_empty());
-
-    // Level 0: one length-1 path per outgoing CSR edge. A single edge is
-    // always a trail and simple; it is acyclic unless it is a self-loop.
-    if within_length(1, config) {
-        let source_path = Path::node(source);
-        let (targets, edges) = csr.neighbor_slices(source);
-        for (&t, &e) in targets.iter().zip(edges) {
-            if semantics == PathSemantics::Acyclic && t == source {
-                continue;
-            }
-            if let Some((seen, dist)) = scratch.as_deref_mut() {
-                if seen.insert(t) {
-                    dist[t.index()] = 1;
-                }
-            }
-            // Level 0 is the base relation: counted, never limit-checked
-            // (matches the fixpoint's unconditional base insertion).
-            budget.record(1);
-            cur.push((source_path.with_step(e, t), t != source));
-        }
-    }
-
-    let mut iterations = 0usize;
-    while !cur.is_empty() {
-        if let Some(token) = cancel {
-            token.check()?;
-        }
-        iterations += 1;
-        if walk_unbounded && iterations > UNBOUNDED_WALK_ITERATION_LIMIT {
-            // Local tally (this source's output), so the error value is
-            // deterministic at any thread count — see expand_base_source.
-            return Err(AlgebraError::RecursionLimitExceeded {
-                bound: UNBOUNDED_WALK_ITERATION_LIMIT,
-                paths_so_far: out.len() - start + cur.len(),
-            });
-        }
-        for (p, p_acyclic) in cur.iter() {
-            let new_len = p.len() + 1;
-            if !within_length(new_len, config) {
-                continue;
-            }
-            let (targets, edges) = csr.neighbor_slices(p.last());
-            for (&t, &e) in targets.iter().zip(edges) {
-                let admissible = match semantics {
-                    PathSemantics::Walk => true,
-                    PathSemantics::Trail => !p.edges().contains(&e),
-                    PathSemantics::Acyclic => !p.nodes().contains(&t),
-                    // Simple: a closed path cannot be extended, and the new
-                    // node may only coincide with the first (closing the
-                    // cycle). Shortest restricts its search space to simple
-                    // candidates, exactly like the semi-naïve fixpoint.
-                    PathSemantics::Simple | PathSemantics::Shortest => {
-                        p.first() != p.last() && (t == p.first() || !p.nodes()[1..].contains(&t))
-                    }
-                };
-                if !admissible {
-                    continue;
-                }
-                if walk_unbounded && (!p_acyclic || p.nodes().contains(&t)) {
-                    return Err(AlgebraError::RecursionLimitExceeded {
-                        bound: UNBOUNDED_WALK_ITERATION_LIMIT,
-                        paths_so_far: out.len() - start + cur.len() + next.len(),
-                    });
-                }
-                if let Some((seen, dist)) = scratch.as_deref_mut() {
-                    if seen.contains(t) && new_len > dist[t.index()] {
-                        continue;
-                    }
-                    if seen.insert(t) {
-                        dist[t.index()] = new_len;
-                    }
-                }
-                budget.claim(1)?;
-                next.push((p.with_step(e, t), true));
-            }
-        }
-        out.extend(cur.drain(..).map(|(p, _)| p));
-        std::mem::swap(cur, next);
-    }
-
-    if semantics == PathSemantics::Shortest {
-        let (seen, dist) = scratch.expect("Shortest expansion carries scratch");
-        let tail = out.split_off(start);
-        out.extend(
-            tail.into_iter()
-                .filter(|p| seen.contains(p.last()) && dist[p.last().index()] == p.len()),
-        );
-    }
-    Ok(())
-}
-
 /// Incremental admission of `p ∘ q` given that `p` and `q` are themselves
 /// admitted: only `q`'s new nodes/edges are compared against `p`.
 fn step_admissible(semantics: PathSemantics, p: &Path, q: &Path) -> bool {
@@ -607,7 +424,7 @@ mod tests {
     use pathalg_core::ops::selection::selection;
     use pathalg_graph::fixtures::figure1::Figure1;
     use pathalg_graph::generator::snb::{snb_like_graph, SnbConfig};
-    use pathalg_graph::generator::structured::{cycle_graph, grid_graph};
+    use pathalg_graph::generator::structured::cycle_graph;
     use pathalg_graph::graph::PropertyGraph;
 
     fn label_base(graph: &PropertyGraph, label: &str) -> PathSet {
@@ -622,7 +439,6 @@ mod tests {
         ExecutionConfig {
             threads,
             batch_size: 2,
-            ..ExecutionConfig::default()
         }
     }
 
@@ -671,24 +487,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn csr_variant_agrees_with_the_pathset_variant() {
-        let g = grid_graph(3, 3, "a");
-        let base = label_base(&g, "a");
-        let csr = CsrGraph::with_label(&g, "a");
-        let cfg = RecursionConfig::default();
-        for semantics in RESTRICTED {
-            let via_paths = phi_frontier(semantics, &base, &cfg, &exec(2)).unwrap();
-            let via_csr = phi_frontier_csr(&csr, semantics, &cfg, &exec(2)).unwrap();
-            assert_eq!(via_paths.as_slice(), via_csr.as_slice(), "{semantics:?}");
-        }
-        // Bounded walks too.
-        let bounded = RecursionConfig::with_max_length(3);
-        let via_paths = phi_frontier(PathSemantics::Walk, &base, &bounded, &exec(2)).unwrap();
-        let via_csr = phi_frontier_csr(&csr, PathSemantics::Walk, &bounded, &exec(2)).unwrap();
-        assert_eq!(via_paths.as_slice(), via_csr.as_slice());
     }
 
     #[test]
@@ -742,14 +540,9 @@ mod tests {
         let cfg = RecursionConfig::unbounded();
         let cyclic = cycle_graph(3, "a");
         let base = label_base(&cyclic, "a");
-        let csr = CsrGraph::with_label(&cyclic, "a");
         for threads in [1, 4] {
             assert!(matches!(
                 phi_frontier(PathSemantics::Walk, &base, &cfg, &exec(threads)),
-                Err(AlgebraError::RecursionLimitExceeded { .. })
-            ));
-            assert!(matches!(
-                phi_frontier_csr(&csr, PathSemantics::Walk, &cfg, &exec(threads)),
                 Err(AlgebraError::RecursionLimitExceeded { .. })
             ));
         }
@@ -775,18 +568,12 @@ mod tests {
         let cfg = RecursionConfig::unbounded();
         let reference = phi_seminaive(PathSemantics::Walk, &base, &cfg);
         let frontier = phi_frontier(PathSemantics::Walk, &base, &cfg, &exec(1));
-        let csr = CsrGraph::with_label(&g, "a");
-        let via_csr = phi_frontier_csr(&csr, PathSemantics::Walk, &cfg, &exec(1));
         assert!(matches!(
             reference,
             Err(AlgebraError::RecursionLimitExceeded { .. })
         ));
         assert!(matches!(
             frontier,
-            Err(AlgebraError::RecursionLimitExceeded { .. })
-        ));
-        assert!(matches!(
-            via_csr,
             Err(AlgebraError::RecursionLimitExceeded { .. })
         ));
     }

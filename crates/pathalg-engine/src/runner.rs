@@ -9,10 +9,10 @@
 //! 3. `pathalg-core`'s optimizer rewrites it (predicate pushdown,
 //!    ϕWalk→ϕShortest, redundant-τ elimination);
 //! 4. the engine's physical evaluator ([`crate::exec::EngineEvaluator`])
-//!    executes it, collecting statistics — dispatching every ϕ through the
-//!    cost model to one of the physical implementations (semi-naïve,
-//!    BFS-shortest, or the parallel CSR-native frontier engine configured by
-//!    [`RunnerConfig::execution`]).
+//!    executes it, collecting statistics — a ϕ over a label scan or join
+//!    chain drains the lazy `pathalg-pmr` kernel, every other ϕ runs the
+//!    per-source frontier engine, both on the workers configured by
+//!    [`RunnerConfig::execution`].
 //!
 //! The result carries the original and optimized plans, the rewrite trace and
 //! the evaluation statistics, so callers can print an `EXPLAIN ANALYZE`-style
@@ -79,7 +79,7 @@ impl RunnerConfig {
         self
     }
 
-    /// Shorthand for running the frontier engine on `threads` workers.
+    /// Shorthand for evaluating every ϕ on `threads` workers.
     pub fn with_threads(self, threads: usize) -> Self {
         self.with_execution(ExecutionConfig::with_threads(threads))
     }
@@ -406,7 +406,6 @@ mod tests {
                     RunnerConfig::default().with_execution(ExecutionConfig {
                         threads,
                         batch_size: 2,
-                        ..ExecutionConfig::default()
                     }),
                 );
                 let result = parallel.run(query).unwrap();

@@ -1,35 +1,39 @@
-//! Lazy, endpoint-keyed join expansion: `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` as a
-//! composite product.
+//! The scan/chain expansion kernel: `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` as a lazy,
+//! level-ordered composite product — `k = 1` is the plain label scan
+//! `ϕ(σℓ(E))`.
 //!
 //! The base relation of patterns like `(:Likes/:Has_creator)+` is a *join* of
 //! label scans: every base path is a fixed-length **segment** walking one
-//! edge of each hop label in order. The materialised pipeline evaluates this
-//! by hashing the full join result and feeding it to the frontier engine;
-//! this module instead keeps one CSR-shaped endpoint index *per side* (the
+//! edge of each hop label in order (a label scan is the one-hop chain, its
+//! segments are single edges). The materialised pipeline evaluates this by
+//! hashing the full join result and feeding it to the frontier engine; this
+//! module instead keeps one CSR-shaped endpoint index *per hop* (the
 //! label-restricted [`CsrGraph`] snapshots, keyed by each hop's source node)
 //! and expands the concatenation lazily: a segment is enumerated by chaining
-//! through the per-hop indexes, and the closure is grown segment by segment
-//! exactly like [`crate::csr::CsrExpansion`] grows it edge by edge — without
-//! either join side, the join result, or the closure ever being materialised.
+//! through the per-hop indexes, and the closure is grown segment by segment,
+//! level by level and *pull-driven* — levels are computed only when a
+//! consumer asks for more paths — without either join side, the join
+//! result, or the closure ever being materialised.
 //!
 //! The emission order is byte-identical to the engine's materialised
 //! evaluation (`join(…)` then `phi_frontier`): sources ascending, levels (=
 //! segment counts) in order, and within a level the lexicographic
 //! `(e1, …, ek)` adjacency order — which is the order the hash join feeds the
-//! frontier's per-source base index. All admission predicates, the Shortest
-//! per-target pruning, the unbounded-Walk infinite-answer detection and the
-//! `max_paths` accounting mirror `phi_frontier`'s composite-base expansion
-//! step for step (pinned in `tests/cross_validation.rs`).
+//! frontier's per-source base index, and the canonical-order contract of
+//! [`pathalg_core::pathset_repr::LazyPathStream`]. All admission predicates,
+//! the Shortest per-target pruning, the unbounded-Walk infinite-answer
+//! detection and the `max_paths` accounting mirror `phi_frontier`'s
+//! expansion step for step (pinned in `tests/cross_validation.rs`).
 //!
-//! Like the CSR expansion, levels are synchronous — every boundary step in
-//! the current level closes a chain of `cur_len` edges — so lengths are
-//! threaded beside step ids instead of stored per step, and all per-level
-//! scratch (the `cur`/`next` candidate buffers and the per-parent segment
-//! boundary buffer) is owned by the expansion and recycled; the steady-state
-//! drain performs no heap allocation once the buffers have grown.
+//! Levels are synchronous — every boundary step in the current level closes
+//! a chain of `cur_len` edges — so lengths are threaded beside step ids
+//! instead of stored per step (see [`crate::arena`]), and all per-level and
+//! per-source scratch (the `cur`/`next` candidate buffers, the Shortest
+//! saturation buffers) is owned by the expansion and recycled; the
+//! steady-state drain performs no heap allocation once the buffers and the
+//! arena have reached their high-water marks.
 
 use crate::arena::StepArena;
-use crate::csr::ReachInfo;
 use pathalg_core::budget::{CancelToken, PathBudget};
 use pathalg_core::error::AlgebraError;
 use pathalg_core::ops::recursive::{
@@ -41,11 +45,52 @@ use pathalg_graph::ids::NodeId;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// The lazy join expander (see the module docs). Arena steps hold one edge
-/// each; only steps at segment boundaries (path length a multiple of the hop
-/// count) are ever emitted.
-pub(crate) struct JoinExpansion {
-    hops: Arc<[CsrGraph]>,
+/// Reachability summary of one source, used by the sliced evaluation to
+/// decide when a source's contribution to every kept group is complete.
+pub(crate) struct ReachInfo {
+    /// Targets with at least one composite walk from the source (excluding
+    /// the source itself), within the configured length bound.
+    pub open: Vec<NodeId>,
+    /// Length of the shortest closed composite walk through the source
+    /// within the bound, if one exists.
+    pub min_closed: Option<usize>,
+}
+
+/// The shared per-hop snapshots an expansion walks: one scan's `Arc` as
+/// callers hold it, or a chain's hop list — never copied per expansion.
+pub(crate) enum Hops {
+    Scan(Arc<CsrGraph>),
+    Chain(Arc<[CsrGraph]>),
+}
+
+impl Hops {
+    fn as_slice(&self) -> &[CsrGraph] {
+        match self {
+            Hops::Scan(csr) => std::slice::from_ref(csr),
+            Hops::Chain(hops) => hops,
+        }
+    }
+}
+
+/// The canonical source schedule of a scan/chain expansion whose first hop
+/// is `hop0`: every node with an outgoing hop-0 edge, ascending, restricted
+/// to the nodes marked in `keep` when a σ-first mask is pushed down. Equal
+/// to [`crate::Pmr::sources`] of the unpulled expansion after the same
+/// [`crate::Pmr::restrict_endpoints`], without building one — what a
+/// parallel run partitions into batches.
+pub fn source_schedule(hop0: &CsrGraph, keep: Option<&[bool]>) -> Vec<NodeId> {
+    (0..hop0.node_count())
+        .map(|i| NodeId(i as u32))
+        .filter(|&v| hop0.out_degree(v) > 0)
+        .filter(|v| keep.is_none_or(|keep| keep.get(v.index()) == Some(&true)))
+        .collect()
+}
+
+/// The lazy scan/chain expander (see the module docs). Arena steps hold one
+/// edge each; only steps at segment boundaries (path length a multiple of
+/// the hop count) are ever emitted.
+pub(crate) struct ChainExpansion {
+    hops: Hops,
     semantics: PathSemantics,
     config: RecursionConfig,
     walk_unbounded: bool,
@@ -71,12 +116,10 @@ pub(crate) struct JoinExpansion {
     /// segments are recorded (counted, never limit-checked), recursion
     /// candidates are claimed, mirroring the frontier engine.
     budget: Arc<PathBudget>,
-    /// Cooperative cancellation, checked once per expansion level.
+    /// Cooperative cancellation, checked once per expansion level (never per
+    /// edge, so successful runs stay byte-identical and near-free).
     cancel: Option<Arc<CancelToken>>,
     level0_segments: usize,
-    /// Recycled segment-boundary buffer, refilled per parent step by
-    /// [`descend_segment`].
-    bounds: Vec<(u32, bool)>,
     /// Shortest scratch: per-source best-known distance per target (the
     /// distance table is only allocated under Shortest) plus the recycled
     /// saturation buffers.
@@ -93,17 +136,19 @@ pub(crate) struct JoinExpansion {
     scratch_reuse: u64,
 }
 
-impl JoinExpansion {
+impl ChainExpansion {
     /// Builds the expander over per-hop CSR snapshots (all over the same
     /// node universe; at least one hop).
-    pub fn new(hops: Arc<[CsrGraph]>, semantics: PathSemantics, config: RecursionConfig) -> Self {
-        assert!(!hops.is_empty(), "a join expansion needs at least one hop");
-        let n = hops[0].node_count();
-        let k = hops.len();
-        let sources: Vec<NodeId> = (0..n)
-            .map(|i| NodeId(i as u32))
-            .filter(|&v| hops[0].out_degree(v) > 0)
-            .collect();
+    pub fn new(hops: Hops, semantics: PathSemantics, config: RecursionConfig) -> Self {
+        let (n, k, sources) = {
+            let hops = hops.as_slice();
+            assert!(!hops.is_empty(), "a chain expansion needs at least one hop");
+            (
+                hops[0].node_count(),
+                hops.len(),
+                source_schedule(&hops[0], None),
+            )
+        };
         Self {
             hops,
             semantics,
@@ -123,8 +168,9 @@ impl JoinExpansion {
             budget: Arc::new(PathBudget::new(config.max_paths)),
             cancel: None,
             level0_segments: 0,
-            bounds: Vec::new(),
             seen: Frontier::new(n),
+            // Only Shortest reads distances; other semantics skip the O(n)
+            // zero-fill entirely (the Frontier itself is lazily allocated).
             dist: if semantics == PathSemantics::Shortest {
                 vec![0; n]
             } else {
@@ -149,7 +195,8 @@ impl JoinExpansion {
         Ok(Some((id, self.cur_source, len)))
     }
 
-    /// Drops everything still queued or expandable for the current source.
+    /// Drops everything still queued or expandable for the current source;
+    /// the next pull starts the next source.
     pub fn skip_source(&mut self) {
         self.pending.clear();
         self.cur.clear();
@@ -176,8 +223,9 @@ impl JoinExpansion {
         self.budget.count()
     }
 
-    /// Number of base segments (level-0 join results) generated so far — the
-    /// part of the join output the expansion actually touched.
+    /// Number of base segments (level-0 paths: join results for a chain,
+    /// single edges for a scan) generated so far — the part of the base
+    /// relation the expansion actually touched.
     pub fn base_segments(&self) -> usize {
         self.level0_segments
     }
@@ -225,8 +273,9 @@ impl JoinExpansion {
         }
     }
 
-    fn within(&self, len: usize) -> bool {
-        self.config.max_length.is_none_or(|l| len <= l)
+    /// Edges per segment: the hop count (1 for a scan).
+    fn seg_len(&self) -> usize {
+        self.hops.as_slice().len()
     }
 
     fn ensure_pending(&mut self) -> Result<bool, AlgebraError> {
@@ -246,56 +295,74 @@ impl JoinExpansion {
             self.iterations = 0;
             self.src_emitted = 0;
             if self.semantics == PathSemantics::Shortest {
-                self.expand_source_shortest(s)?;
+                self.expand_source_shortest()?;
             } else {
-                self.level0_boundaries(s);
-                self.cur_len = self.hops.len() as u32;
-                for i in 0..self.bounds.len() {
-                    let (id, _) = self.bounds[i];
-                    self.cur.push(id);
-                    self.pending.push_back((id, self.cur_len));
-                    self.src_emitted += 1;
-                }
+                let mut cur = std::mem::take(&mut self.cur);
+                self.cur_len = self.seg_len() as u32;
+                self.grow(None, self.cur_len as usize, &mut cur)?;
+                self.src_emitted = cur.len();
+                self.pending
+                    .extend(cur.iter().map(|&id| (id, self.cur_len)));
+                self.cur = cur;
             }
         }
     }
 
-    /// Level 0 of one source: one boundary step per admitted segment, filled
-    /// into `self.bounds` in lexicographic hop-adjacency order — exactly the
-    /// join output restricted to this source after the frontier's admission
-    /// filter. Segments count toward `max_paths` but never trip it (base
-    /// paths are admitted unconditionally, like the fixpoint's base
-    /// insertion).
-    fn level0_boundaries(&mut self, s: NodeId) {
-        self.bounds.clear();
-        if !self.within(self.hops.len()) {
-            return;
+    /// Grows the current source's chains by one segment into `next`, in
+    /// lexicographic hop-adjacency order: the base segments (level 0) when
+    /// `parents` is `None` — exactly the join output restricted to this
+    /// source after the frontier's admission filter — otherwise one segment
+    /// appended to every boundary step of `parents`. `new_len` is the path
+    /// length at the new boundary.
+    fn grow(
+        &mut self,
+        parents: Option<&[u32]>,
+        new_len: usize,
+        next: &mut Vec<u32>,
+    ) -> Result<(), AlgebraError> {
+        if self.config.max_length.is_some_and(|l| new_len > l) {
+            return Ok(());
         }
-        let mut bounds = std::mem::take(&mut self.bounds);
-        if bounds.capacity() > 0 {
-            self.scratch_reuse += 1;
-        }
-        descend_segment(
-            &self.hops,
+        let source = self.cur_source;
+        let simple = matches!(
             self.semantics,
-            s,
-            self.walk_unbounded,
-            &mut self.arena,
-            &mut self.acyclic,
-            0,
-            None,
-            s,
-            false,
-            &mut bounds,
+            PathSemantics::Simple | PathSemantics::Shortest
         );
-        self.budget.record(bounds.len());
-        self.level0_segments += bounds.len();
-        self.bounds = bounds;
+        let mut descent = Descent {
+            hops: self.hops.as_slice(),
+            semantics: self.semantics,
+            source,
+            walk_unbounded: self.walk_unbounded,
+            arena: &mut self.arena,
+            acyclic: &mut self.acyclic,
+            budget: &self.budget,
+            shortest: (self.semantics == PathSemantics::Shortest)
+                .then_some((&mut self.seen, self.dist.as_mut_slice())),
+            level0: parents.is_none(),
+            new_len,
+            src_emitted: self.src_emitted,
+            next,
+        };
+        let Some(parents) = parents else {
+            descent.descend(0, None, source, false)?;
+            self.level0_segments += descent.next.len();
+            return Ok(());
+        };
+        for &pid in parents {
+            let head = descent.arena.target(pid);
+            // A closed simple chain cannot be extended.
+            if simple && head == source {
+                continue;
+            }
+            let repeat = descent.walk_unbounded && !descent.acyclic[pid as usize];
+            descent.descend(0, Some(pid), head, repeat)?;
+        }
+        Ok(())
     }
 
     /// One level of expansion for the current source (non-Shortest
-    /// semantics), mirroring `phi_frontier`'s composite-base level step. The
-    /// `cur`/`next` and boundary buffers are recycled across levels.
+    /// semantics), mirroring `phi_frontier`'s level step. The `cur`/`next`
+    /// buffers are recycled across levels and sources.
     fn advance_level(&mut self) -> Result<(), AlgebraError> {
         self.check_cancel()?;
         self.iterations += 1;
@@ -311,48 +378,8 @@ impl JoinExpansion {
             self.scratch_reuse += 1;
         }
         next.clear();
-        let seg_len = self.hops.len();
-        let new_len = self.cur_len as usize + seg_len;
-        if self.within(new_len) {
-            let mut bounds = std::mem::take(&mut self.bounds);
-            for &pid in &cur {
-                let head_target = self.arena.target(pid);
-                // A closed simple chain cannot be extended.
-                if matches!(
-                    self.semantics,
-                    PathSemantics::Simple | PathSemantics::Shortest
-                ) && head_target == self.cur_source
-                {
-                    continue;
-                }
-                let p_acyclic = !self.walk_unbounded || self.acyclic[pid as usize];
-                bounds.clear();
-                descend_segment(
-                    &self.hops,
-                    self.semantics,
-                    self.cur_source,
-                    self.walk_unbounded,
-                    &mut self.arena,
-                    &mut self.acyclic,
-                    0,
-                    Some(pid),
-                    head_target,
-                    !p_acyclic,
-                    &mut bounds,
-                );
-                for &(id, repeat) in &bounds {
-                    if self.walk_unbounded && repeat {
-                        return Err(AlgebraError::RecursionLimitExceeded {
-                            bound: UNBOUNDED_WALK_ITERATION_LIMIT,
-                            paths_so_far: self.src_emitted + next.len(),
-                        });
-                    }
-                    self.budget.claim(1)?;
-                    next.push(id);
-                }
-            }
-            self.bounds = bounds;
-        }
+        let new_len = self.cur_len as usize + self.seg_len();
+        self.grow(Some(&cur), new_len, &mut next)?;
         self.src_emitted += next.len();
         self.pending
             .extend(next.iter().map(|&id| (id, new_len as u32)));
@@ -366,7 +393,7 @@ impl JoinExpansion {
     /// eagerly (as `phi_frontier` does) and the minimal boundary steps are
     /// queued in level order after the per-target distance filter. The
     /// saturation buffers (`sp_*`) are recycled across sources.
-    fn expand_source_shortest(&mut self, s: NodeId) -> Result<(), AlgebraError> {
+    fn expand_source_shortest(&mut self) -> Result<(), AlgebraError> {
         self.seen.reset();
         let mut all = std::mem::take(&mut self.sp_all);
         let mut cur = std::mem::take(&mut self.sp_cur);
@@ -377,59 +404,16 @@ impl JoinExpansion {
         all.clear();
         cur.clear();
         next.clear();
-        let seg_len = self.hops.len();
-        self.level0_boundaries(s);
-        let mut cur_len = seg_len as u32;
-        for i in 0..self.bounds.len() {
-            let (id, _) = self.bounds[i];
-            let t = self.arena.target(id);
-            if self.seen.insert(t) {
-                self.dist[t.index()] = seg_len;
-            }
-            cur.push(id);
-        }
+        let seg_len = self.seg_len();
+        let mut cur_len = seg_len;
+        self.grow(None, cur_len, &mut cur)?;
         while !cur.is_empty() {
             self.check_cancel()?;
             next.clear();
-            let new_len = cur_len as usize + seg_len;
-            if self.within(new_len) {
-                let mut bounds = std::mem::take(&mut self.bounds);
-                for &pid in &cur {
-                    let head_target = self.arena.target(pid);
-                    if head_target == s {
-                        continue; // closed chains cannot be extended
-                    }
-                    bounds.clear();
-                    descend_segment(
-                        &self.hops,
-                        self.semantics,
-                        s,
-                        false,
-                        &mut self.arena,
-                        &mut self.acyclic,
-                        0,
-                        Some(pid),
-                        head_target,
-                        false,
-                        &mut bounds,
-                    );
-                    for &(id, _) in &bounds {
-                        let t = self.arena.target(id);
-                        if self.seen.contains(t) && new_len > self.dist[t.index()] {
-                            continue;
-                        }
-                        if self.seen.insert(t) {
-                            self.dist[t.index()] = new_len;
-                        }
-                        self.budget.claim(1)?;
-                        next.push(id);
-                    }
-                }
-                self.bounds = bounds;
-            }
-            all.extend(cur.iter().map(|&id| (id, cur_len)));
+            self.grow(Some(&cur), cur_len + seg_len, &mut next)?;
+            all.extend(cur.iter().map(|&id| (id, cur_len as u32)));
             std::mem::swap(&mut cur, &mut next);
-            cur_len = new_len as u32;
+            cur_len += seg_len;
         }
         for &(id, len) in &all {
             let t = self.arena.target(id);
@@ -448,15 +432,18 @@ impl JoinExpansion {
     /// over the `(node, phase)` product of graph nodes and hop positions —
     /// polynomial, independent of how many paths exist. *Complete* for group
     /// discovery (every admitted path is a composite walk, so its target is
-    /// reached at phase 0 within the bound); unlike the single-label case it
-    /// can over-approximate — the shortest composite walk may repeat nodes,
-    /// so a listed group may hold no admitted path under Trail/Acyclic/
-    /// Simple. The sliced evaluation only uses the set to *delay* a source
-    /// stop, so over-approximation costs work, never correctness.
+    /// reached at phase 0 within the bound). For a scan it is also exact
+    /// (the shortest walk to a reachable target is a simple path, admitted
+    /// under every semantics); for a multi-hop chain it can
+    /// over-approximate — the shortest composite walk may repeat nodes, so a
+    /// listed group may hold no admitted path under Trail/Acyclic/Simple.
+    /// The sliced evaluation only uses the set to *delay* a source stop, so
+    /// over-approximation costs work, never correctness.
     pub fn reachability(&mut self, source: NodeId) -> ReachInfo {
-        let k = self.hops.len();
+        let hops = self.hops.as_slice();
+        let k = hops.len();
         let bound = self.config.max_length.unwrap_or(usize::MAX);
-        let states = self.hops[0].node_count() * k;
+        let states = hops[0].node_count() * k;
         if self.reach_dist.len() < states {
             self.reach_dist.resize(states, 0);
         }
@@ -478,7 +465,7 @@ impl JoinExpansion {
             }
             let np = (ph + 1) % k;
             let nd = d + 1;
-            let (targets, _) = self.hops[ph].neighbor_slices(u);
+            let (targets, _) = hops[ph].neighbor_slices(u);
             for &t in targets {
                 if np == 0 && t == source {
                     // A closed composite walk; the start state is never
@@ -504,74 +491,107 @@ impl JoinExpansion {
     }
 }
 
-/// Recursively enumerates the admitted `hops[hop..]` continuations of the
-/// chain `(parent, node)`, pushing one arena step per edge and recording
-/// `(boundary step id, chain-has-repeat)` pairs in lexicographic adjacency
-/// order. The per-edge checks against the growing chain are exactly the
-/// frontier engine's two-stage admission (`admits(q)` on the segment plus
-/// `step_admissible(p, q)` against the parent) unrolled edge by edge; the
-/// `repeat` flag carries the unbounded-Walk acyclicity tracking.
-#[allow(clippy::too_many_arguments)]
-fn descend_segment(
-    hops: &[CsrGraph],
+/// One [`ChainExpansion::grow`] call's view of the expansion state: the
+/// disjoint fields [`Descent::descend`] reads and writes while it walks the
+/// hop indexes.
+struct Descent<'a> {
+    hops: &'a [CsrGraph],
     semantics: PathSemantics,
     source: NodeId,
     walk_unbounded: bool,
-    arena: &mut StepArena,
-    acyclic: &mut Vec<bool>,
-    hop: usize,
-    chain: Option<u32>,
-    node: NodeId,
-    repeat: bool,
-    out: &mut Vec<(u32, bool)>,
-) {
-    let last_hop = hop + 1 == hops.len();
-    let (targets, edges) = hops[hop].neighbor_slices(node);
-    for (&t, &e) in targets.iter().zip(edges) {
-        let admissible = match semantics {
-            PathSemantics::Walk => true,
-            PathSemantics::Trail => chain.is_none_or(|id| !arena.chain_contains_edge(id, e)),
-            PathSemantics::Acyclic => {
-                t != source && chain.is_none_or(|id| !arena.chain_targets_contain(id, t))
+    arena: &'a mut StepArena,
+    acyclic: &'a mut Vec<bool>,
+    budget: &'a PathBudget,
+    /// Under Shortest: the source's visited set and per-target distances.
+    shortest: Option<(&'a mut Frontier, &'a mut [usize])>,
+    /// Level 0 grows base segments: recorded against the budget, never
+    /// limit-checked, and never an infinite-answer proof by themselves.
+    level0: bool,
+    /// Path length at the boundary this call grows to.
+    new_len: usize,
+    src_emitted: usize,
+    next: &'a mut Vec<u32>,
+}
+
+impl Descent<'_> {
+    /// Enumerates the admitted `hops[hop..]` continuations of the chain
+    /// `(chain, node)` in lexicographic adjacency order, pushing one arena
+    /// step per edge and the boundary step ids to `next`. The per-edge
+    /// checks against the growing chain are exactly the frontier engine's
+    /// two-stage admission (`admits(q)` on the segment plus
+    /// `step_admissible(p, q)` against the parent) unrolled edge by edge;
+    /// `repeat` carries the unbounded-Walk acyclicity tracking. The last hop
+    /// — the only one a scan has — never recurses: it settles the boundary
+    /// candidate (infinite-answer proof, Shortest per-target pruning,
+    /// budget) before the step is pushed, so a rejected candidate costs no
+    /// arena slot.
+    fn descend(
+        &mut self,
+        hop: usize,
+        chain: Option<u32>,
+        node: NodeId,
+        repeat: bool,
+    ) -> Result<(), AlgebraError> {
+        let hops = self.hops;
+        let last_hop = hop + 1 == hops.len();
+        let (targets, edges) = hops[hop].neighbor_slices(node);
+        for (&t, &e) in targets.iter().zip(edges) {
+            let arena = &*self.arena;
+            let admissible = match self.semantics {
+                PathSemantics::Walk => true,
+                PathSemantics::Trail => chain.is_none_or(|id| !arena.chain_contains_edge(id, e)),
+                PathSemantics::Acyclic => {
+                    t != self.source && chain.is_none_or(|id| !arena.chain_targets_contain(id, t))
+                }
+                PathSemantics::Simple | PathSemantics::Shortest => {
+                    let fresh = chain.is_none_or(|id| !arena.chain_targets_contain(id, t));
+                    if last_hop {
+                        // Only the segment's final node may close the path.
+                        t == self.source || fresh
+                    } else {
+                        t != self.source && fresh
+                    }
+                }
+            };
+            if !admissible {
+                continue;
             }
-            PathSemantics::Simple | PathSemantics::Shortest => {
-                let fresh = chain.is_none_or(|id| !arena.chain_targets_contain(id, t));
-                if last_hop {
-                    // Only the segment's final node may close the path.
-                    t == source || fresh
+            let repeat = self.walk_unbounded
+                && (repeat
+                    || t == self.source
+                    || chain.is_some_and(|id| arena.chain_targets_contain(id, t)));
+            if last_hop {
+                if repeat && !self.level0 {
+                    return Err(AlgebraError::RecursionLimitExceeded {
+                        bound: UNBOUNDED_WALK_ITERATION_LIMIT,
+                        paths_so_far: self.src_emitted + self.next.len(),
+                    });
+                }
+                if let Some((seen, dist)) = &mut self.shortest {
+                    if seen.contains(t) && self.new_len > dist[t.index()] {
+                        continue;
+                    }
+                    if seen.insert(t) {
+                        dist[t.index()] = self.new_len;
+                    }
+                }
+                if self.level0 {
+                    self.budget.record(1);
                 } else {
-                    t != source && fresh
+                    self.budget.claim(1)?;
                 }
             }
-        };
-        if !admissible {
-            continue;
+            let id = self.arena.push(chain, e, t);
+            if self.walk_unbounded {
+                self.acyclic.push(!repeat);
+            }
+            if last_hop {
+                self.next.push(id);
+            } else {
+                self.descend(hop + 1, Some(id), t, repeat)?;
+            }
         }
-        let new_repeat = walk_unbounded
-            && (repeat
-                || t == source
-                || chain.is_some_and(|id| arena.chain_targets_contain(id, t)));
-        let id = arena.push(chain, e, t);
-        if walk_unbounded {
-            acyclic.push(!new_repeat);
-        }
-        if last_hop {
-            out.push((id, new_repeat));
-        } else {
-            descend_segment(
-                hops,
-                semantics,
-                source,
-                walk_unbounded,
-                arena,
-                acyclic,
-                hop + 1,
-                Some(id),
-                t,
-                new_repeat,
-                out,
-            );
-        }
+        Ok(())
     }
 }
 
@@ -588,8 +608,8 @@ mod tests {
             CsrGraph::with_label(&f.graph, "Likes"),
             CsrGraph::with_label(&f.graph, "Has_creator"),
         ];
-        let mut exp = JoinExpansion::new(
-            hops.into(),
+        let mut exp = ChainExpansion::new(
+            Hops::Chain(hops.into()),
             PathSemantics::Trail,
             RecursionConfig::default(),
         );
@@ -614,8 +634,8 @@ mod tests {
             CsrGraph::with_label(&f.graph, "Likes"),
             CsrGraph::with_label(&f.graph, "Has_creator"),
         ];
-        let mut exp = JoinExpansion::new(
-            hops.into(),
+        let mut exp = ChainExpansion::new(
+            Hops::Chain(hops.into()),
             PathSemantics::Trail,
             RecursionConfig::default(),
         );

@@ -10,10 +10,12 @@
 //! and enumerates paths from it **on demand, in the engine's canonical
 //! order**:
 //!
-//! * [`Pmr::from_label_scan`] / [`Pmr::from_csr`] — the `ϕ(σℓ(Edges(G)))`
-//!   form: lazy per-source, level-ordered frontier expansion over a
-//!   label-restricted CSR snapshot, byte-order-identical to the engine's
-//!   materialised `phi_frontier_csr`.
+//! * [`Pmr::from_label_scan`] / [`Pmr::from_csr`] and
+//!   [`Pmr::from_label_chain`] / [`Pmr::from_join`] — the
+//!   `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` form, a label scan being the one-hop chain:
+//!   lazy per-source, level-ordered expansion over label-restricted CSR
+//!   snapshots by one kernel (the `join` module), byte-order-identical to
+//!   the engine's `phi_frontier` over the materialised base.
 //! * [`Pmr::from_regex`] — the product-automaton form `G × A`, mirroring the
 //!   serial `AutomatonEvaluator` discovery order (lazy across sources).
 //! * [`Pmr::next_batch`] / [`Pmr::top_k`] / [`Pmr::enumerate_all`] — pull as
@@ -29,7 +31,7 @@
 //!   source as soon as its contribution to every kept group is complete.
 //!
 //! Paths are stored as parent-pointer arena steps — `O(1)`
-//! words per path instead of `O(len)`. In the CSR forms a
+//! words per path instead of `O(len)`. In the scan/chain form a
 //! discovered-but-skipped path is never materialised at all; the product
 //! form additionally materialises each source's *accepted* paths while that
 //! source is current, for duplicate elimination (see [`Pmr::from_regex`]).
@@ -38,13 +40,11 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod csr;
 mod join;
 pub mod parallel;
 mod product;
 
-use crate::csr::{CsrExpansion, ReachInfo};
-use crate::join::JoinExpansion;
+use crate::join::{ChainExpansion, Hops, ReachInfo};
 use crate::product::{ProductExpansion, ProductItem};
 use pathalg_core::budget::{CancelToken, PathBudget};
 use pathalg_core::error::AlgebraError;
@@ -63,7 +63,7 @@ use std::sync::Arc;
 
 /// A compact, lazily enumerable path-multiset representation (see the crate
 /// docs). The lifetime is that of the graph the product form borrows; the
-/// CSR forms own their snapshot and are `'static`.
+/// scan/chain form owns its snapshots and is `'static`.
 pub struct Pmr<'g> {
     inner: Inner<'g>,
     /// Per-node target mask of the endpoint-σ pushdown: when set, paths whose
@@ -87,8 +87,7 @@ struct LocalCounts {
 }
 
 enum Inner<'g> {
-    Csr(Box<CsrExpansion>),
-    Join(Box<JoinExpansion>),
+    Chain(Box<ChainExpansion>),
     Product(Box<ProductExpansion<'g>>),
 }
 
@@ -116,14 +115,14 @@ pub(crate) struct Emit {
 
 #[derive(Clone, Copy, Debug)]
 enum Token {
-    /// An arena step of the CSR or join expansion, with its path length
+    /// An arena step of the scan/chain expansion, with its path length
     /// (lengths are threaded, not stored per step — see [`arena`]).
     Step(u32, u32),
     Product(ProductItem),
 }
 
 impl Pmr<'static> {
-    /// PMR of `ϕ_semantics(σ_{label=ℓ}(Edges(G)))`: frontier expansion over a
+    /// PMR of `ϕ_semantics(σ_{label=ℓ}(Edges(G)))`: the one-hop chain over a
     /// label-restricted CSR snapshot of `graph`, base never materialised.
     pub fn from_label_scan(
         graph: &PropertyGraph,
@@ -152,11 +151,7 @@ impl Pmr<'static> {
         semantics: PathSemantics,
         config: RecursionConfig,
     ) -> Pmr<'static> {
-        Pmr {
-            inner: Inner::Csr(Box::new(CsrExpansion::new(csr, semantics, config))),
-            target_mask: None,
-            counts: LocalCounts::default(),
-        }
+        Self::from_hops(Hops::Scan(csr), semantics, config)
     }
 
     /// PMR of `ϕ_semantics(σℓ1(E) ⋈ … ⋈ σℓk(E))` — the lazy endpoint-keyed
@@ -198,8 +193,12 @@ impl Pmr<'static> {
         semantics: PathSemantics,
         config: RecursionConfig,
     ) -> Pmr<'static> {
+        Self::from_hops(Hops::Chain(hops), semantics, config)
+    }
+
+    fn from_hops(hops: Hops, semantics: PathSemantics, config: RecursionConfig) -> Pmr<'static> {
         Pmr {
-            inner: Inner::Join(Box::new(JoinExpansion::new(hops, semantics, config))),
+            inner: Inner::Chain(Box::new(ChainExpansion::new(hops, semantics, config))),
             target_mask: None,
             counts: LocalCounts::default(),
         }
@@ -232,8 +231,7 @@ impl<'g> Pmr<'g> {
     pub fn restrict_endpoints(&mut self, filter: EndpointFilter) {
         if let Some(keep) = &filter.sources {
             match &mut self.inner {
-                Inner::Csr(e) => e.restrict_sources(keep),
-                Inner::Join(e) => e.restrict_sources(keep),
+                Inner::Chain(e) => e.restrict_sources(keep),
                 Inner::Product(e) => e.restrict_sources(keep),
             }
         }
@@ -245,8 +243,7 @@ impl<'g> Pmr<'g> {
     /// source restriction) — what a parallel run partitions into batches.
     pub fn sources(&self) -> Vec<NodeId> {
         match &self.inner {
-            Inner::Csr(e) => e.sources().to_vec(),
-            Inner::Join(e) => e.sources().to_vec(),
+            Inner::Chain(e) => e.sources().to_vec(),
             Inner::Product(e) => e.sources().to_vec(),
         }
     }
@@ -256,8 +253,7 @@ impl<'g> Pmr<'g> {
     /// worker to its slice of the schedule. Must precede the first pull.
     pub(crate) fn set_sources(&mut self, sources: Vec<NodeId>) {
         match &mut self.inner {
-            Inner::Csr(e) => e.set_sources(sources),
-            Inner::Join(e) => e.set_sources(sources),
+            Inner::Chain(e) => e.set_sources(sources),
             Inner::Product(e) => e.set_sources(sources),
         }
     }
@@ -267,8 +263,7 @@ impl<'g> Pmr<'g> {
     /// pull.
     pub(crate) fn share_budget(&mut self, budget: Arc<PathBudget>) {
         match &mut self.inner {
-            Inner::Csr(e) => e.share_budget(budget),
-            Inner::Join(e) => e.share_budget(budget),
+            Inner::Chain(e) => e.share_budget(budget),
             Inner::Product(e) => e.share_budget(budget),
         }
     }
@@ -282,8 +277,7 @@ impl<'g> Pmr<'g> {
     /// within one batch.
     pub fn share_cancel(&mut self, cancel: Arc<CancelToken>) {
         match &mut self.inner {
-            Inner::Csr(e) => e.share_cancel(cancel),
-            Inner::Join(e) => e.share_cancel(cancel),
+            Inner::Chain(e) => e.share_cancel(cancel),
             Inner::Product(e) => e.share_cancel(cancel),
         }
     }
@@ -297,13 +291,7 @@ impl<'g> Pmr<'g> {
     pub(crate) fn next_emit(&mut self) -> Result<Option<Emit>, AlgebraError> {
         loop {
             let emit = match &mut self.inner {
-                Inner::Csr(e) => e.next_id()?.map(|(id, source, len)| Emit {
-                    source,
-                    last: e.arena.target(id),
-                    len: len as usize,
-                    token: Token::Step(id, len),
-                }),
-                Inner::Join(e) => e.next_id()?.map(|(id, source, len)| Emit {
+                Inner::Chain(e) => e.next_id()?.map(|(id, source, len)| Emit {
                     source,
                     last: e.arena.target(id),
                     len: len as usize,
@@ -336,8 +324,7 @@ impl<'g> Pmr<'g> {
 
     pub(crate) fn realize(&self, emit: &Emit) -> Path {
         match (&self.inner, emit.token) {
-            (Inner::Csr(e), Token::Step(id, len)) => e.arena.path_of(id, emit.source, len as usize),
-            (Inner::Join(e), Token::Step(id, len)) => {
+            (Inner::Chain(e), Token::Step(id, len)) => {
                 e.arena.path_of(id, emit.source, len as usize)
             }
             (Inner::Product(e), Token::Product(item)) => e.realize(item, emit.source),
@@ -355,8 +342,7 @@ impl<'g> Pmr<'g> {
     pub(crate) fn skip_source(&mut self) {
         self.counts.abandoned += 1;
         match &mut self.inner {
-            Inner::Csr(e) => e.skip_source(),
-            Inner::Join(e) => e.skip_source(),
+            Inner::Chain(e) => e.skip_source(),
             Inner::Product(e) => e.skip_source(),
         }
     }
@@ -365,19 +351,19 @@ impl<'g> Pmr<'g> {
     /// A sliced or top-k consumer leaves this far below the multiset size.
     pub fn steps_generated(&self) -> usize {
         match &self.inner {
-            Inner::Csr(e) => e.steps_generated(),
-            Inner::Join(e) => e.steps_generated(),
+            Inner::Chain(e) => e.steps_generated(),
             Inner::Product(e) => e.steps_generated(),
         }
     }
 
-    /// Number of level-0 join segments generated so far — the slice of the
-    /// join output the expansion actually touched. `None` for the non-join
-    /// forms, whose base relation is the CSR edge set itself.
+    /// Number of level-0 base paths generated so far — the slice of the base
+    /// relation the expansion actually touched: join segments for a chain,
+    /// single edges for a scan (the expanded sources' admitted out-edges).
+    /// `None` for the product form, which has no base relation.
     pub fn base_segments(&self) -> Option<usize> {
         match &self.inner {
-            Inner::Join(e) => Some(e.base_segments()),
-            _ => None,
+            Inner::Chain(e) => Some(e.base_segments()),
+            Inner::Product(_) => None,
         }
     }
 
@@ -385,8 +371,7 @@ impl<'g> Pmr<'g> {
     /// is also its peak footprint (`arena_bytes_peak`).
     pub fn arena_bytes(&self) -> usize {
         match &self.inner {
-            Inner::Csr(e) => e.arena_bytes(),
-            Inner::Join(e) => e.arena_bytes(),
+            Inner::Chain(e) => e.arena_bytes(),
             Inner::Product(e) => e.arena_bytes(),
         }
     }
@@ -395,8 +380,7 @@ impl<'g> Pmr<'g> {
     /// pooled or retained visited-set blocks (`scratch_reuse_count`).
     pub fn scratch_reuse(&self) -> u64 {
         match &self.inner {
-            Inner::Csr(e) => e.scratch_reuse(),
-            Inner::Join(e) => e.scratch_reuse(),
+            Inner::Chain(e) => e.scratch_reuse(),
             Inner::Product(e) => e.scratch_reuse(),
         }
     }
@@ -407,8 +391,7 @@ impl<'g> Pmr<'g> {
     /// the crate docs.
     pub fn reserve_steps(&mut self, steps: usize) {
         match &mut self.inner {
-            Inner::Csr(e) => e.arena.reserve(steps),
-            Inner::Join(e) => e.arena.reserve(steps),
+            Inner::Chain(e) => e.arena.reserve(steps),
             Inner::Product(e) => e.arena.reserve(steps),
         }
     }
@@ -445,8 +428,7 @@ impl<'g> Pmr<'g> {
     /// so the parallel merge reads it once instead of summing per batch.
     pub(crate) fn budget_count(&self) -> usize {
         match &self.inner {
-            Inner::Csr(e) => e.budget_count(),
-            Inner::Join(e) => e.budget_count(),
+            Inner::Chain(e) => e.budget_count(),
             Inner::Product(e) => e.budget_count(),
         }
     }
@@ -527,7 +509,7 @@ impl<'g> Pmr<'g> {
     /// * paths beyond a group's cap are skipped without reconstruction,
     /// * a source is abandoned as soon as every group it can still
     ///   contribute to (computed by a node-level reachability BFS for the
-    ///   CSR form) holds its `per_group` quota, and
+    ///   scan/chain form) holds its `per_group` quota, and
     /// * once the partition limit is reached, sources that can only open new
     ///   partitions are never expanded at all — and a source caught
     ///   mid-expansion by the closing limit switches to per-partition
@@ -603,8 +585,8 @@ impl<'g> Pmr<'g> {
     }
 
     /// The full set of groups source `s` can ever contribute to, for the
-    /// reachability-based source stop — only computed for the CSR and join
-    /// forms under γST with a per-group cap, and skipped for Shortest (whose
+    /// reachability-based source stop — only computed for the scan/chain
+    /// form under γST with a per-group cap, and skipped for Shortest (whose
     /// per-source expansion saturates on its own). Groups outside the pushed
     /// target mask are excluded: they can never receive a path, so waiting
     /// for them would block the stop forever.
@@ -616,21 +598,14 @@ impl<'g> Pmr<'g> {
         if spec.group_key != GroupKey::SourceTarget || spec.per_group.is_none() {
             return Vec::new();
         }
-        let (semantics, ReachInfo { open, min_closed }) = match &mut self.inner {
-            Inner::Csr(e) => {
-                if e.semantics() == PathSemantics::Shortest {
-                    return Vec::new();
-                }
-                (e.semantics(), e.reachability(source))
-            }
-            Inner::Join(e) => {
-                if e.semantics() == PathSemantics::Shortest {
-                    return Vec::new();
-                }
-                (e.semantics(), e.reachability(source))
-            }
-            Inner::Product(_) => return Vec::new(),
+        let Inner::Chain(e) = &mut self.inner else {
+            return Vec::new();
         };
+        let semantics = e.semantics();
+        if semantics == PathSemantics::Shortest {
+            return Vec::new();
+        }
+        let ReachInfo { open, min_closed } = e.reachability(source);
         let mut keys: Vec<PartitionKey> = open
             .into_iter()
             .filter(|&t| self.target_admits(t))

@@ -41,6 +41,7 @@
 //! (down to singleton) batches and cannot serialise the run; `mini_pool`'s
 //! atomic-cursor scheduling steals whole batches.
 
+pub use crate::join::source_schedule;
 use crate::Pmr;
 use mini_pool::parallel_map;
 use pathalg_core::budget::{PathBudget, SliceBudget};
@@ -76,9 +77,6 @@ pub struct ParallelRun {
     pub paths: PathSet,
     /// Total arena steps generated across all batches.
     pub steps_generated: usize,
-    /// Total level-0 join segments generated across all batches (`None` for
-    /// non-join forms).
-    pub base_segments: Option<usize>,
     /// Merged work counters: per-batch expansion tallies summed in batch
     /// order, `budget_claimed` read once off the shared [`PathBudget`]
     /// (each batch sees the global tally, so summing would multiply-count),
@@ -141,8 +139,9 @@ pub fn plan_batches(
 /// serial [`Pmr::enumerate_all`] at every thread count.
 ///
 /// `factory` builds one fresh, unpulled [`Pmr`] per batch (σ-pushdown
-/// already applied); `sources` is the prototype's schedule
-/// ([`Pmr::sources`]) and `weights`, when given, align with it. `max_paths`
+/// already applied); `sources` is its schedule ([`source_schedule`], or
+/// [`Pmr::sources`] of a prototype) and `weights`, when given, align with
+/// it. `max_paths`
 /// is enforced through one shared [`PathBudget`], so the success/failure
 /// outcome matches the serial drain (the total step count of a full
 /// enumeration is schedule-independent); the batch-order merge reports the
@@ -174,27 +173,18 @@ where
                 Err(e) => return Err(e),
             }
         }
-        Ok((
-            paths,
-            pmr.steps_generated(),
-            pmr.base_segments(),
-            pmr.work_counters(),
-        ))
+        Ok((paths, pmr.steps_generated(), pmr.work_counters()))
     });
 
     let mut out = PathSet::new();
     let mut steps = 0usize;
-    let mut segments: Option<usize> = None;
     let mut work = WorkCounters {
         batches_scheduled: batches.len() as u64,
         ..WorkCounters::default()
     };
     for result in results {
-        let (paths, batch_steps, batch_segments, mut batch_work) = result?;
+        let (paths, batch_steps, mut batch_work) = result?;
         steps += batch_steps;
-        if let Some(n) = batch_segments {
-            *segments.get_or_insert(0) += n;
-        }
         // Every batch reads the same shared budget, so its tally is global
         // already — zero it before summing and set it once below.
         batch_work.budget_claimed = 0;
@@ -208,7 +198,6 @@ where
     Ok(ParallelRun {
         paths: out,
         steps_generated: steps,
-        base_segments: segments,
         work,
     })
 }
@@ -273,31 +262,20 @@ where
         pmr.set_sources(sources[range.clone()].to_vec());
         pmr.share_budget(path_budget.clone());
         let kept = drive_batch(&mut pmr, spec, &budget, i);
-        kept.map(|paths| {
-            (
-                paths,
-                pmr.steps_generated(),
-                pmr.base_segments(),
-                pmr.work_counters(),
-            )
-        })
+        kept.map(|paths| (paths, pmr.steps_generated(), pmr.work_counters()))
     });
 
     let mut collector = SliceCollector::new(spec);
     let mut complete = false;
     let mut steps = 0usize;
-    let mut segments: Option<usize> = None;
     let mut work = WorkCounters {
         batches_scheduled: batches.len() as u64,
         ..WorkCounters::default()
     };
     for result in results {
         match result {
-            Ok((paths, batch_steps, batch_segments, mut batch_work)) => {
+            Ok((paths, batch_steps, mut batch_work)) => {
                 steps += batch_steps;
-                if let Some(n) = batch_segments {
-                    *segments.get_or_insert(0) += n;
-                }
                 batch_work.budget_claimed = 0;
                 work.merge(&batch_work);
                 work.batches_merged += 1;
@@ -333,7 +311,6 @@ where
     Ok(ParallelRun {
         paths,
         steps_generated: steps,
-        base_segments: segments,
         work,
     })
 }
@@ -501,6 +478,27 @@ mod tests {
         for r in plan_batches(10, Some(&uniform), &config(1, 2)) {
             assert!(r.len() <= 2);
         }
+    }
+
+    #[test]
+    fn source_schedule_is_the_restricted_prototype_schedule() {
+        use crate::EndpointFilter;
+        // Node 0 has no out-edge on a chain's last node; the mask drops two
+        // more. The schedule derived from hop 0 must equal what an unpulled,
+        // equally restricted expansion would report.
+        let g = pathalg_graph::generator::structured::chain_graph(6, "k");
+        let csr = Arc::new(CsrGraph::with_label(&g, "k"));
+        let cfg = RecursionConfig::default();
+        let keep = vec![true, false, true, true, false, true];
+        for mask in [None, Some(keep)] {
+            let mut proto = Pmr::from_shared_csr(csr.clone(), PathSemantics::Trail, cfg);
+            proto.restrict_endpoints(EndpointFilter {
+                sources: mask.clone(),
+                targets: None,
+            });
+            assert_eq!(source_schedule(&csr, mask.as_deref()), proto.sources());
+        }
+        assert_eq!(source_schedule(&csr, None).len(), 5);
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn main() {
         ),
         (
             "joins",
-            "adaptive-strategy decision table for join-chain and scan closures",
+            "strategy decision table for join-chain and scan closures",
             tables::joins,
         ),
         (

@@ -272,13 +272,13 @@ pub fn table7() {
     }
 }
 
-/// The adaptive-strategy decision table (DESIGN.md §9/§10): for the SNB and
-/// K-graph fixtures, each query's executed plan at 1 and 4 worker threads,
-/// the physical implementation the stats-driven estimator dispatched it to
-/// (serial vs. parallel lazy included — strategy choices depend on the
-/// thread count, so each decision row carries its `threads` column), and the
-/// closure estimate that justified the choice. Cross-linked from
-/// EXPERIMENTS.md.
+/// The strategy decision table (DESIGN.md §9/§10): for the SNB and K-graph
+/// fixtures, each query's executed plan at 1 and 4 worker threads, what ran
+/// it — a full kernel drain (`pmr-lazy`), a sliced pipeline on the same
+/// kernel (`lazy-sliced-pipeline` / `parallel-lazy-pipeline`; the schedule
+/// depends on the thread count, so each decision row carries its `threads`
+/// column), or the frontier over a materialised base — and the closure
+/// estimate recorded next to it. Cross-linked from EXPERIMENTS.md.
 pub fn joins() {
     use pathalg_engine::exec::ExecutionConfig;
     use pathalg_engine::runner::QueryRunner;

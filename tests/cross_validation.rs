@@ -12,7 +12,7 @@ use pathalg::algebra::ops::selection::selection;
 use pathalg::algebra::pathset::PathSet;
 use pathalg::engine::baseline::evaluate_query_with_automaton;
 use pathalg::engine::exec::ExecutionConfig;
-use pathalg::engine::physical::frontier::{automaton_frontier, phi_frontier, phi_frontier_csr};
+use pathalg::engine::physical::frontier::{automaton_frontier, phi_frontier};
 use pathalg::engine::physical::{phi_bfs_shortest, phi_dfs, phi_naive, phi_seminaive};
 use pathalg::engine::runner::{QueryRunner, RunnerConfig};
 use pathalg::graph::csr::CsrGraph;
@@ -124,7 +124,6 @@ fn phi_frontier_is_deterministic_across_thread_counts() {
                 &ExecutionConfig {
                     threads: 1,
                     batch_size: 3,
-                    ..ExecutionConfig::default()
                 },
             )
             .unwrap();
@@ -136,7 +135,6 @@ fn phi_frontier_is_deterministic_across_thread_counts() {
                     &ExecutionConfig {
                         threads,
                         batch_size: 3,
-                        ..ExecutionConfig::default()
                     },
                 )
                 .unwrap();
@@ -156,28 +154,54 @@ fn phi_frontier_is_deterministic_across_thread_counts() {
     }
 }
 
-/// The CSR-native specialisation and the PathSet-based frontier engine are
-/// the same algorithm over two base representations: identical output, in
-/// the same order, on every test graph.
+/// The lazy scan kernel and the PathSet-based frontier engine are the same
+/// algorithm over two base representations — the label CSR and the
+/// materialised `σℓ(Edges(G))`: identical output, in the same order, on
+/// every test graph, for the serial drain and the batch-scheduled one the
+/// engine dispatches above one thread.
 #[test]
 fn csr_native_frontier_agrees_with_the_pathset_frontier() {
-    let cfg = RecursionConfig::default();
+    use pathalg::pmr::parallel::{self, ParallelConfig};
+    use pathalg::pmr::Pmr;
+    use std::sync::Arc;
+
+    let bounded = RecursionConfig::with_max_length(3);
     let exec = ExecutionConfig::with_threads(2);
     for (name, graph) in test_graphs() {
         let base = knows_base(&graph);
-        let csr = CsrGraph::with_label(&graph, "Knows");
-        for semantics in [
-            PathSemantics::Trail,
-            PathSemantics::Acyclic,
-            PathSemantics::Simple,
-            PathSemantics::Shortest,
+        let csr = Arc::new(CsrGraph::with_label(&graph, "Knows"));
+        for (semantics, cfg) in [
+            (PathSemantics::Trail, RecursionConfig::default()),
+            (PathSemantics::Acyclic, RecursionConfig::default()),
+            (PathSemantics::Simple, RecursionConfig::default()),
+            (PathSemantics::Shortest, RecursionConfig::default()),
+            (PathSemantics::Walk, bounded),
         ] {
             let via_paths = phi_frontier(semantics, &base, &cfg, &exec).unwrap();
-            let via_csr = phi_frontier_csr(&csr, semantics, &cfg, &exec).unwrap();
+            let via_csr = Pmr::from_shared_csr(csr.clone(), semantics, cfg)
+                .enumerate_all()
+                .unwrap();
             assert_eq!(
                 via_paths.as_slice(),
                 via_csr.as_slice(),
-                "{name}: CSR-native frontier diverged under {semantics:?}"
+                "{name}: scan kernel diverged under {semantics:?}"
+            );
+            let factory = || Pmr::from_shared_csr(csr.clone(), semantics, cfg);
+            let batched = parallel::enumerate_all(
+                &factory,
+                &parallel::source_schedule(&csr, None),
+                None,
+                &ParallelConfig {
+                    threads: exec.threads,
+                    batch_size: 3,
+                },
+                cfg.max_paths,
+            )
+            .unwrap();
+            assert_eq!(
+                via_paths.as_slice(),
+                batched.paths.as_slice(),
+                "{name}: batch-scheduled scan kernel diverged under {semantics:?}"
             );
         }
     }
@@ -338,7 +362,7 @@ fn end_to_end_queries_agree_between_runner_and_baseline() {
 /// The lazy-pipeline contract of the PMR subsystem (DESIGN.md §8): on every
 /// test graph, a slicing γ/τ/π pipeline over a recursive label scan —
 /// evaluated lazily by the engine — produces byte-identical canonical output
-/// to the materialised evaluation (CSR frontier + γ/τ/π operators), at 1, 2
+/// to the materialised evaluation (frontier + γ/τ/π operators), at 1, 2
 /// and 8 configured threads.
 #[test]
 fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
@@ -396,10 +420,15 @@ fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
     ];
     for (name, graph) in test_graphs() {
         for (semantics, recursion, gkey, order, spec) in &cases {
-            // The materialised evaluation: CSR frontier closure + γ/τ/π.
-            let csr = CsrGraph::with_label(&graph, "Knows");
-            let closure =
-                phi_frontier_csr(&csr, *semantics, recursion, &ExecutionConfig::default()).unwrap();
+            // The materialised evaluation: frontier closure of σℓ(Edges) +
+            // γ/τ/π.
+            let closure = phi_frontier(
+                *semantics,
+                &knows_base(&graph),
+                recursion,
+                &ExecutionConfig::default(),
+            )
+            .unwrap();
             let grouped = group_by(*gkey, &closure);
             let ranked = match order {
                 Some(key) => order_by(*key, &grouped),
@@ -477,7 +506,6 @@ fn exec_cfg(threads: usize) -> ExecutionConfig {
     ExecutionConfig {
         threads,
         batch_size: 2,
-        ..ExecutionConfig::default()
     }
 }
 
@@ -1259,36 +1287,54 @@ fn sliced_work_counters_are_thread_invariant_on_uncoupled_specs() {
     }
 }
 
-/// End to end through the engine: a join-chain closure stays on the lazy PMR
-/// strategy at every thread count, so the evaluator's accumulated
-/// deterministic counters must be byte-identical at 1, 2 and 8 engine
-/// threads on every test graph.
+/// End to end through the engine: a materialising ϕ over a join chain *or a
+/// single label scan* drains the lazy kernel at every thread count, so the
+/// evaluator's accumulated deterministic counters must be byte-identical at
+/// 1, 2 and 8 engine threads on every test graph — and for the scan (every
+/// test graph has `Knows` edges) they must report the kernel's work, not
+/// just an emission count.
 #[test]
 fn engine_work_counters_are_thread_invariant_on_lazy_chains() {
     use pathalg::algebra::plan::scan;
     use pathalg::engine::exec::EngineEvaluator;
 
-    let plan = scan("Likes")
-        .join(scan("Has_creator"))
-        .recursive(PathSemantics::Trail);
+    let plans = [
+        scan("Likes")
+            .join(scan("Has_creator"))
+            .recursive(PathSemantics::Trail),
+        scan("Knows").recursive(PathSemantics::Trail),
+        scan("Knows").recursive(PathSemantics::Shortest),
+    ];
     let cfg = RecursionConfig {
         max_length: Some(6),
         max_paths: None,
     };
     for (name, graph) in test_graphs() {
-        let mut lines = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let mut engine =
-                EngineEvaluator::new(&graph, cfg, ExecutionConfig::with_threads(threads));
-            engine.eval_paths(&plan).unwrap();
-            lines.push((threads, engine.work_counters().deterministic_line()));
-        }
-        let (_, reference) = &lines[0];
-        for (threads, line) in &lines {
-            assert_eq!(
-                line, reference,
-                "{name}: engine counters diverged at {threads} threads"
-            );
+        for (i, plan) in plans.iter().enumerate() {
+            let mut lines = Vec::new();
+            for threads in [1usize, 2, 8] {
+                let mut engine =
+                    EngineEvaluator::new(&graph, cfg, ExecutionConfig::with_threads(threads));
+                let out = engine.eval_paths(plan).unwrap();
+                let work = engine.work_counters();
+                if i > 0 {
+                    assert_eq!(work.paths_emitted, out.len() as u64, "{name}: {plan}");
+                    assert!(
+                        work.arena_steps > 0
+                            && work.budget_claimed > 0
+                            && work.arena_bytes_peak > 0,
+                        "{name}: scan drain reported no kernel work for {plan}: {work}"
+                    );
+                }
+                lines.push((threads, work.deterministic_line()));
+            }
+            let (_, reference) = &lines[0];
+            for (threads, line) in &lines {
+                assert_eq!(
+                    line, reference,
+                    "{name}: engine counters of {plan} diverged at {threads} threads"
+                );
+            }
         }
     }
 }

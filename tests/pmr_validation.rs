@@ -9,23 +9,28 @@
 //! These are checked on every fixture graph and, via the vendored proptest,
 //! on streams of random graphs.
 
+use pathalg::algebra::condition::Condition;
 use pathalg::algebra::ops::group_by::{group_by, GroupKey};
 use pathalg::algebra::ops::order_by::{order_by, OrderKey};
 use pathalg::algebra::ops::projection::{projection, ProjectionSpec, Take};
 use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
+use pathalg::algebra::ops::selection::selection;
+use pathalg::algebra::pathset::PathSet;
 use pathalg::algebra::slice::SliceSpec;
 use pathalg::engine::exec::ExecutionConfig;
-use pathalg::engine::physical::frontier::phi_frontier_csr;
+use pathalg::engine::physical::frontier::phi_frontier;
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::fixtures::figure1::Figure1;
 use pathalg::graph::generator::random::{random_labeled_graph, RandomGraphConfig};
 use pathalg::graph::generator::snb::{snb_label_csr, snb_like_graph, SnbConfig};
 use pathalg::graph::generator::structured::{chain_graph, cycle_graph, grid_graph, ladder_graph};
 use pathalg::graph::graph::PropertyGraph;
+use pathalg::graph::ids::NodeId;
 use pathalg::pmr::Pmr;
 use pathalg::rpq::automaton_eval::AutomatonEvaluator;
 use pathalg::rpq::parse::parse_regex;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn fixture_graphs() -> Vec<(String, PropertyGraph)> {
     let mut graphs = vec![
@@ -77,11 +82,30 @@ fn semantics_cases() -> Vec<(PathSemantics, RecursionConfig)> {
     ]
 }
 
+/// The materialised oracle every kernel drain is compared against, in
+/// content *and order*: `phi_frontier` over the edge base the CSR snapshot
+/// stands for — `σℓ(Edges(G))` for a label, `Edges(G)` for none.
+fn frontier_closure(
+    graph: &PropertyGraph,
+    label: Option<&str>,
+    semantics: PathSemantics,
+    cfg: &RecursionConfig,
+) -> PathSet {
+    let edges = PathSet::edges(graph);
+    let base = match label {
+        Some(l) => selection(graph, &Condition::edge_label(1, l), &edges),
+        None => edges,
+    };
+    phi_frontier(semantics, &base, cfg, &ExecutionConfig::default()).unwrap()
+}
+
 /// `Pmr::enumerate` equals the materialised frontier engine in content *and
-/// order* on every fixture graph, with and without label selection.
+/// order* on every fixture graph, with and without label selection — and a
+/// scan *is* the one-hop chain: `from_shared_csr(c)` and
+/// `from_shared_join([c])` build the same kernel, so they agree on the
+/// stream and on every work counter.
 #[test]
 fn enumeration_is_byte_identical_to_the_materialised_frontier() {
-    let exec = ExecutionConfig::default();
     for (name, graph) in fixture_graphs() {
         // The unlabelled (whole-graph) variant stays on the small fixtures:
         // the full trail closure of the multi-label SNB/random graphs blows
@@ -97,13 +121,32 @@ fn enumeration_is_byte_identical_to_the_materialised_frontier() {
                     Some(l) => CsrGraph::with_label(&graph, l),
                     None => CsrGraph::from_graph(&graph),
                 };
-                let expected = phi_frontier_csr(&csr, semantics, &cfg, &exec).unwrap();
-                let mut pmr = Pmr::from_csr(csr, semantics, cfg);
+                let expected = frontier_closure(&graph, label, semantics, &cfg);
+                let mut pmr = Pmr::from_shared_csr(Arc::new(csr.clone()), semantics, cfg);
                 let out = pmr.enumerate_all().unwrap();
                 assert_eq!(
                     out.as_slice(),
                     expected.as_slice(),
                     "{name}: PMR enumeration diverged under {semantics:?} (label {label:?})"
+                );
+                let mut chain = Pmr::from_shared_join(Arc::from(vec![csr.clone()]), semantics, cfg);
+                assert_eq!(
+                    chain.enumerate_all().unwrap().as_slice(),
+                    out.as_slice(),
+                    "{name}: one-hop chain diverged from the scan under {semantics:?}"
+                );
+                let work = pmr.work_counters();
+                assert_eq!(chain.work_counters(), work, "{name}: {semantics:?}");
+                // `base_segments` of a scan counts its level-0 paths: after a
+                // full drain, every scanned edge (Acyclic admits no
+                // self-loop, even as a base path).
+                let base_edges = (0..csr.node_count() as u32)
+                    .flat_map(|v| csr.neighbors(NodeId(v)).map(move |(t, _)| (NodeId(v), t)))
+                    .filter(|(s, t)| semantics != PathSemantics::Acyclic || s != t)
+                    .count();
+                assert_eq!(
+                    work.base_segments, base_edges as u64,
+                    "{name}: {semantics:?}"
                 );
             }
         }
@@ -160,11 +203,10 @@ fn top_k_law_holds_on_every_fixture() {
 /// set, for the `(First, Last, Len)`-derived keys.
 #[test]
 fn group_counts_agree_with_group_by_on_every_fixture() {
-    let exec = ExecutionConfig::default();
     for (name, graph) in fixture_graphs() {
         let csr = CsrGraph::with_label(&graph, "Knows");
         let cfg = RecursionConfig::default();
-        let materialised = phi_frontier_csr(&csr, PathSemantics::Trail, &cfg, &exec).unwrap();
+        let materialised = frontier_closure(&graph, Some("Knows"), PathSemantics::Trail, &cfg);
         for key in GroupKey::ALL {
             let ss = group_by(key, &materialised);
             let mut pmr = Pmr::from_csr(csr.clone(), PathSemantics::Trail, cfg);
@@ -183,11 +225,10 @@ fn group_counts_agree_with_group_by_on_every_fixture() {
 /// fixture graph, for the selector shapes the recogniser accepts.
 #[test]
 fn sliced_evaluation_matches_the_materialised_pipeline_on_every_fixture() {
-    let exec = ExecutionConfig::default();
     for (name, graph) in fixture_graphs() {
         for (semantics, cfg) in semantics_cases() {
             let csr = CsrGraph::with_label(&graph, "Knows");
-            let materialised = phi_frontier_csr(&csr, semantics, &cfg, &exec).unwrap();
+            let materialised = frontier_closure(&graph, Some("Knows"), semantics, &cfg);
             for (group_key, order, spec) in [
                 (
                     GroupKey::SourceTarget,
@@ -315,13 +356,12 @@ proptest! {
         labelled in 0usize..2,
     ) {
         let (semantics, cfg) = semantics_from_index(sem);
-        let csr = if labelled == 1 {
-            CsrGraph::with_label(&g, "a")
+        let (csr, label) = if labelled == 1 {
+            (CsrGraph::with_label(&g, "a"), Some("a"))
         } else {
-            CsrGraph::from_graph(&g)
+            (CsrGraph::from_graph(&g), None)
         };
-        let expected =
-            phi_frontier_csr(&csr, semantics, &cfg, &ExecutionConfig::default()).unwrap();
+        let expected = frontier_closure(&g, label, semantics, &cfg);
         let mut pmr = Pmr::from_csr(csr, semantics, cfg);
         let out = pmr.enumerate_all().unwrap();
         prop_assert_eq!(out.as_slice(), expected.as_slice());
@@ -354,8 +394,7 @@ proptest! {
     ) {
         let (semantics, cfg) = semantics_from_index(sem);
         let csr = CsrGraph::with_label(&g, "a");
-        let materialised =
-            phi_frontier_csr(&csr, semantics, &cfg, &ExecutionConfig::default()).unwrap();
+        let materialised = frontier_closure(&g, Some("a"), semantics, &cfg);
         let expected = projection(
             &ProjectionSpec::new(Take::All, Take::All, Take::Count(k)),
             &order_by(
