@@ -24,7 +24,6 @@ use pathalg_core::ops::recursive::{recursive, PathSemantics, RecursionConfig};
 use pathalg_core::ops::selection::selection;
 use pathalg_core::optimizer::Optimizer;
 use pathalg_core::pathset::PathSet;
-use pathalg_engine::exec::ExecutionConfig;
 use pathalg_engine::physical::frontier::phi_frontier;
 use pathalg_engine::physical::{phi_bfs_shortest, phi_dfs, phi_naive, phi_seminaive};
 use pathalg_rpq::automaton_eval::AutomatonEvaluator;
@@ -76,13 +75,12 @@ fn bench_phi_implementations(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bfs_shortest", n), &base, |b, base| {
             b.iter(|| phi_bfs_shortest(base, &cfg).unwrap().len())
         });
-        let exec = ExecutionConfig::default();
         for (id, semantics) in [
             ("frontier_trail", PathSemantics::Trail),
             ("frontier_shortest", PathSemantics::Shortest),
         ] {
             group.bench_with_input(BenchmarkId::new(id, n), &base, |b, base| {
-                b.iter(|| phi_frontier(semantics, base, &cfg, &exec).unwrap().len())
+                b.iter(|| phi_frontier(semantics, base, &cfg).unwrap().len())
             });
         }
         // The classical automaton-product baseline answering the same RPQ.

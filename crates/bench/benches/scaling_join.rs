@@ -22,7 +22,6 @@ use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::ops::selection::selection;
 use pathalg_core::pathset::PathSet;
 use pathalg_core::slice::SliceSpec;
-use pathalg_engine::exec::ExecutionConfig;
 use pathalg_engine::physical::frontier::phi_frontier;
 use pathalg_graph::generator::structured::complete_graph;
 use pathalg_graph::graph::PropertyGraph;
@@ -54,7 +53,7 @@ fn materialized_top1(
         .map(|l| selection(graph, &Condition::edge_label(1, *l), &PathSet::edges(graph)))
         .reduce(|a, b| join(&a, &b))
         .expect("at least one label");
-    let closure = phi_frontier(semantics, &base, cfg, &ExecutionConfig::default()).unwrap();
+    let closure = phi_frontier(semantics, &base, cfg).unwrap();
     let (spec, _) = top1_spec();
     projection(
         &spec,
@@ -108,13 +107,7 @@ fn bench_snb_topk(c: &mut Criterion) {
                     .map(|l| selection(g, &Condition::edge_label(1, *l), &PathSet::edges(g)))
                     .reduce(|a, b| join(&a, &b))
                     .expect("two labels");
-                let closure = phi_frontier(
-                    PathSemantics::Walk,
-                    &base,
-                    &cfg,
-                    &ExecutionConfig::default(),
-                )
-                .unwrap();
+                let closure = phi_frontier(PathSemantics::Walk, &base, &cfg).unwrap();
                 projection(&spec, &group_by(GroupKey::Source, &closure)).len()
             })
         });

@@ -24,7 +24,6 @@ use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::ops::selection::selection;
 use pathalg_core::pathset::PathSet;
 use pathalg_core::slice::SliceSpec;
-use pathalg_engine::exec::ExecutionConfig;
 use pathalg_engine::physical::frontier::phi_frontier;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::generator::structured::complete_graph;
@@ -54,7 +53,7 @@ fn label_base(graph: &PropertyGraph, label: &str) -> PathSet {
 
 /// Full materialisation: frontier closure, then γST → τA → π(*,*,1).
 fn materialized_top1(base: &PathSet, semantics: PathSemantics, cfg: &RecursionConfig) -> usize {
-    let closure = phi_frontier(semantics, base, cfg, &ExecutionConfig::default()).unwrap();
+    let closure = phi_frontier(semantics, base, cfg).unwrap();
     let (spec, _) = top1_spec();
     projection(
         &spec,

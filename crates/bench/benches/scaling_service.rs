@@ -20,7 +20,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathalg_bench::snb;
 use pathalg_core::ops::recursive::RecursionConfig;
-use pathalg_engine::exec::ExecutionConfig;
 use pathalg_server::{QueryService, ServiceConfig};
 use std::sync::Arc;
 use std::thread;
@@ -34,14 +33,16 @@ const SCALES: [usize; 2] = [200, 800];
 
 fn service(persons: usize) -> Arc<QueryService> {
     let graph = Arc::new(snb(persons));
-    let mut config = ServiceConfig::with_execution(ExecutionConfig::with_threads(1));
     // Keep the closure finite and the admission gate out of the measurement:
     // this bench times the service plumbing, not rejection.
-    config.recursion = RecursionConfig {
-        max_length: Some(4),
-        max_paths: None,
+    let config = ServiceConfig {
+        recursion: RecursionConfig {
+            max_length: Some(4),
+            max_paths: None,
+        },
+        admission_ceiling: None,
+        ..ServiceConfig::default()
     };
-    config.admission_ceiling = None;
     Arc::new(QueryService::new(graph, config))
 }
 

@@ -1,21 +1,12 @@
-//! A shared, thread-safe result-size budget for path-producing operators.
+//! A result-size budget for path-producing operators, plus the per-request
+//! quotas and cancellation tokens a serving layer wraps around evaluation.
 //!
 //! The `max_paths` bound of [`crate::ops::recursive::RecursionConfig`] caps
 //! the number of paths an evaluation may materialise before aborting with
-//! [`AlgebraError::ResultLimitExceeded`]. The single-threaded operators check
-//! a local counter; the engine's parallel frontier expansion splits one
-//! logical result across many workers, so the counter must be shared.
-//! [`PathBudget`] is that counter: an atomic tally against an optional limit.
-//!
-//! The success/failure *outcome* of a budgeted run is deterministic
-//! regardless of thread count: the total number of unique paths an expansion
-//! produces is fixed, so either every schedule stays within the limit or
-//! every schedule fails — only which worker happens to observe the overflow
-//! varies, and the error value (`ResultLimitExceeded { limit }`) is the same
-//! from any of them. One caveat: when a run violates *two* bounds at once
-//! (e.g. an unbounded-Walk cycle is detected while the path limit is also
-//! exceeded), which of the two error variants is reported first may depend
-//! on the schedule.
+//! [`AlgebraError::ResultLimitExceeded`]. [`PathBudget`] is that counter: a
+//! tally against an optional limit, claimable through a shared reference
+//! (it is atomic, so an expansion can hand `&PathBudget` to its per-source
+//! helpers without threading `&mut` through them).
 
 use crate::error::AlgebraError;
 use crate::ops::recursive::RecursionConfig;
@@ -72,16 +63,14 @@ fn min_opt(a: Option<usize>, b: Option<usize>) -> Option<usize> {
 /// deadline.
 ///
 /// Enumeration is pull-driven and can run for a long time between pulls
-/// (one closure level, one source, one batch), so cancellation has to be
+/// (one closure level, one source), so cancellation has to be
 /// *cooperative*: every enumeration loop polls [`CancelToken::check`] at
 /// its natural granularity boundary and aborts with a typed error when the
 /// token fired. Checks are read-only (a relaxed flag load plus, when a
 /// deadline is set, one `Instant::now()` call), so a run that completes
 /// without tripping the token is byte-identical to an uncancellable run.
-///
-/// Like [`PathBudget`], one token is shared across all batch workers of a
-/// parallel enumeration: cancelling it (or its deadline passing) stops
-/// every worker within one batch.
+/// The token is shared (`Arc`) between the request that owns the deadline
+/// and the evaluation polling it, so another thread may cancel it.
 #[derive(Debug, Default)]
 pub struct CancelToken {
     cancelled: AtomicBool,
@@ -189,88 +178,6 @@ impl PathBudget {
     }
 }
 
-/// Shared demand-propagation state of a *parallel sliced* enumeration — the
-/// generalisation of [`PathBudget`] from "one global path count" to
-/// "per-batch partition and kept-path counts with prefix queries".
-///
-/// A parallel lazy enumeration partitions its sources into contiguous,
-/// canonically ordered batches; downstream limits (`π(kp,…)` partition
-/// limits, the γ∅ global path cap) close in *canonical prefix order*, so a
-/// worker processing batch `i` may stop the moment the limits are provably
-/// closed by batches `0..i` plus its own batch-local tally. The budget keeps
-/// one atomic partition counter and one atomic kept-path counter per batch;
-/// workers publish increments as they discover partitions / keep paths, and
-/// prefix sums read by later batches are therefore *lower bounds* of the
-/// final counts — which is exactly the soundness direction the stop needs:
-/// if the lower bound already closes a limit, the true prefix closes it too.
-/// The stop is advisory (it only ever skips work the merge would discard),
-/// so the merged output is byte-identical to the serial enumeration at any
-/// thread count.
-#[derive(Debug)]
-pub struct SliceBudget {
-    partition_limit: Option<usize>,
-    kept_limit: Option<usize>,
-    partitions: Vec<AtomicUsize>,
-    kept: Vec<AtomicUsize>,
-}
-
-impl SliceBudget {
-    /// Creates a budget for `batches` batches. `partition_limit` mirrors
-    /// `π(kp,…)` (`SliceSpec::max_partitions`); `kept_limit` is the *global*
-    /// kept-path cap of single-partition (γ∅) pipelines.
-    pub fn new(batches: usize, partition_limit: Option<usize>, kept_limit: Option<usize>) -> Self {
-        Self {
-            partition_limit,
-            kept_limit,
-            partitions: (0..batches).map(|_| AtomicUsize::new(0)).collect(),
-            kept: (0..batches).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-
-    /// Publishes a newly opened partition of `batch`.
-    pub fn open_partition(&self, batch: usize) {
-        self.partitions[batch].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes a kept path of `batch`.
-    pub fn keep_path(&self, batch: usize) {
-        self.kept[batch].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Lower bound of the partitions opened by batches before `batch`.
-    pub fn partitions_before(&self, batch: usize) -> usize {
-        self.partitions[..batch]
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Lower bound of the paths kept by batches before `batch`.
-    pub fn kept_before(&self, batch: usize) -> usize {
-        self.kept[..batch]
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// True once the partition limit is provably closed for a worker of
-    /// `batch` that has itself opened `local_opened` partitions so far: no
-    /// partition it could open from here on would be admitted by the serial
-    /// merge. Always false without a partition limit.
-    pub fn partitions_closed(&self, batch: usize, local_opened: usize) -> bool {
-        self.partition_limit
-            .is_some_and(|kp| self.partitions_before(batch) + local_opened >= kp)
-    }
-
-    /// True once the global kept-path cap (γ∅) is provably filled by earlier
-    /// batches alone — everything a worker of `batch` would keep is discarded
-    /// by the merge. Always false without a kept-path cap.
-    pub fn kept_complete(&self, batch: usize) -> bool {
-        self.kept_limit
-            .is_some_and(|k| self.kept_before(batch) >= k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,42 +242,6 @@ mod tests {
             b.claim(1),
             Err(AlgebraError::ResultLimitExceeded { limit: 2 })
         );
-    }
-
-    #[test]
-    fn slice_budget_prefix_sums_are_lower_bounds_in_batch_order() {
-        let b = SliceBudget::new(3, Some(4), Some(2));
-        // Nothing published: nothing closed.
-        assert!(!b.partitions_closed(1, 0));
-        assert!(!b.kept_complete(1));
-        // Batch 0 opens 3 partitions; a batch-1 worker that opened 1 itself
-        // sees the limit of 4 as closed, a batch-0 worker does not (its own
-        // partitions are accounted via `local_opened`, not the prefix).
-        b.open_partition(0);
-        b.open_partition(0);
-        b.open_partition(0);
-        assert!(b.partitions_closed(1, 1));
-        assert!(!b.partitions_closed(1, 0));
-        assert_eq!(b.partitions_before(1), 3);
-        assert_eq!(b.partitions_before(0), 0);
-        assert!(b.partitions_closed(0, 4));
-        // Kept-path cap: closed for later batches once the prefix holds it.
-        b.keep_path(0);
-        b.keep_path(1);
-        assert!(!b.kept_complete(1), "batch 1's own paths are not a prefix");
-        b.keep_path(0);
-        assert!(b.kept_complete(1));
-        assert!(b.kept_complete(2));
-        assert!(!b.kept_complete(0), "batch 0 has no prefix");
-    }
-
-    #[test]
-    fn slice_budget_without_limits_never_closes() {
-        let b = SliceBudget::new(2, None, None);
-        b.open_partition(0);
-        b.keep_path(0);
-        assert!(!b.partitions_closed(1, 100));
-        assert!(!b.kept_complete(1));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub enum AlgebraError {
     },
     /// The evaluation's deadline passed before enumeration finished. Raised
     /// cooperatively at the [`crate::budget::CancelToken`] check sites, so
-    /// the error surfaces within one enumeration level / batch of the
+    /// the error surfaces within one enumeration level / source of the
     /// deadline firing.
     DeadlineExceeded,
     /// The evaluation was cancelled via [`crate::budget::CancelToken`]

@@ -6,13 +6,12 @@
 //! * **Work counters** ([`WorkCounters`]) are *deterministic*: they count
 //!   algorithmic events (arena steps allocated, paths emitted or skipped,
 //!   sources abandoned by the reachability stop, budget claims, partitions
-//!   opened, paths kept). On the serial-parity paths — full drains and
-//!   *uncoupled* sliced pipelines (no partition limit, non-γ∅ key) — the
-//!   totals are byte-identical at every thread count, so cross-validation
-//!   can pin them and the observability layer doubles as a correctness
-//!   oracle for the §8/§10 enumeration invariants. The scheduling counters
-//!   (`batches_scheduled`, `batches_merged`) describe how work was split,
-//!   not what was computed, and are excluded from the pinned subset
+//!   opened, paths kept). The same plan over the same graph reports the
+//!   same totals on every run, so cross-validation can pin them and the
+//!   observability layer doubles as a correctness oracle for the §8
+//!   enumeration invariants. The memory gauges (`arena_bytes_peak`,
+//!   `scratch_reuse_count`) describe how the work was stored, not what was
+//!   computed, and are excluded from the pinned subset
 //!   ([`WorkCounters::deterministic_line`]).
 //! * **Stage spans** ([`StageSpans`]) are *wall-clock*: monotonic-clock
 //!   durations of the parse → plan → admit → execute → render pipeline of
@@ -52,25 +51,19 @@ pub struct WorkCounters {
     pub partitions_opened: u64,
     /// Paths the slice collector kept (the sliced output length).
     pub paths_kept: u64,
-    /// Batches handed to the parallel scheduler (0 for serial runs).
-    /// Scheduling detail: excluded from [`Self::deterministic_line`].
-    pub batches_scheduled: u64,
-    /// Batch results stitched back by the batch-order merge.
-    /// Scheduling detail: excluded from [`Self::deterministic_line`].
-    pub batches_merged: u64,
     /// Peak bytes backing PMR step arenas (merged by **max**: the largest
-    /// single arena footprint seen). Depends on how sources were batched, so
-    /// it is a memory gauge, not part of [`Self::deterministic_line`].
+    /// single arena footprint seen). A memory gauge, not part of
+    /// [`Self::deterministic_line`].
     pub arena_bytes_peak: u64,
     /// Times a hoisted scratch structure (level buffers, visited-set blocks,
-    /// saturation buffers) was reused instead of freshly allocated. Depends
-    /// on batching, so excluded from [`Self::deterministic_line`].
+    /// saturation buffers) was reused instead of freshly allocated. A
+    /// memory gauge, excluded from [`Self::deterministic_line`].
     pub scratch_reuse_count: u64,
 }
 
 impl WorkCounters {
-    /// Folds `other` into `self` (associative, so per-batch and per-operator
-    /// counters fold into request totals in any order). Every counter adds,
+    /// Folds `other` into `self` (associative, so per-operator counters fold
+    /// into request totals in any order). Every counter adds,
     /// except `arena_bytes_peak`, which is a peak gauge and takes the max.
     pub fn merge(&mut self, other: &WorkCounters) {
         self.arena_steps += other.arena_steps;
@@ -81,8 +74,6 @@ impl WorkCounters {
         self.budget_claimed += other.budget_claimed;
         self.partitions_opened += other.partitions_opened;
         self.paths_kept += other.paths_kept;
-        self.batches_scheduled += other.batches_scheduled;
-        self.batches_merged += other.batches_merged;
         self.arena_bytes_peak = self.arena_bytes_peak.max(other.arena_bytes_peak);
         self.scratch_reuse_count += other.scratch_reuse_count;
     }
@@ -93,8 +84,7 @@ impl WorkCounters {
     }
 
     /// The canonical rendering of the *deterministic* subset — everything
-    /// except the scheduling counters. On serial-parity paths this string is
-    /// byte-identical at every thread count; cross-validation pins it.
+    /// except the memory gauges; cross-validation pins it.
     pub fn deterministic_line(&self) -> String {
         format!(
             "steps={} segments={} emitted={} skipped={} abandoned={} \
@@ -115,10 +105,8 @@ impl fmt::Display for WorkCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} batches={} merged={} arena_bytes={} scratch_reuse={}",
+            "{} arena_bytes={} scratch_reuse={}",
             self.deterministic_line(),
-            self.batches_scheduled,
-            self.batches_merged,
             self.arena_bytes_peak,
             self.scratch_reuse_count
         )
@@ -334,14 +322,12 @@ mod tests {
         let b = WorkCounters {
             arena_steps: 10,
             paths_skipped: 5,
-            batches_scheduled: 3,
             ..WorkCounters::default()
         };
         a.merge(&b);
         assert_eq!(a.arena_steps, 11);
         assert_eq!(a.paths_emitted, 2);
         assert_eq!(a.paths_skipped, 5);
-        assert_eq!(a.batches_scheduled, 3);
         assert!(!a.is_empty());
         assert!(WorkCounters::default().is_empty());
     }
@@ -366,26 +352,6 @@ mod tests {
         let full = a.to_string();
         assert!(full.contains("arena_bytes=100"), "{full}");
         assert!(full.contains("scratch_reuse=5"), "{full}");
-    }
-
-    #[test]
-    fn deterministic_line_excludes_scheduling_counters() {
-        let mut w = WorkCounters {
-            arena_steps: 7,
-            batches_scheduled: 4,
-            batches_merged: 4,
-            ..WorkCounters::default()
-        };
-        let line = w.deterministic_line();
-        assert!(!line.contains("batches"), "{line}");
-        // Two runs that differ only in scheduling share the pinned line.
-        let mut other = w;
-        other.batches_scheduled = 1;
-        other.batches_merged = 1;
-        assert_eq!(w.deterministic_line(), other.deterministic_line());
-        assert_ne!(w.to_string(), other.to_string());
-        w.merge(&WorkCounters::default());
-        assert_eq!(w.deterministic_line(), line);
     }
 
     #[test]

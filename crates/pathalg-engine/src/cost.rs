@@ -7,8 +7,12 @@
 //! numbers are deliberately coarse (textbook selectivity heuristics), but they
 //! are already enough to rank the Figure 6 plans correctly — which is what the
 //! `fig6_pushdown` bench demonstrates.
+//!
+//! Evaluation is serial per query, so no estimate here picks a thread count
+//! or a schedule: the closure estimates decide admission and annotate the
+//! strategy report, and the shape of a ϕ base alone picks its
+//! implementation ([`PhiImpl`]).
 
-use crate::exec::ExecutionConfig;
 use pathalg_core::condition::{Accessor, Condition, Position};
 use pathalg_core::expr::PlanExpr;
 use pathalg_core::ops::projection::Take;
@@ -142,9 +146,9 @@ impl PhiImpl {
 }
 
 /// A stats-driven estimate of one recursive closure: what admission control
-/// ([`estimate_plan_closures`]) judges a query on, what `EXPLAIN` prints next
-/// to a strategy, and the seed of the parallel batch weights. The numbers are
-/// coarse on purpose — they never change results.
+/// ([`estimate_plan_closures`]) judges a query on and what `EXPLAIN` prints
+/// next to a strategy. The numbers are coarse on purpose — they never change
+/// results.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClosureEstimate {
     /// Estimated cardinality of the base relation (segments for a join
@@ -370,42 +374,15 @@ pub fn choose_pipeline_impl<'a>(
         .filter(|sliced| sliced.lazy_eligible(recursion))
 }
 
-/// How a lazily evaluated sliced pipeline is scheduled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LazyMode {
-    /// One serial enumeration ([`pathalg_pmr::Pmr::sliced`]).
-    Serial,
-    /// Per-source batch scheduling over the configured worker threads
-    /// (`pathalg_pmr::parallel`), byte-identical to the serial order.
-    Parallel,
-}
-
-/// [`choose_pipeline_impl`] plus the schedule: a sliceable pipeline is
-/// always evaluated lazily, and the only choice left is how.
-///
-/// * *parallel lazy* ([`LazyMode::Parallel`]): multi-threaded configurations
-///   — the batch scheduler keeps the lazy cut **and** the workers;
-/// * *serial lazy* ([`LazyMode::Serial`]): single-threaded configurations —
-///   and `max_paths`-bounded runs of *cross-source-coupled* specs (a
-///   partition limit, or the γ∅ global cap). Those limits make the serial
-///   enumeration stop mid-schedule, so parallel workers would claim budget
-///   for sources the serial run never expands; uncoupled specs expand every
-///   source identically on either schedule, so their shared-budget claim
-///   accounting matches the serial outcome exactly and they stay parallel.
-///
-/// The returned estimate (when stats were available) feeds the `EXPLAIN`
-/// strategy report and seeds the per-source batch weights.
-#[allow(clippy::type_complexity)]
+/// [`choose_pipeline_impl`] plus the closure estimate of its base (when
+/// statistics are available): a sliceable pipeline is always evaluated
+/// lazily, by one serial [`pathalg_pmr::Pmr::sliced`] enumeration, and the
+/// estimate feeds the `EXPLAIN` strategy report.
 pub fn choose_pipeline_strategy<'a>(
     plan: &'a pathalg_core::expr::PlanExpr,
     recursion: &pathalg_core::ops::recursive::RecursionConfig,
-    exec: &ExecutionConfig,
     stats: Option<&GraphStats>,
-) -> Option<(
-    pathalg_core::slice::SlicePlan<'a>,
-    Option<ClosureEstimate>,
-    LazyMode,
-)> {
+) -> Option<(pathalg_core::slice::SlicePlan<'a>, Option<ClosureEstimate>)> {
     let sliced = choose_pipeline_impl(plan, recursion)?;
     let estimate = stats.map(|s| {
         let chain = sliced
@@ -414,14 +391,7 @@ pub fn choose_pipeline_strategy<'a>(
             .expect("lazy_eligible checked the base is a scan chain");
         estimate_closure(s, &chain, sliced.semantics, recursion)
     });
-    let claim_coupled = sliced.spec.max_partitions.is_some()
-        || sliced.spec.group_key == pathalg_core::ops::group_by::GroupKey::Empty;
-    let mode = if exec.threads > 1 && (recursion.max_paths.is_none() || !claim_coupled) {
-        LazyMode::Parallel
-    } else {
-        LazyMode::Serial
-    };
-    Some((sliced, estimate, mode))
+    Some((sliced, estimate))
 }
 
 /// Estimated fraction of paths satisfying a condition.
@@ -645,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_strategy_is_always_lazy_and_schedules_by_threads() {
+    fn pipeline_strategy_is_always_lazy_and_carries_the_estimate() {
         use pathalg_core::ops::projection::Take;
         use pathalg_graph::generator::structured::{chain_graph, complete_graph};
 
@@ -654,60 +624,24 @@ mod tests {
             .group_by(GroupKey::SourceTarget)
             .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)));
         let recursion = RecursionConfig::default();
-        let serial = ExecutionConfig::default();
-        let parallel = ExecutionConfig::with_threads(4);
-        // Serial configurations slice serially.
-        let (_, _, mode) = choose_pipeline_strategy(&plan, &recursion, &serial, None).unwrap();
-        assert_eq!(mode, LazyMode::Serial);
-        // Parallel without statistics: lazy, scheduled in batches.
-        let (_, _, mode) = choose_pipeline_strategy(&plan, &recursion, &parallel, None).unwrap();
-        assert_eq!(mode, LazyMode::Parallel);
+        // Without statistics: lazy, no estimate.
+        let (_, est) = choose_pipeline_strategy(&plan, &recursion, None).unwrap();
+        assert!(est.is_none());
         // A provably tiny closure stays lazy too: no estimate moves a
         // sliceable pipeline off the kernel.
         let sparse = GraphStats::compute(&chain_graph(6, "Knows"));
-        let (_, est, mode) =
-            choose_pipeline_strategy(&plan, &recursion, &parallel, Some(&sparse)).unwrap();
-        assert_eq!(mode, LazyMode::Parallel);
+        let (_, est) = choose_pipeline_strategy(&plan, &recursion, Some(&sparse)).unwrap();
         assert!(!est.unwrap().blows_up());
-        // Parallel + predicted blow-up: parallel lazy, with the estimate.
+        // A predicted blow-up: still lazy, with the estimate that says so.
         let dense = GraphStats::compute(&complete_graph(6, "Knows"));
-        let (_, est, mode) =
-            choose_pipeline_strategy(&plan, &recursion, &parallel, Some(&dense)).unwrap();
-        assert_eq!(mode, LazyMode::Parallel);
+        let (_, est) = choose_pipeline_strategy(&plan, &recursion, Some(&dense)).unwrap();
         assert!(est.unwrap().blows_up());
-        // A max_paths bound forces the serial enumeration only for
-        // cross-source-coupled specs (partition limit / γ∅), whose serial
-        // stop point the parallel claims cannot replay; an uncoupled spec
-        // keeps exact claim parity and stays parallel.
-        let bounded = RecursionConfig {
-            max_length: None,
-            max_paths: Some(100),
-        };
-        let (_, _, mode) =
-            choose_pipeline_strategy(&plan, &bounded, &parallel, Some(&dense)).unwrap();
-        assert_eq!(mode, LazyMode::Parallel);
-        let coupled = knows_scan()
+        // A non-sliceable plan is not a pipeline at all.
+        let all = knows_scan()
             .recursive(PathSemantics::Trail)
-            .group_by(GroupKey::Source)
-            .project(ProjectionSpec::new(
-                Take::Count(2),
-                Take::All,
-                Take::Count(3),
-            ));
-        let (_, _, mode) =
-            choose_pipeline_strategy(&coupled, &bounded, &parallel, Some(&dense)).unwrap();
-        assert_eq!(mode, LazyMode::Serial);
-        let (_, _, mode) = choose_pipeline_strategy(
-            &coupled,
-            &RecursionConfig {
-                max_length: None,
-                max_paths: None,
-            },
-            &parallel,
-            Some(&dense),
-        )
-        .unwrap();
-        assert_eq!(mode, LazyMode::Parallel);
+            .group_by(GroupKey::SourceTarget)
+            .project(ProjectionSpec::all());
+        assert!(choose_pipeline_strategy(&all, &recursion, Some(&dense)).is_none());
     }
 
     #[test]

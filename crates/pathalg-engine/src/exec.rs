@@ -11,9 +11,7 @@
 //! * a base of the shape `σℓ1(Edges) ⋈ … ⋈ σℓk(Edges)` — the base relation
 //!   of every `[:ℓ+]` and `[(:ℓ1/…/:ℓk)+]` pattern — is never materialised:
 //!   the engine builds one label-restricted [`CsrGraph`] snapshot per hop
-//!   and drains the lazy scan/chain kernel ([`pathalg_pmr::Pmr`]) over them,
-//!   serially at one thread and through the per-source batch scheduler
-//!   ([`pathalg_pmr::parallel`]) above one;
+//!   and drains the lazy scan/chain kernel ([`pathalg_pmr::Pmr`]) over them;
 //! * every other base is evaluated first and expanded by the per-source
 //!   frontier engine ([`crate::physical::frontier::phi_frontier`]).
 //!
@@ -23,14 +21,13 @@
 //! charge the skipped operators exactly as the reference evaluator would, so
 //! `EXPLAIN ANALYZE` output stays comparable between the two interpreters.
 //!
-//! Results are identical to the reference evaluator as *sets* for every
-//! plan, thread count, and batch size (cross-validated in
-//! `tests/cross_validation.rs`); the batch-order merge of both realisations
-//! additionally makes the engine's own output ordering independent of
-//! [`ExecutionConfig::threads`].
+//! Evaluation is serial per query: one thread runs every operator of a plan,
+//! and a service runs queries concurrently, one per connection. Results are
+//! identical to the reference evaluator as *sets* for every plan
+//! (cross-validated in `tests/cross_validation.rs`).
 
 use crate::cost::{
-    choose_pipeline_strategy, estimate_closure, estimate_phi, ClosureEstimate, LazyMode, PhiImpl,
+    choose_pipeline_strategy, estimate_closure, estimate_phi, ClosureEstimate, PhiImpl,
 };
 use pathalg_core::budget::CancelToken;
 use pathalg_core::condition::Condition;
@@ -54,7 +51,6 @@ use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::NodeId;
 use pathalg_graph::stats::GraphStats;
-use pathalg_pmr::parallel::{self as pmr_parallel, ParallelConfig};
 use pathalg_pmr::{EndpointFilter, Pmr};
 use std::sync::Arc;
 
@@ -70,25 +66,15 @@ pub struct StrategyDecision {
     pub operator: String,
     /// Short name of the chosen implementation: [`PhiImpl::name`] for a ϕ
     /// node (`"pmr-lazy"` — a full kernel drain — or `"frontier"`), and
-    /// `"lazy-sliced-pipeline"` / `"parallel-lazy-pipeline"` for a sliced
-    /// pipeline.
+    /// `"lazy-sliced-pipeline"` for a sliced pipeline.
     pub chosen: &'static str,
-    /// The worker-thread count the decision was made for
-    /// ([`ExecutionConfig::threads`]) — the serial/parallel schedule depends
-    /// on it, so it is recorded to make decisions reproducible from
-    /// `explain()` and the `repro joins` table.
-    pub threads: usize,
     /// The estimate behind the choice, if statistics were available.
     pub estimate: Option<ClosureEstimate>,
 }
 
 impl std::fmt::Display for StrategyDecision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} -> {} [threads={}]",
-            self.operator, self.chosen, self.threads
-        )?;
+        write!(f, "{} -> {}", self.operator, self.chosen)?;
         if let Some(est) = &self.estimate {
             write!(f, " ({est})")?;
         }
@@ -96,42 +82,20 @@ impl std::fmt::Display for StrategyDecision {
     }
 }
 
-/// Parallel-execution knobs of the [`QueryRunner`](crate::runner::QueryRunner)
-/// — the only two values execution is configured by. Neither changes which
-/// implementation of ϕ runs (the base's shape decides that, see the module
-/// docs) nor any result byte; they set how many workers share a ϕ and how
-/// its sources are batched.
-///
-/// The defaults are serial: parallelism is opt-in because the engine's
-/// workloads start paying for thread scheduling only once the per-source
-/// expansions are substantial. `batch_size` is the number of source nodes a
-/// worker claims at a time — large enough to amortise per-batch scratch
-/// allocations, small enough to balance skewed degree distributions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecutionConfig {
-    /// Number of worker threads (≤ 1 means inline serial execution with zero
-    /// synchronisation overhead).
-    pub threads: usize,
-    /// Maximum number of source nodes per scheduling batch.
-    pub batch_size: usize,
-}
-
-impl Default for ExecutionConfig {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            batch_size: 32,
-        }
-    }
-}
+/// The execution configuration handed to the
+/// [`QueryRunner`](crate::runner::QueryRunner), the query service and the
+/// [`EngineEvaluator`]. It holds nothing that changes evaluation: every
+/// query runs serial per query (see the module docs), and which
+/// implementation of ϕ runs is decided by the shape of its base alone.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecutionConfig {}
 
 impl ExecutionConfig {
-    /// A configuration with `threads` workers and the default batch size.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
+    /// The execution configuration. The thread count is accepted and
+    /// ignored: evaluation is serial per query, and a service gets its
+    /// parallelism from running queries concurrently.
+    pub fn with_threads(_threads: usize) -> Self {
+        Self {}
     }
 }
 
@@ -139,7 +103,6 @@ impl ExecutionConfig {
 pub struct EngineEvaluator<'g> {
     graph: &'g PropertyGraph,
     recursion: RecursionConfig,
-    exec: ExecutionConfig,
     graph_stats: Option<&'g GraphStats>,
     cancel: Option<Arc<CancelToken>>,
     stats: EvalStats,
@@ -149,19 +112,18 @@ pub struct EngineEvaluator<'g> {
 }
 
 impl<'g> EngineEvaluator<'g> {
-    /// Creates an evaluator over `graph` with the given recursion bounds and
-    /// execution configuration. Attach statistics with
-    /// [`EngineEvaluator::with_graph_stats`] to have every strategy decision
-    /// carry its closure estimate.
+    /// Creates an evaluator over `graph` with the given recursion bounds (the
+    /// [`ExecutionConfig`] holds nothing that changes evaluation). Attach
+    /// statistics with [`EngineEvaluator::with_graph_stats`] to have every
+    /// strategy decision carry its closure estimate.
     pub fn new(
         graph: &'g PropertyGraph,
         recursion: RecursionConfig,
-        exec: ExecutionConfig,
+        _exec: ExecutionConfig,
     ) -> Self {
         Self {
             graph,
             recursion,
-            exec,
             graph_stats: None,
             cancel: None,
             stats: EvalStats::default(),
@@ -173,21 +135,19 @@ impl<'g> EngineEvaluator<'g> {
 
     /// Attaches precomputed [`GraphStats`]: every ϕ dispatch then records its
     /// closure estimate ([`crate::cost::estimate_phi`]) next to the strategy
-    /// it ran, and parallel kernel drains weight their batches by it. The
-    /// runner always does this; statistics never change results or which
-    /// implementation runs.
+    /// it ran. The runner always does this; statistics never change results
+    /// or which implementation runs.
     pub fn with_graph_stats(mut self, stats: &'g GraphStats) -> Self {
         self.graph_stats = Some(stats);
         self
     }
 
-    /// Attaches a shared [`CancelToken`]: every ϕ dispatch (serial and
-    /// parallel, full drains and sliced pipelines) threads the token into
-    /// its enumeration loops, so firing it — or its deadline passing —
-    /// aborts the evaluation with a typed
-    /// [`AlgebraError::Cancelled`] / [`AlgebraError::DeadlineExceeded`]
-    /// within one expansion level or batch. A token that never fires leaves
-    /// results byte-identical at every thread count.
+    /// Attaches a shared [`CancelToken`]: every ϕ dispatch (full drains and
+    /// sliced pipelines) threads the token into its enumeration loops, so
+    /// firing it — or its deadline passing — aborts the evaluation with a
+    /// typed [`AlgebraError::Cancelled`] / [`AlgebraError::DeadlineExceeded`]
+    /// within one expansion level or source. A token that never fires leaves
+    /// results byte-identical.
     pub fn with_cancel(mut self, cancel: Arc<CancelToken>) -> Self {
         self.cancel = Some(cancel);
         self
@@ -209,13 +169,8 @@ impl<'g> EngineEvaluator<'g> {
 
     /// The deterministic work counters accumulated across every ϕ this
     /// evaluator dispatched: the kernel's own [`Pmr::work_counters`] for
-    /// scan/chain bases (serial and parallel, full drains and sliced
-    /// pipelines), the emission count for materialised bases. Parallel
-    /// dispatches fold in the batch-order merged [`ParallelRun::work`]
-    /// totals, so on serial-parity schedules the counters match the serial
-    /// run byte for byte at every thread count.
-    ///
-    /// [`ParallelRun::work`]: pathalg_pmr::parallel::ParallelRun::work
+    /// scan/chain bases (full drains and sliced pipelines), the emission
+    /// count for materialised bases.
     pub fn work_counters(&self) -> WorkCounters {
         self.work
     }
@@ -278,7 +233,6 @@ impl<'g> EngineEvaluator<'g> {
                             *semantics,
                             &base,
                             &self.recursion,
-                            &self.exec,
                             self.cancel.as_deref(),
                         )?;
                         // The frontier emits exactly its output; count it so
@@ -329,8 +283,8 @@ impl<'g> EngineEvaluator<'g> {
     /// reference evaluator would report, since avoiding that work is the
     /// point of the strategy.
     fn try_sliced_pipeline(&mut self, expr: &PlanExpr) -> Result<Option<PathSet>, AlgebraError> {
-        let Some((plan, estimate, mode)) =
-            choose_pipeline_strategy(expr, &self.recursion, &self.exec, self.graph_stats)
+        let Some((plan, estimate)) =
+            choose_pipeline_strategy(expr, &self.recursion, self.graph_stats)
         else {
             return Ok(None);
         };
@@ -365,44 +319,20 @@ impl<'g> EngineEvaluator<'g> {
                     ""
                 }
             ),
-            match mode {
-                LazyMode::Serial => "lazy-sliced-pipeline",
-                LazyMode::Parallel => "parallel-lazy-pipeline",
-            },
+            "lazy-sliced-pipeline",
             estimate,
         );
-        let hops = self.chain_hops(&chain);
-        let schedule = (mode == LazyMode::Parallel)
-            .then(|| pmr_parallel::source_schedule(&hops[0], source_mask.as_deref()));
-        let factory = self.kernel_factory(
-            hops.clone(),
+        let mut pmr = self.kernel(
+            self.chain_hops(&chain),
             plan.semantics,
             EndpointFilter {
                 sources: source_mask,
                 targets: target_mask,
             },
         );
-        let (out, generated) = match schedule {
-            None => {
-                let mut pmr = factory();
-                let out = pmr.sliced(&plan.spec)?;
-                self.work.merge(&pmr.work_counters());
-                (out, pmr.steps_generated())
-            }
-            Some(sources) => {
-                let weights = source_weights(&hops[0], estimate.as_ref(), &sources);
-                let run = pmr_parallel::sliced(
-                    &factory,
-                    &plan.spec,
-                    &sources,
-                    Some(&weights),
-                    &self.parallel_config(),
-                    self.recursion.max_paths,
-                )?;
-                self.work.merge(&run.work);
-                (run.paths, run.steps_generated)
-            }
-        };
+        let out = pmr.sliced(&plan.spec)?;
+        self.work.merge(&pmr.work_counters());
+        let generated = pmr.steps_generated();
         self.lazy_pipeline_fired = true;
         // Bypassed operators: Edges and σ per hop, the k−1 joins, ϕ, the
         // endpoint σ (when present), γ and (when present) τ; the π node
@@ -424,12 +354,9 @@ impl<'g> EngineEvaluator<'g> {
 
     /// Materialising `ϕ_semantics(σℓ1(E) ⋈ … ⋈ σℓk(E))` is draining the
     /// scan/chain kernel: neither a join side, the join result, nor the base
-    /// `PathSet` is built. One thread drains it serially; more run it
-    /// through the per-source batch scheduler, whose batch-order merge
-    /// reproduces the serial sequence (and the serial error, unbounded Walk
-    /// included). Charges the bypassed Edges/σ/⋈ operators as the reference
-    /// evaluator would, the joins with the slice of their output the
-    /// expansion actually generated.
+    /// `PathSet` is built. Charges the bypassed Edges/σ/⋈ operators as the
+    /// reference evaluator would, the joins with the slice of their output
+    /// the expansion actually generated.
     fn drain_chain_kernel(
         &mut self,
         labels: &[&str],
@@ -451,26 +378,11 @@ impl<'g> EngineEvaluator<'g> {
             self.charge_skipped(self.graph.edge_count()); // Edges(G)
             self.charge_skipped(csr.edge_count()); // σ label
         }
-        let factory = self.kernel_factory(hops.clone(), semantics, EndpointFilter::default());
-        let (out, segments) = if self.exec.threads > 1 {
-            let sources = pmr_parallel::source_schedule(&hops[0], None);
-            let weights = source_weights(&hops[0], estimate.as_ref(), &sources);
-            let run = pmr_parallel::enumerate_all(
-                &factory,
-                &sources,
-                Some(&weights),
-                &self.parallel_config(),
-                self.recursion.max_paths,
-            )?;
-            self.work.merge(&run.work);
-            (run.paths, run.work.base_segments as usize)
-        } else {
-            let mut pmr = factory();
-            let out = pmr.enumerate_all()?;
-            let work = pmr.work_counters();
-            self.work.merge(&work);
-            (out, work.base_segments as usize)
-        };
+        let mut pmr = self.kernel(hops, semantics, EndpointFilter::default());
+        let out = pmr.enumerate_all()?;
+        let work = pmr.work_counters();
+        self.work.merge(&work);
+        let segments = work.base_segments as usize;
         self.stats.join_calls += labels.len() - 1;
         for _ in 1..labels.len() {
             self.charge_skipped(segments);
@@ -478,8 +390,8 @@ impl<'g> EngineEvaluator<'g> {
         Ok(out)
     }
 
-    /// One label-restricted CSR snapshot per hop of a scan chain, shared by
-    /// every kernel built over it (a label scan is the one-hop chain).
+    /// One label-restricted CSR snapshot per hop of a scan chain (a label
+    /// scan is the one-hop chain).
     fn chain_hops(&self, labels: &[&str]) -> Arc<[CsrGraph]> {
         labels
             .iter()
@@ -487,24 +399,20 @@ impl<'g> EngineEvaluator<'g> {
             .collect()
     }
 
-    /// Builds fresh, unpulled kernels over `hops` — one for a serial run,
-    /// one per batch for a parallel one — with the endpoint-σ pushdown and
-    /// this evaluator's cancellation token installed.
-    fn kernel_factory(
+    /// Builds a fresh, unpulled kernel over `hops` with the endpoint-σ
+    /// pushdown and this evaluator's cancellation token installed.
+    fn kernel(
         &self,
         hops: Arc<[CsrGraph]>,
         semantics: PathSemantics,
         filter: EndpointFilter,
-    ) -> impl Fn() -> Pmr<'static> + Sync {
-        let (recursion, cancel) = (self.recursion, self.cancel.clone());
-        move || {
-            let mut pmr = Pmr::from_shared_join(hops.clone(), semantics, recursion);
-            pmr.restrict_endpoints(filter.clone());
-            if let Some(token) = &cancel {
-                pmr.share_cancel(token.clone());
-            }
-            pmr
+    ) -> Pmr<'static> {
+        let mut pmr = Pmr::from_shared_join(hops, semantics, self.recursion);
+        pmr.restrict_endpoints(filter);
+        if let Some(token) = &self.cancel {
+            pmr.share_cancel(token.clone());
         }
+        pmr
     }
 
     /// Evaluates a per-node condition (a pure first- or last-node predicate,
@@ -525,18 +433,8 @@ impl<'g> EngineEvaluator<'g> {
         self.decisions.push(StrategyDecision {
             operator,
             chosen,
-            threads: self.exec.threads,
             estimate,
         });
-    }
-
-    /// The PMR-side scheduling knobs of this evaluator's execution
-    /// configuration.
-    fn parallel_config(&self) -> ParallelConfig {
-        ParallelConfig {
-            threads: self.exec.threads,
-            batch_size: self.exec.batch_size,
-        }
     }
 
     /// Evaluates an expression into a [`PathSetRepr`]: a root-level
@@ -607,26 +505,6 @@ impl<'g> EngineEvaluator<'g> {
     }
 }
 
-/// Per-source batch-sizing weights of a parallel lazy run, seeded by the
-/// closure estimate: a source's weight is its hop-0 out-degree scaled by the
-/// estimated paths per base element (`estimate.paths / estimate.base`), so a
-/// predicted-heavy source closes its batch early
-/// ([`pathalg_pmr::parallel::plan_batches`]) and cannot serialise the run.
-/// Without an estimate the weights degrade to plain out-degrees.
-fn source_weights(
-    csr0: &CsrGraph,
-    estimate: Option<&ClosureEstimate>,
-    sources: &[pathalg_graph::ids::NodeId],
-) -> Vec<u64> {
-    let per_base = estimate
-        .map(|est| (est.paths / est.base.max(1.0)).clamp(1.0, 1e6))
-        .unwrap_or(1.0);
-    sources
-        .iter()
-        .map(|&s| 1 + (csr0.out_degree(s) as f64 * per_base) as u64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,18 +543,9 @@ mod tests {
         let cfg = RecursionConfig::default();
         for plan in plans() {
             let reference = Evaluator::new(&f.graph).eval_paths(&plan).unwrap();
-            for threads in [1, 2, 8] {
-                let mut engine = EngineEvaluator::new(
-                    &f.graph,
-                    cfg,
-                    ExecutionConfig {
-                        threads,
-                        batch_size: 2,
-                    },
-                );
-                let out = engine.eval_paths(&plan).unwrap();
-                assert_eq!(out, reference, "plan {plan} at {threads} threads");
-            }
+            let mut engine = EngineEvaluator::new(&f.graph, cfg, ExecutionConfig::default());
+            let out = engine.eval_paths(&plan).unwrap();
+            assert_eq!(out, reference, "plan {plan}");
         }
     }
 
@@ -714,16 +583,14 @@ mod tests {
             ),
         ];
         for (plan, expected) in cases {
-            for threads in [1, 4] {
-                let mut engine = EngineEvaluator::new(
-                    &f.graph,
-                    RecursionConfig::default(),
-                    ExecutionConfig::with_threads(threads),
-                );
-                engine.eval_paths(&plan).unwrap();
-                let chosen: Vec<_> = engine.decisions().iter().map(|d| d.chosen).collect();
-                assert_eq!(chosen, [expected], "{plan} at {threads} threads");
-            }
+            let mut engine = EngineEvaluator::new(
+                &f.graph,
+                RecursionConfig::default(),
+                ExecutionConfig::default(),
+            );
+            engine.eval_paths(&plan).unwrap();
+            let chosen: Vec<_> = engine.decisions().iter().map(|d| d.chosen).collect();
+            assert_eq!(chosen, [expected], "{plan}");
         }
     }
 
@@ -733,24 +600,16 @@ mod tests {
         let walk = PlanExpr::edges()
             .select(Condition::edge_label(1, "Knows"))
             .recursive(PathSemantics::Walk);
-        let mut errors = Vec::new();
-        for threads in [1, 2, 8] {
-            let mut engine = EngineEvaluator::new(
-                &f.graph,
-                RecursionConfig::unbounded(),
-                ExecutionConfig {
-                    threads,
-                    batch_size: 2,
-                },
-            );
-            let err = engine.eval_paths(&walk).unwrap_err();
-            assert!(
-                matches!(err, AlgebraError::RecursionLimitExceeded { .. }),
-                "{err} at {threads} threads"
-            );
-            errors.push(err);
-        }
-        assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
+        let mut engine = EngineEvaluator::new(
+            &f.graph,
+            RecursionConfig::unbounded(),
+            ExecutionConfig::default(),
+        );
+        let err = engine.eval_paths(&walk).unwrap_err();
+        assert!(
+            matches!(err, AlgebraError::RecursionLimitExceeded { .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -804,13 +663,7 @@ mod tests {
                 &Condition::edge_label(1, "Knows"),
                 &PathSet::edges(&f.graph),
             );
-            let closure = phi_frontier(
-                *semantics,
-                &base,
-                &RecursionConfig::default(),
-                &ExecutionConfig::default(),
-            )
-            .unwrap();
+            let closure = phi_frontier(*semantics, &base, &RecursionConfig::default()).unwrap();
             let grouped = group_by(gkey, &closure);
             let ranked = match order {
                 Some(key) => order_by(key, &grouped),
@@ -827,19 +680,13 @@ mod tests {
                 choose_pipeline_impl(&plan, &RecursionConfig::default()).is_some(),
                 "{plan} should go lazy"
             );
-            for threads in [1, 2, 8] {
-                let mut engine = EngineEvaluator::new(
-                    &f.graph,
-                    RecursionConfig::default(),
-                    ExecutionConfig::with_threads(threads),
-                );
-                let out = engine.eval_paths(&plan).unwrap();
-                assert_eq!(
-                    out.as_slice(),
-                    expected.as_slice(),
-                    "{plan} diverged at {threads} threads"
-                );
-            }
+            let mut engine = EngineEvaluator::new(
+                &f.graph,
+                RecursionConfig::default(),
+                ExecutionConfig::default(),
+            );
+            let out = engine.eval_paths(&plan).unwrap();
+            assert_eq!(out.as_slice(), expected.as_slice(), "{plan} diverged");
         }
     }
 
@@ -886,17 +733,14 @@ mod tests {
     }
 
     #[test]
-    fn bigger_graphs_agree_between_interpreters_in_parallel() {
+    fn bigger_graphs_agree_between_interpreters() {
         let g = snb_like_graph(&SnbConfig::scale(40, 21));
         let plan = PlanExpr::edges()
             .select(Condition::edge_label(1, "Knows"))
             .recursive(PathSemantics::Shortest);
         let reference = Evaluator::new(&g).eval_paths(&plan).unwrap();
-        let mut engine = EngineEvaluator::new(
-            &g,
-            RecursionConfig::default(),
-            ExecutionConfig::with_threads(4),
-        );
+        let mut engine =
+            EngineEvaluator::new(&g, RecursionConfig::default(), ExecutionConfig::default());
         assert_eq!(engine.eval_paths(&plan).unwrap(), reference);
     }
 }

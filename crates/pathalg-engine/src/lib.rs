@@ -6,17 +6,17 @@
 //! algorithms and ties the whole stack together:
 //!
 //! * [`physical`] — physical implementations of the recursive operator over
-//!   a materialised base: the parallel per-source frontier engine the
-//!   evaluator dispatches ([`physical::frontier`], DESIGN.md §7), and the
+//!   a materialised base: the per-source frontier engine the evaluator
+//!   dispatches ([`physical::frontier`], DESIGN.md §7), and the
 //!   §8.2 ablation baselines kept as test oracles — the semi-naïve fixpoint
 //!   from `pathalg-core`, a literal (naïve) transcription of Definition 4.1,
 //!   a DFS enumeration with restrictor pruning, and a BFS specialised to the
 //!   shortest-path semantics. All of them are cross-checked against each
 //!   other in the tests and raced in the benchmark harness.
-//! * [`exec`] — [`exec::ExecutionConfig`] (thread count, source batch size)
-//!   and [`exec::EngineEvaluator`], the engine-level plan interpreter: a ϕ
-//!   over a label scan or a join chain of label scans drains `pathalg-pmr`'s
-//!   lazy scan/chain kernel, every other ϕ runs the frontier engine.
+//! * [`exec`] — [`exec::EngineEvaluator`], the engine-level plan
+//!   interpreter, serial per query: a ϕ over a label scan or a join chain of
+//!   label scans drains `pathalg-pmr`'s lazy scan/chain kernel, every other
+//!   ϕ runs the frontier engine.
 //! * [`cost`] — a simple cardinality/cost model over
 //!   [`pathalg_graph::stats::GraphStats`], the ingredient Section 7.3 says a
 //!   cost-based optimizer needs, the closure estimator behind admission

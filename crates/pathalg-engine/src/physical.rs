@@ -22,9 +22,9 @@
 //!   shortest-path semantics: paths are generated level by level and a
 //!   per-endpoint-pair distance table cuts the search off as soon as longer
 //!   candidates appear.
-//! * [`frontier::phi_frontier`] — the parallel per-source frontier engine
-//!   (DESIGN.md §7): partitions the sources into batches, expands the
-//!   batches concurrently, and merges deterministically.
+//! * [`frontier::phi_frontier`] — the per-source frontier engine
+//!   (DESIGN.md §7): indexes the base by first node and expands one source
+//!   at a time, in ascending node order.
 
 pub mod frontier;
 

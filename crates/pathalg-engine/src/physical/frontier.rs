@@ -1,29 +1,21 @@
-//! The parallel per-source frontier engine for ϕ over a materialised base.
+//! The per-source frontier engine for ϕ over a materialised base.
 //!
 //! Every other physical implementation of ϕ in this crate evaluates the
 //! fixpoint as a sequence of *global* rounds: one shared frontier, one shared
-//! result set, one thread. This module decomposes ϕ along the axis the GQL
-//! complexity literature singles out as embarrassingly parallel — the
-//! **source node**. Under all five semantics the admission predicate depends
-//! only on the path itself, and the Shortest per-pair minimum is keyed by
+//! result set. This module decomposes ϕ along the **source node** instead.
+//! Under all five semantics the admission predicate depends only on the path
+//! itself, and the Shortest per-pair minimum is keyed by
 //! `(First(p), Last(p))` with `First(p)` fixed per source, so the expansion
 //! from one source never needs to observe another source's state. The engine
-//! therefore:
+//! therefore groups the base relation by `First(p)` into a CSR-shaped index
+//! (a base that *is* a label scan or a join chain of label scans never gets
+//! here: the engine drains the lazy `pathalg-pmr` kernel over the label CSRs
+//! instead, skipping path materialisation altogether) and expands the
+//! sources one after another, in ascending node order — serial per query,
+//! like every other ϕ the engine runs (DESIGN.md §7).
 //!
-//! 1. groups the base relation by `First(p)` into a CSR-shaped index (a
-//!    base that *is* a label scan or a join chain of label scans never gets
-//!    here: the engine drains the lazy `pathalg-pmr` kernel over the label
-//!    CSRs instead, skipping path materialisation altogether),
-//! 2. partitions the sources into contiguous batches of
-//!    [`ExecutionConfig::batch_size`],
-//! 3. expands the batches concurrently on a scoped pool
-//!    ([`mini_pool::parallel_map_chunks`]), and
-//! 4. merges the per-batch results **in batch order**, which makes the output
-//!    path sequence identical for every thread count — the determinism
-//!    contract of DESIGN.md §7.
-//!
-//! Besides parallelism, per-source expansion admits three sequential
-//! optimisations the global fixpoint cannot apply:
+//! Per-source expansion admits three optimisations the global fixpoint
+//! cannot apply:
 //!
 //! * **Incremental admission.** A candidate `p ∘ q` is checked against the
 //!   restrictor by comparing only `q`'s new nodes/edges with `p` (`O(|q|·|p|)`,
@@ -37,14 +29,8 @@
 //!   length-`k−1` prefix), so the expansion needs no dedup set at all;
 //!   composite bases (from joins) fall back to a per-source seen-set.
 //!
-//! `max_paths` is enforced across all batches through the shared atomic
-//! [`PathBudget`]; the success/failure outcome is deterministic because the
-//! total number of produced paths does not depend on the schedule (which
-//! *error variant* is reported can vary only in the corner case where a run
-//! violates two bounds at once — see the `PathBudget` docs).
+//! `max_paths` is enforced through one [`PathBudget`] across all sources.
 
-use crate::exec::ExecutionConfig;
-use mini_pool::parallel_map_chunks;
 use pathalg_core::budget::{CancelToken, PathBudget};
 use pathalg_core::error::AlgebraError;
 use pathalg_core::fasthash::{FastMap, FastSet};
@@ -53,34 +39,28 @@ use pathalg_core::ops::recursive::{
 };
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
-use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::NodeId;
-use pathalg_rpq::automaton_eval::AutomatonEvaluator;
-use pathalg_rpq::regex::LabelRegex;
 
-/// The parallel frontier implementation of `ϕ_semantics(base)`.
+/// The frontier implementation of `ϕ_semantics(base)`.
 ///
 /// Produces exactly the same path set as
 /// [`crate::physical::phi_seminaive`]; the insertion order of the result is
-/// "sources in ascending node order, per source level by level" and is
-/// identical for every `exec.threads` value.
+/// "sources in ascending node order, per source level by level".
 pub fn phi_frontier(
     semantics: PathSemantics,
     base: &PathSet,
     config: &RecursionConfig,
-    exec: &ExecutionConfig,
 ) -> Result<PathSet, AlgebraError> {
-    phi_frontier_with_cancel(semantics, base, config, exec, None)
+    phi_frontier_with_cancel(semantics, base, config, None)
 }
 
 /// [`phi_frontier`] with a cooperative [`CancelToken`], polled once per
-/// source: a fired token (or passed deadline) aborts every batch worker
-/// within one source expansion.
+/// source: a fired token (or passed deadline) aborts the evaluation within
+/// one source expansion.
 pub fn phi_frontier_with_cancel(
     semantics: PathSemantics,
     base: &PathSet,
     config: &RecursionConfig,
-    exec: &ExecutionConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<PathSet, AlgebraError> {
     let admitted: Vec<&Path> = base
@@ -108,98 +88,42 @@ pub fn phi_frontier_with_cancel(
     let need_dedup = admitted.iter().any(|p| p.len() > 1);
     let budget = PathBudget::new(config.max_paths);
 
-    let batches = parallel_map_chunks(
-        exec.threads,
-        exec.batch_size,
-        index.sources(),
-        |_, chunk| -> Result<Vec<Path>, AlgebraError> {
-            let mut out = Vec::new();
-            // Per-batch level buffers, recycled across sources: the expansion
-            // loop drains `cur` into `out` and swaps in `next`, so after the
-            // first source the steady state performs no buffer allocation.
-            let mut levels = LevelBuffers::default();
-            for &source in chunk {
-                if let Some(token) = cancel {
-                    token.check()?;
-                }
-                expand_base_source(
-                    source,
-                    &admitted,
-                    &index,
-                    semantics,
-                    config,
-                    &budget,
-                    need_dedup,
-                    &base_acyclic,
-                    &mut levels,
-                    &mut out,
-                )?;
-            }
-            Ok(out)
-        },
-    );
-
-    merge_batches(batches)
-}
-
-/// Parallel automaton-product RPQ evaluation: the frontier scheduling of this
-/// module applied to [`AutomatonEvaluator::expand_source`], which carries the
-/// product-automaton state through the expansion. Equivalent to
-/// [`AutomatonEvaluator::eval_all`] at any thread count.
-pub fn automaton_frontier(
-    graph: &PropertyGraph,
-    regex: &LabelRegex,
-    semantics: PathSemantics,
-    config: &RecursionConfig,
-    exec: &ExecutionConfig,
-) -> Result<PathSet, AlgebraError> {
-    let evaluator = AutomatonEvaluator::new(graph, regex);
-    let sources: Vec<NodeId> = graph.nodes().collect();
-    let budget = PathBudget::new(config.max_paths);
-
-    let batches = parallel_map_chunks(
-        exec.threads,
-        exec.batch_size,
-        &sources,
-        |_, chunk| -> Result<Vec<Path>, AlgebraError> {
-            let mut out = Vec::new();
-            for &source in chunk {
-                out.extend(
-                    evaluator
-                        .expand_source(source, semantics, config, &budget)?
-                        .paths,
-                );
-            }
-            Ok(out)
-        },
-    );
-
-    merge_batches(batches)
+    let mut out = Vec::new();
+    // Level buffers recycled across sources: the expansion loop drains `cur`
+    // into `out` and swaps in `next`, so after the first source the steady
+    // state performs no buffer allocation.
+    let mut levels = LevelBuffers::default();
+    for &source in index.sources() {
+        if let Some(token) = cancel {
+            token.check()?;
+        }
+        expand_base_source(
+            source,
+            &admitted,
+            &index,
+            semantics,
+            config,
+            &budget,
+            need_dedup,
+            &base_acyclic,
+            &mut levels,
+            &mut out,
+        )?;
+    }
+    Ok(out.into_iter().collect())
 }
 
 /// The two level buffers of one source expansion — `(path, is_acyclic)`
-/// pairs for the current and next BFS level — hoisted to per-batch scope so
-/// expanding a source reuses the previous source's capacity instead of
+/// pairs for the current and next BFS level — hoisted out of the source loop
+/// so expanding a source reuses the previous source's capacity instead of
 /// allocating fresh `Vec`s. Both buffers are empty between sources (the loop
-/// drains `cur` into the output and swaps in `next`); a batch that aborts
-/// with an error never expands another source, so no explicit clearing is
-/// needed on the failure path.
+/// drains `cur` into the output and swaps in `next`); an expansion that
+/// aborts with an error never expands another source, so no explicit
+/// clearing is needed on the failure path.
 #[derive(Default)]
 struct LevelBuffers {
     cur: Vec<(Path, bool)>,
     next: Vec<(Path, bool)>,
-}
-
-/// Folds per-batch results into one `PathSet` in batch order; the first
-/// failing batch (in batch order) decides the reported error.
-fn merge_batches(batches: Vec<Result<Vec<Path>, AlgebraError>>) -> Result<PathSet, AlgebraError> {
-    let mut result = PathSet::new();
-    for batch in batches {
-        for path in batch? {
-            result.insert(path);
-        }
-    }
-    Ok(result)
 }
 
 /// The base relation grouped by `First(p)`: a CSR over path indexes, stable
@@ -243,8 +167,8 @@ impl BaseIndex {
         }
     }
 
-    /// Distinct source nodes in ascending order — the deterministic merge
-    /// order of the engine.
+    /// Distinct source nodes in ascending order — the engine's output
+    /// order.
     fn sources(&self) -> &[NodeId] {
         &self.sources
     }
@@ -315,9 +239,8 @@ fn expand_base_source(
     while !cur.is_empty() {
         iterations += 1;
         if walk_unbounded && iterations > UNBOUNDED_WALK_ITERATION_LIMIT {
-            // `paths_so_far` counts this source's output only: a local tally
-            // is deterministic at any thread count, where the shared budget's
-            // running total depends on the schedule.
+            // `paths_so_far` counts this source's output only, matching the
+            // per-source tally of the scan/chain kernel.
             return Err(AlgebraError::RecursionLimitExceeded {
                 bound: UNBOUNDED_WALK_ITERATION_LIMIT,
                 paths_so_far: out.len() - start + cur.len(),
@@ -423,7 +346,6 @@ mod tests {
     use pathalg_core::ops::join::join;
     use pathalg_core::ops::selection::selection;
     use pathalg_graph::fixtures::figure1::Figure1;
-    use pathalg_graph::generator::snb::{snb_like_graph, SnbConfig};
     use pathalg_graph::generator::structured::cycle_graph;
     use pathalg_graph::graph::PropertyGraph;
 
@@ -433,13 +355,6 @@ mod tests {
             &Condition::edge_label(1, label),
             &PathSet::edges(graph),
         )
-    }
-
-    fn exec(threads: usize) -> ExecutionConfig {
-        ExecutionConfig {
-            threads,
-            batch_size: 2,
-        }
     }
 
     const RESTRICTED: [PathSemantics; 4] = [
@@ -456,36 +371,8 @@ mod tests {
         let cfg = RecursionConfig::default();
         for semantics in RESTRICTED {
             let reference = phi_seminaive(semantics, &base, &cfg).unwrap();
-            for threads in [1, 2, 8] {
-                let out = phi_frontier(semantics, &base, &cfg, &exec(threads)).unwrap();
-                assert_eq!(out, reference, "{semantics:?} at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn result_order_is_identical_across_thread_counts() {
-        // Deliberately sparse: the full Trail/Simple closures stay small.
-        let g = snb_like_graph(&SnbConfig {
-            persons: 10,
-            messages: 12,
-            knows_per_person: 2,
-            likes_per_person: 1,
-            seed: 7,
-            ..SnbConfig::default()
-        });
-        let base = label_base(&g, "Knows");
-        let cfg = RecursionConfig::default();
-        for semantics in RESTRICTED {
-            let single = phi_frontier(semantics, &base, &cfg, &exec(1)).unwrap();
-            for threads in [2, 5, 16] {
-                let multi = phi_frontier(semantics, &base, &cfg, &exec(threads)).unwrap();
-                assert_eq!(
-                    single.as_slice(),
-                    multi.as_slice(),
-                    "insertion order diverged under {semantics:?} at {threads} threads"
-                );
-            }
+            let out = phi_frontier(semantics, &base, &cfg).unwrap();
+            assert_eq!(out, reference, "{semantics:?}");
         }
     }
 
@@ -500,10 +387,8 @@ mod tests {
         );
         let cfg = RecursionConfig::default();
         let reference = phi_seminaive(PathSemantics::Simple, &hops, &cfg).unwrap();
-        for threads in [1, 4] {
-            let out = phi_frontier(PathSemantics::Simple, &hops, &cfg, &exec(threads)).unwrap();
-            assert_eq!(out, reference);
-        }
+        let out = phi_frontier(PathSemantics::Simple, &hops, &cfg).unwrap();
+        assert_eq!(out, reference);
     }
 
     #[test]
@@ -511,13 +396,13 @@ mod tests {
         let f = Figure1::new();
         let cfg = RecursionConfig::default();
         let empty = PathSet::new();
-        assert!(phi_frontier(PathSemantics::Trail, &empty, &cfg, &exec(2))
+        assert!(phi_frontier(PathSemantics::Trail, &empty, &cfg)
             .unwrap()
             .is_empty());
         let nodes = PathSet::nodes(&f.graph);
-        let out = phi_frontier(PathSemantics::Trail, &nodes, &cfg, &exec(2)).unwrap();
+        let out = phi_frontier(PathSemantics::Trail, &nodes, &cfg).unwrap();
         assert_eq!(out.len(), 7);
-        let out = phi_frontier(PathSemantics::Shortest, &nodes, &cfg, &exec(2)).unwrap();
+        let out = phi_frontier(PathSemantics::Shortest, &nodes, &cfg).unwrap();
         assert_eq!(out.len(), 7);
     }
 
@@ -530,7 +415,7 @@ mod tests {
         base.insert(Path::node(NodeId(0)));
         let cfg = RecursionConfig::default();
         let reference = phi_seminaive(PathSemantics::Shortest, &base, &cfg).unwrap();
-        let out = phi_frontier(PathSemantics::Shortest, &base, &cfg, &exec(2)).unwrap();
+        let out = phi_frontier(PathSemantics::Shortest, &base, &cfg).unwrap();
         assert_eq!(out, reference);
         assert_eq!(out, phi_bfs_shortest(&base, &cfg).unwrap());
     }
@@ -540,15 +425,13 @@ mod tests {
         let cfg = RecursionConfig::unbounded();
         let cyclic = cycle_graph(3, "a");
         let base = label_base(&cyclic, "a");
-        for threads in [1, 4] {
-            assert!(matches!(
-                phi_frontier(PathSemantics::Walk, &base, &cfg, &exec(threads)),
-                Err(AlgebraError::RecursionLimitExceeded { .. })
-            ));
-        }
+        assert!(matches!(
+            phi_frontier(PathSemantics::Walk, &base, &cfg),
+            Err(AlgebraError::RecursionLimitExceeded { .. })
+        ));
         let dag = pathalg_graph::generator::structured::chain_graph(6, "a");
         let base = label_base(&dag, "a");
-        let out = phi_frontier(PathSemantics::Walk, &base, &cfg, &exec(2)).unwrap();
+        let out = phi_frontier(PathSemantics::Walk, &base, &cfg).unwrap();
         assert_eq!(out.len(), 15);
         let reference = phi_seminaive(PathSemantics::Walk, &base, &cfg).unwrap();
         assert_eq!(out, reference);
@@ -567,7 +450,7 @@ mod tests {
         let base = label_base(&g, "a");
         let cfg = RecursionConfig::unbounded();
         let reference = phi_seminaive(PathSemantics::Walk, &base, &cfg);
-        let frontier = phi_frontier(PathSemantics::Walk, &base, &cfg, &exec(1));
+        let frontier = phi_frontier(PathSemantics::Walk, &base, &cfg);
         assert!(matches!(
             reference,
             Err(AlgebraError::RecursionLimitExceeded { .. })
@@ -579,19 +462,17 @@ mod tests {
     }
 
     #[test]
-    fn max_paths_is_enforced_across_batches() {
+    fn max_paths_is_enforced_across_sources() {
         let f = Figure1::new();
         let base = label_base(&f.graph, "Knows");
         let cfg = RecursionConfig {
             max_length: Some(10),
             max_paths: Some(4),
         };
-        for threads in [1, 4] {
-            assert_eq!(
-                phi_frontier(PathSemantics::Walk, &base, &cfg, &exec(threads)),
-                Err(AlgebraError::ResultLimitExceeded { limit: 4 })
-            );
-        }
+        assert_eq!(
+            phi_frontier(PathSemantics::Walk, &base, &cfg),
+            Err(AlgebraError::ResultLimitExceeded { limit: 4 })
+        );
     }
 
     #[test]
@@ -599,7 +480,7 @@ mod tests {
         // The fixpoint admits its base unconditionally and only enforces
         // `max_paths` on recursion candidates; a base larger than the limit
         // that produces no candidates must therefore succeed — on every
-        // implementation and at every thread count.
+        // implementation.
         let f = Figure1::new();
         let base = PathSet::nodes(&f.graph); // 7 paths, never expandable
         let cfg = RecursionConfig {
@@ -608,28 +489,7 @@ mod tests {
         };
         let reference = phi_seminaive(PathSemantics::Trail, &base, &cfg).unwrap();
         assert_eq!(reference.len(), 7);
-        for threads in [1, 4] {
-            let out = phi_frontier(PathSemantics::Trail, &base, &cfg, &exec(threads)).unwrap();
-            assert_eq!(out, reference);
-        }
-    }
-
-    #[test]
-    fn automaton_frontier_matches_the_serial_evaluator() {
-        use pathalg_rpq::parse::parse_regex;
-        let f = Figure1::new();
-        let cfg = RecursionConfig::default();
-        for pattern in [":Knows+", "(:Knows|:Likes)+", "(:Likes/:Has_creator)*"] {
-            let re = parse_regex(pattern).unwrap();
-            let serial = AutomatonEvaluator::new(&f.graph, &re)
-                .eval_all(PathSemantics::Trail, &cfg)
-                .unwrap();
-            for threads in [1, 3] {
-                let parallel =
-                    automaton_frontier(&f.graph, &re, PathSemantics::Trail, &cfg, &exec(threads))
-                        .unwrap();
-                assert_eq!(parallel.as_slice(), serial.as_slice(), "{pattern}");
-            }
-        }
+        let out = phi_frontier(PathSemantics::Trail, &base, &cfg).unwrap();
+        assert_eq!(out, reference);
     }
 }

@@ -11,8 +11,7 @@
 //! 4. the engine's physical evaluator ([`crate::exec::EngineEvaluator`])
 //!    executes it, collecting statistics — a ϕ over a label scan or join
 //!    chain drains the lazy `pathalg-pmr` kernel, every other ϕ runs the
-//!    per-source frontier engine, both on the workers configured by
-//!    [`RunnerConfig::execution`].
+//!    per-source frontier engine, serial per query.
 //!
 //! The result carries the original and optimized plans, the rewrite trace and
 //! the evaluation statistics, so callers can print an `EXPLAIN ANALYZE`-style
@@ -39,8 +38,8 @@ pub struct RunnerConfig {
     pub optimize: bool,
     /// Bounds applied to the recursive operators.
     pub recursion: RecursionConfig,
-    /// Parallel-execution knobs of the physical ϕ engine (thread count and
-    /// source batch size); the default is serial.
+    /// The engine's execution configuration; it holds nothing that changes
+    /// evaluation (see [`ExecutionConfig`]).
     pub execution: ExecutionConfig,
 }
 
@@ -71,17 +70,6 @@ impl RunnerConfig {
     pub fn without_optimizer(mut self) -> Self {
         self.optimize = false;
         self
-    }
-
-    /// Sets the parallel-execution configuration.
-    pub fn with_execution(mut self, execution: ExecutionConfig) -> Self {
-        self.execution = execution;
-        self
-    }
-
-    /// Shorthand for evaluating every ϕ on `threads` workers.
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_execution(ExecutionConfig::with_threads(threads))
     }
 }
 
@@ -396,21 +384,22 @@ mod tests {
             "MATCH ALL SIMPLE p = (?x {name:\"Moe\"})-[(:Knows+)|(:Likes/:Has_creator)+]->(?y {name:\"Apu\"})",
         ];
         let serial = QueryRunner::new(&f.graph);
+        // The thread count is accepted and ignored.
+        let eight = QueryRunner::with_config(
+            &f.graph,
+            RunnerConfig {
+                execution: ExecutionConfig::with_threads(8),
+                ..RunnerConfig::default()
+            },
+        );
         for query in queries {
             let reference = serial.run(query).unwrap();
-            for threads in [2, 8] {
-                // batch_size below the node count, so several batches exist
-                // and the configured threads genuinely run concurrently.
-                let parallel = QueryRunner::with_config(
-                    &f.graph,
-                    RunnerConfig::default().with_execution(ExecutionConfig {
-                        threads,
-                        batch_size: 2,
-                    }),
-                );
-                let result = parallel.run(query).unwrap();
-                assert_eq!(result.paths(), reference.paths(), "{query} at {threads}");
-            }
+            let result = eight.run(query).unwrap();
+            assert_eq!(
+                result.paths().as_slice(),
+                reference.paths().as_slice(),
+                "{query}"
+            );
         }
     }
 

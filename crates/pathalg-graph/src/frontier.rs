@@ -1,7 +1,7 @@
 //! Reusable node-set scratch for level-synchronous graph expansion.
 //!
-//! Frontier-based algorithms (BFS over a CSR snapshot, the engine's parallel
-//! ϕ expansion, the PMR reachability stop) repeatedly need a "have I seen
+//! Frontier-based algorithms (BFS over a CSR snapshot, the PMR per-source
+//! expansion, the PMR reachability stop) repeatedly need a "have I seen
 //! this node during the current source's expansion?" set that is cleared once
 //! per source. Allocating a `HashSet<NodeId>` per source dominates the cost
 //! on small per-source workloads, and `vec![false; n]` per source is an O(n)

@@ -73,16 +73,11 @@ impl Hops {
 }
 
 /// The canonical source schedule of a scan/chain expansion whose first hop
-/// is `hop0`: every node with an outgoing hop-0 edge, ascending, restricted
-/// to the nodes marked in `keep` when a σ-first mask is pushed down. Equal
-/// to [`crate::Pmr::sources`] of the unpulled expansion after the same
-/// [`crate::Pmr::restrict_endpoints`], without building one — what a
-/// parallel run partitions into batches.
-pub fn source_schedule(hop0: &CsrGraph, keep: Option<&[bool]>) -> Vec<NodeId> {
+/// is `hop0`: every node with an outgoing hop-0 edge, ascending.
+fn source_schedule(hop0: &CsrGraph) -> Vec<NodeId> {
     (0..hop0.node_count())
         .map(|i| NodeId(i as u32))
         .filter(|&v| hop0.out_degree(v) > 0)
-        .filter(|v| keep.is_none_or(|keep| keep.get(v.index()) == Some(&true)))
         .collect()
 }
 
@@ -111,11 +106,10 @@ pub(crate) struct ChainExpansion {
     src_emitted: usize,
     /// Emitted-but-unpulled boundary steps with their path lengths.
     pending: VecDeque<(u32, u32)>,
-    /// The `max_paths` accounting — owned by default, shared across batch
-    /// workers under parallel enumeration ([`crate::parallel`]). Level-0
-    /// segments are recorded (counted, never limit-checked), recursion
-    /// candidates are claimed, mirroring the frontier engine.
-    budget: Arc<PathBudget>,
+    /// The `max_paths` accounting. Level-0 segments are recorded (counted,
+    /// never limit-checked), recursion candidates are claimed, mirroring the
+    /// frontier engine.
+    budget: PathBudget,
     /// Cooperative cancellation, checked once per expansion level (never per
     /// edge, so successful runs stay byte-identical and near-free).
     cancel: Option<Arc<CancelToken>>,
@@ -143,11 +137,7 @@ impl ChainExpansion {
         let (n, k, sources) = {
             let hops = hops.as_slice();
             assert!(!hops.is_empty(), "a chain expansion needs at least one hop");
-            (
-                hops[0].node_count(),
-                hops.len(),
-                source_schedule(&hops[0], None),
-            )
+            (hops[0].node_count(), hops.len(), source_schedule(&hops[0]))
         };
         Self {
             hops,
@@ -165,7 +155,7 @@ impl ChainExpansion {
             iterations: 0,
             src_emitted: 0,
             pending: VecDeque::new(),
-            budget: Arc::new(PathBudget::new(config.max_paths)),
+            budget: PathBudget::new(config.max_paths),
             cancel: None,
             level0_segments: 0,
             seen: Frontier::new(n),
@@ -218,7 +208,7 @@ impl ChainExpansion {
         self.scratch_reuse + self.seen.reuse_count() + self.reach_seen.reuse_count()
     }
 
-    /// Paths recorded against the (possibly shared) budget so far.
+    /// Paths recorded against the budget so far.
     pub(crate) fn budget_count(&self) -> usize {
         self.budget.count()
     }
@@ -239,25 +229,6 @@ impl ChainExpansion {
     /// Must be applied before the first pull.
     pub fn restrict_sources(&mut self, keep: &[bool]) {
         self.sources.retain(|v| keep.get(v.index()) == Some(&true));
-    }
-
-    /// The remaining source schedule (the full schedule before any pull).
-    pub fn sources(&self) -> &[NodeId] {
-        &self.sources[self.next_source..]
-    }
-
-    /// Replaces the source schedule (already filtered, ascending). Must be
-    /// applied before the first pull.
-    pub fn set_sources(&mut self, sources: Vec<NodeId>) {
-        self.sources = sources;
-        self.next_source = 0;
-    }
-
-    /// Replaces the owned `max_paths` budget with a shared one, so several
-    /// batch-restricted expansions enforce one global limit. Must be applied
-    /// before the first pull.
-    pub fn share_budget(&mut self, budget: Arc<PathBudget>) {
-        self.budget = budget;
     }
 
     /// Installs a shared cancellation token, checked at every expansion

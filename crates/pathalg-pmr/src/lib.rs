@@ -41,12 +41,11 @@
 
 mod arena;
 mod join;
-pub mod parallel;
 mod product;
 
 use crate::join::{ChainExpansion, Hops, ReachInfo};
 use crate::product::{ProductExpansion, ProductItem};
-use pathalg_core::budget::{CancelToken, PathBudget};
+use pathalg_core::budget::CancelToken;
 use pathalg_core::error::AlgebraError;
 use pathalg_core::obs::WorkCounters;
 use pathalg_core::ops::group_by::{group_counts_from_triples, GroupCounts, GroupKey};
@@ -106,10 +105,10 @@ pub struct EndpointFilter {
 
 /// One emitted element, before path reconstruction.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Emit {
-    pub(crate) source: NodeId,
-    pub(crate) last: NodeId,
-    pub(crate) len: usize,
+struct Emit {
+    source: NodeId,
+    last: NodeId,
+    len: usize,
     token: Token,
 }
 
@@ -143,9 +142,8 @@ impl Pmr<'static> {
         Self::from_shared_csr(Arc::new(csr), semantics, config)
     }
 
-    /// [`Pmr::from_csr`] over a *shared* snapshot: parallel batch workers
-    /// ([`parallel`]) build one restricted expansion each over the same
-    /// `Arc`ed CSR instead of cloning it per batch.
+    /// [`Pmr::from_csr`] over a *shared* snapshot: the expansion walks the
+    /// caller's `Arc`ed CSR instead of a copy of it.
     pub fn from_shared_csr(
         csr: Arc<CsrGraph>,
         semantics: PathSemantics,
@@ -185,9 +183,8 @@ impl Pmr<'static> {
         Self::from_shared_join(hops.into(), semantics, config)
     }
 
-    /// [`Pmr::from_join`] over *shared* per-hop snapshots: parallel batch
-    /// workers ([`parallel`]) build one restricted expansion each over the
-    /// same `Arc`ed hop list instead of cloning the snapshots per batch.
+    /// [`Pmr::from_join`] over *shared* per-hop snapshots: the expansion
+    /// walks the caller's `Arc`ed hop list instead of a copy of it.
     pub fn from_shared_join(
         hops: Arc<[CsrGraph]>,
         semantics: PathSemantics,
@@ -238,43 +235,10 @@ impl<'g> Pmr<'g> {
         self.target_mask = filter.targets;
     }
 
-    /// The source schedule still ahead of the enumeration (the full
-    /// schedule before any pull, after any [`Pmr::restrict_endpoints`]
-    /// source restriction) — what a parallel run partitions into batches.
-    pub fn sources(&self) -> Vec<NodeId> {
-        match &self.inner {
-            Inner::Chain(e) => e.sources().to_vec(),
-            Inner::Product(e) => e.sources().to_vec(),
-        }
-    }
-
-    /// Replaces the source schedule with an explicit (already filtered,
-    /// canonically ordered) list — how [`parallel`] restricts one batch
-    /// worker to its slice of the schedule. Must precede the first pull.
-    pub(crate) fn set_sources(&mut self, sources: Vec<NodeId>) {
-        match &mut self.inner {
-            Inner::Chain(e) => e.set_sources(sources),
-            Inner::Product(e) => e.set_sources(sources),
-        }
-    }
-
-    /// Shares one `max_paths` budget across several batch-restricted
-    /// expansions of the same logical enumeration. Must precede the first
-    /// pull.
-    pub(crate) fn share_budget(&mut self, budget: Arc<PathBudget>) {
-        match &mut self.inner {
-            Inner::Chain(e) => e.share_budget(budget),
-            Inner::Product(e) => e.share_budget(budget),
-        }
-    }
-
     /// Installs a shared cancellation token on the underlying expansion:
     /// every subsequent pull polls the token at its level (or BFS-chunk)
     /// boundary and aborts with [`AlgebraError::Cancelled`] /
-    /// [`AlgebraError::DeadlineExceeded`] once it fires. Under parallel
-    /// enumeration the same token is installed in every batch worker's
-    /// expansion (via the factory closure), so one token stops all workers
-    /// within one batch.
+    /// [`AlgebraError::DeadlineExceeded`] once it fires.
     pub fn share_cancel(&mut self, cancel: Arc<CancelToken>) {
         match &mut self.inner {
             Inner::Chain(e) => e.share_cancel(cancel),
@@ -288,7 +252,7 @@ impl<'g> Pmr<'g> {
             .is_none_or(|mask| mask.get(last.index()) == Some(&true))
     }
 
-    pub(crate) fn next_emit(&mut self) -> Result<Option<Emit>, AlgebraError> {
+    fn next_emit(&mut self) -> Result<Option<Emit>, AlgebraError> {
         loop {
             let emit = match &mut self.inner {
                 Inner::Chain(e) => e.next_id()?.map(|(id, source, len)| Emit {
@@ -322,7 +286,7 @@ impl<'g> Pmr<'g> {
         }
     }
 
-    pub(crate) fn realize(&self, emit: &Emit) -> Path {
+    fn realize(&self, emit: &Emit) -> Path {
         match (&self.inner, emit.token) {
             (Inner::Chain(e), Token::Step(id, len)) => {
                 e.arena.path_of(id, emit.source, len as usize)
@@ -332,14 +296,7 @@ impl<'g> Pmr<'g> {
         }
     }
 
-    /// Counts an emitted path a sliced consumer discarded (would-not-keep),
-    /// so batch workers ([`parallel::sliced`]) tally skips exactly as the
-    /// serial [`Pmr::sliced`] loop does.
-    pub(crate) fn note_slice_skip(&mut self) {
-        self.counts.skipped += 1;
-    }
-
-    pub(crate) fn skip_source(&mut self) {
+    fn skip_source(&mut self) {
         self.counts.abandoned += 1;
         match &mut self.inner {
             Inner::Chain(e) => e.skip_source(),
@@ -404,9 +361,7 @@ impl<'g> Pmr<'g> {
     /// (target-mask miss, or a sliced path the collector provably would not
     /// keep) counts as skipped; a sliced would-not-keep path was also
     /// emitted by the expansion first, so `emitted` is the expansion-side
-    /// tally and `kept` the collector-side one. On serial-parity schedules
-    /// the whole record is byte-identical at every thread count (see
-    /// [`parallel`]).
+    /// tally and `kept` the collector-side one.
     pub fn work_counters(&self) -> WorkCounters {
         WorkCounters {
             arena_steps: self.steps_generated() as u64,
@@ -419,14 +374,11 @@ impl<'g> Pmr<'g> {
             paths_kept: self.counts.kept,
             arena_bytes_peak: self.arena_bytes() as u64,
             scratch_reuse_count: self.scratch_reuse(),
-            ..WorkCounters::default()
         }
     }
 
-    /// Paths recorded against the expansion's [`PathBudget`] so far. For a
-    /// batch-restricted PMR sharing one budget this is the *global* tally,
-    /// so the parallel merge reads it once instead of summing per batch.
-    pub(crate) fn budget_count(&self) -> usize {
+    /// Paths recorded against the expansion's `max_paths` budget so far.
+    fn budget_count(&self) -> usize {
         match &self.inner {
             Inner::Chain(e) => e.budget_count(),
             Inner::Product(e) => e.budget_count(),
@@ -513,8 +465,8 @@ impl<'g> Pmr<'g> {
     /// * once the partition limit is reached, sources that can only open new
     ///   partitions are never expanded at all — and a source caught
     ///   mid-expansion by the closing limit switches to per-partition
-    ///   accounting (only its already-opened groups must fill, matching the
-    ///   §10 parallel batch worker's sharp stop).
+    ///   accounting (only its already-opened groups must fill: the sharp
+    ///   stop).
     pub fn sliced(&mut self, spec: &SliceSpec) -> Result<PathSet, AlgebraError> {
         let mut collector = SliceCollector::new(spec);
         let source_partitioned = spec.group_key.partitions_by_source();
@@ -560,8 +512,7 @@ impl<'g> Pmr<'g> {
                     GroupKey::Source => collector.group_is_full(&(Some(emit.source), None)),
                     GroupKey::SourceTarget => {
                         if !collector.accepts_new_partition() {
-                            // Per-partition accounting (mirroring the §10
-                            // parallel batch worker): the partition limit is
+                            // Per-partition accounting: the partition limit is
                             // closed, so no further group of this source can
                             // be admitted — only the already-opened ones need
                             // to fill, not every reachable one.
@@ -590,11 +541,7 @@ impl<'g> Pmr<'g> {
     /// per-source expansion saturates on its own). Groups outside the pushed
     /// target mask are excluded: they can never receive a path, so waiting
     /// for them would block the stop forever.
-    pub(crate) fn requirements_for(
-        &mut self,
-        source: NodeId,
-        spec: &SliceSpec,
-    ) -> Vec<PartitionKey> {
+    fn requirements_for(&mut self, source: NodeId, spec: &SliceSpec) -> Vec<PartitionKey> {
         if spec.group_key != GroupKey::SourceTarget || spec.per_group.is_none() {
             return Vec::new();
         }

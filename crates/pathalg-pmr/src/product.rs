@@ -58,10 +58,9 @@ pub(crate) struct ProductExpansion<'g> {
     pub(crate) arena: StepArena,
     pending: VecDeque<ProductItem>,
     cur_source: NodeId,
-    /// The `max_paths` accounting — owned by default, shared across batch
-    /// workers under parallel enumeration ([`crate::parallel`]). Every
-    /// accepted path is claimed, mirroring the serial automaton evaluator.
-    budget: Arc<PathBudget>,
+    /// The `max_paths` accounting: every accepted path is claimed, mirroring
+    /// the serial automaton evaluator.
+    budget: PathBudget,
     /// Cooperative cancellation, checked periodically inside the eager
     /// per-source product BFS (the source expansion is the long-running
     /// unit of work here, unlike the level-ordered CSR/join expanders).
@@ -97,7 +96,7 @@ impl<'g> ProductExpansion<'g> {
             arena: StepArena::default(),
             pending: VecDeque::new(),
             cur_source: NodeId(0),
-            budget: Arc::new(PathBudget::new(config.max_paths)),
+            budget: PathBudget::new(config.max_paths),
             cancel: None,
             queue: VecDeque::new(),
             best: FastMap::default(),
@@ -132,25 +131,6 @@ impl<'g> ProductExpansion<'g> {
         self.sources.retain(|v| keep.get(v.index()) == Some(&true));
     }
 
-    /// The remaining source schedule (the full schedule before any pull).
-    pub fn sources(&self) -> &[NodeId] {
-        &self.sources[self.next_source..]
-    }
-
-    /// Replaces the source schedule (already filtered, in graph node order).
-    /// Must be applied before the first pull.
-    pub fn set_sources(&mut self, sources: Vec<NodeId>) {
-        self.sources = sources;
-        self.next_source = 0;
-    }
-
-    /// Replaces the owned `max_paths` budget with a shared one, so several
-    /// batch-restricted expansions enforce one global limit. Must be applied
-    /// before the first pull.
-    pub fn share_budget(&mut self, budget: Arc<PathBudget>) {
-        self.budget = budget;
-    }
-
     /// Installs a shared cancellation token, checked periodically during
     /// source expansion. May be applied at any time.
     pub fn share_cancel(&mut self, cancel: Arc<CancelToken>) {
@@ -172,7 +152,7 @@ impl<'g> ProductExpansion<'g> {
         self.scratch_reuse
     }
 
-    /// Paths recorded against the (possibly shared) budget so far.
+    /// Paths recorded against the budget so far.
     pub(crate) fn budget_count(&self) -> usize {
         self.budget.count()
     }

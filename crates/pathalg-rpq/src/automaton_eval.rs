@@ -32,26 +32,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// pumpable cycles under WALK).
 type ProductEntry = (Path, usize, Vec<(NodeId, usize)>);
 
-/// The matching paths discovered from a single source node.
-///
-/// Product-automaton evaluation is naturally *per source*: the BFS over
-/// `G × A` restarts from `(source, q0)` for every source node, and under
-/// every semantics — including Shortest, whose per-pair minimum is keyed by
-/// `(First(p), Last(p))` with `First(p) = source` fixed — no state is shared
-/// between sources. [`AutomatonEvaluator::expand_source`] exposes one such
-/// unit of work so the engine's parallel frontier evaluator can schedule
-/// sources across threads and merge the expansions in deterministic source
-/// order.
-#[derive(Clone, Debug)]
-pub struct SourceExpansion {
-    /// The source node the expansion started from.
-    pub source: NodeId,
-    /// The matching paths, in deterministic product-BFS discovery order,
-    /// already filtered to the semantics (including the Shortest per-target
-    /// minimum).
-    pub paths: Vec<Path>,
-}
-
 /// Evaluates a regular path query on a graph by searching the product of the
 /// graph and the expression's NFA.
 pub struct AutomatonEvaluator<'g> {
@@ -90,7 +70,7 @@ impl<'g> AutomatonEvaluator<'g> {
     /// Evaluates the RPQ from the given source nodes only.
     ///
     /// Duplicate sources are evaluated once. The result is the in-order merge
-    /// of [`AutomatonEvaluator::expand_source`] over the sources, sharing one
+    /// of the per-source product BFS over the sources, sharing one
     /// `max_paths` budget.
     pub fn eval_from(
         &self,
@@ -105,30 +85,31 @@ impl<'g> AutomatonEvaluator<'g> {
             if !visited.insert(source) {
                 continue;
             }
-            let expansion = self.expand_source(source, semantics, config, &budget)?;
-            for p in expansion.paths {
+            for p in self.expand_source(source, semantics, config, &budget)? {
                 result.insert(p);
             }
         }
         Ok(result)
     }
 
-    /// Runs the product-automaton BFS from one source node.
+    /// Runs the product-automaton BFS from one source node and returns its
+    /// matching paths in product-BFS discovery order, already filtered to
+    /// the semantics (including the Shortest per-target minimum).
     ///
-    /// This is the parallelisable unit of RPQ evaluation: it shares no
-    /// mutable state with other sources, so the engine's frontier evaluator
-    /// runs many of these concurrently and merges the returned path lists in
-    /// source order — the merged set (and its order) is then independent of
-    /// the thread count. The `budget` tallies produced paths across all
-    /// sources of one logical evaluation so `max_paths` bounds the total,
-    /// not the per-source count.
-    pub fn expand_source(
+    /// Product-automaton evaluation is naturally *per source*: the BFS over
+    /// `G × A` restarts from `(source, q0)` for every source node, and under
+    /// every semantics — including Shortest, whose per-pair minimum is keyed
+    /// by `(First(p), Last(p))` with `First(p) = source` fixed — no state is
+    /// shared between sources. The `budget` tallies produced paths across
+    /// all sources of one logical evaluation so `max_paths` bounds the
+    /// total, not the per-source count.
+    fn expand_source(
         &self,
         source: NodeId,
         semantics: PathSemantics,
         config: &RecursionConfig,
         budget: &PathBudget,
-    ) -> Result<SourceExpansion, AlgebraError> {
+    ) -> Result<Vec<Path>, AlgebraError> {
         let mut result = PathSet::new();
         // For Shortest: minimal known length per target (the source is fixed).
         let mut best: HashMap<NodeId, usize> = HashMap::new();
@@ -192,7 +173,7 @@ impl<'g> AutomatonEvaluator<'g> {
             }
         }
 
-        let paths = if semantics == PathSemantics::Shortest {
+        Ok(if semantics == PathSemantics::Shortest {
             // Zero-length matches (a nullable regex such as `a*`) are kept
             // unconditionally and do not participate in the per-pair minimum:
             // this mirrors the algebraic translation of the Kleene star
@@ -205,8 +186,7 @@ impl<'g> AutomatonEvaluator<'g> {
                 .collect()
         } else {
             result.into_vec()
-        };
-        Ok(SourceExpansion { source, paths })
+        })
     }
 }
 

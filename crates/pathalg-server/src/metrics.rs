@@ -57,13 +57,13 @@ pub struct Metrics {
 /// slot before `scratch_reuse_count` is `arena_bytes_peak`, which folds in
 /// with `fetch_max` (it is a peak gauge, not a tally).
 #[derive(Debug, Default)]
-struct WorkTotals([AtomicU64; 12]);
+struct WorkTotals([AtomicU64; 10]);
 
 /// Index of the `arena_bytes_peak` slot, the one max-merged entry.
-const ARENA_BYTES_PEAK_SLOT: usize = 10;
+const ARENA_BYTES_PEAK_SLOT: usize = 8;
 
 impl WorkTotals {
-    fn values(w: &WorkCounters) -> [u64; 12] {
+    fn values(w: &WorkCounters) -> [u64; 10] {
         [
             w.arena_steps,
             w.base_segments,
@@ -73,8 +73,6 @@ impl WorkTotals {
             w.budget_claimed,
             w.partitions_opened,
             w.paths_kept,
-            w.batches_scheduled,
-            w.batches_merged,
             w.arena_bytes_peak,
             w.scratch_reuse_count,
         ]
@@ -101,10 +99,8 @@ impl WorkTotals {
             budget_claimed: v[5],
             partitions_opened: v[6],
             paths_kept: v[7],
-            batches_scheduled: v[8],
-            batches_merged: v[9],
-            arena_bytes_peak: v[10],
-            scratch_reuse_count: v[11],
+            arena_bytes_peak: v[8],
+            scratch_reuse_count: v[9],
         }
     }
 }
@@ -366,7 +362,7 @@ impl MetricsSnapshot {
             );
         }
         let _ = writeln!(out, "# TYPE pathalg_work_total counter");
-        let work: [(&str, u64); 11] = [
+        let work: [(&str, u64); 9] = [
             ("arena_steps", self.work.arena_steps),
             ("base_segments", self.work.base_segments),
             ("paths_emitted", self.work.paths_emitted),
@@ -375,8 +371,6 @@ impl MetricsSnapshot {
             ("budget_claimed", self.work.budget_claimed),
             ("partitions_opened", self.work.partitions_opened),
             ("paths_kept", self.work.paths_kept),
-            ("batches_scheduled", self.work.batches_scheduled),
-            ("batches_merged", self.work.batches_merged),
             ("scratch_reuse_count", self.work.scratch_reuse_count),
         ];
         for (counter, value) in work {

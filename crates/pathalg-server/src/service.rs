@@ -46,10 +46,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Per-request path quota granted for each worker thread of the execution
-/// configuration — the derivation of the default [`RequestQuota`] from
-/// [`ExecutionConfig`] (more workers, more budget; one knob scales both).
-pub const DEFAULT_QUOTA_PATHS_PER_THREAD: usize = 250_000;
+/// Default per-request path quota ([`ServiceConfig::quota`]).
+pub const DEFAULT_QUOTA_PATHS: usize = 250_000;
 
 /// Default ceiling on the estimated closure cardinality of an admitted
 /// request (paths). Only predicted *blow-ups* (cyclic, super-unit expansion)
@@ -62,8 +60,6 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 /// Configuration of a [`QueryService`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Parallel-execution knobs handed to the engine per request.
-    pub execution: ExecutionConfig,
     /// Base recursion bounds of every request (before the quota applies).
     pub recursion: RecursionConfig,
     /// Per-request quota min-combined into the recursion bounds
@@ -90,18 +86,21 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A configuration for the given execution knobs, with the per-request
-    /// quota derived from them: [`DEFAULT_QUOTA_PATHS_PER_THREAD`] paths per
-    /// worker thread, default admission ceiling and cache bound.
-    pub fn with_execution(execution: ExecutionConfig) -> Self {
-        let quota = RequestQuota::new(
-            Some(DEFAULT_QUOTA_PATHS_PER_THREAD * execution.threads.max(1)),
-            None,
-        );
+    /// The default configuration. The [`ExecutionConfig`] is accepted and
+    /// ignored: every request is evaluated serial per query, and the service
+    /// runs requests concurrently, one per connection.
+    pub fn with_execution(_execution: ExecutionConfig) -> Self {
+        Self::default()
+    }
+}
+
+impl Default for ServiceConfig {
+    /// [`DEFAULT_QUOTA_PATHS`] per request, the default admission ceiling and
+    /// cache bound, no deadline and no shedding.
+    fn default() -> Self {
         Self {
-            execution,
             recursion: RecursionConfig::default(),
-            quota,
+            quota: RequestQuota::new(Some(DEFAULT_QUOTA_PATHS), None),
             admission_ceiling: Some(DEFAULT_ADMISSION_CEILING),
             plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
             optimize: true,
@@ -109,12 +108,6 @@ impl ServiceConfig {
             default_deadline: None,
             max_concurrent: None,
         }
-    }
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self::with_execution(ExecutionConfig::default())
     }
 }
 
@@ -855,9 +848,10 @@ impl QueryService {
         recursion: RecursionConfig,
         cancel: &Arc<CancelToken>,
     ) -> Result<Arc<QueryOutcome>, ServiceError> {
-        let mut evaluator = EngineEvaluator::new(&self.graph, recursion, self.config.execution)
-            .with_graph_stats(stats)
-            .with_cancel(cancel.clone());
+        let mut evaluator =
+            EngineEvaluator::new(&self.graph, recursion, ExecutionConfig::default())
+                .with_graph_stats(stats)
+                .with_cancel(cancel.clone());
         let paths = evaluator
             .eval_paths(&cached.plan)
             .map_err(ServiceError::Evaluation)?;

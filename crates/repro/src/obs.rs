@@ -33,7 +33,7 @@ pub fn obs() {
     print!("{}", service.trace(cold.trace.id).expect("trace retained"));
     println!();
 
-    println!("-- deterministic counters (byte-identical at any thread count) --");
+    println!("-- deterministic counters (byte-identical on every run) --");
     println!("{}", cold.trace.work.deterministic_line());
     println!();
 

@@ -11,7 +11,6 @@
 //!     | nc -U /tmp/pathalg.sock
 //! ```
 
-use pathalg_engine::exec::ExecutionConfig;
 use pathalg_graph::fixtures::figure1::figure1_graph;
 use pathalg_graph::generator::snb::{snb_like_graph, SnbConfig};
 use pathalg_server::{serve, QueryService, ServiceConfig};
@@ -22,7 +21,6 @@ use std::sync::Arc;
 pub fn run(args: &[String]) -> Result<(), String> {
     let mut socket = "/tmp/pathalg.sock".to_string();
     let mut snb_persons: Option<usize> = None;
-    let mut threads = 1usize;
     let mut metrics = false;
     let mut deadline_ms: Option<u64> = None;
     let mut iter = args.iter();
@@ -37,11 +35,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "--snb" => {
                 snb_persons = Some(value("--snb")?.parse().map_err(|e| format!("--snb: {e}"))?)
             }
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
             "--metrics" => metrics = true,
             "--deadline-ms" => {
                 deadline_ms = Some(
@@ -53,7 +46,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             other => {
                 return Err(format!(
                     "unknown serve option {other} (expected --socket PATH, --snb PERSONS, \
-                     --threads N, --metrics, --deadline-ms MS)"
+                     --metrics, --deadline-ms MS)"
                 ))
             }
         }
@@ -73,14 +66,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
     );
     let config = ServiceConfig {
         default_deadline: deadline_ms.map(std::time::Duration::from_millis),
-        ..ServiceConfig::with_execution(ExecutionConfig::with_threads(threads))
+        ..ServiceConfig::default()
     };
     let service = Arc::new(QueryService::new(Arc::new(graph), config));
     // Bound to a name so the handle (and with it the socket file) lives for
     // the whole process; killing the process is the only way out.
     let _handle =
         serve(service.clone(), socket.clone()).map_err(|e| format!("bind {socket}: {e}"))?;
-    println!("serving on {socket} ({threads} engine thread(s)); commands:");
+    println!("serving on {socket} (one thread per connection); commands:");
     if let Some(ms) = deadline_ms {
         println!("default per-request deadline: {ms}ms");
     }

@@ -272,15 +272,13 @@ pub fn table7() {
     }
 }
 
-/// The strategy decision table (DESIGN.md §9/§10): for the SNB and K-graph
-/// fixtures, each query's executed plan at 1 and 4 worker threads, what ran
-/// it — a full kernel drain (`pmr-lazy`), a sliced pipeline on the same
-/// kernel (`lazy-sliced-pipeline` / `parallel-lazy-pipeline`; the schedule
-/// depends on the thread count, so each decision row carries its `threads`
-/// column), or the frontier over a materialised base — and the closure
-/// estimate recorded next to it. Cross-linked from EXPERIMENTS.md.
+/// The strategy decision table (DESIGN.md §9): for the SNB and K-graph
+/// fixtures, each query's executed plan, what ran it — a full kernel drain
+/// (`pmr-lazy`), a sliced pipeline on the same kernel
+/// (`lazy-sliced-pipeline`), or the frontier over a materialised base — and
+/// the closure estimate recorded next to it. Cross-linked from
+/// EXPERIMENTS.md.
 pub fn joins() {
-    use pathalg_engine::exec::ExecutionConfig;
     use pathalg_engine::runner::QueryRunner;
     use pathalg_graph::generator::snb::{snb_like_graph, SnbConfig};
     use pathalg_graph::generator::structured::complete_graph;
@@ -300,30 +298,27 @@ pub fn joins() {
         ("K6 (complete, :Knows)", complete_graph(6, "Knows")),
     ];
     for (name, graph) in &graphs {
-        for threads in [1usize, 4] {
-            println!("-- fixture {name} · threads={threads} --");
-            let runner = QueryRunner::with_config(
-                graph,
-                pathalg_engine::runner::RunnerConfig::with_walk_bound(4)
-                    .with_execution(ExecutionConfig::with_threads(threads)),
-            );
-            for query in queries {
-                let result = match runner.run(query) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        println!("{query}\n    -> error: {e}");
-                        continue;
-                    }
-                };
-                println!("{query}");
-                println!("    executed plan: {}", result.optimized_plan());
-                for decision in result.strategy_decisions() {
-                    println!("    {decision}");
+        println!("-- fixture {name} --");
+        let runner = QueryRunner::with_config(
+            graph,
+            pathalg_engine::runner::RunnerConfig::with_walk_bound(4),
+        );
+        for query in queries {
+            let result = match runner.run(query) {
+                Ok(r) => r,
+                Err(e) => {
+                    println!("{query}\n    -> error: {e}");
+                    continue;
                 }
-                println!("    -> {} result paths", result.paths().len());
+            };
+            println!("{query}");
+            println!("    executed plan: {}", result.optimized_plan());
+            for decision in result.strategy_decisions() {
+                println!("    {decision}");
             }
-            println!();
+            println!("    -> {} result paths", result.paths().len());
         }
+        println!();
     }
 }
 

@@ -12,37 +12,51 @@
 //! identical single-chain frontier: the capacities warmed by the first
 //! source are exactly the capacities every later source needs, so "no
 //! allocation after warm-up" is deterministic rather than
-//! workload-dependent. This file holds a single test on purpose — the
-//! counter is process-global, and a sibling test allocating concurrently
-//! would produce false positives.
+//! workload-dependent. Only allocations made by the thread that opened the
+//! measurement window are counted: the test harness's own thread allocates
+//! on its first blocking wait, which can land inside the window when the
+//! host is busy.
 
 use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::generator::structured::cycle_graph;
 use pathalg::pmr::Pmr;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every allocation and reallocation (frees are irrelevant here:
-/// freeing recycled scratch would itself be a bug, but the symptom we pin
-/// is the re-acquisition).
+/// Counts every allocation and reallocation made by a thread that set
+/// `COUNTED` (frees are irrelevant here: freeing recycled scratch would
+/// itself be a bug, but the symptom we pin is the re-acquisition).
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // `const`-initialised `Cell<bool>`: reading it never allocates and it
+    // has no destructor, so the allocator may consult it.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -100,9 +114,11 @@ fn steady_state_drain_performs_zero_allocations() {
         // and distance table to their steady-state capacities.
         let warm = pmr.count_batch(per_source(semantics)).unwrap();
 
+        COUNTED.with(|c| c.set(true));
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let rest = pmr.count_all().unwrap();
         let after = ALLOCATIONS.load(Ordering::Relaxed);
+        COUNTED.with(|c| c.set(false));
 
         assert_eq!(warm + rest, total, "split drain lost paths ({semantics:?})");
         assert_eq!(

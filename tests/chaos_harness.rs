@@ -1,8 +1,7 @@
 //! Fault-injection harness for the robustness layer (DESIGN.md §14).
 //!
 //! Drives the query service through the three fault classes that the
-//! cancellation / panic-isolation work must survive, each pinned at 1, 2
-//! and 8 engine worker threads:
+//! cancellation / panic-isolation work must survive:
 //!
 //! * **Leader panic fan-out** — the `"execute"` failpoint panics the dedup
 //!   leader mid-flight while a fenced herd is coalesced onto it. Every
@@ -21,7 +20,6 @@ use pathalg::algebra::error::AlgebraError;
 use pathalg::algebra::ops::recursive::RecursionConfig;
 use pathalg::graph::generator::structured::complete_graph;
 use pathalg::server::{DedupRole, FailAction, QueryService, ServiceConfig, ServiceError};
-use pathalg_engine::exec::ExecutionConfig;
 use std::sync::{Arc, Once};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -30,18 +28,17 @@ use std::time::{Duration, Instant};
 /// complete Knows graph, expensive enough that a herd genuinely overlaps.
 const TRAIL: &str = "MATCH ALL TRAIL p = (?x)-[(:Knows)+]->(?y)";
 
-/// The thread counts every scenario is pinned at.
-const THREADS: [usize; 3] = [1, 2, 8];
-
 /// A service over K_n with the admission gate off and bounded recursion —
 /// the same shape the concurrency harness uses.
-fn dense_service(n: usize, threads: usize, max_length: usize) -> Arc<QueryService> {
-    let mut config = ServiceConfig::with_execution(ExecutionConfig::with_threads(threads));
-    config.recursion = RecursionConfig {
-        max_length: Some(max_length),
-        max_paths: None,
+fn dense_service(n: usize, max_length: usize) -> Arc<QueryService> {
+    let config = ServiceConfig {
+        recursion: RecursionConfig {
+            max_length: Some(max_length),
+            max_paths: None,
+        },
+        admission_ceiling: None,
+        ..ServiceConfig::default()
     };
-    config.admission_ceiling = None;
     Arc::new(QueryService::new(
         Arc::new(complete_graph(n, "Knows")),
         config,
@@ -81,65 +78,63 @@ fn silence_injected_panics() {
 fn leader_panic_fans_out_typed_to_every_coalesced_waiter() {
     silence_injected_panics();
     const HERD: u64 = 6;
-    for threads in THREADS {
-        let svc = dense_service(7, threads, 5);
-        svc.set_failpoint("execute", FailAction::Panic("chaos".into()));
-        // The fence holds the leader inside its catch_unwind window until
-        // all waiters have registered, so the panic provably fans out to a
-        // fully assembled herd rather than racing it.
-        svc.set_pre_execute_hook(Box::new(|metrics| {
-            let fence = Instant::now() + Duration::from_secs(30);
-            while metrics.dedup_hits() < HERD - 1 {
-                assert!(Instant::now() < fence, "herd never assembled");
-                thread::sleep(Duration::from_millis(1));
-            }
-        }));
-        let errors: Vec<ServiceError> = thread::scope(|scope| {
-            let workers: Vec<_> = (0..HERD)
-                .map(|_| {
-                    let svc = svc.clone();
-                    scope.spawn(move || {
-                        svc.submit_with_deadline(TRAIL, Duration::from_secs(30))
-                            .expect_err("the armed failpoint must fail the whole herd")
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        svc.clear_pre_execute_hook();
-        svc.clear_failpoints();
-
-        assert_eq!(errors.len(), HERD as usize);
-        for err in &errors {
-            match err {
-                ServiceError::InternalPanic(message) => {
-                    assert!(
-                        message.contains("failpoint execute: chaos"),
-                        "threads={threads}: payload surfaced, got {message:?}"
-                    );
-                }
-                other => panic!("threads={threads}: expected InternalPanic, got {other:?}"),
-            }
-            assert_eq!(err.kind(), "internal", "not a timeout — fan-out beat it");
-            assert_eq!(err, &errors[0], "identical typed error for the herd");
+    let svc = dense_service(7, 5);
+    svc.set_failpoint("execute", FailAction::Panic("chaos".into()));
+    // The fence holds the leader inside its catch_unwind window until
+    // all waiters have registered, so the panic provably fans out to a
+    // fully assembled herd rather than racing it.
+    svc.set_pre_execute_hook(Box::new(|metrics| {
+        let fence = Instant::now() + Duration::from_secs(30);
+        while metrics.dedup_hits() < HERD - 1 {
+            assert!(Instant::now() < fence, "herd never assembled");
+            thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(svc.metrics().panicked(), 1, "one leader panic counted");
-        assert_eq!(svc.metrics().executions(), 1, "one leader entered execute");
-        assert_eq!(svc.metrics().dedup_hits(), HERD - 1);
-        let stamped = svc
-            .traces()
-            .all()
-            .iter()
-            .filter(|t| t.outcome == Some("panic"))
-            .count();
-        assert_eq!(stamped, HERD as usize, "every member's trace is stamped");
+    }));
+    let errors: Vec<ServiceError> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..HERD)
+            .map(|_| {
+                let svc = svc.clone();
+                scope.spawn(move || {
+                    svc.submit_with_deadline(TRAIL, Duration::from_secs(30))
+                        .expect_err("the armed failpoint must fail the whole herd")
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    svc.clear_pre_execute_hook();
+    svc.clear_failpoints();
 
-        // No poisoned lock, no stale flight: the same instance leads a
-        // fresh, successful evaluation of the very same query.
-        let recovered = svc.submit(TRAIL).expect("service survives its leader");
-        assert_eq!(recovered.dedup, DedupRole::Leader, "no stale flight");
-        assert!(!recovered.outcome.paths.is_empty());
+    assert_eq!(errors.len(), HERD as usize);
+    for err in &errors {
+        match err {
+            ServiceError::InternalPanic(message) => {
+                assert!(
+                    message.contains("failpoint execute: chaos"),
+                    "payload surfaced, got {message:?}"
+                );
+            }
+            other => panic!("expected InternalPanic, got {other:?}"),
+        }
+        assert_eq!(err.kind(), "internal", "not a timeout — fan-out beat it");
+        assert_eq!(err, &errors[0], "identical typed error for the herd");
     }
+    assert_eq!(svc.metrics().panicked(), 1, "one leader panic counted");
+    assert_eq!(svc.metrics().executions(), 1, "one leader entered execute");
+    assert_eq!(svc.metrics().dedup_hits(), HERD - 1);
+    let stamped = svc
+        .traces()
+        .all()
+        .iter()
+        .filter(|t| t.outcome == Some("panic"))
+        .count();
+    assert_eq!(stamped, HERD as usize, "every member's trace is stamped");
+
+    // No poisoned lock, no stale flight: the same instance leads a
+    // fresh, successful evaluation of the very same query.
+    let recovered = svc.submit(TRAIL).expect("service survives its leader");
+    assert_eq!(recovered.dedup, DedupRole::Leader, "no stale flight");
+    assert!(!recovered.outcome.paths.is_empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -152,28 +147,26 @@ fn leader_panic_fans_out_typed_to_every_coalesced_waiter() {
 /// disarmed instance immediately serves the next query.
 #[test]
 fn deadline_fires_mid_enumeration_and_the_service_moves_on() {
-    for threads in THREADS {
-        let svc = dense_service(7, threads, 5);
-        // The leader reaches execute well before 25ms, sleeps past the
-        // deadline, and the evaluation's first cancellation check fires.
-        svc.set_failpoint("execute", FailAction::Delay(Duration::from_millis(120)));
-        let err = svc
-            .submit_with_deadline(TRAIL, Duration::from_millis(25))
-            .expect_err("the deadline must outrun the delayed drain");
-        match &err {
-            ServiceError::Evaluation(AlgebraError::DeadlineExceeded) => {}
-            other => panic!("threads={threads}: expected DeadlineExceeded, got {other:?}"),
-        }
-        assert_eq!(err.kind(), "timeout");
-        assert_eq!(svc.metrics().timeouts(), 1);
-        let trace = svc.latest_trace().expect("failed request leaves a trace");
-        assert_eq!(trace.outcome, Some("timeout"));
-
-        svc.clear_failpoints();
-        let next = svc.submit(TRAIL).expect("same instance serves the next");
-        assert_eq!(next.dedup, DedupRole::Leader, "aborted flight was removed");
-        assert!(!next.outcome.paths.is_empty());
+    let svc = dense_service(7, 5);
+    // The leader reaches execute well before 25ms, sleeps past the
+    // deadline, and the evaluation's first cancellation check fires.
+    svc.set_failpoint("execute", FailAction::Delay(Duration::from_millis(120)));
+    let err = svc
+        .submit_with_deadline(TRAIL, Duration::from_millis(25))
+        .expect_err("the deadline must outrun the delayed drain");
+    match &err {
+        ServiceError::Evaluation(AlgebraError::DeadlineExceeded) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
+    assert_eq!(err.kind(), "timeout");
+    assert_eq!(svc.metrics().timeouts(), 1);
+    let trace = svc.latest_trace().expect("failed request leaves a trace");
+    assert_eq!(trace.outcome, Some("timeout"));
+
+    svc.clear_failpoints();
+    let next = svc.submit(TRAIL).expect("same instance serves the next");
+    assert_eq!(next.dedup, DedupRole::Leader, "aborted flight was removed");
+    assert!(!next.outcome.paths.is_empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -186,33 +179,31 @@ fn deadline_fires_mid_enumeration_and_the_service_moves_on() {
 /// with the same bytes again.
 #[test]
 fn aborted_run_is_reserved_byte_identically() {
-    for threads in THREADS {
-        let reference = dense_service(7, threads, 5)
-            .submit(TRAIL)
-            .expect("reference run")
-            .outcome
-            .canonical_lines();
-        assert!(!reference.is_empty());
+    let reference = dense_service(7, 5)
+        .submit(TRAIL)
+        .expect("reference run")
+        .outcome
+        .canonical_lines();
+    assert!(!reference.is_empty());
 
-        let svc = dense_service(7, threads, 5);
-        svc.set_failpoint("execute", FailAction::Delay(Duration::from_millis(120)));
-        let err = svc
-            .submit_with_deadline(TRAIL, Duration::from_millis(25))
-            .expect_err("the aborted run");
-        assert_eq!(err.kind(), "timeout", "threads={threads}");
-        svc.clear_failpoints();
+    let svc = dense_service(7, 5);
+    svc.set_failpoint("execute", FailAction::Delay(Duration::from_millis(120)));
+    let err = svc
+        .submit_with_deadline(TRAIL, Duration::from_millis(25))
+        .expect_err("the aborted run");
+    assert_eq!(err.kind(), "timeout");
+    svc.clear_failpoints();
 
-        let first = svc.submit(TRAIL).expect("re-serve after the abort");
-        assert_eq!(first.dedup, DedupRole::Leader, "no stale flight survives");
-        assert_eq!(
-            first.outcome.canonical_lines(),
-            reference,
-            "threads={threads}: aborted run left no trace in the answer"
-        );
-        let second = svc.submit(TRAIL).expect("warm re-serve");
-        assert_eq!(second.outcome.canonical_lines(), reference);
+    let first = svc.submit(TRAIL).expect("re-serve after the abort");
+    assert_eq!(first.dedup, DedupRole::Leader, "no stale flight survives");
+    assert_eq!(
+        first.outcome.canonical_lines(),
+        reference,
+        "aborted run left no trace in the answer"
+    );
+    let second = svc.submit(TRAIL).expect("warm re-serve");
+    assert_eq!(second.outcome.canonical_lines(), reference);
 
-        assert_eq!(svc.metrics().timeouts(), 1, "exactly the aborted run");
-        assert_eq!(svc.metrics().served(), 2, "both re-serves succeeded");
-    }
+    assert_eq!(svc.metrics().timeouts(), 1, "exactly the aborted run");
+    assert_eq!(svc.metrics().served(), 2, "both re-serves succeeded");
 }

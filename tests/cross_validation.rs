@@ -12,7 +12,7 @@ use pathalg::algebra::ops::selection::selection;
 use pathalg::algebra::pathset::PathSet;
 use pathalg::engine::baseline::evaluate_query_with_automaton;
 use pathalg::engine::exec::ExecutionConfig;
-use pathalg::engine::physical::frontier::{automaton_frontier, phi_frontier};
+use pathalg::engine::physical::frontier::phi_frontier;
 use pathalg::engine::physical::{phi_bfs_shortest, phi_dfs, phi_naive, phi_seminaive};
 use pathalg::engine::runner::{QueryRunner, RunnerConfig};
 use pathalg::graph::csr::CsrGraph;
@@ -99,12 +99,12 @@ fn physical_implementations_agree_with_the_algebra_everywhere() {
     }
 }
 
-/// The parallel determinism contract of the frontier engine (DESIGN.md §7):
-/// on every test graph and restricted semantics, `phi_frontier` at 1, 2, and
-/// 8 threads produces a byte-identical ordered path sequence, whose canonical
-/// (sorted) rendering is in turn byte-identical to `phi_seminaive`'s.
+/// The frontier engine (DESIGN.md §7) against the executable
+/// specification: on every test graph and restricted semantics, the
+/// canonical (sorted) rendering of `phi_frontier`'s output is byte-identical
+/// to `phi_seminaive`'s.
 #[test]
-fn phi_frontier_is_deterministic_across_thread_counts() {
+fn phi_frontier_agrees_with_seminaive_everywhere() {
     let cfg = RecursionConfig::default();
     for (name, graph) in test_graphs() {
         let base = knows_base(&graph);
@@ -117,37 +117,11 @@ fn phi_frontier_is_deterministic_across_thread_counts() {
             let reference = phi_seminaive(semantics, &base, &cfg).unwrap();
             let reference_canonical: Vec<String> =
                 reference.sorted().iter().map(|p| p.display_ids()).collect();
-            let single = phi_frontier(
-                semantics,
-                &base,
-                &cfg,
-                &ExecutionConfig {
-                    threads: 1,
-                    batch_size: 3,
-                },
-            )
-            .unwrap();
-            for threads in [2usize, 8] {
-                let multi = phi_frontier(
-                    semantics,
-                    &base,
-                    &cfg,
-                    &ExecutionConfig {
-                        threads,
-                        batch_size: 3,
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    single.as_slice(),
-                    multi.as_slice(),
-                    "{name}: frontier output order diverged under {semantics:?} at {threads} threads"
-                );
-            }
-            let single_canonical: Vec<String> =
-                single.sorted().iter().map(|p| p.display_ids()).collect();
+            let frontier = phi_frontier(semantics, &base, &cfg).unwrap();
+            let frontier_canonical: Vec<String> =
+                frontier.sorted().iter().map(|p| p.display_ids()).collect();
             assert_eq!(
-                single_canonical, reference_canonical,
+                frontier_canonical, reference_canonical,
                 "{name}: frontier differs from seminaive under {semantics:?}"
             );
         }
@@ -157,16 +131,47 @@ fn phi_frontier_is_deterministic_across_thread_counts() {
 /// The lazy scan kernel and the PathSet-based frontier engine are the same
 /// algorithm over two base representations — the label CSR and the
 /// materialised `σℓ(Edges(G))`: identical output, in the same order, on
-/// every test graph, for the serial drain and the batch-scheduled one the
-/// engine dispatches above one thread.
+/// every test graph, for the full drain and for the sliced evaluation
+/// (uncoupled, partition-limited and γ∅ specs) against slicing the
+/// frontier's output.
 #[test]
 fn csr_native_frontier_agrees_with_the_pathset_frontier() {
-    use pathalg::pmr::parallel::{self, ParallelConfig};
+    use pathalg::algebra::ops::group_by::GroupKey;
+    use pathalg::algebra::slice::{SliceCollector, SliceSpec};
     use pathalg::pmr::Pmr;
     use std::sync::Arc;
 
+    let specs = [
+        // Uncoupled: ANY 1 per endpoint pair.
+        SliceSpec {
+            group_key: GroupKey::SourceTarget,
+            per_group: Some(1),
+            max_partitions: None,
+            ordered_by_length: false,
+        },
+        // Partition-limited γST — exercises the sharp stop.
+        SliceSpec {
+            group_key: GroupKey::SourceTarget,
+            per_group: Some(2),
+            max_partitions: Some(3),
+            ordered_by_length: false,
+        },
+        // Partition-limited γS.
+        SliceSpec {
+            group_key: GroupKey::Source,
+            per_group: Some(2),
+            max_partitions: Some(2),
+            ordered_by_length: false,
+        },
+        // γ∅ global prefix.
+        SliceSpec {
+            group_key: GroupKey::Empty,
+            per_group: Some(4),
+            max_partitions: None,
+            ordered_by_length: false,
+        },
+    ];
     let bounded = RecursionConfig::with_max_length(3);
-    let exec = ExecutionConfig::with_threads(2);
     for (name, graph) in test_graphs() {
         let base = knows_base(&graph);
         let csr = Arc::new(CsrGraph::with_label(&graph, "Knows"));
@@ -177,7 +182,7 @@ fn csr_native_frontier_agrees_with_the_pathset_frontier() {
             (PathSemantics::Shortest, RecursionConfig::default()),
             (PathSemantics::Walk, bounded),
         ] {
-            let via_paths = phi_frontier(semantics, &base, &cfg, &exec).unwrap();
+            let via_paths = phi_frontier(semantics, &base, &cfg).unwrap();
             let via_csr = Pmr::from_shared_csr(csr.clone(), semantics, cfg)
                 .enumerate_all()
                 .unwrap();
@@ -186,29 +191,27 @@ fn csr_native_frontier_agrees_with_the_pathset_frontier() {
                 via_csr.as_slice(),
                 "{name}: scan kernel diverged under {semantics:?}"
             );
-            let factory = || Pmr::from_shared_csr(csr.clone(), semantics, cfg);
-            let batched = parallel::enumerate_all(
-                &factory,
-                &parallel::source_schedule(&csr, None),
-                None,
-                &ParallelConfig {
-                    threads: exec.threads,
-                    batch_size: 3,
-                },
-                cfg.max_paths,
-            )
-            .unwrap();
-            assert_eq!(
-                via_paths.as_slice(),
-                batched.paths.as_slice(),
-                "{name}: batch-scheduled scan kernel diverged under {semantics:?}"
-            );
+            for spec in &specs {
+                let mut collector = SliceCollector::new(spec);
+                for path in via_paths.iter() {
+                    collector.offer(path.clone());
+                }
+                let expected = collector.finish();
+                let sliced = Pmr::from_shared_csr(csr.clone(), semantics, cfg)
+                    .sliced(spec)
+                    .unwrap();
+                assert_eq!(
+                    sliced.as_slice(),
+                    expected.as_slice(),
+                    "{name}: sliced scan kernel diverged under {semantics:?} for {spec:?}"
+                );
+            }
         }
     }
 }
 
-/// End to end: the runner must return identical result sets at every thread
-/// count, on every test graph.
+/// End to end: a thread count handed to the runner is accepted and ignored —
+/// identical result sets on every test graph.
 #[test]
 fn runner_results_are_thread_count_invariant() {
     let queries = [
@@ -229,54 +232,22 @@ fn runner_results_are_thread_count_invariant() {
                 ..RunnerConfig::default()
             },
         );
+        let eight = QueryRunner::with_config(
+            &graph,
+            RunnerConfig {
+                optimize: true,
+                recursion,
+                execution: ExecutionConfig::with_threads(8),
+            },
+        );
         for query in queries {
             let reference = serial.run(query).unwrap();
-            for threads in [2usize, 8] {
-                let runner = QueryRunner::with_config(
-                    &graph,
-                    RunnerConfig {
-                        optimize: true,
-                        recursion,
-                        execution: ExecutionConfig::with_threads(threads),
-                    },
-                );
-                let result = runner.run(query).unwrap();
-                assert_eq!(
-                    result.paths(),
-                    reference.paths(),
-                    "{name}: {query} changed results at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-/// The parallel automaton-product frontier must agree with the serial
-/// product evaluation, path-for-path and in order.
-#[test]
-fn parallel_automaton_frontier_agrees_with_serial_product() {
-    let cfg = RecursionConfig::default();
-    for (name, graph) in test_graphs() {
-        for pattern in [":Knows+", "(:Knows|:Likes)+"] {
-            let re = parse_regex(pattern).unwrap();
-            let serial = AutomatonEvaluator::new(&graph, &re)
-                .eval_all(PathSemantics::Shortest, &cfg)
-                .unwrap();
-            for threads in [1usize, 4] {
-                let parallel = automaton_frontier(
-                    &graph,
-                    &re,
-                    PathSemantics::Shortest,
-                    &cfg,
-                    &ExecutionConfig::with_threads(threads),
-                )
-                .unwrap();
-                assert_eq!(
-                    parallel.as_slice(),
-                    serial.as_slice(),
-                    "{name}: {pattern} parallel product diverged at {threads} threads"
-                );
-            }
+            let result = eight.run(query).unwrap();
+            assert_eq!(
+                result.paths().as_slice(),
+                reference.paths().as_slice(),
+                "{name}: {query} changed results with a thread count"
+            );
         }
     }
 }
@@ -362,8 +333,7 @@ fn end_to_end_queries_agree_between_runner_and_baseline() {
 /// The lazy-pipeline contract of the PMR subsystem (DESIGN.md §8): on every
 /// test graph, a slicing γ/τ/π pipeline over a recursive label scan —
 /// evaluated lazily by the engine — produces byte-identical canonical output
-/// to the materialised evaluation (frontier + γ/τ/π operators), at 1, 2
-/// and 8 configured threads.
+/// to the materialised evaluation (frontier + γ/τ/π operators).
 #[test]
 fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
     use pathalg::algebra::ops::group_by::{group_by, GroupKey};
@@ -422,13 +392,7 @@ fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
         for (semantics, recursion, gkey, order, spec) in &cases {
             // The materialised evaluation: frontier closure of σℓ(Edges) +
             // γ/τ/π.
-            let closure = phi_frontier(
-                *semantics,
-                &knows_base(&graph),
-                recursion,
-                &ExecutionConfig::default(),
-            )
-            .unwrap();
+            let closure = phi_frontier(*semantics, &knows_base(&graph), recursion).unwrap();
             let grouped = group_by(*gkey, &closure);
             let ranked = match order {
                 Some(key) => order_by(*key, &grouped),
@@ -450,20 +414,14 @@ fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
                 choose_pipeline_impl(&plan, recursion).is_some(),
                 "{name}: {plan} should be evaluated lazily"
             );
-            for threads in [1usize, 2, 8] {
-                let mut engine = EngineEvaluator::new(
-                    &graph,
-                    *recursion,
-                    ExecutionConfig::with_threads(threads),
-                );
-                let out = engine.eval_paths(&plan).unwrap();
-                let canonical: Vec<String> = out.iter().map(|p| p.display_ids()).collect();
-                assert_eq!(
-                    canonical, expected_canonical,
-                    "{name}: lazy {plan} diverged from materialised at {threads} threads"
-                );
-                assert_eq!(out.as_slice(), expected.as_slice(), "{name}: {plan}");
-            }
+            let mut engine = EngineEvaluator::new(&graph, *recursion, ExecutionConfig::default());
+            let out = engine.eval_paths(&plan).unwrap();
+            let canonical: Vec<String> = out.iter().map(|p| p.display_ids()).collect();
+            assert_eq!(
+                canonical, expected_canonical,
+                "{name}: lazy {plan} diverged from materialised"
+            );
+            assert_eq!(out.as_slice(), expected.as_slice(), "{name}: {plan}");
         }
     }
 }
@@ -491,7 +449,6 @@ fn materialized_join_closure(
     labels: &[&str],
     semantics: PathSemantics,
     cfg: &RecursionConfig,
-    threads: usize,
 ) -> Result<PathSet, pathalg::algebra::error::AlgebraError> {
     use pathalg::algebra::ops::join::join;
     let base = labels
@@ -499,14 +456,7 @@ fn materialized_join_closure(
         .map(|l| selection(graph, &Condition::edge_label(1, *l), &PathSet::edges(graph)))
         .reduce(|a, b| join(&a, &b))
         .expect("at least one label");
-    phi_frontier(semantics, &base, cfg, &exec_cfg(threads))
-}
-
-fn exec_cfg(threads: usize) -> ExecutionConfig {
-    ExecutionConfig {
-        threads,
-        batch_size: 2,
-    }
+    phi_frontier(semantics, &base, cfg)
 }
 
 #[test]
@@ -522,7 +472,7 @@ fn lazy_arena_join_matches_materialised_join_then_phi_byte_for_byte() {
     for (name, graph) in test_graphs() {
         for labels in &chains {
             for (semantics, cfg) in join_semantics_cases() {
-                let expected = materialized_join_closure(&graph, labels, semantics, &cfg, 1);
+                let expected = materialized_join_closure(&graph, labels, semantics, &cfg);
                 let mut pmr = Pmr::from_label_chain(&graph, labels, semantics, cfg);
                 let out = pmr.enumerate_all();
                 match (expected, out) {
@@ -578,7 +528,7 @@ proptest! {
             1 => vec!["a", "a"],
             _ => vec!["b", "a", "b"],
         };
-        let expected = materialized_join_closure(&g, &labels, semantics, &cfg, 1);
+        let expected = materialized_join_closure(&g, &labels, semantics, &cfg);
         let mut pmr = pathalg::pmr::Pmr::from_label_chain(&g, &labels, semantics, cfg);
         let out = pmr.enumerate_all();
         match (expected, out) {
@@ -614,7 +564,7 @@ proptest! {
         };
         let labels: Vec<&str> = if chained == 1 { vec!["a", "b"] } else { vec!["a"] };
         // An Err means an infinite unbounded-Walk fixpoint: nothing to slice.
-        if let Ok(closure) = materialized_join_closure(&g, &labels, semantics, &cfg, 1) {
+        if let Ok(closure) = materialized_join_closure(&g, &labels, semantics, &cfg) {
             let filtered = selection(&g, &condition, &closure);
             let expected = projection(
                 &ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
@@ -642,7 +592,7 @@ fn lazy_arena_join_walk_errors_match_the_frontier_on_cyclic_composites() {
     let f = Figure1::new();
     let labels = ["Likes", "Has_creator"];
     let cfg = RecursionConfig::unbounded();
-    let expected = materialized_join_closure(&f.graph, &labels, PathSemantics::Walk, &cfg, 1);
+    let expected = materialized_join_closure(&f.graph, &labels, PathSemantics::Walk, &cfg);
     let mut pmr = Pmr::from_label_chain(&f.graph, &labels, PathSemantics::Walk, cfg);
     let out = pmr.enumerate_all();
     assert!(matches!(
@@ -656,13 +606,13 @@ fn lazy_arena_join_walk_errors_match_the_frontier_on_cyclic_composites() {
     // On a DAG composite the unbounded walk closure is finite and identical.
     let dag = chain_graph(6, "Knows");
     let expected =
-        materialized_join_closure(&dag, &["Knows", "Knows"], PathSemantics::Walk, &cfg, 1).unwrap();
+        materialized_join_closure(&dag, &["Knows", "Knows"], PathSemantics::Walk, &cfg).unwrap();
     let mut pmr = Pmr::from_label_chain(&dag, &["Knows", "Knows"], PathSemantics::Walk, cfg);
     assert_eq!(pmr.enumerate_all().unwrap().as_slice(), expected.as_slice());
 }
 
 #[test]
-fn sigma_pushdown_lazy_equals_filter_after_materialise_at_every_thread_count() {
+fn sigma_pushdown_lazy_equals_filter_after_materialise() {
     use pathalg::algebra::ops::group_by::{group_by, GroupKey};
     use pathalg::algebra::ops::projection::{projection, ProjectionSpec, Take};
     use pathalg::algebra::PlanExpr;
@@ -708,7 +658,7 @@ fn sigma_pushdown_lazy_equals_filter_after_materialise_at_every_thread_count() {
             ] {
                 // Filter-after-materialise: full closure, then σ, γ, π.
                 let closure =
-                    materialized_join_closure(&graph, labels, semantics, &recursion, 1).unwrap();
+                    materialized_join_closure(&graph, labels, semantics, &recursion).unwrap();
                 let filtered = selection(&graph, condition, &closure);
                 let expected = projection(
                     &ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
@@ -721,23 +671,18 @@ fn sigma_pushdown_lazy_equals_filter_after_materialise_at_every_thread_count() {
                     .select(condition.clone())
                     .group_by(GroupKey::SourceTarget)
                     .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)));
-                for threads in [1usize, 2, 8] {
-                    let mut engine = EngineEvaluator::new(
-                        &graph,
-                        recursion,
-                        ExecutionConfig::with_threads(threads),
-                    );
-                    let out = engine.eval_paths(&plan).unwrap();
-                    assert_eq!(
-                        out.as_slice(),
-                        expected.as_slice(),
-                        "{name}: σ-pushdown {plan} diverged at {threads} threads"
-                    );
-                    assert!(
-                        engine.used_lazy_pipeline(),
-                        "{name}: {plan} should have gone through the lazy pipeline"
-                    );
-                }
+                let mut engine =
+                    EngineEvaluator::new(&graph, recursion, ExecutionConfig::default());
+                let out = engine.eval_paths(&plan).unwrap();
+                assert_eq!(
+                    out.as_slice(),
+                    expected.as_slice(),
+                    "{name}: σ-pushdown {plan} diverged"
+                );
+                assert!(
+                    engine.used_lazy_pipeline(),
+                    "{name}: {plan} should have gone through the lazy pipeline"
+                );
             }
         }
     }
@@ -758,7 +703,6 @@ fn sliced_pipelines_over_join_chains_match_materialised_evaluation() {
                 &["Likes", "Has_creator"],
                 semantics,
                 &recursion,
-                1,
             ) {
                 Ok(c) => c,
                 Err(_) => continue, // unbounded blow-up: not sliceable anyway
@@ -774,149 +718,13 @@ fn sliced_pipelines_over_join_chains_match_materialised_evaluation() {
                 .group_by(GroupKey::SourceTarget)
                 .order_by(OrderKey::Path)
                 .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)));
-            for threads in [1usize, 2, 8] {
-                let mut engine =
-                    EngineEvaluator::new(&graph, recursion, ExecutionConfig::with_threads(threads));
-                let out = engine.eval_paths(&plan).unwrap();
-                assert_eq!(
-                    out.as_slice(),
-                    expected.as_slice(),
-                    "{name}: sliced join chain {plan} diverged at {threads} threads under {semantics:?}"
-                );
-            }
-        }
-    }
-}
-
-/// The parallel lazy enumeration contract (DESIGN.md §10): the per-source
-/// batch scheduler's merged output is byte-identical to the serial PMR —
-/// full drains over single scans and join chains, all five path semantics,
-/// 1/2/8 threads, every test graph.
-#[test]
-fn parallel_lazy_enumeration_matches_serial_pmr_byte_for_byte() {
-    use pathalg::pmr::parallel::{self, ParallelConfig};
-    use pathalg::pmr::Pmr;
-    use std::sync::Arc;
-
-    let chains: Vec<Vec<&str>> = vec![vec!["Knows"], vec!["Likes", "Has_creator"]];
-    for (name, graph) in test_graphs() {
-        for labels in &chains {
-            for (semantics, cfg) in join_semantics_cases() {
-                let hops: Arc<[pathalg::graph::csr::CsrGraph]> = labels
-                    .iter()
-                    .map(|l| CsrGraph::with_label(&graph, l))
-                    .collect();
-                let factory = || {
-                    if hops.len() == 1 {
-                        Pmr::from_shared_csr(Arc::new(hops[0].clone()), semantics, cfg)
-                    } else {
-                        Pmr::from_shared_join(hops.clone(), semantics, cfg)
-                    }
-                };
-                let serial = factory().enumerate_all();
-                let sources = factory().sources();
-                for threads in [1usize, 2, 8] {
-                    let run = parallel::enumerate_all(
-                        &factory,
-                        &sources,
-                        None,
-                        &ParallelConfig {
-                            threads,
-                            batch_size: 2,
-                        },
-                        cfg.max_paths,
-                    );
-                    match (&serial, run) {
-                        (Ok(expected), Ok(run)) => assert_eq!(
-                            run.paths.as_slice(),
-                            expected.as_slice(),
-                            "{name}: ϕ{semantics:?}({labels:?}) diverged at {threads} threads"
-                        ),
-                        (Err(expected), Err(err)) => assert_eq!(
-                            &err, expected,
-                            "{name}: {labels:?} error values diverged at {threads} threads"
-                        ),
-                        (expected, run) => panic!(
-                            "{name}: {labels:?} ϕ{semantics:?} at {threads} threads diverged: \
-                             {expected:?} vs {run:?}"
-                        ),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// §10 sliced parity: partition-limited and uncoupled slicing specs through
-/// the *direct* parallel API are byte-identical to the serial `Pmr::sliced`
-/// at 1/2/8 threads — including the sharp per-partition source stop, which
-/// must only ever skip work, never change output.
-#[test]
-fn parallel_lazy_sliced_matches_serial_sliced_on_every_graph() {
-    use pathalg::algebra::ops::group_by::GroupKey;
-    use pathalg::algebra::slice::SliceSpec;
-    use pathalg::pmr::parallel::{self, ParallelConfig};
-    use pathalg::pmr::Pmr;
-    use std::sync::Arc;
-
-    let specs = [
-        // Uncoupled: ANY 1 per endpoint pair.
-        SliceSpec {
-            group_key: GroupKey::SourceTarget,
-            per_group: Some(1),
-            max_partitions: None,
-            ordered_by_length: false,
-        },
-        // Partition-limited γST — exercises the sharp stop.
-        SliceSpec {
-            group_key: GroupKey::SourceTarget,
-            per_group: Some(2),
-            max_partitions: Some(3),
-            ordered_by_length: false,
-        },
-        // Partition-limited γS.
-        SliceSpec {
-            group_key: GroupKey::Source,
-            per_group: Some(2),
-            max_partitions: Some(2),
-            ordered_by_length: false,
-        },
-        // γ∅ global prefix.
-        SliceSpec {
-            group_key: GroupKey::Empty,
-            per_group: Some(4),
-            max_partitions: None,
-            ordered_by_length: false,
-        },
-    ];
-    for (name, graph) in test_graphs() {
-        let csr = Arc::new(CsrGraph::with_label(&graph, "Knows"));
-        for (semantics, mut cfg) in join_semantics_cases() {
-            cfg.max_paths = None; // coupled specs route bounded runs serially
-            let factory = || Pmr::from_shared_csr(csr.clone(), semantics, cfg);
-            let sources = factory().sources();
-            for spec in &specs {
-                let expected = factory().sliced(spec).unwrap();
-                for threads in [1usize, 2, 8] {
-                    let run = parallel::sliced(
-                        &factory,
-                        spec,
-                        &sources,
-                        None,
-                        &ParallelConfig {
-                            threads,
-                            batch_size: 2,
-                        },
-                        cfg.max_paths,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        run.paths.as_slice(),
-                        expected.as_slice(),
-                        "{name}: {spec:?} under {semantics:?} diverged at {threads} threads"
-                    );
-                }
-            }
+            let mut engine = EngineEvaluator::new(&graph, recursion, ExecutionConfig::default());
+            let out = engine.eval_paths(&plan).unwrap();
+            assert_eq!(
+                out.as_slice(),
+                expected.as_slice(),
+                "{name}: sliced join chain {plan} diverged under {semantics:?}"
+            );
         }
     }
 }
@@ -925,13 +733,11 @@ fn parallel_lazy_sliced_matches_serial_sliced_on_every_graph() {
 /// SNB-shaped workload is caught mid-source by the closing partition limit
 /// and switches to per-partition accounting (only its already-opened groups
 /// must fill) — strictly less expansion work than draining the closure —
-/// while staying byte-identical to the materialise-then-slice reference and
-/// to the parallel batch scheduler at 1/2/8 threads.
+/// while staying byte-identical to the materialise-then-slice reference.
 #[test]
-fn serial_sharp_stop_matches_parallel_on_snb_workload() {
+fn serial_sharp_stop_matches_materialise_then_slice_on_snb_workload() {
     use pathalg::algebra::ops::group_by::GroupKey;
     use pathalg::algebra::slice::{SliceCollector, SliceSpec};
-    use pathalg::pmr::parallel::{self, ParallelConfig};
     use pathalg::pmr::Pmr;
     use std::sync::Arc;
 
@@ -978,363 +784,49 @@ fn serial_sharp_stop_matches_parallel_on_snb_workload() {
         serial.steps_generated(),
         full.steps_generated()
     );
-
-    // Parallel batch scheduler parity at 1/2/8 threads.
-    let sources = factory().sources();
-    for threads in [1usize, 2, 8] {
-        let run = parallel::sliced(
-            &factory,
-            &spec,
-            &sources,
-            None,
-            &ParallelConfig {
-                threads,
-                batch_size: 2,
-            },
-            cfg.max_paths,
-        )
-        .unwrap();
-        assert_eq!(
-            run.paths.as_slice(),
-            sliced.as_slice(),
-            "diverged at {threads} threads"
-        );
-    }
-}
-
-/// §10 end to end: multi-threaded engine configurations dispatch sliced
-/// pipelines to the *parallel* lazy strategy (recorded in the decision log)
-/// and still produce byte-identical output — including σ-pushdown pipelines
-/// and join-chain bases.
-#[test]
-fn engine_parallel_lazy_pipelines_record_their_strategy_and_match_serial() {
-    use pathalg::algebra::ops::group_by::GroupKey;
-    use pathalg::algebra::ops::projection::{ProjectionSpec, Take};
-    use pathalg::engine::EngineEvaluator;
-
-    let scan = |label: &str| pathalg::algebra::plan::scan(label);
-    let recursion = RecursionConfig::default();
-    let plans = [
-        scan("Knows")
-            .recursive(PathSemantics::Trail)
-            .group_by(GroupKey::SourceTarget)
-            .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1))),
-        scan("Knows")
-            .recursive(PathSemantics::Shortest)
-            .select(Condition::first_label("Person"))
-            .group_by(GroupKey::SourceTarget)
-            .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(2))),
-        scan("Likes")
-            .join(scan("Has_creator"))
-            .recursive(PathSemantics::Simple)
-            .group_by(GroupKey::SourceTarget)
-            .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1))),
-    ];
-    for (name, graph) in test_graphs() {
-        for plan in &plans {
-            let mut serial = EngineEvaluator::new(&graph, recursion, ExecutionConfig::default());
-            let expected = serial.eval_paths(plan).unwrap();
-            assert!(serial
-                .decisions()
-                .iter()
-                .any(|d| d.chosen == "lazy-sliced-pipeline" && d.threads == 1));
-            for threads in [2usize, 8] {
-                let mut engine =
-                    EngineEvaluator::new(&graph, recursion, ExecutionConfig::with_threads(threads));
-                let out = engine.eval_paths(plan).unwrap();
-                assert_eq!(
-                    out.as_slice(),
-                    expected.as_slice(),
-                    "{name}: {plan} diverged at {threads} threads"
-                );
-                assert!(
-                    engine
-                        .decisions()
-                        .iter()
-                        .any(|d| d.chosen == "parallel-lazy-pipeline" && d.threads == threads),
-                    "{name}: {plan} at {threads} threads did not record the parallel-lazy \
-                     strategy ({:?})",
-                    engine.decisions()
-                );
-            }
-        }
-    }
-}
-
-/// §10 unbounded-Walk error parity: the parallel enumeration reports the
-/// *same error value* as the serial PMR (the batch-order merge surfaces the
-/// earliest failing source), on cyclic scans and cyclic composites alike.
-#[test]
-fn parallel_lazy_unbounded_walk_error_parity() {
-    use pathalg::pmr::parallel::{self, ParallelConfig};
-    use pathalg::pmr::Pmr;
-    use std::sync::Arc;
-
-    let cfg = RecursionConfig::unbounded();
-    let cyclic = cycle_graph(5, "Knows");
-    let f = Figure1::new();
-    let cases: Vec<(&str, &PropertyGraph, Vec<&str>)> = vec![
-        ("cycle5", &cyclic, vec!["Knows"]),
-        ("figure1", &f.graph, vec!["Likes", "Has_creator"]),
-    ];
-    for (name, graph, labels) in cases {
-        let hops: Arc<[pathalg::graph::csr::CsrGraph]> = labels
-            .iter()
-            .map(|l| CsrGraph::with_label(graph, l))
-            .collect();
-        let factory = || {
-            if hops.len() == 1 {
-                Pmr::from_shared_csr(Arc::new(hops[0].clone()), PathSemantics::Walk, cfg)
-            } else {
-                Pmr::from_shared_join(hops.clone(), PathSemantics::Walk, cfg)
-            }
-        };
-        let serial_err = factory().enumerate_all().unwrap_err();
-        let sources = factory().sources();
-        for threads in [1usize, 2, 8] {
-            let err = parallel::enumerate_all(
-                &factory,
-                &sources,
-                None,
-                &ParallelConfig {
-                    threads,
-                    batch_size: 1,
-                },
-                None,
-            )
-            .unwrap_err();
-            assert_eq!(err, serial_err, "{name} at {threads} threads");
-        }
-    }
-}
-
-/// §10 `max_paths` claim parity: shared-budget parallel drains (and
-/// uncoupled parallel sliced runs) reproduce the serial success/failure
-/// outcome and error value at every thread count.
-#[test]
-fn parallel_lazy_max_paths_claim_parity() {
-    use pathalg::algebra::ops::group_by::GroupKey;
-    use pathalg::algebra::slice::SliceSpec;
-    use pathalg::pmr::parallel::{self, ParallelConfig};
-    use pathalg::pmr::Pmr;
-    use std::sync::Arc;
-
-    let g = grid_graph(3, 3, "Knows");
-    let csr = Arc::new(CsrGraph::with_label(&g, "Knows"));
-    for limit in [5usize, 40, 100_000] {
-        let cfg = RecursionConfig {
-            max_length: Some(6),
-            max_paths: Some(limit),
-        };
-        let factory = || Pmr::from_shared_csr(csr.clone(), PathSemantics::Trail, cfg);
-        let serial = factory().enumerate_all();
-        let sources = factory().sources();
-        let spec = SliceSpec {
-            group_key: GroupKey::SourceTarget,
-            per_group: Some(1),
-            max_partitions: None,
-            ordered_by_length: false,
-        };
-        let serial_sliced = factory().sliced(&spec);
-        for threads in [1usize, 2, 8] {
-            let pc = ParallelConfig {
-                threads,
-                batch_size: 2,
-            };
-            let run = parallel::enumerate_all(&factory, &sources, None, &pc, cfg.max_paths);
-            match (&serial, run) {
-                (Ok(expected), Ok(run)) => assert_eq!(run.paths.as_slice(), expected.as_slice()),
-                (Err(expected), Err(err)) => {
-                    assert_eq!(&err, expected, "limit {limit} at {threads} threads")
-                }
-                (expected, run) => panic!(
-                    "limit {limit} at {threads} threads: outcome diverged \
-                     ({expected:?} vs {run:?})"
-                ),
-            }
-            // Uncoupled sliced runs expand every source exactly as the
-            // serial evaluation does: identical claims, identical outcome.
-            let run = parallel::sliced(&factory, &spec, &sources, None, &pc, cfg.max_paths);
-            match (&serial_sliced, run) {
-                (Ok(expected), Ok(run)) => assert_eq!(run.paths.as_slice(), expected.as_slice()),
-                (Err(expected), Err(err)) => {
-                    assert_eq!(&err, expected, "sliced limit {limit} at {threads} threads")
-                }
-                (expected, run) => panic!(
-                    "sliced limit {limit} at {threads} threads: outcome diverged \
-                     ({expected:?} vs {run:?})"
-                ),
-            }
-        }
-    }
-}
-
-/// §13 deterministic-counter parity on full drains: the work counters are
-/// part of the observable engine contract, not best-effort telemetry. On
-/// every test graph, single scans and join chains under all five semantics,
-/// the deterministic subset rendered by `WorkCounters::deterministic_line`
-/// is byte-identical between the serial PMR and the parallel batch scheduler
-/// at 1, 2 and 8 threads.
-#[test]
-fn work_counters_are_byte_identical_across_thread_counts() {
-    use pathalg::pmr::parallel::{self, ParallelConfig};
-    use pathalg::pmr::Pmr;
-    use std::sync::Arc;
-
-    let chains: Vec<Vec<&str>> = vec![vec!["Knows"], vec!["Likes", "Has_creator"]];
-    for (name, graph) in test_graphs() {
-        for labels in &chains {
-            for (semantics, cfg) in join_semantics_cases() {
-                let hops: Arc<[CsrGraph]> = labels
-                    .iter()
-                    .map(|l| CsrGraph::with_label(&graph, l))
-                    .collect();
-                let factory = || {
-                    if hops.len() == 1 {
-                        Pmr::from_shared_csr(Arc::new(hops[0].clone()), semantics, cfg)
-                    } else {
-                        Pmr::from_shared_join(hops.clone(), semantics, cfg)
-                    }
-                };
-                let mut serial = factory();
-                if serial.enumerate_all().is_err() {
-                    continue; // error-value parity is pinned elsewhere
-                }
-                let reference = serial.work_counters().deterministic_line();
-                let sources = factory().sources();
-                for threads in [1usize, 2, 8] {
-                    let run = parallel::enumerate_all(
-                        &factory,
-                        &sources,
-                        None,
-                        &ParallelConfig {
-                            threads,
-                            batch_size: 2,
-                        },
-                        cfg.max_paths,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        run.work.deterministic_line(),
-                        reference,
-                        "{name}: ϕ{semantics:?}({labels:?}) counters diverged at \
-                         {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// §13 deterministic-counter parity on uncoupled sliced specs (no partition
-/// limit, source-local group key): serial `Pmr::sliced` and the parallel
-/// batch scheduler — including its would-not-keep skip accounting — report
-/// byte-identical deterministic counters at 1, 2 and 8 threads.
-#[test]
-fn sliced_work_counters_are_thread_invariant_on_uncoupled_specs() {
-    use pathalg::algebra::ops::group_by::GroupKey;
-    use pathalg::algebra::slice::SliceSpec;
-    use pathalg::pmr::parallel::{self, ParallelConfig};
-    use pathalg::pmr::Pmr;
-    use std::sync::Arc;
-
-    let specs = [
-        SliceSpec {
-            group_key: GroupKey::SourceTarget,
-            per_group: Some(1),
-            max_partitions: None,
-            ordered_by_length: false,
-        },
-        SliceSpec {
-            group_key: GroupKey::Source,
-            per_group: Some(2),
-            max_partitions: None,
-            ordered_by_length: false,
-        },
-    ];
-    for (name, graph) in test_graphs() {
-        let csr = Arc::new(CsrGraph::with_label(&graph, "Knows"));
-        for (semantics, mut cfg) in join_semantics_cases() {
-            cfg.max_paths = None;
-            let factory = || Pmr::from_shared_csr(csr.clone(), semantics, cfg);
-            let sources = factory().sources();
-            for spec in &specs {
-                let mut serial = factory();
-                serial.sliced(spec).unwrap();
-                let reference = serial.work_counters().deterministic_line();
-                for threads in [1usize, 2, 8] {
-                    let run = parallel::sliced(
-                        &factory,
-                        spec,
-                        &sources,
-                        None,
-                        &ParallelConfig {
-                            threads,
-                            batch_size: 2,
-                        },
-                        cfg.max_paths,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        run.work.deterministic_line(),
-                        reference,
-                        "{name}: {spec:?} under {semantics:?} counters diverged at \
-                         {threads} threads"
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// End to end through the engine: a materialising ϕ over a join chain *or a
-/// single label scan* drains the lazy kernel at every thread count, so the
-/// evaluator's accumulated deterministic counters must be byte-identical at
-/// 1, 2 and 8 engine threads on every test graph — and for the scan (every
-/// test graph has `Knows` edges) they must report the kernel's work, not
-/// just an emission count.
+/// single label scan* drains the lazy kernel, so the evaluator's
+/// accumulated deterministic counters must be byte-identical to a direct
+/// kernel drain of the same closure on every test graph — and for the scan
+/// (every test graph has `Knows` edges) they must report the kernel's work,
+/// not just an emission count.
 #[test]
-fn engine_work_counters_are_thread_invariant_on_lazy_chains() {
-    use pathalg::algebra::plan::scan;
+fn engine_work_counters_match_the_kernel_on_lazy_chains() {
+    use pathalg::algebra::plan::chain;
     use pathalg::engine::exec::EngineEvaluator;
+    use pathalg::pmr::Pmr;
 
-    let plans = [
-        scan("Likes")
-            .join(scan("Has_creator"))
-            .recursive(PathSemantics::Trail),
-        scan("Knows").recursive(PathSemantics::Trail),
-        scan("Knows").recursive(PathSemantics::Shortest),
+    let cases: [(&[&str], PathSemantics); 3] = [
+        (&["Likes", "Has_creator"], PathSemantics::Trail),
+        (&["Knows"], PathSemantics::Trail),
+        (&["Knows"], PathSemantics::Shortest),
     ];
     let cfg = RecursionConfig {
         max_length: Some(6),
         max_paths: None,
     };
     for (name, graph) in test_graphs() {
-        for (i, plan) in plans.iter().enumerate() {
-            let mut lines = Vec::new();
-            for threads in [1usize, 2, 8] {
-                let mut engine =
-                    EngineEvaluator::new(&graph, cfg, ExecutionConfig::with_threads(threads));
-                let out = engine.eval_paths(plan).unwrap();
-                let work = engine.work_counters();
-                if i > 0 {
-                    assert_eq!(work.paths_emitted, out.len() as u64, "{name}: {plan}");
-                    assert!(
-                        work.arena_steps > 0
-                            && work.budget_claimed > 0
-                            && work.arena_bytes_peak > 0,
-                        "{name}: scan drain reported no kernel work for {plan}: {work}"
-                    );
-                }
-                lines.push((threads, work.deterministic_line()));
-            }
-            let (_, reference) = &lines[0];
-            for (threads, line) in &lines {
-                assert_eq!(
-                    line, reference,
-                    "{name}: engine counters of {plan} diverged at {threads} threads"
+        for (labels, semantics) in cases {
+            let plan = chain(labels.iter().copied()).recursive(semantics);
+            let mut engine = EngineEvaluator::new(&graph, cfg, ExecutionConfig::default());
+            let out = engine.eval_paths(&plan).unwrap();
+            let work = engine.work_counters();
+            if labels.len() == 1 {
+                assert_eq!(work.paths_emitted, out.len() as u64, "{name}: {plan}");
+                assert!(
+                    work.arena_steps > 0 && work.budget_claimed > 0 && work.arena_bytes_peak > 0,
+                    "{name}: scan drain reported no kernel work for {plan}: {work}"
                 );
             }
+            let mut kernel = Pmr::from_label_chain(&graph, labels, semantics, cfg);
+            kernel.enumerate_all().unwrap();
+            assert_eq!(
+                work.deterministic_line(),
+                kernel.work_counters().deterministic_line(),
+                "{name}: engine counters of {plan} diverged from the kernel's"
+            );
         }
     }
 }

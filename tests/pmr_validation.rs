@@ -17,7 +17,6 @@ use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg::algebra::ops::selection::selection;
 use pathalg::algebra::pathset::PathSet;
 use pathalg::algebra::slice::SliceSpec;
-use pathalg::engine::exec::ExecutionConfig;
 use pathalg::engine::physical::frontier::phi_frontier;
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::fixtures::figure1::Figure1;
@@ -96,7 +95,7 @@ fn frontier_closure(
         Some(l) => selection(graph, &Condition::edge_label(1, l), &edges),
         None => edges,
     };
-    phi_frontier(semantics, &base, cfg, &ExecutionConfig::default()).unwrap()
+    phi_frontier(semantics, &base, cfg).unwrap()
 }
 
 /// `Pmr::enumerate` equals the materialised frontier engine in content *and

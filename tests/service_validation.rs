@@ -4,7 +4,7 @@
 //!
 //! * **In-flight deduplication** — a thundering herd of identical queries is
 //!   coalesced onto exactly one evaluation, and every waiter receives the
-//!   byte-identical canonical result (pinned at 1/2/8 engine threads).
+//!   byte-identical canonical result.
 //! * **Plan cache + epochs** — repeat queries hit the cache, a stats-epoch
 //!   bump invalidates every cached plan, and re-planning repopulates it.
 //! * **Admission + budgets** — predicted blow-ups are rejected before any
@@ -43,13 +43,15 @@ fn figure1_service() -> Arc<QueryService> {
 
 /// A service over K_n (complete Knows graph) with the admission gate off and
 /// bounded recursion — expensive enough that a herd genuinely overlaps.
-fn dense_service(n: usize, threads: usize, max_length: usize) -> Arc<QueryService> {
-    let mut config = ServiceConfig::with_execution(ExecutionConfig::with_threads(threads));
-    config.recursion = RecursionConfig {
-        max_length: Some(max_length),
-        max_paths: None,
+fn dense_service(n: usize, max_length: usize) -> Arc<QueryService> {
+    let config = ServiceConfig {
+        recursion: RecursionConfig {
+            max_length: Some(max_length),
+            max_paths: None,
+        },
+        admission_ceiling: None,
+        ..ServiceConfig::default()
     };
-    config.admission_ceiling = None;
     Arc::new(QueryService::new(
         Arc::new(complete_graph(n, "Knows")),
         config,
@@ -67,7 +69,7 @@ fn dense_service(n: usize, threads: usize, max_length: usize) -> Arc<QueryServic
 #[test]
 fn thundering_herd_coalesces_onto_one_evaluation() {
     const HERD: u64 = 8;
-    let svc = dense_service(7, 1, 5);
+    let svc = dense_service(7, 5);
     svc.set_pre_execute_hook(Box::new(|metrics| {
         let deadline = Instant::now() + Duration::from_secs(30);
         while metrics.dedup_hits() < HERD - 1 {
@@ -131,39 +133,36 @@ fn thundering_herd_coalesces_onto_one_evaluation() {
 }
 
 /// The coalesced herd result must be byte-identical to a solo run of the
-/// same query — at 1, 2 and 8 engine worker threads, so deduplication is
-/// independent of intra-query parallelism.
+/// same query.
 #[test]
-fn herd_output_matches_solo_at_every_thread_count() {
-    for threads in [1usize, 2, 8] {
-        let solo = dense_service(7, threads, 5)
-            .submit(TRAIL)
-            .expect("solo submit")
-            .outcome
-            .canonical_lines();
-        let svc = dense_service(7, threads, 5);
-        let herd: Vec<Vec<String>> = thread::scope(|scope| {
-            let workers: Vec<_> = (0..8)
-                .map(|_| {
-                    let svc = svc.clone();
-                    scope.spawn(move || {
-                        svc.submit(TRAIL)
-                            .expect("herd submit")
-                            .outcome
-                            .canonical_lines()
-                    })
+fn herd_output_matches_solo() {
+    let solo = dense_service(7, 5)
+        .submit(TRAIL)
+        .expect("solo submit")
+        .outcome
+        .canonical_lines();
+    let svc = dense_service(7, 5);
+    let herd: Vec<Vec<String>> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..8)
+            .map(|_| {
+                let svc = svc.clone();
+                scope.spawn(move || {
+                    svc.submit(TRAIL)
+                        .expect("herd submit")
+                        .outcome
+                        .canonical_lines()
                 })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        for lines in &herd {
-            assert_eq!(lines, &solo, "threads={threads}: herd ≡ solo bytes");
-        }
-        assert!(
-            svc.metrics().executions() <= 8,
-            "never more evaluations than submitters"
-        );
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for lines in &herd {
+        assert_eq!(lines, &solo, "herd ≡ solo bytes");
     }
+    assert!(
+        svc.metrics().executions() <= 8,
+        "never more evaluations than submitters"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -235,20 +234,32 @@ fn admission_rejects_predicted_blowup_before_enumerating() {
     assert!(estimate > ceiling, "estimate {estimate} over ceiling");
 }
 
+/// The default per-request quota is one constant: a thread count handed to
+/// the service is accepted and ignored, and never scales admission.
+#[test]
+fn default_quota_does_not_scale_with_a_thread_count() {
+    assert_eq!(
+        ServiceConfig::with_execution(ExecutionConfig::with_threads(8)).quota,
+        ServiceConfig::default().quota
+    );
+}
+
 /// A tight per-request path budget trips mid-enumeration. The same typed
 /// error must surface serially and under 2/8-way concurrency, and the
 /// service must keep serving afterwards (no wedged flight, no poisoning).
 #[test]
 fn budget_exhaustion_is_typed_and_does_not_wedge_the_service() {
     let build = || {
-        let mut config = ServiceConfig::with_execution(ExecutionConfig::with_threads(1));
-        config.admission_ceiling = None;
-        // Min-combined into every request: the closure on K7 has far more
-        // than 10 trails, so enumeration starts and then trips.
-        config.quota = RequestQuota::new(Some(10), None);
-        config.recursion = RecursionConfig {
-            max_length: Some(5),
-            max_paths: None,
+        let config = ServiceConfig {
+            admission_ceiling: None,
+            // Min-combined into every request: the closure on K7 has far
+            // more than 10 trails, so enumeration starts and then trips.
+            quota: RequestQuota::new(Some(10), None),
+            recursion: RecursionConfig {
+                max_length: Some(5),
+                max_paths: None,
+            },
+            ..ServiceConfig::default()
         };
         Arc::new(QueryService::new(
             Arc::new(complete_graph(7, "Knows")),

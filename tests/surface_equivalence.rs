@@ -8,9 +8,7 @@
 //! * the identical checked plan and therefore the identical [`PlanKey`];
 //! * **one** plan-cache entry in a shared [`QueryService`], whichever
 //!   surface warms it;
-//! * byte-identical canonical result lines — at 1, 2 and 8 engine worker
-//!   threads, so surface equivalence is independent of intra-query
-//!   parallelism.
+//! * byte-identical canonical result lines.
 //!
 //! A golden fixture pins the `query_ir_v1` JSON schema itself: the
 //! serialized form is canonical (serialize → parse → serialize is
@@ -25,7 +23,6 @@ use pathalg::parser::{
     lower_to_checked_plan, parse_surface, plan_cache_key, IrOutput, QueryIr, QuerySurface,
 };
 use pathalg::server::{CacheStatus, QueryService, ServiceConfig};
-use pathalg_engine::exec::ExecutionConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -68,12 +65,15 @@ fn three_forms(gql: &str, rpq: &str) -> [(QuerySurface, String); 3] {
     ]
 }
 
-fn service_with_threads(threads: usize) -> QueryService {
-    let mut config = ServiceConfig::with_execution(ExecutionConfig::with_threads(threads));
-    // Figure 1 is cyclic, so the WALK pair needs a length bound to terminate.
-    config.recursion = RecursionConfig {
-        max_length: Some(4),
-        max_paths: None,
+fn service() -> QueryService {
+    let config = ServiceConfig {
+        // Figure 1 is cyclic, so the WALK pair needs a length bound to
+        // terminate.
+        recursion: RecursionConfig {
+            max_length: Some(4),
+            max_paths: None,
+        },
+        ..ServiceConfig::default()
     };
     QueryService::new(Arc::new(figure1_graph()), config)
 }
@@ -89,7 +89,7 @@ fn every_pair_produces_identical_irs_and_plan_keys() {
         assert_eq!(irs[0], irs[1], "GQL vs RPQ IR: {gql}");
         assert_eq!(irs[0], irs[2], "GQL vs JSON IR: {gql}");
 
-        let svc = service_with_threads(1);
+        let svc = service();
         let recursion = svc.effective_recursion();
         let keys: Vec<_> = irs
             .iter()
@@ -101,33 +101,24 @@ fn every_pair_produces_identical_irs_and_plan_keys() {
 }
 
 #[test]
-fn every_pair_shares_one_cached_plan_and_identical_bytes_at_1_2_8_threads() {
-    for threads in [1usize, 2, 8] {
-        for (gql, rpq) in EQUIVALENT_PAIRS {
-            let svc = service_with_threads(threads);
-            let forms = three_forms(gql, rpq);
-            let mut answers: Vec<Vec<String>> = Vec::new();
-            for (i, (surface, text)) in forms.iter().enumerate() {
-                let response = svc.submit_on(*surface, text).unwrap();
-                let expected = if i == 0 {
-                    CacheStatus::Miss
-                } else {
-                    CacheStatus::Hit
-                };
-                assert_eq!(
-                    response.cache, expected,
-                    "{surface} at {threads} threads: {gql}"
-                );
-                answers.push(response.outcome.canonical_lines());
-            }
-            assert_eq!(
-                svc.cached_plans(),
-                1,
-                "one entry at {threads} threads: {gql}"
-            );
-            assert_eq!(answers[0], answers[1], "RPQ bytes at {threads}: {gql}");
-            assert_eq!(answers[0], answers[2], "IR bytes at {threads}: {gql}");
+fn every_pair_shares_one_cached_plan_and_identical_bytes() {
+    for (gql, rpq) in EQUIVALENT_PAIRS {
+        let svc = service();
+        let forms = three_forms(gql, rpq);
+        let mut answers: Vec<Vec<String>> = Vec::new();
+        for (i, (surface, text)) in forms.iter().enumerate() {
+            let response = svc.submit_on(*surface, text).unwrap();
+            let expected = if i == 0 {
+                CacheStatus::Miss
+            } else {
+                CacheStatus::Hit
+            };
+            assert_eq!(response.cache, expected, "{surface}: {gql}");
+            answers.push(response.outcome.canonical_lines());
         }
+        assert_eq!(svc.cached_plans(), 1, "one entry: {gql}");
+        assert_eq!(answers[0], answers[1], "RPQ bytes: {gql}");
+        assert_eq!(answers[0], answers[2], "IR bytes: {gql}");
     }
 }
 
@@ -204,7 +195,7 @@ proptest! {
         let from_json = parse_surface(QuerySurface::Ir, &from_gql.to_json_string()).unwrap();
         prop_assert_eq!(&from_gql, &from_json);
 
-        let svc = service_with_threads(1);
+        let svc = service();
         let recursion = svc.effective_recursion();
         let key_gql = plan_cache_key(&lower_to_checked_plan(&from_gql).unwrap(), &recursion);
         let key_rpq = plan_cache_key(&lower_to_checked_plan(&from_rpq).unwrap(), &recursion);
