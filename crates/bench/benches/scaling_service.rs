@@ -80,13 +80,13 @@ fn bench_dedup_herd(c: &mut Criterion) {
         let svc = service(persons);
         svc.submit(QUERY).unwrap();
         group.bench_with_input(BenchmarkId::new("solo", persons), &svc, |b, svc| {
-            b.iter(|| svc.submit(QUERY).unwrap().outcome.paths.len())
+            b.iter(|| svc.submit(QUERY).unwrap().outcome.path_count)
         });
         group.bench_with_input(BenchmarkId::new("herd8", persons), &svc, |b, svc| {
             b.iter(|| {
                 thread::scope(|scope| {
                     let workers: Vec<_> = (0..8)
-                        .map(|_| scope.spawn(|| svc.submit(QUERY).unwrap().outcome.paths.len()))
+                        .map(|_| scope.spawn(|| svc.submit(QUERY).unwrap().outcome.path_count))
                         .collect();
                     workers
                         .into_iter()

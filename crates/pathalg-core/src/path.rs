@@ -265,18 +265,11 @@ impl Path {
     }
 
     /// Renders the path in the paper's notation, e.g. `(n1, e1, n2, e4, n4)`
-    /// using raw identifiers.
+    /// using raw identifiers — [`write_ids`] into a fresh string.
     pub fn display_ids(&self) -> String {
-        let mut out = String::from("(");
-        for i in 0..self.repr.nodes.len() {
-            if i > 0 {
-                let _ = write!(out, ", {}", self.repr.edges[i - 1]);
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{}", self.repr.nodes[i]);
-        }
-        out.push(')');
-        out
+        let mut out = Vec::with_capacity(8 * self.repr.nodes.len());
+        write_ids(&self.repr.nodes, &self.repr.edges, &mut out);
+        String::from_utf8(out).expect("write_ids emits ASCII")
     }
 
     /// Renders the path with node names (the `name` property when present) and
@@ -302,10 +295,66 @@ impl Path {
     }
 }
 
+/// Appends the id rendering of the path `nodes`/`edges` (`nodes.len() ==
+/// edges.len() + 1`) to `out`: `(n0, e0, n1, …)`, the form of
+/// [`Path::display_ids`] and of every `PATH` line the query service sends.
+/// This is the one id renderer; it formats decimals by hand and allocates
+/// nothing beyond `out`'s growth, so a drain can render straight from the
+/// kernel's reconstruction buffers.
+pub fn write_ids(nodes: &[NodeId], edges: &[EdgeId], out: &mut Vec<u8>) {
+    debug_assert_eq!(nodes.len(), edges.len() + 1, "k + 1 nodes for k edges");
+    out.push(b'(');
+    for (i, node) in nodes.iter().enumerate() {
+        if i > 0 {
+            out.extend_from_slice(b", e");
+            write_decimal(edges[i - 1].0, out);
+            out.extend_from_slice(b", ");
+        }
+        out.push(b'n');
+        write_decimal(node.0, out);
+    }
+    out.push(b')');
+}
+
+/// Appends the decimal digits of `v` to `out`.
+fn write_decimal(mut v: u32, out: &mut Vec<u8>) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pathalg_graph::fixtures::figure1::Figure1;
+
+    #[test]
+    fn write_ids_matches_the_formatted_ids() {
+        let render = |nodes: &[NodeId], edges: &[EdgeId]| {
+            let mut out = Vec::new();
+            write_ids(nodes, edges, &mut out);
+            String::from_utf8(out).unwrap()
+        };
+        for v in [0, 9, 10, 99, 100, 4_294_967_294, u32::MAX] {
+            assert_eq!(render(&[NodeId(v)], &[]), format!("({})", NodeId(v)));
+            assert_eq!(
+                render(&[NodeId(v), NodeId(0)], &[EdgeId(v)]),
+                format!("({}, {}, {})", NodeId(v), EdgeId(v), NodeId(0))
+            );
+        }
+        // Length 0: one node, no edges; and appending keeps what was there.
+        let mut out = b"PATH ".to_vec();
+        write_ids(&[NodeId(7)], &[], &mut out);
+        assert_eq!(out, b"PATH (n7)");
+    }
 
     #[test]
     fn zero_length_path_is_a_single_node() {

@@ -35,10 +35,10 @@ use pathalg_core::error::AlgebraError;
 use pathalg_core::eval::{EvalOutput, EvalStats};
 use pathalg_core::expr::PlanExpr;
 use pathalg_core::obs::WorkCounters;
-use pathalg_core::ops::group_by::group_by;
+use pathalg_core::ops::group_by::{group_by, GroupKey};
 use pathalg_core::ops::join::join;
 use pathalg_core::ops::order_by::order_by;
-use pathalg_core::ops::projection::projection;
+use pathalg_core::ops::projection::{projection, ProjectionSpec};
 use pathalg_core::ops::recursive::PathSemantics;
 use pathalg_core::ops::recursive::RecursionConfig;
 use pathalg_core::ops::selection::selection;
@@ -49,7 +49,7 @@ use pathalg_core::pathset_repr::PathSetRepr;
 use pathalg_core::solution_space::SolutionSpace;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
-use pathalg_graph::ids::NodeId;
+use pathalg_graph::ids::{EdgeId, NodeId};
 use pathalg_graph::stats::GraphStats;
 use pathalg_pmr::{EndpointFilter, Pmr};
 use std::sync::Arc;
@@ -214,7 +214,9 @@ impl<'g> EngineEvaluator<'g> {
                 self.check_cancel()?;
                 self.stats.recursive_calls += 1;
                 let out = match input.label_scan_chain() {
-                    Some(labels) => self.drain_chain_kernel(&labels, *semantics)?,
+                    Some(labels) => {
+                        self.drain_chain_kernel(&labels, *semantics, Pmr::enumerate_all)?
+                    }
                     None => {
                         let estimate = self
                             .graph_stats
@@ -262,10 +264,14 @@ impl<'g> EngineEvaluator<'g> {
                 }
             }
         };
-        let n = out.path_count();
-        self.stats.intermediate_paths += n;
-        self.stats.max_intermediate = self.stats.max_intermediate.max(n);
+        self.charge_output(out.path_count());
         Ok(out)
+    }
+
+    /// Charges an operator's output size to the collected [`EvalStats`].
+    fn charge_output(&mut self, paths: usize) {
+        self.stats.intermediate_paths += paths;
+        self.stats.max_intermediate = self.stats.max_intermediate.max(paths);
     }
 
     /// Evaluates a recognised sliceable pipeline
@@ -357,11 +363,15 @@ impl<'g> EngineEvaluator<'g> {
     /// `PathSet` is built. Charges the bypassed Edges/σ/⋈ operators as the
     /// reference evaluator would, the joins with the slice of their output
     /// the expansion actually generated.
-    fn drain_chain_kernel(
+    ///
+    /// `drain` pulls the kernel: [`Pmr::enumerate_all`] to materialise, or a
+    /// [`Pmr::for_each_path`] visitor to stream.
+    fn drain_chain_kernel<T>(
         &mut self,
         labels: &[&str],
         semantics: PathSemantics,
-    ) -> Result<PathSet, AlgebraError> {
+        drain: impl FnOnce(&mut Pmr<'static>) -> Result<T, AlgebraError>,
+    ) -> Result<T, AlgebraError> {
         let estimate = self
             .graph_stats
             .map(|stats| estimate_closure(stats, labels, semantics, &self.recursion));
@@ -379,7 +389,7 @@ impl<'g> EngineEvaluator<'g> {
             self.charge_skipped(csr.edge_count()); // σ label
         }
         let mut pmr = self.kernel(hops, semantics, EndpointFilter::default());
-        let out = pmr.enumerate_all()?;
+        let out = drain(&mut pmr)?;
         let work = pmr.work_counters();
         self.work.merge(&work);
         let segments = work.base_segments as usize;
@@ -459,6 +469,54 @@ impl<'g> EngineEvaluator<'g> {
     /// Evaluates an expression that must produce a set of paths.
     pub fn eval_paths(&mut self, expr: &PlanExpr) -> Result<PathSet, AlgebraError> {
         self.eval(expr)?.into_paths()
+    }
+
+    /// [`EngineEvaluator::eval_paths`] into a visitor: `visit(nodes, edges)`
+    /// sees every result path, in result order, as its node and edge
+    /// sequences. A ϕ over a scan or chain at the root — bare, or under the
+    /// ALL selector's `π(*,*,*)(γ∅(…))`, which keeps its one group whole and
+    /// in order — streams its kernel drain straight into the visitor
+    /// ([`Pmr::for_each_path`]): no `Path` and no `PathSet` is built. Every
+    /// other root is evaluated as usual and its `PathSet` walked. Paths,
+    /// order, statistics, work counters and decisions are those of
+    /// `eval_paths`. Returns the paths visited.
+    pub fn for_each_path(
+        &mut self,
+        expr: &PlanExpr,
+        mut visit: impl FnMut(&[NodeId], &[EdgeId]),
+    ) -> Result<usize, AlgebraError> {
+        let (root, wrappers) = match expr {
+            PlanExpr::Projection { spec, input } if *spec == ProjectionSpec::all() => {
+                match &**input {
+                    PlanExpr::GroupBy {
+                        key: GroupKey::Empty,
+                        input,
+                    } => (&**input, 2),
+                    _ => (expr, 0),
+                }
+            }
+            _ => (expr, 0),
+        };
+        if let PlanExpr::Recursive { semantics, input } = root {
+            if let Some(labels) = input.label_scan_chain() {
+                // `eval`'s bookkeeping for the wrappers and the ϕ arm,
+                // around a streamed drain.
+                self.stats.operators_evaluated += 1 + wrappers;
+                self.check_cancel()?;
+                self.stats.recursive_calls += 1;
+                let n = self
+                    .drain_chain_kernel(&labels, *semantics, |pmr| pmr.for_each_path(&mut visit))?;
+                for _ in 0..=wrappers {
+                    self.charge_output(n);
+                }
+                return Ok(n);
+            }
+        }
+        let paths = self.eval_paths(expr)?;
+        for path in &paths {
+            visit(path.nodes(), path.edges());
+        }
+        Ok(paths.len())
     }
 
     /// Evaluates an expression that must produce a solution space.
@@ -546,6 +604,63 @@ mod tests {
             let mut engine = EngineEvaluator::new(&f.graph, cfg, ExecutionConfig::default());
             let out = engine.eval_paths(&plan).unwrap();
             assert_eq!(out, reference, "plan {plan}");
+        }
+    }
+
+    #[test]
+    fn streamed_evaluation_is_eval_paths_in_every_observable() {
+        let f = Figure1::new();
+        let knows = || PlanExpr::edges().select(Condition::edge_label(1, "Knows"));
+        let mut cases = plans();
+        cases.extend([
+            // The ALL selector over a scan and over a chain: streamed.
+            knows()
+                .recursive(PathSemantics::Trail)
+                .group_by(GroupKey::Empty)
+                .project(ProjectionSpec::all()),
+            knows()
+                .join(knows())
+                .recursive(PathSemantics::Walk)
+                .group_by(GroupKey::Empty)
+                .project(ProjectionSpec::all()),
+            // Not the identity: evaluated, then walked.
+            knows()
+                .recursive(PathSemantics::Trail)
+                .group_by(GroupKey::Source)
+                .project(ProjectionSpec::all()),
+        ]);
+        let cfg = RecursionConfig {
+            max_length: Some(4),
+            max_paths: None,
+        };
+        for plan in cases {
+            let mut engine = EngineEvaluator::new(&f.graph, cfg, ExecutionConfig::default());
+            let expected: Vec<String> = engine
+                .eval_paths(&plan)
+                .unwrap()
+                .iter()
+                .map(Path::display_ids)
+                .collect();
+            let mut streaming = EngineEvaluator::new(&f.graph, cfg, ExecutionConfig::default());
+            let mut seen = Vec::new();
+            let n = streaming
+                .for_each_path(&plan, |nodes, edges| {
+                    let mut line = Vec::new();
+                    pathalg_core::path::write_ids(nodes, edges, &mut line);
+                    seen.push(String::from_utf8(line).unwrap());
+                })
+                .unwrap();
+            assert_eq!(seen, expected, "{plan}");
+            assert_eq!(n, expected.len(), "{plan}");
+            assert_eq!(streaming.stats(), engine.stats(), "{plan}");
+            // The deterministic subset: the scratch-reuse gauge depends on
+            // what ran on this thread before (pooled frontier blocks).
+            assert_eq!(
+                streaming.work_counters().deterministic_line(),
+                engine.work_counters().deterministic_line(),
+                "{plan}"
+            );
+            assert_eq!(streaming.decisions(), engine.decisions(), "{plan}");
         }
     }
 

@@ -127,13 +127,30 @@ impl StepArena {
     }
 
     /// Reconstructs the full path for the chain of `len` edges ending at
-    /// `id`, starting from `source`. This is the only place paths are
-    /// materialised; `len` is threaded in by the caller (the arena stores no
-    /// length column).
+    /// `id`, starting from `source`, as an owned [`Path`].
     pub fn path_of(&self, id: u32, source: NodeId, len: usize) -> Path {
-        let mut nodes = vec![NodeId(0); len + 1];
-        let mut edges = vec![EdgeId(0); len];
-        nodes[0] = source;
+        let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+        self.fill_chain(id, source, len, &mut nodes, &mut edges);
+        Path::from_sequence(nodes, edges, None).expect("arena chains are well-formed paths")
+    }
+
+    /// Writes the node and edge sequences of the chain of `len` edges ending
+    /// at `id`, starting from `source`, into the caller's buffers (replacing
+    /// their contents). This is the one reconstruction walk; `len` is
+    /// threaded in by the caller (the arena stores no length column). Reused
+    /// buffers make it allocation-free once they hold the longest chain.
+    pub fn fill_chain(
+        &self,
+        id: u32,
+        source: NodeId,
+        len: usize,
+        nodes: &mut Vec<NodeId>,
+        edges: &mut Vec<EdgeId>,
+    ) {
+        nodes.clear();
+        nodes.resize(len + 1, source);
+        edges.clear();
+        edges.resize(len, EdgeId(0));
         let (parents, step_edges, targets) = (
             self.parents.as_slice(),
             self.edges.as_slice(),
@@ -153,7 +170,6 @@ impl StepArena {
             }
         }
         debug_assert_eq!(i, 1, "chain length matches the threaded len");
-        Path::from_sequence(nodes, edges, None).expect("arena chains are well-formed paths")
     }
 }
 

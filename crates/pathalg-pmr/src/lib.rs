@@ -22,6 +22,9 @@
 //!   much as you need; `top_k(k)` obeys the law
 //!   `top_k(k) == enumerate().take(k)` while expanding only what those `k`
 //!   paths require.
+//! * [`Pmr::for_each_path`] — the visitor drain: each path's node and edge
+//!   sequences in two reused buffers, no `Path` built; `enumerate_all` is
+//!   this loop collecting into a `PathSet`.
 //! * [`Pmr::group_counts`] — γψ group cardinalities over
 //!   `(First(p), Last(p), Len(p))` straight from the arena, without
 //!   reconstructing a single path.
@@ -56,7 +59,7 @@ use pathalg_core::pathset_repr::LazyPathStream;
 use pathalg_core::slice::{PartitionKey, SliceCollector, SliceSpec, SliceState};
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
-use pathalg_graph::ids::NodeId;
+use pathalg_graph::ids::{EdgeId, NodeId};
 use pathalg_rpq::regex::LabelRegex;
 use std::sync::Arc;
 
@@ -71,6 +74,11 @@ pub struct Pmr<'g> {
     target_mask: Option<Vec<bool>>,
     /// Deterministic per-enumeration event tallies ([`Pmr::work_counters`]).
     counts: LocalCounts,
+    /// The reconstruction buffers every pulled path is written into (node
+    /// and edge sequences), reused across pulls: once they hold the longest
+    /// path, reconstruction allocates nothing.
+    nodes: Vec<NodeId>,
+    edges: Vec<EdgeId>,
 }
 
 /// The event tallies a `Pmr` tracks itself; everything else in
@@ -194,11 +202,9 @@ impl Pmr<'static> {
     }
 
     fn from_hops(hops: Hops, semantics: PathSemantics, config: RecursionConfig) -> Pmr<'static> {
-        Pmr {
-            inner: Inner::Chain(Box::new(ChainExpansion::new(hops, semantics, config))),
-            target_mask: None,
-            counts: LocalCounts::default(),
-        }
+        Pmr::with_inner(Inner::Chain(Box::new(ChainExpansion::new(
+            hops, semantics, config,
+        ))))
     }
 }
 
@@ -211,12 +217,18 @@ impl<'g> Pmr<'g> {
         semantics: PathSemantics,
         config: RecursionConfig,
     ) -> Pmr<'g> {
+        Pmr::with_inner(Inner::Product(Box::new(ProductExpansion::new(
+            graph, regex, semantics, config,
+        ))))
+    }
+
+    fn with_inner(inner: Inner<'g>) -> Pmr<'g> {
         Pmr {
-            inner: Inner::Product(Box::new(ProductExpansion::new(
-                graph, regex, semantics, config,
-            ))),
+            inner,
             target_mask: None,
             counts: LocalCounts::default(),
+            nodes: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
@@ -286,14 +298,23 @@ impl<'g> Pmr<'g> {
         }
     }
 
-    fn realize(&self, emit: &Emit) -> Path {
+    /// Reconstructs `emit` into the reused path buffers.
+    fn fill(&mut self, emit: &Emit) {
+        let (nodes, edges) = (&mut self.nodes, &mut self.edges);
         match (&self.inner, emit.token) {
             (Inner::Chain(e), Token::Step(id, len)) => {
-                e.arena.path_of(id, emit.source, len as usize)
+                e.arena
+                    .fill_chain(id, emit.source, len as usize, nodes, edges)
             }
-            (Inner::Product(e), Token::Product(item)) => e.realize(item, emit.source),
+            (Inner::Product(e), Token::Product(item)) => e.fill(item, emit.source, nodes, edges),
             _ => unreachable!("emit token matches the inner representation"),
         }
+    }
+
+    /// Reconstructs `emit` as an owned [`Path`].
+    fn realize(&mut self, emit: &Emit) -> Path {
+        self.fill(emit);
+        owned_path(&self.nodes, &self.edges)
     }
 
     fn skip_source(&mut self) {
@@ -387,7 +408,10 @@ impl<'g> Pmr<'g> {
 
     /// The next path in canonical order, or `None` when exhausted.
     pub fn next_path(&mut self) -> Result<Option<Path>, AlgebraError> {
-        Ok(self.next_emit()?.map(|e| self.realize(&e)))
+        match self.next_emit()? {
+            Some(emit) => Ok(Some(self.realize(&emit))),
+            None => Ok(None),
+        }
     }
 
     /// Up to `max` further paths in canonical order.
@@ -413,10 +437,32 @@ impl<'g> Pmr<'g> {
     /// frontier evaluation of the same operator.
     pub fn enumerate_all(&mut self) -> Result<PathSet, AlgebraError> {
         let mut out = PathSet::new();
-        while let Some(p) = self.next_path()? {
-            out.insert(p);
-        }
+        self.for_each_path(|nodes, edges| {
+            out.insert(owned_path(nodes, edges));
+        })?;
         Ok(out)
+    }
+
+    /// Drains the rest of the enumeration into a visitor, in canonical
+    /// order: `visit(nodes, edges)` sees each path's node and edge sequences
+    /// (`nodes.len() == edges.len() + 1`) in the PMR's two reused
+    /// reconstruction buffers, valid for that call only. No [`Path`] and no
+    /// [`PathSet`] is built, so rendering straight from here costs
+    /// O(path length) per answer. With the scratch and reconstruction
+    /// buffers warm and the arena pre-reserved the drain itself performs no
+    /// heap allocation (pinned by the allocation-counter test). Returns the
+    /// paths visited.
+    pub fn for_each_path(
+        &mut self,
+        mut visit: impl FnMut(&[NodeId], &[EdgeId]),
+    ) -> Result<usize, AlgebraError> {
+        let mut n = 0usize;
+        while let Some(emit) = self.next_emit()? {
+            self.fill(&emit);
+            visit(&self.nodes, &self.edges);
+            n += 1;
+        }
+        Ok(n)
     }
 
     /// Drains the rest of the enumeration, counting paths without
@@ -564,6 +610,12 @@ impl<'g> Pmr<'g> {
         }
         keys
     }
+}
+
+/// An owned [`Path`] over copies of a reconstruction buffer's sequences.
+fn owned_path(nodes: &[NodeId], edges: &[EdgeId]) -> Path {
+    Path::from_sequence(nodes.to_vec(), edges.to_vec(), None)
+        .expect("arena chains are well-formed paths")
 }
 
 impl LazyPathStream for Pmr<'_> {

@@ -22,7 +22,7 @@ use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
 use pathalg_graph::graph::PropertyGraph;
-use pathalg_graph::ids::NodeId;
+use pathalg_graph::ids::{EdgeId, NodeId};
 use pathalg_rpq::nfa::Nfa;
 use pathalg_rpq::regex::LabelRegex;
 use std::collections::VecDeque;
@@ -157,11 +157,25 @@ impl<'g> ProductExpansion<'g> {
         self.budget.count()
     }
 
-    /// Reconstructs the path of an emitted item.
-    pub fn realize(&self, item: ProductItem, source: NodeId) -> Path {
+    /// Writes the node and edge sequences of an emitted item into the
+    /// caller's buffers (replacing their contents).
+    pub fn fill(
+        &self,
+        item: ProductItem,
+        source: NodeId,
+        nodes: &mut Vec<NodeId>,
+        edges: &mut Vec<EdgeId>,
+    ) {
         match item {
-            ProductItem::Empty => Path::node(source),
-            ProductItem::Step(id, len) => self.arena.path_of(id, source, len as usize),
+            ProductItem::Empty => {
+                nodes.clear();
+                nodes.push(source);
+                edges.clear();
+            }
+            ProductItem::Step(id, len) => {
+                self.arena
+                    .fill_chain(id, source, len as usize, nodes, edges)
+            }
         }
     }
 

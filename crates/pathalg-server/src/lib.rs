@@ -15,8 +15,8 @@
 //!   the recorded strategy decisions, so repeat queries skip
 //!   parse/plan/cost entirely ([`cache`]).
 //! * **In-flight deduplication** — a wait-map coalesces concurrent identical
-//!   queries: one leader evaluates, all waiters share the `Arc`-ed outcome
-//!   ([`service`]).
+//!   queries: one leader evaluates and renders the answer's wire bytes once,
+//!   all waiters share the `Arc`-ed outcome ([`service`]).
 //! * **Admission control** — per-request quotas tighten the recursion
 //!   bounds, and the §9 closure estimator rejects predicted blow-ups with a
 //!   typed [`AdmissionError`] before any enumeration starts ([`error`]).

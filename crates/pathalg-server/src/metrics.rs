@@ -43,6 +43,8 @@ pub struct Metrics {
     cancelled: AtomicU64,
     panicked: AtomicU64,
     shed: AtomicU64,
+    /// Open protocol connections (a gauge: up on accept, down on hang-up).
+    connections: AtomicU64,
     /// `f64::to_bits` of the estimate that drove the most recent rejection
     /// (valid only when `admission_rejected > 0`).
     rejected_estimate_bits: AtomicU64,
@@ -160,6 +162,11 @@ impl Metrics {
         self.shed.load(Ordering::Relaxed)
     }
 
+    /// Protocol connections currently open on a server of this service.
+    pub fn connections(&self) -> u64 {
+        self.connections.load(Ordering::Relaxed)
+    }
+
     /// The `(estimated paths, ceiling)` pair of the most recent admission
     /// rejection, so observed-vs-ceiling is reportable from the metrics
     /// alone. `None` until a rejection happens.
@@ -235,6 +242,14 @@ impl Metrics {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn connection_opened(&self) {
+        self.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn connection_closed(&self) {
+        self.connections.fetch_sub(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn inc_surface(&self, surface: QuerySurface) {
         self.by_surface[surface.index()].fetch_add(1, Ordering::Relaxed);
     }
@@ -261,6 +276,7 @@ impl Metrics {
             cancelled: self.cancelled(),
             panicked: self.panicked(),
             shed: self.shed(),
+            connections: self.connections(),
             last_rejection: self.last_rejection(),
             by_surface: std::array::from_fn(|i| self.by_surface[i].load(Ordering::Relaxed)),
             stages: std::array::from_fn(|i| self.stage_latency[i].snapshot()),
@@ -309,6 +325,8 @@ pub struct MetricsSnapshot {
     pub panicked: u64,
     /// Requests shed at the concurrency cap.
     pub shed: u64,
+    /// Protocol connections open at the snapshot.
+    pub connections: u64,
     /// `(estimated paths, ceiling)` of the most recent rejection.
     pub last_rejection: Option<(f64, f64)>,
     /// Per-surface request counts, indexed by [`QuerySurface::index`].
@@ -352,6 +370,8 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "# TYPE pathalg_admission_last_ceiling gauge");
             let _ = writeln!(out, "pathalg_admission_last_ceiling {ceiling}");
         }
+        let _ = writeln!(out, "# TYPE pathalg_connections gauge");
+        let _ = writeln!(out, "pathalg_connections {}", self.connections);
         let _ = writeln!(out, "# TYPE pathalg_requests_total counter");
         for surface in QuerySurface::ALL {
             let _ = writeln!(
@@ -476,6 +496,11 @@ mod tests {
         );
         assert!(text.contains("pathalg_requests_panicked_total 1"), "{text}");
         assert!(text.contains("pathalg_requests_shed_total 1"), "{text}");
+        m.connection_opened();
+        m.connection_opened();
+        m.connection_closed();
+        assert_eq!(m.connections(), 1);
+        assert!(m.expose().contains("pathalg_connections 1"));
         let line = m.snapshot().to_string();
         assert!(line.contains("timeouts=2"), "{line}");
         assert!(line.contains("shed=1"), "{line}");

@@ -2,10 +2,17 @@
 //!
 //! The wire format is line-oriented text — one request and one response per
 //! line group, no framing beyond `\n` — but inside the process every request
-//! is a typed [`Request`] and every answer a typed [`Response`]. Parsing and
-//! rendering happen exactly once, at the socket boundary
-//! ([`Request::parse`] / [`Response::render`]); [`handle_request`] is the
-//! stringly-free core that tests and embedders drive directly.
+//! is a typed [`Request`] and every answer a typed [`Response`], parsed and
+//! rendered once at the socket boundary ([`Request::parse`] /
+//! [`Response::render`]). A query answer is the exception that carries the
+//! load: its `PATH` lines are rendered once, by the evaluating request,
+//! into the shared [`crate::QueryOutcome::body`], and the socket loop
+//! writes those bytes unchanged after the `OK` header. [`handle_request`]
+//! (typed) and [`handle_line`] (wire lines) are the collecting views tests
+//! and embedders drive directly; both cut their paths from the same body.
+//!
+//! A request line longer than [`MAX_REQUEST_LINE_BYTES`] is answered with
+//! `ERR protocol` and closes the connection.
 //!
 //! | request                         | response                             |
 //! |---------------------------------|--------------------------------------|
@@ -33,15 +40,29 @@
 //! `repro serve` demo, the benches, and the tests; [`Client::query`] returns
 //! the typed [`Response`].
 
-use crate::service::{CacheStatus, DedupRole, QueryService};
+use crate::metrics::Metrics;
+use crate::service::{
+    CacheStatus, DedupRole, QueryOutcome, QueryResponse, QueryService, PATH_PREFIX,
+};
 use pathalg_parser::QuerySurface;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// The longest request line the server reads, in bytes, newline excluded.
+/// A longer line is answered with `ERR protocol` and the connection is
+/// closed, so no client can make the server buffer without bound.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// The buffer size of both socket ends: a connection writes a rendered
+/// answer in writes of at least this many bytes, and the client reads
+/// through a buffer this large.
+const IO_CHUNK_BYTES: usize = 64 * 1024;
 
 /// One parsed protocol request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -209,6 +230,33 @@ pub enum Response {
     },
 }
 
+/// The `OK …` header line of a query answer.
+fn query_header(
+    paths: usize,
+    cache: CacheStatus,
+    dedup: DedupRole,
+    epoch: u64,
+    trace: Option<u64>,
+) -> String {
+    let mut header = format!(
+        "OK {} cache={} dedup={} epoch={}",
+        paths,
+        match cache {
+            CacheStatus::Hit => "hit",
+            CacheStatus::Miss => "miss",
+        },
+        match dedup {
+            DedupRole::Leader => "leader",
+            DedupRole::Waiter => "waiter",
+        },
+        epoch
+    );
+    if let Some(trace) = trace {
+        header.push_str(&format!(" trace={trace}"));
+    }
+    header
+}
+
 impl Response {
     /// Renders the response as its wire lines (the server side of the
     /// boundary).
@@ -216,26 +264,14 @@ impl Response {
         match self {
             Response::Query(reply) => {
                 let mut out = Vec::with_capacity(reply.paths.len() + 2);
-                let mut header = format!(
-                    "OK {} cache={} dedup={} epoch={}",
+                out.push(query_header(
                     reply.paths.len(),
-                    match reply.cache {
-                        CacheStatus::Hit => "hit",
-                        CacheStatus::Miss => "miss",
-                    },
-                    match reply.dedup {
-                        DedupRole::Leader => "leader",
-                        DedupRole::Waiter => "waiter",
-                    },
-                    reply.epoch
-                );
-                if let Some(trace) = reply.trace {
-                    header.push_str(&format!(" trace={trace}"));
-                }
-                out.push(header);
-                for path in &reply.paths {
-                    out.push(format!("PATH {path}"));
-                }
+                    reply.cache,
+                    reply.dedup,
+                    reply.epoch,
+                    reply.trace,
+                ));
+                out.extend(reply.paths.iter().map(|path| [PATH_PREFIX, path].concat()));
                 out.push("END".to_string());
                 out
             }
@@ -262,6 +298,12 @@ impl Response {
     /// Parses response lines back into the typed form (the client side of
     /// the boundary). Errors mean the peer violated the protocol.
     pub fn parse(lines: &[String]) -> Result<Response, String> {
+        Self::parse_owned(lines.to_vec())
+    }
+
+    /// [`Response::parse`] over lines the caller owns: the `PATH` lines
+    /// become the reply's paths in place, without a copy.
+    fn parse_owned(mut lines: Vec<String>) -> Result<Response, String> {
         let Some(first) = lines.first() else {
             return Ok(Response::Empty);
         };
@@ -278,14 +320,14 @@ impl Response {
             return Ok(Response::Stats(counters.to_string()));
         }
         if first == "METRICS" {
-            let body = framed_body(lines)?;
+            let body = framed_body(&lines)?;
             return Ok(Response::Metrics(body));
         }
         if let Some(id) = first.strip_prefix("TRACE ") {
             let id = id
                 .parse()
                 .map_err(|_| format!("malformed trace header: {first}"))?;
-            let report = framed_body(lines)?;
+            let report = framed_body(&lines)?;
             return Ok(Response::Trace { id, report });
         }
         if let Some(error) = first.strip_prefix("ERR ") {
@@ -316,17 +358,18 @@ impl Response {
             let (Some(cache), Some(dedup), Some(epoch)) = (cache, dedup, epoch) else {
                 return Err(format!("malformed OK header: {first}"));
             };
-            if lines.last().map(String::as_str) != Some("END") {
+            if lines.len() < 2 || lines.last().map(String::as_str) != Some("END") {
                 return Err("query response not terminated by END".to_string());
             }
-            let paths = lines[1..lines.len() - 1]
-                .iter()
-                .map(|l| {
-                    l.strip_prefix("PATH ")
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("malformed path line: {l}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+            lines.pop();
+            lines.remove(0);
+            for line in &mut lines {
+                if !line.starts_with(PATH_PREFIX) {
+                    return Err(format!("malformed path line: {line}"));
+                }
+                line.drain(..PATH_PREFIX.len());
+            }
+            let paths = lines;
             return Ok(Response::Query(QueryReply {
                 cache,
                 dedup,
@@ -401,62 +444,116 @@ pub fn handle_request(service: &QueryService, request: &Request) -> Option<Respo
             surface,
             deadline_ms,
             text,
-        } => Some(
-            match service.submit_on_deadline(
-                *surface,
-                text,
-                deadline_ms.map(std::time::Duration::from_millis),
-            ) {
-                Ok(response) => Response::Query(QueryReply {
-                    cache: response.cache,
-                    dedup: response.dedup,
-                    epoch: response.epoch,
-                    trace: Some(response.trace.id),
-                    paths: response.outcome.canonical_lines(),
-                }),
-                Err(e) => Response::Error {
-                    kind: e.kind().to_string(),
-                    message: e.to_string().replace('\n', " "),
-                },
-            },
-        ),
+        } => Some(match submit(service, *surface, text, *deadline_ms) {
+            Ok(response) => Response::Query(QueryReply {
+                cache: response.cache,
+                dedup: response.dedup,
+                epoch: response.epoch,
+                trace: Some(response.trace.id),
+                paths: response.outcome.canonical_lines(),
+            }),
+            Err(error) => error,
+        }),
     }
 }
 
-/// Handles one wire line: parse → [`handle_request`] → render. Returns
-/// `None` for `QUIT` (close the connection), otherwise the response lines.
-/// Kept as the socket loop's entry point and for tests that drive the
-/// protocol textually.
-///
-/// The render stage is timed here — rendering is the protocol boundary's
-/// work, invisible to API callers — and patched into the request's retained
-/// trace plus the service-wide render histogram.
-pub fn handle_line(service: &QueryService, line: &str) -> Option<Vec<String>> {
+/// Runs one `QUERY`; a failure comes back as its `ERR` response.
+fn submit(
+    service: &QueryService,
+    surface: QuerySurface,
+    text: &str,
+    deadline_ms: Option<u64>,
+) -> Result<QueryResponse, Response> {
+    service
+        .submit_on_deadline(surface, text, deadline_ms.map(Duration::from_millis))
+        .map_err(|e| Response::Error {
+            kind: e.kind().to_string(),
+            message: e.to_string().replace('\n', " "),
+        })
+}
+
+fn protocol_error(message: String) -> Response {
+    Response::Error {
+        kind: "protocol".to_string(),
+        message,
+    }
+}
+
+/// One response on its way to the wire: typed lines, or a query answer
+/// whose body the service has already rendered.
+enum Outgoing {
+    Lines(Vec<String>),
+    Answer {
+        header: String,
+        outcome: Arc<QueryOutcome>,
+        trace: u64,
+    },
+}
+
+/// Parses and dispatches one wire line. `None` for `QUIT`. A `QUERY`
+/// answer keeps the outcome's rendered body as it is — shared with every
+/// request that coalesced onto the same evaluation.
+fn respond(service: &QueryService, line: &str) -> Option<Outgoing> {
     let request = match Request::parse(line) {
         Ok(request) => request,
-        Err(message) => {
-            return Some(
-                Response::Error {
-                    kind: "protocol".to_string(),
-                    message,
-                }
-                .render(),
-            )
-        }
+        Err(message) => return Some(Outgoing::Lines(protocol_error(message).render())),
     };
-    let response = handle_request(service, &request)?;
-    let started = std::time::Instant::now();
-    let lines = response.render();
-    let span = started.elapsed();
-    if let Response::Query(reply) = &response {
-        service
-            .metrics()
-            .record_stage(pathalg_core::obs::Stage::Render, span);
-        if let Some(id) = reply.trace {
-            service.traces().set_render(id, span);
+    let Request::Query {
+        surface,
+        deadline_ms,
+        text,
+    } = &request
+    else {
+        return handle_request(service, &request).map(|r| Outgoing::Lines(r.render()));
+    };
+    Some(match submit(service, *surface, text, *deadline_ms) {
+        Ok(response) => Outgoing::Answer {
+            header: query_header(
+                response.outcome.path_count,
+                response.cache,
+                response.dedup,
+                response.epoch,
+                Some(response.trace.id),
+            ),
+            outcome: response.outcome,
+            trace: response.trace.id,
+        },
+        Err(error) => Outgoing::Lines(error.render()),
+    })
+}
+
+/// Records the render span of a query answer — the protocol boundary
+/// putting the already rendered body on the wire — in the service-wide
+/// render histogram and the request's retained trace.
+fn record_render(service: &QueryService, trace: u64, span: Duration) {
+    service
+        .metrics()
+        .record_stage(pathalg_core::obs::Stage::Render, span);
+    service.traces().set_render(trace, span);
+}
+
+/// Handles one wire line: parse → dispatch → the response's wire lines.
+/// Returns `None` for `QUIT` (close the connection). The collecting form of
+/// what the socket loop sends: a query answer's lines are cut from the same
+/// rendered body the socket writes, so the two are byte-identical. The
+/// split is timed as the request's render span.
+pub fn handle_line(service: &QueryService, line: &str) -> Option<Vec<String>> {
+    match respond(service, line)? {
+        Outgoing::Lines(lines) => Some(lines),
+        Outgoing::Answer {
+            header,
+            outcome,
+            trace,
+        } => {
+            let started = Instant::now();
+            let mut lines = Vec::with_capacity(outcome.path_count + 2);
+            lines.push(header);
+            lines.extend(outcome.path_lines().map(str::to_string));
+            lines.push("END".to_string());
+            record_render(service, trace, started.elapsed());
+            Some(lines)
         }
     }
-    Some(lines)
 }
 
 /// A handle on a running server: shuts it down and cleans up the socket on
@@ -465,12 +562,24 @@ pub struct ServerHandle {
     path: PathBuf,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
+    /// The threads of connections not yet reaped: finished ones are joined
+    /// whenever a new connection arrives, the rest when the accept loop ends.
+    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
     /// The socket path the server is listening on.
     pub fn socket_path(&self) -> &Path {
         &self.path
+    }
+
+    /// The connection threads the server still holds: the open connections
+    /// plus finished ones not yet reaped by the next accept.
+    pub fn connection_threads(&self) -> usize {
+        self.connections
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
     }
 
     /// Stops accepting, joins the accept loop and every connection thread
@@ -501,6 +610,8 @@ impl Drop for ServerHandle {
 /// Binds `socket_path` and serves `service` until the handle is shut down,
 /// one thread per connection. An existing socket file at the path is
 /// replaced (stale sockets of crashed runs would otherwise block rebinding).
+/// The threads of finished connections are reaped as new ones arrive, and
+/// the open connections are the `pathalg_connections` gauge.
 pub fn serve(
     service: Arc<QueryService>,
     socket_path: impl Into<PathBuf>,
@@ -509,24 +620,37 @@ pub fn serve(
     let _ = std::fs::remove_file(&path);
     let listener = UnixListener::bind(&path)?;
     let stop = Arc::new(AtomicBool::new(false));
+    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
     let accept = {
         let stop = stop.clone();
+        let connections = connections.clone();
         std::thread::spawn(move || {
-            let connections: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
             for stream in listener.incoming() {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
                 let service = service.clone();
-                connections
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(std::thread::spawn(move || {
-                        let _ = handle_connection(&service, stream);
-                    }));
+                let mut live = connections.lock().unwrap_or_else(|e| e.into_inner());
+                let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *live)
+                    .into_iter()
+                    .partition(JoinHandle::is_finished);
+                *live = running;
+                for connection in finished {
+                    let _ = connection.join();
+                }
+                live.push(std::thread::spawn(move || {
+                    let _open = OpenConnection::new(service.metrics());
+                    let _ = handle_connection(&service, stream);
+                }));
             }
-            for connection in connections.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            // The connection threads end before the accept thread does. A
+            // thread's malloc arena is handed to the next thread that starts,
+            // last exited first; in the other order a later server's
+            // connection thread gets the accept thread's small arena and
+            // grows it afresh, raising the process's peak RSS.
+            let live = std::mem::take(&mut *connections.lock().unwrap_or_else(|e| e.into_inner()));
+            for connection in live {
                 let _ = connection.join();
             }
         })
@@ -535,24 +659,91 @@ pub fn serve(
         path,
         stop,
         accept: Some(accept),
+        connections,
     })
 }
 
+/// One open connection on the `pathalg_connections` gauge, for as long as
+/// the guard lives.
+struct OpenConnection<'a>(&'a Metrics);
+
+impl<'a> OpenConnection<'a> {
+    fn new(metrics: &'a Metrics) -> Self {
+        metrics.connection_opened();
+        Self(metrics)
+    }
+}
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.0.connection_closed();
+    }
+}
+
 fn handle_connection(service: &QueryService, stream: UnixStream) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        match handle_line(service, &line) {
-            Some(response) => {
-                for out in response {
-                    writer.write_all(out.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                }
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::with_capacity(IO_CHUNK_BYTES, stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // At most one byte past the limit: enough to tell an over-long line
+        // from one that ends exactly at it.
+        let read = (&mut reader)
+            .take(MAX_REQUEST_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)?;
+        if read == 0 {
+            break;
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            // A CRLF line ends without its `\r`, as `BufRead::lines` has it.
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        } else if line.len() > MAX_REQUEST_LINE_BYTES {
+            let refusal = protocol_error(format!(
+                "request line longer than {MAX_REQUEST_LINE_BYTES} bytes"
+            ));
+            write_lines(&mut writer, &refusal.render())?;
+            writer.flush()?;
+            break;
+        }
+        let outgoing = match std::str::from_utf8(&line) {
+            Ok(text) => respond(service, text),
+            Err(_) => Some(Outgoing::Lines(
+                protocol_error("request line is not UTF-8".to_string()).render(),
+            )),
+        };
+        match outgoing {
+            None => break,
+            Some(Outgoing::Lines(lines)) => {
+                write_lines(&mut writer, &lines)?;
                 writer.flush()?;
             }
-            None => break,
+            Some(Outgoing::Answer {
+                header,
+                outcome,
+                trace,
+            }) => {
+                let started = Instant::now();
+                writer.write_all(header.as_bytes())?;
+                writer.write_all(b"\n")?;
+                // A body past the buffer size goes to the socket in one
+                // `write_all`, uncopied.
+                writer.write_all(&outcome.body)?;
+                writer.write_all(b"END\n")?;
+                writer.flush()?;
+                record_render(service, trace, started.elapsed());
+            }
         }
+    }
+    Ok(())
+}
+
+fn write_lines(writer: &mut impl Write, lines: &[String]) -> io::Result<()> {
+    for line in lines {
+        writer.write_all(line.as_bytes())?;
+        writer.write_all(b"\n")?;
     }
     Ok(())
 }
@@ -568,7 +759,7 @@ impl Client {
     pub fn connect(socket_path: impl AsRef<Path>) -> io::Result<Self> {
         let stream = UnixStream::connect(socket_path)?;
         Ok(Self {
-            reader: BufReader::new(stream.try_clone()?),
+            reader: BufReader::with_capacity(IO_CHUNK_BYTES, stream.try_clone()?),
             writer: BufWriter::new(stream),
         })
     }
@@ -605,7 +796,7 @@ impl Client {
             return Ok(None);
         }
         let lines = self.request(&request.render())?;
-        Response::parse(&lines)
+        Response::parse_owned(lines)
             .map(Some)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
@@ -957,5 +1148,98 @@ mod tests {
         drop(second);
         handle.shutdown();
         assert!(!path.exists(), "socket file removed on shutdown");
+    }
+
+    /// Sends `line` on a raw socket and returns the response bytes up to and
+    /// including the first line `stop` accepts.
+    fn raw_exchange(path: &Path, line: &str, stop: impl Fn(&[u8]) -> bool) -> Vec<u8> {
+        let mut stream = UnixStream::connect(path).unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut out = Vec::new();
+        loop {
+            let start = out.len();
+            assert!(reader.read_until(b'\n', &mut out).unwrap() > 0, "EOF");
+            if stop(&out[start..]) {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn socket_bytes_equal_the_collected_lines_and_err_lines_are_unchanged() {
+        let svc = service();
+        let path = std::env::temp_dir().join(format!("pathalg-bytes-{}.sock", std::process::id()));
+        let handle = serve(svc.clone(), path.clone()).unwrap();
+        let query = format!("QUERY {SHORTEST}");
+        let raw = raw_exchange(&path, &query, |l| l == b"END\n");
+        let lines = handle_line(&svc, &query).unwrap();
+        // Everything after the header (whose trace id differs per request).
+        let body_at = raw.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let mut collected = lines[1..].join("\n").into_bytes();
+        collected.push(b'\n');
+        assert_eq!(raw[body_at..], collected[..]);
+        assert_eq!(
+            lines[1..lines.len() - 1].to_vec(),
+            svc.submit(SHORTEST)
+                .unwrap()
+                .outcome
+                .path_lines()
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        );
+        // A CRLF request line reads as the line without its `\r`.
+        assert_eq!(raw_exchange(&path, "PING\r", |_| true), b"PONG\n");
+
+        // ERR lines: the same text on the socket and from handle_line, in
+        // the `ERR <kind>: <message>` form.
+        for (line, expected) in [
+            ("NONSENSE", "ERR protocol: unknown command NONSENSE"),
+            ("QUERY", "ERR protocol: QUERY needs a query text"),
+            (
+                "TRACE abc",
+                "ERR protocol: TRACE needs a numeric trace id, got abc",
+            ),
+            ("TRACE 999", "ERR protocol: no retained trace with id 999"),
+        ] {
+            assert_eq!(handle_line(&svc, line), Some(vec![expected.to_string()]));
+            let raw = raw_exchange(&path, line, |_| true);
+            assert_eq!(raw, format!("{expected}\n").into_bytes(), "{line}");
+        }
+        let bad = "QUERY THIS IS NOT GQL";
+        let err = svc.submit("THIS IS NOT GQL").unwrap_err();
+        let expected = format!("ERR {}: {}", err.kind(), err.to_string().replace('\n', " "));
+        assert!(expected.starts_with("ERR parse: "), "{expected}");
+        assert_eq!(handle_line(&svc, bad), Some(vec![expected.clone()]));
+        assert_eq!(
+            raw_exchange(&path, bad, |_| true),
+            format!("{expected}\n").into_bytes()
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn finished_connections_are_reaped_and_leave_the_gauge() {
+        let svc = service();
+        let path = std::env::temp_dir().join(format!("pathalg-reap-{}.sock", std::process::id()));
+        let handle = serve(svc.clone(), path.clone()).unwrap();
+        for _ in 0..200 {
+            let mut client = Client::connect(&path).unwrap();
+            assert_eq!(client.send(&Request::Ping).unwrap(), Some(Response::Pong));
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while svc.metrics().connections() > 0 {
+            assert!(Instant::now() < deadline, "connections never closed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(handle_line(&svc, "METRICS")
+            .unwrap()
+            .contains(&"pathalg_connections 0".to_string()));
+        let live = handle.connection_threads();
+        assert!(
+            live <= 16,
+            "{live} connection threads retained after 200 hang-ups"
+        );
+        handle.shutdown();
     }
 }

@@ -33,7 +33,7 @@ use pathalg_core::expr::PlanExpr;
 use pathalg_core::obs::{Stage, StageSpans, WorkCounters};
 use pathalg_core::ops::recursive::RecursionConfig;
 use pathalg_core::optimizer::Optimizer;
-use pathalg_core::pathset::PathSet;
+use pathalg_core::path::write_ids;
 use pathalg_engine::cost::{estimate, estimate_plan_closures};
 use pathalg_engine::exec::{EngineEvaluator, ExecutionConfig, StrategyDecision};
 use pathalg_graph::graph::PropertyGraph;
@@ -130,11 +130,17 @@ pub enum DedupRole {
     Waiter,
 }
 
-/// The shared outcome of one evaluation — what the wait-map fans out.
+/// The shared outcome of one evaluation — what the wait-map fans out. The
+/// answer is held as the bytes the wire carries, rendered once by the
+/// leader; every waiter shares them.
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
-    /// The result paths, in the engine's canonical order.
-    pub paths: PathSet,
+    /// Number of result paths.
+    pub path_count: usize,
+    /// The rendered answer: one `PATH <ids>\n` line per path, in the
+    /// engine's canonical order — exactly the bytes a `QUERY` response
+    /// carries between its `OK` header and `END`.
+    pub body: Arc<[u8]>,
     /// The strategy decisions the evaluator recorded.
     pub decisions: Vec<StrategyDecision>,
     /// The deterministic work counters of the evaluation that produced this
@@ -142,15 +148,25 @@ pub struct QueryOutcome {
     pub work: WorkCounters,
 }
 
+/// The prefix of every result line in [`QueryOutcome::body`].
+pub(crate) const PATH_PREFIX: &str = "PATH ";
+
 impl QueryOutcome {
+    /// The result lines of [`QueryOutcome::body`], `PATH ` prefix included,
+    /// without their newlines.
+    pub fn path_lines(&self) -> impl Iterator<Item = &str> {
+        std::str::from_utf8(&self.body)
+            .expect("the body is rendered ASCII")
+            .lines()
+    }
+
     /// The canonical byte-comparable rendering of the result: one
-    /// `display_ids` line per path, in result order. Two responses are "the
-    /// same answer" exactly when these line vectors are equal.
+    /// `display_ids` line per path, in result order, cut from the body. Two
+    /// responses are "the same answer" exactly when these line vectors are
+    /// equal.
     pub fn canonical_lines(&self) -> Vec<String> {
-        self.paths
-            .as_slice()
-            .iter()
-            .map(|p| p.display_ids())
+        self.path_lines()
+            .map(|line| line[PATH_PREFIX.len()..].to_string())
             .collect()
     }
 }
@@ -646,7 +662,7 @@ impl QueryService {
         trace.cache = Some(cache_status);
         trace.dedup = Some(role);
         trace.epoch = epoch;
-        trace.paths = outcome.paths.len();
+        trace.paths = outcome.path_count;
         if role == DedupRole::Leader {
             trace.work = outcome.work;
         }
@@ -840,7 +856,9 @@ impl QueryService {
     /// Execution stage: the engine evaluator over the cached optimized plan,
     /// under the request's tightened bounds, the epoch's statistics and the
     /// request's cancellation token (checked cooperatively at every
-    /// enumeration level across all engine strategies).
+    /// enumeration level across all engine strategies). The answer is
+    /// rendered as it is produced — a root scan/chain ϕ straight from the
+    /// kernel's reconstruction buffers — into the outcome's body.
     fn execute(
         &self,
         cached: &CachedPlan,
@@ -852,14 +870,20 @@ impl QueryService {
             EngineEvaluator::new(&self.graph, recursion, ExecutionConfig::default())
                 .with_graph_stats(stats)
                 .with_cancel(cancel.clone());
-        let paths = evaluator
-            .eval_paths(&cached.plan)
+        let mut body = Vec::new();
+        let path_count = evaluator
+            .for_each_path(&cached.plan, |nodes, edges| {
+                body.extend_from_slice(PATH_PREFIX.as_bytes());
+                write_ids(nodes, edges, &mut body);
+                body.push(b'\n');
+            })
             .map_err(ServiceError::Evaluation)?;
         let decisions = evaluator.decisions().to_vec();
         let work = evaluator.work_counters();
         let _ = cached.decisions.set(decisions.clone());
         Ok(Arc::new(QueryOutcome {
-            paths,
+            path_count,
+            body: body.into(),
             decisions,
             work,
         }))
@@ -916,7 +940,7 @@ mod tests {
         let first = svc.submit(SHORTEST).unwrap();
         assert_eq!(first.cache, CacheStatus::Miss);
         assert_eq!(first.dedup, DedupRole::Leader);
-        assert!(!first.outcome.paths.is_empty());
+        assert!(first.outcome.path_count > 0);
         let second = svc.submit(SHORTEST).unwrap();
         assert_eq!(second.cache, CacheStatus::Hit);
         assert_eq!(
@@ -1047,7 +1071,7 @@ mod tests {
         );
         // The same service instance immediately serves the same query.
         let ok = svc.submit(SHORTEST).unwrap();
-        assert!(!ok.outcome.paths.is_empty());
+        assert!(ok.outcome.path_count > 0);
         assert_eq!(ok.dedup, DedupRole::Leader, "no stale flight left behind");
     }
 
@@ -1079,7 +1103,7 @@ mod tests {
         // flight.
         svc.clear_failpoints();
         let ok = svc.submit(SHORTEST).unwrap();
-        assert!(!ok.outcome.paths.is_empty());
+        assert!(ok.outcome.path_count > 0);
         assert_eq!(svc.metrics().panicked(), 1, "one panic, not a cascade");
     }
 

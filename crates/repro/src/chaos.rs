@@ -73,9 +73,7 @@ pub fn chaos() {
     let ok = service.submit(TRAIL).expect("service survived the chaos");
     println!(
         "answered: {} paths (cache={:?}, dedup={:?})",
-        ok.outcome.paths.len(),
-        ok.cache,
-        ok.dedup
+        ok.outcome.path_count, ok.cache, ok.dedup
     );
     println!();
 

@@ -62,7 +62,7 @@ pub fn surfaces() {
         println!(
             "  {:<4} -> {} paths, cache={}, epoch={}",
             surface.tag(),
-            response.outcome.paths.len(),
+            response.outcome.path_count,
             match response.cache {
                 CacheStatus::Hit => "hit",
                 CacheStatus::Miss => "miss",

@@ -6,7 +6,9 @@
 //! warm-up that fills every scratch buffer (one source's worth of levels)
 //! and with the arena pre-reserved via [`Pmr::reserve_steps`], draining the
 //! remaining sources of a uniform workload performs **zero** heap
-//! allocations.
+//! allocations — counting paths, and rendering each one straight from the
+//! arena through the visitor drain ([`Pmr::for_each_path`]) into a
+//! pre-reserved byte buffer.
 //!
 //! The workload is a directed cycle, where every source expands an
 //! identical single-chain frontier: the capacities warmed by the first
@@ -18,6 +20,7 @@
 //! host is busy.
 
 use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
+use pathalg::algebra::path::write_ids;
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::generator::structured::cycle_graph;
 use pathalg::pmr::Pmr;
@@ -125,6 +128,54 @@ fn steady_state_drain_performs_zero_allocations() {
             after - before,
             0,
             "draining {rest} paths after warm-up must not allocate ({semantics:?})"
+        );
+    }
+}
+
+#[test]
+fn steady_state_visitor_drain_renders_without_allocating() {
+    for semantics in [PathSemantics::Walk, PathSemantics::Shortest] {
+        // Scout pass: the full rendering and the step count, so the measured
+        // pass can pre-reserve both the arena and the output buffer.
+        let mut scout = Pmr::from_csr(cycle_csr(), semantics, config());
+        let mut expected = Vec::new();
+        let total = scout
+            .for_each_path(|nodes, edges| {
+                write_ids(nodes, edges, &mut expected);
+                expected.push(b'\n');
+            })
+            .unwrap();
+        let steps = scout.steps_generated();
+
+        let mut pmr = Pmr::from_csr(cycle_csr(), semantics, config());
+        pmr.reserve_steps(steps);
+        // Warm-up through the reconstructing pull, so the reconstruction
+        // buffers, too, hold the longest path (every source's is the same).
+        let warm = pmr.next_batch(per_source(semantics)).unwrap().len();
+        let mut out = Vec::with_capacity(expected.len());
+
+        COUNTED.with(|c| c.set(true));
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let rest = pmr
+            .for_each_path(|nodes, edges| {
+                write_ids(nodes, edges, &mut out);
+                out.push(b'\n');
+            })
+            .unwrap();
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        COUNTED.with(|c| c.set(false));
+
+        assert_eq!(warm + rest, total, "split drain lost paths ({semantics:?})");
+        let skipped: usize = expected
+            .split_inclusive(|&b| b == b'\n')
+            .take(warm)
+            .map(<[u8]>::len)
+            .sum();
+        assert_eq!(out, expected[skipped..], "rendered bytes ({semantics:?})");
+        assert_eq!(
+            after - before,
+            0,
+            "rendering {rest} paths after warm-up must not allocate ({semantics:?})"
         );
     }
 }

@@ -15,11 +15,20 @@
 //! * **Cancellation cleanliness** — after a deadline-aborted run the very
 //!   same service re-serves the identical query as a fresh leader (no stale
 //!   flight) with output byte-identical to an untouched reference service.
+//! * **An over-long request line** — 2 MiB without a newline is refused
+//!   with a typed `ERR protocol` and its connection closed, and the server
+//!   keeps serving fresh clients.
 
 use pathalg::algebra::error::AlgebraError;
 use pathalg::algebra::ops::recursive::RecursionConfig;
 use pathalg::graph::generator::structured::complete_graph;
-use pathalg::server::{DedupRole, FailAction, QueryService, ServiceConfig, ServiceError};
+use pathalg::server::protocol::MAX_REQUEST_LINE_BYTES;
+use pathalg::server::{
+    serve, Client, DedupRole, FailAction, QueryService, Request, Response, ServiceConfig,
+    ServiceError,
+};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Once};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -134,7 +143,7 @@ fn leader_panic_fans_out_typed_to_every_coalesced_waiter() {
     // fresh, successful evaluation of the very same query.
     let recovered = svc.submit(TRAIL).expect("service survives its leader");
     assert_eq!(recovered.dedup, DedupRole::Leader, "no stale flight");
-    assert!(!recovered.outcome.paths.is_empty());
+    assert!(recovered.outcome.path_count > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +175,7 @@ fn deadline_fires_mid_enumeration_and_the_service_moves_on() {
     svc.clear_failpoints();
     let next = svc.submit(TRAIL).expect("same instance serves the next");
     assert_eq!(next.dedup, DedupRole::Leader, "aborted flight was removed");
-    assert!(!next.outcome.paths.is_empty());
+    assert!(next.outcome.path_count > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,4 +215,48 @@ fn aborted_run_is_reserved_byte_identically() {
 
     assert_eq!(svc.metrics().timeouts(), 1, "exactly the aborted run");
     assert_eq!(svc.metrics().served(), 2, "both re-serves succeeded");
+}
+
+// ---------------------------------------------------------------------------
+// An over-long request line
+// ---------------------------------------------------------------------------
+
+/// A client that sends 2 MiB with no newline cannot make the server buffer
+/// it: the server reads one byte past the 1 MiB limit, answers with the
+/// typed protocol refusal, and closes that connection. A fresh client is
+/// served as usual.
+#[test]
+fn an_over_long_request_line_is_refused_and_the_server_keeps_serving() {
+    let svc = dense_service(4, 2);
+    let path = std::env::temp_dir().join(format!("pathalg-chaos-line-{}.sock", std::process::id()));
+    let handle = serve(svc.clone(), path.clone()).expect("bind");
+
+    let stream = UnixStream::connect(&path).expect("connect");
+    let mut sender = stream.try_clone().expect("clone the stream");
+    // The server stops reading mid-send, so the write may fail; only the
+    // answer matters.
+    let writer = thread::spawn(move || sender.write_all(&vec![b'x'; 2 << 20]).is_ok());
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the refusal arrives");
+    assert_eq!(
+        line,
+        format!("ERR protocol: request line longer than {MAX_REQUEST_LINE_BYTES} bytes\n")
+    );
+    let mut rest = String::new();
+    assert!(
+        !matches!(reader.read_line(&mut rest), Ok(n) if n > 0),
+        "the connection is closed after the refusal, got {rest:?}"
+    );
+    writer.join().expect("writer thread");
+
+    let mut fresh = Client::connect(&path).expect("a fresh client connects");
+    assert_eq!(fresh.send(&Request::Ping).unwrap(), Some(Response::Pong));
+    let Response::Query(reply) = fresh.query(TRAIL).expect("a fresh query") else {
+        panic!("expected a query reply");
+    };
+    assert!(!reply.paths.is_empty());
+    drop(fresh);
+    drop(reader);
+    handle.shutdown();
 }

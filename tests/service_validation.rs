@@ -65,7 +65,8 @@ fn dense_service(n: usize, max_length: usize) -> Arc<QueryService> {
 /// 8 threads race the same expensive closure. A pre-execute fence holds the
 /// leader until all 7 others have registered as waiters, so the dedup window
 /// is guaranteed (not racy): exactly one evaluation must serve all 8, and
-/// every response must carry byte-identical canonical output.
+/// every response must carry byte-identical canonical output — the very
+/// bytes the leader rendered, shared rather than re-rendered.
 #[test]
 fn thundering_herd_coalesces_onto_one_evaluation() {
     const HERD: u64 = 8;
@@ -77,13 +78,17 @@ fn thundering_herd_coalesces_onto_one_evaluation() {
             thread::sleep(Duration::from_millis(1));
         }
     }));
-    let outputs: Vec<(DedupRole, Vec<String>)> = thread::scope(|scope| {
+    let outputs: Vec<(DedupRole, Vec<String>, Arc<[u8]>)> = thread::scope(|scope| {
         let workers: Vec<_> = (0..HERD)
             .map(|_| {
                 let svc = svc.clone();
                 scope.spawn(move || {
                     let response = svc.submit(TRAIL).expect("herd submit");
-                    (response.dedup, response.outcome.canonical_lines())
+                    (
+                        response.dedup,
+                        response.outcome.canonical_lines(),
+                        response.outcome.body.clone(),
+                    )
                 })
             })
             .collect();
@@ -96,13 +101,22 @@ fn thundering_herd_coalesces_onto_one_evaluation() {
     assert_eq!(svc.metrics().served(), HERD);
     let leaders = outputs
         .iter()
-        .filter(|(role, _)| *role == DedupRole::Leader)
+        .filter(|(role, ..)| *role == DedupRole::Leader)
         .count();
     assert_eq!(leaders, 1, "exactly one request led the flight");
     let reference = &outputs[0].1;
     assert!(!reference.is_empty());
-    for (_, lines) in &outputs {
+    let leader_body = &outputs
+        .iter()
+        .find(|(role, ..)| *role == DedupRole::Leader)
+        .expect("one leader")
+        .2;
+    for (_, lines, body) in &outputs {
         assert_eq!(lines, reference, "every waiter got identical bytes");
+        assert!(
+            Arc::ptr_eq(body, leader_body),
+            "every waiter shares the leader's rendered body"
+        );
     }
 
     // The traces attribute the evaluation: exactly one member of the herd
@@ -302,7 +316,7 @@ fn budget_exhaustion_is_typed_and_does_not_wedge_the_service() {
         let followup = svc
             .submit("MATCH ALL TRAIL p = (?x)-[:Knows]->(?y)")
             .expect("service must recover after a budget fault");
-        assert!(!followup.outcome.paths.is_empty());
+        assert!(followup.outcome.path_count > 0);
     }
 }
 

@@ -8,7 +8,10 @@
 //! * the identical checked plan and therefore the identical [`PlanKey`];
 //! * **one** plan-cache entry in a shared [`QueryService`], whichever
 //!   surface warms it;
-//! * byte-identical canonical result lines.
+//! * byte-identical canonical result lines — and, for every fixture and
+//!   generated query, the same bytes three ways: raw off the socket,
+//!   `handle_line` joined with `\n`, and `display_ids` over
+//!   `EngineEvaluator::eval_paths`.
 //!
 //! A golden fixture pins the `query_ir_v1` JSON schema itself: the
 //! serialized form is canonical (serialize → parse → serialize is
@@ -18,12 +21,17 @@
 
 use pathalg::algebra::gql::{Restrictor, Selector};
 use pathalg::algebra::ops::recursive::RecursionConfig;
+use pathalg::algebra::optimizer::Optimizer;
+use pathalg::engine::exec::{EngineEvaluator, ExecutionConfig};
 use pathalg::graph::fixtures::figure1::figure1_graph;
 use pathalg::parser::{
     lower_to_checked_plan, parse_surface, plan_cache_key, IrOutput, QueryIr, QuerySurface,
 };
-use pathalg::server::{CacheStatus, QueryService, ServiceConfig};
+use pathalg::server::{handle_line, serve, CacheStatus, QueryService, ServiceConfig};
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// (GQL form, RPQ form) pairs of the same logical query, covering selector
@@ -63,6 +71,65 @@ fn three_forms(gql: &str, rpq: &str) -> [(QuerySurface, String); 3] {
         (QuerySurface::Rpq, rpq.to_string()),
         (QuerySurface::Ir, ir_doc),
     ]
+}
+
+/// One query's answer rendered three independent ways, each as its `PATH`
+/// lines with a `\n` after every line: the raw bytes a socket client
+/// receives between the `OK` header and `END`; `handle_line`'s lines joined
+/// with `\n`; and `display_ids` over `EngineEvaluator::eval_paths` of the
+/// optimized plan. All three must be equal.
+fn three_renderings(surface: QuerySurface, text: &str) -> [Vec<u8>; 3] {
+    static SOCKETS: AtomicUsize = AtomicUsize::new(0);
+    let svc = Arc::new(service());
+    let line = format!("QUERY {} {}", surface.tag(), text);
+
+    let path = std::env::temp_dir().join(format!(
+        "pathalg-surfaces-{}-{}.sock",
+        std::process::id(),
+        SOCKETS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let server = serve(svc.clone(), path.clone()).unwrap();
+    let mut stream = UnixStream::connect(&path).unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut header = String::new();
+    reader.read_line(&mut header).unwrap();
+    assert!(header.starts_with("OK "), "{line}: {header}");
+    let mut socket = Vec::new();
+    loop {
+        let start = socket.len();
+        assert!(
+            reader.read_until(b'\n', &mut socket).unwrap() > 0,
+            "EOF: {line}"
+        );
+        if socket[start..] == *b"END\n" {
+            socket.truncate(start);
+            break;
+        }
+    }
+    drop(reader);
+    server.shutdown();
+
+    let lines = handle_line(&svc, &line).unwrap();
+    let mut collected = lines[1..lines.len() - 1].join("\n").into_bytes();
+    if !collected.is_empty() {
+        collected.push(b'\n');
+    }
+
+    let plan = lower_to_checked_plan(&parse_surface(surface, text).unwrap()).unwrap();
+    let plan = Optimizer::new().optimize(&plan);
+    let mut engine = EngineEvaluator::new(
+        svc.graph(),
+        svc.effective_recursion(),
+        ExecutionConfig::default(),
+    );
+    let mut evaluated = Vec::new();
+    for path in engine.eval_paths(&plan).unwrap().iter() {
+        evaluated.extend_from_slice(b"PATH ");
+        evaluated.extend_from_slice(path.display_ids().as_bytes());
+        evaluated.push(b'\n');
+    }
+    [socket, collected, evaluated]
 }
 
 fn service() -> QueryService {
@@ -119,6 +186,18 @@ fn every_pair_shares_one_cached_plan_and_identical_bytes() {
         assert_eq!(svc.cached_plans(), 1, "one entry: {gql}");
         assert_eq!(answers[0], answers[1], "RPQ bytes: {gql}");
         assert_eq!(answers[0], answers[2], "IR bytes: {gql}");
+    }
+}
+
+#[test]
+fn socket_handle_line_and_engine_render_the_same_bytes() {
+    for (gql, rpq) in EQUIVALENT_PAIRS {
+        for (surface, text) in three_forms(gql, rpq) {
+            let [socket, collected, evaluated] = three_renderings(surface, &text);
+            assert!(!evaluated.is_empty(), "{surface}: {gql}");
+            assert_eq!(socket, collected, "socket vs handle_line, {surface}: {gql}");
+            assert_eq!(socket, evaluated, "socket vs engine, {surface}: {gql}");
+        }
     }
 }
 
@@ -200,5 +279,12 @@ proptest! {
         let key_gql = plan_cache_key(&lower_to_checked_plan(&from_gql).unwrap(), &recursion);
         let key_rpq = plan_cache_key(&lower_to_checked_plan(&from_rpq).unwrap(), &recursion);
         prop_assert_eq!(key_gql, key_rpq);
+
+        // The answer leaves as the same bytes however it is read.
+        for (surface, text) in [(QuerySurface::Gql, &gql), (QuerySurface::Rpq, &rpq)] {
+            let [socket, collected, evaluated] = three_renderings(surface, text);
+            prop_assert_eq!(&socket, &collected, "socket vs handle_line: {}", text);
+            prop_assert_eq!(&socket, &evaluated, "socket vs engine: {}", text);
+        }
     }
 }
