@@ -1,10 +1,10 @@
 //! Ablation studies for the design choices called out in DESIGN.md §5.
 //!
-//! 1. ϕ physical implementation: semi-naïve fixpoint vs. literal Definition
-//!    4.1 vs. DFS enumeration vs. BFS shortest vs. the automaton-product
-//!    baseline — and the frontier engine the evaluator actually dispatches
-//!    for materialised bases, on the same tiny bases (8 and 16 paths), which
-//!    is the evidence that no base is too small for it.
+//! 1. ϕ physical implementation: the semi-naïve fixpoint (the executable
+//!    specification) vs. the automaton-product baseline vs. the frontier
+//!    engine the evaluator actually dispatches for materialised bases, on
+//!    the same tiny bases (8 and 16 paths), which is the evidence that no
+//!    base is too small for it.
 //! 2. Join strategy: endpoint hash join vs. nested-loop join.
 //! 3. Restrictor pushed into ϕ vs. post-filtering a bounded walk.
 //! 4. Projection with and without a preceding order-by (Algorithm 1's remark
@@ -25,7 +25,7 @@ use pathalg_core::ops::selection::selection;
 use pathalg_core::optimizer::Optimizer;
 use pathalg_core::pathset::PathSet;
 use pathalg_engine::physical::frontier::phi_frontier;
-use pathalg_engine::physical::{phi_bfs_shortest, phi_dfs, phi_naive, phi_seminaive};
+use pathalg_engine::physical::phi_seminaive;
 use pathalg_rpq::automaton_eval::AutomatonEvaluator;
 use pathalg_rpq::parse::parse_regex;
 use std::time::Duration;
@@ -55,12 +55,6 @@ fn bench_phi_implementations(c: &mut Criterion) {
                     .len()
             })
         });
-        group.bench_with_input(BenchmarkId::new("naive_trail", n), &base, |b, base| {
-            b.iter(|| phi_naive(PathSemantics::Trail, base, &cfg).unwrap().len())
-        });
-        group.bench_with_input(BenchmarkId::new("dfs_trail", n), &base, |b, base| {
-            b.iter(|| phi_dfs(PathSemantics::Trail, base, &cfg).unwrap().len())
-        });
         group.bench_with_input(
             BenchmarkId::new("seminaive_shortest", n),
             &base,
@@ -72,9 +66,6 @@ fn bench_phi_implementations(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("bfs_shortest", n), &base, |b, base| {
-            b.iter(|| phi_bfs_shortest(base, &cfg).unwrap().len())
-        });
         for (id, semantics) in [
             ("frontier_trail", PathSemantics::Trail),
             ("frontier_shortest", PathSemantics::Shortest),
@@ -107,7 +98,7 @@ fn bench_join_strategies(c: &mut Criterion) {
         let graph = snb(persons);
         let knows = knows_base(&graph);
         group.bench_with_input(BenchmarkId::new("hash", persons), &knows, |b, knows| {
-            b.iter(|| join(knows, knows).len())
+            b.iter(|| join(knows, knows, None).unwrap().len())
         });
         group.bench_with_input(
             BenchmarkId::new("nested_loop", persons),

@@ -51,7 +51,7 @@ fn materialized_top1(
     let base = labels
         .iter()
         .map(|l| selection(graph, &Condition::edge_label(1, *l), &PathSet::edges(graph)))
-        .reduce(|a, b| join(&a, &b))
+        .reduce(|a, b| join(&a, &b, None).unwrap())
         .expect("at least one label");
     let closure = phi_frontier(semantics, &base, cfg).unwrap();
     let (spec, _) = top1_spec();
@@ -105,7 +105,7 @@ fn bench_snb_topk(c: &mut Criterion) {
                 let base = labels
                     .iter()
                     .map(|l| selection(g, &Condition::edge_label(1, *l), &PathSet::edges(g)))
-                    .reduce(|a, b| join(&a, &b))
+                    .reduce(|a, b| join(&a, &b, None).unwrap())
                     .expect("two labels");
                 let closure = phi_frontier(PathSemantics::Walk, &base, &cfg).unwrap();
                 projection(&spec, &group_by(GroupKey::Source, &closure)).len()

@@ -66,7 +66,7 @@ fn bench_join_and_union(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("hash_join_knows_knows", persons),
             &knows,
-            |b, knows| b.iter(|| join(knows, knows).len()),
+            |b, knows| b.iter(|| join(knows, knows, None).unwrap().len()),
         );
         group.bench_with_input(
             BenchmarkId::new("nested_loop_join_knows_knows", persons),

@@ -69,7 +69,8 @@ impl EvalOutput {
 /// Evaluation-time configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EvalConfig {
-    /// Bounds applied to every recursive operator in the plan.
+    /// Bounds applied to every recursive operator in the plan; its
+    /// `max_paths` also bounds every join.
     pub recursion: RecursionConfig,
 }
 
@@ -164,7 +165,7 @@ impl<'g> Evaluator<'g> {
                 self.stats.join_calls += 1;
                 let l = self.eval_paths_internal(left, "join")?;
                 let r = self.eval_paths_internal(right, "join")?;
-                EvalOutput::Paths(join(&l, &r))
+                EvalOutput::Paths(join(&l, &r, self.config.recursion.max_paths)?)
             }
             PlanExpr::Union { left, right } => {
                 let l = self.eval_paths_internal(left, "union")?;

@@ -535,7 +535,7 @@ mod tests {
             &Condition::edge_label(1, "Has_creator"),
             &PathSet::edges(&f.graph),
         );
-        let hops = crate::ops::join::join(&likes, &creator);
+        let hops = crate::ops::join::join(&likes, &creator, None).unwrap();
         let simple = recursive(PathSemantics::Simple, &hops, &RecursionConfig::default()).unwrap();
         // path2 of the introduction must be among them.
         let path2 = Path::edge(&f.graph, f.e8)

@@ -203,7 +203,7 @@ impl<'g> EngineEvaluator<'g> {
                 self.stats.join_calls += 1;
                 let l = self.eval_paths_internal(left, "join")?;
                 let r = self.eval_paths_internal(right, "join")?;
-                EvalOutput::Paths(join(&l, &r))
+                EvalOutput::Paths(join(&l, &r, self.recursion.max_paths)?)
             }
             PlanExpr::Union { left, right } => {
                 let l = self.eval_paths_internal(left, "union")?;
@@ -370,7 +370,7 @@ impl<'g> EngineEvaluator<'g> {
         &mut self,
         labels: &[&str],
         semantics: PathSemantics,
-        drain: impl FnOnce(&mut Pmr<'static>) -> Result<T, AlgebraError>,
+        drain: impl FnOnce(&mut Pmr) -> Result<T, AlgebraError>,
     ) -> Result<T, AlgebraError> {
         let estimate = self
             .graph_stats
@@ -416,7 +416,7 @@ impl<'g> EngineEvaluator<'g> {
         hops: Arc<[CsrGraph]>,
         semantics: PathSemantics,
         filter: EndpointFilter,
-    ) -> Pmr<'static> {
+    ) -> Pmr {
         let mut pmr = Pmr::from_shared_join(hops, semantics, self.recursion);
         pmr.restrict_endpoints(filter);
         if let Some(token) = &self.cancel {

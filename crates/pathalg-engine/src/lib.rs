@@ -7,12 +7,9 @@
 //!
 //! * [`physical`] — physical implementations of the recursive operator over
 //!   a materialised base: the per-source frontier engine the evaluator
-//!   dispatches ([`physical::frontier`], DESIGN.md §7), and the
-//!   §8.2 ablation baselines kept as test oracles — the semi-naïve fixpoint
-//!   from `pathalg-core`, a literal (naïve) transcription of Definition 4.1,
-//!   a DFS enumeration with restrictor pruning, and a BFS specialised to the
-//!   shortest-path semantics. All of them are cross-checked against each
-//!   other in the tests and raced in the benchmark harness.
+//!   dispatches ([`physical::frontier`], DESIGN.md §7), and the semi-naïve
+//!   fixpoint from `pathalg-core`, the §8.2 ablation baseline and the test
+//!   oracle every dispatched path is cross-checked against.
 //! * [`exec`] — [`exec::EngineEvaluator`], the engine-level plan
 //!   interpreter, serial per query: a ϕ over a label scan or a join chain of
 //!   label scans drains `pathalg-pmr`'s lazy scan/chain kernel, every other

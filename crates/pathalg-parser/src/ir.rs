@@ -33,6 +33,7 @@ use pathalg_core::ops::order_by::OrderKey;
 use pathalg_core::ops::projection::{ProjectionSpec, Take};
 use pathalg_graph::value::Value;
 use pathalg_rpq::compile::compile_to_algebra;
+use pathalg_rpq::parse::MAX_NESTING_DEPTH;
 use pathalg_rpq::regex::LabelRegex;
 use std::fmt;
 
@@ -164,10 +165,21 @@ impl QueryIr {
     }
 
     /// Structural validation, before a plan is built: slice counts must be
-    /// positive, parameterised selectors need `k ≥ 1`, and a selector output
+    /// positive, parameterised selectors need `k ≥ 1`, a selector output
     /// cannot be combined with explicit `group_by` / `order_by` clauses
-    /// (the selector *is* the γ/τ/π pipeline).
+    /// (the selector *is* the γ/τ/π pipeline), and the two endpoints may
+    /// carry at most [`MAX_NESTING_DEPTH`] properties together — they fold
+    /// into one chain of `AND`s, which nests one level per property.
     pub fn validate(&self) -> Result<(), AlgebraError> {
+        let properties = self.source.properties.len() + self.target.properties.len();
+        if properties > MAX_NESTING_DEPTH {
+            return Err(AlgebraError::IrValidation {
+                field: "properties",
+                message: format!(
+                    "{properties} endpoint properties nest deeper than {MAX_NESTING_DEPTH} levels"
+                ),
+            });
+        }
         match &self.output {
             IrOutput::Slice(spec) => spec.validate().map_err(|e| AlgebraError::IrValidation {
                 field: "output",
@@ -1186,6 +1198,12 @@ mod tests {
         bad.group_by = Some(GroupKey::Target);
         let err = lower_to_checked_plan(&bad).unwrap_err();
         assert!(err.to_string().contains("slice output"), "{err}");
+
+        // Endpoint properties fold into one AND chain: its height is bounded.
+        let mut bad = moe_ir();
+        bad.target.properties = vec![("k".into(), Value::Int(1)); MAX_NESTING_DEPTH];
+        let err = lower_to_checked_plan(&bad).unwrap_err();
+        assert!(err.to_string().contains("nest deeper"), "{err}");
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! is implemented — notably, numbers are either `i64` or `f64` (a float
 //! always serializes with a decimal point or exponent, so the two round-trip
 //! distinctly), and no lossy escapes beyond the JSON-mandatory set are
-//! produced.
+//! produced. Arrays and objects nest at most [`MAX_NESTING_DEPTH`] levels
+//! deep.
 
+use pathalg_rpq::parse::MAX_NESTING_DEPTH;
 use std::fmt;
 
 /// A JSON value. Object member order is preserved (a `Vec`, not a map), so
@@ -216,6 +218,7 @@ pub fn parse_json(input: &str) -> Result<Json, JsonError> {
     let mut p = JsonParser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -229,6 +232,8 @@ pub fn parse_json(input: &str) -> Result<Json, JsonError> {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at the current position.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -273,8 +278,21 @@ impl JsonParser<'_> {
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth >= MAX_NESTING_DEPTH {
+                    return Err(self.error(format!(
+                        "value nests deeper than {MAX_NESTING_DEPTH} levels"
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
@@ -490,6 +508,16 @@ mod tests {
     fn object_member_order_is_preserved() {
         let j = parse_json(r#"{"z": 1, "a": 2}"#).unwrap();
         assert_eq!(j.to_compact(), r#"{"z":1,"a":2}"#);
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_syntax_error() {
+        let nested = |k: usize| format!("{}{}", "[".repeat(k), "]".repeat(k));
+        assert!(parse_json(&nested(MAX_NESTING_DEPTH)).is_ok());
+        for deep in [nested(MAX_NESTING_DEPTH + 1), "{\"a\":".repeat(100_000)] {
+            let err = parse_json(&deep).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{}", err.message);
+        }
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! groupby    := GROUP BY (SOURCE | TARGET | LENGTH)+
 //! orderby    := ORDER BY (PARTITION | GROUP | PATH)+
 //! ```
+//!
+//! The `WHERE` condition may nest at most [`MAX_NESTING_DEPTH`] levels deep,
+//! counting parentheses, `NOT`s and chained `AND`/`OR`s alike.
 
 use crate::ast::{NodePattern, OutputSpec, PathQuery};
 use crate::error::ParseError;
@@ -25,23 +28,34 @@ use pathalg_core::ops::group_by::GroupKey;
 use pathalg_core::ops::order_by::OrderKey;
 use pathalg_core::ops::projection::{ProjectionSpec, Take};
 use pathalg_graph::value::Value;
-use pathalg_rpq::parse::parse_regex;
+use pathalg_rpq::parse::{parse_regex, MAX_NESTING_DEPTH};
 
 /// Parses a path query.
 pub fn parse_query(input: &str) -> Result<PathQuery, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut parser = QueryParser { tokens, pos: 0 };
+    let mut parser = QueryParser::new(input)?;
     let query = parser.parse_query()?;
     parser.expect_eof()?;
     Ok(query)
 }
 
+/// The condition parsers return each subtree with its nesting height: the
+/// enclosing parentheses and `NOT`s plus the operator levels below them.
 struct QueryParser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// Parentheses and `NOT`s open at the current position.
+    depth: usize,
 }
 
 impl QueryParser {
+    fn new(input: &str) -> Result<Self, ParseError> {
+        Ok(Self {
+            tokens: tokenize(input)?,
+            pos: 0,
+            depth: 0,
+        })
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)].token
     }
@@ -64,6 +78,16 @@ impl QueryParser {
 
     fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError::new(self.offset(), message)
+    }
+
+    /// `height`, or an error past [`MAX_NESTING_DEPTH`].
+    fn bounded(&self, height: usize) -> Result<usize, ParseError> {
+        if height > MAX_NESTING_DEPTH {
+            return Err(self.error(format!(
+                "condition nests deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        Ok(height)
     }
 
     fn is_keyword(&self, kw: &str) -> bool {
@@ -379,44 +403,54 @@ impl QueryParser {
     // ---- selection conditions ----
 
     fn parse_condition(&mut self) -> Result<Condition, ParseError> {
-        self.parse_or()
+        Ok(self.parse_or()?.0)
     }
 
-    fn parse_or(&mut self) -> Result<Condition, ParseError> {
-        let mut left = self.parse_and()?;
+    fn parse_or(&mut self) -> Result<(Condition, usize), ParseError> {
+        let (mut left, mut height) = self.parse_and()?;
         while self.eat_keyword("OR") {
-            let right = self.parse_and()?;
+            let (right, h) = self.parse_and()?;
+            height = self.bounded(height.max(h) + 1)?;
             left = left.or(right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_and(&mut self) -> Result<Condition, ParseError> {
-        let mut left = self.parse_not()?;
+    fn parse_and(&mut self) -> Result<(Condition, usize), ParseError> {
+        let (mut left, mut height) = self.parse_not()?;
         while self.eat_keyword("AND") {
-            let right = self.parse_not()?;
+            let (right, h) = self.parse_not()?;
+            height = self.bounded(height.max(h) + 1)?;
             left = left.and(right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_not(&mut self) -> Result<Condition, ParseError> {
-        if self.eat_keyword("NOT") {
-            return Ok(self.parse_not()?.not());
+    /// `NOT` and `(` nest: each raises the depth of everything inside it.
+    fn parse_not(&mut self) -> Result<(Condition, usize), ParseError> {
+        let negated = self.is_keyword("NOT");
+        let grouped = matches!(self.peek(), Token::LParen);
+        if !negated && !grouped {
+            return Ok((self.parse_condition_primary()?, self.depth));
         }
-        self.parse_condition_primary()
+        self.depth = self.bounded(self.depth + 1)?;
+        self.bump();
+        let (inner, height) = if negated {
+            let (inner, height) = self.parse_not()?;
+            (inner.not(), height)
+        } else {
+            let inner = self.parse_or()?;
+            if !matches!(self.bump(), Token::RParen) {
+                return Err(self.error("expected ')'"));
+            }
+            inner
+        };
+        self.depth -= 1;
+        Ok((inner, height))
     }
 
     fn parse_condition_primary(&mut self) -> Result<Condition, ParseError> {
         match self.peek().clone() {
-            Token::LParen => {
-                self.bump();
-                let inner = self.parse_or()?;
-                if !matches!(self.bump(), Token::RParen) {
-                    return Err(self.error("expected ')'"));
-                }
-                Ok(inner)
-            }
             Token::Keyword(k) if k == "BOUND" => {
                 self.bump();
                 if !matches!(self.bump(), Token::LParen) {
@@ -563,8 +597,7 @@ impl QueryParser {
 /// Parses a standalone selection condition — the RPQ surface's `where(…)`
 /// clause reuses the full GQL condition grammar through this entry point.
 pub(crate) fn parse_condition_text(input: &str) -> Result<Condition, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut parser = QueryParser { tokens, pos: 0 };
+    let mut parser = QueryParser::new(input)?;
     let condition = parser.parse_condition()?;
     parser.expect_eof()?;
     Ok(condition)
@@ -573,8 +606,7 @@ pub(crate) fn parse_condition_text(input: &str) -> Result<Condition, ParseError>
 /// Parses a standalone node pattern such as `(?x:Person {name:"Moe"})` — the
 /// RPQ surface's head-argument syntax reuses the GQL node-pattern grammar.
 pub(crate) fn parse_node_pattern_text(input: &str) -> Result<NodePattern, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut parser = QueryParser { tokens, pos: 0 };
+    let mut parser = QueryParser::new(input)?;
     let pattern = parser.parse_node_pattern()?;
     parser.expect_eof()?;
     Ok(pattern)
@@ -769,6 +801,30 @@ mod tests {
         assert!(err.message.contains("GROUP BY"));
         let err = parse_query("MATCH ALL TRAIL p = (?x)-[:a]->(?y) trailing garbage").unwrap_err();
         assert!(err.message.contains("trailing"));
+    }
+
+    #[test]
+    fn condition_nesting_past_the_bound_is_a_parse_error() {
+        let query = |condition: String| {
+            parse_query(&format!(
+                "MATCH ALL TRAIL p = (?x)-[:Knows]->(?y) WHERE {condition}"
+            ))
+        };
+        let n = MAX_NESTING_DEPTH;
+        let chain = |k: usize, op: &str| vec!["len() = 1"; k + 1].join(op);
+        let parens = |k: usize| format!("{}len() = 1{}", "(".repeat(k), ")".repeat(k));
+        assert!(query(chain(n, " AND ")).is_ok());
+        assert!(query(parens(n)).is_ok());
+        for deep in [
+            chain(n + 1, " AND "),
+            chain(n + 1, " OR "),
+            format!("{}len() = 1", "NOT ".repeat(n + 1)),
+            parens(n + 1),
+            parens(100_000),
+        ] {
+            let err = query(deep).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{}", err.message);
+        }
     }
 
     #[test]

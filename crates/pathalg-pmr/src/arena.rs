@@ -28,6 +28,7 @@
 //! [`StepArena::chain_targets_contain`] only parent and target — the
 //! irrelevant columns never enter the cache.
 
+#[cfg(test)]
 use pathalg_core::path::Path;
 use pathalg_graph::ids::{EdgeId, NodeId};
 use std::num::NonZeroU32;
@@ -127,7 +128,9 @@ impl StepArena {
     }
 
     /// Reconstructs the full path for the chain of `len` edges ending at
-    /// `id`, starting from `source`, as an owned [`Path`].
+    /// `id`, starting from `source`, as an owned [`Path`] (test helper; the
+    /// pull loop reuses its buffers through [`StepArena::fill_chain`]).
+    #[cfg(test)]
     pub fn path_of(&self, id: u32, source: NodeId, len: usize) -> Path {
         let (mut nodes, mut edges) = (Vec::new(), Vec::new());
         self.fill_chain(id, source, len, &mut nodes, &mut edges);

@@ -6,7 +6,8 @@
 //! cyclic graphs under `WALK`/`TRAIL` the multiset is exponential in the
 //! length bound while a `π(*,*,k)`-sliced answer is tiny. Following the
 //! PathFinder line of work, this crate represents the multiset *implicitly*
-//! as an annotated product graph — graph node × recursion/automaton state —
+//! as a step arena over the expansion of `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` — one
+//! per-source, level-ordered search over label-restricted CSR snapshots —
 //! and enumerates paths from it **on demand, in the engine's canonical
 //! order**:
 //!
@@ -16,8 +17,6 @@
 //!   lazy per-source, level-ordered expansion over label-restricted CSR
 //!   snapshots by one kernel (the `join` module), byte-order-identical to
 //!   the engine's `phi_frontier` over the materialised base.
-//! * [`Pmr::from_regex`] — the product-automaton form `G × A`, mirroring the
-//!   serial `AutomatonEvaluator` discovery order (lazy across sources).
 //! * [`Pmr::next_batch`] / [`Pmr::top_k`] / [`Pmr::enumerate_all`] — pull as
 //!   much as you need; `top_k(k)` obeys the law
 //!   `top_k(k) == enumerate().take(k)` while expanding only what those `k`
@@ -33,21 +32,18 @@
 //!   enumeration and a node-level reachability analysis that stops each
 //!   source as soon as its contribution to every kept group is complete.
 //!
-//! Paths are stored as parent-pointer arena steps — `O(1)`
-//! words per path instead of `O(len)`. In the scan/chain form a
-//! discovered-but-skipped path is never materialised at all; the product
-//! form additionally materialises each source's *accepted* paths while that
-//! source is current, for duplicate elimination (see [`Pmr::from_regex`]).
+//! Paths are stored as parent-pointer arena steps — `O(1)` words per path
+//! instead of `O(len)` — and a discovered-but-skipped path is never
+//! materialised at all. A general regular expression has no kernel here: it
+//! is compiled to algebra and served by the engine's frontier expansion.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arena;
 mod join;
-mod product;
 
 use crate::join::{ChainExpansion, Hops, ReachInfo};
-use crate::product::{ProductExpansion, ProductItem};
 use pathalg_core::budget::CancelToken;
 use pathalg_core::error::AlgebraError;
 use pathalg_core::obs::WorkCounters;
@@ -60,14 +56,12 @@ use pathalg_core::slice::{PartitionKey, SliceCollector, SliceSpec, SliceState};
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::{EdgeId, NodeId};
-use pathalg_rpq::regex::LabelRegex;
 use std::sync::Arc;
 
 /// A compact, lazily enumerable path-multiset representation (see the crate
-/// docs). The lifetime is that of the graph the product form borrows; the
-/// scan/chain form owns its snapshots and is `'static`.
-pub struct Pmr<'g> {
-    inner: Inner<'g>,
+/// docs). It owns (or shares) its CSR snapshots, so it borrows no graph.
+pub struct Pmr {
+    expansion: Box<ChainExpansion>,
     /// Per-node target mask of the endpoint-σ pushdown: when set, paths whose
     /// last node is unmarked are skipped at emission (never reconstructed)
     /// while the expansion still runs *through* them.
@@ -93,11 +87,6 @@ struct LocalCounts {
     kept: u64,
 }
 
-enum Inner<'g> {
-    Chain(Box<ChainExpansion>),
-    Product(Box<ProductExpansion<'g>>),
-}
-
 /// Endpoint restrictions pushed down from `σ_first`/`σ_last` predicates
 /// ([`pathalg_core::slice::SlicePlan::filter`]): per-node keep masks for the
 /// first and last node of every enumerated path. A `None` side is
@@ -111,24 +100,18 @@ pub struct EndpointFilter {
     pub targets: Option<Vec<bool>>,
 }
 
-/// One emitted element, before path reconstruction.
+/// One emitted element, before path reconstruction: the arena step that
+/// completes it, with its path length (lengths are threaded, not stored per
+/// step — see [`arena`]).
 #[derive(Clone, Copy, Debug)]
 struct Emit {
     source: NodeId,
     last: NodeId,
-    len: usize,
-    token: Token,
+    step: u32,
+    len: u32,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Token {
-    /// An arena step of the scan/chain expansion, with its path length
-    /// (lengths are threaded, not stored per step — see [`arena`]).
-    Step(u32, u32),
-    Product(ProductItem),
-}
-
-impl Pmr<'static> {
+impl Pmr {
     /// PMR of `ϕ_semantics(σ_{label=ℓ}(Edges(G)))`: the one-hop chain over a
     /// label-restricted CSR snapshot of `graph`, base never materialised.
     pub fn from_label_scan(
@@ -136,17 +119,13 @@ impl Pmr<'static> {
         label: &str,
         semantics: PathSemantics,
         config: RecursionConfig,
-    ) -> Pmr<'static> {
+    ) -> Pmr {
         Self::from_csr(CsrGraph::with_label(graph, label), semantics, config)
     }
 
     /// PMR of `ϕ_semantics` over the edge set of an arbitrary CSR snapshot
     /// (every edge as a length-1 base path).
-    pub fn from_csr(
-        csr: CsrGraph,
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr<'static> {
+    pub fn from_csr(csr: CsrGraph, semantics: PathSemantics, config: RecursionConfig) -> Pmr {
         Self::from_shared_csr(Arc::new(csr), semantics, config)
     }
 
@@ -156,7 +135,7 @@ impl Pmr<'static> {
         csr: Arc<CsrGraph>,
         semantics: PathSemantics,
         config: RecursionConfig,
-    ) -> Pmr<'static> {
+    ) -> Pmr {
         Self::from_hops(Hops::Scan(csr), semantics, config)
     }
 
@@ -170,7 +149,7 @@ impl Pmr<'static> {
         labels: &[&str],
         semantics: PathSemantics,
         config: RecursionConfig,
-    ) -> Pmr<'static> {
+    ) -> Pmr {
         Self::from_join(
             labels
                 .iter()
@@ -187,7 +166,7 @@ impl Pmr<'static> {
         hops: Vec<CsrGraph>,
         semantics: PathSemantics,
         config: RecursionConfig,
-    ) -> Pmr<'static> {
+    ) -> Pmr {
         Self::from_shared_join(hops.into(), semantics, config)
     }
 
@@ -197,34 +176,13 @@ impl Pmr<'static> {
         hops: Arc<[CsrGraph]>,
         semantics: PathSemantics,
         config: RecursionConfig,
-    ) -> Pmr<'static> {
+    ) -> Pmr {
         Self::from_hops(Hops::Chain(hops), semantics, config)
     }
 
-    fn from_hops(hops: Hops, semantics: PathSemantics, config: RecursionConfig) -> Pmr<'static> {
-        Pmr::with_inner(Inner::Chain(Box::new(ChainExpansion::new(
-            hops, semantics, config,
-        ))))
-    }
-}
-
-impl<'g> Pmr<'g> {
-    /// PMR of a regular path query: the product `G × A` of the graph and the
-    /// expression's NFA, enumerated under the given path semantics.
-    pub fn from_regex(
-        graph: &'g PropertyGraph,
-        regex: &LabelRegex,
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr<'g> {
-        Pmr::with_inner(Inner::Product(Box::new(ProductExpansion::new(
-            graph, regex, semantics, config,
-        ))))
-    }
-
-    fn with_inner(inner: Inner<'g>) -> Pmr<'g> {
+    fn from_hops(hops: Hops, semantics: PathSemantics, config: RecursionConfig) -> Pmr {
         Pmr {
-            inner,
+            expansion: Box::new(ChainExpansion::new(hops, semantics, config)),
             target_mask: None,
             counts: LocalCounts::default(),
             nodes: Vec::new(),
@@ -239,23 +197,17 @@ impl<'g> Pmr<'g> {
     /// unfiltered stream with the σ applied — same paths, same order.
     pub fn restrict_endpoints(&mut self, filter: EndpointFilter) {
         if let Some(keep) = &filter.sources {
-            match &mut self.inner {
-                Inner::Chain(e) => e.restrict_sources(keep),
-                Inner::Product(e) => e.restrict_sources(keep),
-            }
+            self.expansion.restrict_sources(keep);
         }
         self.target_mask = filter.targets;
     }
 
     /// Installs a shared cancellation token on the underlying expansion:
-    /// every subsequent pull polls the token at its level (or BFS-chunk)
-    /// boundary and aborts with [`AlgebraError::Cancelled`] /
+    /// every subsequent pull polls the token at its level boundary and
+    /// aborts with [`AlgebraError::Cancelled`] /
     /// [`AlgebraError::DeadlineExceeded`] once it fires.
     pub fn share_cancel(&mut self, cancel: Arc<CancelToken>) {
-        match &mut self.inner {
-            Inner::Chain(e) => e.share_cancel(cancel),
-            Inner::Product(e) => e.share_cancel(cancel),
-        }
+        self.expansion.share_cancel(cancel);
     }
 
     fn target_admits(&self, last: NodeId) -> bool {
@@ -266,23 +218,13 @@ impl<'g> Pmr<'g> {
 
     fn next_emit(&mut self) -> Result<Option<Emit>, AlgebraError> {
         loop {
-            let emit = match &mut self.inner {
-                Inner::Chain(e) => e.next_id()?.map(|(id, source, len)| Emit {
-                    source,
-                    last: e.arena.target(id),
-                    len: len as usize,
-                    token: Token::Step(id, len),
-                }),
-                Inner::Product(e) => e.next_item()?.map(|(item, source)| {
-                    let (_, last, len) = e.triple(item, source);
-                    Emit {
-                        source,
-                        last,
-                        len,
-                        token: Token::Product(item),
-                    }
-                }),
-            };
+            let e = &mut self.expansion;
+            let emit = e.next_id()?.map(|(step, source, len)| Emit {
+                source,
+                last: e.arena.target(step),
+                step,
+                len,
+            });
             match emit {
                 Some(e) if !self.target_admits(e.last) => {
                     self.counts.skipped += 1;
@@ -300,15 +242,13 @@ impl<'g> Pmr<'g> {
 
     /// Reconstructs `emit` into the reused path buffers.
     fn fill(&mut self, emit: &Emit) {
-        let (nodes, edges) = (&mut self.nodes, &mut self.edges);
-        match (&self.inner, emit.token) {
-            (Inner::Chain(e), Token::Step(id, len)) => {
-                e.arena
-                    .fill_chain(id, emit.source, len as usize, nodes, edges)
-            }
-            (Inner::Product(e), Token::Product(item)) => e.fill(item, emit.source, nodes, edges),
-            _ => unreachable!("emit token matches the inner representation"),
-        }
+        self.expansion.arena.fill_chain(
+            emit.step,
+            emit.source,
+            emit.len as usize,
+            &mut self.nodes,
+            &mut self.edges,
+        );
     }
 
     /// Reconstructs `emit` as an owned [`Path`].
@@ -319,48 +259,32 @@ impl<'g> Pmr<'g> {
 
     fn skip_source(&mut self) {
         self.counts.abandoned += 1;
-        match &mut self.inner {
-            Inner::Chain(e) => e.skip_source(),
-            Inner::Product(e) => e.skip_source(),
-        }
+        self.expansion.skip_source();
     }
 
     /// Number of arena steps allocated so far — the work actually performed.
     /// A sliced or top-k consumer leaves this far below the multiset size.
     pub fn steps_generated(&self) -> usize {
-        match &self.inner {
-            Inner::Chain(e) => e.steps_generated(),
-            Inner::Product(e) => e.steps_generated(),
-        }
+        self.expansion.steps_generated()
     }
 
     /// Number of level-0 base paths generated so far — the slice of the base
     /// relation the expansion actually touched: join segments for a chain,
     /// single edges for a scan (the expanded sources' admitted out-edges).
-    /// `None` for the product form, which has no base relation.
-    pub fn base_segments(&self) -> Option<usize> {
-        match &self.inner {
-            Inner::Chain(e) => Some(e.base_segments()),
-            Inner::Product(_) => None,
-        }
+    pub fn base_segments(&self) -> usize {
+        self.expansion.base_segments()
     }
 
     /// Bytes currently backing the step arena. The arena only grows, so this
     /// is also its peak footprint (`arena_bytes_peak`).
     pub fn arena_bytes(&self) -> usize {
-        match &self.inner {
-            Inner::Chain(e) => e.arena_bytes(),
-            Inner::Product(e) => e.arena_bytes(),
-        }
+        self.expansion.arena_bytes()
     }
 
     /// Scratch reuse events so far: hoisted level/saturation buffers and
     /// pooled or retained visited-set blocks (`scratch_reuse_count`).
     pub fn scratch_reuse(&self) -> u64 {
-        match &self.inner {
-            Inner::Chain(e) => e.scratch_reuse(),
-            Inner::Product(e) => e.scratch_reuse(),
-        }
+        self.expansion.scratch_reuse()
     }
 
     /// Reserves arena capacity for `steps` further steps up front, so a
@@ -368,10 +292,7 @@ impl<'g> Pmr<'g> {
     /// arena reallocation — see the zero-steady-state-allocation contract in
     /// the crate docs.
     pub fn reserve_steps(&mut self, steps: usize) {
-        match &mut self.inner {
-            Inner::Chain(e) => e.arena.reserve(steps),
-            Inner::Product(e) => e.arena.reserve(steps),
-        }
+        self.expansion.arena.reserve(steps);
     }
 
     /// The deterministic work totals of everything pulled from this PMR so
@@ -386,23 +307,15 @@ impl<'g> Pmr<'g> {
     pub fn work_counters(&self) -> WorkCounters {
         WorkCounters {
             arena_steps: self.steps_generated() as u64,
-            base_segments: self.base_segments().unwrap_or(0) as u64,
+            base_segments: self.base_segments() as u64,
             paths_emitted: self.counts.emitted,
             paths_skipped: self.counts.skipped,
             sources_abandoned: self.counts.abandoned,
-            budget_claimed: self.budget_count() as u64,
+            budget_claimed: self.expansion.budget_count() as u64,
             partitions_opened: self.counts.partitions,
             paths_kept: self.counts.kept,
             arena_bytes_peak: self.arena_bytes() as u64,
             scratch_reuse_count: self.scratch_reuse(),
-        }
-    }
-
-    /// Paths recorded against the expansion's `max_paths` budget so far.
-    fn budget_count(&self) -> usize {
-        match &self.inner {
-            Inner::Chain(e) => e.budget_count(),
-            Inner::Product(e) => e.budget_count(),
         }
     }
 
@@ -495,7 +408,7 @@ impl<'g> Pmr<'g> {
     pub fn group_counts(&mut self, key: GroupKey) -> Result<GroupCounts, AlgebraError> {
         let mut triples: Vec<(NodeId, NodeId, usize)> = Vec::new();
         while let Some(e) = self.next_emit()? {
-            triples.push((e.source, e.last, e.len));
+            triples.push((e.source, e.last, e.len as usize));
         }
         Ok(group_counts_from_triples(key, triples))
     }
@@ -506,8 +419,8 @@ impl<'g> Pmr<'g> {
     ///
     /// * paths beyond a group's cap are skipped without reconstruction,
     /// * a source is abandoned as soon as every group it can still
-    ///   contribute to (computed by a node-level reachability BFS for the
-    ///   scan/chain form) holds its `per_group` quota, and
+    ///   contribute to (computed by a node-level reachability BFS) holds its
+    ///   `per_group` quota, and
     /// * once the partition limit is reached, sources that can only open new
     ///   partitions are never expanded at all — and a source caught
     ///   mid-expansion by the closing limit switches to per-partition
@@ -582,8 +495,8 @@ impl<'g> Pmr<'g> {
     }
 
     /// The full set of groups source `s` can ever contribute to, for the
-    /// reachability-based source stop — only computed for the scan/chain
-    /// form under γST with a per-group cap, and skipped for Shortest (whose
+    /// reachability-based source stop — only computed under γST with a
+    /// per-group cap, and skipped for Shortest (whose
     /// per-source expansion saturates on its own). Groups outside the pushed
     /// target mask are excluded: they can never receive a path, so waiting
     /// for them would block the stop forever.
@@ -591,14 +504,11 @@ impl<'g> Pmr<'g> {
         if spec.group_key != GroupKey::SourceTarget || spec.per_group.is_none() {
             return Vec::new();
         }
-        let Inner::Chain(e) = &mut self.inner else {
-            return Vec::new();
-        };
-        let semantics = e.semantics();
+        let semantics = self.expansion.semantics();
         if semantics == PathSemantics::Shortest {
             return Vec::new();
         }
-        let ReachInfo { open, min_closed } = e.reachability(source);
+        let ReachInfo { open, min_closed } = self.expansion.reachability(source);
         let mut keys: Vec<PartitionKey> = open
             .into_iter()
             .filter(|&t| self.target_admits(t))
@@ -618,7 +528,7 @@ fn owned_path(nodes: &[NodeId], edges: &[EdgeId]) -> Path {
         .expect("arena chains are well-formed paths")
 }
 
-impl LazyPathStream for Pmr<'_> {
+impl LazyPathStream for Pmr {
     fn next_batch(&mut self, max: usize) -> Result<Vec<Path>, AlgebraError> {
         Pmr::next_batch(self, max)
     }
@@ -813,28 +723,6 @@ mod tests {
         let out = lazy.sliced(&spec).unwrap();
         assert_eq!(out.as_slice(), expected.as_slice());
         assert!(lazy.steps_generated() * 20 < full.steps_generated());
-    }
-
-    #[test]
-    fn product_form_agrees_with_the_compiled_algebra() {
-        use pathalg_rpq::parse::parse_regex;
-        let f = Figure1::new();
-        let cfg = RecursionConfig::default();
-        for (pattern, semantics) in [
-            (":Knows+", PathSemantics::Trail),
-            (":Knows+", PathSemantics::Shortest),
-            ("(:Likes/:Has_creator)*", PathSemantics::Simple),
-            (":Knows/:Knows", PathSemantics::Walk),
-        ] {
-            let re = parse_regex(pattern).unwrap();
-            let plan = pathalg_rpq::compile::compile_to_algebra(&re, semantics);
-            let expected = pathalg_core::eval::Evaluator::new(&f.graph)
-                .eval_paths(&plan)
-                .unwrap();
-            let mut pmr = Pmr::from_regex(&f.graph, &re, semantics, cfg);
-            let out = pmr.enumerate_all().unwrap();
-            assert_eq!(out, expected, "{pattern} under {semantics:?}");
-        }
     }
 
     #[test]

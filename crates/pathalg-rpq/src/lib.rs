@@ -13,7 +13,6 @@
 //!   paper, e.g. `(:Knows+)|(:Likes/:Has_creator)*`.
 //! * [`nfa`] — a Thompson-style construction producing an ε-free
 //!   [`nfa::Nfa`], plus the word-membership check used for testing.
-//! * [`dfa`] — subset construction to a deterministic automaton.
 //! * [`compile`] — translation from a regex to a path-algebra expression
 //!   (a [`pathalg_core::expr::PlanExpr`]), the way Figures 2–4 of the paper
 //!   turn `Knows+` and `(Likes/Has_creator)*` into σ/⋈/∪/ϕ trees.
@@ -27,7 +26,6 @@
 
 pub mod automaton_eval;
 pub mod compile;
-pub mod dfa;
 pub mod nfa;
 pub mod parse;
 pub mod regex;

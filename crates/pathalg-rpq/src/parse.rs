@@ -11,9 +11,24 @@
 //!
 //! Labels may be written with the GQL-style leading colon (`:Knows`) or bare
 //! (`Knows`); `:_` matches any label. Whitespace is insignificant.
+//!
+//! Both the parentheses open at once and the height of the parsed tree are
+//! bounded by [`MAX_NESTING_DEPTH`]. A repetition `{m,n}` unrolls into up to
+//! `n` joined copies of its operand when compiled, so it counts as `n`
+//! stacked copies of the operand's height.
 
 use crate::regex::LabelRegex;
 use std::fmt;
+
+/// The deepest tree any query parser builds. Each enclosing parenthesis and
+/// each chained operator (`a/b/c` is two levels, `NOT NOT x` two, a JSON
+/// array in an array two) counts one level. Every query surface refuses
+/// deeper input with its own typed parse error, so no request can make a
+/// parser, or a later recursive walk over the tree it built, overflow the
+/// stack. On the 2 MiB stack of a connection thread, the shallowest input
+/// measured to overflow nested 3 000 levels in a release build and about
+/// 250 joins in a debug build, whose frames are far larger.
+pub const MAX_NESTING_DEPTH: usize = 128;
 
 /// A parse error with the byte offset where it occurred.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,12 +56,13 @@ pub fn parse_regex(input: &str) -> Result<LabelRegex, RegexParseError> {
     let mut parser = Parser {
         chars: input.char_indices().collect(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     if parser.at_end() {
         return Ok(LabelRegex::Epsilon);
     }
-    let re = parser.parse_alt()?;
+    let (re, _) = parser.parse_alt()?;
     parser.skip_ws();
     if !parser.at_end() {
         return Err(parser.error("unexpected trailing input"));
@@ -54,9 +70,13 @@ pub fn parse_regex(input: &str) -> Result<LabelRegex, RegexParseError> {
     Ok(re)
 }
 
+/// The parse functions return each subtree with its height: the operator
+/// levels below it (parentheses add none).
 struct Parser {
     chars: Vec<(usize, char)>,
     pos: usize,
+    /// Parentheses open at the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -95,44 +115,59 @@ impl Parser {
         }
     }
 
+    /// `height`, or an error past [`MAX_NESTING_DEPTH`].
+    fn bounded(&self, height: usize) -> Result<usize, RegexParseError> {
+        if height > MAX_NESTING_DEPTH {
+            return Err(self.error(&format!(
+                "expression nests deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        Ok(height)
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(c) if c.is_whitespace()) {
             self.pos += 1;
         }
     }
 
-    fn parse_alt(&mut self) -> Result<LabelRegex, RegexParseError> {
-        let mut left = self.parse_concat()?;
+    fn parse_alt(&mut self) -> Result<(LabelRegex, usize), RegexParseError> {
+        let (mut left, mut height) = self.parse_concat()?;
         loop {
             self.skip_ws();
             if self.peek() == Some('|') {
                 self.bump();
-                let right = self.parse_concat()?;
+                let (right, h) = self.parse_concat()?;
+                height = self.bounded(height.max(h) + 1)?;
                 left = left.or(right);
             } else {
-                return Ok(left);
+                return Ok((left, height));
             }
         }
     }
 
-    fn parse_concat(&mut self) -> Result<LabelRegex, RegexParseError> {
-        let mut left = self.parse_repeat()?;
+    fn parse_concat(&mut self) -> Result<(LabelRegex, usize), RegexParseError> {
+        let (mut left, mut height) = self.parse_repeat()?;
         loop {
             self.skip_ws();
             if self.peek() == Some('/') {
                 self.bump();
-                let right = self.parse_repeat()?;
+                let (right, h) = self.parse_repeat()?;
+                height = self.bounded(height.max(h) + 1)?;
                 left = left.then(right);
             } else {
-                return Ok(left);
+                return Ok((left, height));
             }
         }
     }
 
-    fn parse_repeat(&mut self) -> Result<LabelRegex, RegexParseError> {
-        let mut inner = self.parse_atom()?;
+    fn parse_repeat(&mut self) -> Result<(LabelRegex, usize), RegexParseError> {
+        let (mut inner, mut height) = self.parse_atom()?;
         loop {
             self.skip_ws();
+            if matches!(self.peek(), Some('*' | '+' | '?' | '{')) {
+                height = self.bounded(height + 1)?;
+            }
             match self.peek() {
                 Some('*') => {
                     self.bump();
@@ -149,9 +184,13 @@ impl Parser {
                 Some('{') => {
                     self.bump();
                     let (min, max) = self.parse_bounds()?;
+                    // Up to `n` joined copies of the operand (see the module
+                    // docs); `height` already counts this node.
+                    let copies = max.unwrap_or(min).max(1);
+                    height = self.bounded(height.saturating_mul(copies))?;
                     inner = inner.repeat(min, max);
                 }
-                _ => return Ok(inner),
+                _ => return Ok((inner, height)),
             }
         }
     }
@@ -202,18 +241,24 @@ impl Parser {
             .map_err(|_| self.error("repetition bound does not fit in usize"))
     }
 
-    fn parse_atom(&mut self) -> Result<LabelRegex, RegexParseError> {
+    fn parse_atom(&mut self) -> Result<(LabelRegex, usize), RegexParseError> {
         self.skip_ws();
-        match self.peek() {
-            Some('(') => {
-                self.bump();
-                let inner = self.parse_alt()?;
-                self.skip_ws();
-                if self.bump() != Some(')') {
-                    return Err(self.error("expected ')'"));
-                }
-                Ok(inner)
+        if self.peek() == Some('(') {
+            self.depth = self.bounded(self.depth + 1)?;
+            self.bump();
+            let inner = self.parse_alt()?;
+            self.skip_ws();
+            if self.bump() != Some(')') {
+                return Err(self.error("expected ')'"));
             }
+            self.depth -= 1;
+            return Ok(inner);
+        }
+        Ok((self.parse_label()?, 0))
+    }
+
+    fn parse_label(&mut self) -> Result<LabelRegex, RegexParseError> {
+        match self.peek() {
             Some(':') => {
                 self.bump();
                 if self.peek() == Some('_') {
@@ -369,6 +414,29 @@ mod tests {
         let err = parse_regex("*").unwrap_err();
         assert!(err.message.contains("unexpected character"));
         assert!(err.to_string().contains("offset"));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_typed_error() {
+        let n = MAX_NESTING_DEPTH;
+        let parens = |k: usize| format!("{}a{}", "(".repeat(k), ")".repeat(k));
+        let chain = |k: usize, op: &str| vec!["a"; k + 1].join(op);
+        assert!(parse_regex(&parens(n)).is_ok());
+        assert!(parse_regex(&chain(n, "/")).is_ok());
+        assert!(parse_regex(&format!("a{{{n}}}")).is_ok());
+        for deep in [
+            parens(n + 1),
+            chain(n + 1, "/"),
+            chain(n + 1, "|"),
+            format!("a{}", "+".repeat(n + 1)),
+            format!("a{{{}}}", n + 1),
+            "(a{0,16}){0,16}".to_string(),
+            format!("({})+", chain(n, "/")),
+            parens(100_000),
+        ] {
+            let err = parse_regex(&deep).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{}", err.message);
+        }
     }
 
     #[test]

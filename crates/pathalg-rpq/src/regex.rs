@@ -134,7 +134,7 @@ impl LabelRegex {
 
     /// True if a word (sequence of labels) belongs to the language of the
     /// expression. Implemented directly on the syntax tree (no automaton);
-    /// used as a test oracle for the NFA/DFA constructions and the
+    /// used as a test oracle for the NFA construction and the
     /// automaton-product evaluation.
     pub fn matches(&self, word: &[&str]) -> bool {
         match self {

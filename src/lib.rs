@@ -10,12 +10,12 @@
 //!   recursive operator ϕ under Walk/Trail/Acyclic/Simple/Shortest semantics,
 //!   solution spaces, group-by / order-by / projection, logical plans and the
 //!   rule-based optimizer, plus the GQL selector/restrictor mapping of Table 7.
-//! * [`rpq`] — regular path expressions, NFA/DFA construction, the regex →
+//! * [`rpq`] — regular path expressions, NFA construction, the regex →
 //!   algebra compiler, and the classical automaton-product baseline.
 //! * [`parser`] — the extended-GQL surface syntax of Section 7.1 and the logical
 //!   plan generator of Section 7.2.
-//! * [`pmr`] — compact path-multiset representations: the recursive closure
-//!   as an annotated product graph with lazy, canonical-order top-k
+//! * [`pmr`] — compact path-multiset representations: the closure of a label
+//!   scan or label chain as a step arena with lazy, canonical-order top-k
 //!   enumeration (DESIGN.md §8).
 //! * [`engine`] — physical operators and restrictor-specific algorithms, graph
 //!   statistics, and the end-to-end query runner (parse → optimize → execute).

@@ -18,10 +18,14 @@
 //! * **An over-long request line** — 2 MiB without a newline is refused
 //!   with a typed `ERR protocol` and its connection closed, and the server
 //!   keeps serving fresh clients.
+//! * **A deeply nested request line** — 5 000 nested parentheses are
+//!   refused with a typed `ERR parse` instead of overflowing the connection
+//!   thread's stack, and the server keeps serving fresh clients.
 
 use pathalg::algebra::error::AlgebraError;
 use pathalg::algebra::ops::recursive::RecursionConfig;
 use pathalg::graph::generator::structured::complete_graph;
+use pathalg::parser::QuerySurface;
 use pathalg::server::protocol::MAX_REQUEST_LINE_BYTES;
 use pathalg::server::{
     serve, Client, DedupRole, FailAction, QueryService, Request, Response, ServiceConfig,
@@ -29,6 +33,7 @@ use pathalg::server::{
 };
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
+use std::process::Command;
 use std::sync::{Arc, Once};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -258,5 +263,62 @@ fn an_over_long_request_line_is_refused_and_the_server_keeps_serving() {
     assert!(!reply.paths.is_empty());
     drop(fresh);
     drop(reader);
+    handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// A deeply nested request line
+// ---------------------------------------------------------------------------
+
+/// A 10 KB line of 5 000 nested parentheses is deep enough to overflow a
+/// connection thread's stack, which would abort the whole server. It gets a
+/// typed parse error instead, and a fresh client is served. The case runs
+/// in a child process, so a regression fails this test instead of aborting
+/// the test binary.
+#[test]
+fn a_deeply_nested_request_line_is_refused_and_the_server_keeps_serving() {
+    const CHILD: &str = "PATHALG_CHAOS_NESTING_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let child = Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "a_deeply_nested_request_line_is_refused_and_the_server_keeps_serving",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            child.status.success(),
+            "{}",
+            String::from_utf8_lossy(&child.stderr)
+        );
+        return;
+    }
+    let svc = dense_service(4, 2);
+    let path =
+        std::env::temp_dir().join(format!("pathalg-chaos-nesting-{}.sock", std::process::id()));
+    let handle = serve(svc, path.clone()).expect("bind");
+
+    let deep = format!(
+        "reach(x, y) :- {}:Knows{}, walk, all.",
+        "(".repeat(5_000),
+        ")".repeat(5_000)
+    );
+    let mut client = Client::connect(&path).expect("connect");
+    match client.query_on(QuerySurface::Rpq, &deep).expect("a reply") {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "parse");
+            assert!(message.contains("nests deeper"), "{message}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    drop(client);
+
+    let mut fresh = Client::connect(&path).expect("a fresh client connects");
+    let Response::Query(reply) = fresh.query(TRAIL).expect("a fresh query") else {
+        panic!("expected a query reply");
+    };
+    assert!(!reply.paths.is_empty());
+    drop(fresh);
     handle.shutdown();
 }

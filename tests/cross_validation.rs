@@ -2,7 +2,7 @@
 //!
 //! Three stacks compute the same queries through completely different code
 //! paths — the algebraic evaluator (ϕ fixpoint), the physical algorithms of
-//! the engine (naïve fixpoint, DFS enumeration, BFS shortest), and the
+//! the engine (the frontier expansion and the scan/chain kernel), and the
 //! classical automaton-product baseline. They must agree on every graph.
 
 use pathalg::algebra::condition::Condition;
@@ -13,7 +13,7 @@ use pathalg::algebra::pathset::PathSet;
 use pathalg::engine::baseline::evaluate_query_with_automaton;
 use pathalg::engine::exec::ExecutionConfig;
 use pathalg::engine::physical::frontier::phi_frontier;
-use pathalg::engine::physical::{phi_bfs_shortest, phi_dfs, phi_naive, phi_seminaive};
+use pathalg::engine::physical::phi_seminaive;
 use pathalg::engine::runner::{QueryRunner, RunnerConfig};
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::fixtures::figure1::Figure1;
@@ -68,35 +68,6 @@ fn knows_base(graph: &PropertyGraph) -> PathSet {
         &Condition::edge_label(1, "Knows"),
         &PathSet::edges(graph),
     )
-}
-
-#[test]
-fn physical_implementations_agree_with_the_algebra_everywhere() {
-    let cfg = RecursionConfig::default();
-    for (name, graph) in test_graphs() {
-        let base = knows_base(&graph);
-        for semantics in [
-            PathSemantics::Trail,
-            PathSemantics::Acyclic,
-            PathSemantics::Simple,
-            PathSemantics::Shortest,
-        ] {
-            let reference = phi_seminaive(semantics, &base, &cfg).unwrap();
-            let naive = phi_naive(semantics, &base, &cfg).unwrap();
-            let dfs = phi_dfs(semantics, &base, &cfg).unwrap();
-            assert_eq!(
-                reference, naive,
-                "{name}: naive differs under {semantics:?}"
-            );
-            assert_eq!(reference, dfs, "{name}: dfs differs under {semantics:?}");
-        }
-        let shortest = phi_bfs_shortest(&base, &cfg).unwrap();
-        assert_eq!(
-            shortest,
-            phi_seminaive(PathSemantics::Shortest, &base, &cfg).unwrap(),
-            "{name}: bfs-shortest differs"
-        );
-    }
 }
 
 /// The frontier engine (DESIGN.md §7) against the executable
@@ -454,7 +425,7 @@ fn materialized_join_closure(
     let base = labels
         .iter()
         .map(|l| selection(graph, &Condition::edge_label(1, *l), &PathSet::edges(graph)))
-        .reduce(|a, b| join(&a, &b))
+        .reduce(|a, b| join(&a, &b, None).unwrap())
         .expect("at least one label");
     phi_frontier(semantics, &base, cfg)
 }

@@ -26,8 +26,6 @@ use pathalg::graph::generator::structured::{chain_graph, cycle_graph, grid_graph
 use pathalg::graph::graph::PropertyGraph;
 use pathalg::graph::ids::NodeId;
 use pathalg::pmr::Pmr;
-use pathalg::rpq::automaton_eval::AutomatonEvaluator;
-use pathalg::rpq::parse::parse_regex;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -146,30 +144,6 @@ fn enumeration_is_byte_identical_to_the_materialised_frontier() {
                 assert_eq!(
                     work.base_segments, base_edges as u64,
                     "{name}: {semantics:?}"
-                );
-            }
-        }
-    }
-}
-
-/// The product-automaton form reproduces the serial automaton evaluator in
-/// content and order.
-#[test]
-fn product_form_is_byte_identical_to_the_automaton_evaluator() {
-    let cfg = RecursionConfig::default();
-    for (name, graph) in fixture_graphs() {
-        for pattern in [":Knows+", "(:Knows|:Likes)+", "(:Knows/:Knows)?"] {
-            let re = parse_regex(pattern).unwrap();
-            for semantics in [PathSemantics::Trail, PathSemantics::Shortest] {
-                let expected = AutomatonEvaluator::new(&graph, &re)
-                    .eval_all(semantics, &cfg)
-                    .unwrap();
-                let mut pmr = Pmr::from_regex(&graph, &re, semantics, cfg);
-                let out = pmr.enumerate_all().unwrap();
-                assert_eq!(
-                    out.as_slice(),
-                    expected.as_slice(),
-                    "{name}: product PMR diverged on {pattern} under {semantics:?}"
                 );
             }
         }

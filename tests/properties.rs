@@ -84,13 +84,17 @@ proptest! {
         let a = selection(&g, &label_condition("a"), &edges);
         let b = selection(&g, &label_condition("b"), &edges);
         let nodes = PathSet::nodes(&g);
-        prop_assert_eq!(join(&nodes, &a), a.clone());
-        prop_assert_eq!(join(&a, &nodes), a.clone());
-        prop_assert_eq!(join(&join(&a, &b), &edges), join(&a, &join(&b, &edges)));
+        let hash_join = |x: &PathSet, y: &PathSet| join(x, y, None).unwrap();
+        prop_assert_eq!(hash_join(&nodes, &a), a.clone());
+        prop_assert_eq!(hash_join(&a, &nodes), a.clone());
+        prop_assert_eq!(
+            hash_join(&hash_join(&a, &b), &edges),
+            hash_join(&a, &hash_join(&b, &edges))
+        );
         // Hash join and nested-loop join are the same operator.
-        prop_assert_eq!(join(&a, &b), nested_loop_join(&a, &b));
+        prop_assert_eq!(hash_join(&a, &b), nested_loop_join(&a, &b));
         // Every joined path concatenates lengths.
-        for p in join(&a, &b).iter() {
+        for p in hash_join(&a, &b).iter() {
             prop_assert_eq!(p.len(), 2);
             prop_assert!(p.validate(&g).is_ok());
         }

@@ -22,10 +22,12 @@ use pathalg::algebra::expr::PlanExpr;
 use pathalg::algebra::obs::Stage;
 use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg::graph::fixtures::figure1::figure1_graph;
+use pathalg::graph::generator::snb::{snb_like_graph, SnbConfig};
 use pathalg::graph::generator::structured::complete_graph;
-use pathalg::parser::{parse_query, plan_cache_key};
+use pathalg::parser::{parse_query, plan_cache_key, QuerySurface};
+use pathalg::rpq::parse::MAX_NESTING_DEPTH;
 use pathalg::server::{
-    AdmissionError, CacheStatus, DedupRole, QueryService, ServiceConfig, ServiceError,
+    handle_line, AdmissionError, CacheStatus, DedupRole, QueryService, ServiceConfig, ServiceError,
 };
 use pathalg_engine::exec::ExecutionConfig;
 use proptest::prelude::*;
@@ -317,6 +319,129 @@ fn budget_exhaustion_is_typed_and_does_not_wedge_the_service() {
             .submit("MATCH ALL TRAIL p = (?x)-[:Knows]->(?y)")
             .expect("service must recover after a budget fault");
         assert!(followup.outcome.path_count > 0);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bounded inputs: the quota bounds ⋈, and no nesting overflows the stack
+// ---------------------------------------------------------------------------
+
+/// SNB-50 under the default configuration, whose quota is 250 000 paths.
+fn snb50_service() -> QueryService {
+    QueryService::new(
+        Arc::new(snb_like_graph(&SnbConfig::scale(50, 11))),
+        ServiceConfig::default(),
+    )
+}
+
+/// `:Knows/…/:Knows` of `hops` hops: a join chain with no ϕ, 3^hops paths
+/// per person on SNB-50.
+fn knows_chain(hops: usize) -> String {
+    vec![":Knows"; hops].join("/")
+}
+
+/// A plain label chain has no ϕ for the quota to stop, so ⋈ checks it: 8
+/// hops (328 050 paths) and 12 hops both fail with ϕ's typed error instead
+/// of materialising the answer, and the service serves the next request.
+#[test]
+fn the_request_quota_bounds_a_join_chain_like_a_closure() {
+    let svc = snb50_service();
+    for hops in [8, 12] {
+        let rule = format!("reach(x, y) :- {}, walk, all.", knows_chain(hops));
+        let err = match svc.submit_on(QuerySurface::Rpq, &rule) {
+            Ok(ok) => panic!("{hops} hops answered {} paths", ok.outcome.path_count),
+            Err(err) => err,
+        };
+        assert_eq!(
+            err,
+            ServiceError::Evaluation(AlgebraError::ResultLimitExceeded { limit: 250_000 }),
+            "{hops} hops"
+        );
+    }
+    let within = format!("reach(x, y) :- {}, walk, all.", knows_chain(4));
+    let ok = svc
+        .submit_on(QuerySurface::Rpq, &within)
+        .expect("4 hops fit");
+    assert_eq!(ok.outcome.path_count, 50 * 3usize.pow(4));
+}
+
+/// The environment variable that makes this test binary, re-run by
+/// [`every_surface_refuses_deep_nesting_with_a_typed_error`], execute one
+/// nesting case instead of spawning them.
+const NESTING_CASE: &str = "PATHALG_NESTING_CASE";
+
+/// One request line per nesting shape, each 10⁵ levels deep (the `WHERE`
+/// chain and the property map 5 × 10⁴, to stay under the 1 MiB line
+/// bound). Without a depth bound each of these overflows a 2 MiB stack,
+/// which aborts the whole process.
+fn deep_request_lines() -> Vec<String> {
+    const LEVELS: usize = 100_000;
+    let parens = format!("{}:Knows{}", "(".repeat(LEVELS), ")".repeat(LEVELS));
+    let alternation = vec![":Knows"; LEVELS].join("|");
+    let condition = vec!["len() = 1"; LEVELS / 2].join(" AND ");
+    let properties = vec!["k:1"; LEVELS / 2].join(", ");
+    vec![
+        format!("QUERY RPQ reach(x, y) :- {parens}, walk, all."),
+        format!(
+            "QUERY RPQ reach(x, y) :- {}, walk, all.",
+            knows_chain(LEVELS)
+        ),
+        format!("QUERY RPQ reach(x, y) :- {alternation}, walk, all."),
+        format!(
+            "QUERY MATCH ALL TRAIL p = (?x)-[{}]->(?y)",
+            knows_chain(LEVELS)
+        ),
+        format!("QUERY MATCH ALL TRAIL p = (?x)-[:Knows]->(?y) WHERE {condition}"),
+        format!("QUERY IR {}{}", "[".repeat(LEVELS), "]".repeat(LEVELS)),
+        format!("QUERY RPQ reach(x {{{properties}}}, y) :- :Knows, walk, all."),
+        format!("QUERY MATCH ALL TRAIL p = (?x)-[:Knows{{{LEVELS}}}]->(?y)"),
+    ]
+}
+
+/// Every shape gets an `ERR` line through `handle_line` on a 2 MiB stack,
+/// the size of a connection thread, and the same service then answers a
+/// normal query. Each case runs in a child process, so an overflow fails
+/// the test instead of aborting the test binary.
+#[test]
+fn every_surface_refuses_deep_nesting_with_a_typed_error() {
+    let lines = deep_request_lines();
+    if let Ok(case) = std::env::var(NESTING_CASE) {
+        let line = lines[case.parse::<usize>().unwrap()].clone();
+        let svc = snb50_service();
+        let replies = thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let refused = handle_line(&svc, &line).unwrap();
+                let served = handle_line(&svc, "QUERY MATCH ALL TRAIL p = (?x)-[:Knows]->(?y)");
+                (refused, served.unwrap())
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let refusal = &replies.0[0];
+        let bound = format!("deeper than {MAX_NESTING_DEPTH} levels");
+        assert!(
+            refusal.starts_with("ERR ") && refusal.contains(&bound),
+            "{refusal}"
+        );
+        assert!(replies.1[0].starts_with("OK 150 "), "{}", replies.1[0]);
+        return;
+    }
+    for (case, line) in lines.iter().enumerate() {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "every_surface_refuses_deep_nesting_with_a_typed_error",
+            ])
+            .env(NESTING_CASE, case.to_string())
+            .output()
+            .unwrap();
+        assert!(
+            child.status.success(),
+            "case {case} ({}…): {}",
+            &line[..40],
+            String::from_utf8_lossy(&child.stderr)
+        );
     }
 }
 
