@@ -59,6 +59,6 @@ pub use ops::projection::{ProjectionSpec, Take};
 pub use ops::recursive::PathSemantics;
 pub use path::Path;
 pub use pathset::PathSet;
-pub use pathset_repr::{LazyPathStream, PathSetRepr};
+pub use pathset_repr::LazyPathStream;
 pub use slice::{SlicePlan, SliceSpec};
 pub use solution_space::SolutionSpace;

@@ -1,18 +1,15 @@
-//! Materialized-or-lazy representations of a set of paths.
+//! The lazy form of a set of paths.
 //!
 //! Every operator of the algebra is defined over *sets of paths*, but nothing
 //! forces an implementation to hold the whole set in memory at once: a path
 //! multiset can equally be represented by a generator that produces the same
-//! paths, in the same canonical order, on demand. [`PathSetRepr`] is the
-//! bridge between the two physical forms — a fully materialised [`PathSet`]
-//! or a boxed [`LazyPathStream`] (the `pathalg-pmr` crate's path-multiset
-//! representation implements the trait) — so that slicing operators can pull
-//! only the paths they keep instead of forcing full materialisation.
+//! paths, in the same canonical order, on demand. [`LazyPathStream`] is that
+//! generator (the `pathalg-pmr` crate's path-multiset representation
+//! implements it), so that slicing operators can pull only the paths they
+//! keep instead of forcing full materialisation.
 
 use crate::error::AlgebraError;
 use crate::path::Path;
-use crate::pathset::PathSet;
-use std::fmt;
 
 /// A pull-based producer of paths in *canonical order*.
 ///
@@ -33,141 +30,4 @@ pub trait LazyPathStream {
     /// Produces up to `max` further paths in canonical order. An empty vector
     /// means the stream is exhausted.
     fn next_batch(&mut self, max: usize) -> Result<Vec<Path>, AlgebraError>;
-}
-
-/// A set of paths in either physical form: fully materialised, or a lazy
-/// stream that enumerates the same paths in canonical order. The lifetime is
-/// that of whatever the stream borrows (typically the graph).
-pub enum PathSetRepr<'a> {
-    /// The classical form: every path held in memory.
-    Materialized(PathSet),
-    /// A generator of the same paths in canonical order.
-    Lazy(Box<dyn LazyPathStream + Send + 'a>),
-}
-
-impl<'a> PathSetRepr<'a> {
-    /// Wraps a materialised set.
-    pub fn materialized(paths: PathSet) -> Self {
-        PathSetRepr::Materialized(paths)
-    }
-
-    /// Wraps a lazy stream.
-    pub fn lazy(stream: Box<dyn LazyPathStream + Send + 'a>) -> Self {
-        PathSetRepr::Lazy(stream)
-    }
-
-    /// True for the lazy form.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self, PathSetRepr::Lazy(_))
-    }
-
-    /// Drains the representation into a materialised [`PathSet`].
-    pub fn materialize(self) -> Result<PathSet, AlgebraError> {
-        match self {
-            PathSetRepr::Materialized(p) => Ok(p),
-            PathSetRepr::Lazy(mut stream) => {
-                let mut out = PathSet::new();
-                loop {
-                    let batch = stream.next_batch(BATCH)?;
-                    if batch.is_empty() {
-                        return Ok(out);
-                    }
-                    out.extend(batch);
-                }
-            }
-        }
-    }
-
-    /// The first `k` paths in canonical order. For the lazy form this pulls
-    /// exactly `k` paths and stops — the enumeration behind the stream never
-    /// expands past what those paths require.
-    pub fn top_k(self, k: usize) -> Result<PathSet, AlgebraError> {
-        match self {
-            PathSetRepr::Materialized(p) => Ok(p.into_iter().take(k).collect()),
-            PathSetRepr::Lazy(mut stream) => {
-                let mut out = PathSet::new();
-                while out.len() < k {
-                    let batch = stream.next_batch((k - out.len()).min(BATCH))?;
-                    if batch.is_empty() {
-                        break;
-                    }
-                    out.extend(batch);
-                }
-                Ok(out)
-            }
-        }
-    }
-}
-
-/// Pull granularity used when draining a lazy stream.
-const BATCH: usize = 256;
-
-impl fmt::Debug for PathSetRepr<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PathSetRepr::Materialized(p) => write!(f, "Materialized({} paths)", p.len()),
-            PathSetRepr::Lazy(_) => write!(f, "Lazy(..)"),
-        }
-    }
-}
-
-impl From<PathSet> for PathSetRepr<'_> {
-    fn from(paths: PathSet) -> Self {
-        PathSetRepr::Materialized(paths)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pathalg_graph::fixtures::figure1::Figure1;
-
-    /// A stream over a pre-built vector, for testing the adapters.
-    struct VecStream(std::vec::IntoIter<Path>);
-
-    impl LazyPathStream for VecStream {
-        fn next_batch(&mut self, max: usize) -> Result<Vec<Path>, AlgebraError> {
-            Ok(self.0.by_ref().take(max).collect())
-        }
-    }
-
-    fn three_paths() -> Vec<Path> {
-        let f = Figure1::new();
-        vec![
-            Path::edge(&f.graph, f.e1),
-            Path::edge(&f.graph, f.e2),
-            Path::edge(&f.graph, f.e4),
-        ]
-    }
-
-    #[test]
-    fn materialize_drains_a_lazy_stream_in_order() {
-        let paths = three_paths();
-        let repr = PathSetRepr::lazy(Box::new(VecStream(paths.clone().into_iter())));
-        assert!(repr.is_lazy());
-        let out = repr.materialize().unwrap();
-        assert_eq!(out.as_slice(), paths.as_slice());
-    }
-
-    #[test]
-    fn top_k_pulls_exactly_k() {
-        let paths = three_paths();
-        let repr = PathSetRepr::lazy(Box::new(VecStream(paths.clone().into_iter())));
-        let out = repr.top_k(2).unwrap();
-        assert_eq!(out.as_slice(), &paths[..2]);
-        // k beyond the stream length returns everything.
-        let repr = PathSetRepr::lazy(Box::new(VecStream(paths.clone().into_iter())));
-        assert_eq!(repr.top_k(99).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn materialized_form_is_a_passthrough() {
-        let paths: PathSet = three_paths().into_iter().collect();
-        let repr: PathSetRepr = paths.clone().into();
-        assert!(!repr.is_lazy());
-        assert_eq!(repr.materialize().unwrap(), paths);
-        let repr: PathSetRepr = paths.clone().into();
-        assert_eq!(repr.top_k(1).unwrap().len(), 1);
-        assert!(format!("{:?}", PathSetRepr::materialized(paths)).contains("Materialized"));
-    }
 }

@@ -45,7 +45,6 @@ use pathalg_core::ops::selection::selection;
 use pathalg_core::ops::union::union;
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
-use pathalg_core::pathset_repr::PathSetRepr;
 use pathalg_core::solution_space::SolutionSpace;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
@@ -82,6 +81,15 @@ impl std::fmt::Display for StrategyDecision {
     }
 }
 
+/// [`StrategyDecision::chosen`] of a sliced pipeline.
+const LAZY_SLICED_PIPELINE: &str = "lazy-sliced-pipeline";
+
+/// True when `decisions` record a sliced pipeline: the lazy PMR evaluated a
+/// γ/τ/π pipeline, pulling only the paths the projection keeps.
+pub(crate) fn ran_lazy_pipeline(decisions: &[StrategyDecision]) -> bool {
+    decisions.iter().any(|d| d.chosen == LAZY_SLICED_PIPELINE)
+}
+
 /// The execution configuration handed to the
 /// [`QueryRunner`](crate::runner::QueryRunner), the query service and the
 /// [`EngineEvaluator`]. It holds nothing that changes evaluation: every
@@ -107,7 +115,6 @@ pub struct EngineEvaluator<'g> {
     cancel: Option<Arc<CancelToken>>,
     stats: EvalStats,
     work: WorkCounters,
-    lazy_pipeline_fired: bool,
     decisions: Vec<StrategyDecision>,
 }
 
@@ -128,7 +135,6 @@ impl<'g> EngineEvaluator<'g> {
             cancel: None,
             stats: EvalStats::default(),
             work: WorkCounters::default(),
-            lazy_pipeline_fired: false,
             decisions: Vec::new(),
         }
     }
@@ -182,10 +188,10 @@ impl<'g> EngineEvaluator<'g> {
     }
 
     /// True if a sliceable pipeline was actually evaluated through the lazy
-    /// PMR during this evaluator's lifetime — an observation of what ran,
-    /// not a prediction.
+    /// PMR during this evaluator's lifetime — read off the recorded
+    /// decisions, so an observation of what ran, not a prediction.
     pub fn used_lazy_pipeline(&self) -> bool {
-        self.lazy_pipeline_fired
+        ran_lazy_pipeline(&self.decisions)
     }
 
     /// Evaluates an expression, returning paths or a solution space according
@@ -325,7 +331,7 @@ impl<'g> EngineEvaluator<'g> {
                     ""
                 }
             ),
-            "lazy-sliced-pipeline",
+            LAZY_SLICED_PIPELINE,
             estimate,
         );
         let mut pmr = self.kernel(
@@ -339,7 +345,6 @@ impl<'g> EngineEvaluator<'g> {
         let out = pmr.sliced(&plan.spec)?;
         self.work.merge(&pmr.work_counters());
         let generated = pmr.steps_generated();
-        self.lazy_pipeline_fired = true;
         // Bypassed operators: Edges and σ per hop, the k−1 joins, ϕ, the
         // endpoint σ (when present), γ and (when present) τ; the π node
         // itself is charged by the caller.
@@ -445,25 +450,6 @@ impl<'g> EngineEvaluator<'g> {
             chosen,
             estimate,
         });
-    }
-
-    /// Evaluates an expression into a [`PathSetRepr`]: a root-level
-    /// recursive label scan or label-scan join chain (bounded, or under a
-    /// finite semantics) returns the *lazy* PMR form, so callers can pull
-    /// top-k results without the closure — or, for chains, either join side
-    /// — ever being materialised; every other plan evaluates as usual and
-    /// returns the materialised form.
-    pub fn eval_repr(&mut self, expr: &PlanExpr) -> Result<PathSetRepr<'static>, AlgebraError> {
-        if let PlanExpr::Recursive { semantics, input } = expr {
-            if let Some(chain) = input.label_scan_chain() {
-                if *semantics != PathSemantics::Walk || self.recursion.max_length.is_some() {
-                    let pmr =
-                        Pmr::from_shared_join(self.chain_hops(&chain), *semantics, self.recursion);
-                    return Ok(PathSetRepr::lazy(Box::new(pmr)));
-                }
-            }
-        }
-        Ok(PathSetRepr::materialized(self.eval_paths(expr)?))
     }
 
     /// Evaluates an expression that must produce a set of paths.
@@ -803,48 +789,6 @@ mod tests {
             let out = engine.eval_paths(&plan).unwrap();
             assert_eq!(out.as_slice(), expected.as_slice(), "{plan} diverged");
         }
-    }
-
-    #[test]
-    fn eval_repr_returns_a_lazy_form_for_label_scans() {
-        use pathalg_core::PathSemantics;
-        let f = Figure1::new();
-        let plan = PlanExpr::edges()
-            .select(Condition::edge_label(1, "Knows"))
-            .recursive(PathSemantics::Trail);
-        let mut engine = EngineEvaluator::new(
-            &f.graph,
-            RecursionConfig::default(),
-            ExecutionConfig::default(),
-        );
-        let materialised = engine.eval_paths(&plan).unwrap();
-        let mut engine = EngineEvaluator::new(
-            &f.graph,
-            RecursionConfig::default(),
-            ExecutionConfig::default(),
-        );
-        let repr = engine.eval_repr(&plan).unwrap();
-        assert!(repr.is_lazy());
-        let prefix: Vec<_> = materialised.iter().take(3).cloned().collect();
-        assert_eq!(repr.top_k(3).unwrap().as_slice(), prefix.as_slice());
-        // Non-scan plans come back materialised.
-        let mut engine = EngineEvaluator::new(
-            &f.graph,
-            RecursionConfig::default(),
-            ExecutionConfig::default(),
-        );
-        let repr = engine.eval_repr(&PlanExpr::nodes()).unwrap();
-        assert!(!repr.is_lazy());
-        // Unbounded Walk keeps the materialising (error-detecting) path.
-        let walk = PlanExpr::edges()
-            .select(Condition::edge_label(1, "Knows"))
-            .recursive(PathSemantics::Walk);
-        let mut engine = EngineEvaluator::new(
-            &f.graph,
-            RecursionConfig::unbounded(),
-            ExecutionConfig::default(),
-        );
-        assert!(engine.eval_repr(&walk).is_err());
     }
 
     #[test]

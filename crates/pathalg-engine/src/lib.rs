@@ -26,7 +26,8 @@
 //!   independent correctness oracle and benchmark comparator.
 //! * [`runner`] — [`runner::QueryRunner`]: parse → type-check → optimize →
 //!   evaluate, the "reference implementation of GQL / SQL-PGQ" the paper
-//!   sketches.
+//!   sketches, over [`runner::Planner`], the plan stage the query service
+//!   shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,4 +39,4 @@ pub mod physical;
 pub mod runner;
 
 pub use exec::{EngineEvaluator, ExecutionConfig};
-pub use runner::{QueryResult, QueryRunner, RunnerConfig};
+pub use runner::{PlannedQuery, Planner, QueryResult, QueryRunner, RunnerConfig};

@@ -1,4 +1,4 @@
-//! The end-to-end query runner: parse → type-check → optimize → evaluate.
+//! The end-to-end query runner: parse → type-check → plan → evaluate.
 //!
 //! [`QueryRunner`] is the "sound proof-of-concept implementation of the GQL
 //! and SQL/PGQ standards" the paper argues becomes easy once the algebra and
@@ -6,19 +6,27 @@
 //!
 //! 1. `pathalg-parser` turns the query text into an AST and a logical plan;
 //! 2. the plan is type-checked (paths vs. solution spaces);
-//! 3. `pathalg-core`'s optimizer rewrites it (predicate pushdown,
-//!    ϕWalk→ϕShortest, redundant-τ elimination);
-//! 4. the engine's physical evaluator ([`crate::exec::EngineEvaluator`])
-//!    executes it, collecting statistics — a ϕ over a label scan or join
-//!    chain drains the lazy `pathalg-pmr` kernel, every other ϕ runs the
-//!    per-source frontier engine, serial per query.
+//! 3. the [`Planner`] rewrites it with `pathalg-core`'s optimizer (predicate
+//!    pushdown, ϕWalk→ϕShortest, redundant-τ elimination) and estimates
+//!    every ϕ node's closure against the graph's [`GraphStats`];
+//! 4. the engine's physical evaluator ([`crate::exec::EngineEvaluator`]),
+//!    built by the same planner, executes it, collecting statistics — a ϕ
+//!    over a label scan or join chain drains the lazy `pathalg-pmr` kernel,
+//!    every other ϕ runs the per-source frontier engine, serial per query.
+//!
+//! The [`Planner`] is the one plan stage of the workspace: the query service
+//! (`pathalg-server`) plans and builds its evaluators through it too, so a
+//! runner and a service over the same graph run the same optimized plan
+//! with the same strategy decisions. It computes the graph's statistics
+//! once, when it is built; the graph is immutable, so nothing recomputes
+//! them.
 //!
 //! The result carries the original and optimized plans, the rewrite trace and
 //! the evaluation statistics, so callers can print an `EXPLAIN ANALYZE`-style
 //! report.
 
-use crate::cost::{estimate, CostEstimate};
-use crate::exec::{EngineEvaluator, ExecutionConfig, StrategyDecision};
+use crate::cost::{estimate, estimate_plan_closures, ClosureEstimate, CostEstimate};
+use crate::exec::{ran_lazy_pipeline, EngineEvaluator, ExecutionConfig, StrategyDecision};
 use pathalg_core::error::AlgebraError;
 use pathalg_core::eval::EvalStats;
 use pathalg_core::expr::PlanExpr;
@@ -30,6 +38,7 @@ use pathalg_graph::stats::GraphStats;
 use pathalg_parser::ast::PathQuery;
 use pathalg_parser::parse_query;
 use std::fmt;
+use std::sync::Arc;
 
 /// Configuration of the query runner.
 #[derive(Clone, Copy, Debug)]
@@ -73,6 +82,74 @@ impl RunnerConfig {
     }
 }
 
+/// What planning produced for one checked plan: the unit the query
+/// service's plan cache stores and every execution consumes.
+#[derive(Debug)]
+pub struct PlannedQuery {
+    /// The optimized plan that executions run.
+    pub plan: PlanExpr,
+    /// The optimizer rewrites that fired.
+    pub rewrites: Vec<RewriteEvent>,
+    /// Closure estimates of every recursive operator, outermost first
+    /// ([`estimate_plan_closures`]) — the service's admission evidence.
+    pub closures: Vec<(String, ClosureEstimate)>,
+}
+
+/// The plan stage over one graph: its statistics, the optimizer, and the
+/// evaluators that run what it planned. Shared by [`QueryRunner`] and the
+/// query service. Statistics are computed once, in [`Planner::new`], and
+/// only ever annotate strategy decisions and admission estimates: they
+/// never change results or which implementation runs.
+pub struct Planner {
+    stats: Arc<GraphStats>,
+    optimizer: Optimizer,
+    optimize: bool,
+}
+
+impl Planner {
+    /// A planner over `graph`; `optimize` says whether
+    /// [`Planner::plan`] runs the logical optimizer.
+    pub fn new(graph: &PropertyGraph, optimize: bool) -> Self {
+        Self {
+            stats: Arc::new(GraphStats::compute(graph)),
+            optimizer: Optimizer::new(),
+            optimize,
+        }
+    }
+
+    /// The graph statistics the planner estimates with.
+    pub fn graph_stats(&self) -> &GraphStats {
+        &self.stats
+    }
+
+    /// Optimizes a checked plan (when enabled) and estimates the closures of
+    /// the optimized plan under `recursion`.
+    pub fn plan(&self, checked: &PlanExpr, recursion: &RecursionConfig) -> PlannedQuery {
+        let (plan, rewrites) = if self.optimize {
+            self.optimizer.optimize_with_trace(checked)
+        } else {
+            (checked.clone(), Vec::new())
+        };
+        let closures = estimate_plan_closures(&plan, &self.stats, recursion);
+        PlannedQuery {
+            plan,
+            rewrites,
+            closures,
+        }
+    }
+
+    /// An evaluator over `graph` under `recursion`, with the planner's
+    /// statistics attached so every strategy decision carries its estimate.
+    pub fn evaluator<'a>(
+        &'a self,
+        graph: &'a PropertyGraph,
+        recursion: RecursionConfig,
+    ) -> EngineEvaluator<'a> {
+        EngineEvaluator::new(graph, recursion, ExecutionConfig::default())
+            .with_graph_stats(&self.stats)
+    }
+}
+
 /// The result of running a query.
 #[derive(Clone, Debug)]
 pub struct QueryResult {
@@ -82,9 +159,7 @@ pub struct QueryResult {
     optimized_plan: PlanExpr,
     rewrites: Vec<RewriteEvent>,
     stats: EvalStats,
-    cost_before: CostEstimate,
-    cost_after: CostEstimate,
-    lazy_pipeline: bool,
+    graph_stats: Arc<GraphStats>,
     decisions: Vec<StrategyDecision>,
 }
 
@@ -119,18 +194,22 @@ impl QueryResult {
         self.stats
     }
 
-    /// Cost estimates before and after optimization.
+    /// Cost estimates before and after optimization, computed on request
+    /// against the graph statistics the query was planned with.
     pub fn cost_estimates(&self) -> (CostEstimate, CostEstimate) {
-        (self.cost_before, self.cost_after)
+        (
+            estimate(&self.plan, &self.graph_stats),
+            estimate(&self.optimized_plan, &self.graph_stats),
+        )
     }
 
     /// True if the executed plan was a sliceable γ/τ/π pipeline evaluated
     /// through the lazy path-multiset representation (`pathalg-pmr`) — i.e.
     /// the engine pulled only the paths the projection keeps instead of
-    /// materialising the recursive closure. Reported by the evaluator that
-    /// ran the plan, so it reflects what actually executed.
+    /// materialising the recursive closure. Read off the recorded strategy
+    /// decisions, so it reflects what actually executed.
     pub fn used_lazy_pipeline(&self) -> bool {
-        self.lazy_pipeline
+        ran_lazy_pipeline(&self.decisions)
     }
 
     /// The adaptive strategy decisions the evaluator recorded, in evaluation
@@ -154,19 +233,17 @@ impl QueryResult {
                 out.push_str(&format!("  {rewrite}\n"));
             }
         }
+        let (before, after) = self.cost_estimates();
         out.push_str(&format!(
             "== cost estimate ==\n  before: {:.1} (card {:.1})\n  after:  {:.1} (card {:.1})\n",
-            self.cost_before.cost,
-            self.cost_before.cardinality,
-            self.cost_after.cost,
-            self.cost_after.cardinality
+            before.cost, before.cardinality, after.cost, after.cardinality
         ));
         out.push_str(&format!(
             "== execution ==\n  {}\n  {} result paths\n",
             self.stats,
             self.paths.len()
         ));
-        if self.lazy_pipeline {
+        if self.used_lazy_pipeline() {
             out.push_str("  strategy: lazy sliced pipeline (PMR top-k enumeration)\n");
         }
         if !self.decisions.is_empty() {
@@ -188,9 +265,8 @@ impl fmt::Display for QueryResult {
 /// Runs path queries against one graph.
 pub struct QueryRunner<'g> {
     graph: &'g PropertyGraph,
-    stats: GraphStats,
     config: RunnerConfig,
-    optimizer: Optimizer,
+    planner: Planner,
 }
 
 impl<'g> QueryRunner<'g> {
@@ -204,15 +280,14 @@ impl<'g> QueryRunner<'g> {
     pub fn with_config(graph: &'g PropertyGraph, config: RunnerConfig) -> Self {
         Self {
             graph,
-            stats: GraphStats::compute(graph),
             config,
-            optimizer: Optimizer::new(),
+            planner: Planner::new(graph, config.optimize),
         }
     }
 
     /// The graph statistics used by the cost model.
     pub fn graph_stats(&self) -> &GraphStats {
-        &self.stats
+        self.planner.graph_stats()
     }
 
     /// Parses, optimizes and evaluates a query text.
@@ -227,54 +302,34 @@ impl<'g> QueryRunner<'g> {
         // Plan generation + type check in one fallible step (the error is a
         // proper `AlgebraError`, never a panic).
         let plan = query.to_checked_plan()?;
-        self.run_plan_with_query(query, plan)
-    }
-
-    /// Optimizes and evaluates a hand-built plan (no query text involved).
-    pub fn run_plan(&self, plan: &PlanExpr) -> Result<(PathSet, EvalStats), AlgebraError> {
-        let executed = if self.config.optimize {
-            self.optimizer.optimize(plan)
-        } else {
-            plan.clone()
-        };
-        let mut evaluator =
-            EngineEvaluator::new(self.graph, self.config.recursion, self.config.execution)
-                .with_graph_stats(&self.stats);
-        let paths = evaluator.eval_paths(&executed)?;
-        Ok((paths, evaluator.stats()))
-    }
-
-    fn run_plan_with_query(
-        &self,
-        query: PathQuery,
-        plan: PlanExpr,
-    ) -> Result<QueryResult, AlgebraError> {
-        let (optimized_plan, rewrites) = if self.config.optimize {
-            self.optimizer.optimize_with_trace(&plan)
-        } else {
-            (plan.clone(), Vec::new())
-        };
-        let cost_before = estimate(&plan, &self.stats);
-        let cost_after = estimate(&optimized_plan, &self.stats);
-        let mut evaluator =
-            EngineEvaluator::new(self.graph, self.config.recursion, self.config.execution)
-                .with_graph_stats(&self.stats);
-        let paths = evaluator.eval_paths(&optimized_plan)?;
-        // An observation of the strategy that actually ran, not a prediction.
-        let lazy_pipeline = evaluator.used_lazy_pipeline();
-        let decisions = evaluator.decisions().to_vec();
+        let (planned, paths, evaluator) = self.evaluate(&plan)?;
         Ok(QueryResult {
             paths,
             query,
             plan,
-            optimized_plan,
-            rewrites,
+            optimized_plan: planned.plan,
+            rewrites: planned.rewrites,
             stats: evaluator.stats(),
-            cost_before,
-            cost_after,
-            lazy_pipeline,
-            decisions,
+            graph_stats: self.planner.stats.clone(),
+            decisions: evaluator.decisions().to_vec(),
         })
+    }
+
+    /// Optimizes and evaluates a hand-built plan (no query text involved).
+    pub fn run_plan(&self, plan: &PlanExpr) -> Result<(PathSet, EvalStats), AlgebraError> {
+        let (_, paths, evaluator) = self.evaluate(plan)?;
+        Ok((paths, evaluator.stats()))
+    }
+
+    /// Plans a checked plan and evaluates the result.
+    fn evaluate(
+        &self,
+        checked: &PlanExpr,
+    ) -> Result<(PlannedQuery, PathSet, EngineEvaluator<'_>), AlgebraError> {
+        let planned = self.planner.plan(checked, &self.config.recursion);
+        let mut evaluator = self.planner.evaluator(self.graph, self.config.recursion);
+        let paths = evaluator.eval_paths(&planned.plan)?;
+        Ok((planned, paths, evaluator))
     }
 }
 

@@ -1,13 +1,15 @@
-//! The bounded plan cache: planning work done once per (plan, stats epoch).
+//! The bounded plan cache: planning work done once per (plan, epoch).
 //!
-//! A cache entry holds everything the planning phase produces — the optimized
-//! plan, the rewrite trace, cost estimates, and the closure estimates the
-//! admission gate checks — so a warm request goes straight from cache lookup
-//! to execution. The key is the *normalised* plan fingerprint
+//! A cache entry is what the plan stage produces
+//! ([`pathalg_engine::runner::Planner::plan`]) — the optimized plan, the
+//! rewrite trace and the closure estimates the admission gate checks — so a
+//! warm request goes straight from cache lookup to execution. The key is the
+//! *normalised* plan fingerprint
 //! ([`pathalg_parser::normalize::plan_cache_key`]) paired with the service's
-//! stats epoch: bumping the epoch (graph changed, statistics recomputed)
-//! makes every cached decision unreachable, and
-//! [`PlanCache::retain_epoch`] drops the stale entries eagerly.
+//! epoch, and the epoch itself lives here, under the cache's own mutex:
+//! [`PlanCache::retain_epoch`] advances it and drops every older entry, and
+//! an insert planned under an older epoch is dropped, so no stale entry can
+//! come back after a bump.
 //!
 //! Eviction is least-recently-used over a monotonic touch tick. The scan to
 //! find the LRU victim is `O(capacity)`, which is deliberate: service plan
@@ -15,39 +17,17 @@
 //! whole cache a plain `Mutex`-guarded map with no unsafe, no intrusive
 //! lists, and no dependency.
 
-use pathalg_core::expr::PlanExpr;
-use pathalg_core::optimizer::RewriteEvent;
-use pathalg_engine::cost::{ClosureEstimate, CostEstimate};
-use pathalg_engine::exec::StrategyDecision;
+use pathalg_engine::runner::PlannedQuery;
 use pathalg_parser::normalize::PlanKey;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Everything planning produced for one (normalised plan, epoch): the unit
 /// the plan cache stores and the execution phase consumes.
-#[derive(Debug)]
-pub struct CachedPlan {
-    /// The optimized plan that executions of this entry run.
-    pub plan: PlanExpr,
-    /// The optimizer rewrites that fired.
-    pub rewrites: Vec<RewriteEvent>,
-    /// Cost estimate of the plan as submitted.
-    pub cost_before: CostEstimate,
-    /// Cost estimate of the optimized plan.
-    pub cost_after: CostEstimate,
-    /// Closure estimates of every recursive operator, outermost first — the
-    /// admission gate's evidence
-    /// ([`pathalg_engine::cost::estimate_plan_closures`]).
-    pub closures: Vec<(String, ClosureEstimate)>,
-    /// The strategy decisions recorded by the first execution of this entry
-    /// — set once, then shared by every later hit (repeat queries skip
-    /// parse/plan/cost *and* can report their strategy without re-deriving
-    /// it).
-    pub decisions: OnceLock<Vec<StrategyDecision>>,
-}
+pub type CachedPlan = PlannedQuery;
 
-/// The plan cache's key: normalised-plan fingerprint × stats epoch.
+/// The plan cache's key: normalised-plan fingerprint × epoch.
 pub type CacheKey = (PlanKey, u64);
 
 /// A minimal bounded LRU map. Used for the plan cache and, separately, for
@@ -113,18 +93,25 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
 }
 
 /// The service's plan cache: a bounded LRU from [`CacheKey`] to shared
-/// planning results.
+/// planning results, and the current epoch.
 #[derive(Debug)]
 pub struct PlanCache {
     entries: Lru<CacheKey, Arc<CachedPlan>>,
+    epoch: u64,
 }
 
 impl PlanCache {
-    /// An empty cache bounded to `capacity` plans.
+    /// An empty cache bounded to `capacity` plans, at epoch 0.
     pub fn new(capacity: usize) -> Self {
         Self {
             entries: Lru::new(capacity),
+            epoch: 0,
         }
+    }
+
+    /// The current epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Looks up and touches the entry of `key`.
@@ -132,14 +119,19 @@ impl PlanCache {
         self.entries.get(key)
     }
 
-    /// Inserts a freshly planned entry.
+    /// Inserts a freshly planned entry. An entry planned under an older
+    /// epoch is dropped: a request that raced a bump cannot put a stale
+    /// entry back.
     pub fn insert(&mut self, key: CacheKey, plan: Arc<CachedPlan>) {
-        self.entries.insert(key, plan);
+        if key.1 == self.epoch {
+            self.entries.insert(key, plan);
+        }
     }
 
-    /// Drops every entry whose epoch is not `epoch` — called on epoch bumps
-    /// so stale strategy decisions can never be served again.
+    /// Makes `epoch` the current epoch and drops every entry of another
+    /// one — called on epoch bumps so stale plans can never be served again.
     pub fn retain_epoch(&mut self, epoch: u64) {
+        self.epoch = epoch;
         self.entries.retain(|(_, e)| *e == epoch);
     }
 
@@ -185,5 +177,25 @@ mod tests {
         assert_eq!(lru.len(), 3);
         assert!(lru.get(&1).is_none());
         assert!(lru.get(&2).is_some());
+    }
+
+    #[test]
+    fn an_insert_from_an_older_epoch_is_dropped() {
+        use pathalg_core::expr::PlanExpr;
+        use pathalg_core::ops::recursive::RecursionConfig;
+        use pathalg_parser::normalize::plan_cache_key;
+        let plan = PlanExpr::edges();
+        let key = plan_cache_key(&plan, &RecursionConfig::default());
+        let entry = Arc::new(CachedPlan {
+            plan,
+            rewrites: Vec::new(),
+            closures: Vec::new(),
+        });
+        let mut cache = PlanCache::new(4);
+        cache.retain_epoch(1);
+        cache.insert((key.clone(), 0), entry.clone());
+        assert_eq!(cache.len(), 0, "a plan from before the bump stays out");
+        cache.insert((key, 1), entry);
+        assert_eq!(cache.len(), 1);
     }
 }

@@ -5,15 +5,14 @@
 //! decisions. This crate is the serving layer that makes the paper's algebra
 //! answer *concurrent* traffic against one shared graph (DESIGN.md §11):
 //!
-//! * **Shared snapshots** — the service owns an `Arc`-shared
-//!   [`PropertyGraph`](pathalg_graph::graph::PropertyGraph) and a
-//!   [`GraphStats`](pathalg_graph::stats::GraphStats) snapshot tagged with an
-//!   *epoch*; requests plan against the snapshot they admitted under, and an
-//!   epoch bump atomically swaps statistics and purges stale cached plans.
+//! * **One plan stage** — the service owns an `Arc`-shared, immutable
+//!   [`PropertyGraph`](pathalg_graph::graph::PropertyGraph) and the engine's
+//!   [`Planner`](pathalg_engine::runner::Planner) over it, the plan stage
+//!   `QueryRunner` uses too; the graph's statistics are computed once, and
+//!   an epoch bump only purges cached plans.
 //! * **Plan cache** — a bounded LRU keyed by (normalised plan fingerprint,
-//!   epoch) stores the optimized plan, cost estimates, closure estimates and
-//!   the recorded strategy decisions, so repeat queries skip
-//!   parse/plan/cost entirely ([`cache`]).
+//!   epoch) stores the optimized plan and its closure estimates, so repeat
+//!   queries skip parse and plan entirely ([`cache`]).
 //! * **In-flight deduplication** — a wait-map coalesces concurrent identical
 //!   queries: one leader evaluates and renders the answer's wire bytes once,
 //!   all waiters share the `Arc`-ed outcome ([`service`]).

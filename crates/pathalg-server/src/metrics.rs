@@ -119,7 +119,7 @@ impl Metrics {
         self.executions.load(Ordering::Relaxed)
     }
 
-    /// Plan-cache hits (parse/plan/cost skipped).
+    /// Plan-cache hits (optimize and closure estimates skipped).
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits.load(Ordering::Relaxed)
     }

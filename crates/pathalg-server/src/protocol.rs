@@ -84,9 +84,9 @@ pub enum Request {
     Metrics,
     /// `TRACE <id>` — the per-request report of one retained trace.
     Trace(u64),
-    /// `EPOCH` — the current stats epoch.
+    /// `EPOCH` — the current epoch.
     Epoch,
-    /// `BUMP` — recompute stats, purge stale plans, advance the epoch.
+    /// `BUMP` — advance the epoch and purge every cached plan.
     Bump,
     /// `PING` — liveness check.
     Ping,
@@ -187,7 +187,7 @@ pub struct QueryReply {
     pub cache: CacheStatus,
     /// Whether this request evaluated (leader) or coalesced (waiter).
     pub dedup: DedupRole,
-    /// The stats epoch the request ran under.
+    /// The epoch the request ran under.
     pub epoch: u64,
     /// The id of the request's retained trace (`TRACE <id>` reads it back).
     /// `None` only when talking to a pre-trace server.

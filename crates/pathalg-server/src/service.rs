@@ -1,15 +1,18 @@
-//! The long-lived [`QueryService`]: shared snapshots, a plan cache, request
+//! The long-lived [`QueryService`]: a shared graph, a plan cache, request
 //! coalescing, and admission control in front of the engine.
 //!
-//! One service instance owns an `Arc`-shared [`PropertyGraph`] plus a
-//! [`GraphStats`] snapshot tagged with an **epoch**. A request flows through
-//! four stages, each skippable when earlier work already covers it:
+//! One service instance owns an `Arc`-shared, immutable [`PropertyGraph`]
+//! and the [`Planner`] over it — the plan stage
+//! [`pathalg_engine::runner::QueryRunner`] uses too, holding the graph's
+//! statistics, computed once. A request flows through four stages, each
+//! skippable when earlier work already covers it:
 //!
 //! 1. **Parse** — a bounded text-alias cache maps repeat request strings
 //!    straight to their checked plan and cache key.
 //! 2. **Plan** — the plan cache ([`crate::cache::PlanCache`]), keyed by
-//!    (normalised plan, epoch), holds the optimized plan, cost estimates and
-//!    closure estimates; a hit skips the optimizer and the cost model.
+//!    (normalised plan, epoch), holds what [`Planner::plan`] produced: the
+//!    optimized plan and its closure estimates; a hit skips the optimizer
+//!    and the estimator.
 //! 3. **Admit** — per-request quotas ([`RequestQuota`]) tighten the
 //!    recursion bounds, and the closure estimates gate predicted blow-ups
 //!    behind a typed [`AdmissionError`] *before* any enumeration starts.
@@ -19,9 +22,9 @@
 //!    `Arc`-shared outcome. N identical concurrent queries cost one
 //!    evaluation.
 //!
-//! Epoch bumps ([`QueryService::bump_epoch`]) recompute statistics and purge
-//! every cached plan of older epochs, so a strategy decision can never
-//! outlive the statistics that justified it.
+//! An epoch bump ([`QueryService::bump_epoch`]) advances the epoch and purges
+//! every cached plan, under the plan cache's mutex. It does no statistics
+//! work: the graph cannot change, so neither can its statistics.
 
 use crate::cache::{CacheKey, CachedPlan, Lru, PlanCache};
 use crate::error::{AdmissionError, ServiceError};
@@ -32,12 +35,10 @@ use pathalg_core::error::AlgebraError;
 use pathalg_core::expr::PlanExpr;
 use pathalg_core::obs::{Stage, StageSpans, WorkCounters};
 use pathalg_core::ops::recursive::RecursionConfig;
-use pathalg_core::optimizer::Optimizer;
 use pathalg_core::path::write_ids;
-use pathalg_engine::cost::{estimate, estimate_plan_closures};
-use pathalg_engine::exec::{EngineEvaluator, ExecutionConfig, StrategyDecision};
+use pathalg_engine::exec::{ExecutionConfig, StrategyDecision};
+use pathalg_engine::runner::Planner;
 use pathalg_graph::graph::PropertyGraph;
-use pathalg_graph::stats::GraphStats;
 use pathalg_parser::normalize::{plan_cache_key, PlanKey};
 use pathalg_parser::{lower_to_checked_plan, parse_surface, QuerySurface};
 use std::collections::HashMap;
@@ -116,7 +117,8 @@ impl Default for ServiceConfig {
 pub enum CacheStatus {
     /// Planning was skipped: the (normalised plan, epoch) entry existed.
     Hit,
-    /// Full parse→optimize→cost planning ran and populated the cache.
+    /// The planner ran (optimize, closure estimates) and populated the
+    /// cache.
     Miss,
 }
 
@@ -181,7 +183,7 @@ pub struct QueryResponse {
     pub cache: CacheStatus,
     /// Whether this request evaluated or coalesced.
     pub dedup: DedupRole,
-    /// The stats epoch the request ran under.
+    /// The epoch the request ran under.
     pub epoch: u64,
     /// This request's trace — its own stage spans and dedup attribution,
     /// retained in the service's [`TraceRing`] under `trace.id`.
@@ -235,13 +237,6 @@ impl Flight {
     }
 }
 
-/// The statistics snapshot requests plan against: recomputed and re-tagged
-/// by every epoch bump.
-struct StatsSnapshot {
-    stats: Arc<GraphStats>,
-    epoch: u64,
-}
-
 /// A deterministic test fence: called by the leader after it has claimed an
 /// execution (the `executions` counter is already incremented) and before
 /// the evaluation starts. Concurrency tests use it to hold the leader until
@@ -279,8 +274,7 @@ impl Drop for ExecutionPermit<'_> {
 pub struct QueryService {
     graph: Arc<PropertyGraph>,
     config: ServiceConfig,
-    optimizer: Optimizer,
-    snapshot: RwLock<StatsSnapshot>,
+    planner: Planner,
     cache: Mutex<PlanCache>,
     text_cache: Mutex<Lru<(QuerySurface, String), (PlanExpr, PlanKey)>>,
     flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
@@ -292,15 +286,13 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Creates a service over `graph`, computing the initial statistics
-    /// snapshot (epoch 0).
+    /// Creates a service over `graph` at epoch 0; its planner computes the
+    /// graph's statistics here, once.
     pub fn new(graph: Arc<PropertyGraph>, config: ServiceConfig) -> Self {
-        let stats = Arc::new(GraphStats::compute(&graph));
         Self {
+            planner: Planner::new(&graph, config.optimize),
             graph,
             config,
-            optimizer: Optimizer::new(),
-            snapshot: RwLock::new(StatsSnapshot { stats, epoch: 0 }),
             cache: Mutex::new(PlanCache::new(config.plan_cache_capacity)),
             text_cache: Mutex::new(Lru::new(config.plan_cache_capacity)),
             flights: Mutex::new(HashMap::new()),
@@ -347,12 +339,9 @@ impl QueryService {
         self.traces.latest()
     }
 
-    /// The current stats epoch.
+    /// The current epoch.
     pub fn epoch(&self) -> u64 {
-        self.snapshot
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .epoch
+        self.cache.lock().unwrap_or_else(|e| e.into_inner()).epoch()
     }
 
     /// Number of plans currently cached.
@@ -411,22 +400,16 @@ impl QueryService {
         }
     }
 
-    /// Recomputes the statistics snapshot, advances the epoch, and purges
-    /// every cached plan of older epochs. Returns the new epoch. Requests
-    /// admitted before the bump finish against the snapshot they started
-    /// with (it is `Arc`-shared); requests after the bump re-plan.
+    /// Advances the epoch and purges every cached plan of older epochs,
+    /// under the plan cache's mutex. Returns the new epoch. Requests
+    /// admitted before the bump finish with the plan they started with (it
+    /// is `Arc`-shared), and their plans are not cached again; requests
+    /// after the bump re-plan. The graph is immutable, so its statistics
+    /// are not recomputed.
     pub fn bump_epoch(&self) -> u64 {
-        let stats = Arc::new(GraphStats::compute(&self.graph));
-        let mut snapshot = self.snapshot.write().unwrap_or_else(|e| e.into_inner());
-        snapshot.epoch += 1;
-        snapshot.stats = stats;
-        let epoch = snapshot.epoch;
-        // Purge while still holding the snapshot write lock, so no
-        // concurrent request can re-populate the cache under an old epoch.
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .retain_epoch(epoch);
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let epoch = cache.epoch() + 1;
+        cache.retain_epoch(epoch);
         epoch
     }
 
@@ -542,13 +525,9 @@ impl QueryService {
         cancel: Arc<CancelToken>,
     ) -> Result<QueryResponse, ServiceError> {
         let recursion = self.effective_recursion();
-        let (stats, epoch) = {
-            let snapshot = self.snapshot.read().unwrap_or_else(|e| e.into_inner());
-            (snapshot.stats.clone(), snapshot.epoch)
-        };
-        let cache_key: CacheKey = (key, epoch);
         let stage = Instant::now();
-        let (cached, cache_status) = self.planned(plan, &cache_key, &stats, &recursion);
+        let (cache_key, cached, cache_status) = self.planned(plan, key, &recursion);
+        let epoch = cache_key.1;
         let plan_span = stage.elapsed();
         spans.set(Stage::Plan, plan_span);
         self.metrics.record_stage(Stage::Plan, plan_span);
@@ -614,7 +593,7 @@ impl QueryService {
                 // waiters instead of a poisoned service.
                 let outcome = match catch_unwind(AssertUnwindSafe(|| {
                     self.hit_failpoint("execute");
-                    self.execute(&cached, &stats, recursion, &cancel)
+                    self.execute(&cached, recursion, &cancel)
                 })) {
                     Ok(result) => result,
                     Err(payload) => {
@@ -738,8 +717,7 @@ impl QueryService {
     /// Runs the parse, plan and admission stages — populating both caches —
     /// without executing: the service's EXPLAIN-style entry point. Returns
     /// the (possibly cached) planning artefacts and whether they came from
-    /// the cache. The `scaling_service` bench uses this to time planning in
-    /// isolation from evaluation.
+    /// the cache.
     pub fn prepare(&self, text: &str) -> Result<(Arc<CachedPlan>, CacheStatus), ServiceError> {
         self.prepare_on(QuerySurface::Gql, text)
     }
@@ -751,13 +729,7 @@ impl QueryService {
         text: &str,
     ) -> Result<(Arc<CachedPlan>, CacheStatus), ServiceError> {
         let (plan, key) = self.plan_of(surface, text)?;
-        let recursion = self.effective_recursion();
-        let (stats, epoch) = {
-            let snapshot = self.snapshot.read().unwrap_or_else(|e| e.into_inner());
-            (snapshot.stats.clone(), snapshot.epoch)
-        };
-        let cache_key: CacheKey = (key, epoch);
-        let (cached, status) = self.planned(&plan, &cache_key, &stats, &recursion);
+        let (_, cached, status) = self.planned(&plan, key, &self.effective_recursion());
         self.admit(&cached)?;
         Ok((cached, status))
     }
@@ -791,47 +763,33 @@ impl QueryService {
         Ok((plan, key))
     }
 
-    /// Plan stage: cache lookup, or full optimize + cost + closure
-    /// estimation. Two racing misses both plan and the later insert wins —
-    /// harmless, the entries are identical.
+    /// Plan stage: cache lookup under the current epoch, or
+    /// [`Planner::plan`]. Returns the cache key (its epoch is the one the
+    /// request runs under). Two racing misses both plan and the later insert
+    /// wins — harmless, the entries are identical; a miss that raced a bump
+    /// is not cached ([`PlanCache::insert`]).
     fn planned(
         &self,
         plan: &PlanExpr,
-        cache_key: &CacheKey,
-        stats: &GraphStats,
+        key: PlanKey,
         recursion: &RecursionConfig,
-    ) -> (Arc<CachedPlan>, CacheStatus) {
-        if let Some(entry) = self
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(cache_key)
-        {
-            self.metrics.inc_cache_hits();
-            return (entry, CacheStatus::Hit);
-        }
-        self.metrics.inc_cache_misses();
-        let (optimized, rewrites) = if self.config.optimize {
-            self.optimizer.optimize_with_trace(plan)
-        } else {
-            (plan.clone(), Vec::new())
+    ) -> (CacheKey, Arc<CachedPlan>, CacheStatus) {
+        let cache_key = {
+            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+            let cache_key: CacheKey = (key, cache.epoch());
+            if let Some(entry) = cache.get(&cache_key) {
+                self.metrics.inc_cache_hits();
+                return (cache_key, entry, CacheStatus::Hit);
+            }
+            cache_key
         };
-        let cost_before = estimate(plan, stats);
-        let cost_after = estimate(&optimized, stats);
-        let closures = estimate_plan_closures(&optimized, stats, recursion);
-        let entry = Arc::new(CachedPlan {
-            plan: optimized,
-            rewrites,
-            cost_before,
-            cost_after,
-            closures,
-            decisions: Default::default(),
-        });
+        self.metrics.inc_cache_misses();
+        let entry = Arc::new(self.planner.plan(plan, recursion));
         self.cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(cache_key.clone(), entry.clone());
-        (entry, CacheStatus::Miss)
+        (cache_key, entry, CacheStatus::Miss)
     }
 
     /// Admission stage: a predicted blow-up over the ceiling is refused with
@@ -853,23 +811,22 @@ impl QueryService {
         Ok(())
     }
 
-    /// Execution stage: the engine evaluator over the cached optimized plan,
-    /// under the request's tightened bounds, the epoch's statistics and the
-    /// request's cancellation token (checked cooperatively at every
+    /// Execution stage: the planner's evaluator over the cached optimized
+    /// plan, under the request's tightened bounds and the request's
+    /// cancellation token (checked cooperatively at every
     /// enumeration level across all engine strategies). The answer is
     /// rendered as it is produced — a root scan/chain ϕ straight from the
     /// kernel's reconstruction buffers — into the outcome's body.
     fn execute(
         &self,
         cached: &CachedPlan,
-        stats: &GraphStats,
         recursion: RecursionConfig,
         cancel: &Arc<CancelToken>,
     ) -> Result<Arc<QueryOutcome>, ServiceError> {
-        let mut evaluator =
-            EngineEvaluator::new(&self.graph, recursion, ExecutionConfig::default())
-                .with_graph_stats(stats)
-                .with_cancel(cancel.clone());
+        let mut evaluator = self
+            .planner
+            .evaluator(&self.graph, recursion)
+            .with_cancel(cancel.clone());
         let mut body = Vec::new();
         let path_count = evaluator
             .for_each_path(&cached.plan, |nodes, edges| {
@@ -878,14 +835,11 @@ impl QueryService {
                 body.push(b'\n');
             })
             .map_err(ServiceError::Evaluation)?;
-        let decisions = evaluator.decisions().to_vec();
-        let work = evaluator.work_counters();
-        let _ = cached.decisions.set(decisions.clone());
         Ok(Arc::new(QueryOutcome {
             path_count,
             body: body.into(),
-            decisions,
-            work,
+            decisions: evaluator.decisions().to_vec(),
+            work: evaluator.work_counters(),
         }))
     }
 }
@@ -951,7 +905,6 @@ mod tests {
         assert_eq!(svc.metrics().cache_misses(), 1);
         assert_eq!(svc.metrics().executions(), 2);
         assert_eq!(svc.cached_plans(), 1);
-        // The first execution's strategy decisions are pinned on the entry.
         assert!(!first.outcome.decisions.is_empty());
     }
 

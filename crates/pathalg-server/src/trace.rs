@@ -44,7 +44,7 @@ pub struct QueryTrace {
     pub cache: Option<CacheStatus>,
     /// Leader or waiter (`None` when the request failed before the flight).
     pub dedup: Option<DedupRole>,
-    /// The stats epoch the request ran under.
+    /// The epoch the request ran under.
     pub epoch: u64,
     /// Wall-clock spans of the stages this request actually ran.
     pub spans: StageSpans,

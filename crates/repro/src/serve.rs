@@ -82,7 +82,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     println!("  STATS         service counters (one line)");
     println!("  METRICS       Prometheus-style exposition (END-framed)");
     println!("  TRACE <id>    per-request stage/work report (ids on OK headers)");
-    println!("  EPOCH | BUMP  read / advance the stats epoch");
+    println!("  EPOCH | BUMP  read / advance the plan-cache epoch");
     println!("  PING | QUIT");
     if metrics {
         // A background reporter: dump the exposition to stdout every 10s so

@@ -108,25 +108,20 @@ fn main() {
         any_shortest.paths().len(),
         any_shortest.used_lazy_pipeline()
     );
-    //    …and `eval_repr` exposes the lazy form directly: the first ten
-    //    bounded friendship walks, pulled without ever materialising the
-    //    (enormous) full closure.
+    //    …and the kernel itself (`Pmr`) exposes the lazy form directly: the
+    //    first ten bounded friendship walks, pulled without ever
+    //    materialising the (enormous) full closure.
     use pathalg::algebra::ops::recursive::RecursionConfig;
-    use pathalg::engine::{EngineEvaluator, ExecutionConfig};
-    let walk_plan = PlanExpr::edges()
-        .select(Condition::edge_label(1, "Knows"))
-        .recursive(PathSemantics::Walk);
-    let mut engine = EngineEvaluator::new(
+    let mut walks = Pmr::from_label_scan(
         &graph,
+        "Knows",
+        PathSemantics::Walk,
         RecursionConfig {
             max_length: Some(6),
             max_paths: None,
         },
-        ExecutionConfig::default(),
     );
-    let repr = engine.eval_repr(&walk_plan).expect("lazy representation");
-    assert!(repr.is_lazy());
-    let first_ten = repr.top_k(10).expect("top-k enumeration");
+    let first_ten = walks.top_k(10).expect("top-k enumeration");
     println!(
         "first {} bounded friendship walks, enumerated lazily:",
         first_ten.len()

@@ -12,6 +12,10 @@
 //!   the same typed error serially and under 2/8-way concurrency without
 //!   wedging the service.
 //!
+//! * **One pipeline** — the service and `QueryRunner` plan through the same
+//!   `Planner`, so they run the same optimized plan, record the same
+//!   strategy decisions and return the same answer bytes.
+//!
 //! A proptest block pins the plan-cache key itself: α-equivalent and
 //! association-reordered plans share a key; plans that differ semantically
 //! (labels, ϕ semantics, recursion bounds) never collide.
@@ -21,6 +25,8 @@ use pathalg::algebra::error::AlgebraError;
 use pathalg::algebra::expr::PlanExpr;
 use pathalg::algebra::obs::Stage;
 use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
+use pathalg::algebra::path::Path;
+use pathalg::engine::runner::{QueryRunner, RunnerConfig};
 use pathalg::graph::fixtures::figure1::figure1_graph;
 use pathalg::graph::generator::snb::{snb_like_graph, SnbConfig};
 use pathalg::graph::generator::structured::complete_graph;
@@ -209,6 +215,60 @@ fn epoch_bump_invalidates_the_plan_cache() {
         "same graph, same answer across epochs"
     );
     assert_eq!(svc.submit(TRAIL).unwrap().cache, CacheStatus::Hit);
+}
+
+// ---------------------------------------------------------------------------
+// One pipeline: the runner and the service plan and evaluate alike
+// ---------------------------------------------------------------------------
+
+/// The benchmark's four query shapes on a small SNB graph — the point
+/// `ANY SHORTEST` scan and join, the target-anchored `ALL SHORTEST` join and
+/// the unanchored `ALL WALK` — give the same optimized plan, the same
+/// strategy decisions (operator, chosen, estimate) and the same answer
+/// bytes through `QueryRunner::run` and `QueryService::submit`.
+#[test]
+fn the_runner_and_the_service_run_one_pipeline() {
+    let graph = Arc::new(snb_like_graph(&SnbConfig::scale(200, 11)));
+    let config = ServiceConfig {
+        recursion: RecursionConfig {
+            max_length: Some(3),
+            max_paths: None,
+        },
+        ..ServiceConfig::default()
+    };
+    let svc = QueryService::new(graph.clone(), config);
+    let runner = QueryRunner::with_config(
+        &graph,
+        RunnerConfig {
+            recursion: svc.effective_recursion(),
+            ..RunnerConfig::default()
+        },
+    );
+    for query in [
+        r#"MATCH ANY SHORTEST WALK p = (?x {name:"Moe0"})-[:Knows+]->(?y)"#,
+        r#"MATCH ANY SHORTEST TRAIL p = (?x {name:"Moe0"})-[(:Likes/:Has_creator)+]->(?y)"#,
+        r#"MATCH ALL SHORTEST WALK p = (?x)-[(:Likes/:Has_creator)+]->(?y {name:"Apu1"})"#,
+        "MATCH ALL WALK p = (?x)-[:Knows+]->(?y)",
+    ] {
+        let ran = runner.run(query).unwrap();
+        let served = svc.submit(query).unwrap();
+        let (planned, _) = svc.prepare(query).unwrap();
+        assert_eq!(&planned.plan, ran.optimized_plan(), "{query}");
+        assert_eq!(
+            served.outcome.decisions,
+            ran.strategy_decisions(),
+            "{query}"
+        );
+        assert!(
+            ran.strategy_decisions()
+                .iter()
+                .all(|d| d.estimate.is_some()),
+            "{query}: every decision carries its estimate"
+        );
+        let lines: Vec<String> = ran.paths().iter().map(Path::display_ids).collect();
+        assert!(!lines.is_empty(), "{query}");
+        assert_eq!(served.outcome.canonical_lines(), lines, "{query}");
+    }
 }
 
 // ---------------------------------------------------------------------------
