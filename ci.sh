@@ -2,7 +2,8 @@
 # CI gate for the pathalg workspace. Run from the repo root:
 #
 #   ./ci.sh               full gate: fmt, clippy -D warnings, release build,
-#                         tests, docs -D warnings, bench compile, examples
+#                         tests, docs -D warnings, bench compile, benchmark
+#                         package check, examples
 #   ./ci.sh --quick       tier-1 subset only (see ROADMAP.md):
 #                         cargo build --release && cargo test -q
 #   ./ci.sh --bench-json  run every bench target under PATHALG_BENCH_MAX_MS
@@ -63,6 +64,9 @@ full() {
 
     step "cargo bench --no-run (compile all bench targets)"
     cargo bench --no-run -q
+
+    step "benchmark package compiles (its own workspace, see BENCHMARK.json)"
+    cargo check --locked --offline -q --manifest-path benchmark/Cargo.toml
 
     step "examples compile"
     cargo build -q --examples

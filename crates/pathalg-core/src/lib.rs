@@ -42,7 +42,6 @@ pub mod ops;
 pub mod optimizer;
 pub mod path;
 pub mod pathset;
-pub mod pathset_repr;
 pub mod plan;
 pub mod slice;
 pub mod solution_space;
@@ -59,6 +58,5 @@ pub use ops::projection::{ProjectionSpec, Take};
 pub use ops::recursive::PathSemantics;
 pub use path::Path;
 pub use pathset::PathSet;
-pub use pathset_repr::LazyPathStream;
 pub use slice::{SlicePlan, SliceSpec};
 pub use solution_space::SolutionSpace;

@@ -9,10 +9,9 @@
 //!   opened, paths kept). The same plan over the same graph reports the
 //!   same totals on every run, so cross-validation can pin them and the
 //!   observability layer doubles as a correctness oracle for the §8
-//!   enumeration invariants. The memory gauges (`arena_bytes_peak`,
-//!   `scratch_reuse_count`) describe how the work was stored, not what was
-//!   computed, and are excluded from the pinned subset
-//!   ([`WorkCounters::deterministic_line`]).
+//!   enumeration invariants. The memory gauge (`arena_bytes_peak`)
+//!   describes how the work was stored, not what was computed, and is
+//!   excluded from the pinned subset ([`WorkCounters::deterministic_line`]).
 //! * **Stage spans** ([`StageSpans`]) are *wall-clock*: monotonic-clock
 //!   durations of the parse → plan → admit → execute → render pipeline of
 //!   one request. They vary run to run and are never pinned; a stage that
@@ -55,10 +54,6 @@ pub struct WorkCounters {
     /// single arena footprint seen). A memory gauge, not part of
     /// [`Self::deterministic_line`].
     pub arena_bytes_peak: u64,
-    /// Times a hoisted scratch structure (level buffers, visited-set blocks,
-    /// saturation buffers) was reused instead of freshly allocated. A
-    /// memory gauge, excluded from [`Self::deterministic_line`].
-    pub scratch_reuse_count: u64,
 }
 
 impl WorkCounters {
@@ -75,7 +70,6 @@ impl WorkCounters {
         self.partitions_opened += other.partitions_opened;
         self.paths_kept += other.paths_kept;
         self.arena_bytes_peak = self.arena_bytes_peak.max(other.arena_bytes_peak);
-        self.scratch_reuse_count += other.scratch_reuse_count;
     }
 
     /// True when nothing was counted (no lazy operator ran).
@@ -84,7 +78,7 @@ impl WorkCounters {
     }
 
     /// The canonical rendering of the *deterministic* subset — everything
-    /// except the memory gauges; cross-validation pins it.
+    /// except the memory gauge; cross-validation pins it.
     pub fn deterministic_line(&self) -> String {
         format!(
             "steps={} segments={} emitted={} skipped={} abandoned={} \
@@ -105,10 +99,9 @@ impl fmt::Display for WorkCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} arena_bytes={} scratch_reuse={}",
+            "{} arena_bytes={}",
             self.deterministic_line(),
-            self.arena_bytes_peak,
-            self.scratch_reuse_count
+            self.arena_bytes_peak
         )
     }
 }
@@ -336,22 +329,17 @@ mod tests {
     fn arena_bytes_peak_merges_as_a_max_gauge() {
         let mut a = WorkCounters {
             arena_bytes_peak: 100,
-            scratch_reuse_count: 2,
             ..WorkCounters::default()
         };
         a.merge(&WorkCounters {
             arena_bytes_peak: 40,
-            scratch_reuse_count: 3,
             ..WorkCounters::default()
         });
         assert_eq!(a.arena_bytes_peak, 100, "peak keeps the max");
-        assert_eq!(a.scratch_reuse_count, 5, "reuse events add");
         let line = a.deterministic_line();
         assert!(!line.contains("arena_bytes"), "{line}");
-        assert!(!line.contains("scratch_reuse"), "{line}");
         let full = a.to_string();
         assert!(full.contains("arena_bytes=100"), "{full}");
-        assert!(full.contains("scratch_reuse=5"), "{full}");
     }
 
     #[test]

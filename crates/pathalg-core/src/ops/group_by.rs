@@ -162,73 +162,6 @@ pub fn group_by(key: GroupKey, input: &PathSet) -> SolutionSpace {
     SolutionSpace::new(paths, groups, partitions)
 }
 
-/// Per-group path counts computed without materialising any path: the γψ
-/// aggregate over the `(First(p), Last(p), Len(p))` key triples alone.
-///
-/// A compact path-multiset representation (the `pathalg-pmr` crate) can
-/// produce these triples straight from its product-graph arena, so group
-/// cardinalities — the input to `COUNT`-style aggregation over γψ — never
-/// require reconstructing a single path.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GroupCounts {
-    /// `(group key, number of member paths)` in first-occurrence order —
-    /// the same group order [`group_by`] produces.
-    pub entries: Vec<(GroupingKey, usize)>,
-}
-
-impl GroupCounts {
-    /// Total number of paths across all groups.
-    pub fn path_count(&self) -> usize {
-        self.entries.iter().map(|(_, n)| n).sum()
-    }
-
-    /// Number of groups.
-    pub fn group_count(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// Computes the γψ group cardinalities from `(First(p), Last(p), Len(p))`
-/// key triples, in first-occurrence order. For any path sequence, feeding
-/// its triples here yields exactly the per-group sizes of
-/// [`group_by`] over the same sequence.
-pub fn group_counts_from_triples(
-    key: GroupKey,
-    triples: impl IntoIterator<
-        Item = (
-            pathalg_graph::ids::NodeId,
-            pathalg_graph::ids::NodeId,
-            usize,
-        ),
-    >,
-) -> GroupCounts {
-    // Flat group identity: raw source/target ids + length component.
-    type FlatKey = (Option<u32>, Option<u32>, Option<usize>);
-    let mut entries: Vec<(GroupingKey, usize)> = Vec::new();
-    let mut index: FastMap<FlatKey, usize> = FastMap::default();
-    for (first, last, len) in triples {
-        let source = key.partitions_by_source().then_some(first);
-        let target = key.partitions_by_target().then_some(last);
-        let length = key.groups_by_length().then_some(len);
-        let gkey = (source.map(|n| n.0), target.map(|n| n.0), length);
-        match index.get(&gkey) {
-            Some(&i) => entries[i].1 += 1,
-            None => {
-                index.insert(gkey, entries.len());
-                entries.push((
-                    GroupingKey {
-                        source,
-                        target,
-                        length,
-                    },
-                    1,
-                ));
-            }
-        }
-    }
-    GroupCounts { entries }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,25 +346,6 @@ mod tests {
         check(GroupKey::SourceLength, 3, true);
         check(GroupKey::TargetLength, 3, true);
         check(GroupKey::SourceTargetLength, 9, true);
-    }
-
-    #[test]
-    fn group_counts_from_triples_match_group_by_on_every_key() {
-        let f = Figure1::new();
-        let paths = trails(&f);
-        for key in GroupKey::ALL {
-            let ss = group_by(key, &paths);
-            let counts = group_counts_from_triples(
-                key,
-                paths.iter().map(|p| (p.first(), p.last(), p.len())),
-            );
-            assert_eq!(counts.group_count(), ss.group_count(), "γ{key}");
-            assert_eq!(counts.path_count(), ss.path_count(), "γ{key}");
-            for (i, (gkey, n)) in counts.entries.iter().enumerate() {
-                assert_eq!(*gkey, ss.groups()[i].key, "γ{key} group {i} key");
-                assert_eq!(*n, ss.groups()[i].paths.len(), "γ{key} group {i} size");
-            }
-        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! only a few paths per partition — `π(*,*,k)` — while the recursive operator
 //! underneath can produce exponentially many. This module recognises the
 //! pipeline shapes whose result is fully determined by a *prefix* of the
-//! canonical enumeration order (see [`crate::pathset_repr::LazyPathStream`])
-//! and evaluates them by pulling paths from a lazy stream instead of
-//! materialising the whole closure:
+//! canonical enumeration order (the contract stated on `pathalg_pmr::Pmr`)
+//! so that a lazy enumeration can evaluate them without materialising the
+//! whole closure:
 //!
 //! * [`PlanExpr::sliceable_pipeline`] — the shape recogniser. It accepts
 //!   `π(spec)(τA?(γψ(ϕsem(base))))` where ψ ∈ {∅, S, ST}, the order-by is
@@ -17,21 +17,19 @@
 //!   order, canonical order is length-non-decreasing within each source, and
 //!   ψ ∈ {∅, S, ST} keeps every group inside a single source segment, so the
 //!   stable rank sort of Algorithm 1 is the identity.
-//! * [`slice_stream`] — the generic streaming evaluator: reproduces
-//!   `π(spec)(τ?(γψ(...)))` byte for byte over any [`LazyPathStream`],
-//!   stopping as soon as the kept set is complete (single-partition keys stop
-//!   after k paths; partition-limited specs stop once every kept group is
-//!   full). The `pathalg-pmr` crate layers a stronger, reachability-aware
-//!   early stop on top for CSR-backed streams.
+//! * [`SliceCollector`] — the incremental kept-set builder: fed paths in
+//!   canonical order it reproduces `π(spec)(τ?(γψ(...)))` byte for byte and
+//!   reports when the kept set is complete (single-partition keys after k
+//!   paths; partition-limited specs once every kept group is full).
+//!   `Pmr::sliced` drives it and layers a reachability-aware early stop on
+//!   top.
 
 use crate::condition::{Accessor, CompareOp, Condition, Position};
-use crate::error::AlgebraError;
 use crate::expr::PlanExpr;
 use crate::fasthash::FastMap;
 use crate::ops::group_by::GroupKey;
 use crate::ops::recursive::PathSemantics;
 use crate::pathset::PathSet;
-use crate::pathset_repr::LazyPathStream;
 use pathalg_graph::ids::NodeId;
 
 /// The slicing parameters pushed down into a lazy enumeration: which grouping
@@ -197,35 +195,6 @@ impl PlanExpr {
     }
 }
 
-/// Evaluates `π(spec)(τA?(γψ(stream)))` by pulling from a canonical-order
-/// stream, keeping at most `per_group` paths per group and at most
-/// `max_partitions` partitions (first-occurrence order), and stopping as soon
-/// as the kept set is provably complete. Byte-identical to materialising the
-/// stream and running [`crate::ops::group_by::group_by`],
-/// [`crate::ops::order_by::order_by`] and
-/// [`crate::ops::projection::projection`].
-pub fn slice_stream(
-    spec: &SliceSpec,
-    stream: &mut dyn LazyPathStream,
-) -> Result<PathSet, AlgebraError> {
-    let mut collector = SliceCollector::new(spec);
-    'outer: loop {
-        let batch = stream.next_batch(SLICE_BATCH)?;
-        if batch.is_empty() {
-            break;
-        }
-        for path in batch {
-            if collector.offer(path) == SliceState::Complete {
-                break 'outer;
-            }
-        }
-    }
-    Ok(collector.finish())
-}
-
-/// Pull granularity of [`slice_stream`].
-const SLICE_BATCH: usize = 64;
-
 /// Whether a slice collector can still accept paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SliceState {
@@ -236,11 +205,11 @@ pub enum SliceState {
     Complete,
 }
 
-/// The incremental kept-set builder shared by [`slice_stream`] and the
-/// `pathalg-pmr` crate's reachability-aware sliced evaluation: groups paths by
-/// the partition key in first-occurrence order, caps each group at
-/// `per_group`, ignores partitions beyond `max_partitions`, and reports when
-/// the kept set cannot grow any more.
+/// The incremental kept-set builder behind the `pathalg-pmr` crate's
+/// reachability-aware sliced evaluation: groups paths by the partition key
+/// in first-occurrence order, caps each group at `per_group`, ignores
+/// partitions beyond `max_partitions`, and reports when the kept set cannot
+/// grow any more.
 pub struct SliceCollector {
     spec: SliceSpec,
     groups: Vec<(PartitionKey, Vec<crate::path::Path>)>,
@@ -385,13 +354,11 @@ impl SliceCollector {
 mod tests {
     use super::*;
     use crate::condition::Condition;
-    use crate::ops::group_by::group_by;
-    use crate::ops::order_by::{order_by, OrderKey};
-    use crate::ops::projection::{projection, ProjectionSpec, Take};
+    use crate::ops::order_by::OrderKey;
+    use crate::ops::projection::{ProjectionSpec, Take};
     use crate::ops::recursive::{recursive, RecursionConfig};
     use crate::ops::selection::selection;
     use crate::path::Path;
-    use crate::pathset_repr::LazyPathStream;
     use pathalg_graph::fixtures::figure1::Figure1;
 
     fn scan(label: &str) -> PlanExpr {
@@ -556,15 +523,6 @@ mod tests {
         assert_eq!(PlanExpr::edges().label_scan_target(), None);
     }
 
-    /// A canonical-order stream over a pre-materialised closure.
-    struct VecStream(std::vec::IntoIter<Path>);
-
-    impl LazyPathStream for VecStream {
-        fn next_batch(&mut self, max: usize) -> Result<Vec<Path>, AlgebraError> {
-            Ok(self.0.by_ref().take(max).collect())
-        }
-    }
-
     /// The materialised trail closure of the Knows subgraph, in a canonical
     /// per-source, level-ordered sequence.
     fn canonical_trails(f: &Figure1) -> Vec<Path> {
@@ -581,79 +539,26 @@ mod tests {
     }
 
     #[test]
-    fn slice_stream_matches_the_materialised_pipeline() {
+    fn collector_completes_as_soon_as_the_kept_set_is_full() {
         let f = Figure1::new();
         let canonical = canonical_trails(&f);
-        let materialised: PathSet = canonical.iter().cloned().collect();
-        for (spec, group_key, order) in [
-            (
-                ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
-                GroupKey::SourceTarget,
-                Some(OrderKey::Path),
-            ),
-            (
-                ProjectionSpec::new(Take::All, Take::All, Take::Count(2)),
-                GroupKey::SourceTarget,
-                None,
-            ),
-            (
-                ProjectionSpec::new(Take::Count(2), Take::All, Take::Count(3)),
-                GroupKey::Source,
-                None,
-            ),
-            (
-                ProjectionSpec::new(Take::All, Take::All, Take::Count(4)),
-                GroupKey::Empty,
-                None,
-            ),
-        ] {
-            let grouped = group_by(group_key, &materialised);
-            let ranked = match order {
-                Some(key) => order_by(key, &grouped),
-                None => grouped,
-            };
-            let expected = projection(&spec, &ranked);
-
-            let slice = SliceSpec {
-                group_key,
-                per_group: match spec.paths {
-                    Take::Count(k) => Some(k),
-                    Take::All => None,
-                },
-                max_partitions: match spec.partitions {
-                    Take::Count(k) => Some(k),
-                    Take::All => None,
-                },
-                ordered_by_length: order.is_some(),
-            };
-            let mut stream = VecStream(canonical.clone().into_iter());
-            let out = slice_stream(&slice, &mut stream).unwrap();
-            assert_eq!(
-                out.as_slice(),
-                expected.as_slice(),
-                "γ{group_key} {spec} diverged from the materialised pipeline"
-            );
-        }
-    }
-
-    #[test]
-    fn slice_stream_stops_as_soon_as_the_kept_set_is_complete() {
-        let f = Figure1::new();
-        let canonical = canonical_trails(&f);
-        // γ∅, first 2 paths: the stream must not be drained past them.
+        assert!(canonical.len() > 2);
+        // γ∅, first 2 paths: the second offer completes the kept set, so a
+        // canonical-order producer can stop pulling right there.
         let spec = SliceSpec {
             group_key: GroupKey::Empty,
             per_group: Some(2),
             max_partitions: None,
             ordered_by_length: false,
         };
-        let mut stream = VecStream(canonical.clone().into_iter());
-        let out = slice_stream(&spec, &mut stream).unwrap();
-        assert_eq!(out.len(), 2);
-        let leftover: Vec<Path> = stream.0.collect();
-        assert!(
-            leftover.len() >= canonical.len().saturating_sub(2 + SLICE_BATCH),
-            "stream was drained further than one batch past the kept set"
-        );
+        let mut collector = SliceCollector::new(&spec);
+        let states: Vec<SliceState> = canonical
+            .iter()
+            .take(2)
+            .map(|p| collector.offer(p.clone()))
+            .collect();
+        assert_eq!(states, [SliceState::Open, SliceState::Complete]);
+        let out = collector.finish();
+        assert_eq!(out.as_slice(), &canonical[..2]);
     }
 }

@@ -15,8 +15,6 @@
 //!   keyed by edge label, used by the traversal-based physical operators.
 //! * [`csr`] — an immutable Compressed-Sparse-Row snapshot (the representation
 //!   Oracle PGX uses; handy for cache-friendly BFS).
-//! * [`frontier`] — an epoch-stamped node set with O(1) insert/contains/reset,
-//!   the scratch structure of level-synchronous expansion over the CSR.
 //! * [`stats`] — label-frequency and degree statistics feeding the optimizer's
 //!   cost model.
 //! * [`generator`] — deterministic synthetic graph generators (LDBC-SNB-shaped,
@@ -32,7 +30,6 @@
 pub mod adjacency;
 pub mod csr;
 pub mod fixtures;
-pub mod frontier;
 #[cfg(feature = "generators")]
 pub mod generator;
 pub mod graph;

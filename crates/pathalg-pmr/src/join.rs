@@ -19,11 +19,11 @@
 //! evaluation (`join(…)` then `phi_frontier`): sources ascending, levels (=
 //! segment counts) in order, and within a level the lexicographic
 //! `(e1, …, ek)` adjacency order — which is the order the hash join feeds the
-//! frontier's per-source base index, and the canonical-order contract of
-//! [`pathalg_core::pathset_repr::LazyPathStream`]. All admission predicates,
-//! the Shortest per-target pruning, the unbounded-Walk infinite-answer
-//! detection and the `max_paths` accounting mirror `phi_frontier`'s
-//! expansion step for step (pinned in `tests/cross_validation.rs`).
+//! frontier's per-source base index, and the canonical-order contract stated
+//! on [`crate::Pmr`]. All admission predicates, the Shortest per-target
+//! pruning, the unbounded-Walk infinite-answer detection and the `max_paths`
+//! accounting mirror `phi_frontier`'s expansion step for step (pinned in
+//! `tests/cross_validation.rs`).
 //!
 //! Levels are synchronous — every boundary step in the current level closes
 //! a chain of `cur_len` edges — so lengths are threaded beside step ids
@@ -40,7 +40,6 @@ use pathalg_core::ops::recursive::{
     PathSemantics, RecursionConfig, UNBOUNDED_WALK_ITERATION_LIMIT,
 };
 use pathalg_graph::csr::CsrGraph;
-use pathalg_graph::frontier::Frontier;
 use pathalg_graph::ids::NodeId;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -126,8 +125,6 @@ pub(crate) struct ChainExpansion {
     /// distance table is sized on first use.
     reach_seen: Frontier,
     reach_dist: Vec<usize>,
-    /// Times a hoisted scratch buffer was reused instead of allocated.
-    scratch_reuse: u64,
 }
 
 impl ChainExpansion {
@@ -171,7 +168,6 @@ impl ChainExpansion {
             sp_next: Vec::new(),
             reach_seen: Frontier::new(n * k),
             reach_dist: Vec::new(),
-            scratch_reuse: 0,
         }
     }
 
@@ -200,12 +196,6 @@ impl ChainExpansion {
     /// Bytes currently backing the step arena (see `arena_bytes_peak`).
     pub fn arena_bytes(&self) -> usize {
         self.arena.bytes()
-    }
-
-    /// Scratch reuse events: hoisted buffers plus pooled/retained visited
-    /// sets (see `scratch_reuse_count`).
-    pub fn scratch_reuse(&self) -> u64 {
-        self.scratch_reuse + self.seen.reuse_count() + self.reach_seen.reuse_count()
     }
 
     /// Paths recorded against the budget so far.
@@ -345,9 +335,6 @@ impl ChainExpansion {
         }
         let cur = std::mem::take(&mut self.cur);
         let mut next = std::mem::take(&mut self.next_buf);
-        if next.capacity() > 0 {
-            self.scratch_reuse += 1;
-        }
         next.clear();
         let new_len = self.cur_len as usize + self.seg_len();
         self.grow(Some(&cur), new_len, &mut next)?;
@@ -369,9 +356,6 @@ impl ChainExpansion {
         let mut all = std::mem::take(&mut self.sp_all);
         let mut cur = std::mem::take(&mut self.sp_cur);
         let mut next = std::mem::take(&mut self.sp_next);
-        if all.capacity() + cur.capacity() + next.capacity() > 0 {
-            self.scratch_reuse += 1;
-        }
         all.clear();
         cur.clear();
         next.clear();
@@ -566,10 +550,155 @@ impl Descent<'_> {
     }
 }
 
+/// The kernel's visited set: a bitset over nodes `0..capacity` (one bit per
+/// node in u64 words) with O(1) insert/contains, plus the members inserted
+/// since the last reset in insertion order — the reachability BFS uses that
+/// list as its queue. The word block is allocated on first insert, so a
+/// semantics that never touches its set pays no O(n) zero-fill.
+struct Frontier {
+    /// Bit `n % 64` of `words[n / 64]` ⇔ node `n` is in the set. Empty until
+    /// the first insert.
+    words: Vec<u64>,
+    /// Node slots covered (`capacity`, not `words.len() * 64`).
+    capacity: usize,
+    /// Nodes inserted since the last reset, in insertion order.
+    members: Vec<NodeId>,
+}
+
+impl Frontier {
+    fn new(capacity: usize) -> Self {
+        Self {
+            words: Vec::new(),
+            capacity,
+            members: Vec::new(),
+        }
+    }
+
+    /// Inserts `node`; returns `true` if it was not yet in the set.
+    /// Out-of-range nodes are reported as never-inserted and ignored.
+    fn insert(&mut self, node: NodeId) -> bool {
+        let index = node.index();
+        if index >= self.capacity {
+            return false;
+        }
+        if self.words.is_empty() {
+            self.words = vec![0; self.capacity.div_ceil(64)];
+        }
+        let mask = 1u64 << (index % 64);
+        let word = &mut self.words[index / 64];
+        if *word & mask != 0 {
+            return false;
+        }
+        *word |= mask;
+        self.members.push(node);
+        true
+    }
+
+    /// True if `node` was inserted since the last reset.
+    fn contains(&self, node: NodeId) -> bool {
+        let index = node.index();
+        index < self.capacity
+            && self
+                .words
+                .get(index / 64)
+                .is_some_and(|word| word & (1u64 << (index % 64)) != 0)
+    }
+
+    /// The nodes inserted since the last reset, in insertion order.
+    fn members(&self) -> &[NodeId] {
+        &self.members
+    }
+
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Empties the set, keeping the block. Below one member per 64 slots it
+    /// clears only the words the members touched; at or above it one
+    /// `fill(0)` of the block is cheaper.
+    fn reset(&mut self) {
+        if self.members.len() * 64 >= self.capacity {
+            self.words.fill(0);
+        } else {
+            for member in &self.members {
+                self.words[member.index() / 64] = 0;
+            }
+        }
+        self.members.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pathalg_graph::fixtures::figure1::Figure1;
+
+    #[test]
+    fn frontier_insert_contains_and_members_track_the_set() {
+        let mut f = Frontier::new(8);
+        assert_eq!(f.len(), 0);
+        assert!(f.insert(NodeId(3)));
+        assert!(!f.insert(NodeId(3)), "duplicate insert is rejected");
+        assert!(f.insert(NodeId(1)));
+        assert!(f.contains(NodeId(3)));
+        assert!(!f.contains(NodeId(0)));
+        assert_eq!(f.members(), &[NodeId(3), NodeId(1)]);
+        assert_eq!(f.len(), 2);
+    }
+
+    #[test]
+    fn frontier_reset_clears_and_allows_reinsertion() {
+        let mut f = Frontier::new(4);
+        for i in 0..4 {
+            f.insert(NodeId(i));
+        }
+        f.reset();
+        assert_eq!(f.len(), 0);
+        assert!(!f.contains(NodeId(2)));
+        assert!(
+            f.insert(NodeId(2)),
+            "nodes are insertable again after reset"
+        );
+        assert_eq!(f.members(), &[NodeId(2)]);
+    }
+
+    #[test]
+    fn frontier_out_of_range_nodes_are_ignored() {
+        let mut f = Frontier::new(2);
+        assert!(!f.insert(NodeId(5)));
+        assert!(!f.contains(NodeId(5)));
+        assert_eq!(f.len(), 0);
+    }
+
+    #[test]
+    fn frontier_many_reset_cycles_never_collide() {
+        let mut f = Frontier::new(1);
+        for _ in 0..10_000 {
+            assert!(f.insert(NodeId(0)));
+            f.reset();
+        }
+        assert!(!f.contains(NodeId(0)));
+    }
+
+    #[test]
+    fn frontier_resets_after_sparse_and_dense_fills_leave_a_refillable_set() {
+        // Capacity 128: one member clears word by word, two or more reach
+        // one member per 64 slots and clear the whole block.
+        let mut f = Frontier::new(128);
+        for fill in [&[5][..], &[5, 70], &[5, 70, 127]] {
+            for &id in fill {
+                assert!(f.insert(NodeId(id)));
+            }
+            f.reset();
+            assert_eq!(f.len(), 0);
+            for &id in fill {
+                assert!(!f.contains(NodeId(id)), "{id} survived a reset");
+                assert!(f.insert(NodeId(id)), "{id} is insertable again");
+            }
+            f.reset();
+        }
+        assert!(!f.contains(NodeId(127)));
+    }
 
     #[test]
     fn level0_segments_match_the_two_hop_join_of_figure1() {

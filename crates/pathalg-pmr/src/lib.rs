@@ -24,9 +24,6 @@
 //! * [`Pmr::for_each_path`] — the visitor drain: each path's node and edge
 //!   sequences in two reused buffers, no `Path` built; `enumerate_all` is
 //!   this loop collecting into a `PathSet`.
-//! * [`Pmr::group_counts`] — γψ group cardinalities over
-//!   `(First(p), Last(p), Len(p))` straight from the arena, without
-//!   reconstructing a single path.
 //! * [`Pmr::sliced`] — evaluates a recognised `π(τA?(γψ(ϕ(…))))` pipeline
 //!   ([`pathalg_core::slice`]) with per-group limits pushed into the
 //!   enumeration and a node-level reachability analysis that stops each
@@ -47,11 +44,10 @@ use crate::join::{ChainExpansion, Hops, ReachInfo};
 use pathalg_core::budget::CancelToken;
 use pathalg_core::error::AlgebraError;
 use pathalg_core::obs::WorkCounters;
-use pathalg_core::ops::group_by::{group_counts_from_triples, GroupCounts, GroupKey};
+use pathalg_core::ops::group_by::GroupKey;
 use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
-use pathalg_core::pathset_repr::LazyPathStream;
 use pathalg_core::slice::{PartitionKey, SliceCollector, SliceSpec, SliceState};
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
@@ -60,6 +56,17 @@ use std::sync::Arc;
 
 /// A compact, lazily enumerable path-multiset representation (see the crate
 /// docs). It owns (or shares) its CSR snapshots, so it borrows no graph.
+///
+/// Every pull yields paths in *canonical order*, the order of the engine's
+/// materialised frontier evaluation: sources in ascending node order, and
+/// within one source level by level (so path length is non-decreasing per
+/// source). [`Pmr::sliced`] and the engine's lazy pipeline rely on this to
+/// reproduce the materialised operators byte for byte while stopping early.
+/// Pulls are fallible: the bounds that abort a materialised evaluation
+/// ([`AlgebraError::RecursionLimitExceeded`],
+/// [`AlgebraError::ResultLimitExceeded`]) surface when the enumeration
+/// reaches them, and a consumer that stops before that region never sees
+/// the error.
 pub struct Pmr {
     expansion: Box<ChainExpansion>,
     /// Per-node target mask of the endpoint-σ pushdown: when set, paths whose
@@ -281,12 +288,6 @@ impl Pmr {
         self.expansion.arena_bytes()
     }
 
-    /// Scratch reuse events so far: hoisted level/saturation buffers and
-    /// pooled or retained visited-set blocks (`scratch_reuse_count`).
-    pub fn scratch_reuse(&self) -> u64 {
-        self.expansion.scratch_reuse()
-    }
-
     /// Reserves arena capacity for `steps` further steps up front, so a
     /// drain whose step count is known (or bounded) performs no mid-flight
     /// arena reallocation — see the zero-steady-state-allocation contract in
@@ -315,7 +316,6 @@ impl Pmr {
             partitions_opened: self.counts.partitions,
             paths_kept: self.counts.kept,
             arena_bytes_peak: self.arena_bytes() as u64,
-            scratch_reuse_count: self.scratch_reuse(),
         }
     }
 
@@ -401,16 +401,6 @@ impl Pmr {
             n += 1;
         }
         Ok(n)
-    }
-
-    /// γψ group cardinalities over the whole multiset, computed from the
-    /// arena's `(First, Last, Len)` triples — no path is ever reconstructed.
-    pub fn group_counts(&mut self, key: GroupKey) -> Result<GroupCounts, AlgebraError> {
-        let mut triples: Vec<(NodeId, NodeId, usize)> = Vec::new();
-        while let Some(e) = self.next_emit()? {
-            triples.push((e.source, e.last, e.len as usize));
-        }
-        Ok(group_counts_from_triples(key, triples))
     }
 
     /// Evaluates `π(τA?(γψ(ϕ(…))))` over this multiset with the limits of
@@ -528,12 +518,6 @@ fn owned_path(nodes: &[NodeId], edges: &[EdgeId]) -> Path {
         .expect("arena chains are well-formed paths")
 }
 
-impl LazyPathStream for Pmr {
-    fn next_batch(&mut self, max: usize) -> Result<Vec<Path>, AlgebraError> {
-        Pmr::next_batch(self, max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,33 +587,6 @@ mod tests {
             lazy.steps_generated(),
             total
         );
-    }
-
-    #[test]
-    fn group_counts_match_group_by_without_reconstruction() {
-        let f = Figure1::new();
-        let cfg = RecursionConfig::default();
-        let materialised = {
-            let mut pmr = Pmr::from_label_scan(&f.graph, "Knows", PathSemantics::Trail, cfg);
-            pmr.enumerate_all().unwrap()
-        };
-        for key in [
-            GroupKey::Empty,
-            GroupKey::Source,
-            GroupKey::SourceTarget,
-            GroupKey::Length,
-            GroupKey::SourceTargetLength,
-        ] {
-            let ss = group_by(key, &materialised);
-            let mut pmr = Pmr::from_label_scan(&f.graph, "Knows", PathSemantics::Trail, cfg);
-            let counts = pmr.group_counts(key).unwrap();
-            assert_eq!(counts.group_count(), ss.group_count(), "γ{key}");
-            assert_eq!(counts.path_count(), ss.path_count(), "γ{key}");
-            for (i, (gkey, n)) in counts.entries.iter().enumerate() {
-                assert_eq!(*gkey, ss.groups()[i].key, "γ{key} group {i}");
-                assert_eq!(*n, ss.groups()[i].paths.len(), "γ{key} group {i}");
-            }
-        }
     }
 
     #[test]

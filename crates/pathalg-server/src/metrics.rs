@@ -56,16 +56,16 @@ pub struct Metrics {
 }
 
 /// Atomic mirror of [`WorkCounters`], in the same field order. The last
-/// slot before `scratch_reuse_count` is `arena_bytes_peak`, which folds in
-/// with `fetch_max` (it is a peak gauge, not a tally).
+/// slot is `arena_bytes_peak`, which folds in with `fetch_max` (it is a peak
+/// gauge, not a tally).
 #[derive(Debug, Default)]
-struct WorkTotals([AtomicU64; 10]);
+struct WorkTotals([AtomicU64; 9]);
 
 /// Index of the `arena_bytes_peak` slot, the one max-merged entry.
 const ARENA_BYTES_PEAK_SLOT: usize = 8;
 
 impl WorkTotals {
-    fn values(w: &WorkCounters) -> [u64; 10] {
+    fn values(w: &WorkCounters) -> [u64; 9] {
         [
             w.arena_steps,
             w.base_segments,
@@ -76,7 +76,6 @@ impl WorkTotals {
             w.partitions_opened,
             w.paths_kept,
             w.arena_bytes_peak,
-            w.scratch_reuse_count,
         ]
     }
 
@@ -102,7 +101,6 @@ impl WorkTotals {
             partitions_opened: v[6],
             paths_kept: v[7],
             arena_bytes_peak: v[8],
-            scratch_reuse_count: v[9],
         }
     }
 }
@@ -382,7 +380,7 @@ impl MetricsSnapshot {
             );
         }
         let _ = writeln!(out, "# TYPE pathalg_work_total counter");
-        let work: [(&str, u64); 9] = [
+        let work: [(&str, u64); 8] = [
             ("arena_steps", self.work.arena_steps),
             ("base_segments", self.work.base_segments),
             ("paths_emitted", self.work.paths_emitted),
@@ -391,7 +389,6 @@ impl MetricsSnapshot {
             ("budget_claimed", self.work.budget_claimed),
             ("partitions_opened", self.work.partitions_opened),
             ("paths_kept", self.work.paths_kept),
-            ("scratch_reuse_count", self.work.scratch_reuse_count),
         ];
         for (counter, value) in work {
             let _ = writeln!(out, "pathalg_work_total{{counter=\"{counter}\"}} {value}");
@@ -536,12 +533,12 @@ mod tests {
         });
         m.record_work(&WorkCounters {
             arena_bytes_peak: 4096,
-            scratch_reuse_count: 5,
+            paths_kept: 2,
             ..WorkCounters::default()
         });
         m.record_work(&WorkCounters {
             arena_bytes_peak: 1024,
-            scratch_reuse_count: 2,
+            paths_kept: 2,
             ..WorkCounters::default()
         });
         let text = m.expose();
@@ -554,16 +551,12 @@ mod tests {
             "peak folds in by max, not sum: {text}"
         );
         assert!(
-            text.contains("pathalg_work_total{counter=\"scratch_reuse_count\"} 7"),
-            "{text}"
-        );
-        assert!(
             text.contains("pathalg_requests_total{surface=\"ir\"} 0"),
             "{text}"
         );
         assert!(
-            text.contains("pathalg_work_total{counter=\"paths_kept\"} 3"),
-            "{text}"
+            text.contains("pathalg_work_total{counter=\"paths_kept\"} 7"),
+            "tallies add across records: {text}"
         );
         assert!(
             text.contains("pathalg_stage_latency_ns_bucket{stage=\"execute\",le=\"1023\"} 1"),

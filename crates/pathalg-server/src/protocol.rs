@@ -23,7 +23,7 @@
 //! | `METRICS`                       | `METRICS`, then the Prometheus-style exposition lines ([`crate::Metrics::expose`]), then `END` |
 //! | `TRACE <id>`                    | `TRACE <id>`, then the per-request report lines ([`crate::QueryTrace`] display form), then `END` — or `ERR protocol: …` when the id fell out of the ring |
 //! | `EPOCH`                         | `EPOCH <n>`                          |
-//! | `BUMP`                          | `EPOCH <n>` (after recomputing stats and purging stale plans) |
+//! | `BUMP`                          | `EPOCH <n>` (after advancing the epoch and purging every cached plan; nothing is recomputed) |
 //! | `PING`                          | `PONG`                               |
 //! | `QUIT`                          | connection closed                    |
 //!

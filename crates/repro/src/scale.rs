@@ -5,9 +5,9 @@
 //! generator straight from the RNG (no property graph is ever built), then
 //! drains the first 100 000 bounded walks through the lazy PMR without
 //! reconstructing a single path. Reported per row: build and drain wall
-//! time, drain throughput, the peak arena footprint, and the scratch-reuse
-//! tally — the observable evidence that enumeration cost is governed by the
-//! paths drained, not by the graph behind them.
+//! time, drain throughput and the peak arena footprint — the observable
+//! evidence that enumeration cost is governed by the paths drained, not by
+//! the graph behind them.
 
 use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_graph::generator::snb::{snb_label_csr, SnbConfig};
@@ -38,16 +38,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     println!("== repro scale: million-scale lazy enumeration ==");
     println!("streamed Knows CSR, lazy PMR drain of the first {DRAIN} walks (max_length 2)");
     println!(
-        "{:>9} {:>9} {:>9} {:>8} {:>9} {:>9} {:>12} {:>11} {:>13}",
-        "persons",
-        "nodes",
-        "edges",
-        "paths",
-        "build_ms",
-        "drain_ms",
-        "paths/s",
-        "arena_KiB",
-        "scratch_reuse"
+        "{:>9} {:>9} {:>9} {:>8} {:>9} {:>9} {:>12} {:>11}",
+        "persons", "nodes", "edges", "paths", "build_ms", "drain_ms", "paths/s", "arena_KiB"
     );
     for persons in SIZES.into_iter().filter(|&p| p <= max) {
         let cfg = SnbConfig::scale(persons, 0xBEEF + persons as u64);
@@ -72,7 +64,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
         let per_s = paths as f64 / drain.as_secs_f64().max(f64::EPSILON);
         println!(
-            "{:>9} {:>9} {:>9} {:>8} {:>9.1} {:>9.1} {:>12.0} {:>11} {:>13}",
+            "{:>9} {:>9} {:>9} {:>8} {:>9.1} {:>9.1} {:>12.0} {:>11}",
             persons,
             nodes,
             edges,
@@ -80,8 +72,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             build.as_secs_f64() * 1e3,
             drain.as_secs_f64() * 1e3,
             per_s,
-            pmr.arena_bytes() / 1024,
-            pmr.scratch_reuse()
+            pmr.arena_bytes() / 1024
         );
     }
     Ok(())

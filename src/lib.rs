@@ -63,7 +63,6 @@ pub mod prelude {
     pub use pathalg_core::ops::recursive::PathSemantics;
     pub use pathalg_core::path::Path;
     pub use pathalg_core::pathset::PathSet;
-    pub use pathalg_core::pathset_repr::LazyPathStream;
     pub use pathalg_core::solution_space::SolutionSpace;
     pub use pathalg_engine::runner::{QueryResult, QueryRunner};
     pub use pathalg_graph::fixtures::figure1::figure1_graph;

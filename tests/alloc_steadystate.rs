@@ -1,8 +1,8 @@
 //! Zero-allocation pin for the lazy PMR's steady state (DESIGN.md §15).
 //!
-//! The compact arena, the pooled bitmap frontiers, and the recycled scratch
-//! buffers exist so that a drain's cost is the work of expansion — not the
-//! allocator. This test proves it with a counting global allocator: after a
+//! The compact arena, the bitmap visited sets allocated once per expansion,
+//! and the recycled scratch buffers exist so that a drain's cost is the work
+//! of expansion — not the allocator. This test proves it with a counting global allocator: after a
 //! warm-up that fills every scratch buffer (one source's worth of levels)
 //! and with the arena pre-reserved via [`Pmr::reserve_steps`], draining the
 //! remaining sources of a uniform workload performs **zero** heap

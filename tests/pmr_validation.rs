@@ -4,8 +4,8 @@
 //! The PMR's contract is strict: `Pmr::enumerate()` must reproduce the
 //! materialised frontier evaluation **in content and order** (the canonical
 //! order every lazy consumer relies on), `top_k(k)` must equal
-//! `enumerate().take(k)` while expanding less, and the group-cardinality and
-//! sliced evaluations must agree with the γ/τ/π operators they push into.
+//! `enumerate().take(k)` while expanding less, and the sliced evaluation
+//! must agree with the γ/τ/π operators it pushes into.
 //! These are checked on every fixture graph and, via the vendored proptest,
 //! on streams of random graphs.
 
@@ -172,28 +172,6 @@ fn top_k_law_holds_on_every_fixture() {
     }
 }
 
-/// Group cardinalities from the arena agree with γψ over the materialised
-/// set, for the `(First, Last, Len)`-derived keys.
-#[test]
-fn group_counts_agree_with_group_by_on_every_fixture() {
-    for (name, graph) in fixture_graphs() {
-        let csr = CsrGraph::with_label(&graph, "Knows");
-        let cfg = RecursionConfig::default();
-        let materialised = frontier_closure(&graph, Some("Knows"), PathSemantics::Trail, &cfg);
-        for key in GroupKey::ALL {
-            let ss = group_by(key, &materialised);
-            let mut pmr = Pmr::from_csr(csr.clone(), PathSemantics::Trail, cfg);
-            let counts = pmr.group_counts(key).unwrap();
-            assert_eq!(counts.group_count(), ss.group_count(), "{name}: γ{key}");
-            assert_eq!(counts.path_count(), ss.path_count(), "{name}: γ{key}");
-            for (i, (gkey, n)) in counts.entries.iter().enumerate() {
-                assert_eq!(*gkey, ss.groups()[i].key, "{name}: γ{key} group {i}");
-                assert_eq!(*n, ss.groups()[i].paths.len(), "{name}: γ{key} group {i}");
-            }
-        }
-    }
-}
-
 /// The sliced evaluation equals the materialised γ/τ/π pipeline on every
 /// fixture graph, for the selector shapes the recogniser accepts.
 #[test]
@@ -248,49 +226,6 @@ fn sliced_evaluation_matches_the_materialised_pipeline_on_every_fixture() {
                     out.as_slice(),
                     expected.as_slice(),
                     "{name}: sliced γ{group_key} {spec} diverged under {semantics:?}"
-                );
-            }
-        }
-    }
-}
-
-/// The generic streaming slicer and the PMR's reachability-aware sliced
-/// evaluation are two consumers of the same collector; they must agree —
-/// this pins the unwired generic path against the engine's production path.
-#[test]
-fn slice_stream_agrees_with_pmr_sliced_on_every_fixture() {
-    use pathalg::algebra::slice::slice_stream;
-    for (name, graph) in fixture_graphs() {
-        for (semantics, cfg) in semantics_cases() {
-            let csr = CsrGraph::with_label(&graph, "Knows");
-            for spec in [
-                SliceSpec {
-                    group_key: GroupKey::SourceTarget,
-                    per_group: Some(1),
-                    max_partitions: None,
-                    ordered_by_length: true,
-                },
-                SliceSpec {
-                    group_key: GroupKey::Empty,
-                    per_group: Some(3),
-                    max_partitions: None,
-                    ordered_by_length: false,
-                },
-                SliceSpec {
-                    group_key: GroupKey::Source,
-                    per_group: Some(2),
-                    max_partitions: Some(2),
-                    ordered_by_length: false,
-                },
-            ] {
-                let mut sliced = Pmr::from_csr(csr.clone(), semantics, cfg);
-                let via_sliced = sliced.sliced(&spec).unwrap();
-                let mut stream = Pmr::from_csr(csr.clone(), semantics, cfg);
-                let via_stream = slice_stream(&spec, &mut stream).unwrap();
-                assert_eq!(
-                    via_sliced.as_slice(),
-                    via_stream.as_slice(),
-                    "{name}: slice_stream diverged from Pmr::sliced under {semantics:?}"
                 );
             }
         }
