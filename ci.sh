@@ -71,14 +71,8 @@ full() {
     step "examples compile"
     cargo build -q --examples
 
-    step "repro surfaces (cross-surface front-end demo)"
-    cargo run -q --release -p repro -- surfaces
-
-    step "repro obs (observability demo: trace + METRICS exposition)"
-    cargo run -q --release -p repro -- obs
-
-    step "repro chaos (fault-injection demo: deadline, cancel, panic, shed)"
-    cargo run -q --release -p repro -- chaos
+    step "repro (every paper figure, table and demo; figure6 and optimizer-demo assert)"
+    cargo run -q --release -p repro
 
     step "repro scale (nodes-vs-throughput table, capped at 10^4 persons for CI)"
     cargo run -q --release -p repro -- scale --max 10000

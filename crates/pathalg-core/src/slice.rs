@@ -77,8 +77,7 @@ impl SlicePlan<'_> {
     /// enumeration as a source restriction and a target mask), and unbounded
     /// Walk is excluded because its infinite-answer detection requires
     /// driving the full expansion. This is the single eligibility predicate
-    /// shared by the engine's strategy chooser and the parser's
-    /// `lazy_sliceable` tag.
+    /// of the engine's strategy chooser.
     pub fn lazy_eligible(&self, recursion: &crate::ops::recursive::RecursionConfig) -> bool {
         self.base.label_scan_chain().is_some()
             && self.filter.is_none_or(|c| c.endpoint_split().is_some())

@@ -15,8 +15,7 @@ use pathalg_core::expr::PlanExpr;
 use pathalg_core::ops::recursive::RecursionConfig;
 use pathalg_core::pathset::PathSet;
 use pathalg_graph::graph::PropertyGraph;
-use pathalg_parser::ast::{OutputSpec, PathQuery};
-use pathalg_parser::parse_query;
+use pathalg_parser::{parse_query, IrOutput, QueryIr};
 use pathalg_rpq::automaton_eval::AutomatonEvaluator;
 
 /// Evaluates a query text against a graph using the automaton-product
@@ -34,7 +33,7 @@ pub fn evaluate_query_with_automaton(
 /// Evaluates an already-parsed query using the automaton-product baseline.
 pub fn evaluate_parsed_with_automaton(
     graph: &PropertyGraph,
-    query: &PathQuery,
+    query: &QueryIr,
     recursion: &RecursionConfig,
 ) -> Result<PathSet, AlgebraError> {
     // 1. Match the regular path pattern with the product construction.
@@ -130,12 +129,11 @@ fn apply_pipeline(
     Ok(paths)
 }
 
-/// Convenience used by the query pipeline below (and by `OutputSpec` users):
-/// true if the query's output is the plain `ALL` selector.
-pub fn is_select_all(query: &PathQuery) -> bool {
+/// True if the query's output is the plain `ALL` selector.
+pub fn is_select_all(query: &QueryIr) -> bool {
     matches!(
         query.output,
-        OutputSpec::Selector(pathalg_core::gql::Selector::All)
+        IrOutput::Selector(pathalg_core::gql::Selector::All)
     )
 }
 

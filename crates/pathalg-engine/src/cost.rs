@@ -11,7 +11,7 @@
 //! Evaluation is serial per query, so no estimate here picks a thread count
 //! or a schedule: the closure estimates decide admission and annotate the
 //! strategy report, and the shape of a ϕ base alone picks its
-//! implementation ([`PhiImpl`]).
+//! implementation (see [`crate::exec`]).
 
 use pathalg_core::condition::{Accessor, Condition, Position};
 use pathalg_core::expr::PlanExpr;
@@ -113,35 +113,6 @@ fn leaf(cardinality: f64) -> CostEstimate {
     CostEstimate {
         cardinality,
         cost: cardinality,
-    }
-}
-
-/// The two physical realisations of ϕ the engine dispatches a `Recursive`
-/// node to. Which one runs is decided by the *shape* of the base alone — no
-/// estimate, threshold or configuration value takes part:
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhiImpl {
-    /// The per-source frontier engine
-    /// ([`crate::physical::frontier::phi_frontier`]) — every base that has
-    /// to be materialised first (anything but a label scan or a join chain
-    /// of label scans).
-    Frontier,
-    /// A full drain of the lazy scan/chain kernel (`pathalg-pmr`): the base
-    /// is a label scan or a join chain of label scans, so neither it nor any
-    /// join side is materialised. Sliced π pipelines over the same bases
-    /// run the same kernel with the limits pushed in
-    /// ([`choose_pipeline_strategy`]).
-    PmrLazy,
-}
-
-impl PhiImpl {
-    /// Short display name used by `EXPLAIN` strategy lines and the `repro
-    /// joins` decision table.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PhiImpl::Frontier => "frontier",
-            PhiImpl::PmrLazy => "pmr-lazy",
-        }
     }
 }
 
@@ -358,8 +329,8 @@ fn collect_plan_closures(
 /// Recognises a whole plan whose root is a *slicing* γ/τ/π pipeline over a
 /// recursive label scan or label-scan join chain (optionally with an
 /// endpoint σ between γ and ϕ) — the shapes where lazy top-k enumeration
-/// ([`PhiImpl::PmrLazy`]) turns a worst-case-exponential evaluation into an
-/// output-linear one — and returns the recognised
+/// by the `pathalg-pmr` scan/chain kernel turns a worst-case-exponential
+/// evaluation into an output-linear one — and returns the recognised
 /// [`pathalg_core::slice::SlicePlan`] so the
 /// evaluator need not re-derive it. Returns `None` when the plan must be
 /// evaluated by materialising (not sliceable, base not a scan chain, a

@@ -5,8 +5,8 @@
 //! always the semi-naïve fixpoint for ϕ. [`EngineEvaluator`] is the engine's
 //! physical counterpart: it walks the same logical plans and calls the same
 //! `pathalg-core` operator implementations for σ/⋈/∪/γ/τ/π, and realises
-//! every ϕ node one of two ways, decided by the shape of its base alone
-//! ([`crate::cost::PhiImpl`]):
+//! every ϕ node one of two ways, decided by the shape of its base alone —
+//! no estimate, threshold or configuration value takes part:
 //!
 //! * a base of the shape `σℓ1(Edges) ⋈ … ⋈ σℓk(Edges)` — the base relation
 //!   of every `[:ℓ+]` and `[(:ℓ1/…/:ℓk)+]` pattern — is never materialised:
@@ -26,9 +26,7 @@
 //! identical to the reference evaluator as *sets* for every plan
 //! (cross-validated in `tests/cross_validation.rs`).
 
-use crate::cost::{
-    choose_pipeline_strategy, estimate_closure, estimate_phi, ClosureEstimate, PhiImpl,
-};
+use crate::cost::{choose_pipeline_strategy, estimate_closure, estimate_phi, ClosureEstimate};
 use pathalg_core::budget::CancelToken;
 use pathalg_core::condition::Condition;
 use pathalg_core::error::AlgebraError;
@@ -63,9 +61,9 @@ use crate::physical::frontier::phi_frontier_with_cancel;
 pub struct StrategyDecision {
     /// Display form of the operator the decision applies to.
     pub operator: String,
-    /// Short name of the chosen implementation: [`PhiImpl::name`] for a ϕ
-    /// node (`"pmr-lazy"` — a full kernel drain — or `"frontier"`), and
-    /// `"lazy-sliced-pipeline"` for a sliced pipeline.
+    /// Short name of the chosen implementation: `"pmr-lazy"` (a full kernel
+    /// drain) or `"frontier"` for a ϕ node, and `"lazy-sliced-pipeline"`
+    /// for a sliced pipeline.
     pub chosen: &'static str,
     /// The estimate behind the choice, if statistics were available.
     pub estimate: Option<ClosureEstimate>,
@@ -83,6 +81,12 @@ impl std::fmt::Display for StrategyDecision {
 
 /// [`StrategyDecision::chosen`] of a sliced pipeline.
 const LAZY_SLICED_PIPELINE: &str = "lazy-sliced-pipeline";
+/// [`StrategyDecision::chosen`] of a ϕ over a label scan or join chain: a
+/// full drain of the lazy scan/chain kernel.
+const PMR_LAZY: &str = "pmr-lazy";
+/// [`StrategyDecision::chosen`] of a ϕ over any other base: the base is
+/// materialised and expanded by the per-source frontier engine.
+const FRONTIER: &str = "frontier";
 
 /// True when `decisions` record a sliced pipeline: the lazy PMR evaluated a
 /// γ/τ/π pipeline, pulling only the paths the projection keeps.
@@ -234,7 +238,7 @@ impl<'g> EngineEvaluator<'g> {
                                 semantics.keyword(),
                                 base.len()
                             ),
-                            PhiImpl::Frontier.name(),
+                            FRONTIER,
                             estimate,
                         );
                         let out = phi_frontier_with_cancel(
@@ -385,7 +389,7 @@ impl<'g> EngineEvaluator<'g> {
                 [label] => format!("ϕ{} over label scan :{label}", semantics.keyword()),
                 _ => format!("ϕ{} over join chain {labels:?}", semantics.keyword()),
             },
-            PhiImpl::PmrLazy.name(),
+            PMR_LAZY,
             estimate,
         );
         let hops = self.chain_hops(labels);

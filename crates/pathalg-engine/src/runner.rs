@@ -4,7 +4,9 @@
 //! and SQL/PGQ standards" the paper argues becomes easy once the algebra and
 //! an algorithm per operator exist. It strings the crates together:
 //!
-//! 1. `pathalg-parser` turns the query text into an AST and a logical plan;
+//! 1. `pathalg-parser` turns the query text into a [`QueryIr`] and a logical
+//!    plan, through the same front door as the query service
+//!    (`parse_surface` + `lower_to_checked_plan`);
 //! 2. the plan is type-checked (paths vs. solution spaces);
 //! 3. the [`Planner`] rewrites it with `pathalg-core`'s optimizer (predicate
 //!    pushdown, ϕWalk→ϕShortest, redundant-τ elimination) and estimates
@@ -35,8 +37,7 @@ use pathalg_core::optimizer::{Optimizer, RewriteEvent};
 use pathalg_core::pathset::PathSet;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::stats::GraphStats;
-use pathalg_parser::ast::PathQuery;
-use pathalg_parser::parse_query;
+use pathalg_parser::{lower_to_checked_plan, parse_surface, QueryIr, QuerySurface};
 use std::fmt;
 use std::sync::Arc;
 
@@ -154,7 +155,7 @@ impl Planner {
 #[derive(Clone, Debug)]
 pub struct QueryResult {
     paths: PathSet,
-    query: PathQuery,
+    query: QueryIr,
     plan: PlanExpr,
     optimized_plan: PlanExpr,
     rewrites: Vec<RewriteEvent>,
@@ -170,7 +171,7 @@ impl QueryResult {
     }
 
     /// The parsed query.
-    pub fn query(&self) -> &PathQuery {
+    pub fn query(&self) -> &QueryIr {
         &self.query
     }
 
@@ -290,18 +291,11 @@ impl<'g> QueryRunner<'g> {
         self.planner.graph_stats()
     }
 
-    /// Parses, optimizes and evaluates a query text.
+    /// Parses a GQL query text, then optimizes and evaluates it.
     pub fn run(&self, query_text: &str) -> Result<QueryResult, AlgebraError> {
-        let query = parse_query(query_text)
+        let query = parse_surface(QuerySurface::Gql, query_text)
             .map_err(|e| AlgebraError::InvalidArgument(format!("parse error: {e}")))?;
-        self.run_parsed(query)
-    }
-
-    /// Optimizes and evaluates an already-parsed query.
-    pub fn run_parsed(&self, query: PathQuery) -> Result<QueryResult, AlgebraError> {
-        // Plan generation + type check in one fallible step (the error is a
-        // proper `AlgebraError`, never a panic).
-        let plan = query.to_checked_plan()?;
+        let plan = lower_to_checked_plan(&query)?;
         let (planned, paths, evaluator) = self.evaluate(&plan)?;
         Ok(QueryResult {
             paths,
@@ -495,8 +489,8 @@ mod tests {
             .unwrap();
         assert!(chain.used_lazy_pipeline());
         assert!(chain.explain().contains("join chain"));
-        // For unoptimized runs the parser-level tag predicts the executed
-        // strategy exactly.
+        // For unoptimized runs the tag on the generated plan predicts the
+        // executed strategy exactly.
         let config = RunnerConfig::default().without_optimizer();
         let no_opt = QueryRunner::with_config(&f.graph, config);
         for q in [
@@ -506,12 +500,15 @@ mod tests {
             "MATCH ANY SHORTEST TRAIL p = (?x {name:\"Moe\"})-[:Knows+]->(?y)",
             "MATCH ANY 2 SIMPLE p = (?x)-[(:Likes/:Has_creator)+]->(?y)",
         ] {
-            let parsed = parse_query(q).unwrap();
             let result = no_opt.run(q).unwrap();
+            let tagged = result
+                .plan()
+                .sliceable_pipeline()
+                .is_some_and(|sliced| sliced.lazy_eligible(&config.recursion));
             assert_eq!(
-                parsed.lazy_sliceable(&config.recursion),
+                tagged,
                 result.used_lazy_pipeline(),
-                "{q}: parser tag disagrees with the executed strategy"
+                "{q}: the plan's tag disagrees with the executed strategy"
             );
         }
     }

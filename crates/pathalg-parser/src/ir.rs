@@ -16,13 +16,13 @@
 //! * **α-canonical.** Surface variable names (`?x`, `reach(x, y)`) are
 //!   dropped at IR construction — the IR stores only positional constraints
 //!   — so α-equivalent queries from *any* surface are structurally equal
-//!   before a plan is ever built.
+//!   before a plan is ever built. A name bound twice would be an equality
+//!   join the IR cannot say, so the surface parsers reject it.
 //! * **Serializable.** [`QueryIr::to_json_string`] / [`QueryIr::from_json_str`]
 //!   give a versioned (`query_ir_v1`) JSON form whose serializer is
 //!   canonical: serialize → parse → serialize is byte-identical, which the
 //!   golden-file round-trip test pins.
 
-use crate::ast::{NodePattern, OutputSpec, PathQuery};
 use crate::json::{parse_json, Json};
 use pathalg_core::condition::{Accessor, CompareOp, Condition, Position};
 use pathalg_core::error::AlgebraError;
@@ -70,12 +70,26 @@ impl IrNode {
         self.properties.push((name.into(), value.into()));
         self
     }
+}
 
-    fn from_pattern(pattern: &NodePattern) -> Self {
-        Self {
-            label: pattern.label.clone(),
-            properties: pattern.properties.clone(),
+/// The GQL node pattern without a variable: `(:Person {name:"Moe"})`.
+impl fmt::Display for IrNode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "(")?;
+        if let Some(l) = &self.label {
+            write!(f, ":{l}")?;
         }
+        if !self.properties.is_empty() {
+            write!(f, " {{")?;
+            for (i, (k, v)) in self.properties.iter().enumerate() {
+                if i > 0 {
+                    write!(f, ", ")?;
+                }
+                write!(f, "{k}:{v}")?;
+            }
+            write!(f, "}}")?;
+        }
+        write!(f, ")")
     }
 }
 
@@ -112,23 +126,28 @@ pub struct QueryIr {
     pub order_by: Option<OrderKey>,
 }
 
-impl PathQuery {
-    /// Lowers the parsed GQL query to the surface-independent IR, dropping
-    /// the path/node variable names (they never influence the plan).
-    pub fn to_ir(&self) -> QueryIr {
-        QueryIr {
-            output: match &self.output {
-                OutputSpec::Selector(s) => IrOutput::Selector(*s),
-                OutputSpec::Projection(spec) => IrOutput::Slice(*spec),
-            },
-            restrictor: self.restrictor,
-            source: IrNode::from_pattern(&self.source),
-            regex: self.regex.clone(),
-            target: IrNode::from_pattern(&self.target),
-            where_clause: self.where_clause.clone(),
-            group_by: self.group_by,
-            order_by: self.order_by,
+/// The query in GQL syntax, without variable names (the IR has none).
+impl fmt::Display for QueryIr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.output {
+            IrOutput::Selector(s) => write!(f, "MATCH {s} ")?,
+            IrOutput::Slice(spec) => write!(f, "MATCH {spec} ")?,
         }
+        write!(
+            f,
+            "{} {}-[{}]->{}",
+            self.restrictor, self.source, self.regex, self.target
+        )?;
+        if let Some(w) = &self.where_clause {
+            write!(f, " WHERE {w}")?;
+        }
+        if let Some(g) = &self.group_by {
+            write!(f, " GROUP BY {g}")?;
+        }
+        if let Some(o) = &self.order_by {
+            write!(f, " ORDER BY {o}")?;
+        }
+        Ok(())
     }
 }
 
@@ -1001,7 +1020,7 @@ mod tests {
 
     #[test]
     fn gql_lowers_through_the_ir_unchanged() {
-        // PathQuery::to_ir().to_plan() ≡ the plan the generator always built.
+        // A parsed query's plan survives the IR's JSON codec unchanged.
         for text in [
             "MATCH ANY SHORTEST TRAIL p = (?x {name:\"Moe\"})-[(:Likes/:Has_creator)+]->(?y)",
             "MATCH ALL PARTITIONS ALL GROUPS 1 PATHS TRAIL p = (?x)-[(:Knows)*]->(?y) \
@@ -1010,16 +1029,23 @@ mod tests {
             "MATCH SHORTEST 2 GROUP SIMPLE p = (?x:Person)-[:Knows+]->(?y) WHERE len() <= 4",
         ] {
             let q = parse_query(text).unwrap();
-            assert_eq!(q.to_ir().to_plan(), q.to_plan(), "{text}");
+            let decoded = QueryIr::from_json_str(&q.to_json_string()).unwrap();
+            assert_eq!(decoded.to_plan(), q.to_plan(), "{text}");
         }
+    }
+
+    #[test]
+    fn node_display_shows_constraints_without_a_variable() {
+        let node = IrNode::labeled("Person").with_property("name", Value::str("Moe"));
+        assert_eq!(node.to_string(), "(:Person {name:\"Moe\"})");
+        assert_eq!(IrNode::any().to_string(), "()");
     }
 
     #[test]
     fn ir_is_alpha_canonical() {
         let a = parse_query("MATCH ANY SHORTEST TRAIL p = (?x)-[(:Knows)+]->(?y)").unwrap();
         let b = parse_query("MATCH ANY SHORTEST TRAIL route = (?from)-[(:Knows)+]->(?to)").unwrap();
-        assert_ne!(a, b, "surface ASTs differ (variable names)");
-        assert_eq!(a.to_ir(), b.to_ir(), "IRs are structurally equal");
+        assert_eq!(a, b, "IRs are structurally equal");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! let gql = parse_query(
 //!     "MATCH ANY SHORTEST TRAIL p = (?x)-[(:Knows)+]->(?y)",
-//! ).unwrap().to_ir();
+//! ).unwrap();
 //! let rule = parse_surface(
 //!     QuerySurface::Rpq,
 //!     "reach(x, y) :- (:Knows)+, trail, any_shortest.",
@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
 pub mod error;
 pub mod ir;
 pub mod json;
@@ -52,7 +51,6 @@ pub mod plan_gen;
 pub mod rpq_surface;
 pub mod surface;
 
-pub use ast::PathQuery;
 pub use error::ParseError;
 pub use ir::{lower_to_checked_plan, IrError, IrNode, IrOutput, QueryIr, QUERY_IR_VERSION};
 pub use json::{parse_json, Json, JsonError};

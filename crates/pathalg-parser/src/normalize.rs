@@ -6,8 +6,8 @@
 //! their plan trees differ syntactically. Two sources of benign syntactic
 //! divergence exist in this algebra:
 //!
-//! * **α-equivalence.** Variable names (`?x`, `?friend`) never survive plan
-//!   generation — [`PathQuery::to_plan`](crate::ast::PathQuery) emits
+//! * **α-equivalence.** Variable names (`?x`, `?friend`) never reach the
+//!   IR — [`QueryIr::to_plan`](crate::ir::QueryIr::to_plan) emits
 //!   positional accessors only — so α-equivalent queries already produce
 //!   structurally identical [`PlanExpr`] trees and need no extra handling.
 //! * **Join association.** ⋈ is associative (path concatenation), and the
@@ -132,7 +132,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_query;
+    use crate::{lower_to_checked_plan, parse_query};
     use pathalg_core::condition::Condition;
     use pathalg_core::ops::recursive::PathSemantics;
 
@@ -200,8 +200,8 @@ mod tests {
         let q1 = parse_query("MATCH ANY SHORTEST TRAIL p = (?x)-[(:Knows)+]->(?y)").unwrap();
         let q2 =
             parse_query("MATCH ANY SHORTEST TRAIL route = (?from)-[(:Knows)+]->(?to)").unwrap();
-        let k1 = plan_cache_key(&q1.to_checked_plan().unwrap(), &cfg);
-        let k2 = plan_cache_key(&q2.to_checked_plan().unwrap(), &cfg);
+        let k1 = plan_cache_key(&lower_to_checked_plan(&q1).unwrap(), &cfg);
+        let k2 = plan_cache_key(&lower_to_checked_plan(&q2).unwrap(), &cfg);
         assert_eq!(k1, k2);
     }
 

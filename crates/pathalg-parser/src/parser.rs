@@ -18,9 +18,13 @@
 //!
 //! The `WHERE` condition may nest at most [`MAX_NESTING_DEPTH`] levels deep,
 //! counting parentheses, `NOT`s and chained `AND`/`OR`s alike.
+//!
+//! The parser emits the surface-independent [`QueryIr`] directly. Variable
+//! names are read only to reject a repeat: a name bound twice would be an
+//! equality join between the positions it names, which the IR cannot say.
 
-use crate::ast::{NodePattern, OutputSpec, PathQuery};
 use crate::error::ParseError;
+use crate::ir::{IrNode, IrOutput, QueryIr};
 use crate::lexer::{tokenize, SpannedToken, Token};
 use pathalg_core::condition::{Accessor, CompareOp, Condition, Position};
 use pathalg_core::gql::{Restrictor, Selector};
@@ -30,8 +34,8 @@ use pathalg_core::ops::projection::{ProjectionSpec, Take};
 use pathalg_graph::value::Value;
 use pathalg_rpq::parse::{parse_regex, MAX_NESTING_DEPTH};
 
-/// Parses a path query.
-pub fn parse_query(input: &str) -> Result<PathQuery, ParseError> {
+/// Parses a path query into the [`QueryIr`] every surface produces.
+pub fn parse_query(input: &str) -> Result<QueryIr, ParseError> {
     let mut parser = QueryParser::new(input)?;
     let query = parser.parse_query()?;
     parser.expect_eof()?;
@@ -123,12 +127,13 @@ impl QueryParser {
         }
     }
 
-    fn parse_query(&mut self) -> Result<PathQuery, ParseError> {
+    fn parse_query(&mut self) -> Result<QueryIr, ParseError> {
         self.expect_keyword("MATCH")?;
         let output = self.parse_output()?;
         let restrictor = self.parse_restrictor()?;
-        let path_variable = self.parse_path_variable();
-        let source = self.parse_node_pattern()?;
+        let mut bound = Vec::new();
+        self.parse_path_variable(&mut bound)?;
+        let source = self.parse_node_pattern(&mut bound)?;
         let regex_text = match self.bump() {
             Token::EdgePattern(text) => text,
             other => {
@@ -137,7 +142,7 @@ impl QueryParser {
         };
         let regex = parse_regex(&regex_text)
             .map_err(|e| self.error(format!("invalid regular expression: {e}")))?;
-        let target = self.parse_node_pattern()?;
+        let target = self.parse_node_pattern(&mut bound)?;
         let where_clause = if self.eat_keyword("WHERE") {
             Some(self.parse_condition()?)
         } else {
@@ -145,10 +150,9 @@ impl QueryParser {
         };
         let group_by = self.parse_group_by()?;
         let order_by = self.parse_order_by()?;
-        Ok(PathQuery {
+        Ok(QueryIr {
             output,
             restrictor,
-            path_variable,
             source,
             regex,
             target,
@@ -160,7 +164,7 @@ impl QueryParser {
 
     /// `output`: either the extended projection (`… PARTITIONS … GROUPS …
     /// PATHS`) or a GQL selector (possibly absent, defaulting to `ALL`).
-    fn parse_output(&mut self) -> Result<OutputSpec, ParseError> {
+    fn parse_output(&mut self) -> Result<IrOutput, ParseError> {
         // Extended form: (ALL | int) PARTITIONS …
         let starts_projection = match self.peek() {
             Token::Keyword(k) if k == "ALL" => self.is_keyword_ahead(1, "PARTITIONS"),
@@ -174,7 +178,7 @@ impl QueryParser {
             self.expect_keyword("GROUPS")?;
             let paths = self.parse_take()?;
             self.expect_keyword("PATHS")?;
-            return Ok(OutputSpec::Projection(ProjectionSpec::new(
+            return Ok(IrOutput::Slice(ProjectionSpec::new(
                 partitions, groups, paths,
             )));
         }
@@ -186,18 +190,18 @@ impl QueryParser {
             // pattern start means the SHORTEST belongs to the selector.
             self.bump();
             self.bump();
-            return Ok(OutputSpec::Selector(Selector::AllShortest));
+            return Ok(IrOutput::Selector(Selector::AllShortest));
         }
         if self.eat_keyword("ANY") {
             if self.eat_keyword("SHORTEST") {
-                return Ok(OutputSpec::Selector(Selector::AnyShortest));
+                return Ok(IrOutput::Selector(Selector::AnyShortest));
             }
             if let Token::Int(k) = self.peek() {
                 let k = *k as usize;
                 self.bump();
-                return Ok(OutputSpec::Selector(Selector::AnyK(k)));
+                return Ok(IrOutput::Selector(Selector::AnyK(k)));
             }
-            return Ok(OutputSpec::Selector(Selector::Any));
+            return Ok(IrOutput::Selector(Selector::Any));
         }
         if self.is_keyword("SHORTEST") && matches!(self.peek_ahead(1), Token::Int(_)) {
             self.bump();
@@ -206,16 +210,16 @@ impl QueryParser {
                 _ => unreachable!("checked by peek_ahead"),
             };
             if self.eat_keyword("GROUP") {
-                return Ok(OutputSpec::Selector(Selector::ShortestKGroup(k)));
+                return Ok(IrOutput::Selector(Selector::ShortestKGroup(k)));
             }
-            return Ok(OutputSpec::Selector(Selector::ShortestK(k)));
+            return Ok(IrOutput::Selector(Selector::ShortestK(k)));
         }
         if self.is_keyword("ALL") && !self.is_keyword_ahead(1, "PARTITIONS") {
             self.bump();
-            return Ok(OutputSpec::Selector(Selector::All));
+            return Ok(IrOutput::Selector(Selector::All));
         }
         // No selector: default ALL (e.g. `MATCH TRAIL p = …`).
-        Ok(OutputSpec::Selector(Selector::All))
+        Ok(IrOutput::Selector(Selector::All))
     }
 
     fn parse_take(&mut self) -> Result<Take, ParseError> {
@@ -229,21 +233,15 @@ impl QueryParser {
 
     fn parse_restrictor(&mut self) -> Result<Restrictor, ParseError> {
         let restrictor = match self.peek() {
-            Token::Keyword(k) => match k.as_str() {
-                "WALK" => Restrictor::Walk,
-                "TRAIL" => Restrictor::Trail,
-                "SIMPLE" => Restrictor::Simple,
-                "ACYCLIC" => Restrictor::Acyclic,
-                "SHORTEST" => Restrictor::Shortest,
-                other => {
-                    return Err(self.error(format!(
-                        "expected a restrictor (WALK, TRAIL, SIMPLE, ACYCLIC or SHORTEST), found {other}"
-                    )))
-                }
-            },
+            Token::Keyword(k) if k == "WALK" => Restrictor::Walk,
+            Token::Keyword(k) if k == "TRAIL" => Restrictor::Trail,
+            Token::Keyword(k) if k == "SIMPLE" => Restrictor::Simple,
+            Token::Keyword(k) if k == "ACYCLIC" => Restrictor::Acyclic,
+            Token::Keyword(k) if k == "SHORTEST" => Restrictor::Shortest,
             other => {
                 return Err(self.error(format!(
-                    "expected a restrictor (WALK, TRAIL, SIMPLE, ACYCLIC or SHORTEST), found {other}"
+                    "expected a restrictor (WALK, TRAIL, SIMPLE, ACYCLIC or SHORTEST), \
+                     found {other}"
                 )))
             }
         };
@@ -251,29 +249,29 @@ impl QueryParser {
         Ok(restrictor)
     }
 
-    fn parse_path_variable(&mut self) -> Option<String> {
+    fn parse_path_variable(&mut self, bound: &mut Vec<String>) -> Result<(), ParseError> {
         if let Token::Ident(name) = self.peek() {
             if matches!(self.peek_ahead(1), Token::Eq) {
-                let name = name.clone();
+                bind(bound, name, self.offset())?;
                 self.bump();
                 self.bump();
-                return Some(name);
             }
         }
-        None
+        Ok(())
     }
 
-    fn parse_node_pattern(&mut self) -> Result<NodePattern, ParseError> {
+    /// A node pattern's constraints; its variable, if any, joins `bound`.
+    fn parse_node_pattern(&mut self, bound: &mut Vec<String>) -> Result<IrNode, ParseError> {
         if !matches!(self.bump(), Token::LParen) {
             return Err(self.error("expected '(' to start a node pattern"));
         }
-        let mut pattern = NodePattern::default();
+        let mut pattern = IrNode::any();
         // Optional '?' before the variable.
         if matches!(self.peek(), Token::Question) {
             self.bump();
         }
         if let Token::Ident(name) = self.peek() {
-            pattern.variable = Some(name.clone());
+            bind(bound, name, self.offset())?;
             self.bump();
         }
         if matches!(self.peek(), Token::Colon) {
@@ -348,11 +346,10 @@ impl QueryParser {
                 break;
             }
         }
-        if !source && !target && !length {
-            return Err(self.error("GROUP BY needs at least one of SOURCE, TARGET, LENGTH"));
-        }
         let key = match (source, target, length) {
-            (false, false, false) => unreachable!("checked above"),
+            (false, false, false) => {
+                return Err(self.error("GROUP BY needs at least one of SOURCE, TARGET, LENGTH"))
+            }
             (true, false, false) => GroupKey::Source,
             (false, true, false) => GroupKey::Target,
             (false, false, true) => GroupKey::Length,
@@ -384,11 +381,10 @@ impl QueryParser {
                 break;
             }
         }
-        if !partition && !group && !path {
-            return Err(self.error("ORDER BY needs at least one of PARTITION, GROUP, PATH"));
-        }
         let key = match (partition, group, path) {
-            (false, false, false) => unreachable!("checked above"),
+            (false, false, false) => {
+                return Err(self.error("ORDER BY needs at least one of PARTITION, GROUP, PATH"))
+            }
             (true, false, false) => OrderKey::Partition,
             (false, true, false) => OrderKey::Group,
             (false, false, true) => OrderKey::Path,
@@ -605,11 +601,29 @@ pub(crate) fn parse_condition_text(input: &str) -> Result<Condition, ParseError>
 
 /// Parses a standalone node pattern such as `(?x:Person {name:"Moe"})` — the
 /// RPQ surface's head-argument syntax reuses the GQL node-pattern grammar.
-pub(crate) fn parse_node_pattern_text(input: &str) -> Result<NodePattern, ParseError> {
+/// Its variable, if any, joins `bound`, as in [`parse_query`].
+pub(crate) fn parse_node_pattern_text(
+    input: &str,
+    bound: &mut Vec<String>,
+) -> Result<IrNode, ParseError> {
     let mut parser = QueryParser::new(input)?;
-    let pattern = parser.parse_node_pattern()?;
+    let pattern = parser.parse_node_pattern(bound)?;
     parser.expect_eof()?;
     Ok(pattern)
+}
+
+/// Adds a variable to those `bound` so far, or rejects it if it is there
+/// already: a repeated variable is an equality join between the positions it
+/// names, and the IR keeps positions only.
+fn bind(bound: &mut Vec<String>, name: &str, offset: usize) -> Result<(), ParseError> {
+    if bound.iter().any(|b| b == name) {
+        return Err(ParseError::new(
+            offset,
+            format!("variable {name} is bound twice; a repeated variable is not supported"),
+        ));
+    }
+    bound.push(name.to_owned());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -626,12 +640,11 @@ mod tests {
         .unwrap();
         assert_eq!(
             q.output,
-            OutputSpec::Projection(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)))
+            IrOutput::Slice(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)))
         );
         assert_eq!(q.restrictor, Restrictor::Trail);
-        assert_eq!(q.path_variable.as_deref(), Some("p"));
-        assert_eq!(q.source.variable.as_deref(), Some("x"));
-        assert_eq!(q.target.variable.as_deref(), Some("y"));
+        assert_eq!(q.source, IrNode::any());
+        assert_eq!(q.target, IrNode::any());
         assert_eq!(q.regex, LabelRegex::label("Knows").star());
         assert_eq!(q.group_by, Some(GroupKey::Target));
         assert_eq!(q.order_by, Some(OrderKey::Path));
@@ -641,42 +654,42 @@ mod tests {
     #[test]
     fn parses_standard_gql_selector_form() {
         let q = parse_query("MATCH ANY SHORTEST TRAIL p = (?x)-[:Knows+]->(?y)").unwrap();
-        assert_eq!(q.output, OutputSpec::Selector(Selector::AnyShortest));
+        assert_eq!(q.output, IrOutput::Selector(Selector::AnyShortest));
         assert_eq!(q.restrictor, Restrictor::Trail);
         assert_eq!(q.regex, LabelRegex::label("Knows").plus());
 
         let q = parse_query("MATCH ALL SHORTEST WALK p = (?x)-[:Knows+]->(?y)").unwrap();
-        assert_eq!(q.output, OutputSpec::Selector(Selector::AllShortest));
+        assert_eq!(q.output, IrOutput::Selector(Selector::AllShortest));
         assert_eq!(q.restrictor, Restrictor::Walk);
 
         let q = parse_query("MATCH SHORTEST 3 GROUP ACYCLIC p = (?x)-[:Knows+]->(?y)").unwrap();
-        assert_eq!(q.output, OutputSpec::Selector(Selector::ShortestKGroup(3)));
+        assert_eq!(q.output, IrOutput::Selector(Selector::ShortestKGroup(3)));
         assert_eq!(q.restrictor, Restrictor::Acyclic);
 
         let q = parse_query("MATCH SHORTEST 2 SIMPLE p = (?x)-[:Knows+]->(?y)").unwrap();
-        assert_eq!(q.output, OutputSpec::Selector(Selector::ShortestK(2)));
+        assert_eq!(q.output, IrOutput::Selector(Selector::ShortestK(2)));
 
         let q = parse_query("MATCH ANY 4 WALK p = (?x)-[:Knows+]->(?y)").unwrap();
-        assert_eq!(q.output, OutputSpec::Selector(Selector::AnyK(4)));
+        assert_eq!(q.output, IrOutput::Selector(Selector::AnyK(4)));
 
         let q = parse_query("MATCH ANY TRAIL p = (?x)-[:Knows+]->(?y)").unwrap();
-        assert_eq!(q.output, OutputSpec::Selector(Selector::Any));
+        assert_eq!(q.output, IrOutput::Selector(Selector::Any));
 
         let q = parse_query("MATCH ALL TRAIL p = (?x)-[:Knows+]->(?y)").unwrap();
-        assert_eq!(q.output, OutputSpec::Selector(Selector::All));
+        assert_eq!(q.output, IrOutput::Selector(Selector::All));
     }
 
     #[test]
     fn selector_defaults_to_all_when_absent() {
         let q = parse_query("MATCH TRAIL p = (?x)-[:Knows]->(?y)").unwrap();
-        assert_eq!(q.output, OutputSpec::Selector(Selector::All));
+        assert_eq!(q.output, IrOutput::Selector(Selector::All));
         assert_eq!(q.restrictor, Restrictor::Trail);
     }
 
     #[test]
     fn shortest_restrictor_without_count_is_a_restrictor() {
         let q = parse_query("MATCH SHORTEST p = (?x)-[:Knows+]->(?y)").unwrap();
-        assert_eq!(q.output, OutputSpec::Selector(Selector::All));
+        assert_eq!(q.output, IrOutput::Selector(Selector::All));
         assert_eq!(q.restrictor, Restrictor::Shortest);
     }
 
@@ -698,12 +711,35 @@ mod tests {
     #[test]
     fn parses_anonymous_and_unconstrained_nodes() {
         let q = parse_query("MATCH ALL WALK ()-[:Knows]->()").unwrap();
-        assert!(q.source.is_unconstrained());
-        assert!(q.source.variable.is_none());
-        assert!(q.path_variable.is_none());
+        assert_eq!(q.source, IrNode::any());
+        assert_eq!(q.target, IrNode::any());
         let q = parse_query("MATCH ALL WALK (x)-[:Knows]->(y {name:\"Apu\"})").unwrap();
-        assert_eq!(q.source.variable.as_deref(), Some("x"));
-        assert!(!q.target.is_unconstrained());
+        assert_eq!(q.source, IrNode::any());
+        assert_eq!(
+            q.target,
+            IrNode::any().with_property("name", Value::str("Apu"))
+        );
+    }
+
+    #[test]
+    fn a_repeated_variable_is_a_parse_error_at_its_second_binding() {
+        for (text, name, offset) in [
+            ("MATCH ALL TRAIL p = (?x)-[:Knows+]->(?x)", "x", 38),
+            ("MATCH ALL WALK (x)-[:Knows]->(x)", "x", 30),
+            ("MATCH ALL TRAIL p = (?p)-[:Knows+]->(?y)", "p", 22),
+            ("MATCH ALL TRAIL x = (?y)-[:Knows+]->(?x)", "x", 38),
+        ] {
+            let err = parse_query(text).unwrap_err();
+            assert_eq!(err.position, offset, "{text}: {err}");
+            assert!(
+                err.message
+                    .contains(&format!("variable {name} is bound twice")),
+                "{text}: {err}"
+            );
+        }
+        // Distinct names, and anonymous nodes, still parse.
+        assert!(parse_query("MATCH ALL TRAIL p = (?x)-[:Knows+]->(?y)").is_ok());
+        assert!(parse_query("MATCH ALL TRAIL p = ()-[:Knows+]->()").is_ok());
     }
 
     #[test]
@@ -838,5 +874,15 @@ mod tests {
         assert!(text.contains("MATCH (*,*,1) TRAIL"));
         assert!(text.contains("GROUP BY T"));
         assert!(text.contains("ORDER BY A"));
+        // Node patterns keep their constraints and lose their variables.
+        let q =
+            parse_query("MATCH ANY SHORTEST TRAIL p = (?x:Person {name:\"Moe\"})-[:Knows]->(?y)")
+                .unwrap();
+        let text = q.to_string();
+        assert!(
+            text.starts_with("MATCH ANY SHORTEST TRAIL (:Person {name:\"Moe\"})-["),
+            "{text}"
+        );
+        assert!(text.ends_with("]->()"), "{text}");
     }
 }

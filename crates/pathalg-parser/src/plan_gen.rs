@@ -1,98 +1,53 @@
-//! Logical-plan generation (Section 7.2).
+//! The Section 7.2 plan renderer.
 //!
-//! Since the multi-surface front-end landed, the actual lowering lives in
-//! [`crate::ir`]: a parsed [`PathQuery`] is first converted to the
-//! surface-independent [`crate::ir::QueryIr`] and the IR is what produces the
-//! path-algebra expression (regex compilation, endpoint/WHERE/restrictor
-//! selection, Table-7 γ/τ/π pipeline). This module keeps the convenient
-//! methods on `PathQuery` and the Section 7.2 [`explain`] renderer.
+//! Plan generation itself is [`QueryIr::to_plan`] (checked:
+//! [`crate::ir::lower_to_checked_plan`]), shared by every surface. This
+//! module renders a query and its plan in the paper's textual format
+//! ([`QueryIr::explain`]) and holds the plan-generation tests of the GQL
+//! surface.
 
-use crate::ast::{OutputSpec, PathQuery};
-use crate::ir::lower_to_checked_plan;
+use crate::ir::{IrOutput, QueryIr};
 use pathalg_core::display::plan_tree;
-use pathalg_core::error::AlgebraError;
-use pathalg_core::expr::PlanExpr;
 use pathalg_core::ops::group_by::GroupKey;
 use pathalg_core::ops::order_by::OrderKey;
 use pathalg_core::ops::projection::Take;
-use pathalg_core::ops::recursive::RecursionConfig;
 
-impl PathQuery {
-    /// Generates the logical plan (path-algebra expression) for this query
-    /// by lowering through the surface-independent IR.
-    pub fn to_plan(&self) -> PlanExpr {
-        self.to_ir().to_plan()
-    }
-
-    /// Generates the logical plan and type-checks it, propagating the
-    /// failure as a proper [`AlgebraError`] instead of leaving every caller
-    /// to panic. This is the same checked lowering every other query surface
-    /// uses ([`crate::ir::lower_to_checked_plan`]), so the runner, the
-    /// service and the raw-IR surface all reject a malformed query with the
-    /// identical typed error.
-    pub fn to_checked_plan(&self) -> Result<PlanExpr, AlgebraError> {
-        lower_to_checked_plan(&self.to_ir())
-    }
-
-    /// True if the query's plan is a *sliceable* γ/τ/π pipeline over a
-    /// recursive label scan that lazy (PMR-backed) evaluation can take end
-    /// to end under the given recursion bounds — the same decision the
-    /// engine's `choose_pipeline_impl` makes on the generated plan, so the
-    /// tag predicts `QueryResult::used_lazy_pipeline` for unoptimized plans.
-    /// Unbounded Walk is excluded: its infinite-answer detection requires
-    /// driving the full expansion.
-    pub fn lazy_sliceable(&self, recursion: &RecursionConfig) -> bool {
-        self.to_plan()
-            .sliceable_pipeline()
-            .is_some_and(|sliced| sliced.lazy_eligible(recursion))
-    }
-
-    /// Renders the query plan in the textual format of Section 7.2.
+impl QueryIr {
+    /// Renders the query and its plan in the Section 7.2 output format:
+    ///
+    /// ```text
+    /// Projection (ALL PARTITIONS ALL GROUPS 1 PATHS)
+    /// OrderBy (Path)
+    /// Group (Target)
+    /// Restrictor (TRAIL)
+    /// -> Recursive Join (restrictor: TRAIL)
+    ///     -> Select: (label(edge(1)) = "Knows" , EDGES(G))
+    /// ```
     pub fn explain(&self) -> String {
-        explain(self)
-    }
-}
-
-/// Generates the logical plan for a parsed query (kept for callers that used
-/// the free function; equivalent to `query.to_ir().to_plan()`).
-pub fn generate_plan(query: &PathQuery) -> PlanExpr {
-    query.to_ir().to_plan()
-}
-
-/// Renders a query and its plan in the Section 7.2 output format:
-///
-/// ```text
-/// Projection (ALL PARTITIONS ALL GROUPS 1 PATHS)
-/// OrderBy (Path)
-/// Group (Target)
-/// Restrictor (TRAIL)
-/// -> Recursive Join (restrictor: TRAIL)
-///     -> Select: (label(edge(1)) = "Knows" , EDGES(G))
-/// ```
-pub fn explain(query: &PathQuery) -> String {
-    let mut out = String::new();
-    match &query.output {
-        OutputSpec::Projection(spec) => {
-            out.push_str(&format!(
-                "Projection ({} PARTITIONS {} GROUPS {} PATHS)\n",
-                take_word(spec.partitions),
-                take_word(spec.groups),
-                take_word(spec.paths)
-            ));
+        let mut out = String::new();
+        match &self.output {
+            IrOutput::Slice(spec) => {
+                out.push_str(&format!(
+                    "Projection ({} PARTITIONS {} GROUPS {} PATHS)\n",
+                    take_word(spec.partitions),
+                    take_word(spec.groups),
+                    take_word(spec.paths)
+                ));
+            }
+            IrOutput::Selector(sel) => {
+                out.push_str(&format!("Selector ({sel})\n"));
+            }
         }
-        OutputSpec::Selector(sel) => {
-            out.push_str(&format!("Selector ({sel})\n"));
+        if let Some(order) = self.order_by {
+            out.push_str(&format!("OrderBy ({})\n", order_word(order)));
         }
+        if let Some(group) = self.group_by {
+            out.push_str(&format!("Group ({})\n", group_word(group)));
+        }
+        out.push_str(&format!("Restrictor ({})\n", self.restrictor));
+        out.push_str(&plan_tree(&self.to_plan()));
+        out
     }
-    if let Some(order) = query.order_by {
-        out.push_str(&format!("OrderBy ({})\n", order_word(order)));
-    }
-    if let Some(group) = query.group_by {
-        out.push_str(&format!("Group ({})\n", group_word(group)));
-    }
-    out.push_str(&format!("Restrictor ({})\n", query.restrictor));
-    out.push_str(&plan_tree(&query.to_plan()));
-    out
 }
 
 fn take_word(take: Take) -> String {
@@ -129,6 +84,7 @@ fn order_word(key: OrderKey) -> &'static str {
 
 #[cfg(test)]
 mod tests {
+    use crate::ir::lower_to_checked_plan;
     use crate::parser::parse_query;
     use pathalg_core::eval::{EvalConfig, Evaluator};
     use pathalg_core::ops::recursive::RecursionConfig;
@@ -312,13 +268,24 @@ mod tests {
         ];
         for q in queries {
             let parsed = parse_query(q).map_err(|e| format!("{q}: {e}"))?;
-            parsed.to_checked_plan().map_err(|e| format!("{q}: {e}"))?;
+            lower_to_checked_plan(&parsed).map_err(|e| format!("{q}: {e}"))?;
         }
         Ok(())
     }
 
+    /// True if the query's plan is a sliceable γ/τ/π pipeline that the lazy
+    /// (PMR-backed) evaluation takes end to end under `recursion` — the
+    /// decision the engine's `choose_pipeline_impl` makes on the plan.
+    fn lazy(query: &str, recursion: &RecursionConfig) -> bool {
+        parse_query(query)
+            .unwrap()
+            .to_plan()
+            .sliceable_pipeline()
+            .is_some_and(|sliced| sliced.lazy_eligible(recursion))
+    }
+
     #[test]
-    fn lazy_sliceable_tags_the_slicing_selector_queries() {
+    fn lazy_eligible_plans_tag_the_slicing_selector_queries() {
         // ANY SHORTEST / SHORTEST k translate to π(*,*,k)(τA(γST(ϕ(scan)))).
         // The recogniser covers the whole fragment: plain scans, endpoint
         // filters (pushed into the expansion as source/target masks), and
@@ -331,12 +298,7 @@ mod tests {
             "MATCH ANY SHORTEST TRAIL p = (?x)-[(:Likes/:Has_creator)+]->(?y)",
             "MATCH ANY 2 SIMPLE p = (?x {name:\"Moe\"})-[(:Likes/:Has_creator)+]->(?y {name:\"Apu\"})",
         ] {
-            assert!(
-                parse_query(q)
-                    .unwrap()
-                    .lazy_sliceable(&RecursionConfig::default()),
-                "{q}"
-            );
+            assert!(lazy(q, &RecursionConfig::default()), "{q}");
         }
         // ALL keeps everything; non-endpoint WHERE clauses cannot be pushed;
         // and a union base is not a scan chain.
@@ -345,16 +307,11 @@ mod tests {
             "MATCH ANY SHORTEST TRAIL p = (?x)-[:Knows+]->(?y) WHERE node(2).name = \"Lisa\"",
             "MATCH ANY SHORTEST TRAIL p = (?x)-[(:Knows|:Likes)+]->(?y)",
         ] {
-            assert!(
-                !parse_query(q)
-                    .unwrap()
-                    .lazy_sliceable(&RecursionConfig::default()),
-                "{q}"
-            );
+            assert!(!lazy(q, &RecursionConfig::default()), "{q}");
         }
         // Walk queries are only lazy when a length bound makes them finite.
-        let walk = parse_query("MATCH ANY 2 WALK p = (?x)-[:Knows+]->(?y)").unwrap();
-        assert!(!walk.lazy_sliceable(&RecursionConfig::unbounded()));
-        assert!(walk.lazy_sliceable(&RecursionConfig::with_max_length(4)));
+        let walk = "MATCH ANY 2 WALK p = (?x)-[:Knows+]->(?y)";
+        assert!(!lazy(walk, &RecursionConfig::unbounded()));
+        assert!(lazy(walk, &RecursionConfig::with_max_length(4)));
     }
 }

@@ -34,7 +34,6 @@
 //! cache key) unchanged. Defaults when a clause is omitted: `walk` restrictor
 //! and the `all` selector, mirroring a bare RPQ's semantics.
 
-use crate::ast::NodePattern;
 use crate::error::ParseError;
 use crate::ir::{IrNode, IrOutput, QueryIr};
 use crate::parser::{parse_condition_text, parse_node_pattern_text};
@@ -149,7 +148,8 @@ fn set_once<T>(
 
 /// Parses the rule head `ident(nodespec, nodespec)` into the two endpoint
 /// constraints. The predicate name and the variable names are syntax only —
-/// the IR is α-canonical and drops them.
+/// the IR is α-canonical and drops them — but a variable named twice is
+/// rejected, as in GQL.
 fn parse_head(head: &str) -> Result<(IrNode, IrNode), ParseError> {
     let head_trim = head.trim();
     let base = head.len() - head.trim_start().len();
@@ -185,23 +185,23 @@ fn parse_head(head: &str) -> Result<(IrNode, IrNode), ParseError> {
             format!("the head takes exactly 2 arguments, found {}", args.len()),
         ));
     }
-    Ok((parse_nodespec(&args[0])?, parse_nodespec(&args[1])?))
+    let mut bound = Vec::new();
+    Ok((
+        parse_nodespec(&args[0], &mut bound)?,
+        parse_nodespec(&args[1], &mut bound)?,
+    ))
 }
 
 /// A head argument is the body of a GQL node pattern (`x`, `x:Person`,
 /// `x:Person {name:"Moe"}`); wrap it and reuse the GQL parser.
-fn parse_nodespec(arg: &RawClause) -> Result<IrNode, ParseError> {
+fn parse_nodespec(arg: &RawClause, bound: &mut Vec<String>) -> Result<IrNode, ParseError> {
     let spec = arg.text.trim();
+    let offset = arg.offset + arg.text.len() - arg.text.trim_start().len();
     if spec.is_empty() {
-        return Err(ParseError::new(arg.offset, "empty head argument"));
+        return Err(ParseError::new(offset, "empty head argument"));
     }
-    let pattern: NodePattern = parse_node_pattern_text(&format!("(?{spec})")).map_err(|e| {
-        ParseError::new(arg.offset, format!("invalid head argument: {}", e.message))
-    })?;
-    Ok(IrNode {
-        label: pattern.label,
-        properties: pattern.properties,
-    })
+    parse_node_pattern_text(&format!("(?{spec})"), bound)
+        .map_err(|e| ParseError::new(offset, format!("invalid head argument: {}", e.message)))
 }
 
 fn parse_clause(clause: &RawClause) -> Result<Clause, ParseError> {
@@ -409,7 +409,7 @@ mod tests {
         ];
         for (rule, gql) in cases {
             let from_rule = parse_rpq(rule).unwrap();
-            let from_gql = parse_query(gql).unwrap().to_ir();
+            let from_gql = parse_query(gql).unwrap();
             assert_eq!(from_rule, from_gql, "{rule}");
         }
     }
@@ -482,10 +482,17 @@ mod tests {
                 "invalid where condition",
             ),
             ("1dent(x, y) :- :Knows", "invalid predicate name"),
+            (
+                "reach(x, x) :- :Knows+, trail, all.",
+                "variable x is bound twice",
+            ),
         ];
         for (rule, needle) in cases {
             let err = parse_rpq(rule).unwrap_err();
             assert!(err.to_string().contains(needle), "{rule}: got {err}");
         }
+        // The repeat is reported at the argument that repeats it.
+        let err = parse_rpq("reach(x:Person, x) :- :Knows+").unwrap_err();
+        assert_eq!(err.position, 16, "{err}");
     }
 }

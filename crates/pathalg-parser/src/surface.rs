@@ -119,9 +119,7 @@ impl From<(QuerySurface, ParseError)> for SurfaceError {
 /// Parses `text` under the given surface into the shared [`QueryIr`].
 pub fn parse_surface(surface: QuerySurface, text: &str) -> Result<QueryIr, SurfaceError> {
     match surface {
-        QuerySurface::Gql => parse_query(text)
-            .map(|q| q.to_ir())
-            .map_err(|e| SurfaceError::new(surface, e)),
+        QuerySurface::Gql => parse_query(text).map_err(|e| SurfaceError::new(surface, e)),
         QuerySurface::Rpq => parse_rpq(text).map_err(|e| SurfaceError::new(surface, e)),
         QuerySurface::Ir => QueryIr::from_json_str(text).map_err(|e| SurfaceError::new(surface, e)),
     }

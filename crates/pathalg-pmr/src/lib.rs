@@ -12,7 +12,7 @@
 //! order**:
 //!
 //! * [`Pmr::from_label_scan`] / [`Pmr::from_csr`] and
-//!   [`Pmr::from_label_chain`] / [`Pmr::from_join`] — the
+//!   [`Pmr::from_label_chain`] / [`Pmr::from_shared_join`] — the
 //!   `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` form, a label scan being the one-hop chain:
 //!   lazy per-source, level-ordered expansion over label-restricted CSR
 //!   snapshots by one kernel (the `join` module), byte-order-identical to
@@ -157,7 +157,7 @@ impl Pmr {
         semantics: PathSemantics,
         config: RecursionConfig,
     ) -> Pmr {
-        Self::from_join(
+        Self::from_shared_join(
             labels
                 .iter()
                 .map(|l| CsrGraph::with_label(graph, l))
@@ -167,18 +167,9 @@ impl Pmr {
         )
     }
 
-    /// PMR of `ϕ_semantics` over the concatenation of per-hop CSR snapshots
-    /// (every base path walks one edge of each hop in order).
-    pub fn from_join(
-        hops: Vec<CsrGraph>,
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr {
-        Self::from_shared_join(hops.into(), semantics, config)
-    }
-
-    /// [`Pmr::from_join`] over *shared* per-hop snapshots: the expansion
-    /// walks the caller's `Arc`ed hop list instead of a copy of it.
+    /// PMR of `ϕ_semantics` over the concatenation of *shared* per-hop CSR
+    /// snapshots (every base path walks one edge of each hop in order): the
+    /// expansion walks the caller's `Arc`ed hop list instead of a copy of it.
     pub fn from_shared_join(
         hops: Arc<[CsrGraph]>,
         semantics: PathSemantics,

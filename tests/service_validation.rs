@@ -30,7 +30,9 @@ use pathalg::engine::runner::{QueryRunner, RunnerConfig};
 use pathalg::graph::fixtures::figure1::figure1_graph;
 use pathalg::graph::generator::snb::{snb_like_graph, SnbConfig};
 use pathalg::graph::generator::structured::complete_graph;
-use pathalg::parser::{parse_query, plan_cache_key, QuerySurface};
+use pathalg::parser::{
+    lower_to_checked_plan, parse_query, parse_surface, plan_cache_key, QuerySurface,
+};
 use pathalg::rpq::parse::MAX_NESTING_DEPTH;
 use pathalg::server::{
     handle_line, AdmissionError, CacheStatus, DedupRole, QueryService, ServiceConfig, ServiceError,
@@ -225,7 +227,9 @@ fn epoch_bump_invalidates_the_plan_cache() {
 /// `ANY SHORTEST` scan and join, the target-anchored `ALL SHORTEST` join and
 /// the unanchored `ALL WALK` — give the same optimized plan, the same
 /// strategy decisions (operator, chosen, estimate) and the same answer
-/// bytes through `QueryRunner::run` and `QueryService::submit`.
+/// bytes through `QueryRunner::run` and `QueryService::submit`. Both parse
+/// through one front door: the runner's query is `parse_surface`'s IR, and a
+/// malformed text fails with the service's parse message.
 #[test]
 fn the_runner_and_the_service_run_one_pipeline() {
     let graph = Arc::new(snb_like_graph(&SnbConfig::scale(200, 11)));
@@ -251,6 +255,11 @@ fn the_runner_and_the_service_run_one_pipeline() {
         "MATCH ALL WALK p = (?x)-[:Knows+]->(?y)",
     ] {
         let ran = runner.run(query).unwrap();
+        assert_eq!(
+            ran.query(),
+            &parse_surface(QuerySurface::Gql, query).unwrap(),
+            "{query}"
+        );
         let served = svc.submit(query).unwrap();
         let (planned, _) = svc.prepare(query).unwrap();
         assert_eq!(&planned.plan, ran.optimized_plan(), "{query}");
@@ -269,6 +278,13 @@ fn the_runner_and_the_service_run_one_pipeline() {
         assert!(!lines.is_empty(), "{query}");
         assert_eq!(served.outcome.canonical_lines(), lines, "{query}");
     }
+    // A malformed text fails at the same front door with the same message.
+    let malformed = "MATCH ALL TRAIL p = (?x)-[:Knows+]->";
+    let Err(ServiceError::Parse(message)) = svc.submit(malformed) else {
+        panic!("the service must refuse {malformed} with a parse error");
+    };
+    let ran = runner.run(malformed).unwrap_err().to_string();
+    assert!(ran.contains(&message), "runner: {ran}; service: {message}");
 }
 
 // ---------------------------------------------------------------------------
@@ -594,18 +610,24 @@ proptest! {
         b in 0usize..NAMES.len(),
         p in 0usize..NAMES.len(),
     ) {
-        let original = parse_query("MATCH ALL TRAIL p = (?x)-[(:Knows)+]->(?y)")
-            .unwrap()
-            .to_checked_plan()
-            .unwrap();
+        let original =
+            lower_to_checked_plan(&parse_query("MATCH ALL TRAIL p = (?x)-[(:Knows)+]->(?y)").unwrap())
+                .unwrap();
         let renamed_text = format!(
             "MATCH ALL TRAIL {} = (?{})-[(:Knows)+]->(?{})",
             NAMES[p], NAMES[a], NAMES[b],
         );
-        let renamed = parse_query(&renamed_text)
-            .unwrap()
-            .to_checked_plan()
-            .unwrap();
+        if p == a || p == b || a == b {
+            // A name drawn twice is a repeated variable: a typed parse error.
+            let repeated = if a == b { NAMES[a] } else { NAMES[p] };
+            let err = parse_query(&renamed_text).unwrap_err();
+            prop_assert!(
+                err.message.contains(&format!("variable {repeated} is bound twice")),
+                "{}: {}", renamed_text, err
+            );
+            return;
+        }
+        let renamed = lower_to_checked_plan(&parse_query(&renamed_text).unwrap()).unwrap();
         prop_assert_eq!(
             plan_cache_key(&original, &unbounded()),
             plan_cache_key(&renamed, &unbounded())

@@ -27,10 +27,13 @@ use pathalg::graph::fixtures::figure1::figure1_graph;
 use pathalg::parser::{
     lower_to_checked_plan, parse_surface, plan_cache_key, IrOutput, QueryIr, QuerySurface,
 };
-use pathalg::server::{handle_line, serve, CacheStatus, QueryService, ServiceConfig};
+use pathalg::server::{
+    handle_line, serve, CacheStatus, Client, QueryService, Response, ServiceConfig,
+};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -79,15 +82,10 @@ fn three_forms(gql: &str, rpq: &str) -> [(QuerySurface, String); 3] {
 /// with `\n`; and `display_ids` over `EngineEvaluator::eval_paths` of the
 /// optimized plan. All three must be equal.
 fn three_renderings(surface: QuerySurface, text: &str) -> [Vec<u8>; 3] {
-    static SOCKETS: AtomicUsize = AtomicUsize::new(0);
     let svc = Arc::new(service());
     let line = format!("QUERY {} {}", surface.tag(), text);
 
-    let path = std::env::temp_dir().join(format!(
-        "pathalg-surfaces-{}-{}.sock",
-        std::process::id(),
-        SOCKETS.fetch_add(1, Ordering::Relaxed)
-    ));
+    let path = socket_path();
     let server = serve(svc.clone(), path.clone()).unwrap();
     let mut stream = UnixStream::connect(&path).unwrap();
     stream.write_all(format!("{line}\n").as_bytes()).unwrap();
@@ -130,6 +128,16 @@ fn three_renderings(surface: QuerySurface, text: &str) -> [Vec<u8>; 3] {
         evaluated.push(b'\n');
     }
     [socket, collected, evaluated]
+}
+
+/// A fresh socket path for one test server.
+fn socket_path() -> PathBuf {
+    static SOCKETS: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "pathalg-surfaces-{}-{}.sock",
+        std::process::id(),
+        SOCKETS.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 fn service() -> QueryService {
@@ -242,7 +250,9 @@ proptest! {
 
     /// For generated single-label closures with arbitrary surface variable
     /// names, restrictors and selectors, the three surfaces agree on the IR
-    /// and the plan key — variable renames never reach either.
+    /// and the plan key — variable renames never reach either. When both
+    /// endpoints draw the same name, every surface that has names refuses
+    /// the query with a typed parse error, over the socket too.
     #[test]
     fn generated_queries_agree_across_surfaces(
         label in 0usize..LABELS.len(),
@@ -266,6 +276,31 @@ proptest! {
             "pred({}, {}) :- (:{})+, {}, {}.",
             NAMES[a], NAMES[b], LABELS[label], r_rpq, s_rpq,
         );
+        if a == b {
+            // A repeated variable is an equality join the IR cannot say.
+            let needle = format!("variable {} is bound twice", NAMES[a]);
+            let path = socket_path();
+            let server = serve(Arc::new(service()), path.clone()).unwrap();
+            let mut client = Client::connect(&path).unwrap();
+            for (surface, text) in [(QuerySurface::Gql, &gql), (QuerySurface::Rpq, &rpq)] {
+                let err = parse_surface(surface, text).unwrap_err();
+                prop_assert_eq!(err.surface, surface);
+                prop_assert!(err.message.contains(&needle), "{}", err);
+                match client.query_on(surface, text).unwrap() {
+                    Response::Error { kind, message } => {
+                        prop_assert_eq!(kind, "parse");
+                        prop_assert!(message.contains(&needle), "{}", message);
+                    }
+                    other => prop_assert!(false, "{}: expected ERR parse, got {:?}", text, other),
+                }
+            }
+            // The server keeps serving.
+            let reply = client.query_on(QuerySurface::Gql, EQUIVALENT_PAIRS[0].0).unwrap();
+            prop_assert!(matches!(reply, Response::Query(_)), "{:?}", reply);
+            drop(client);
+            server.shutdown();
+            return;
+        }
         let from_gql = parse_surface(QuerySurface::Gql, &gql).unwrap();
         let from_rpq = parse_surface(QuerySurface::Rpq, &rpq).unwrap();
         prop_assert_eq!(&from_gql, &from_rpq, "{} vs {}", gql, rpq);
