@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the pathalg workspace. Run from the repo root:
 #
-#   ./ci.sh               full gate: fmt, clippy -D warnings, release build,
-#                         tests, docs -D warnings, bench compile, benchmark
-#                         package check, examples
+#   ./ci.sh               full gate: fmt, clippy -D warnings, no index builds
+#                         on the request path, release build, tests, docs
+#                         -D warnings, bench compile, benchmark package
+#                         check, examples
 #   ./ci.sh --quick       tier-1 subset only (see ROADMAP.md):
 #                         cargo build --release && cargo test -q
 #   ./ci.sh --bench-json  run every bench target under PATHALG_BENCH_MAX_MS
@@ -56,6 +57,13 @@ full() {
 
     step "cargo clippy (all targets, -D warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    step "no index builds on the request path (engine and server share the graph's CSRs)"
+    if grep -rnE "CsrGraph::(with_label|from_graph)|Pmr::from_label_(scan|chain)" \
+        crates/pathalg-engine/src crates/pathalg-server/src; then
+        echo "ci.sh: build CSRs once in GraphBuilder::build; read them via PropertyGraph::label_csr" >&2
+        exit 1
+    fi
 
     quick
 

@@ -89,6 +89,22 @@ impl GroupKey {
         )
     }
 
+    /// The key whose predicates ([`GroupKey::partitions_by_source`],
+    /// [`GroupKey::partitions_by_target`], [`GroupKey::groups_by_length`])
+    /// are the given flags; no flag set is ψ = ∅.
+    pub fn from_flags(source: bool, target: bool, length: bool) -> GroupKey {
+        match (source, target, length) {
+            (false, false, false) => GroupKey::Empty,
+            (true, false, false) => GroupKey::Source,
+            (false, true, false) => GroupKey::Target,
+            (false, false, true) => GroupKey::Length,
+            (true, true, false) => GroupKey::SourceTarget,
+            (true, false, true) => GroupKey::SourceLength,
+            (false, true, true) => GroupKey::TargetLength,
+            (true, true, true) => GroupKey::SourceTargetLength,
+        }
+    }
+
     /// The paper's textual name for the parameter (∅, S, T, L, ST, SL, TL, STL).
     pub fn symbol(&self) -> &'static str {
         match self {

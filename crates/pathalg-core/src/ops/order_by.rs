@@ -82,6 +82,22 @@ impl OrderKey {
         )
     }
 
+    /// The key whose predicates ([`OrderKey::orders_partitions`],
+    /// [`OrderKey::orders_groups`], [`OrderKey::orders_paths`]) are the
+    /// given flags; `None` when no flag is set (θ is never empty).
+    pub fn from_flags(partition: bool, group: bool, path: bool) -> Option<OrderKey> {
+        Some(match (partition, group, path) {
+            (false, false, false) => return None,
+            (true, false, false) => OrderKey::Partition,
+            (false, true, false) => OrderKey::Group,
+            (false, false, true) => OrderKey::Path,
+            (true, true, false) => OrderKey::PartitionGroup,
+            (true, false, true) => OrderKey::PartitionPath,
+            (false, true, true) => OrderKey::GroupPath,
+            (true, true, true) => OrderKey::PartitionGroupPath,
+        })
+    }
+
     /// True if θ ranks *only* paths (θ = A). This is the one ordering a lazy
     /// enumeration can absorb for free: the canonical enumeration order is
     /// already length-non-decreasing within every source segment, so the
@@ -154,6 +170,27 @@ mod tests {
         );
         let trails = recursive(PathSemantics::Trail, &knows, &RecursionConfig::default()).unwrap();
         group_by(GroupKey::SourceTarget, &trails)
+    }
+
+    #[test]
+    fn from_flags_inverts_the_key_predicates() {
+        for key in GroupKey::ALL {
+            let flags = (
+                key.partitions_by_source(),
+                key.partitions_by_target(),
+                key.groups_by_length(),
+            );
+            assert_eq!(GroupKey::from_flags(flags.0, flags.1, flags.2), key);
+        }
+        for key in OrderKey::ALL {
+            let flags = (
+                key.orders_partitions(),
+                key.orders_groups(),
+                key.orders_paths(),
+            );
+            assert_eq!(OrderKey::from_flags(flags.0, flags.1, flags.2), Some(key));
+        }
+        assert_eq!(OrderKey::from_flags(false, false, false), None);
     }
 
     #[test]

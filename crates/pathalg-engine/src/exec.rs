@@ -10,8 +10,9 @@
 //!
 //! * a base of the shape `σℓ1(Edges) ⋈ … ⋈ σℓk(Edges)` — the base relation
 //!   of every `[:ℓ+]` and `[(:ℓ1/…/:ℓk)+]` pattern — is never materialised:
-//!   the engine builds one label-restricted [`CsrGraph`] snapshot per hop
-//!   and drains the lazy scan/chain kernel ([`pathalg_pmr::Pmr`]) over them;
+//!   the engine drains the lazy scan/chain kernel ([`pathalg_pmr::Pmr`]) over
+//!   the graph's stored label CSRs ([`PropertyGraph::label_csr`]), one per
+//!   hop, shared rather than built per evaluation;
 //! * every other base is evaluated first and expanded by the per-source
 //!   frontier engine ([`crate::physical::frontier::phi_frontier`]).
 //!
@@ -199,8 +200,10 @@ impl<'g> EngineEvaluator<'g> {
     }
 
     /// Evaluates an expression, returning paths or a solution space according
-    /// to the root operator.
+    /// to the root operator. Every operator polls the cancellation token
+    /// before it runs, so a deadline also stops plans without ϕ.
     pub fn eval(&mut self, expr: &PlanExpr) -> Result<EvalOutput, AlgebraError> {
+        self.check_cancel()?;
         self.stats.operators_evaluated += 1;
         let out = match expr {
             PlanExpr::Nodes => EvalOutput::Paths(PathSet::nodes(self.graph)),
@@ -221,7 +224,6 @@ impl<'g> EngineEvaluator<'g> {
                 EvalOutput::Paths(union(&l, &r))
             }
             PlanExpr::Recursive { semantics, input } => {
-                self.check_cancel()?;
                 self.stats.recursive_calls += 1;
                 let out = match input.label_scan_chain() {
                     Some(labels) => {
@@ -409,12 +411,12 @@ impl<'g> EngineEvaluator<'g> {
         Ok(out)
     }
 
-    /// One label-restricted CSR snapshot per hop of a scan chain (a label
-    /// scan is the one-hop chain).
+    /// The graph's label CSR of each hop of a scan chain (a label scan is the
+    /// one-hop chain); the clones share the graph's columns.
     fn chain_hops(&self, labels: &[&str]) -> Arc<[CsrGraph]> {
         labels
             .iter()
-            .map(|l| CsrGraph::with_label(self.graph, l))
+            .map(|l| self.graph.label_csr(l).clone())
             .collect()
     }
 

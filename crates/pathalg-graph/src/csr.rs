@@ -1,70 +1,93 @@
-//! Compressed-Sparse-Row snapshot of a property graph.
+//! Compressed-Sparse-Row adjacency: the graph's one adjacency format.
 //!
 //! Oracle PGX (Section 8.3 of the paper) evaluates path queries over a CSR
-//! representation. We provide an equivalent immutable snapshot: node-indexed
-//! offset arrays over neighbour/edge arrays, optionally restricted to a single
-//! edge label. The engine uses label-restricted CSRs for the hot loops of the
-//! recursive operator, where chasing `Vec<EdgeId>` adjacency lists and
-//! re-checking labels per edge would dominate the cost.
+//! representation. A [`CsrGraph`] is the equivalent immutable snapshot:
+//! node-indexed offsets over parallel neighbour/edge columns, each row in
+//! edge-identifier order. [`crate::graph::GraphBuilder::build`] makes every
+//! CSR a graph holds — forward over all edges, its reverse, and one per edge
+//! label, the `σℓ(Edges(G))` each `[:ℓ+]` pattern expands — with the one
+//! builder behind [`CsrGraph::with_label`], so statistics, accessors and the
+//! engine's recursive kernels all read the same columns. The columns sit
+//! behind `Arc`, so a clone shares them.
 
-use crate::graph::PropertyGraph;
+use crate::graph::{EdgeData, PropertyGraph};
 use crate::ids::{EdgeId, NodeId};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// An immutable CSR view of (a label-restricted subset of) a graph's edges.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CsrGraph {
+    columns: Arc<Columns>,
+}
+
+/// The columns every clone of a [`CsrGraph`] shares: `offsets` has one entry
+/// per node plus the terminating total, and `targets`/`edges` are parallel.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Columns {
     offsets: Vec<usize>,
     targets: Vec<NodeId>,
     edges: Vec<EdgeId>,
-    label: Option<String>,
 }
 
 impl CsrGraph {
-    /// Builds a CSR over all edges of the graph.
-    pub fn from_graph(graph: &PropertyGraph) -> Self {
-        Self::build(graph, None)
-    }
-
     /// Assembles a snapshot directly from its columns, for builders that
     /// stream edges in CSR order without materialising a [`PropertyGraph`]
     /// first (e.g. the million-scale generator
     /// [`crate::generator::snb::snb_label_csr`]). `offsets` must have one
     /// entry per node plus the terminating total, and `targets`/`edges` must
     /// be parallel.
-    pub fn from_parts(
-        offsets: Vec<usize>,
-        targets: Vec<NodeId>,
-        edges: Vec<EdgeId>,
-        label: Option<String>,
-    ) -> Self {
+    pub fn from_parts(offsets: Vec<usize>, targets: Vec<NodeId>, edges: Vec<EdgeId>) -> Self {
         assert!(!offsets.is_empty(), "offsets carry at least the total");
         assert_eq!(*offsets.last().unwrap(), targets.len());
         assert_eq!(targets.len(), edges.len());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         Self {
-            offsets,
-            targets,
-            edges,
-            label,
+            columns: Arc::new(Columns {
+                offsets,
+                targets,
+                edges,
+            }),
         }
     }
 
-    /// Builds a CSR restricted to edges carrying `label`.
+    /// Builds a fresh CSR over all edges of the graph. A built graph already
+    /// holds this snapshot: [`PropertyGraph::csr`] shares it.
+    pub fn from_graph(graph: &PropertyGraph) -> Self {
+        Self::build(graph.node_count(), graph.edge_table(), false, |_| true)
+    }
+
+    /// Builds a fresh CSR restricted to edges carrying `label`. A built graph
+    /// already holds this snapshot: [`PropertyGraph::label_csr`] shares it.
     pub fn with_label(graph: &PropertyGraph, label: &str) -> Self {
-        Self::build(graph, Some(label))
+        Self::build(graph.node_count(), graph.edge_table(), false, |e| {
+            e.label.as_deref() == Some(label)
+        })
     }
 
-    fn build(graph: &PropertyGraph, label: Option<&str>) -> Self {
-        let n = graph.node_count();
-        let mut degree = vec![0usize; n];
-        let keep = |e: EdgeId| match label {
-            None => true,
-            Some(l) => graph.edge(e).label.as_deref() == Some(l),
+    /// The one CSR builder: a counting sort of the `keep` edges of `edges`
+    /// (the edge table of a graph with `node_count` nodes) by source — or by
+    /// target when `reverse`, the column then holding each edge's source.
+    /// Edges are scanned in identifier order, so every row is sorted by
+    /// edge identifier.
+    pub(crate) fn build(
+        node_count: usize,
+        edges: &[EdgeData],
+        reverse: bool,
+        keep: impl Fn(&EdgeData) -> bool,
+    ) -> Self {
+        let ends = |e: &EdgeData| {
+            if reverse {
+                (e.target, e.source)
+            } else {
+                (e.source, e.target)
+            }
         };
-        for e in graph.edges().filter(|&e| keep(e)) {
-            degree[graph.source(e).index()] += 1;
+        let mut degree = vec![0usize; node_count];
+        for e in edges.iter().filter(|e| keep(e)) {
+            degree[ends(e).0.index()] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(node_count + 1);
         let mut total = 0;
         for d in &degree {
             offsets.push(total);
@@ -72,49 +95,32 @@ impl CsrGraph {
         }
         offsets.push(total);
         let mut targets = vec![NodeId(0); total];
-        let mut edges = vec![EdgeId(0); total];
-        let mut cursor = offsets[..n].to_vec();
-        for e in graph.edges().filter(|&e| keep(e)) {
-            let s = graph.source(e).index();
-            targets[cursor[s]] = graph.target(e);
-            edges[cursor[s]] = e;
-            cursor[s] += 1;
+        let mut ids = vec![EdgeId(0); total];
+        let mut cursor = offsets[..node_count].to_vec();
+        for (i, e) in edges.iter().enumerate().filter(|(_, e)| keep(e)) {
+            let (row, column) = ends(e);
+            let slot = &mut cursor[row.index()];
+            targets[*slot] = column;
+            ids[*slot] = EdgeId(i as u32);
+            *slot += 1;
         }
-        Self {
-            offsets,
-            targets,
-            edges,
-            label: label.map(str::to_owned),
-        }
-    }
-
-    /// The label this CSR is restricted to, if any.
-    pub fn label(&self) -> Option<&str> {
-        self.label.as_deref()
+        Self::from_parts(offsets, targets, ids)
     }
 
     /// Number of nodes covered by the snapshot.
     pub fn node_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.columns.offsets.len().saturating_sub(1)
     }
 
     /// Number of edges in the snapshot.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.columns.edges.len()
     }
 
     /// The `(target, edge)` pairs reachable from `node` in one hop.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
-        let i = node.index();
-        let (lo, hi) = if i + 1 < self.offsets.len() {
-            (self.offsets[i], self.offsets[i + 1])
-        } else {
-            (0, 0)
-        };
-        self.targets[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.edges[lo..hi].iter().copied())
+        let (targets, edges) = self.neighbor_slices(node);
+        targets.iter().copied().zip(edges.iter().copied())
     }
 
     /// The neighbours of `node` as raw parallel slices `(targets, edges)`.
@@ -123,22 +129,24 @@ impl CsrGraph {
     /// loops: the engine's frontier expansion indexes both slices directly
     /// instead of driving a zipped iterator per node.
     pub fn neighbor_slices(&self, node: NodeId) -> (&[NodeId], &[EdgeId]) {
-        let i = node.index();
-        let (lo, hi) = if i + 1 < self.offsets.len() {
-            (self.offsets[i], self.offsets[i + 1])
-        } else {
-            (0, 0)
-        };
-        (&self.targets[lo..hi], &self.edges[lo..hi])
+        let row = self.row(node);
+        (&self.columns.targets[row.clone()], &self.columns.edges[row])
     }
 
     /// Out-degree of `node` within the snapshot.
     pub fn out_degree(&self, node: NodeId) -> usize {
+        self.row(node).len()
+    }
+
+    /// The column positions of `node`'s row; empty for a node the snapshot
+    /// does not cover.
+    fn row(&self, node: NodeId) -> Range<usize> {
+        let offsets = &self.columns.offsets;
         let i = node.index();
-        if i + 1 < self.offsets.len() {
-            self.offsets[i + 1] - self.offsets[i]
+        if i + 1 < offsets.len() {
+            offsets[i]..offsets[i + 1]
         } else {
-            0
+            0..0
         }
     }
 }
@@ -165,10 +173,9 @@ mod tests {
     #[test]
     fn full_csr_covers_all_edges() {
         let g = labeled_graph();
-        let csr = CsrGraph::from_graph(&g);
+        let csr = g.csr();
         assert_eq!(csr.node_count(), 4);
         assert_eq!(csr.edge_count(), 5);
-        assert_eq!(csr.label(), None);
         let from0: Vec<_> = csr.neighbors(NodeId(0)).collect();
         assert_eq!(from0, vec![(NodeId(1), EdgeId(0)), (NodeId(2), EdgeId(1))]);
         assert_eq!(csr.out_degree(NodeId(0)), 2);
@@ -179,19 +186,21 @@ mod tests {
         let g = labeled_graph();
         let csr = CsrGraph::with_label(&g, "a");
         assert_eq!(csr.edge_count(), 3);
-        assert_eq!(csr.label(), Some("a"));
         let from0: Vec<_> = csr.neighbors(NodeId(0)).collect();
         assert_eq!(from0, vec![(NodeId(1), EdgeId(0))]);
         assert_eq!(csr.out_degree(NodeId(3)), 0);
+        assert_eq!(g.label_csr("a"), &csr);
     }
 
     #[test]
     fn csr_agrees_with_adjacency_index() {
         let g = labeled_graph();
-        let csr = CsrGraph::from_graph(&g);
         for n in g.nodes() {
             let via_adj: Vec<_> = g.outgoing(n).iter().map(|&e| (g.target(e), e)).collect();
-            let via_csr: Vec<_> = csr.neighbors(n).collect();
+            let via_csr: Vec<_> = g.csr().neighbors(n).collect();
+            assert_eq!(via_adj, via_csr);
+            let via_adj: Vec<_> = g.incoming(n).iter().map(|&e| (g.source(e), e)).collect();
+            let via_csr: Vec<_> = g.reverse_csr().neighbors(n).collect();
             assert_eq!(via_adj, via_csr);
         }
     }
@@ -199,7 +208,7 @@ mod tests {
     #[test]
     fn out_of_range_node_is_empty() {
         let g = labeled_graph();
-        let csr = CsrGraph::from_graph(&g);
+        let csr = g.csr();
         assert_eq!(csr.neighbors(NodeId(99)).count(), 0);
         assert_eq!(csr.out_degree(NodeId(99)), 0);
         let (targets, edges) = csr.neighbor_slices(NodeId(99));
@@ -209,7 +218,7 @@ mod tests {
     #[test]
     fn neighbor_slices_agree_with_the_iterator() {
         let g = labeled_graph();
-        for csr in [CsrGraph::from_graph(&g), CsrGraph::with_label(&g, "a")] {
+        for csr in [g.csr().clone(), CsrGraph::with_label(&g, "a")] {
             for n in g.nodes() {
                 let (targets, edges) = csr.neighbor_slices(n);
                 let zipped: Vec<_> = targets.iter().copied().zip(edges.iter().copied()).collect();
@@ -227,5 +236,9 @@ mod tests {
         for n in g.nodes() {
             assert_eq!(csr.out_degree(n), 0);
         }
+        // The graph's own answer for a label no edge carries — unknown, or a
+        // node label — is the same edgeless CSR over every node.
+        assert_eq!(g.label_csr("nope"), &csr);
+        assert_eq!(g.label_csr("N"), &csr);
     }
 }

@@ -157,7 +157,7 @@ pub fn snb_like_graph(config: &SnbConfig) -> PropertyGraph {
 /// Streams the label-restricted CSR of [`snb_like_graph`] directly, without
 /// materialising the property graph: byte-identical to
 /// `CsrGraph::with_label(&snb_like_graph(config), label)` but at a fraction
-/// of the footprint — no nodes, no properties, no adjacency lists, and none
+/// of the footprint — no nodes, no properties, no whole-graph CSRs, and none
 /// of the two other labels' edge columns. This is what makes the 10⁶-person
 /// workloads of `scaling_million` and `repro scale` feasible.
 ///
@@ -241,7 +241,7 @@ pub fn snb_label_csr(config: &SnbConfig, label: &str) -> CsrGraph {
     while offsets.len() <= n {
         offsets.push(targets.len());
     }
-    CsrGraph::from_parts(offsets, targets, edges, Some(label.to_owned()))
+    CsrGraph::from_parts(offsets, targets, edges)
 }
 
 #[cfg(test)]

@@ -9,16 +9,20 @@
 //!   each object,
 //! * `ν : (N ∪ E) × P ⇀ V` — a partial function assigning property values.
 //!
-//! Graphs are constructed with [`GraphBuilder`] and are immutable afterwards,
-//! which lets the adjacency/CSR indexes, the optimizer statistics, and the
-//! engine all borrow the same graph without synchronisation.
+//! Graphs are constructed with [`GraphBuilder`] and are immutable afterwards.
+//! [`GraphBuilder::build`] makes the graph's adjacency once, as CSRs
+//! ([`crate::csr`]): forward over all edges, its reverse, and one per edge
+//! label. The accessors, the optimizer statistics and the engine's recursive
+//! kernels all read those columns, and borrow the same graph without
+//! synchronisation.
 
-use crate::adjacency::AdjacencyIndex;
+use crate::csr::CsrGraph;
 use crate::ids::{EdgeId, NodeId, ObjectId};
 use crate::property::PropertyMap;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Data stored per node: its optional label and its properties.
 #[derive(Clone, Debug, Default)]
@@ -53,7 +57,14 @@ pub struct PropertyGraph {
     /// the label vocabulary cheaply.
     labels: Vec<String>,
     label_ids: HashMap<String, usize>,
-    adjacency: AdjacencyIndex,
+    /// Every edge, keyed by source: the graph's out-adjacency.
+    forward: CsrGraph,
+    /// Every edge, keyed by target: the graph's in-adjacency.
+    reverse: CsrGraph,
+    /// The CSR of each label some edge carries.
+    label_csrs: HashMap<String, CsrGraph>,
+    /// The edgeless CSR a label no edge carries maps to, made on first use.
+    no_edges: OnceLock<CsrGraph>,
 }
 
 impl PropertyGraph {
@@ -151,14 +162,48 @@ impl PropertyGraph {
         &self.labels
     }
 
+    /// The edge table, in edge-identifier order.
+    pub(crate) fn edge_table(&self) -> &[EdgeData] {
+        &self.edges
+    }
+
+    /// The CSR over all edges: row `v` holds the edges leaving `v` and their
+    /// targets.
+    pub fn csr(&self) -> &CsrGraph {
+        &self.forward
+    }
+
+    /// The CSR over all edges reversed: row `v` holds the edges entering `v`
+    /// and their sources.
+    pub fn reverse_csr(&self) -> &CsrGraph {
+        &self.reverse
+    }
+
+    /// The CSR of the edges carrying `label` — the columns
+    /// [`CsrGraph::with_label`] would build, shared. A label no edge carries
+    /// yields a CSR without edges.
+    pub fn label_csr(&self, label: &str) -> &CsrGraph {
+        self.label_csrs.get(label).unwrap_or_else(|| {
+            self.no_edges
+                .get_or_init(|| CsrGraph::build(self.node_count(), &[], false, |_| true))
+        })
+    }
+
+    /// Each label some edge carries, with its CSR, in arbitrary order.
+    pub fn edge_label_csrs(&self) -> impl Iterator<Item = (&str, &CsrGraph)> {
+        self.label_csrs
+            .iter()
+            .map(|(label, csr)| (label.as_str(), csr))
+    }
+
     /// Outgoing edges of a node, in edge-identifier order.
     pub fn outgoing(&self, node: NodeId) -> &[EdgeId] {
-        self.adjacency.outgoing(node)
+        self.forward.neighbor_slices(node).1
     }
 
     /// Incoming edges of a node, in edge-identifier order.
     pub fn incoming(&self, node: NodeId) -> &[EdgeId] {
-        self.adjacency.incoming(node)
+        self.reverse.neighbor_slices(node).1
     }
 
     /// Outgoing edges of a node restricted to a given edge label.
@@ -167,10 +212,11 @@ impl PropertyGraph {
         node: NodeId,
         label: &'g str,
     ) -> impl Iterator<Item = EdgeId> + 'g {
-        self.outgoing(node)
+        self.label_csr(label)
+            .neighbor_slices(node)
+            .1
             .iter()
             .copied()
-            .filter(move |&e| self.edge(e).label.as_deref() == Some(label))
     }
 
     /// Incoming edges of a node restricted to a given edge label.
@@ -214,12 +260,12 @@ impl PropertyGraph {
 
     /// Out-degree of a node.
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.outgoing(node).len()
+        self.forward.out_degree(node)
     }
 
     /// In-degree of a node.
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.incoming(node).len()
+        self.reverse.out_degree(node)
     }
 }
 
@@ -425,15 +471,31 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Finalises the graph, building the adjacency index.
+    /// Finalises the graph, building its CSRs: forward, reverse, and one per
+    /// edge label.
     pub fn build(self) -> PropertyGraph {
-        let adjacency = AdjacencyIndex::build(self.nodes.len(), &self.edges);
+        let n = self.nodes.len();
+        let forward = CsrGraph::build(n, &self.edges, false, |_| true);
+        let reverse = CsrGraph::build(n, &self.edges, true, |_| true);
+        let mut label_csrs = HashMap::new();
+        for label in &self.labels {
+            let carries = |e: &EdgeData| e.label.as_deref() == Some(label.as_str());
+            if self.edges.iter().any(carries) {
+                label_csrs.insert(
+                    label.clone(),
+                    CsrGraph::build(n, &self.edges, false, carries),
+                );
+            }
+        }
         PropertyGraph {
             nodes: self.nodes,
             edges: self.edges,
             labels: self.labels,
             label_ids: self.label_ids,
-            adjacency,
+            forward,
+            reverse,
+            label_csrs,
+            no_edges: OnceLock::new(),
         }
     }
 }
@@ -568,6 +630,75 @@ mod tests {
         assert_eq!(g.endpoints(loop_edge), (a, a));
         assert_eq!(g.out_degree(a), 3);
         assert_eq!(g.in_degree(a), 1);
+    }
+
+    #[test]
+    fn index_matches_edge_table() {
+        let mut b = GraphBuilder::new();
+        let n0 = b.add_node("A", Vec::<(&str, Value)>::new());
+        let n1 = b.add_node("A", Vec::<(&str, Value)>::new());
+        let n2 = b.add_node("A", Vec::<(&str, Value)>::new());
+        let e0 = b.add_edge(n0, n1, "x", Vec::<(&str, Value)>::new());
+        let e1 = b.add_edge(n1, n2, "x", Vec::<(&str, Value)>::new());
+        let e2 = b.add_edge(n0, n2, "x", Vec::<(&str, Value)>::new());
+        let e3 = b.add_edge(n2, n0, "x", Vec::<(&str, Value)>::new());
+        let g = b.build();
+
+        assert_eq!(g.outgoing(n0), &[e0, e2]);
+        assert_eq!(g.outgoing(n1), &[e1]);
+        assert_eq!(g.outgoing(n2), &[e3]);
+        assert_eq!(g.incoming(n0), &[e3]);
+        assert_eq!(g.incoming(n1), &[e0]);
+        assert_eq!(g.incoming(n2), &[e1, e2]);
+    }
+
+    #[test]
+    fn isolated_nodes_have_empty_lists() {
+        let mut b = GraphBuilder::new();
+        let n0 = b.add_node("A", Vec::<(&str, Value)>::new());
+        let _n1 = b.add_node("A", Vec::<(&str, Value)>::new());
+        let g = b.build();
+        assert!(g.outgoing(n0).is_empty());
+        assert!(g.incoming(n0).is_empty());
+    }
+
+    #[test]
+    fn out_of_range_node_yields_empty_slices() {
+        let g = GraphBuilder::new().build();
+        assert!(g.outgoing(NodeId(5)).is_empty());
+        assert!(g.incoming(NodeId(5)).is_empty());
+        assert_eq!(g.out_degree(NodeId(5)), 0);
+        assert_eq!(g.csr().edge_count(), 0);
+    }
+
+    #[test]
+    fn self_loop_appears_in_both_directions() {
+        let mut b = GraphBuilder::new();
+        let n = b.add_node("A", Vec::<(&str, Value)>::new());
+        let e = b.add_edge(n, n, "loop", Vec::<(&str, Value)>::new());
+        let g = b.build();
+        assert_eq!(g.outgoing(n), &[e]);
+        assert_eq!(g.incoming(n), &[e]);
+    }
+
+    #[test]
+    fn degrees_sum_to_edge_count() {
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<_> = (0..10)
+            .map(|_| b.add_node("A", Vec::<(&str, Value)>::new()))
+            .collect();
+        for i in 0..nodes.len() {
+            for j in 0..nodes.len() {
+                if (i + j) % 3 == 0 {
+                    b.add_edge(nodes[i], nodes[j], "x", Vec::<(&str, Value)>::new());
+                }
+            }
+        }
+        let g = b.build();
+        let out_sum: usize = g.nodes().map(|n| g.out_degree(n)).sum();
+        let in_sum: usize = g.nodes().map(|n| g.in_degree(n)).sum();
+        assert_eq!(out_sum, g.edge_count());
+        assert_eq!(in_sum, g.edge_count());
     }
 
     #[test]

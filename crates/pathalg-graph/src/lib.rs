@@ -11,10 +11,9 @@
 //! * [`property`] — property maps (the partial function ν).
 //! * [`graph`] — the [`graph::PropertyGraph`] itself (`N`, `E`, ρ, λ, ν`), its
 //!   builder, and lookup accessors.
-//! * [`adjacency`] — per-node outgoing / incoming adjacency indexes, optionally
-//!   keyed by edge label, used by the traversal-based physical operators.
-//! * [`csr`] — an immutable Compressed-Sparse-Row snapshot (the representation
-//!   Oracle PGX uses; handy for cache-friendly BFS).
+//! * [`csr`] — Compressed-Sparse-Row adjacency (the representation Oracle
+//!   PGX uses), the graph's one adjacency format: every graph holds a forward,
+//!   a reverse and a per-edge-label CSR, built once.
 //! * [`stats`] — label-frequency and degree statistics feeding the optimizer's
 //!   cost model.
 //! * [`generator`] — deterministic synthetic graph generators (LDBC-SNB-shaped,
@@ -27,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adjacency;
 pub mod csr;
 pub mod fixtures;
 #[cfg(feature = "generators")]

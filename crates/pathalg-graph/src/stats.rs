@@ -6,7 +6,9 @@
 //! distributions, and per-label average out-degree (the expansion factor of
 //! one ϕ iteration) — are what such a cost model needs.
 
+use crate::csr::CsrGraph;
 use crate::graph::PropertyGraph;
+use crate::ids::NodeId;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -59,7 +61,8 @@ pub const MAX_PAIR_STAT_LABELS: usize = 8;
 pub const MAX_COMPOSITE_EDGES: usize = 200_000;
 
 impl GraphStats {
-    /// Computes statistics for a graph in a single pass over nodes and edges.
+    /// Computes statistics for a graph from its stored CSRs
+    /// ([`PropertyGraph::csr`], [`PropertyGraph::edge_label_csrs`]).
     pub fn compute(graph: &PropertyGraph) -> Self {
         let node_count = graph.node_count();
         let edge_count = graph.edge_count();
@@ -71,112 +74,80 @@ impl GraphStats {
             }
         }
 
-        let mut edge_label_counts: HashMap<String, usize> = HashMap::new();
-        // Nodes with at least one outgoing edge of a given label.
-        let mut label_sources: HashMap<String, std::collections::HashSet<u32>> = HashMap::new();
-        // Per-label and whole-graph (source, target) pairs for the cyclicity
-        // checks below — collected in the same pass, with the label key
-        // allocated only on first sight of a label.
-        let mut all_edges: Vec<(u32, u32)> = Vec::with_capacity(edge_count);
-        let mut label_edges: HashMap<String, Vec<(u32, u32)>> = HashMap::new();
-        for e in graph.edges() {
-            let pair = (graph.source(e).0, graph.target(e).0);
-            all_edges.push(pair);
-            if let Some(l) = graph.edge(e).label.as_deref() {
-                *edge_label_counts.entry(l.to_owned()).or_default() += 1;
-                label_sources
-                    .entry(l.to_owned())
-                    .or_default()
-                    .insert(pair.0);
-                match label_edges.get_mut(l) {
-                    Some(edges) => edges.push(pair),
-                    None => {
-                        label_edges.insert(l.to_owned(), vec![pair]);
-                    }
-                }
-            }
-        }
-
-        let mut max_out_degree = 0;
-        let mut max_in_degree = 0;
-        for n in graph.nodes() {
-            max_out_degree = max_out_degree.max(graph.out_degree(n));
-            max_in_degree = max_in_degree.max(graph.in_degree(n));
-        }
-
+        let max_degree = |csr: &CsrGraph| graph.nodes().map(|n| csr.out_degree(n)).max();
+        let max_out_degree = max_degree(graph.csr()).unwrap_or(0);
+        let max_in_degree = max_degree(graph.reverse_csr()).unwrap_or(0);
         let avg_out_degree = if node_count == 0 {
             0.0
         } else {
             edge_count as f64 / node_count as f64
         };
+        let cyclic = csr_has_directed_cycle(graph.csr());
 
-        let label_expansion = edge_label_counts
-            .iter()
-            .map(|(l, &count)| {
-                let sources = label_sources.get(l).map_or(0, |s| s.len());
-                let expansion = if sources == 0 {
-                    0.0
-                } else {
-                    count as f64 / sources as f64
-                };
-                (l.clone(), expansion)
-            })
-            .collect();
+        let labels: Vec<(&str, &CsrGraph)> = graph.edge_label_csrs().collect();
+        let mut edge_label_counts = HashMap::new();
+        let mut label_expansion = HashMap::new();
+        let mut label_cyclic = HashMap::new();
+        for &(l, csr) in &labels {
+            // A label's CSR holds at least one edge, so it has a source.
+            let sources = graph.nodes().filter(|&v| csr.out_degree(v) > 0).count();
+            edge_label_counts.insert(l.to_owned(), csr.edge_count());
+            label_expansion.insert(l.to_owned(), csr.edge_count() as f64 / sources as f64);
+            label_cyclic.insert(l.to_owned(), csr_has_directed_cycle(csr));
+        }
 
-        let cyclic = has_directed_cycle(node_count, &all_edges);
-
-        // Pair statistics: per-label out-adjacency once, then one pass per
-        // ordered pair. Skipped entirely on label-rich graphs (quadratic in
-        // the label count).
+        // Pair statistics: one pass per ordered pair over the two label
+        // CSRs. Skipped entirely on label-rich graphs (quadratic in the
+        // label count).
         let mut pair_expansion: HashMap<(String, String), f64> = HashMap::new();
         let mut pair_cyclic: HashMap<(String, String), bool> = HashMap::new();
-        if label_edges.len() <= MAX_PAIR_STAT_LABELS {
-            let labels: Vec<&String> = label_edges.keys().collect();
-            let mut adjacency: HashMap<&str, Vec<Vec<u32>>> = HashMap::new();
-            for (l, edges) in &label_edges {
-                let adj = adjacency
-                    .entry(l.as_str())
-                    .or_insert_with(|| vec![Vec::new(); node_count]);
-                for &(s, t) in edges {
-                    adj[s as usize].push(t);
-                }
-            }
-            for &l1 in &labels {
-                let e1 = &label_edges[l1.as_str()];
-                for &l2 in &labels {
-                    let adj2 = &adjacency[l2.as_str()];
-                    let fanout: usize = e1.iter().map(|&(_, w)| adj2[w as usize].len()).sum();
-                    pair_expansion.insert(
-                        (l1.clone(), l2.clone()),
-                        fanout as f64 / e1.len().max(1) as f64,
-                    );
-                    let mut composite: std::collections::HashSet<(u32, u32)> =
-                        std::collections::HashSet::new();
-                    let mut overflow = false;
-                    'edges: for &(s, w) in e1 {
-                        for &t in &adj2[w as usize] {
-                            composite.insert((s, t));
-                            if composite.len() > MAX_COMPOSITE_EDGES {
-                                overflow = true;
-                                break 'edges;
+        if labels.len() <= MAX_PAIR_STAT_LABELS {
+            // The composite `u → v ⇔ ∃w: u─ℓ1→w─ℓ2→v` as a source-sorted
+            // target list; `reached[v] == u` marks `v` as already listed
+            // for the current source `u`, so each pair is listed once.
+            let mut offsets: Vec<usize> = Vec::with_capacity(node_count + 1);
+            let mut targets: Vec<NodeId> = Vec::new();
+            let mut reached: Vec<u32> = vec![u32::MAX; node_count];
+            for &(l1, csr1) in &labels {
+                for &(l2, csr2) in &labels {
+                    let fanout: usize = graph
+                        .nodes()
+                        .flat_map(|u| csr1.neighbor_slices(u).0)
+                        .map(|&w| csr2.out_degree(w))
+                        .sum();
+                    let key = (l1.to_owned(), l2.to_owned());
+                    pair_expansion.insert(key.clone(), fanout as f64 / csr1.edge_count() as f64);
+
+                    offsets.clear();
+                    targets.clear();
+                    reached.fill(u32::MAX);
+                    let complete = 'sources: {
+                        for u in graph.nodes() {
+                            offsets.push(targets.len());
+                            for &w in csr1.neighbor_slices(u).0 {
+                                for &v in csr2.neighbor_slices(w).0 {
+                                    if reached[v.index()] != u.0 {
+                                        reached[v.index()] = u.0;
+                                        targets.push(v);
+                                        if targets.len() > MAX_COMPOSITE_EDGES {
+                                            break 'sources false;
+                                        }
+                                    }
+                                }
                             }
                         }
-                    }
-                    if !overflow {
-                        let edges: Vec<(u32, u32)> = composite.into_iter().collect();
-                        pair_cyclic.insert(
-                            (l1.clone(), l2.clone()),
-                            has_directed_cycle(node_count, &edges),
-                        );
+                        true
+                    };
+                    if complete {
+                        offsets.push(targets.len());
+                        let cycle = has_directed_cycle(node_count, |u| {
+                            &targets[offsets[u]..offsets[u + 1]]
+                        });
+                        pair_cyclic.insert(key, cycle);
                     }
                 }
             }
         }
-
-        let label_cyclic = label_edges
-            .into_iter()
-            .map(|(l, edges)| (l, has_directed_cycle(node_count, &edges)))
-            .collect();
 
         Self {
             node_count,
@@ -305,29 +276,35 @@ impl GraphStats {
     }
 }
 
-/// Kahn's algorithm over an edge list: the graph has a directed cycle iff
-/// the topological peeling cannot consume every node.
-fn has_directed_cycle(node_count: usize, edges: &[(u32, u32)]) -> bool {
+/// Kahn's algorithm over the successor lists of nodes `0..node_count`: the
+/// graph has a directed cycle iff the topological peeling cannot consume
+/// every node.
+fn has_directed_cycle<'a>(node_count: usize, successors: impl Fn(usize) -> &'a [NodeId]) -> bool {
     let mut indegree = vec![0usize; node_count];
-    let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); node_count];
-    for &(s, t) in edges {
-        indegree[t as usize] += 1;
-        adjacency[s as usize].push(t);
+    for u in 0..node_count {
+        for v in successors(u) {
+            indegree[v.index()] += 1;
+        }
     }
-    let mut queue: Vec<u32> = (0..node_count as u32)
-        .filter(|&v| indegree[v as usize] == 0)
-        .collect();
+    let mut queue: Vec<usize> = (0..node_count).filter(|&v| indegree[v] == 0).collect();
     let mut processed = 0usize;
-    while let Some(v) = queue.pop() {
+    while let Some(u) = queue.pop() {
         processed += 1;
-        for &t in &adjacency[v as usize] {
-            indegree[t as usize] -= 1;
-            if indegree[t as usize] == 0 {
-                queue.push(t);
+        for v in successors(u) {
+            indegree[v.index()] -= 1;
+            if indegree[v.index()] == 0 {
+                queue.push(v.index());
             }
         }
     }
     processed < node_count
+}
+
+/// [`has_directed_cycle`] over a CSR's rows.
+fn csr_has_directed_cycle(csr: &CsrGraph) -> bool {
+    has_directed_cycle(csr.node_count(), |u| {
+        csr.neighbor_slices(NodeId(u as u32)).0
+    })
 }
 
 impl fmt::Display for GraphStats {

@@ -887,27 +887,22 @@ fn decode_condition(json: &Json, path: &str) -> Result<Condition, IrError> {
 
 fn encode_group_by(key: Option<GroupKey>) -> Json {
     let Some(key) = key else { return Json::Null };
-    let (s, t, l) = match key {
-        GroupKey::Empty => (false, false, false),
-        GroupKey::Source => (true, false, false),
-        GroupKey::Target => (false, true, false),
-        GroupKey::Length => (false, false, true),
-        GroupKey::SourceTarget => (true, true, false),
-        GroupKey::SourceLength => (true, false, true),
-        GroupKey::TargetLength => (false, true, true),
-        GroupKey::SourceTargetLength => (true, true, true),
-    };
-    let mut parts = Vec::new();
-    if s {
-        parts.push(Json::str("source"));
-    }
-    if t {
-        parts.push(Json::str("target"));
-    }
-    if l {
-        parts.push(Json::str("length"));
-    }
-    Json::Array(parts)
+    encode_flags([
+        (key.partitions_by_source(), "source"),
+        (key.partitions_by_target(), "target"),
+        (key.groups_by_length(), "length"),
+    ])
+}
+
+/// The names of the set flags, in order, as a JSON array of strings.
+fn encode_flags(flags: [(bool, &str); 3]) -> Json {
+    Json::Array(
+        flags
+            .into_iter()
+            .filter(|&(set, _)| set)
+            .map(|(_, name)| Json::str(name))
+            .collect(),
+    )
 }
 
 fn decode_group_by(json: Option<&Json>) -> Result<Option<GroupKey>, IrError> {
@@ -929,40 +924,16 @@ fn decode_group_by(json: Option<&Json>) -> Result<Option<GroupKey>, IrError> {
             }
         }
     }
-    Ok(Some(match (s, t, l) {
-        (false, false, false) => GroupKey::Empty,
-        (true, false, false) => GroupKey::Source,
-        (false, true, false) => GroupKey::Target,
-        (false, false, true) => GroupKey::Length,
-        (true, true, false) => GroupKey::SourceTarget,
-        (true, false, true) => GroupKey::SourceLength,
-        (false, true, true) => GroupKey::TargetLength,
-        (true, true, true) => GroupKey::SourceTargetLength,
-    }))
+    Ok(Some(GroupKey::from_flags(s, t, l)))
 }
 
 fn encode_order_by(key: Option<OrderKey>) -> Json {
     let Some(key) = key else { return Json::Null };
-    let (p, g, a) = match key {
-        OrderKey::Partition => (true, false, false),
-        OrderKey::Group => (false, true, false),
-        OrderKey::Path => (false, false, true),
-        OrderKey::PartitionGroup => (true, true, false),
-        OrderKey::PartitionPath => (true, false, true),
-        OrderKey::GroupPath => (false, true, true),
-        OrderKey::PartitionGroupPath => (true, true, true),
-    };
-    let mut parts = Vec::new();
-    if p {
-        parts.push(Json::str("partition"));
-    }
-    if g {
-        parts.push(Json::str("group"));
-    }
-    if a {
-        parts.push(Json::str("path"));
-    }
-    Json::Array(parts)
+    encode_flags([
+        (key.orders_partitions(), "partition"),
+        (key.orders_groups(), "group"),
+        (key.orders_paths(), "path"),
+    ])
 }
 
 fn decode_order_by(json: Option<&Json>) -> Result<Option<OrderKey>, IrError> {
@@ -984,18 +955,9 @@ fn decode_order_by(json: Option<&Json>) -> Result<Option<OrderKey>, IrError> {
             }
         }
     }
-    Ok(Some(match (p, g, a) {
-        (false, false, false) => {
-            return Err(IrError::new("order_by", "needs at least one key"));
-        }
-        (true, false, false) => OrderKey::Partition,
-        (false, true, false) => OrderKey::Group,
-        (false, false, true) => OrderKey::Path,
-        (true, true, false) => OrderKey::PartitionGroup,
-        (true, false, true) => OrderKey::PartitionPath,
-        (false, true, true) => OrderKey::GroupPath,
-        (true, true, true) => OrderKey::PartitionGroupPath,
-    }))
+    OrderKey::from_flags(p, g, a)
+        .map(Some)
+        .ok_or_else(|| IrError::new("order_by", "needs at least one key"))
 }
 
 #[cfg(test)]

@@ -346,19 +346,10 @@ impl QueryParser {
                 break;
             }
         }
-        let key = match (source, target, length) {
-            (false, false, false) => {
-                return Err(self.error("GROUP BY needs at least one of SOURCE, TARGET, LENGTH"))
-            }
-            (true, false, false) => GroupKey::Source,
-            (false, true, false) => GroupKey::Target,
-            (false, false, true) => GroupKey::Length,
-            (true, true, false) => GroupKey::SourceTarget,
-            (true, false, true) => GroupKey::SourceLength,
-            (false, true, true) => GroupKey::TargetLength,
-            (true, true, true) => GroupKey::SourceTargetLength,
-        };
-        Ok(Some(key))
+        if !(source || target || length) {
+            return Err(self.error("GROUP BY needs at least one of SOURCE, TARGET, LENGTH"));
+        }
+        Ok(Some(GroupKey::from_flags(source, target, length)))
     }
 
     fn parse_order_by(&mut self) -> Result<Option<OrderKey>, ParseError> {
@@ -381,19 +372,10 @@ impl QueryParser {
                 break;
             }
         }
-        let key = match (partition, group, path) {
-            (false, false, false) => {
-                return Err(self.error("ORDER BY needs at least one of PARTITION, GROUP, PATH"))
-            }
-            (true, false, false) => OrderKey::Partition,
-            (false, true, false) => OrderKey::Group,
-            (false, false, true) => OrderKey::Path,
-            (true, true, false) => OrderKey::PartitionGroup,
-            (true, false, true) => OrderKey::PartitionPath,
-            (false, true, true) => OrderKey::GroupPath,
-            (true, true, true) => OrderKey::PartitionGroupPath,
-        };
-        Ok(Some(key))
+        match OrderKey::from_flags(partition, group, path) {
+            Some(key) => Ok(Some(key)),
+            None => Err(self.error("ORDER BY needs at least one of PARTITION, GROUP, PATH")),
+        }
     }
 
     // ---- selection conditions ----

@@ -284,16 +284,7 @@ fn parse_clause(clause: &RawClause) -> Result<Clause, ParseError> {
                     other => return Err(err(format!("unknown group_by key '{other}'"))),
                 }
             }
-            Ok(Clause::GroupBy(match (s, t, l) {
-                (false, false, false) => GroupKey::Empty,
-                (true, false, false) => GroupKey::Source,
-                (false, true, false) => GroupKey::Target,
-                (false, false, true) => GroupKey::Length,
-                (true, true, false) => GroupKey::SourceTarget,
-                (true, false, true) => GroupKey::SourceLength,
-                (false, true, true) => GroupKey::TargetLength,
-                (true, true, true) => GroupKey::SourceTargetLength,
-            }))
+            Ok(Clause::GroupBy(GroupKey::from_flags(s, t, l)))
         }
         ("order_by", Some(arg)) => {
             let (mut p, mut g, mut a) = (false, false, false);
@@ -305,18 +296,9 @@ fn parse_clause(clause: &RawClause) -> Result<Clause, ParseError> {
                     other => return Err(err(format!("unknown order_by key '{other}'"))),
                 }
             }
-            Ok(Clause::OrderBy(match (p, g, a) {
-                (false, false, false) => {
-                    return Err(err("order_by needs at least one key".to_string()))
-                }
-                (true, false, false) => OrderKey::Partition,
-                (false, true, false) => OrderKey::Group,
-                (false, false, true) => OrderKey::Path,
-                (true, true, false) => OrderKey::PartitionGroup,
-                (true, false, true) => OrderKey::PartitionPath,
-                (false, true, true) => OrderKey::GroupPath,
-                (true, true, true) => OrderKey::PartitionGroupPath,
-            }))
+            OrderKey::from_flags(p, g, a)
+                .map(Clause::OrderBy)
+                .ok_or_else(|| err("order_by needs at least one key".to_string()))
         }
         ("where", Some(arg)) => {
             let condition = parse_condition_text(arg)

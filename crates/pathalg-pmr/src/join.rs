@@ -55,22 +55,6 @@ pub(crate) struct ReachInfo {
     pub min_closed: Option<usize>,
 }
 
-/// The shared per-hop snapshots an expansion walks: one scan's `Arc` as
-/// callers hold it, or a chain's hop list — never copied per expansion.
-pub(crate) enum Hops {
-    Scan(Arc<CsrGraph>),
-    Chain(Arc<[CsrGraph]>),
-}
-
-impl Hops {
-    fn as_slice(&self) -> &[CsrGraph] {
-        match self {
-            Hops::Scan(csr) => std::slice::from_ref(csr),
-            Hops::Chain(hops) => hops,
-        }
-    }
-}
-
 /// The canonical source schedule of a scan/chain expansion whose first hop
 /// is `hop0`: every node with an outgoing hop-0 edge, ascending.
 fn source_schedule(hop0: &CsrGraph) -> Vec<NodeId> {
@@ -84,7 +68,7 @@ fn source_schedule(hop0: &CsrGraph) -> Vec<NodeId> {
 /// edge each; only steps at segment boundaries (path length a multiple of
 /// the hop count) are ever emitted.
 pub(crate) struct ChainExpansion {
-    hops: Hops,
+    hops: Arc<[CsrGraph]>,
     semantics: PathSemantics,
     config: RecursionConfig,
     walk_unbounded: bool,
@@ -130,9 +114,8 @@ pub(crate) struct ChainExpansion {
 impl ChainExpansion {
     /// Builds the expander over per-hop CSR snapshots (all over the same
     /// node universe; at least one hop).
-    pub fn new(hops: Hops, semantics: PathSemantics, config: RecursionConfig) -> Self {
+    pub fn new(hops: Arc<[CsrGraph]>, semantics: PathSemantics, config: RecursionConfig) -> Self {
         let (n, k, sources) = {
-            let hops = hops.as_slice();
             assert!(!hops.is_empty(), "a chain expansion needs at least one hop");
             (hops[0].node_count(), hops.len(), source_schedule(&hops[0]))
         };
@@ -236,7 +219,7 @@ impl ChainExpansion {
 
     /// Edges per segment: the hop count (1 for a scan).
     fn seg_len(&self) -> usize {
-        self.hops.as_slice().len()
+        self.hops.len()
     }
 
     fn ensure_pending(&mut self) -> Result<bool, AlgebraError> {
@@ -290,7 +273,7 @@ impl ChainExpansion {
             PathSemantics::Simple | PathSemantics::Shortest
         );
         let mut descent = Descent {
-            hops: self.hops.as_slice(),
+            hops: &self.hops,
             semantics: self.semantics,
             source,
             walk_unbounded: self.walk_unbounded,
@@ -395,7 +378,7 @@ impl ChainExpansion {
     /// The sliced evaluation only uses the set to *delay* a source stop, so
     /// over-approximation costs work, never correctness.
     pub fn reachability(&mut self, source: NodeId) -> ReachInfo {
-        let hops = self.hops.as_slice();
+        let hops = &self.hops[..];
         let k = hops.len();
         let bound = self.config.max_length.unwrap_or(usize::MAX);
         let states = hops[0].node_count() * k;
@@ -709,7 +692,7 @@ mod tests {
             CsrGraph::with_label(&f.graph, "Has_creator"),
         ];
         let mut exp = ChainExpansion::new(
-            Hops::Chain(hops.into()),
+            hops.into(),
             PathSemantics::Trail,
             RecursionConfig::default(),
         );
@@ -735,7 +718,7 @@ mod tests {
             CsrGraph::with_label(&f.graph, "Has_creator"),
         ];
         let mut exp = ChainExpansion::new(
-            Hops::Chain(hops.into()),
+            hops.into(),
             PathSemantics::Trail,
             RecursionConfig::default(),
         );

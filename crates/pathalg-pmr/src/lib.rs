@@ -7,16 +7,17 @@
 //! length bound while a `π(*,*,k)`-sliced answer is tiny. Following the
 //! PathFinder line of work, this crate represents the multiset *implicitly*
 //! as a step arena over the expansion of `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` — one
-//! per-source, level-ordered search over label-restricted CSR snapshots —
-//! and enumerates paths from it **on demand, in the engine's canonical
-//! order**:
+//! per-source, level-ordered search over the per-label CSRs a graph builds
+//! once ([`PropertyGraph::label_csr`]) — and enumerates paths from it **on
+//! demand, in the engine's canonical order**:
 //!
 //! * [`Pmr::from_label_scan`] / [`Pmr::from_csr`] and
 //!   [`Pmr::from_label_chain`] / [`Pmr::from_shared_join`] — the
 //!   `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` form, a label scan being the one-hop chain:
-//!   lazy per-source, level-ordered expansion over label-restricted CSR
-//!   snapshots by one kernel (the `join` module), byte-order-identical to
-//!   the engine's `phi_frontier` over the materialised base.
+//!   lazy per-source, level-ordered expansion over label-restricted CSRs by
+//!   one kernel (the `join` module), byte-order-identical to the engine's
+//!   `phi_frontier` over the materialised base. The label constructors share
+//!   the graph's stored CSRs; nothing is built per kernel.
 //! * [`Pmr::next_batch`] / [`Pmr::top_k`] / [`Pmr::enumerate_all`] — pull as
 //!   much as you need; `top_k(k)` obeys the law
 //!   `top_k(k) == enumerate().take(k)` while expanding only what those `k`
@@ -40,7 +41,7 @@
 mod arena;
 mod join;
 
-use crate::join::{ChainExpansion, Hops, ReachInfo};
+use crate::join::{ChainExpansion, ReachInfo};
 use pathalg_core::budget::CancelToken;
 use pathalg_core::error::AlgebraError;
 use pathalg_core::obs::WorkCounters;
@@ -119,38 +120,39 @@ struct Emit {
 }
 
 impl Pmr {
-    /// PMR of `ϕ_semantics(σ_{label=ℓ}(Edges(G)))`: the one-hop chain over a
-    /// label-restricted CSR snapshot of `graph`, base never materialised.
+    /// PMR of `ϕ_semantics(σ_{label=ℓ}(Edges(G)))`: the one-hop chain over
+    /// `graph`'s stored CSR of the label, base never materialised.
     pub fn from_label_scan(
         graph: &PropertyGraph,
         label: &str,
         semantics: PathSemantics,
         config: RecursionConfig,
     ) -> Pmr {
-        Self::from_csr(CsrGraph::with_label(graph, label), semantics, config)
+        Self::from_csr(graph.label_csr(label).clone(), semantics, config)
     }
 
     /// PMR of `ϕ_semantics` over the edge set of an arbitrary CSR snapshot
     /// (every edge as a length-1 base path).
     pub fn from_csr(csr: CsrGraph, semantics: PathSemantics, config: RecursionConfig) -> Pmr {
-        Self::from_shared_csr(Arc::new(csr), semantics, config)
+        Self::from_shared_join(Arc::new([csr]), semantics, config)
     }
 
-    /// [`Pmr::from_csr`] over a *shared* snapshot: the expansion walks the
-    /// caller's `Arc`ed CSR instead of a copy of it.
+    /// [`Pmr::from_csr`] for a caller holding its snapshot in an `Arc`. A
+    /// [`CsrGraph`] clone shares its columns, so neither form copies edges.
     pub fn from_shared_csr(
         csr: Arc<CsrGraph>,
         semantics: PathSemantics,
         config: RecursionConfig,
     ) -> Pmr {
-        Self::from_hops(Hops::Scan(csr), semantics, config)
+        Self::from_csr(Arc::unwrap_or_clone(csr), semantics, config)
     }
 
     /// PMR of `ϕ_semantics(σℓ1(E) ⋈ … ⋈ σℓk(E))` — the lazy endpoint-keyed
-    /// join of the per-label scans (see the `join` module): neither join side,
-    /// the join result, nor the closure is ever materialised, and the
-    /// emission order is byte-identical to materialising the join and running
-    /// the engine's frontier expansion.
+    /// join of the per-label scans (see the `join` module) over `graph`'s
+    /// stored label CSRs: neither join side, the join result, nor the
+    /// closure is ever materialised, and the emission order is
+    /// byte-identical to materialising the join and running the engine's
+    /// frontier expansion.
     pub fn from_label_chain(
         graph: &PropertyGraph,
         labels: &[&str],
@@ -158,10 +160,7 @@ impl Pmr {
         config: RecursionConfig,
     ) -> Pmr {
         Self::from_shared_join(
-            labels
-                .iter()
-                .map(|l| CsrGraph::with_label(graph, l))
-                .collect(),
+            labels.iter().map(|l| graph.label_csr(l).clone()).collect(),
             semantics,
             config,
         )
@@ -175,10 +174,6 @@ impl Pmr {
         semantics: PathSemantics,
         config: RecursionConfig,
     ) -> Pmr {
-        Self::from_hops(Hops::Chain(hops), semantics, config)
-    }
-
-    fn from_hops(hops: Hops, semantics: PathSemantics, config: RecursionConfig) -> Pmr {
         Pmr {
             expansion: Box::new(ChainExpansion::new(hops, semantics, config)),
             target_mask: None,

@@ -16,6 +16,17 @@
 //! bounded by [`MAX_NESTING_DEPTH`]. A repetition `{m,n}` unrolls into up to
 //! `n` joined copies of its operand when compiled, so it counts as `n`
 //! stacked copies of the operand's height.
+//!
+//! That bound is also what bounds the compiled size. A repetition `{m,n}`
+//! compiles ([`crate::compile::compile_to_algebra`]) to the union of its
+//! exact repetitions, Σₖ₌ₘⁿ k copies of its operand, and the NFA
+//! ([`crate::nfa`]) to `n` copies; nested repetitions multiply. The height
+//! bound keeps the product of nested counts at most 128, so no atom of the
+//! input appears more than 128 · 129 / 2 = 8 256 times in a compiled plan,
+//! or 128 times in an NFA: the compiled size is linear in the input, whose
+//! length the server bounds by its request line. The factor is large:
+//! measured, a 786 KB `(2¹⁷-leaf alternation){0,3}` line compiled in 0.58 s
+//! to a plan whose `Display` is 33 MB.
 
 use crate::regex::LabelRegex;
 use std::fmt;

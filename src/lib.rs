@@ -4,8 +4,8 @@
 //! García and Vrgoč (EDBT 2025, arXiv:2407.04823), together with every substrate
 //! the algebra needs to run end to end:
 //!
-//! * [`graph`] — the property-graph data model (Definition 2.1), adjacency and
-//!   CSR indexes, synthetic graph generators, and the paper's Figure 1 fixture.
+//! * [`graph`] — the property-graph data model (Definition 2.1), its CSR
+//!   adjacency, synthetic graph generators, and the paper's Figure 1 fixture.
 //! * [`algebra`] — paths, selection conditions, the core algebra (σ, ⋈, ∪), the
 //!   recursive operator ϕ under Walk/Trail/Acyclic/Simple/Shortest semantics,
 //!   solution spaces, group-by / order-by / projection, logical plans and the

@@ -21,9 +21,13 @@
 //! * **A deeply nested request line** — 5 000 nested parentheses are
 //!   refused with a typed `ERR parse` instead of overflowing the connection
 //!   thread's stack, and the server keeps serving fresh clients.
+//! * **A deadline on a plan without ϕ** — a wide `|`-tree under `{0,3}`
+//!   compiles to unions and joins only; its wire deadline still answers
+//!   `ERR timeout`, and the same connection serves the next query.
 
 use pathalg::algebra::error::AlgebraError;
 use pathalg::algebra::ops::recursive::RecursionConfig;
+use pathalg::graph::generator::snb::{snb_like_graph, SnbConfig};
 use pathalg::graph::generator::structured::complete_graph;
 use pathalg::parser::QuerySurface;
 use pathalg::server::protocol::MAX_REQUEST_LINE_BYTES;
@@ -320,5 +324,62 @@ fn a_deeply_nested_request_line_is_refused_and_the_server_keeps_serving() {
     };
     assert!(!reply.paths.is_empty());
     drop(fresh);
+    handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// A deadline on a plan without ϕ
+// ---------------------------------------------------------------------------
+
+/// A balanced `|`-tree over the leaves `lo..hi`, cycling through the three
+/// SNB edge labels.
+fn alternation(lo: usize, hi: usize) -> String {
+    if hi - lo == 1 {
+        return [":Knows", ":Likes", ":Has_creator"][lo % 3].to_string();
+    }
+    let mid = (lo + hi) / 2;
+    format!("({}|{})", alternation(lo, mid), alternation(mid, hi))
+}
+
+/// `{0,3}` over a 64-leaf alternation lowers to unions of joins of label
+/// selections — no ϕ anywhere — and runs for about a second on SNB-1 000.
+/// Every operator polls the request's cancellation token, so the 50 ms wire
+/// deadline answers `ERR timeout`, and the connection serves on.
+#[test]
+fn a_deadline_stops_a_plan_without_phi_and_the_connection_keeps_serving() {
+    let graph = Arc::new(snb_like_graph(&SnbConfig::scale(1_000, 11)));
+    let svc = Arc::new(QueryService::new(graph, ServiceConfig::default()));
+    let path =
+        std::env::temp_dir().join(format!("pathalg-chaos-no-phi-{}.sock", std::process::id()));
+    let handle = serve(svc, path.clone()).expect("bind");
+
+    let wide = format!(
+        "MATCH ALL WALK (?x {{name:\"nobody\"}})-[({}){{0,3}}]->(?y)",
+        alternation(0, 64)
+    );
+    let mut client = Client::connect(&path).expect("connect");
+    let started = Instant::now();
+    let reply = client.send(&Request::Query {
+        surface: QuerySurface::Gql,
+        deadline_ms: Some(50),
+        text: wide,
+    });
+    match reply.expect("a reply") {
+        Some(Response::Error { kind, .. }) => assert_eq!(kind, "timeout"),
+        other => panic!("expected ERR timeout, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the deadline stopped the plan, not its completion"
+    );
+
+    let Response::Query(reply) = client
+        .query("MATCH ALL WALK p = (?x)-[:Knows]->(?y)")
+        .expect("the same connection serves the next query")
+    else {
+        panic!("expected a query reply");
+    };
+    assert_eq!(reply.paths.len(), 3_000);
+    drop(client);
     handle.shutdown();
 }

@@ -6,6 +6,10 @@
 //! distributes over union and commutes with itself, the recursive operator is
 //! monotone in its semantics, and the extended operators neither lose nor
 //! duplicate paths.
+//!
+//! They also check the substrate the operators read: every CSR a graph
+//! stores agrees with a fresh build and with its edge table, and the
+//! statistics computed from those CSRs are pinned on Figure 1 and SNB-200.
 
 use pathalg::algebra::condition::Condition;
 use pathalg::algebra::ops::group_by::{group_by, GroupKey};
@@ -16,9 +20,18 @@ use pathalg::algebra::ops::recursive::{recursive, PathSemantics, RecursionConfig
 use pathalg::algebra::ops::selection::selection;
 use pathalg::algebra::ops::union::union;
 use pathalg::algebra::pathset::PathSet;
+use pathalg::graph::csr::CsrGraph;
+use pathalg::graph::fixtures::figure1::figure1_graph;
 use pathalg::graph::generator::random::{random_labeled_graph, RandomGraphConfig};
+use pathalg::graph::generator::snb::{snb_like_graph, SnbConfig};
+use pathalg::graph::generator::structured::{
+    chain_graph, complete_graph, cycle_graph, grid_graph, ladder_graph,
+};
 use pathalg::graph::graph::PropertyGraph;
+use pathalg::graph::ids::{EdgeId, NodeId};
+use pathalg::graph::stats::GraphStats;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a small, sparse random labelled graph. Edge count is capped at
 /// twice the node count so the trail/simple closures computed inside the
@@ -222,6 +235,11 @@ proptest! {
     }
 
     #[test]
+    fn stored_csrs_agree_with_fresh_builds(g in small_graph()) {
+        assert_stored_csrs_are_sound(&g);
+    }
+
+    #[test]
     fn path_concatenation_is_associative(g in small_graph()) {
         let edges = PathSet::edges(&g);
         // Take any composable triple of edges and check (a∘b)∘c = a∘(b∘c).
@@ -235,4 +253,151 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The graph's stored adjacency and statistics
+// ---------------------------------------------------------------------------
+
+/// The rows a CSR over every edge keyed by source (or by target when
+/// `reverse`) must hold, read straight off the edge table.
+fn rows_from_the_edge_table(g: &PropertyGraph, reverse: bool) -> Vec<Vec<(NodeId, EdgeId)>> {
+    g.nodes()
+        .map(|v| {
+            g.edges()
+                .filter_map(|e| {
+                    let (s, t) = g.endpoints(e);
+                    let (row, column) = if reverse { (t, s) } else { (s, t) };
+                    (row == v).then_some((column, e))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every CSR a graph holds agrees with a fresh build or the edge table.
+fn assert_stored_csrs_are_sound(g: &PropertyGraph) {
+    assert_eq!(g.csr(), &CsrGraph::from_graph(g));
+    for (csr, reverse) in [(g.csr(), false), (g.reverse_csr(), true)] {
+        assert_eq!(csr.node_count(), g.node_count());
+        assert_eq!(csr.edge_count(), g.edge_count());
+        for (v, row) in g.nodes().zip(rows_from_the_edge_table(g, reverse)) {
+            assert_eq!(csr.neighbors(v).collect::<Vec<_>>(), row);
+        }
+    }
+    for v in g.nodes() {
+        let targeting: Vec<_> = g.edges().filter(|&e| g.target(e) == v).collect();
+        assert_eq!(g.incoming(v), targeting.as_slice());
+    }
+    let mut labels = 0;
+    for (label, csr) in g.edge_label_csrs() {
+        assert_eq!(csr, &CsrGraph::with_label(g, label), "label {label}");
+        assert_eq!(g.label_csr(label), csr);
+        labels += 1;
+    }
+    let carried: BTreeSet<_> = g.edges().filter_map(|e| g.label(e)).collect();
+    assert_eq!(labels, carried.len());
+}
+
+#[test]
+fn stored_csrs_agree_with_fresh_builds_on_fixed_graphs() {
+    assert_stored_csrs_are_sound(&figure1_graph());
+    assert_stored_csrs_are_sound(&snb_like_graph(&SnbConfig::scale(200, 11)));
+    for g in [
+        chain_graph(6, "a"),
+        cycle_graph(5, "a"),
+        grid_graph(3, 4, "a"),
+        ladder_graph(4, "a"),
+        complete_graph(4, "a"),
+    ] {
+        assert_stored_csrs_are_sound(&g);
+    }
+}
+
+/// Every accessor's value, for every label and ordered label pair, in a
+/// fixed order; floats in their exact round-trip form.
+fn render_all(stats: &GraphStats) -> String {
+    let mut out = format!(
+        "nodes {} edges {} max_out {} max_in {} avg_out {:?} cyclic {}\n",
+        stats.node_count(),
+        stats.edge_count(),
+        stats.max_out_degree(),
+        stats.max_in_degree(),
+        stats.avg_out_degree(),
+        stats.is_cyclic()
+    );
+    let mut node_labels: Vec<_> = stats.node_labels().collect();
+    node_labels.sort();
+    for l in node_labels {
+        out += &format!("node {l} {}\n", stats.nodes_with_label(l));
+    }
+    let mut labels: Vec<_> = stats.edge_labels().collect();
+    labels.sort();
+    for &l in &labels {
+        out += &format!(
+            "edge {l} {} selectivity {:?} expansion {:?} cyclic {}\n",
+            stats.edges_with_label(l),
+            stats.edge_label_selectivity(l),
+            stats.label_expansion(l),
+            stats.label_cyclic(l)
+        );
+    }
+    for &a in &labels {
+        for &b in &labels {
+            out += &format!(
+                "pair {a} {b} expansion {:?} cyclic {:?}\n",
+                stats.pair_expansion(a, b),
+                stats.pair_cyclic(a, b)
+            );
+        }
+    }
+    out
+}
+
+#[test]
+fn figure1_stats_are_pinned() {
+    let stats = GraphStats::compute(&figure1_graph());
+    assert_eq!(
+        render_all(&stats),
+        "\
+        nodes 7 edges 11 max_out 3 max_in 2 avg_out 1.5714285714285714 cyclic true\n\
+        node Message 3\n\
+        node Person 4\n\
+        edge Has_creator 3 selectivity 0.2727272727272727 expansion 1.0 cyclic false\n\
+        edge Knows 4 selectivity 0.36363636363636365 expansion 1.3333333333333333 cyclic true\n\
+        edge Likes 4 selectivity 0.36363636363636365 expansion 1.0 cyclic false\n\
+        pair Has_creator Has_creator expansion Some(0.0) cyclic Some(false)\n\
+        pair Has_creator Knows expansion Some(0.6666666666666666) cyclic Some(false)\n\
+        pair Has_creator Likes expansion Some(1.0) cyclic Some(true)\n\
+        pair Knows Has_creator expansion Some(0.0) cyclic Some(false)\n\
+        pair Knows Knows expansion Some(1.25) cyclic Some(true)\n\
+        pair Knows Likes expansion Some(1.0) cyclic Some(false)\n\
+        pair Likes Has_creator expansion Some(1.0) cyclic Some(true)\n\
+        pair Likes Knows expansion Some(0.0) cyclic Some(false)\n\
+        pair Likes Likes expansion Some(0.0) cyclic Some(false)\n"
+    );
+}
+
+#[test]
+fn snb_200_stats_are_pinned() {
+    let stats = GraphStats::compute(&snb_like_graph(&SnbConfig::scale(200, 11)));
+    assert_eq!(
+        render_all(&stats),
+        "\
+        nodes 600 edges 1400 max_out 5 max_in 11 avg_out 2.3333333333333335 cyclic true\n\
+        node Message 400\n\
+        node Person 200\n\
+        edge Has_creator 400 selectivity 0.2857142857142857 expansion 1.0 cyclic false\n\
+        edge Knows 600 selectivity 0.42857142857142855 expansion 3.0 cyclic true\n\
+        edge Likes 400 selectivity 0.2857142857142857 expansion 2.0 cyclic false\n\
+        pair Has_creator Has_creator expansion Some(0.0) cyclic Some(false)\n\
+        pair Has_creator Knows expansion Some(3.0) cyclic Some(false)\n\
+        pair Has_creator Likes expansion Some(2.0) cyclic Some(true)\n\
+        pair Knows Has_creator expansion Some(0.0) cyclic Some(false)\n\
+        pair Knows Knows expansion Some(3.0) cyclic Some(true)\n\
+        pair Knows Likes expansion Some(2.0) cyclic Some(false)\n\
+        pair Likes Has_creator expansion Some(1.0) cyclic Some(true)\n\
+        pair Likes Knows expansion Some(0.0) cyclic Some(false)\n\
+        pair Likes Likes expansion Some(0.0) cyclic Some(false)\n"
+    );
 }
