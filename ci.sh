@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the pathalg workspace. Run from the repo root:
 #
-#   ./ci.sh               full gate: fmt, clippy -D warnings, no index builds
-#                         on the request path, release build, tests, docs
+#   ./ci.sh               full gate: fmt, clippy -D warnings, no allow of
+#                         dead or unused code, no index builds on the
+#                         request path, release build, tests, docs
 #                         -D warnings, bench compile, benchmark package
 #                         check, examples
 #   ./ci.sh --quick       tier-1 subset only (see ROADMAP.md):
@@ -57,6 +58,12 @@ full() {
 
     step "cargo clippy (all targets, -D warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    step "no allow(dead_code) or allow(unused): clippy names what nothing calls"
+    if grep -rnE "allow\((dead_code|unused)" crates/*/src src tests examples; then
+        echo "ci.sh: delete the unused item, or keep a test-only one behind #[cfg(test)]" >&2
+        exit 1
+    fi
 
     step "no index builds on the request path (engine and server share the graph's CSRs)"
     if grep -rnE "CsrGraph::(with_label|from_graph)|Pmr::from_label_(scan|chain)" \

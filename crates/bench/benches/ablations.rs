@@ -25,7 +25,6 @@ use pathalg_core::ops::selection::selection;
 use pathalg_core::optimizer::Optimizer;
 use pathalg_core::pathset::PathSet;
 use pathalg_engine::physical::frontier::phi_frontier;
-use pathalg_engine::physical::phi_seminaive;
 use pathalg_rpq::automaton_eval::AutomatonEvaluator;
 use pathalg_rpq::parse::parse_regex;
 use std::time::Duration;
@@ -49,18 +48,14 @@ fn bench_phi_implementations(c: &mut Criterion) {
         let graph = cycle(n);
         let base = knows_base(&graph);
         group.bench_with_input(BenchmarkId::new("seminaive_trail", n), &base, |b, base| {
-            b.iter(|| {
-                phi_seminaive(PathSemantics::Trail, base, &cfg)
-                    .unwrap()
-                    .len()
-            })
+            b.iter(|| recursive(PathSemantics::Trail, base, &cfg).unwrap().len())
         });
         group.bench_with_input(
             BenchmarkId::new("seminaive_shortest", n),
             &base,
             |b, base| {
                 b.iter(|| {
-                    phi_seminaive(PathSemantics::Shortest, base, &cfg)
+                    recursive(PathSemantics::Shortest, base, &cfg)
                         .unwrap()
                         .len()
                 })

@@ -89,7 +89,7 @@ impl CancelToken {
     }
 
     /// A token with an absolute monotonic deadline.
-    pub fn with_deadline_at(deadline: Instant) -> Self {
+    pub(crate) fn with_deadline_at(deadline: Instant) -> Self {
         Self {
             cancelled: AtomicBool::new(false),
             deadline: Some(deadline),
@@ -100,12 +100,6 @@ impl CancelToken {
     /// [`AlgebraError::Cancelled`].
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`CancelToken::cancel`] was called (does not consult the
-    /// deadline).
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
     }
 
     /// The absolute deadline, if one is set — used by blocking waiters
@@ -248,10 +242,8 @@ mod tests {
     fn cancel_token_without_deadline_only_fires_on_cancel() {
         let t = CancelToken::new();
         assert!(t.check().is_ok());
-        assert!(!t.is_cancelled());
         assert!(t.deadline().is_none());
         t.cancel();
-        assert!(t.is_cancelled());
         assert_eq!(t.check(), Err(AlgebraError::Cancelled));
     }
 

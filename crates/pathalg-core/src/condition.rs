@@ -215,7 +215,11 @@ impl Condition {
 
     /// Resolves an accessor against a path, returning the extracted value if
     /// the referenced object exists and carries the requested information.
-    pub fn resolve(accessor: &Accessor, path: &Path, graph: &PropertyGraph) -> Option<Value> {
+    pub(crate) fn resolve(
+        accessor: &Accessor,
+        path: &Path,
+        graph: &PropertyGraph,
+    ) -> Option<Value> {
         fn node_at(path: &Path, pos: Position) -> Option<ObjectId> {
             let node = match pos {
                 Position::First => path.node_at(1),
@@ -294,7 +298,7 @@ impl Condition {
     /// True if the condition contains one of the whole-path predicates
     /// (`is_trail()`, `is_acyclic()`, `is_simple()`), which inspect the entire
     /// path and therefore can never be pushed below a join.
-    pub fn contains_path_predicate(&self) -> bool {
+    pub(crate) fn contains_path_predicate(&self) -> bool {
         match self {
             Condition::IsTrail | Condition::IsAcyclic | Condition::IsSimple => true,
             Condition::And(a, b) | Condition::Or(a, b) => {
@@ -310,7 +314,7 @@ impl Condition {
     ///
     /// Such conditions can be pushed through a join into its left input
     /// (predicate pushdown, Section 7.3).
-    pub fn only_references_first_node(&self) -> bool {
+    pub(crate) fn only_references_first_node(&self) -> bool {
         !self.contains_path_predicate()
             && self.accessors().iter().all(|a| {
                 matches!(
@@ -324,7 +328,7 @@ impl Condition {
     }
 
     /// True if the condition only inspects the last node of the path.
-    pub fn only_references_last_node(&self) -> bool {
+    pub(crate) fn only_references_last_node(&self) -> bool {
         !self.contains_path_predicate()
             && self.accessors().iter().all(|a| {
                 matches!(
@@ -452,6 +456,7 @@ impl fmt::Display for Condition {
 mod tests {
     use super::*;
     use pathalg_graph::fixtures::figure1::Figure1;
+    use pathalg_graph::graph::GraphBuilder;
 
     fn knows_path(f: &Figure1) -> Path {
         // (n1, e1, n2, e4, n4): Moe -Knows-> Lisa -Knows-> Apu
@@ -579,6 +584,39 @@ mod tests {
         // name is a string; comparing with an integer is not an error, just false.
         let c = Condition::first_property("name", 42i64);
         assert!(!c.eval(&p, &f.graph));
+    }
+
+    /// Property equality is decided by `Value::compare`: `Int(2)` equals
+    /// `Float(2.0)`, and `Null` equals nothing, not even `Null`.
+    #[test]
+    fn property_equality_follows_sql_null_semantics() {
+        let mut b = GraphBuilder::new();
+        let n = b.add_node(
+            "Person",
+            [
+                ("none", Value::Null),
+                ("int", Value::Int(2)),
+                ("float", Value::Float(2.0)),
+            ],
+        );
+        let g = b.build();
+        let p = Path::node(n);
+        let holds = |prop: &str, op: CompareOp, value: Value| {
+            Condition::Compare {
+                accessor: Accessor::NodeProperty(Position::First, prop.into()),
+                op,
+                value,
+            }
+            .eval(&p, &g)
+        };
+        assert!(holds("int", CompareOp::Eq, Value::Float(2.0)));
+        assert!(holds("float", CompareOp::Eq, Value::Int(2)));
+        assert!(holds("int", CompareOp::Eq, Value::Int(2)));
+        assert!(!holds("int", CompareOp::Eq, Value::Int(3)));
+        assert!(!holds("int", CompareOp::Eq, Value::str("2")));
+        assert!(!holds("none", CompareOp::Eq, Value::Null));
+        assert!(!holds("none", CompareOp::Ne, Value::Null));
+        assert!(!holds("int", CompareOp::Eq, Value::Null));
     }
 
     #[test]

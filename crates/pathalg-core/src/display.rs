@@ -47,12 +47,6 @@ fn render(expr: &PlanExpr, depth: usize, out: &mut String) {
     }
 }
 
-/// Renders a plan as a single-line algebra expression (the paper's inline
-/// notation). Equivalent to the expression's `Display` implementation.
-pub fn plan_inline(expr: &PlanExpr) -> String {
-    expr.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,11 +88,5 @@ mod tests {
         assert_eq!(text.matches("Select").count(), 3);
         assert!(text.contains("Union"));
         assert!(text.contains("Join"));
-    }
-
-    #[test]
-    fn inline_matches_display() {
-        let plan = PlanExpr::nodes().union(PlanExpr::edges());
-        assert_eq!(plan_inline(&plan), plan.to_string());
     }
 }

@@ -150,7 +150,7 @@ impl PlanExpr {
     }
 
     /// A short, human-readable name of the root operator.
-    pub fn operator_name(&self) -> &'static str {
+    pub(crate) fn operator_name(&self) -> &'static str {
         match self {
             PlanExpr::Nodes => "Nodes(G)",
             PlanExpr::Edges => "Edges(G)",
@@ -200,7 +200,7 @@ impl PlanExpr {
 
     /// True if the expression produces a *solution space* (its root is γ or τ)
     /// rather than a set of paths.
-    pub fn produces_solution_space(&self) -> bool {
+    pub(crate) fn produces_solution_space(&self) -> bool {
         matches!(self, PlanExpr::GroupBy { .. } | PlanExpr::OrderBy { .. })
     }
 

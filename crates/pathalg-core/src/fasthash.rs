@@ -87,7 +87,7 @@ impl Hasher for FastHasher {
 }
 
 /// `BuildHasher` for [`FastHasher`]; `Default`-constructible and stateless.
-pub type FastBuild = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuild = BuildHasherDefault<FastHasher>;
 
 /// Drop-in `HashMap` with the fast deterministic hasher.
 pub type FastMap<K, V> = HashMap<K, V, FastBuild>;

@@ -210,7 +210,7 @@ impl fmt::Display for StageSpans {
 /// Number of power-of-two buckets a [`LatencyHistogram`] keeps. Bucket `i`
 /// counts durations whose nanosecond value has bit width `i` (i.e. is below
 /// `2^i`); the last bucket absorbs everything longer (`≥ 2^30 ns ≈ 1.1 s`).
-pub const LATENCY_BUCKETS: usize = 32;
+pub(crate) const LATENCY_BUCKETS: usize = 32;
 
 /// A fixed-bucket latency histogram behind relaxed atomics: cheap enough to
 /// record every request on the hot path, lossless enough for order-of-

@@ -90,7 +90,7 @@ mod tests {
         for p in two_hop.iter() {
             assert_eq!(p.len(), 2);
             p.validate(&f.graph).unwrap();
-            assert_eq!(p.label_word(&f.graph), "Knows·Knows");
+            assert_eq!(p.label_sequence(&f.graph), [Some("Knows"), Some("Knows")]);
         }
     }
 
@@ -153,7 +153,10 @@ mod tests {
         // Has_creator ⋈ Likes: Message → Person → Message.
         let backward = join(&creator, &likes, None).unwrap();
         for p in backward.iter() {
-            assert_eq!(p.label_word(&f.graph), "Has_creator·Likes");
+            assert_eq!(
+                p.label_sequence(&f.graph),
+                [Some("Has_creator"), Some("Likes")]
+            );
         }
         assert_ne!(forward, backward);
     }

@@ -103,7 +103,7 @@ impl OrderKey {
     /// already length-non-decreasing within every source segment, so the
     /// stable rank sort of the projection is the identity on single-source
     /// groups (see [`crate::slice`]).
-    pub fn ranks_only_paths(&self) -> bool {
+    pub(crate) fn ranks_only_paths(&self) -> bool {
         *self == OrderKey::Path
     }
 

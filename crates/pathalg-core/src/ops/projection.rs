@@ -8,8 +8,7 @@
 //! remark that sorting is unnecessary when no order-by was applied).
 //!
 //! Each `#` component is either `*` (all) or a positive integer
-//! ([`Take::All`] / [`Take::Count`]). As the paper suggests below Algorithm 1,
-//! we also provide a descending variant ([`projection_desc`]).
+//! ([`Take::All`] / [`Take::Count`]).
 
 use crate::error::AlgebraError;
 use crate::pathset::PathSet;
@@ -114,7 +113,7 @@ impl ProjectionSpec {
     /// the precondition for pushing the remaining limits into a lazy
     /// enumeration (group limits interleave with length levels and are not
     /// streamable).
-    pub fn keeps_groups_whole(&self) -> bool {
+    pub(crate) fn keeps_groups_whole(&self) -> bool {
         self.groups == Take::All
     }
 }
@@ -127,42 +126,23 @@ impl fmt::Display for ProjectionSpec {
 
 /// Evaluates `π(spec)(input)` following Algorithm 1 (ascending △ order).
 pub fn projection(spec: &ProjectionSpec, input: &SolutionSpace) -> PathSet {
-    project_impl(spec, input, false)
-}
-
-/// The descending variant suggested by the paper: elements are taken from the
-/// largest △ downwards.
-pub fn projection_desc(spec: &ProjectionSpec, input: &SolutionSpace) -> PathSet {
-    project_impl(spec, input, true)
-}
-
-fn project_impl(spec: &ProjectionSpec, input: &SolutionSpace, descending: bool) -> PathSet {
     let mut out = PathSet::new();
 
     // Line 2: sort partitions by △ (stable, so ties keep insertion order).
     let mut partition_order: Vec<usize> = (0..input.partition_count()).collect();
     partition_order.sort_by_key(|&pi| input.partition_rank(pi));
-    if descending {
-        partition_order.reverse();
-    }
     let max_p = spec.partitions.limit(partition_order.len());
 
     for &pi in partition_order.iter().take(max_p) {
         // Lines 7-8: the groups of P, sorted by △.
         let mut group_order: Vec<usize> = input.partitions()[pi].groups.clone();
         group_order.sort_by_key(|&gi| input.group_rank(gi));
-        if descending {
-            group_order.reverse();
-        }
         let max_g = spec.groups.limit(group_order.len());
 
         for &gi in group_order.iter().take(max_g) {
             // Lines 13-14: the paths of G, sorted by △.
             let mut path_order: Vec<usize> = input.groups()[gi].paths.clone();
             path_order.sort_by_key(|&xi| input.path_rank(xi));
-            if descending {
-                path_order.reverse();
-            }
             let max_a = spec.paths.limit(path_order.len());
 
             for &xi in path_order.iter().take(max_a) {
@@ -308,23 +288,6 @@ mod tests {
         assert!(out
             .iter()
             .all(|p| p.first() == first.first() && p.last() == first.last()));
-    }
-
-    #[test]
-    fn descending_projection_takes_longest_first() {
-        let f = Figure1::new();
-        let paths = trails(&f);
-        let ss = order_by(OrderKey::Path, &group_by(GroupKey::Empty, &paths));
-        let asc = projection(
-            &ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
-            &ss,
-        );
-        let desc = projection_desc(
-            &ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
-            &ss,
-        );
-        assert_eq!(asc.iter().next().unwrap().len(), 1);
-        assert_eq!(desc.iter().next().unwrap().len(), 4);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::ops::recursive::PathSemantics;
 /// from concurrent planning threads (the query service plans under a lock
 /// but hands `Optimizer` around inside `Sync` containers), hence the
 /// `Send + Sync` bound.
-pub trait RewriteRule: Send + Sync {
+pub(crate) trait RewriteRule: Send + Sync {
     /// A stable, kebab-case rule name, used in EXPLAIN traces.
     fn name(&self) -> &'static str;
     /// Attempts to rewrite the given node. Returning `None` (or an expression
@@ -24,7 +24,7 @@ pub trait RewriteRule: Send + Sync {
 }
 
 /// The default rule set, in application order.
-pub fn default_rules() -> Vec<Box<dyn RewriteRule>> {
+pub(crate) fn default_rules() -> Vec<Box<dyn RewriteRule>> {
     vec![
         Box::new(SplitConjunctiveSelection),
         Box::new(PushdownSelection),
@@ -39,7 +39,7 @@ pub fn default_rules() -> Vec<Box<dyn RewriteRule>> {
 /// `a ∧ b`); it is only *useful* when the conjuncts can subsequently be pushed
 /// in different directions, so the rule fires only above joins and unions to
 /// avoid churning filters that sit directly on a scan.
-pub struct SplitConjunctiveSelection;
+pub(crate) struct SplitConjunctiveSelection;
 
 impl RewriteRule for SplitConjunctiveSelection {
     fn name(&self) -> &'static str {
@@ -74,7 +74,7 @@ impl RewriteRule for SplitConjunctiveSelection {
 ///   path — sound because `First(p1 ∘ p2) = First(p1)`.
 /// * `σc(A ⋈ B) → A ⋈ σc(B)` when `c` only constrains the last node — sound
 ///   because `Last(p1 ∘ p2) = Last(p2)`.
-pub struct PushdownSelection;
+pub(crate) struct PushdownSelection;
 
 impl RewriteRule for PushdownSelection {
     fn name(&self) -> &'static str {
@@ -128,7 +128,7 @@ impl RewriteRule for PushdownSelection {
 ///
 /// Both rewrites turn a plan that does not terminate on cyclic graphs into
 /// one that always terminates.
-pub struct WalkToShortestRewrite;
+pub(crate) struct WalkToShortestRewrite;
 
 impl RewriteRule for WalkToShortestRewrite {
     fn name(&self) -> &'static str {
@@ -203,7 +203,7 @@ impl RewriteRule for WalkToShortestRewrite {
 ///   the end of Section 6.
 /// * `π(*,*,*)(τθ(X)) → π(*,*,*)(X)`: a projection that keeps everything is
 ///   insensitive to order.
-pub struct RemoveRedundantOrderBy;
+pub(crate) struct RemoveRedundantOrderBy;
 
 impl RewriteRule for RemoveRedundantOrderBy {
     fn name(&self) -> &'static str {

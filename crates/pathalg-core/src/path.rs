@@ -142,7 +142,7 @@ impl Path {
 
     /// `Edge(p, j)` with the paper's 1-based indexing: the j-th edge of the
     /// path, or `None` if `j` is out of range.
-    pub fn edge_at(&self, j: usize) -> Option<EdgeId> {
+    pub(crate) fn edge_at(&self, j: usize) -> Option<EdgeId> {
         if j == 0 {
             return None;
         }
@@ -163,19 +163,6 @@ impl Path {
     /// vector of labels (unlabelled edges contribute `None`).
     pub fn label_sequence<'g>(&self, graph: &'g PropertyGraph) -> Vec<Option<&'g str>> {
         self.repr.edges.iter().map(|&e| graph.label(e)).collect()
-    }
-
-    /// `λ(p)` rendered as the word formed by the edge labels, unlabelled edges
-    /// rendered as `_`. This is the string the RPQ automaton reads.
-    pub fn label_word(&self, graph: &PropertyGraph) -> String {
-        let mut out = String::new();
-        for (i, &e) in self.repr.edges.iter().enumerate() {
-            if i > 0 {
-                out.push('·');
-            }
-            out.push_str(graph.label(e).unwrap_or("_"));
-        }
-        out
     }
 
     /// Path concatenation `p1 ◦ p2` (Section 3.1).
@@ -201,24 +188,6 @@ impl Path {
     /// True if `Last(p1) = First(p2)`, i.e. [`Path::concat`] would succeed.
     pub fn can_concat(&self, other: &Path) -> bool {
         self.last() == other.first()
-    }
-
-    /// `p ◦ (Last(p), edge, target)`: extends the path by one edge step.
-    ///
-    /// This is the hot-loop form of [`Path::concat`] for single-edge
-    /// extensions: the CSR frontier engine walks `(target, edge)` adjacency
-    /// pairs directly, and building a throwaway one-edge [`Path`] just to
-    /// concatenate it would double the allocations per expansion. The caller
-    /// asserts that `edge` really runs from `Last(p)` to `target` (the CSR
-    /// index guarantees it by construction).
-    pub fn with_step(&self, edge: EdgeId, target: NodeId) -> Path {
-        let mut nodes = Vec::with_capacity(self.repr.nodes.len() + 1);
-        nodes.extend_from_slice(&self.repr.nodes);
-        nodes.push(target);
-        let mut edges = Vec::with_capacity(self.repr.edges.len() + 1);
-        edges.extend_from_slice(&self.repr.edges);
-        edges.push(edge);
-        Path::from_repr(nodes, edges)
     }
 
     /// True if the path repeats no node (the paper's *acyclic* restrictor).
@@ -381,7 +350,7 @@ mod tests {
         assert_eq!(p.last(), f.n2);
         assert_eq!(p.edge_at(1), Some(f.e1));
         assert_eq!(p.node_at(2), Some(f.n2));
-        assert_eq!(p.label_word(&f.graph), "Knows");
+        assert_eq!(p.label_sequence(&f.graph), [Some("Knows")]);
         p.validate(&f.graph).unwrap();
     }
 
@@ -412,18 +381,10 @@ mod tests {
         assert_eq!(joined.nodes(), &[f.n1, f.n2, f.n3]);
         assert_eq!(joined.edges(), &[f.e1, f.e2]);
         joined.validate(&f.graph).unwrap();
-        assert_eq!(joined.label_word(&f.graph), "Knows·Knows");
-    }
-
-    #[test]
-    fn with_step_equals_concat_with_an_edge_path() {
-        let f = Figure1::new();
-        let p1 = Path::edge(&f.graph, f.e1);
-        let (_, target) = f.graph.endpoints(f.e2);
-        let stepped = p1.with_step(f.e2, target);
-        let concatenated = p1.concat(&Path::edge(&f.graph, f.e2)).unwrap();
-        assert_eq!(stepped, concatenated);
-        stepped.validate(&f.graph).unwrap();
+        assert_eq!(
+            joined.label_sequence(&f.graph),
+            [Some("Knows"), Some("Knows")]
+        );
     }
 
     #[test]

@@ -117,13 +117,8 @@ impl PathSet {
     }
 
     /// True if the two sets contain exactly the same paths (order-insensitive).
-    pub fn set_eq(&self, other: &PathSet) -> bool {
+    pub(crate) fn set_eq(&self, other: &PathSet) -> bool {
         self.len() == other.len() && self.paths.iter().all(|p| other.contains(p))
-    }
-
-    /// Length of the longest path in the set (0 for an empty set).
-    pub fn max_len(&self) -> usize {
-        self.paths.iter().map(Path::len).max().unwrap_or(0)
     }
 }
 
@@ -231,7 +226,6 @@ mod tests {
         assert_eq!(sorted[0].len(), 0);
         assert_eq!(sorted[1].len(), 1);
         assert_eq!(sorted[2], long);
-        assert_eq!(set.max_len(), 2);
     }
 
     #[test]
@@ -239,7 +233,6 @@ mod tests {
         let set = PathSet::new();
         assert!(set.is_empty());
         assert_eq!(set.len(), 0);
-        assert_eq!(set.max_len(), 0);
         assert_eq!(set.sorted(), Vec::<Path>::new());
     }
 

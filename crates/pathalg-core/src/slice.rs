@@ -234,7 +234,7 @@ impl SliceCollector {
     }
 
     /// The partition key of a path under the collector's grouping parameter.
-    pub fn key_of(&self, path: &crate::path::Path) -> PartitionKey {
+    pub(crate) fn key_of(&self, path: &crate::path::Path) -> PartitionKey {
         (
             self.spec
                 .group_key

@@ -12,7 +12,6 @@
 //! without hashing.
 
 use crate::path::Path;
-use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::NodeId;
 use std::fmt;
 
@@ -115,46 +114,33 @@ impl SolutionSpace {
         &self.paths[idx]
     }
 
-    /// `α`: the group a path belongs to.
-    pub fn group_of_path(&self, path_idx: usize) -> usize {
-        self.groups
-            .iter()
-            .position(|g| g.paths.contains(&path_idx))
-            .expect("α is total: every path belongs to a group")
-    }
-
-    /// `β`: the partition a group belongs to.
-    pub fn partition_of_group(&self, group_idx: usize) -> usize {
-        self.groups[group_idx].partition
-    }
-
     /// `△` of a path.
-    pub fn path_rank(&self, idx: usize) -> u64 {
+    pub(crate) fn path_rank(&self, idx: usize) -> u64 {
         self.path_rank[idx]
     }
 
     /// `△` of a group.
-    pub fn group_rank(&self, idx: usize) -> u64 {
+    pub(crate) fn group_rank(&self, idx: usize) -> u64 {
         self.group_rank[idx]
     }
 
     /// `△` of a partition.
-    pub fn partition_rank(&self, idx: usize) -> u64 {
+    pub(crate) fn partition_rank(&self, idx: usize) -> u64 {
         self.partition_rank[idx]
     }
 
     /// Sets `△` of a path (used by the order-by operator).
-    pub fn set_path_rank(&mut self, idx: usize, rank: u64) {
+    pub(crate) fn set_path_rank(&mut self, idx: usize, rank: u64) {
         self.path_rank[idx] = rank;
     }
 
     /// Sets `△` of a group.
-    pub fn set_group_rank(&mut self, idx: usize, rank: u64) {
+    pub(crate) fn set_group_rank(&mut self, idx: usize, rank: u64) {
         self.group_rank[idx] = rank;
     }
 
     /// Sets `△` of a partition.
-    pub fn set_partition_rank(&mut self, idx: usize, rank: u64) {
+    pub(crate) fn set_partition_rank(&mut self, idx: usize, rank: u64) {
         self.partition_rank[idx] = rank;
     }
 
@@ -177,31 +163,6 @@ impl SolutionSpace {
             .map(|&g| self.min_len_of_group(g))
             .min()
             .unwrap_or(0)
-    }
-
-    /// Renders the solution space as a table in the style of the paper's
-    /// Table 5 (partition, group, path, MinL(P), MinL(G), Len(p)).
-    pub fn display_table(&self, graph: &PropertyGraph) -> String {
-        let mut out = String::new();
-        out.push_str("Partition | Group | Path | MinL(P) | MinL(G) | Len(p)\n");
-        for (pi, part) in self.partitions.iter().enumerate() {
-            for &gi in &part.groups {
-                for &xi in &self.groups[gi].paths {
-                    let p = &self.paths[xi];
-                    out.push_str(&format!(
-                        "part{} | group{}_{} | {} | {} | {} | {}\n",
-                        pi + 1,
-                        pi + 1,
-                        gi + 1,
-                        p.display(graph),
-                        self.min_len_of_partition(pi),
-                        self.min_len_of_group(gi),
-                        p.len()
-                    ));
-                }
-            }
-        }
-        out
     }
 
     /// Checks the structural invariants of Definition 5.1: every path belongs
@@ -330,17 +291,17 @@ mod tests {
         assert_eq!(ss.group_rank(0), 1);
         assert_eq!(ss.partition_rank(1), 1);
         ss.validate().unwrap();
+        assert!(ss.to_string().contains("paths: 3"));
     }
 
     #[test]
     fn alpha_and_beta_are_total() {
         let f = Figure1::new();
         let ss = tiny_space(&f);
-        assert_eq!(ss.group_of_path(0), 0);
-        assert_eq!(ss.group_of_path(1), 0);
-        assert_eq!(ss.group_of_path(2), 1);
-        assert_eq!(ss.partition_of_group(0), 0);
-        assert_eq!(ss.partition_of_group(1), 1);
+        assert_eq!(ss.groups()[0].paths, [0, 1]);
+        assert_eq!(ss.groups()[1].paths, [2]);
+        assert_eq!(ss.groups()[0].partition, 0);
+        assert_eq!(ss.groups()[1].partition, 1);
     }
 
     #[test]
@@ -401,17 +362,5 @@ mod tests {
         }];
         let ss = SolutionSpace::new(vec![p], groups, partitions);
         assert!(ss.validate().is_err());
-    }
-
-    #[test]
-    fn display_table_mentions_every_path() {
-        let f = Figure1::new();
-        let ss = tiny_space(&f);
-        let table = ss.display_table(&f.graph);
-        assert!(table.contains("part1"));
-        assert!(table.contains("part2"));
-        assert!(table.contains("MinL(P)"));
-        assert_eq!(table.lines().count(), 1 + 3);
-        assert!(ss.to_string().contains("paths: 3"));
     }
 }

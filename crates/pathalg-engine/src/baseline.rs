@@ -15,7 +15,7 @@ use pathalg_core::expr::PlanExpr;
 use pathalg_core::ops::recursive::RecursionConfig;
 use pathalg_core::pathset::PathSet;
 use pathalg_graph::graph::PropertyGraph;
-use pathalg_parser::{parse_query, IrOutput, QueryIr};
+use pathalg_parser::{parse_query, QueryIr};
 use pathalg_rpq::automaton_eval::AutomatonEvaluator;
 
 /// Evaluates a query text against a graph using the automaton-product
@@ -31,7 +31,7 @@ pub fn evaluate_query_with_automaton(
 }
 
 /// Evaluates an already-parsed query using the automaton-product baseline.
-pub fn evaluate_parsed_with_automaton(
+pub(crate) fn evaluate_parsed_with_automaton(
     graph: &PropertyGraph,
     query: &QueryIr,
     recursion: &RecursionConfig,
@@ -129,14 +129,6 @@ fn apply_pipeline(
     Ok(paths)
 }
 
-/// True if the query's output is the plain `ALL` selector.
-pub fn is_select_all(query: &QueryIr) -> bool {
-    matches!(
-        query.output,
-        IrOutput::Selector(pathalg_core::gql::Selector::All)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,13 +198,5 @@ mod tests {
         let err =
             evaluate_query_with_automaton(&f.graph, "NOT A QUERY", &RecursionConfig::default());
         assert!(matches!(err, Err(AlgebraError::InvalidArgument(_))));
-    }
-
-    #[test]
-    fn is_select_all_helper() {
-        let q = parse_query("MATCH ALL TRAIL p = (?x)-[:Knows]->(?y)").unwrap();
-        assert!(is_select_all(&q));
-        let q = parse_query("MATCH ANY SHORTEST TRAIL p = (?x)-[:Knows]->(?y)").unwrap();
-        assert!(!is_select_all(&q));
     }
 }

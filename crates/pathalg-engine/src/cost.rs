@@ -229,7 +229,7 @@ fn hop_expansion(stats: &GraphStats, from: &str, to: &str) -> f64 {
 /// cyclicity ([`GraphStats::chain_cyclic`] — exact for one- and two-label
 /// chains) decides whether growth compounds, and the recursion bound caps
 /// the horizon.
-pub fn estimate_closure(
+pub(crate) fn estimate_closure(
     stats: &GraphStats,
     labels: &[&str],
     semantics: PathSemantics,
@@ -267,7 +267,7 @@ pub fn estimate_closure(
 /// Estimates the closure of an arbitrary ϕ node: label-chain bases use the
 /// per-label statistics ([`estimate_closure`]); anything else falls back to
 /// the generic cardinality model with whole-graph cyclicity.
-pub fn estimate_phi(
+pub(crate) fn estimate_phi(
     stats: &GraphStats,
     semantics: PathSemantics,
     base_plan: &PlanExpr,
@@ -287,7 +287,7 @@ pub fn estimate_phi(
 /// This is the admission-control view of the cost model — a serving layer
 /// calls it *before* evaluation starts, so a query whose closure is
 /// predicted to blow up past the service's ceiling can be rejected with a
-/// typed error instead of aborting mid-enumeration ([`estimate_phi`] is the
+/// typed error instead of aborting mid-enumeration (`estimate_phi` is the
 /// per-node estimator; the blow-up predicate is
 /// [`ClosureEstimate::blows_up`]).
 pub fn estimate_plan_closures(
@@ -349,7 +349,7 @@ pub fn choose_pipeline_impl<'a>(
 /// statistics are available): a sliceable pipeline is always evaluated
 /// lazily, by one serial [`pathalg_pmr::Pmr::sliced`] enumeration, and the
 /// estimate feeds the `EXPLAIN` strategy report.
-pub fn choose_pipeline_strategy<'a>(
+pub(crate) fn choose_pipeline_strategy<'a>(
     plan: &'a pathalg_core::expr::PlanExpr,
     recursion: &pathalg_core::ops::recursive::RecursionConfig,
     stats: Option<&GraphStats>,
@@ -366,7 +366,7 @@ pub fn choose_pipeline_strategy<'a>(
 }
 
 /// Estimated fraction of paths satisfying a condition.
-pub fn condition_selectivity(condition: &Condition, stats: &GraphStats) -> f64 {
+pub(crate) fn condition_selectivity(condition: &Condition, stats: &GraphStats) -> f64 {
     match condition {
         Condition::True => 1.0,
         Condition::And(a, b) => condition_selectivity(a, stats) * condition_selectivity(b, stats),

@@ -18,7 +18,7 @@
 //!
 //! A sliceable `π(τ?(γ(σ?(ϕ(…)))))` pipeline over a scan/chain base runs the
 //! same kernel with the limits pushed into the enumeration
-//! ([`crate::cost::choose_pipeline_strategy`]). The collected [`EvalStats`]
+//! (`crate::cost::choose_pipeline_strategy`). The collected [`EvalStats`]
 //! charge the skipped operators exactly as the reference evaluator would, so
 //! `EXPLAIN ANALYZE` output stays comparable between the two interpreters.
 //!
@@ -145,7 +145,7 @@ impl<'g> EngineEvaluator<'g> {
     }
 
     /// Attaches precomputed [`GraphStats`]: every ϕ dispatch then records its
-    /// closure estimate ([`crate::cost::estimate_phi`]) next to the strategy
+    /// closure estimate (`crate::cost::estimate_phi`) next to the strategy
     /// it ran. The runner always does this; statistics never change results
     /// or which implementation runs.
     pub fn with_graph_stats(mut self, stats: &'g GraphStats) -> Self {

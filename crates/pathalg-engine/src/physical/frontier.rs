@@ -1,8 +1,9 @@
 //! The per-source frontier engine for ϕ over a materialised base.
 //!
-//! Every other physical implementation of ϕ in this crate evaluates the
-//! fixpoint as a sequence of *global* rounds: one shared frontier, one shared
-//! result set. This module decomposes ϕ along the **source node** instead.
+//! The algebra's semi-naïve fixpoint (`pathalg_core::ops::recursive`)
+//! evaluates ϕ as a sequence of *global* rounds: one shared frontier, one
+//! shared result set. This module decomposes ϕ along the **source node**
+//! instead.
 //! Under all five semantics the admission predicate depends only on the path
 //! itself, and the Shortest per-pair minimum is keyed by
 //! `(First(p), Last(p))` with `First(p)` fixed per source, so the expansion
@@ -44,8 +45,8 @@ use pathalg_graph::ids::NodeId;
 /// The frontier implementation of `ϕ_semantics(base)`.
 ///
 /// Produces exactly the same path set as
-/// [`crate::physical::phi_seminaive`]; the insertion order of the result is
-/// "sources in ascending node order, per source level by level".
+/// [`pathalg_core::ops::recursive::recursive`]; the insertion order of the
+/// result is "sources in ascending node order, per source level by level".
 pub fn phi_frontier(
     semantics: PathSemantics,
     base: &PathSet,
@@ -57,7 +58,7 @@ pub fn phi_frontier(
 /// [`phi_frontier`] with a cooperative [`CancelToken`], polled once per
 /// source: a fired token (or passed deadline) aborts the evaluation within
 /// one source expansion.
-pub fn phi_frontier_with_cancel(
+pub(crate) fn phi_frontier_with_cancel(
     semantics: PathSemantics,
     base: &PathSet,
     config: &RecursionConfig,
@@ -341,9 +342,9 @@ fn within_length(len: usize, config: &RecursionConfig) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::phi_seminaive;
     use pathalg_core::condition::Condition;
     use pathalg_core::ops::join::join;
+    use pathalg_core::ops::recursive::recursive;
     use pathalg_core::ops::selection::selection;
     use pathalg_graph::fixtures::figure1::Figure1;
     use pathalg_graph::generator::structured::cycle_graph;
@@ -370,7 +371,7 @@ mod tests {
         let base = label_base(&f.graph, "Knows");
         let cfg = RecursionConfig::default();
         for semantics in RESTRICTED {
-            let reference = phi_seminaive(semantics, &base, &cfg).unwrap();
+            let reference = recursive(semantics, &base, &cfg).unwrap();
             let out = phi_frontier(semantics, &base, &cfg).unwrap();
             assert_eq!(out, reference, "{semantics:?}");
         }
@@ -388,7 +389,7 @@ mod tests {
         )
         .unwrap();
         let cfg = RecursionConfig::default();
-        let reference = phi_seminaive(PathSemantics::Simple, &hops, &cfg).unwrap();
+        let reference = recursive(PathSemantics::Simple, &hops, &cfg).unwrap();
         let out = phi_frontier(PathSemantics::Simple, &hops, &cfg).unwrap();
         assert_eq!(out, reference);
     }
@@ -416,7 +417,7 @@ mod tests {
         let mut base = label_base(&g, "a");
         base.insert(Path::node(NodeId(0)));
         let cfg = RecursionConfig::default();
-        let reference = phi_seminaive(PathSemantics::Shortest, &base, &cfg).unwrap();
+        let reference = recursive(PathSemantics::Shortest, &base, &cfg).unwrap();
         let out = phi_frontier(PathSemantics::Shortest, &base, &cfg).unwrap();
         assert_eq!(out, reference);
     }
@@ -434,7 +435,7 @@ mod tests {
         let base = label_base(&dag, "a");
         let out = phi_frontier(PathSemantics::Walk, &base, &cfg).unwrap();
         assert_eq!(out.len(), 15);
-        let reference = phi_seminaive(PathSemantics::Walk, &base, &cfg).unwrap();
+        let reference = recursive(PathSemantics::Walk, &base, &cfg).unwrap();
         assert_eq!(out, reference);
     }
 
@@ -450,7 +451,7 @@ mod tests {
         let g = b.build();
         let base = label_base(&g, "a");
         let cfg = RecursionConfig::unbounded();
-        let reference = phi_seminaive(PathSemantics::Walk, &base, &cfg);
+        let reference = recursive(PathSemantics::Walk, &base, &cfg);
         let frontier = phi_frontier(PathSemantics::Walk, &base, &cfg);
         assert!(matches!(
             reference,
@@ -488,7 +489,7 @@ mod tests {
             max_length: None,
             max_paths: Some(5),
         };
-        let reference = phi_seminaive(PathSemantics::Trail, &base, &cfg).unwrap();
+        let reference = recursive(PathSemantics::Trail, &base, &cfg).unwrap();
         assert_eq!(reference.len(), 7);
         let out = phi_frontier(PathSemantics::Trail, &base, &cfg).unwrap();
         assert_eq!(out, reference);

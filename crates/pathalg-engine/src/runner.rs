@@ -118,11 +118,6 @@ impl Planner {
         }
     }
 
-    /// The graph statistics the planner estimates with.
-    pub fn graph_stats(&self) -> &GraphStats {
-        &self.stats
-    }
-
     /// Optimizes a checked plan (when enabled) and estimates the closures of
     /// the optimized plan under `recursion`.
     pub fn plan(&self, checked: &PlanExpr, recursion: &RecursionConfig) -> PlannedQuery {
@@ -197,7 +192,7 @@ impl QueryResult {
 
     /// Cost estimates before and after optimization, computed on request
     /// against the graph statistics the query was planned with.
-    pub fn cost_estimates(&self) -> (CostEstimate, CostEstimate) {
+    pub(crate) fn cost_estimates(&self) -> (CostEstimate, CostEstimate) {
         (
             estimate(&self.plan, &self.graph_stats),
             estimate(&self.optimized_plan, &self.graph_stats),
@@ -284,11 +279,6 @@ impl<'g> QueryRunner<'g> {
             config,
             planner: Planner::new(graph, config.optimize),
         }
-    }
-
-    /// The graph statistics used by the cost model.
-    pub fn graph_stats(&self) -> &GraphStats {
-        self.planner.graph_stats()
     }
 
     /// Parses a GQL query text, then optimizes and evaluates it.
@@ -526,7 +516,6 @@ mod tests {
             .run("MATCH ALL WALK p = (?x:Person)-[:Likes/:Has_creator]->(?y:Person)")
             .unwrap();
         assert!(two_hop.paths().iter().all(|p| p.len() == 2));
-        assert!(runner.graph_stats().edges_with_label("Knows") > 0);
     }
 
     #[test]

@@ -37,7 +37,11 @@ impl CsrGraph {
     /// [`crate::generator::snb::snb_label_csr`]). `offsets` must have one
     /// entry per node plus the terminating total, and `targets`/`edges` must
     /// be parallel.
-    pub fn from_parts(offsets: Vec<usize>, targets: Vec<NodeId>, edges: Vec<EdgeId>) -> Self {
+    pub(crate) fn from_parts(
+        offsets: Vec<usize>,
+        targets: Vec<NodeId>,
+        edges: Vec<EdgeId>,
+    ) -> Self {
         assert!(!offsets.is_empty(), "offsets carry at least the total");
         assert_eq!(*offsets.last().unwrap(), targets.len());
         assert_eq!(targets.len(), edges.len());

@@ -155,26 +155,6 @@ impl Figure1 {
             ObjectId::Edge(e) => format!("e{}", e.0 + 1),
         }
     }
-
-    /// Looks up a node by its paper name (`"n1"`..`"n7"`).
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        let idx: u32 = name.strip_prefix('n')?.parse().ok()?;
-        if (1..=7).contains(&idx) {
-            Some(NodeId(idx - 1))
-        } else {
-            None
-        }
-    }
-
-    /// Looks up an edge by its paper name (`"e1"`..`"e11"`).
-    pub fn edge_by_name(&self, name: &str) -> Option<EdgeId> {
-        let idx: u32 = name.strip_prefix('e')?.parse().ok()?;
-        if (1..=11).contains(&idx) {
-            Some(EdgeId(idx - 1))
-        } else {
-            None
-        }
-    }
 }
 
 impl Default for Figure1 {
@@ -294,10 +274,6 @@ mod tests {
         assert_eq!(f.object_name(f.n1), "n1");
         assert_eq!(f.object_name(f.n7), "n7");
         assert_eq!(f.object_name(f.e11), "e11");
-        assert_eq!(f.node_by_name("n4"), Some(f.n4));
-        assert_eq!(f.edge_by_name("e9"), Some(f.e9));
-        assert_eq!(f.node_by_name("n8"), None);
-        assert_eq!(f.edge_by_name("x1"), None);
     }
 
     #[test]

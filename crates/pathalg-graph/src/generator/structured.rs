@@ -134,7 +134,7 @@ mod tests {
         assert_eq!(g.edge_count(), 9);
         assert_eq!(g.edges_with_label("Knows").count(), 9);
         // First node has no incoming, last has no outgoing.
-        assert_eq!(g.in_degree(crate::ids::NodeId(0)), 0);
+        assert_eq!(g.incoming(crate::ids::NodeId(0)).len(), 0);
         assert_eq!(g.out_degree(crate::ids::NodeId(9)), 0);
     }
 
@@ -151,7 +151,7 @@ mod tests {
         assert_eq!(g.edge_count(), 6);
         for n in g.nodes() {
             assert_eq!(g.out_degree(n), 1);
-            assert_eq!(g.in_degree(n), 1);
+            assert_eq!(g.incoming(n).len(), 1);
         }
     }
 
@@ -179,7 +179,7 @@ mod tests {
         assert_eq!(g.edge_count(), 20);
         for n in g.nodes() {
             assert_eq!(g.out_degree(n), 4);
-            assert_eq!(g.in_degree(n), 4);
+            assert_eq!(g.incoming(n).len(), 4);
         }
     }
 }

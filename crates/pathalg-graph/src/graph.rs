@@ -53,10 +53,6 @@ pub struct EdgeData {
 pub struct PropertyGraph {
     nodes: Vec<NodeData>,
     edges: Vec<EdgeData>,
-    /// Interned label strings, so statistics and the optimizer can enumerate
-    /// the label vocabulary cheaply.
-    labels: Vec<String>,
-    label_ids: HashMap<String, usize>,
     /// Every edge, keyed by source: the graph's out-adjacency.
     forward: CsrGraph,
     /// Every edge, keyed by target: the graph's in-adjacency.
@@ -156,12 +152,6 @@ impl PropertyGraph {
         }
     }
 
-    /// The interned label vocabulary of the graph (nodes and edges combined),
-    /// in first-seen order.
-    pub fn label_vocabulary(&self) -> &[String] {
-        &self.labels
-    }
-
     /// The edge table, in edge-identifier order.
     pub(crate) fn edge_table(&self) -> &[EdgeData] {
         &self.edges
@@ -206,31 +196,6 @@ impl PropertyGraph {
         self.reverse.neighbor_slices(node).1
     }
 
-    /// Outgoing edges of a node restricted to a given edge label.
-    pub fn outgoing_with_label<'g>(
-        &'g self,
-        node: NodeId,
-        label: &'g str,
-    ) -> impl Iterator<Item = EdgeId> + 'g {
-        self.label_csr(label)
-            .neighbor_slices(node)
-            .1
-            .iter()
-            .copied()
-    }
-
-    /// Incoming edges of a node restricted to a given edge label.
-    pub fn incoming_with_label<'g>(
-        &'g self,
-        node: NodeId,
-        label: &'g str,
-    ) -> impl Iterator<Item = EdgeId> + 'g {
-        self.incoming(node)
-            .iter()
-            .copied()
-            .filter(move |&e| self.edge(e).label.as_deref() == Some(label))
-    }
-
     /// All edges carrying a given label.
     pub fn edges_with_label<'g>(&'g self, label: &'g str) -> impl Iterator<Item = EdgeId> + 'g {
         self.edges()
@@ -243,29 +208,9 @@ impl PropertyGraph {
             .filter(move |&n| self.node(n).label.as_deref() == Some(label))
     }
 
-    /// Finds nodes whose property `prop` equals `value`.
-    pub fn nodes_with_property<'g>(
-        &'g self,
-        prop: &'g str,
-        value: &'g Value,
-    ) -> impl Iterator<Item = NodeId> + 'g {
-        self.nodes().filter(move |&n| {
-            self.node(n)
-                .properties
-                .get(prop)
-                .map(|v| v.condition_eq(value))
-                == Some(true)
-        })
-    }
-
     /// Out-degree of a node.
     pub fn out_degree(&self, node: NodeId) -> usize {
         self.forward.out_degree(node)
-    }
-
-    /// In-degree of a node.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.reverse.out_degree(node)
     }
 }
 
@@ -318,8 +263,6 @@ impl fmt::Display for PropertyGraph {
 pub struct GraphBuilder {
     nodes: Vec<NodeData>,
     edges: Vec<EdgeData>,
-    labels: Vec<String>,
-    label_ids: HashMap<String, usize>,
 }
 
 impl GraphBuilder {
@@ -333,15 +276,6 @@ impl GraphBuilder {
         Self {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            labels: Vec::new(),
-            label_ids: HashMap::new(),
-        }
-    }
-
-    fn intern_label(&mut self, label: &str) {
-        if !self.label_ids.contains_key(label) {
-            self.label_ids.insert(label.to_owned(), self.labels.len());
-            self.labels.push(label.to_owned());
         }
     }
 
@@ -355,28 +289,9 @@ impl GraphBuilder {
         K: Into<String>,
         V: Into<Value>,
     {
-        let label = label.into();
-        self.intern_label(&label);
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeData {
-            label: Some(label),
-            properties: PropertyMap::from_iter(properties),
-        });
-        id
-    }
-
-    /// Adds a node without a label (λ is partial).
-    pub fn add_unlabeled_node<K, V>(
-        &mut self,
-        properties: impl IntoIterator<Item = (K, V)>,
-    ) -> NodeId
-    where
-        K: Into<String>,
-        V: Into<Value>,
-    {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData {
-            label: None,
+            label: Some(label.into()),
             properties: PropertyMap::from_iter(properties),
         });
         id
@@ -401,64 +316,14 @@ impl GraphBuilder {
             source.index() < self.nodes.len() && target.index() < self.nodes.len(),
             "edge endpoints must refer to existing nodes"
         );
-        let label = label.into();
-        self.intern_label(&label);
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeData {
             source,
             target,
-            label: Some(label),
+            label: Some(label.into()),
             properties: PropertyMap::from_iter(properties),
         });
         id
-    }
-
-    /// Adds an unlabelled edge.
-    ///
-    /// # Panics
-    /// Panics if either endpoint has not been added to the builder.
-    pub fn add_unlabeled_edge<K, V>(
-        &mut self,
-        source: NodeId,
-        target: NodeId,
-        properties: impl IntoIterator<Item = (K, V)>,
-    ) -> EdgeId
-    where
-        K: Into<String>,
-        V: Into<Value>,
-    {
-        assert!(
-            source.index() < self.nodes.len() && target.index() < self.nodes.len(),
-            "edge endpoints must refer to existing nodes"
-        );
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(EdgeData {
-            source,
-            target,
-            label: None,
-            properties: PropertyMap::from_iter(properties),
-        });
-        id
-    }
-
-    /// Sets a property on an already-added node.
-    pub fn set_node_property(
-        &mut self,
-        node: NodeId,
-        prop: impl Into<String>,
-        value: impl Into<Value>,
-    ) {
-        self.nodes[node.index()].properties.insert(prop, value);
-    }
-
-    /// Sets a property on an already-added edge.
-    pub fn set_edge_property(
-        &mut self,
-        edge: EdgeId,
-        prop: impl Into<String>,
-        value: impl Into<Value>,
-    ) {
-        self.edges[edge.index()].properties.insert(prop, value);
     }
 
     /// Number of nodes added so far.
@@ -478,9 +343,10 @@ impl GraphBuilder {
         let forward = CsrGraph::build(n, &self.edges, false, |_| true);
         let reverse = CsrGraph::build(n, &self.edges, true, |_| true);
         let mut label_csrs = HashMap::new();
-        for label in &self.labels {
-            let carries = |e: &EdgeData| e.label.as_deref() == Some(label.as_str());
-            if self.edges.iter().any(carries) {
+        for edge in &self.edges {
+            let Some(label) = &edge.label else { continue };
+            if !label_csrs.contains_key(label) {
+                let carries = |e: &EdgeData| e.label.as_ref() == Some(label);
                 label_csrs.insert(
                     label.clone(),
                     CsrGraph::build(n, &self.edges, false, carries),
@@ -490,21 +356,11 @@ impl GraphBuilder {
         PropertyGraph {
             nodes: self.nodes,
             edges: self.edges,
-            labels: self.labels,
-            label_ids: self.label_ids,
             forward,
             reverse,
             label_csrs,
             no_edges: OnceLock::new(),
         }
-    }
-}
-
-impl PropertyGraph {
-    /// Returns the interned identifier of a label, if the label occurs in the
-    /// graph's vocabulary.
-    pub fn label_id(&self, label: &str) -> Option<usize> {
-        self.label_ids.get(label).copied()
     }
 }
 
@@ -549,28 +405,14 @@ mod tests {
     }
 
     #[test]
-    fn unlabeled_objects_have_no_label() {
-        let mut b = GraphBuilder::new();
-        let x = b.add_unlabeled_node([("k", 1i64)]);
-        let y = b.add_unlabeled_node(Vec::<(&str, Value)>::new());
-        let e = b.add_unlabeled_edge(x, y, Vec::<(&str, Value)>::new());
-        let g = b.build();
-        assert_eq!(g.label(x), None);
-        assert_eq!(g.label(e), None);
-        assert_eq!(g.property(x, "k"), Some(&Value::Int(1)));
-    }
-
-    #[test]
     fn adjacency_queries() {
         let g = small_graph();
         assert_eq!(g.outgoing(NodeId(0)), &[EdgeId(0), EdgeId(1)]);
         assert_eq!(g.incoming(NodeId(1)), &[EdgeId(0), EdgeId(2)]);
         assert_eq!(g.out_degree(NodeId(0)), 2);
-        assert_eq!(g.in_degree(NodeId(1)), 2);
-        let knows: Vec<_> = g.outgoing_with_label(NodeId(0), "Knows").collect();
-        assert_eq!(knows, vec![EdgeId(0)]);
-        let incoming_creator: Vec<_> = g.incoming_with_label(NodeId(1), "Has_creator").collect();
-        assert_eq!(incoming_creator, vec![EdgeId(2)]);
+        assert_eq!(g.incoming(NodeId(1)).len(), 2);
+        let knows = g.label_csr("Knows").neighbor_slices(NodeId(0)).1;
+        assert_eq!(knows, &[EdgeId(0)]);
     }
 
     #[test]
@@ -580,32 +422,6 @@ mod tests {
         assert_eq!(people, vec![NodeId(0), NodeId(1)]);
         let likes: Vec<_> = g.edges_with_label("Likes").collect();
         assert_eq!(likes, vec![EdgeId(1)]);
-        let moe: Vec<_> = g.nodes_with_property("name", &Value::str("Moe")).collect();
-        assert_eq!(moe, vec![NodeId(0)]);
-    }
-
-    #[test]
-    fn label_vocabulary_is_interned_in_first_seen_order() {
-        let g = small_graph();
-        assert_eq!(
-            g.label_vocabulary(),
-            &["Person", "Message", "Knows", "Likes", "Has_creator"]
-        );
-        assert_eq!(g.label_id("Knows"), Some(2));
-        assert_eq!(g.label_id("Unknown"), None);
-    }
-
-    #[test]
-    fn builder_property_mutation() {
-        let mut b = GraphBuilder::new();
-        let n = b.add_node("Person", Vec::<(&str, Value)>::new());
-        let m = b.add_node("Person", Vec::<(&str, Value)>::new());
-        let e = b.add_edge(n, m, "Knows", Vec::<(&str, Value)>::new());
-        b.set_node_property(n, "name", "Moe");
-        b.set_edge_property(e, "since", 1999i64);
-        let g = b.build();
-        assert_eq!(g.property(n, "name"), Some(&Value::str("Moe")));
-        assert_eq!(g.property(e, "since"), Some(&Value::Int(1999)));
     }
 
     #[test]
@@ -629,7 +445,7 @@ mod tests {
         assert_eq!(g.endpoints(e1), g.endpoints(e2));
         assert_eq!(g.endpoints(loop_edge), (a, a));
         assert_eq!(g.out_degree(a), 3);
-        assert_eq!(g.in_degree(a), 1);
+        assert_eq!(g.incoming(a).len(), 1);
     }
 
     #[test]
@@ -696,7 +512,7 @@ mod tests {
         }
         let g = b.build();
         let out_sum: usize = g.nodes().map(|n| g.out_degree(n)).sum();
-        let in_sum: usize = g.nodes().map(|n| g.in_degree(n)).sum();
+        let in_sum: usize = g.nodes().map(|n| g.incoming(n).len()).sum();
         assert_eq!(out_sum, g.edge_count());
         assert_eq!(in_sum, g.edge_count());
     }

@@ -48,34 +48,6 @@ impl EdgeId {
     }
 }
 
-impl ObjectId {
-    /// Returns the inner node identifier, if this object is a node.
-    pub fn as_node(self) -> Option<NodeId> {
-        match self {
-            ObjectId::Node(n) => Some(n),
-            ObjectId::Edge(_) => None,
-        }
-    }
-
-    /// Returns the inner edge identifier, if this object is an edge.
-    pub fn as_edge(self) -> Option<EdgeId> {
-        match self {
-            ObjectId::Edge(e) => Some(e),
-            ObjectId::Node(_) => None,
-        }
-    }
-
-    /// True if this object is a node.
-    pub fn is_node(self) -> bool {
-        matches!(self, ObjectId::Node(_))
-    }
-
-    /// True if this object is an edge.
-    pub fn is_edge(self) -> bool {
-        matches!(self, ObjectId::Edge(_))
-    }
-}
-
 impl From<NodeId> for ObjectId {
     fn from(n: NodeId) -> Self {
         ObjectId::Node(n)
@@ -131,10 +103,8 @@ mod tests {
         let n = NodeId(3);
         let e = EdgeId(3);
         // Same raw value, but they live in different identifier spaces.
-        assert_eq!(ObjectId::from(n).as_node(), Some(n));
-        assert_eq!(ObjectId::from(n).as_edge(), None);
-        assert_eq!(ObjectId::from(e).as_edge(), Some(e));
-        assert_eq!(ObjectId::from(e).as_node(), None);
+        assert_eq!(ObjectId::from(n), ObjectId::Node(n));
+        assert_eq!(ObjectId::from(e), ObjectId::Edge(e));
         assert_ne!(ObjectId::from(n), ObjectId::from(e));
     }
 
@@ -163,13 +133,5 @@ mod tests {
     fn index_round_trips() {
         assert_eq!(NodeId(42).index(), 42);
         assert_eq!(EdgeId(7).index(), 7);
-    }
-
-    #[test]
-    fn object_id_predicates() {
-        assert!(ObjectId::Node(NodeId(0)).is_node());
-        assert!(!ObjectId::Node(NodeId(0)).is_edge());
-        assert!(ObjectId::Edge(EdgeId(0)).is_edge());
-        assert!(!ObjectId::Edge(EdgeId(0)).is_node());
     }
 }

@@ -43,37 +43,9 @@ impl PropertyMap {
             .map(|idx| &self.entries[idx].1)
     }
 
-    /// Removes a property, returning its previous value if it was set.
-    pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
-            .ok()
-            .map(|idx| self.entries.remove(idx).1)
-    }
-
-    /// True if the property is set (the `bound` built-in of footnote 1).
-    pub fn contains(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-
-    /// Number of properties set on the object.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no properties are set.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Iterates over `(name, value)` pairs in property-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates over the property names in order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
     }
 }
 
@@ -106,20 +78,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_get_remove_round_trip() {
+    fn insert_get_round_trip() {
         let mut props = PropertyMap::new();
-        assert!(props.is_empty());
+        assert_eq!(props.iter().count(), 0);
         props.insert("name", "Moe");
         props.insert("age", 41i64);
-        assert_eq!(props.len(), 2);
+        assert_eq!(props.iter().count(), 2);
         assert_eq!(props.get("name"), Some(&Value::str("Moe")));
         assert_eq!(props.get("age"), Some(&Value::Int(41)));
         assert_eq!(props.get("missing"), None);
-        assert!(props.contains("name"));
-        assert!(!props.contains("missing"));
-        assert_eq!(props.remove("name"), Some(Value::str("Moe")));
-        assert_eq!(props.get("name"), None);
-        assert_eq!(props.remove("name"), None);
     }
 
     #[test]
@@ -127,7 +94,7 @@ mod tests {
         let mut props = PropertyMap::new();
         props.insert("name", "Moe");
         props.insert("name", "Apu");
-        assert_eq!(props.len(), 1);
+        assert_eq!(props.iter().count(), 1);
         assert_eq!(props.get("name"), Some(&Value::str("Apu")));
     }
 
@@ -136,7 +103,7 @@ mod tests {
         let props: PropertyMap = [("zeta", 1i64), ("alpha", 2), ("mid", 3)]
             .into_iter()
             .collect();
-        let keys: Vec<_> = props.keys().collect();
+        let keys: Vec<_> = props.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["alpha", "mid", "zeta"]);
     }
 

@@ -54,11 +54,11 @@ pub struct GraphStats {
 
 /// Pair statistics are quadratic in the label count; graphs with more edge
 /// labels than this skip them (accessors then return `None`).
-pub const MAX_PAIR_STAT_LABELS: usize = 8;
+pub(crate) const MAX_PAIR_STAT_LABELS: usize = 8;
 
 /// Per-pair cap on materialised composite edges during the pair-cyclicity
 /// check; beyond it the pair's cyclicity is left unknown.
-pub const MAX_COMPOSITE_EDGES: usize = 200_000;
+pub(crate) const MAX_COMPOSITE_EDGES: usize = 200_000;
 
 impl GraphStats {
     /// Computes statistics for a graph from its stored CSRs
@@ -233,7 +233,7 @@ impl GraphStats {
     /// expected `to` fan-out at the target of a random `from` edge (hubs
     /// weighted by in-degree, unlike the source-mean
     /// [`GraphStats::label_expansion`]). `None` when either label is unseen
-    /// or pair statistics were skipped ([`MAX_PAIR_STAT_LABELS`]).
+    /// or pair statistics were skipped (`MAX_PAIR_STAT_LABELS`).
     pub fn pair_expansion(&self, from: &str, to: &str) -> Option<f64> {
         self.pair_expansion
             .get(&(from.to_owned(), to.to_owned()))
@@ -243,7 +243,7 @@ impl GraphStats {
     /// Whether the two-hop composite graph `∃w: u─from→w─to→v` contains a
     /// directed cycle — the exact per-segment blow-up signal for `(from/to)+`
     /// chains. `None` when unknown (label unseen, pair statistics skipped,
-    /// or the composite exceeded [`MAX_COMPOSITE_EDGES`]).
+    /// or the composite exceeded `MAX_COMPOSITE_EDGES`).
     pub fn pair_cyclic(&self, from: &str, to: &str) -> Option<bool> {
         self.pair_cyclic
             .get(&(from.to_owned(), to.to_owned()))

@@ -32,19 +32,6 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Returns `true` if the value is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
-    /// Returns the value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the value as an integer, if it is one.
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -54,7 +41,7 @@ impl Value {
     }
 
     /// Returns the value as a float, converting integers losslessly.
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             Value::Float(f) => Some(*f),
             Value::Int(i) => Some(*i as f64),
@@ -100,12 +87,6 @@ impl Value {
             }
             _ => None,
         }
-    }
-
-    /// Equality as used by selection conditions: `Null` is never equal to
-    /// anything (including `Null`), numbers compare across `Int` / `Float`.
-    pub fn condition_eq(&self, other: &Value) -> bool {
-        self.compare(other) == Some(Ordering::Equal)
     }
 
     /// Total ordering across all values, used where a deterministic order of
@@ -216,10 +197,11 @@ mod tests {
 
     #[test]
     fn condition_equality_follows_sql_null_semantics() {
-        assert!(Value::str("Moe").condition_eq(&Value::str("Moe")));
-        assert!(!Value::str("Moe").condition_eq(&Value::str("Apu")));
-        assert!(!Value::Null.condition_eq(&Value::Null));
-        assert!(Value::Int(2).condition_eq(&Value::Float(2.0)));
+        let eq = |a: Value, b: Value| a.compare(&b) == Some(Ordering::Equal);
+        assert!(eq(Value::str("Moe"), Value::str("Moe")));
+        assert!(!eq(Value::str("Moe"), Value::str("Apu")));
+        assert!(!eq(Value::Null, Value::Null));
+        assert!(eq(Value::Int(2), Value::Float(2.0)));
     }
 
     #[test]
@@ -255,8 +237,8 @@ mod tests {
         assert_eq!(v.as_str(), Some("hello"));
         assert_eq!(v.type_name(), "string");
         let v: Value = true.into();
-        assert_eq!(v.as_bool(), Some(true));
-        assert!(Value::Null.is_null());
+        assert_eq!(v, Value::Bool(true));
+        assert_eq!(v.type_name(), "bool");
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::fmt;
 
 /// The version tag every serialized IR document carries (and the decoder
 /// requires).
-pub const QUERY_IR_VERSION: &str = "query_ir_v1";
+pub(crate) const QUERY_IR_VERSION: &str = "query_ir_v1";
 
 /// Endpoint constraints of one node pattern, without the surface variable
 /// name (the IR is α-canonical; see the module docs).
@@ -58,7 +58,8 @@ impl IrNode {
     }
 
     /// A node constrained to the given label.
-    pub fn labeled(label: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn labeled(label: impl Into<String>) -> Self {
         Self {
             label: Some(label.into()),
             properties: Vec::new(),
@@ -66,7 +67,12 @@ impl IrNode {
     }
 
     /// Adds a property constraint.
-    pub fn with_property(mut self, name: impl Into<String>, value: impl Into<Value>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_property(
+        mut self,
+        name: impl Into<String>,
+        value: impl Into<Value>,
+    ) -> Self {
         self.properties.push((name.into(), value.into()));
         self
     }
@@ -356,7 +362,7 @@ impl std::error::Error for IrError {}
 
 impl QueryIr {
     /// Encodes the IR as a JSON tree (version tag included).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::object([
             ("version", Json::str(QUERY_IR_VERSION)),
             ("output", encode_output(&self.output)),

@@ -95,14 +95,14 @@ impl Json {
     }
 
     /// Compact serialization (no whitespace).
-    pub fn to_compact(&self) -> String {
+    pub(crate) fn to_compact(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None, 0);
         out
     }
 
     /// Pretty serialization with two-space indentation.
-    pub fn to_pretty(&self) -> String {
+    pub(crate) fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
         out

@@ -12,7 +12,7 @@ use std::fmt;
 
 /// A lexical token together with its byte offset in the input.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SpannedToken {
+pub(crate) struct SpannedToken {
     /// The token.
     pub token: Token,
     /// Byte offset where the token starts.
@@ -21,7 +21,7 @@ pub struct SpannedToken {
 
 /// The tokens of the query language.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// A keyword (uppercased), e.g. `MATCH`, `ALL`, `TRAIL`, `WHERE`.
     Keyword(String),
     /// An identifier (variable, label or property name), case-preserved.
@@ -133,7 +133,7 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Tokenises a query string.
-pub fn tokenize(input: &str) -> Result<Vec<SpannedToken>, ParseError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken>, ParseError> {
     // Characters and their byte offsets, from one pass over the input.
     let (offsets, bytes): (Vec<usize>, Vec<char>) = input.char_indices().unzip();
     let mut out = Vec::new();

@@ -13,7 +13,7 @@
 //!    GROUP BY TARGET ORDER BY PATH`
 //!   — with the standard selector form (`MATCH ANY SHORTEST TRAIL …`, §2.3)
 //!   accepted alongside.
-//! * **Datalog-ish RPQ rules** ([`parse_rpq`]):
+//! * **Datalog-ish RPQ rules** ([`rpq_surface`]):
 //!   `reach(x, y) :- (:Knows)+, trail, any_shortest.`
 //! * **Raw JSON IR** ([`QueryIr::from_json_str`]): versioned `query_ir_v1`
 //!   documents, round-trippable byte-for-byte via [`QueryIr::to_json_string`].
@@ -50,13 +50,8 @@ pub mod parser;
 pub mod plan_gen;
 pub mod rpq_surface;
 pub mod surface;
-
-pub use error::ParseError;
-pub use ir::{lower_to_checked_plan, IrError, IrNode, IrOutput, QueryIr, QUERY_IR_VERSION};
-pub use json::{parse_json, Json, JsonError};
-pub use normalize::{normalize_plan, plan_cache_key, PlanKey};
+pub use ir::{lower_to_checked_plan, IrOutput, QueryIr};
+pub use json::{parse_json, Json};
+pub use normalize::{plan_cache_key, PlanKey};
 pub use parser::parse_query;
-pub use rpq_surface::parse_rpq;
-pub use surface::{
-    parse_surface, parse_to_checked_plan, QuerySurface, SurfaceError, SurfaceParseOrLowerError,
-};
+pub use surface::{parse_surface, parse_to_checked_plan, QuerySurface};

@@ -13,7 +13,7 @@
 //! * **Join association.** ⋈ is associative (path concatenation), and the
 //!   enumeration order of a join's output is association-independent (see
 //!   [`PlanExpr::label_scan_chain`]), so `(a ⋈ b) ⋈ c` and `a ⋈ (b ⋈ c)`
-//!   are the same plan. [`normalize_plan`] rewrites every join tree into
+//!   are the same plan. `normalize_plan` rewrites every join tree into
 //!   its canonical **left-deep** association, preserving operand order
 //!   (⋈ is *not* commutative).
 //!
@@ -52,7 +52,7 @@ impl std::fmt::Display for PlanKey {
 /// left intact. The normalised plan is semantically identical to the input —
 /// same result paths, same enumeration order — and every association of the
 /// same join sequence normalises to the same tree.
-pub fn normalize_plan(plan: &PlanExpr) -> PlanExpr {
+pub(crate) fn normalize_plan(plan: &PlanExpr) -> PlanExpr {
     match plan {
         PlanExpr::Nodes => PlanExpr::Nodes,
         PlanExpr::Edges => PlanExpr::Edges,

@@ -45,7 +45,7 @@ use pathalg_core::ops::projection::{ProjectionSpec, Take};
 use pathalg_rpq::parse::parse_regex;
 
 /// Parses one datalog-ish RPQ rule into the surface-independent [`QueryIr`].
-pub fn parse_rpq(input: &str) -> Result<QueryIr, ParseError> {
+pub(crate) fn parse_rpq(input: &str) -> Result<QueryIr, ParseError> {
     let trimmed = input.trim_end();
     let trimmed = trimmed.strip_suffix('.').unwrap_or(trimmed);
     let neck = trimmed

@@ -5,7 +5,7 @@
 //! * [`QuerySurface::Gql`] — the extended-GQL grammar of Section 7.1
 //!   ([`crate::parse_query`]);
 //! * [`QuerySurface::Rpq`] — the datalog-ish rule syntax
-//!   ([`crate::rpq_surface::parse_rpq`]);
+//!   (`crate::rpq_surface::parse_rpq`);
 //! * [`QuerySurface::Ir`] — raw JSON `query_ir_v1` documents
 //!   ([`QueryIr::from_json_str`]).
 //!

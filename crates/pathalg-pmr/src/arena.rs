@@ -96,7 +96,7 @@ impl StepArena {
 
     /// True if the chain ending at `id` contains `edge`. Touches only the
     /// parent and edge columns.
-    pub fn chain_contains_edge(&self, id: u32, edge: EdgeId) -> bool {
+    pub(crate) fn chain_contains_edge(&self, id: u32, edge: EdgeId) -> bool {
         let (parents, edges) = (self.parents.as_slice(), self.edges.as_slice());
         let mut cur = id as usize;
         loop {
@@ -113,7 +113,7 @@ impl StepArena {
     /// True if any step target on the chain ending at `id` equals `node`
     /// (the source node itself is *not* part of the chain targets). Touches
     /// only the parent and target columns.
-    pub fn chain_targets_contain(&self, id: u32, node: NodeId) -> bool {
+    pub(crate) fn chain_targets_contain(&self, id: u32, node: NodeId) -> bool {
         let (parents, targets) = (self.parents.as_slice(), self.targets.as_slice());
         let mut cur = id as usize;
         loop {
@@ -131,7 +131,7 @@ impl StepArena {
     /// `id`, starting from `source`, as an owned [`Path`] (test helper; the
     /// pull loop reuses its buffers through [`StepArena::fill_chain`]).
     #[cfg(test)]
-    pub fn path_of(&self, id: u32, source: NodeId, len: usize) -> Path {
+    pub(crate) fn path_of(&self, id: u32, source: NodeId, len: usize) -> Path {
         let (mut nodes, mut edges) = (Vec::new(), Vec::new());
         self.fill_chain(id, source, len, &mut nodes, &mut edges);
         Path::from_sequence(nodes, edges, None).expect("arena chains are well-formed paths")
@@ -142,7 +142,7 @@ impl StepArena {
     /// their contents). This is the one reconstruction walk; `len` is
     /// threaded in by the caller (the arena stores no length column). Reused
     /// buffers make it allocation-free once they hold the longest chain.
-    pub fn fill_chain(
+    pub(crate) fn fill_chain(
         &self,
         id: u32,
         source: NodeId,

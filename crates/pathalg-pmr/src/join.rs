@@ -166,7 +166,7 @@ impl ChainExpansion {
 
     /// Drops everything still queued or expandable for the current source;
     /// the next pull starts the next source.
-    pub fn skip_source(&mut self) {
+    pub(crate) fn skip_source(&mut self) {
         self.pending.clear();
         self.cur.clear();
     }
@@ -200,7 +200,7 @@ impl ChainExpansion {
 
     /// Restricts expansion to sources marked in `keep` (σ-first pushdown).
     /// Must be applied before the first pull.
-    pub fn restrict_sources(&mut self, keep: &[bool]) {
+    pub(crate) fn restrict_sources(&mut self, keep: &[bool]) {
         self.sources.retain(|v| keep.get(v.index()) == Some(&true));
     }
 

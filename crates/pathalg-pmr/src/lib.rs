@@ -306,7 +306,7 @@ impl Pmr {
     }
 
     /// The next path in canonical order, or `None` when exhausted.
-    pub fn next_path(&mut self) -> Result<Option<Path>, AlgebraError> {
+    pub(crate) fn next_path(&mut self) -> Result<Option<Path>, AlgebraError> {
         match self.next_emit()? {
             Some(emit) => Ok(Some(self.realize(&emit))),
             None => Ok(None),

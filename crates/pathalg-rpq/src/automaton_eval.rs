@@ -72,7 +72,7 @@ impl<'g> AutomatonEvaluator<'g> {
     /// Duplicate sources are evaluated once. The result is the in-order merge
     /// of the per-source product BFS over the sources, sharing one
     /// `max_paths` budget.
-    pub fn eval_from(
+    pub(crate) fn eval_from(
         &self,
         sources: impl IntoIterator<Item = NodeId>,
         semantics: PathSemantics,

@@ -12,7 +12,7 @@
 //! * [`parse`] — a parser for the GQL-flavoured surface syntax used in the
 //!   paper, e.g. `(:Knows+)|(:Likes/:Has_creator)*`.
 //! * [`nfa`] — a Thompson-style construction producing an ε-free
-//!   [`nfa::Nfa`], plus the word-membership check used for testing.
+//!   `nfa::Nfa`, plus the word-membership check used for testing.
 //! * [`compile`] — translation from a regex to a path-algebra expression
 //!   (a [`pathalg_core::expr::PlanExpr`]), the way Figures 2–4 of the paper
 //!   turn `Knows+` and `(Likes/Has_creator)*` into σ/⋈/∪/ϕ trees.
@@ -31,6 +31,5 @@ pub mod parse;
 pub mod regex;
 
 pub use compile::compile_to_algebra;
-pub use nfa::Nfa;
 pub use parse::parse_regex;
 pub use regex::LabelRegex;

@@ -2,7 +2,7 @@
 //!
 //! The automaton-based RPQ evaluation of Section 8.2 "traverses the graph
 //! while tracking the states of an automaton constructed from the regular
-//! expression". [`Nfa::from_regex`] builds that automaton with the classical
+//! expression". `Nfa::from_regex` builds that automaton with the classical
 //! Thompson construction and immediately eliminates ε-transitions, so the
 //! product construction in [`crate::automaton_eval`] only ever deals with
 //! labelled transitions.
@@ -13,7 +13,7 @@ use std::fmt;
 
 /// A transition symbol: a concrete label or the "any label" wildcard.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Symbol {
+pub(crate) enum Symbol {
     /// Matches edges with exactly this label.
     Label(String),
     /// Matches any edge regardless of label.
@@ -41,7 +41,7 @@ impl fmt::Display for Symbol {
 
 /// An ε-free nondeterministic finite automaton over edge labels.
 #[derive(Clone, Debug)]
-pub struct Nfa {
+pub(crate) struct Nfa {
     /// transitions[s] = list of (symbol, target state).
     transitions: Vec<Vec<(Symbol, usize)>>,
     start: usize,
@@ -183,7 +183,7 @@ impl ThompsonNfa {
 
 impl Nfa {
     /// Builds an ε-free NFA recognising the language of `re`.
-    pub fn from_regex(re: &LabelRegex) -> Self {
+    pub(crate) fn from_regex(re: &LabelRegex) -> Self {
         let mut thompson = ThompsonNfa::new();
         let (start, accept) = thompson.build(re);
 
@@ -216,7 +216,7 @@ impl Nfa {
     }
 
     /// Number of states.
-    pub fn state_count(&self) -> usize {
+    pub(crate) fn state_count(&self) -> usize {
         self.transitions.len()
     }
 
@@ -226,12 +226,12 @@ impl Nfa {
     }
 
     /// True if `state` is accepting.
-    pub fn is_accepting(&self, state: usize) -> bool {
+    pub(crate) fn is_accepting(&self, state: usize) -> bool {
         self.accepting[state]
     }
 
     /// The outgoing transitions of `state`.
-    pub fn transitions_from(&self, state: usize) -> &[(Symbol, usize)] {
+    pub(crate) fn transitions_from(&self, state: usize) -> &[(Symbol, usize)] {
         &self.transitions[state]
     }
 
@@ -243,24 +243,6 @@ impl Nfa {
             .map(|&(_, t)| t)
             .collect()
     }
-
-    /// True if the automaton accepts the given word of labels.
-    pub fn accepts(&self, word: &[&str]) -> bool {
-        let mut current: BTreeSet<usize> = BTreeSet::from([self.start]);
-        for &label in word {
-            let mut next = BTreeSet::new();
-            for &s in &current {
-                for t in self.step(s, Some(label)) {
-                    next.insert(t);
-                }
-            }
-            if next.is_empty() {
-                return false;
-            }
-            current = next;
-        }
-        current.iter().any(|&s| self.accepting[s])
-    }
 }
 
 #[cfg(test)]
@@ -270,6 +252,24 @@ mod tests {
 
     fn nfa(s: &str) -> Nfa {
         Nfa::from_regex(&parse_regex(s).unwrap())
+    }
+
+    /// True if the automaton accepts the given word of labels.
+    fn accepts(nfa: &Nfa, word: &[&str]) -> bool {
+        let mut current: BTreeSet<usize> = BTreeSet::from([nfa.start]);
+        for &label in word {
+            let mut next = BTreeSet::new();
+            for &s in &current {
+                for t in nfa.step(s, Some(label)) {
+                    next.insert(t);
+                }
+            }
+            if next.is_empty() {
+                return false;
+            }
+            current = next;
+        }
+        current.iter().any(|&s| nfa.accepting[s])
     }
 
     #[test]
@@ -302,7 +302,7 @@ mod tests {
             let nfa = Nfa::from_regex(&re);
             for word in &words {
                 assert_eq!(
-                    nfa.accepts(word),
+                    accepts(&nfa, word),
                     re.matches(word),
                     "pattern {pattern} word {word:?}"
                 );
@@ -313,28 +313,28 @@ mod tests {
     #[test]
     fn knows_plus_requires_at_least_one_edge() {
         let a = nfa(":Knows+");
-        assert!(!a.accepts(&[]));
-        assert!(a.accepts(&["Knows"]));
-        assert!(a.accepts(&["Knows", "Knows", "Knows"]));
-        assert!(!a.accepts(&["Likes"]));
-        assert!(!a.accepts(&["Knows", "Likes"]));
+        assert!(!accepts(&a, &[]));
+        assert!(accepts(&a, &["Knows"]));
+        assert!(accepts(&a, &["Knows", "Knows", "Knows"]));
+        assert!(!accepts(&a, &["Likes"]));
+        assert!(!accepts(&a, &["Knows", "Likes"]));
     }
 
     #[test]
     fn star_accepts_empty_word() {
         let a = nfa("(:Likes/:Has_creator)*");
-        assert!(a.accepts(&[]));
-        assert!(a.accepts(&["Likes", "Has_creator"]));
-        assert!(!a.accepts(&["Likes"]));
-        assert!(!a.accepts(&["Has_creator", "Likes"]));
+        assert!(accepts(&a, &[]));
+        assert!(accepts(&a, &["Likes", "Has_creator"]));
+        assert!(!accepts(&a, &["Likes"]));
+        assert!(!accepts(&a, &["Has_creator", "Likes"]));
     }
 
     #[test]
     fn any_label_wildcard() {
         let a = nfa(":_+");
-        assert!(a.accepts(&["Knows"]));
-        assert!(a.accepts(&["whatever", "other"]));
-        assert!(!a.accepts(&[]));
+        assert!(accepts(&a, &["Knows"]));
+        assert!(accepts(&a, &["whatever", "other"]));
+        assert!(!accepts(&a, &[]));
         assert!(Symbol::Any.matches(None));
         assert!(Symbol::Any.matches(Some("x")));
         assert!(Symbol::Label("x".into()).matches(Some("x")));
@@ -375,23 +375,23 @@ mod tests {
     #[test]
     fn epsilon_regex_accepts_only_the_empty_word() {
         let a = Nfa::from_regex(&crate::regex::LabelRegex::Epsilon);
-        assert!(a.accepts(&[]));
-        assert!(!a.accepts(&["x"]));
+        assert!(accepts(&a, &[]));
+        assert!(!accepts(&a, &["x"]));
     }
 
     #[test]
     fn bounded_repetition_is_unrolled_correctly() {
         let a = nfa("a{2,4}");
-        assert!(!a.accepts(&["a"]));
-        assert!(a.accepts(&["a", "a"]));
-        assert!(a.accepts(&["a", "a", "a", "a"]));
-        assert!(!a.accepts(&["a", "a", "a", "a", "a"]));
+        assert!(!accepts(&a, &["a"]));
+        assert!(accepts(&a, &["a", "a"]));
+        assert!(accepts(&a, &["a", "a", "a", "a"]));
+        assert!(!accepts(&a, &["a", "a", "a", "a", "a"]));
         let a = nfa("a{0,2}");
-        assert!(a.accepts(&[]));
-        assert!(a.accepts(&["a", "a"]));
-        assert!(!a.accepts(&["a", "a", "a"]));
+        assert!(accepts(&a, &[]));
+        assert!(accepts(&a, &["a", "a"]));
+        assert!(!accepts(&a, &["a", "a", "a"]));
         let a = nfa("a{3,}");
-        assert!(!a.accepts(&["a", "a"]));
-        assert!(a.accepts(&["a", "a", "a", "a", "a", "a"]));
+        assert!(!accepts(&a, &["a", "a"]));
+        assert!(accepts(&a, &["a", "a", "a", "a", "a", "a"]));
     }
 }

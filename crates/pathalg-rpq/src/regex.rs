@@ -79,7 +79,7 @@ impl LabelRegex {
     }
 
     /// True if the expression can match the empty word (a zero-length path).
-    pub fn is_nullable(&self) -> bool {
+    pub(crate) fn is_nullable(&self) -> bool {
         match self {
             LabelRegex::Epsilon => true,
             LabelRegex::Label(_) | LabelRegex::AnyLabel => false,
@@ -88,20 +88,6 @@ impl LabelRegex {
             LabelRegex::Star(_) | LabelRegex::Optional(_) => true,
             LabelRegex::Plus(a) => a.is_nullable(),
             LabelRegex::Repeat { inner, min, .. } => *min == 0 || inner.is_nullable(),
-        }
-    }
-
-    /// True if the expression contains unbounded repetition (star, plus, or an
-    /// open-ended `{m,}`), i.e. compiles to a recursive algebra operator.
-    pub fn is_recursive(&self) -> bool {
-        match self {
-            LabelRegex::Epsilon | LabelRegex::Label(_) | LabelRegex::AnyLabel => false,
-            LabelRegex::Concat(a, b) | LabelRegex::Alt(a, b) => {
-                a.is_recursive() || b.is_recursive()
-            }
-            LabelRegex::Star(_) | LabelRegex::Plus(_) => true,
-            LabelRegex::Optional(a) => a.is_recursive(),
-            LabelRegex::Repeat { inner, max, .. } => max.is_none() || inner.is_recursive(),
         }
     }
 
@@ -239,19 +225,6 @@ mod tests {
         assert!(!LabelRegex::label("a")
             .then(LabelRegex::label("b"))
             .is_nullable());
-    }
-
-    #[test]
-    fn recursiveness() {
-        assert!(!LabelRegex::label("Knows").is_recursive());
-        assert!(LabelRegex::label("Knows").plus().is_recursive());
-        assert!(LabelRegex::label("Knows").star().is_recursive());
-        assert!(!LabelRegex::label("a")
-            .or(LabelRegex::label("b"))
-            .is_recursive());
-        assert!(!LabelRegex::label("a").repeat(1, Some(5)).is_recursive());
-        assert!(LabelRegex::label("a").repeat(2, None).is_recursive());
-        assert!(knows_or_outer().is_recursive());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! *normalised* plan fingerprint
 //! ([`pathalg_parser::normalize::plan_cache_key`]) paired with the service's
 //! epoch, and the epoch itself lives here, under the cache's own mutex:
-//! [`PlanCache::retain_epoch`] advances it and drops every older entry, and
+//! `PlanCache::retain_epoch` advances it and drops every older entry, and
 //! an insert planned under an older epoch is dropped, so no stale entry can
 //! come back after a bump.
 //!
@@ -25,16 +25,16 @@ use std::sync::Arc;
 
 /// Everything planning produced for one (normalised plan, epoch): the unit
 /// the plan cache stores and the execution phase consumes.
-pub type CachedPlan = PlannedQuery;
+pub(crate) type CachedPlan = PlannedQuery;
 
 /// The plan cache's key: normalised-plan fingerprint × epoch.
-pub type CacheKey = (PlanKey, u64);
+pub(crate) type CacheKey = (PlanKey, u64);
 
 /// A minimal bounded LRU map. Used for the plan cache and, separately, for
 /// the query-text alias cache (text → checked plan + key) that lets repeat
 /// identical request strings skip the parser too.
 #[derive(Debug)]
-pub struct Lru<K, V> {
+pub(crate) struct Lru<K, V> {
     capacity: usize,
     tick: u64,
     map: HashMap<K, (V, u64)>,
@@ -85,17 +85,12 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     pub fn len(&self) -> usize {
         self.map.len()
     }
-
-    /// True when no entry is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// The service's plan cache: a bounded LRU from [`CacheKey`] to shared
 /// planning results, and the current epoch.
 #[derive(Debug)]
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     entries: Lru<CacheKey, Arc<CachedPlan>>,
     epoch: u64,
 }
@@ -130,7 +125,7 @@ impl PlanCache {
 
     /// Makes `epoch` the current epoch and drops every entry of another
     /// one — called on epoch bumps so stale plans can never be served again.
-    pub fn retain_epoch(&mut self, epoch: u64) {
+    pub(crate) fn retain_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
         self.entries.retain(|(_, e)| *e == epoch);
     }
@@ -138,11 +133,6 @@ impl PlanCache {
     /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

@@ -50,14 +50,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod service;
 pub mod trace;
-
-pub use cache::CachedPlan;
 pub use error::{AdmissionError, ServiceError};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use protocol::{
-    handle_line, handle_request, serve, Client, QueryReply, Request, Response, ServerHandle,
-};
-pub use service::{
-    CacheStatus, DedupRole, FailAction, QueryOutcome, QueryResponse, QueryService, ServiceConfig,
-};
-pub use trace::{QueryTrace, TraceRing};
+pub use protocol::{handle_line, serve, Client, QueryReply, Request, Response, ServerHandle};
+pub use service::{CacheStatus, DedupRole, FailAction, QueryService, ServiceConfig};

@@ -178,21 +178,6 @@ impl Metrics {
         ))
     }
 
-    /// Textual requests submitted on `surface` (successes and failures).
-    pub fn queries_on(&self, surface: QuerySurface) -> u64 {
-        self.by_surface[surface.index()].load(Ordering::Relaxed)
-    }
-
-    /// The latency histogram of one pipeline stage.
-    pub fn stage_histogram(&self, stage: Stage) -> &LatencyHistogram {
-        &self.stage_latency[stage as usize]
-    }
-
-    /// Deterministic work totals folded in from every leader evaluation.
-    pub fn work_totals(&self) -> WorkCounters {
-        self.work.snapshot()
-    }
-
     pub(crate) fn inc_served(&self) {
         self.served.fetch_add(1, Ordering::Relaxed);
     }

@@ -6,8 +6,8 @@
 //! rendered once at the socket boundary ([`Request::parse`] /
 //! [`Response::render`]). A query answer is the exception that carries the
 //! load: its `PATH` lines are rendered once, by the evaluating request,
-//! into the shared [`crate::QueryOutcome::body`], and the socket loop
-//! writes those bytes unchanged after the `OK` header. [`handle_request`]
+//! into the shared [`crate::service::QueryOutcome::body`], and the socket loop
+//! writes those bytes unchanged after the `OK` header. `handle_request`
 //! (typed) and [`handle_line`] (wire lines) are the collecting views tests
 //! and embedders drive directly; both cut their paths from the same body.
 //!
@@ -21,7 +21,7 @@
 //! | `QUERY [tag] DEADLINE <ms> <payload>` | same — the request fails with `ERR timeout: …` once `<ms>` milliseconds have elapsed |
 //! | `STATS`                         | `STATS <counters>` (single-line [`crate::MetricsSnapshot`] display form) |
 //! | `METRICS`                       | `METRICS`, then the Prometheus-style exposition lines ([`crate::Metrics::expose`]), then `END` |
-//! | `TRACE <id>`                    | `TRACE <id>`, then the per-request report lines ([`crate::QueryTrace`] display form), then `END` — or `ERR protocol: …` when the id fell out of the ring |
+//! | `TRACE <id>`                    | `TRACE <id>`, then the per-request report lines ([`crate::trace::QueryTrace`] display form), then `END` — or `ERR protocol: …` when the id fell out of the ring |
 //! | `EPOCH`                         | `EPOCH <n>`                          |
 //! | `BUMP`                          | `EPOCH <n>` (after advancing the epoch and purging every cached plan; nothing is recomputed) |
 //! | `PING`                          | `PONG`                               |
@@ -47,6 +47,7 @@ use crate::service::{
 use pathalg_parser::QuerySurface;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -215,7 +216,7 @@ pub enum Response {
     Trace {
         /// The trace id the report describes.
         id: u64,
-        /// The report body ([`crate::QueryTrace`] display form).
+        /// The report body ([`crate::trace::QueryTrace`] display form).
         report: String,
     },
     /// The empty response to an empty request line.
@@ -419,7 +420,7 @@ impl fmt::Display for Response {
 /// Handles one typed request. Returns `None` for [`Request::Quit`] (close
 /// the connection), otherwise the typed response. This is the whole server
 /// logic — no strings until [`Response::render`].
-pub fn handle_request(service: &QueryService, request: &Request) -> Option<Response> {
+pub(crate) fn handle_request(service: &QueryService, request: &Request) -> Option<Response> {
     match request {
         Request::Quit => None,
         Request::Empty => Some(Response::Empty),
@@ -556,15 +557,20 @@ pub fn handle_line(service: &QueryService, line: &str) -> Option<Vec<String>> {
     }
 }
 
+/// The connections not yet reaped: each one's thread, and a clone of its
+/// stream that shuts the connection down when the server stops. Finished
+/// ones are joined whenever a new connection arrives, the rest when the
+/// accept loop ends.
+type Connections = Arc<Mutex<Vec<(JoinHandle<()>, UnixStream)>>>;
+
 /// A handle on a running server: shuts it down and cleans up the socket on
 /// [`ServerHandle::shutdown`] (or on drop, best-effort).
 pub struct ServerHandle {
     path: PathBuf,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    /// The threads of connections not yet reaped: finished ones are joined
-    /// whenever a new connection arrives, the rest when the accept loop ends.
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    #[cfg(test)]
+    connections: Connections,
 }
 
 impl ServerHandle {
@@ -575,15 +581,17 @@ impl ServerHandle {
 
     /// The connection threads the server still holds: the open connections
     /// plus finished ones not yet reaped by the next accept.
-    pub fn connection_threads(&self) -> usize {
+    #[cfg(test)]
+    fn connection_threads(&self) -> usize {
         self.connections
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .len()
     }
 
-    /// Stops accepting, joins the accept loop and every connection thread
-    /// whose client has disconnected, and removes the socket file.
+    /// Stops accepting, shuts down every open connection, joins the accept
+    /// loop and every connection thread, and removes the socket file. A
+    /// connected client, idle or not reading its answer, does not hold it up.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -620,7 +628,7 @@ pub fn serve(
     let _ = std::fs::remove_file(&path);
     let listener = UnixListener::bind(&path)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+    let connections: Connections = Arc::default();
     let accept = {
         let stop = stop.clone();
         let connections = connections.clone();
@@ -630,28 +638,40 @@ pub fn serve(
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                let Ok(control) = stream.try_clone() else {
+                    continue;
+                };
                 let service = service.clone();
                 let mut live = connections.lock().unwrap_or_else(|e| e.into_inner());
                 let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *live)
                     .into_iter()
-                    .partition(JoinHandle::is_finished);
+                    .partition(|(thread, _)| thread.is_finished());
                 *live = running;
-                for connection in finished {
-                    let _ = connection.join();
+                for (thread, _) in finished {
+                    let _ = thread.join();
                 }
-                live.push(std::thread::spawn(move || {
+                let thread = std::thread::spawn(move || {
                     let _open = OpenConnection::new(service.metrics());
-                    let _ = handle_connection(&service, stream);
-                }));
+                    let _ = handle_connection(&service, &stream);
+                    // The clone in `connections` keeps the socket open until
+                    // this thread is reaped; the client sees the end now.
+                    let _ = stream.shutdown(Shutdown::Both);
+                });
+                live.push((thread, control));
             }
-            // The connection threads end before the accept thread does. A
-            // thread's malloc arena is handed to the next thread that starts,
-            // last exited first; in the other order a later server's
-            // connection thread gets the accept thread's small arena and
-            // grows it afresh, raising the process's peak RSS.
+            // A connection thread blocks in `read` while its client is idle,
+            // and in `write` while its client does not read; shutting the
+            // socket down ends both. The connection threads end before the
+            // accept thread does. A thread's malloc arena is handed to the
+            // next thread that starts, last exited first; in the other order
+            // a later server's connection thread gets the accept thread's
+            // small arena and grows it afresh, raising the process's peak RSS.
             let live = std::mem::take(&mut *connections.lock().unwrap_or_else(|e| e.into_inner()));
-            for connection in live {
-                let _ = connection.join();
+            for (_, stream) in &live {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            for (thread, _) in live {
+                let _ = thread.join();
             }
         })
     };
@@ -659,6 +679,7 @@ pub fn serve(
         path,
         stop,
         accept: Some(accept),
+        #[cfg(test)]
         connections,
     })
 }
@@ -680,8 +701,8 @@ impl Drop for OpenConnection<'_> {
     }
 }
 
-fn handle_connection(service: &QueryService, stream: UnixStream) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+fn handle_connection(service: &QueryService, stream: &UnixStream) -> io::Result<()> {
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::with_capacity(IO_CHUNK_BYTES, stream);
     let mut line = Vec::new();
     loop {
@@ -815,7 +836,7 @@ impl Client {
 
     /// [`Client::query_on`] with an optional wire-carried deadline in
     /// milliseconds (`QUERY <tag> DEADLINE <ms> <text>`).
-    pub fn query_deadline(
+    pub(crate) fn query_deadline(
         &mut self,
         surface: QuerySurface,
         text: &str,

@@ -9,7 +9,7 @@
 //!
 //! 1. **Parse** — a bounded text-alias cache maps repeat request strings
 //!    straight to their checked plan and cache key.
-//! 2. **Plan** — the plan cache ([`crate::cache::PlanCache`]), keyed by
+//! 2. **Plan** — the plan cache (`crate::cache::PlanCache`), keyed by
 //!    (normalised plan, epoch), holds what [`Planner::plan`] produced: the
 //!    optimized plan and its closure estimates; a hit skips the optimizer
 //!    and the estimator.
@@ -48,15 +48,15 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Default per-request path quota ([`ServiceConfig::quota`]).
-pub const DEFAULT_QUOTA_PATHS: usize = 250_000;
+pub(crate) const DEFAULT_QUOTA_PATHS: usize = 250_000;
 
 /// Default ceiling on the estimated closure cardinality of an admitted
 /// request (paths). Only predicted *blow-ups* (cyclic, super-unit expansion)
 /// are compared against it; saturating closures pass regardless.
-pub const DEFAULT_ADMISSION_CEILING: f64 = 5_000_000.0;
+pub(crate) const DEFAULT_ADMISSION_CEILING: f64 = 5_000_000.0;
 
 /// Default bound on the number of cached plans.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
 /// Configuration of a [`QueryService`].
 #[derive(Clone, Copy, Debug)]
@@ -96,7 +96,7 @@ impl ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// [`DEFAULT_QUOTA_PATHS`] per request, the default admission ceiling and
+    /// `DEFAULT_QUOTA_PATHS` per request, the default admission ceiling and
     /// cache bound, no deadline and no shedding.
     fn default() -> Self {
         Self {
@@ -156,7 +156,7 @@ pub(crate) const PATH_PREFIX: &str = "PATH ";
 impl QueryOutcome {
     /// The result lines of [`QueryOutcome::body`], `PATH ` prefix included,
     /// without their newlines.
-    pub fn path_lines(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn path_lines(&self) -> impl Iterator<Item = &str> {
         std::str::from_utf8(&self.body)
             .expect("the body is rendered ASCII")
             .lines()
@@ -241,10 +241,10 @@ impl Flight {
 /// execution (the `executions` counter is already incremented) and before
 /// the evaluation starts. Concurrency tests use it to hold the leader until
 /// the herd has provably coalesced behind it.
-pub type PreExecuteHook = Box<dyn Fn(&Metrics) + Send + Sync>;
+pub(crate) type PreExecuteHook = Box<dyn Fn(&Metrics) + Send + Sync>;
 
 /// What an armed failpoint does when its site is hit — the fault-injection
-/// half of the chaos harness (the [`PreExecuteHook`] is the deterministic
+/// half of the chaos harness (the `PreExecuteHook` is the deterministic
 /// fence half). Failpoints are armed by name ([`QueryService::set_failpoint`])
 /// and fire inside the leader's execute window, so an injected panic
 /// exercises the real `catch_unwind` isolation path, not a simulation of it.
@@ -355,7 +355,7 @@ impl QueryService {
         self.config.quota.apply(self.config.recursion)
     }
 
-    /// Installs the deterministic test fence (see [`PreExecuteHook`]).
+    /// Installs the deterministic test fence (see `PreExecuteHook`).
     pub fn set_pre_execute_hook(&self, hook: PreExecuteHook) {
         *self.pre_execute.write().unwrap_or_else(|e| e.into_inner()) = Some(hook);
     }
@@ -447,7 +447,7 @@ impl QueryService {
 
     /// [`QueryService::submit_on`] with an optional per-request deadline,
     /// min-combined with [`ServiceConfig::default_deadline`].
-    pub fn submit_on_deadline(
+    pub(crate) fn submit_on_deadline(
         &self,
         surface: QuerySurface,
         text: &str,
@@ -489,7 +489,8 @@ impl QueryService {
     /// [`QueryService::submit`] for a hand-built (already checked) plan: the
     /// parse stage is skipped, everything else is identical. The trace
     /// carries the plan's display form as the query text.
-    pub fn submit_plan(&self, plan: &PlanExpr) -> Result<QueryResponse, ServiceError> {
+    #[cfg(test)]
+    fn submit_plan(&self, plan: &PlanExpr) -> Result<QueryResponse, ServiceError> {
         let key = plan_cache_key(plan, &self.effective_recursion());
         self.submit_keyed(
             QuerySurface::Gql,

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Default bound on the number of retained traces.
-pub const DEFAULT_TRACE_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 64;
 
 /// The record of one submitted request.
 #[derive(Clone, Debug)]
@@ -35,9 +35,7 @@ pub struct QueryTrace {
     pub id: u64,
     /// The surface the request was written in.
     pub surface: QuerySurface,
-    /// The request text (or the plan display for [`submit_plan`] requests).
-    ///
-    /// [`submit_plan`]: crate::service::QueryService::submit_plan
+    /// The request text.
     pub query: String,
     /// Whether planning came from the cache (`None` when the request failed
     /// before the plan stage).
@@ -172,7 +170,7 @@ impl TraceRing {
     }
 
     /// The most recently retained trace.
-    pub fn latest(&self) -> Option<Arc<QueryTrace>> {
+    pub(crate) fn latest(&self) -> Option<Arc<QueryTrace>> {
         self.ring
             .lock()
             .unwrap_or_else(|e| e.into_inner())

@@ -24,6 +24,9 @@
 //! * **A deadline on a plan without ϕ** — a wide `|`-tree under `{0,3}`
 //!   compiles to unions and joins only; its wire deadline still answers
 //!   `ERR timeout`, and the same connection serves the next query.
+//! * **Shutdown with clients connected** — one client idles, another never
+//!   reads a 72 000-path answer; `ServerHandle::shutdown` still returns
+//!   within a second and closes both connections.
 
 use pathalg::algebra::error::AlgebraError;
 use pathalg::algebra::ops::recursive::RecursionConfig;
@@ -35,10 +38,10 @@ use pathalg::server::{
     serve, Client, DedupRole, FailAction, QueryService, Request, Response, ServiceConfig,
     ServiceError,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::process::Command;
-use std::sync::{Arc, Once};
+use std::sync::{mpsc, Arc, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -382,4 +385,59 @@ fn a_deadline_stops_a_plan_without_phi_and_the_connection_keeps_serving() {
     assert_eq!(reply.paths.len(), 3_000);
     drop(client);
     handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Shutdown with clients connected
+// ---------------------------------------------------------------------------
+
+/// A connection thread blocks in `read` while its client idles, and in
+/// `write` while its client does not read an answer larger than the socket
+/// buffers. `shutdown` shuts both connections down before it joins their
+/// threads, so it returns promptly and each client sees its connection end.
+/// `shutdown` runs on a helper thread, so a hang fails this test instead of
+/// stalling the test binary.
+#[test]
+fn shutdown_returns_with_an_idle_and_a_never_reading_client_connected() {
+    // Trails of length ≤ 2 on K_42: 42·41 + 42·41·41 = 72 324 paths, an
+    // answer of a few MB.
+    let svc = dense_service(42, 2);
+    let path = std::env::temp_dir().join(format!(
+        "pathalg-chaos-shutdown-{}.sock",
+        std::process::id()
+    ));
+    let handle = serve(svc.clone(), path.clone()).expect("bind");
+
+    let mut idle = UnixStream::connect(&path).expect("connect the idle client");
+    let mut stalled = UnixStream::connect(&path).expect("connect the stalled client");
+    let request = Request::Query {
+        surface: QuerySurface::Gql,
+        deadline_ms: None,
+        text: TRAIL.to_string(),
+    };
+    stalled
+        .write_all(format!("{}\n", request.render()).as_bytes())
+        .expect("send the query");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while svc.metrics().snapshot().served == 0 || svc.metrics().connections() < 2 {
+        assert!(Instant::now() < deadline, "the query was never answered");
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    let (done, shut_down) = mpsc::channel();
+    thread::spawn(move || {
+        handle.shutdown();
+        let _ = done.send(());
+    });
+    shut_down
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown returned within 1 s with two clients connected");
+    assert_eq!(idle.read(&mut [0u8; 1]).expect("read"), 0, "idle: EOF");
+    let mut received = Vec::new();
+    stalled.read_to_end(&mut received).expect("read the rest");
+    assert!(
+        !received.ends_with(b"END\n"),
+        "the unread answer was cut off, not completed"
+    );
+    assert_eq!(svc.metrics().connections(), 0);
 }

@@ -7,13 +7,12 @@
 
 use pathalg::algebra::condition::Condition;
 use pathalg::algebra::eval::{EvalConfig, Evaluator};
-use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
+use pathalg::algebra::ops::recursive::{recursive, PathSemantics, RecursionConfig};
 use pathalg::algebra::ops::selection::selection;
 use pathalg::algebra::pathset::PathSet;
 use pathalg::engine::baseline::evaluate_query_with_automaton;
 use pathalg::engine::exec::ExecutionConfig;
 use pathalg::engine::physical::frontier::phi_frontier;
-use pathalg::engine::physical::phi_seminaive;
 use pathalg::engine::runner::{QueryRunner, RunnerConfig};
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::fixtures::figure1::Figure1;
@@ -73,7 +72,7 @@ fn knows_base(graph: &PropertyGraph) -> PathSet {
 /// The frontier engine (DESIGN.md §7) against the executable
 /// specification: on every test graph and restricted semantics, the
 /// canonical (sorted) rendering of `phi_frontier`'s output is byte-identical
-/// to `phi_seminaive`'s.
+/// to `recursive`'s.
 #[test]
 fn phi_frontier_agrees_with_seminaive_everywhere() {
     let cfg = RecursionConfig::default();
@@ -85,7 +84,7 @@ fn phi_frontier_agrees_with_seminaive_everywhere() {
             PathSemantics::Simple,
             PathSemantics::Shortest,
         ] {
-            let reference = phi_seminaive(semantics, &base, &cfg).unwrap();
+            let reference = recursive(semantics, &base, &cfg).unwrap();
             let reference_canonical: Vec<String> =
                 reference.sorted().iter().map(|p| p.display_ids()).collect();
             let frontier = phi_frontier(semantics, &base, &cfg).unwrap();
