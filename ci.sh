@@ -65,10 +65,15 @@ full() {
         exit 1
     fi
 
-    step "no index builds on the request path (engine and server share the graph's CSRs)"
+    step "no index builds on the request path (engine and server share the graph's CSRs and posting index)"
     if grep -rnE "CsrGraph::(with_label|from_graph)|Pmr::from_label_(scan|chain)" \
         crates/pathalg-engine/src crates/pathalg-server/src; then
         echo "ci.sh: build CSRs once in GraphBuilder::build; read them via PropertyGraph::label_csr" >&2
+        exit 1
+    fi
+    if grep -rnE "NodePostings|posting::" \
+        crates/pathalg-engine/src crates/pathalg-server/src; then
+        echo "ci.sh: the graph owns its posting index; read it via PropertyGraph::nodes_with_property_value" >&2
         exit 1
     fi
 

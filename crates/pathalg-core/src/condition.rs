@@ -215,11 +215,13 @@ impl Condition {
 
     /// Resolves an accessor against a path, returning the extracted value if
     /// the referenced object exists and carries the requested information.
-    pub(crate) fn resolve(
+    /// Labels and properties are borrowed from the graph, so evaluating a
+    /// condition allocates nothing.
+    fn resolve<'g>(
         accessor: &Accessor,
         path: &Path,
-        graph: &PropertyGraph,
-    ) -> Option<Value> {
+        graph: &'g PropertyGraph,
+    ) -> Option<Resolved<'g>> {
         fn node_at(path: &Path, pos: Position) -> Option<ObjectId> {
             let node = match pos {
                 Position::First => path.node_at(1),
@@ -237,23 +239,15 @@ impl Condition {
             Some(ObjectId::Edge(edge))
         }
         match accessor {
-            Accessor::NodeLabel(pos) => {
-                let obj = node_at(path, *pos)?;
-                graph.label(obj).map(Value::str)
-            }
-            Accessor::EdgeLabel(pos) => {
-                let obj = edge_at(path, *pos)?;
-                graph.label(obj).map(Value::str)
-            }
-            Accessor::NodeProperty(pos, prop) => {
-                let obj = node_at(path, *pos)?;
-                graph.property(obj, prop).cloned()
-            }
-            Accessor::EdgeProperty(pos, prop) => {
-                let obj = edge_at(path, *pos)?;
-                graph.property(obj, prop).cloned()
-            }
-            Accessor::Len => Some(Value::Int(path.len() as i64)),
+            Accessor::NodeLabel(pos) => graph.label(node_at(path, *pos)?).map(Resolved::Label),
+            Accessor::EdgeLabel(pos) => graph.label(edge_at(path, *pos)?).map(Resolved::Label),
+            Accessor::NodeProperty(pos, prop) => graph
+                .property(node_at(path, *pos)?, prop)
+                .map(Resolved::Property),
+            Accessor::EdgeProperty(pos, prop) => graph
+                .property(edge_at(path, *pos)?, prop)
+                .map(Resolved::Property),
+            Accessor::Len => Some(Resolved::Len(path.len())),
         }
     }
 
@@ -264,26 +258,25 @@ impl Condition {
                 accessor,
                 op,
                 value,
-            } => match Condition::resolve(accessor, path, graph) {
+            } => match Condition::resolve(accessor, path, graph).and_then(|a| a.compare(value)) {
                 None => false,
-                Some(actual) => match actual.compare(value) {
-                    None => false,
-                    Some(ord) => match op {
-                        CompareOp::Eq => ord == Ordering::Equal,
-                        CompareOp::Ne => ord != Ordering::Equal,
-                        CompareOp::Lt => ord == Ordering::Less,
-                        CompareOp::Le => ord != Ordering::Greater,
-                        CompareOp::Gt => ord == Ordering::Greater,
-                        CompareOp::Ge => ord != Ordering::Less,
-                    },
+                Some(ord) => match op {
+                    CompareOp::Eq => ord == Ordering::Equal,
+                    CompareOp::Ne => ord != Ordering::Equal,
+                    CompareOp::Lt => ord == Ordering::Less,
+                    CompareOp::Le => ord != Ordering::Greater,
+                    CompareOp::Gt => ord == Ordering::Greater,
+                    CompareOp::Ge => ord != Ordering::Less,
                 },
             },
             Condition::Bound(accessor) => Condition::resolve(accessor, path, graph).is_some(),
             Condition::Substr(accessor, needle) => {
-                match Condition::resolve(accessor, path, graph) {
-                    Some(Value::Str(s)) => s.contains(needle.as_str()),
-                    _ => false,
-                }
+                let text = match Condition::resolve(accessor, path, graph) {
+                    Some(Resolved::Label(s)) => Some(s),
+                    Some(Resolved::Property(value)) => value.as_str(),
+                    Some(Resolved::Len(_)) | None => None,
+                };
+                text.is_some_and(|s| s.contains(needle.as_str()))
             }
             Condition::IsTrail => path.is_trail(),
             Condition::IsAcyclic => path.is_acyclic(),
@@ -387,6 +380,28 @@ impl Condition {
             }
             Condition::Not(c) => c.collect_accessors(out),
             Condition::True | Condition::IsTrail | Condition::IsAcyclic | Condition::IsSimple => {}
+        }
+    }
+}
+
+/// What an [`Accessor`] extracts from a path, borrowed from the graph.
+enum Resolved<'g> {
+    /// A node or edge label: a string value.
+    Label(&'g str),
+    /// A node or edge property value.
+    Property(&'g Value),
+    /// The path length: an integer value.
+    Len(usize),
+}
+
+impl Resolved<'_> {
+    /// [`Value::compare`] of the extracted value against a constant.
+    fn compare(&self, constant: &Value) -> Option<Ordering> {
+        match (self, constant) {
+            (Resolved::Label(label), Value::Str(c)) => Some((*label).cmp(c.as_str())),
+            (Resolved::Label(_), _) => None,
+            (Resolved::Property(value), _) => value.compare(constant),
+            (Resolved::Len(len), _) => Value::Int(*len as i64).compare(constant),
         }
     }
 }

@@ -29,7 +29,7 @@
 
 use crate::cost::{choose_pipeline_strategy, estimate_closure, estimate_phi, ClosureEstimate};
 use pathalg_core::budget::CancelToken;
-use pathalg_core::condition::Condition;
+use pathalg_core::condition::{Accessor, CompareOp, Condition, Position};
 use pathalg_core::error::AlgebraError;
 use pathalg_core::eval::{EvalOutput, EvalStats};
 use pathalg_core::expr::PlanExpr;
@@ -436,13 +436,40 @@ impl<'g> EngineEvaluator<'g> {
         pmr
     }
 
-    /// Evaluates a per-node condition (a pure first- or last-node predicate,
-    /// see [`Condition::endpoint_split`]) over every node of the graph,
-    /// yielding the keep-mask pushed into the PMR expansion.
+    /// The keep-mask of a per-node condition (a pure first- or last-node
+    /// predicate, see [`Condition::endpoint_split`]), pushed into the PMR
+    /// expansion. When a conjunct `first|last.key = c` is one the graph's
+    /// posting index answers exactly
+    /// ([`PropertyGraph::nodes_with_property_value`]), the condition is
+    /// evaluated only on the postings of the smallest such conjunct: no
+    /// other node can satisfy it. Otherwise it is evaluated on every node.
     fn node_mask(&self, condition: &Condition) -> Vec<bool> {
-        (0..self.graph.node_count() as u32)
-            .map(|v| condition.eval(&Path::node(NodeId(v)), self.graph))
-            .collect()
+        let holds = |v: NodeId| condition.eval(&Path::node(v), self.graph);
+        let mut conjuncts = Vec::new();
+        flatten_and(condition, &mut conjuncts);
+        let postings = conjuncts
+            .into_iter()
+            .filter_map(|c| match c {
+                Condition::Compare {
+                    accessor:
+                        Accessor::NodeProperty(
+                            Position::First | Position::Last | Position::Index(1),
+                            key,
+                        ),
+                    op: CompareOp::Eq,
+                    value,
+                } => self.graph.nodes_with_property_value(key, value),
+                _ => None,
+            })
+            .min_by_key(|postings| postings.len());
+        let Some(postings) = postings else {
+            return self.graph.nodes().map(holds).collect();
+        };
+        let mut mask = vec![false; self.graph.node_count()];
+        for &v in postings {
+            mask[v.index()] = holds(v);
+        }
+        mask
     }
 
     fn record_decision(
@@ -552,6 +579,17 @@ impl<'g> EngineEvaluator<'g> {
                 found: "a set of paths",
             }),
         }
+    }
+}
+
+/// The conjuncts of `condition`: its `∧` tree flattened, left to right.
+fn flatten_and<'c>(condition: &'c Condition, out: &mut Vec<&'c Condition>) {
+    match condition {
+        Condition::And(a, b) => {
+            flatten_and(a, out);
+            flatten_and(b, out);
+        }
+        other => out.push(other),
     }
 }
 
@@ -803,5 +841,241 @@ mod tests {
         let mut engine =
             EngineEvaluator::new(&g, RecursionConfig::default(), ExecutionConfig::default());
         assert_eq!(engine.eval_paths(&plan).unwrap(), reference);
+    }
+
+    /// `condition::tests::property_equality_follows_sql_null_semantics`
+    /// through a sliced pipeline: the endpoint σ reaches the kernel as a
+    /// node mask, posting-index-backed or scanned, and either way `Int(2)`
+    /// finds the `Float(2.0)` node and `Null` finds nothing.
+    #[test]
+    fn anchored_pipelines_follow_sql_null_equality() {
+        use pathalg_core::ops::projection::Take;
+        use pathalg_graph::graph::GraphBuilder;
+        use pathalg_graph::value::Value;
+        use std::collections::BTreeSet;
+
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node("Hub", Vec::<(&str, Value)>::new());
+        let int = b.add_node("N", [("p", Value::Int(2)), ("q", Value::Int(2))]);
+        let float = b.add_node("N", [("p", Value::Float(2.0)), ("q", Value::Int(3))]);
+        let null = b.add_node("N", [("p", Value::Null)]);
+        let text = b.add_node("N", [("p", Value::str("2"))]);
+        for n in [int, float, null, text] {
+            b.add_edge(n, hub, "Knows", Vec::<(&str, Value)>::new());
+            b.add_edge(hub, n, "Knows", Vec::<(&str, Value)>::new());
+        }
+        let g = b.build();
+        let anchored = |accessor: Accessor, op: CompareOp, value: Value| {
+            let first = matches!(accessor, Accessor::NodeProperty(Position::First, _));
+            let plan = PlanExpr::edges()
+                .select(Condition::edge_label(1, "Knows"))
+                .recursive(PathSemantics::Shortest)
+                .select(Condition::Compare {
+                    accessor,
+                    op,
+                    value,
+                })
+                .group_by(GroupKey::SourceTarget)
+                .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)));
+            let mut engine =
+                EngineEvaluator::new(&g, RecursionConfig::default(), ExecutionConfig::default());
+            let out = engine.eval_paths(&plan).unwrap();
+            assert!(engine.used_lazy_pipeline(), "{plan}");
+            let ends: BTreeSet<NodeId> = out
+                .iter()
+                .map(|p| if first { p.first() } else { p.last() })
+                .collect();
+            ends.into_iter().collect::<Vec<_>>()
+        };
+        for side in [Position::First, Position::Last] {
+            let at = |key: &str| Accessor::NodeProperty(side, key.into());
+            let eq = |key: &str, value: Value| anchored(at(key), CompareOp::Eq, value);
+            // `p` holds a Float, so an Int anchor scans; `q` holds none, so
+            // the posting index answers it.
+            assert_eq!(g.nodes_with_property_value("p", &Value::Int(2)), None);
+            assert!(g.nodes_with_property_value("q", &Value::Int(2)).is_some());
+            assert_eq!(eq("p", Value::Int(2)), [int, float]);
+            assert_eq!(eq("p", Value::Float(2.0)), [int, float]);
+            assert_eq!(eq("q", Value::Int(2)), [int]);
+            assert_eq!(eq("q", Value::Int(4)), []);
+            assert_eq!(eq("p", Value::str("2")), [text]);
+            assert_eq!(eq("p", Value::Null), []);
+            assert_eq!(anchored(at("p"), CompareOp::Ne, Value::Null), []);
+        }
+    }
+
+    /// A splitmix64 step: the generated cases below are pure functions of
+    /// the seed proptest draws.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A fair coin from the same stream.
+    fn coin(state: &mut u64) -> bool {
+        next(state) & 1 == 0
+    }
+
+    /// The property values the generated graphs and conditions draw from:
+    /// strings, ints (one beyond 2⁵³, equal to a float under
+    /// `Value::compare`), integral and fractional floats, NaN, booleans and
+    /// null.
+    fn value(state: &mut u64, floats: bool) -> pathalg_graph::value::Value {
+        use pathalg_graph::value::Value;
+        let beyond = (1i64 << 53) + 1;
+        let pool = [
+            Value::str("a"),
+            Value::str("b"),
+            Value::Int(2),
+            Value::Int(-1),
+            Value::Int(beyond),
+            Value::Bool(true),
+            Value::Null,
+            Value::Float(2.0),
+            Value::Float(f64::NAN),
+            Value::Float(beyond as f64),
+            Value::Float(0.5),
+        ];
+        let kinds = if floats { pool.len() } else { 7 };
+        pool[(next(state) % kinds as u64) as usize].clone()
+    }
+
+    /// A graph of 3–12 nodes labelled `A`/`B`, whose properties `k` and `j`
+    /// are each set on about three nodes in four, and up to 24 `Knows`
+    /// edges. Each key holds floats or not, decided per graph, so both the
+    /// index's exact Int answer and its Float fallback are exercised.
+    fn property_graph(seed: u64) -> PropertyGraph {
+        use pathalg_graph::graph::GraphBuilder;
+        let mut state = seed;
+        let nodes = 3 + (next(&mut state) % 10) as usize;
+        let floats = [coin(&mut state), coin(&mut state)];
+        let mut b = GraphBuilder::new();
+        for _ in 0..nodes {
+            let label = if coin(&mut state) { "A" } else { "B" };
+            let mut props = Vec::new();
+            for (key, floats) in ["k", "j"].into_iter().zip(floats) {
+                if !next(&mut state).is_multiple_of(4) {
+                    props.push((key, value(&mut state, floats)));
+                }
+            }
+            b.add_node(label, props);
+        }
+        for _ in 0..next(&mut state) % (2 * nodes as u64 + 1) {
+            let s = NodeId((next(&mut state) % nodes as u64) as u32);
+            let t = NodeId((next(&mut state) % nodes as u64) as u32);
+            b.add_edge(
+                s,
+                t,
+                "Knows",
+                Vec::<(&str, pathalg_graph::value::Value)>::new(),
+            );
+        }
+        b.build()
+    }
+
+    /// A random condition on the node at `pos`: `=` (most often), `≠` and
+    /// ranges on `k`/`j`, labels and `bound`, under `∧`, `∨` and `¬`.
+    fn node_condition(state: &mut u64, pos: Position, depth: u32) -> Condition {
+        let key = if coin(state) { "k" } else { "j" };
+        let leaves = 6;
+        let pick = next(state) % if depth == 0 { leaves } else { leaves + 4 };
+        let sub = |state: &mut u64| Box::new(node_condition(state, pos, depth - 1));
+        match pick {
+            0..=2 => {
+                let op = match next(state) % 9 {
+                    0 => CompareOp::Ne,
+                    1 => CompareOp::Lt,
+                    2 => CompareOp::Le,
+                    3 => CompareOp::Gt,
+                    4 => CompareOp::Ge,
+                    _ => CompareOp::Eq,
+                };
+                Condition::Compare {
+                    accessor: Accessor::NodeProperty(pos, key.into()),
+                    op,
+                    value: value(state, true),
+                }
+            }
+            3 | 4 => Condition::Compare {
+                accessor: Accessor::NodeLabel(pos),
+                op: CompareOp::Eq,
+                value: pathalg_graph::value::Value::str(if pick == 3 { "A" } else { "B" }),
+            },
+            5 => Condition::Bound(Accessor::NodeProperty(pos, key.into())),
+            6 | 7 => Condition::And(sub(state), sub(state)),
+            8 => Condition::Or(sub(state), sub(state)),
+            _ => Condition::Not(sub(state)),
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The index-backed node mask is the per-node `Condition::eval`
+        /// scan, bit for bit, on either endpoint.
+        #[test]
+        fn node_masks_equal_the_per_node_scan(seed in 0u64..u64::MAX, pos in 0usize..3) {
+            let g = property_graph(seed);
+            let mut state = !seed;
+            let pos = [Position::First, Position::Index(1), Position::Last][pos];
+            let condition = node_condition(&mut state, pos, 3);
+            let engine =
+                EngineEvaluator::new(&g, RecursionConfig::default(), ExecutionConfig::default());
+            let scan: Vec<bool> = g
+                .nodes()
+                .map(|v| condition.eval(&Path::node(v), &g))
+                .collect();
+            prop_assert_eq!(engine.node_mask(&condition), scan, "{}", condition);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A sliced pipeline anchored on both endpoints answers what the
+        /// reference evaluator does, under every path semantics.
+        #[test]
+        fn anchored_sliced_pipelines_equal_the_reference(
+            seed in 0u64..u64::MAX,
+            semantics in 0usize..5,
+        ) {
+            use pathalg_core::ops::projection::Take;
+            use pathalg_core::EvalConfig;
+
+            let g = property_graph(seed);
+            let mut state = !seed;
+            let filter = node_condition(&mut state, Position::First, 2)
+                .and(node_condition(&mut state, Position::Last, 2));
+            let semantics = [
+                PathSemantics::Walk,
+                PathSemantics::Trail,
+                PathSemantics::Acyclic,
+                PathSemantics::Simple,
+                PathSemantics::Shortest,
+            ][semantics];
+            let recursion = RecursionConfig {
+                max_length: Some(4),
+                ..RecursionConfig::default()
+            };
+            // Every path of each group is kept, so the answer is the same
+            // set whatever order either side enumerates in.
+            let plan = PlanExpr::edges()
+                .select(Condition::edge_label(1, "Knows"))
+                .recursive(semantics)
+                .select(filter)
+                .group_by(GroupKey::SourceTarget)
+                .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(usize::MAX)));
+            let reference = Evaluator::with_config(&g, EvalConfig { recursion })
+                .eval_paths(&plan)
+                .unwrap();
+            let mut engine = EngineEvaluator::new(&g, recursion, ExecutionConfig::default());
+            prop_assert_eq!(engine.eval_paths(&plan).unwrap(), reference, "{}", plan);
+            prop_assert!(engine.used_lazy_pipeline(), "{}", plan);
+        }
     }
 }

@@ -203,7 +203,11 @@ mod tests {
             let via_adj: Vec<_> = g.outgoing(n).iter().map(|&e| (g.target(e), e)).collect();
             let via_csr: Vec<_> = g.csr().neighbors(n).collect();
             assert_eq!(via_adj, via_csr);
-            let via_adj: Vec<_> = g.incoming(n).iter().map(|&e| (g.source(e), e)).collect();
+            let via_adj: Vec<_> = g
+                .incoming(n)
+                .iter()
+                .map(|&e| (g.endpoints(e).0, e))
+                .collect();
             let via_csr: Vec<_> = g.reverse_csr().neighbors(n).collect();
             assert_eq!(via_adj, via_csr);
         }

@@ -135,7 +135,7 @@ mod tests {
         assert_eq!(g.edges_with_label("Knows").count(), 9);
         // First node has no incoming, last has no outgoing.
         assert_eq!(g.incoming(crate::ids::NodeId(0)).len(), 0);
-        assert_eq!(g.out_degree(crate::ids::NodeId(9)), 0);
+        assert!(g.outgoing(crate::ids::NodeId(9)).is_empty());
     }
 
     #[test]
@@ -150,7 +150,7 @@ mod tests {
         assert_eq!(g.node_count(), 6);
         assert_eq!(g.edge_count(), 6);
         for n in g.nodes() {
-            assert_eq!(g.out_degree(n), 1);
+            assert_eq!(g.outgoing(n).len(), 1);
             assert_eq!(g.incoming(n).len(), 1);
         }
     }
@@ -178,7 +178,7 @@ mod tests {
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 20);
         for n in g.nodes() {
-            assert_eq!(g.out_degree(n), 4);
+            assert_eq!(g.outgoing(n).len(), 4);
             assert_eq!(g.incoming(n).len(), 4);
         }
     }

@@ -14,10 +14,12 @@
 //! ([`crate::csr`]): forward over all edges, its reverse, and one per edge
 //! label. The accessors, the optimizer statistics and the engine's recursive
 //! kernels all read those columns, and borrow the same graph without
-//! synchronisation.
+//! synchronisation. The node-property posting index (the `posting` module) is
+//! the one structure built later: each key's list on its first lookup.
 
 use crate::csr::CsrGraph;
 use crate::ids::{EdgeId, NodeId, ObjectId};
+use crate::posting::NodePostings;
 use crate::property::PropertyMap;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -61,6 +63,8 @@ pub struct PropertyGraph {
     label_csrs: HashMap<String, CsrGraph>,
     /// The edgeless CSR a label no edge carries maps to, made on first use.
     no_edges: OnceLock<CsrGraph>,
+    /// The node-property posting index, each key's list made on first use.
+    postings: NodePostings,
 }
 
 impl PropertyGraph {
@@ -72,11 +76,6 @@ impl PropertyGraph {
     /// Number of edges, `|E|`.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// True if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Iterates over all node identifiers. This is the `Nodes(G)` atom of the
@@ -117,11 +116,6 @@ impl PropertyGraph {
         (data.source, data.target)
     }
 
-    /// Source node of an edge.
-    pub fn source(&self, edge: EdgeId) -> NodeId {
-        self.edge(edge).source
-    }
-
     /// Target node of an edge.
     pub fn target(&self, edge: EdgeId) -> NodeId {
         self.edge(edge).target
@@ -144,12 +138,14 @@ impl PropertyGraph {
         }
     }
 
-    /// All properties of an object.
-    pub fn properties(&self, object: impl Into<ObjectId>) -> &PropertyMap {
-        match object.into() {
-            ObjectId::Node(n) => &self.node(n).properties,
-            ObjectId::Edge(e) => &self.edge(e).properties,
-        }
+    /// The nodes whose property `key` equals `value` under
+    /// [`Value::compare`] (the equality of selection conditions), in
+    /// identifier order, read from the posting index. `None` when the index
+    /// cannot answer exactly: a `Null`, `Bool` or `Float` constant, or an
+    /// `Int` constant under a key some node holds a `Float` in (see the
+    /// `posting` module). The key's list is built on its first lookup.
+    pub fn nodes_with_property_value(&self, key: &str, value: &Value) -> Option<&[NodeId]> {
+        self.postings.lookup(&self.nodes, key, value)
     }
 
     /// The edge table, in edge-identifier order.
@@ -197,7 +193,11 @@ impl PropertyGraph {
     }
 
     /// All edges carrying a given label.
-    pub fn edges_with_label<'g>(&'g self, label: &'g str) -> impl Iterator<Item = EdgeId> + 'g {
+    #[cfg(test)]
+    pub(crate) fn edges_with_label<'g>(
+        &'g self,
+        label: &'g str,
+    ) -> impl Iterator<Item = EdgeId> + 'g {
         self.edges()
             .filter(move |&e| self.edge(e).label.as_deref() == Some(label))
     }
@@ -206,11 +206,6 @@ impl PropertyGraph {
     pub fn nodes_with_label<'g>(&'g self, label: &'g str) -> impl Iterator<Item = NodeId> + 'g {
         self.nodes()
             .filter(move |&n| self.node(n).label.as_deref() == Some(label))
-    }
-
-    /// Out-degree of a node.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.forward.out_degree(node)
     }
 }
 
@@ -326,16 +321,6 @@ impl GraphBuilder {
         id
     }
 
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalises the graph, building its CSRs: forward, reverse, and one per
     /// edge label.
     pub fn build(self) -> PropertyGraph {
@@ -360,6 +345,7 @@ impl GraphBuilder {
             reverse,
             label_csrs,
             no_edges: OnceLock::new(),
+            postings: NodePostings::default(),
         }
     }
 }
@@ -384,7 +370,6 @@ mod tests {
         let g = small_graph();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
-        assert!(!g.is_empty());
         assert!(g.contains_node(NodeId(2)));
         assert!(!g.contains_node(NodeId(3)));
         assert!(g.contains_edge(EdgeId(2)));
@@ -395,7 +380,7 @@ mod tests {
     fn rho_lambda_nu_accessors() {
         let g = small_graph();
         assert_eq!(g.endpoints(EdgeId(0)), (NodeId(0), NodeId(1)));
-        assert_eq!(g.source(EdgeId(1)), NodeId(0));
+        assert_eq!(g.endpoints(EdgeId(1)), (NodeId(0), NodeId(2)));
         assert_eq!(g.target(EdgeId(2)), NodeId(1));
         assert_eq!(g.label(NodeId(0)), Some("Person"));
         assert_eq!(g.label(EdgeId(0)), Some("Knows"));
@@ -409,7 +394,6 @@ mod tests {
         let g = small_graph();
         assert_eq!(g.outgoing(NodeId(0)), &[EdgeId(0), EdgeId(1)]);
         assert_eq!(g.incoming(NodeId(1)), &[EdgeId(0), EdgeId(2)]);
-        assert_eq!(g.out_degree(NodeId(0)), 2);
         assert_eq!(g.incoming(NodeId(1)).len(), 2);
         let knows = g.label_csr("Knows").neighbor_slices(NodeId(0)).1;
         assert_eq!(knows, &[EdgeId(0)]);
@@ -444,7 +428,7 @@ mod tests {
         assert_ne!(e1, e2);
         assert_eq!(g.endpoints(e1), g.endpoints(e2));
         assert_eq!(g.endpoints(loop_edge), (a, a));
-        assert_eq!(g.out_degree(a), 3);
+        assert_eq!(g.outgoing(a).len(), 3);
         assert_eq!(g.incoming(a).len(), 1);
     }
 
@@ -483,7 +467,6 @@ mod tests {
         let g = GraphBuilder::new().build();
         assert!(g.outgoing(NodeId(5)).is_empty());
         assert!(g.incoming(NodeId(5)).is_empty());
-        assert_eq!(g.out_degree(NodeId(5)), 0);
         assert_eq!(g.csr().edge_count(), 0);
     }
 
@@ -511,7 +494,7 @@ mod tests {
             }
         }
         let g = b.build();
-        let out_sum: usize = g.nodes().map(|n| g.out_degree(n)).sum();
+        let out_sum: usize = g.nodes().map(|n| g.outgoing(n).len()).sum();
         let in_sum: usize = g.nodes().map(|n| g.incoming(n).len()).sum();
         assert_eq!(out_sum, g.edge_count());
         assert_eq!(in_sum, g.edge_count());

@@ -6,14 +6,17 @@
 //! algebra needs from the storage layer:
 //!
 //! * [`ids`] — strongly-typed node / edge / object identifiers.
-//! * [`value`] — property values (the set `V` of the paper) with total ordering
-//!   and the comparison operators used by selection conditions.
+//! * [`value`] — property values (the set `V` of the paper) and the
+//!   comparison selection conditions use.
 //! * [`property`] — property maps (the partial function ν).
 //! * [`graph`] — the [`graph::PropertyGraph`] itself (`N`, `E`, ρ, λ, ν`), its
 //!   builder, and lookup accessors.
 //! * [`csr`] — Compressed-Sparse-Row adjacency (the representation Oracle
 //!   PGX uses), the graph's one adjacency format: every graph holds a forward,
 //!   a reverse and a per-edge-label CSR, built once.
+//! * `posting` — the node-property posting index behind
+//!   [`graph::PropertyGraph::nodes_with_property_value`], built per key on
+//!   first use.
 //! * [`stats`] — label-frequency and degree statistics feeding the optimizer's
 //!   cost model.
 //! * [`generator`] — deterministic synthetic graph generators (LDBC-SNB-shaped,
@@ -32,6 +35,7 @@ pub mod fixtures;
 pub mod generator;
 pub mod graph;
 pub mod ids;
+mod posting;
 pub mod property;
 pub mod stats;
 pub mod value;

@@ -4,9 +4,8 @@
 //! systems (Neo4j, Kùzu, MillenniumDB, …) support at least strings, integers,
 //! floats, booleans and null. Selection conditions in the algebra compare
 //! property values with `=`, `≠`, `<`, `>`, `≤`, `≥` (footnote 1 of the paper),
-//! so [`Value`] provides a deterministic total order across types as well as
-//! SQL-style typed comparison that only succeeds within a comparable type
-//! family (numbers with numbers, strings with strings, …).
+//! so [`Value`] provides SQL-style typed comparison that only succeeds within a
+//! comparable type family (numbers with numbers, strings with strings, …).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -32,14 +31,6 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Returns the value as an integer, if it is one.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// Returns the value as a float, converting integers losslessly.
     pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
@@ -54,17 +45,6 @@ impl Value {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
-        }
-    }
-
-    /// A coarse type name, used in error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
         }
     }
 
@@ -86,34 +66,6 @@ impl Value {
                 a.partial_cmp(&b)
             }
             _ => None,
-        }
-    }
-
-    /// Total ordering across all values, used where a deterministic order of
-    /// heterogeneous values is needed (e.g. stable sorting of result rows).
-    ///
-    /// The order is: `Null < Bool < Int/Float (by numeric value) < Str`.
-    /// `NaN` sorts after every other float.
-    pub fn total_cmp(&self, other: &Value) -> Ordering {
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Bool(_) => 1,
-                Value::Int(_) | Value::Float(_) => 2,
-                Value::Str(_) => 3,
-            }
-        }
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (a, b) if rank(a) == 2 && rank(b) == 2 => {
-                let fa = a.as_float().unwrap_or(f64::NAN);
-                let fb = b.as_float().unwrap_or(f64::NAN);
-                fa.total_cmp(&fb)
-            }
-            (a, b) => rank(a).cmp(&rank(b)),
         }
     }
 }
@@ -205,40 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn total_order_is_deterministic_across_types() {
-        let mut vs = vec![
-            Value::str("z"),
-            Value::Int(10),
-            Value::Null,
-            Value::Bool(true),
-            Value::Float(2.5),
-            Value::Bool(false),
-        ];
-        vs.sort_by(|a, b| a.total_cmp(b));
-        assert_eq!(
-            vs,
-            vec![
-                Value::Null,
-                Value::Bool(false),
-                Value::Bool(true),
-                Value::Float(2.5),
-                Value::Int(10),
-                Value::str("z"),
-            ]
-        );
-    }
-
-    #[test]
     fn conversions_and_accessors() {
         let v: Value = 42i64.into();
-        assert_eq!(v.as_int(), Some(42));
         assert_eq!(v.as_float(), Some(42.0));
         let v: Value = "hello".into();
         assert_eq!(v.as_str(), Some("hello"));
-        assert_eq!(v.type_name(), "string");
         let v: Value = true.into();
         assert_eq!(v, Value::Bool(true));
-        assert_eq!(v.type_name(), "bool");
     }
 
     #[test]
@@ -247,14 +172,5 @@ mod tests {
         assert_eq!(Value::Int(7).to_string(), "7");
         assert_eq!(Value::Null.to_string(), "null");
         assert_eq!(Value::Bool(false).to_string(), "false");
-    }
-
-    #[test]
-    fn nan_sorts_last_among_numbers() {
-        let mut vs = [Value::Float(f64::NAN), Value::Float(1.0), Value::Int(3)];
-        vs.sort_by(|a, b| a.total_cmp(b));
-        assert_eq!(vs[0], Value::Float(1.0));
-        assert_eq!(vs[1], Value::Int(3));
-        assert!(matches!(vs[2], Value::Float(x) if x.is_nan()));
     }
 }
