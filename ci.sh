@@ -3,7 +3,8 @@
 #
 #   ./ci.sh               full gate: fmt, clippy -D warnings, no allow of
 #                         dead or unused code, no index builds on the
-#                         request path, release build, tests, docs
+#                         request path, no second ϕ implementation,
+#                         release build, tests, docs
 #                         -D warnings, bench compile, benchmark package
 #                         check, examples
 #   ./ci.sh --quick       tier-1 subset only (see ROADMAP.md):
@@ -65,7 +66,7 @@ full() {
         exit 1
     fi
 
-    step "no index builds on the request path (engine and server share the graph's CSRs and posting index)"
+    step "no index builds on the request path (engine and server share the graph's CSRs and posting index), one ϕ implementation"
     if grep -rnE "CsrGraph::(with_label|from_graph)|Pmr::from_label_(scan|chain)" \
         crates/pathalg-engine/src crates/pathalg-server/src; then
         echo "ci.sh: build CSRs once in GraphBuilder::build; read them via PropertyGraph::label_csr" >&2
@@ -74,6 +75,10 @@ full() {
     if grep -rnE "NodePostings|posting::" \
         crates/pathalg-engine/src crates/pathalg-server/src; then
         echo "ci.sh: the graph owns its posting index; read it via PropertyGraph::nodes_with_property_value" >&2
+        exit 1
+    fi
+    if grep -rnE "phi_frontier|physical::frontier" crates/*/src; then
+        echo "ci.sh: every ϕ runs on the pathalg-pmr kernel (Pmr::from_base for a materialised base)" >&2
         exit 1
     fi
 

@@ -1,10 +1,11 @@
 //! Ablation studies for the design choices called out in DESIGN.md §5.
 //!
 //! 1. ϕ physical implementation: the semi-naïve fixpoint (the executable
-//!    specification) vs. the automaton-product baseline vs. the frontier
-//!    engine the evaluator actually dispatches for materialised bases, on
-//!    the same tiny bases (8 and 16 paths), which is the evidence that no
-//!    base is too small for it.
+//!    specification) vs. the automaton-product baseline vs. the kernel the
+//!    evaluator runs for a materialised base (`Pmr::from_base`, under the
+//!    ids `frontier_*`, kept from the per-source engine it replaced), on the
+//!    same tiny bases (8 and 16 paths), which is the evidence that no base
+//!    is too small for it.
 //! 2. Join strategy: endpoint hash join vs. nested-loop join.
 //! 3. Restrictor pushed into ϕ vs. post-filtering a bounded walk.
 //! 4. Projection with and without a preceding order-by (Algorithm 1's remark
@@ -24,7 +25,7 @@ use pathalg_core::ops::recursive::{recursive, PathSemantics, RecursionConfig};
 use pathalg_core::ops::selection::selection;
 use pathalg_core::optimizer::Optimizer;
 use pathalg_core::pathset::PathSet;
-use pathalg_engine::physical::frontier::phi_frontier;
+use pathalg_pmr::Pmr;
 use pathalg_rpq::automaton_eval::AutomatonEvaluator;
 use pathalg_rpq::parse::parse_regex;
 use std::time::Duration;
@@ -66,7 +67,12 @@ fn bench_phi_implementations(c: &mut Criterion) {
             ("frontier_shortest", PathSemantics::Shortest),
         ] {
             group.bench_with_input(BenchmarkId::new(id, n), &base, |b, base| {
-                b.iter(|| phi_frontier(semantics, base, &cfg).unwrap().len())
+                b.iter(|| {
+                    Pmr::from_base(base, semantics, cfg)
+                        .enumerate_all()
+                        .unwrap()
+                        .len()
+                })
             });
         }
         // The classical automaton-product baseline answering the same RPQ.

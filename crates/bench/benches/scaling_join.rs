@@ -4,11 +4,11 @@
 //! The workload is the one the lazy join exists for: slicing selector
 //! pipelines over `ϕ((σℓ1(E) ⋈ σℓ2(E)))` — the SNB `(:Likes/:Has_creator)+`
 //! pattern (Person → Message → Person hops) and two-hop trail closures on
-//! complete graphs. The materialised side hash-joins the label scans, runs
-//! the engine's frontier expansion, and slices with the γ/τ/π operators; the
-//! lazy side expands the concatenation through per-hop CSR endpoint indexes
-//! (`Pmr::from_label_chain`) with the slice limits pushed into the
-//! enumeration. Both produce byte-identical output (pinned in
+//! complete graphs. The materialised side hash-joins the label scans, drains
+//! the kernel over the joined base (`Pmr::from_base`), and slices with the
+//! γ/τ/π operators; the lazy side expands the concatenation through per-hop
+//! CSR endpoint indexes (`Pmr::from_shared_join`) with the slice limits
+//! pushed into the enumeration. Both produce byte-identical output (pinned in
 //! `tests/cross_validation.rs`); only the work differs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -22,10 +22,11 @@ use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::ops::selection::selection;
 use pathalg_core::pathset::PathSet;
 use pathalg_core::slice::SliceSpec;
-use pathalg_engine::physical::frontier::phi_frontier;
+use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::generator::structured::complete_graph;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_pmr::Pmr;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn top1_spec() -> (ProjectionSpec, SliceSpec) {
@@ -40,8 +41,8 @@ fn top1_spec() -> (ProjectionSpec, SliceSpec) {
     )
 }
 
-/// Materialise-then-join: hash-join the label scans, frontier-expand the
-/// closure, then γST → τA → π(*,*,1).
+/// Materialise-then-join: hash-join the label scans, drain the closure over
+/// the joined base, then γST → τA → π(*,*,1).
 fn materialized_top1(
     graph: &PropertyGraph,
     labels: &[&str],
@@ -53,7 +54,9 @@ fn materialized_top1(
         .map(|l| selection(graph, &Condition::edge_label(1, *l), &PathSet::edges(graph)))
         .reduce(|a, b| join(&a, &b, None).unwrap())
         .expect("at least one label");
-    let closure = phi_frontier(semantics, &base, cfg).unwrap();
+    let closure = Pmr::from_base(&base, semantics, *cfg)
+        .enumerate_all()
+        .unwrap();
     let (spec, _) = top1_spec();
     projection(
         &spec,
@@ -65,6 +68,11 @@ fn materialized_top1(
 /// Lazy: per-hop CSR endpoint indexes, sliced enumeration with reachability
 /// source stops — neither join side, the join result, nor the closure is
 /// materialised.
+/// The graph's stored label CSR of each hop.
+fn hops(graph: &PropertyGraph, labels: &[&str]) -> Arc<[CsrGraph]> {
+    labels.iter().map(|l| graph.label_csr(l).clone()).collect()
+}
+
 fn lazy_top1(
     graph: &PropertyGraph,
     labels: &[&str],
@@ -72,7 +80,7 @@ fn lazy_top1(
     cfg: RecursionConfig,
 ) -> usize {
     let (_, slice) = top1_spec();
-    let mut pmr = Pmr::from_label_chain(graph, labels, semantics, cfg);
+    let mut pmr = Pmr::from_shared_join(hops(graph, labels), semantics, cfg);
     pmr.sliced(&slice).unwrap().len()
 }
 
@@ -107,13 +115,15 @@ fn bench_snb_topk(c: &mut Criterion) {
                     .map(|l| selection(g, &Condition::edge_label(1, *l), &PathSet::edges(g)))
                     .reduce(|a, b| join(&a, &b, None).unwrap())
                     .expect("two labels");
-                let closure = phi_frontier(PathSemantics::Walk, &base, &cfg).unwrap();
+                let closure = Pmr::from_base(&base, PathSemantics::Walk, cfg)
+                    .enumerate_all()
+                    .unwrap();
                 projection(&spec, &group_by(GroupKey::Source, &closure)).len()
             })
         });
         group.bench_with_input(BenchmarkId::new("lazy", persons), &graph, |b, g| {
             b.iter(|| {
-                let mut pmr = Pmr::from_label_chain(g, &labels, PathSemantics::Walk, cfg);
+                let mut pmr = Pmr::from_shared_join(hops(g, &labels), PathSemantics::Walk, cfg);
                 pmr.sliced(&slice).unwrap().len()
             })
         });

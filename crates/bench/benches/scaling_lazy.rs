@@ -6,9 +6,9 @@
 //! bounded walks on a *complete* directed graph — the canonical cyclic
 //! generator where the materialised closure grows as `(n-1)^L` per source
 //! while the sliced answer is one path per ordered node pair. The
-//! materialised side runs the engine's frontier expansion (`phi_frontier`
-//! over the prebuilt `σℓ(Edges)` base) followed by the γ/τ/π operators; the
-//! lazy side runs `Pmr::sliced`, which stops each
+//! materialised side drains the kernel over the prebuilt `σℓ(Edges)` base
+//! (`Pmr::from_base`) and runs the γ/τ/π operators on the closure; the lazy
+//! side runs `Pmr::sliced` over the label CSR, which stops each
 //! source after one level thanks to the reachability analysis. Both produce
 //! byte-identical output (pinned in `tests/cross_validation.rs`); only the
 //! work differs. A Trail variant and a sparse SNB Shortest variant complete
@@ -24,11 +24,11 @@ use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::ops::selection::selection;
 use pathalg_core::pathset::PathSet;
 use pathalg_core::slice::SliceSpec;
-use pathalg_engine::physical::frontier::phi_frontier;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::generator::structured::complete_graph;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_pmr::Pmr;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn top1_spec() -> (ProjectionSpec, SliceSpec) {
@@ -51,9 +51,11 @@ fn label_base(graph: &PropertyGraph, label: &str) -> PathSet {
     )
 }
 
-/// Full materialisation: frontier closure, then γST → τA → π(*,*,1).
+/// Full materialisation: the whole closure, then γST → τA → π(*,*,1).
 fn materialized_top1(base: &PathSet, semantics: PathSemantics, cfg: &RecursionConfig) -> usize {
-    let closure = phi_frontier(semantics, base, cfg).unwrap();
+    let closure = Pmr::from_base(base, semantics, *cfg)
+        .enumerate_all()
+        .unwrap();
     let (spec, _) = top1_spec();
     projection(
         &spec,
@@ -65,7 +67,7 @@ fn materialized_top1(base: &PathSet, semantics: PathSemantics, cfg: &RecursionCo
 /// Lazy: PMR sliced evaluation with reachability-based source stops.
 fn lazy_top1(csr: &CsrGraph, semantics: PathSemantics, cfg: RecursionConfig) -> usize {
     let (_, slice) = top1_spec();
-    let mut pmr = Pmr::from_csr(csr.clone(), semantics, cfg);
+    let mut pmr = Pmr::from_shared_csr(Arc::new(csr.clone()), semantics, cfg);
     pmr.sliced(&slice).unwrap().len()
 }
 

@@ -33,11 +33,11 @@ use std::time::Duration;
 pub struct WorkCounters {
     /// Arena steps allocated by PMR expansions (prefix-sharing nodes).
     pub arena_steps: u64,
-    /// Level-0 base paths generated by the lazy scan/chain kernel: join
-    /// segments for a chain, single edges for a label scan.
+    /// Level-0 base paths generated by the kernel: join segments for a
+    /// chain, single edges for a label scan, the admitted base paths of a
+    /// materialised base.
     pub base_segments: u64,
-    /// Paths emitted by enumerations (after target-mask filtering) plus
-    /// paths produced by materialising closures.
+    /// Paths emitted by enumerations (after target-mask filtering).
     pub paths_emitted: u64,
     /// Paths generated but skipped before realisation (target-mask misses,
     /// sliced paths the collector provably would not keep).

@@ -329,7 +329,7 @@ fn collect_plan_closures(
 /// Recognises a whole plan whose root is a *slicing* γ/τ/π pipeline over a
 /// recursive label scan or label-scan join chain (optionally with an
 /// endpoint σ between γ and ϕ) — the shapes where lazy top-k enumeration
-/// by the `pathalg-pmr` scan/chain kernel turns a worst-case-exponential
+/// by the `pathalg-pmr` kernel over label CSRs turns a worst-case-exponential
 /// evaluation into an output-linear one — and returns the recognised
 /// [`pathalg_core::slice::SlicePlan`] so the
 /// evaluator need not re-derive it. Returns `None` when the plan must be

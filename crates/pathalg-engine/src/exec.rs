@@ -4,17 +4,18 @@
 //! *reference* interpreter: one algorithm per operator, single-threaded,
 //! always the semi-naïve fixpoint for ϕ. [`EngineEvaluator`] is the engine's
 //! physical counterpart: it walks the same logical plans and calls the same
-//! `pathalg-core` operator implementations for σ/⋈/∪/γ/τ/π, and realises
-//! every ϕ node one of two ways, decided by the shape of its base alone —
-//! no estimate, threshold or configuration value takes part:
+//! `pathalg-core` operator implementations for σ/⋈/∪/γ/τ/π, and runs every
+//! ϕ node on one kernel, `pathalg-pmr`'s [`Pmr`]. The shape of the base
+//! alone decides what the kernel walks — no estimate, threshold or
+//! configuration value takes part:
 //!
 //! * a base of the shape `σℓ1(Edges) ⋈ … ⋈ σℓk(Edges)` — the base relation
 //!   of every `[:ℓ+]` and `[(:ℓ1/…/:ℓk)+]` pattern — is never materialised:
-//!   the engine drains the lazy scan/chain kernel ([`pathalg_pmr::Pmr`]) over
-//!   the graph's stored label CSRs ([`PropertyGraph::label_csr`]), one per
-//!   hop, shared rather than built per evaluation;
-//! * every other base is evaluated first and expanded by the per-source
-//!   frontier engine ([`crate::physical::frontier::phi_frontier`]).
+//!   the kernel walks the graph's stored label CSRs
+//!   ([`PropertyGraph::label_csr`]), one per hop, shared rather than built
+//!   per evaluation;
+//! * every other base is evaluated first, and the kernel walks its paths
+//!   as segments indexed by first node ([`Pmr::from_base`]).
 //!
 //! A sliceable `π(τ?(γ(σ?(ϕ(…)))))` pipeline over a scan/chain base runs the
 //! same kernel with the limits pushed into the enumeration
@@ -52,8 +53,6 @@ use pathalg_graph::stats::GraphStats;
 use pathalg_pmr::{EndpointFilter, Pmr};
 use std::sync::Arc;
 
-use crate::physical::frontier::phi_frontier_with_cancel;
-
 /// One recorded strategy decision: which physical implementation a ϕ node or
 /// sliced pipeline was dispatched to, and the closure estimate (when graph
 /// statistics were available) that justified it. Surfaced by
@@ -62,8 +61,8 @@ use crate::physical::frontier::phi_frontier_with_cancel;
 pub struct StrategyDecision {
     /// Display form of the operator the decision applies to.
     pub operator: String,
-    /// Short name of the chosen implementation: `"pmr-lazy"` (a full kernel
-    /// drain) or `"frontier"` for a ϕ node, and `"lazy-sliced-pipeline"`
+    /// Short name of the chosen implementation: `"pmr-lazy"` for a ϕ node (a
+    /// full kernel drain, whatever its base) and `"lazy-sliced-pipeline"`
     /// for a sliced pipeline.
     pub chosen: &'static str,
     /// The estimate behind the choice, if statistics were available.
@@ -82,12 +81,8 @@ impl std::fmt::Display for StrategyDecision {
 
 /// [`StrategyDecision::chosen`] of a sliced pipeline.
 const LAZY_SLICED_PIPELINE: &str = "lazy-sliced-pipeline";
-/// [`StrategyDecision::chosen`] of a ϕ over a label scan or join chain: a
-/// full drain of the lazy scan/chain kernel.
+/// [`StrategyDecision::chosen`] of a ϕ node: a full drain of the kernel.
 const PMR_LAZY: &str = "pmr-lazy";
-/// [`StrategyDecision::chosen`] of a ϕ over any other base: the base is
-/// materialised and expanded by the per-source frontier engine.
-const FRONTIER: &str = "frontier";
 
 /// True when `decisions` record a sliced pipeline: the lazy PMR evaluated a
 /// γ/τ/π pipeline, pulling only the paths the projection keeps.
@@ -179,9 +174,8 @@ impl<'g> EngineEvaluator<'g> {
     }
 
     /// The deterministic work counters accumulated across every ϕ this
-    /// evaluator dispatched: the kernel's own [`Pmr::work_counters`] for
-    /// scan/chain bases (full drains and sliced pipelines), the emission
-    /// count for materialised bases.
+    /// evaluator dispatched: the kernel's own [`Pmr::work_counters`] of each
+    /// full drain and sliced pipeline.
     pub fn work_counters(&self) -> WorkCounters {
         self.work
     }
@@ -225,38 +219,7 @@ impl<'g> EngineEvaluator<'g> {
             }
             PlanExpr::Recursive { semantics, input } => {
                 self.stats.recursive_calls += 1;
-                let out = match input.label_scan_chain() {
-                    Some(labels) => {
-                        self.drain_chain_kernel(&labels, *semantics, Pmr::enumerate_all)?
-                    }
-                    None => {
-                        let estimate = self
-                            .graph_stats
-                            .map(|stats| estimate_phi(stats, *semantics, input, &self.recursion));
-                        let base = self.eval_paths_internal(input, "recursive")?;
-                        self.record_decision(
-                            format!(
-                                "ϕ{} over materialised base ({} paths)",
-                                semantics.keyword(),
-                                base.len()
-                            ),
-                            FRONTIER,
-                            estimate,
-                        );
-                        let out = phi_frontier_with_cancel(
-                            *semantics,
-                            &base,
-                            &self.recursion,
-                            self.cancel.as_deref(),
-                        )?;
-                        // The frontier emits exactly its output; count it so
-                        // closures that never touch the kernel still report
-                        // work.
-                        self.work.paths_emitted += out.len() as u64;
-                        out
-                    }
-                };
-                EvalOutput::Paths(out)
+                EvalOutput::Paths(self.drain_kernel(input, *semantics, Pmr::enumerate_all)?)
             }
             PlanExpr::GroupBy { key, input } => {
                 let input = self.eval_paths_internal(input, "group-by")?;
@@ -341,8 +304,7 @@ impl<'g> EngineEvaluator<'g> {
             estimate,
         );
         let mut pmr = self.kernel(
-            self.chain_hops(&chain),
-            plan.semantics,
+            Pmr::from_shared_join(self.chain_hops(&chain), plan.semantics, self.recursion),
             EndpointFilter {
                 sources: source_mask,
                 targets: target_mask,
@@ -369,44 +331,69 @@ impl<'g> EngineEvaluator<'g> {
         Ok(Some(out))
     }
 
-    /// Materialising `ϕ_semantics(σℓ1(E) ⋈ … ⋈ σℓk(E))` is draining the
-    /// scan/chain kernel: neither a join side, the join result, nor the base
-    /// `PathSet` is built. Charges the bypassed Edges/σ/⋈ operators as the
-    /// reference evaluator would, the joins with the slice of their output
-    /// the expansion actually generated.
+    /// Runs `ϕ_semantics(base)` on the kernel — the one place a ϕ runs.
+    /// A base of the shape `σℓ1(E) ⋈ … ⋈ σℓk(E)` is never evaluated: the
+    /// kernel walks the graph's label CSRs, and the bypassed Edges/σ/⋈
+    /// operators are charged as the reference evaluator would, the joins
+    /// with the slice of their output the expansion actually generated. Any
+    /// other base is evaluated first and handed to the kernel as a segment
+    /// index ([`Pmr::from_base`]).
     ///
     /// `drain` pulls the kernel: [`Pmr::enumerate_all`] to materialise, or a
     /// [`Pmr::for_each_path`] visitor to stream.
-    fn drain_chain_kernel<T>(
+    fn drain_kernel<T>(
         &mut self,
-        labels: &[&str],
+        base: &PlanExpr,
         semantics: PathSemantics,
         drain: impl FnOnce(&mut Pmr) -> Result<T, AlgebraError>,
     ) -> Result<T, AlgebraError> {
-        let estimate = self
-            .graph_stats
-            .map(|stats| estimate_closure(stats, labels, semantics, &self.recursion));
-        self.record_decision(
-            match labels {
-                [label] => format!("ϕ{} over label scan :{label}", semantics.keyword()),
-                _ => format!("ϕ{} over join chain {labels:?}", semantics.keyword()),
-            },
-            PMR_LAZY,
-            estimate,
-        );
-        let hops = self.chain_hops(labels);
-        for csr in hops.iter() {
-            self.charge_skipped(self.graph.edge_count()); // Edges(G)
-            self.charge_skipped(csr.edge_count()); // σ label
-        }
-        let mut pmr = self.kernel(hops, semantics, EndpointFilter::default());
+        let labels = base.label_scan_chain();
+        let pmr = match &labels {
+            Some(labels) => {
+                let estimate = self
+                    .graph_stats
+                    .map(|stats| estimate_closure(stats, labels, semantics, &self.recursion));
+                self.record_decision(
+                    match &labels[..] {
+                        [label] => format!("ϕ{} over label scan :{label}", semantics.keyword()),
+                        _ => format!("ϕ{} over join chain {labels:?}", semantics.keyword()),
+                    },
+                    PMR_LAZY,
+                    estimate,
+                );
+                let hops = self.chain_hops(labels);
+                for csr in hops.iter() {
+                    self.charge_skipped(self.graph.edge_count()); // Edges(G)
+                    self.charge_skipped(csr.edge_count()); // σ label
+                }
+                Pmr::from_shared_join(hops, semantics, self.recursion)
+            }
+            None => {
+                let estimate = self
+                    .graph_stats
+                    .map(|stats| estimate_phi(stats, semantics, base, &self.recursion));
+                let base = self.eval_paths_internal(base, "recursive")?;
+                self.record_decision(
+                    format!(
+                        "ϕ{} over materialised base ({} paths)",
+                        semantics.keyword(),
+                        base.len()
+                    ),
+                    PMR_LAZY,
+                    estimate,
+                );
+                Pmr::from_base(&base, semantics, self.recursion)
+            }
+        };
+        let mut pmr = self.kernel(pmr, EndpointFilter::default());
         let out = drain(&mut pmr)?;
         let work = pmr.work_counters();
         self.work.merge(&work);
-        let segments = work.base_segments as usize;
-        self.stats.join_calls += labels.len() - 1;
-        for _ in 1..labels.len() {
-            self.charge_skipped(segments);
+        if let Some(labels) = labels {
+            self.stats.join_calls += labels.len() - 1;
+            for _ in 1..labels.len() {
+                self.charge_skipped(work.base_segments as usize);
+            }
         }
         Ok(out)
     }
@@ -420,15 +407,9 @@ impl<'g> EngineEvaluator<'g> {
             .collect()
     }
 
-    /// Builds a fresh, unpulled kernel over `hops` with the endpoint-σ
-    /// pushdown and this evaluator's cancellation token installed.
-    fn kernel(
-        &self,
-        hops: Arc<[CsrGraph]>,
-        semantics: PathSemantics,
-        filter: EndpointFilter,
-    ) -> Pmr {
-        let mut pmr = Pmr::from_shared_join(hops, semantics, self.recursion);
+    /// Installs the endpoint-σ pushdown and this evaluator's cancellation
+    /// token on a fresh, unpulled kernel.
+    fn kernel(&self, mut pmr: Pmr, filter: EndpointFilter) -> Pmr {
         pmr.restrict_endpoints(filter);
         if let Some(token) = &self.cancel {
             pmr.share_cancel(token.clone());
@@ -492,11 +473,12 @@ impl<'g> EngineEvaluator<'g> {
 
     /// [`EngineEvaluator::eval_paths`] into a visitor: `visit(nodes, edges)`
     /// sees every result path, in result order, as its node and edge
-    /// sequences. A ϕ over a scan or chain at the root — bare, or under the
-    /// ALL selector's `π(*,*,*)(γ∅(…))`, which keeps its one group whole and
-    /// in order — streams its kernel drain straight into the visitor
-    /// ([`Pmr::for_each_path`]): no `Path` and no `PathSet` is built. Every
-    /// other root is evaluated as usual and its `PathSet` walked. Paths,
+    /// sequences. A ϕ at the root — bare, or under the ALL selector's
+    /// `π(*,*,*)(γ∅(…))`, which keeps its one group whole and in order —
+    /// streams its kernel drain straight into the visitor
+    /// ([`Pmr::for_each_path`]): no result `Path` and no result `PathSet` is
+    /// built (a materialised base still is). Every other root is evaluated
+    /// as usual and its `PathSet` walked. Paths,
     /// order, statistics, work counters and decisions are those of
     /// `eval_paths`. Returns the paths visited.
     pub fn for_each_path(
@@ -517,30 +499,22 @@ impl<'g> EngineEvaluator<'g> {
             _ => (expr, 0),
         };
         if let PlanExpr::Recursive { semantics, input } = root {
-            if let Some(labels) = input.label_scan_chain() {
-                // `eval`'s bookkeeping for the wrappers and the ϕ arm,
-                // around a streamed drain.
-                self.stats.operators_evaluated += 1 + wrappers;
-                self.check_cancel()?;
-                self.stats.recursive_calls += 1;
-                let n = self
-                    .drain_chain_kernel(&labels, *semantics, |pmr| pmr.for_each_path(&mut visit))?;
-                for _ in 0..=wrappers {
-                    self.charge_output(n);
-                }
-                return Ok(n);
+            // `eval`'s bookkeeping for the wrappers and the ϕ arm, around a
+            // streamed drain.
+            self.stats.operators_evaluated += 1 + wrappers;
+            self.check_cancel()?;
+            self.stats.recursive_calls += 1;
+            let n = self.drain_kernel(input, *semantics, |pmr| pmr.for_each_path(&mut visit))?;
+            for _ in 0..=wrappers {
+                self.charge_output(n);
             }
+            return Ok(n);
         }
         let paths = self.eval_paths(expr)?;
         for path in &paths {
             visit(path.nodes(), path.edges());
         }
         Ok(paths.len())
-    }
-
-    /// Evaluates an expression that must produce a solution space.
-    pub fn eval_space(&mut self, expr: &PlanExpr) -> Result<SolutionSpace, AlgebraError> {
-        self.eval(expr)?.into_space()
     }
 
     /// Accounts for an operator the CSR fast path evaluated implicitly, with
@@ -597,13 +571,14 @@ fn flatten_and<'c>(condition: &'c Condition, out: &mut Vec<&'c Condition>) {
 mod tests {
     use super::*;
     use crate::cost::choose_pipeline_impl;
-    use crate::physical::frontier::phi_frontier;
     use pathalg_core::condition::Condition;
     use pathalg_core::eval::Evaluator;
     use pathalg_core::ops::projection::ProjectionSpec;
+    use pathalg_core::ops::recursive::recursive;
     use pathalg_core::GroupKey;
     use pathalg_graph::fixtures::figure1::Figure1;
     use pathalg_graph::generator::snb::{snb_like_graph, SnbConfig};
+    use pathalg_pmr::canonical_order;
 
     fn plans() -> Vec<PlanExpr> {
         let knows = PlanExpr::edges().select(Condition::edge_label(1, "Knows"));
@@ -651,6 +626,15 @@ mod tests {
             knows()
                 .join(knows())
                 .recursive(PathSemantics::Walk)
+                .group_by(GroupKey::Empty)
+                .project(ProjectionSpec::all()),
+            // Over a materialised base: bare, and under the ALL selector.
+            knows()
+                .union(PlanExpr::edges().select(Condition::edge_label(1, "Likes")))
+                .recursive(PathSemantics::Simple),
+            knows()
+                .union(PlanExpr::nodes())
+                .recursive(PathSemantics::Shortest)
                 .group_by(GroupKey::Empty)
                 .project(ProjectionSpec::all()),
             // Not the identity: evaluated, then walked.
@@ -716,11 +700,11 @@ mod tests {
         let cases = [
             (knows().recursive(PathSemantics::Trail), "pmr-lazy"),
             (chain.recursive(PathSemantics::Trail), "pmr-lazy"),
-            // A union is neither a scan nor a chain: materialise, then the
-            // frontier — tiny base or not.
+            // A union is neither a scan nor a chain: materialised, then the
+            // same kernel over its segments.
             (
                 knows().union(likes()).recursive(PathSemantics::Trail),
-                "frontier",
+                "pmr-lazy",
             ),
         ];
         for (plan, expected) in cases {
@@ -795,7 +779,8 @@ mod tests {
             ),
         ];
         for (phi, order, gkey, spec) in cases {
-            // The materialised pipeline: frontier over σℓ(Edges) + core γ/τ/π.
+            // The materialised pipeline: the fixpoint over σℓ(Edges) in
+            // canonical order, then core γ/τ/π.
             let PlanExpr::Recursive { semantics, .. } = &phi else {
                 unreachable!()
             };
@@ -804,7 +789,10 @@ mod tests {
                 &Condition::edge_label(1, "Knows"),
                 &PathSet::edges(&f.graph),
             );
-            let closure = phi_frontier(*semantics, &base, &RecursionConfig::default()).unwrap();
+            let closure = canonical_order(
+                &recursive(*semantics, &base, &RecursionConfig::default()).unwrap(),
+                std::slice::from_ref(f.graph.label_csr("Knows")),
+            );
             let grouped = group_by(gkey, &closure);
             let ranked = match order {
                 Some(key) => order_by(key, &grouped),

@@ -5,15 +5,12 @@
 //! algorithm for each operator", Section 7.2). This crate supplies those
 //! algorithms and ties the whole stack together:
 //!
-//! * [`physical`] — physical implementations of the recursive operator over
-//!   a materialised base: the per-source frontier engine the evaluator
-//!   dispatches ([`physical::frontier`], DESIGN.md §7), and the semi-naïve
-//!   fixpoint from `pathalg-core`, the §8.2 ablation baseline and the test
-//!   oracle every dispatched path is cross-checked against.
 //! * [`exec`] — [`exec::EngineEvaluator`], the engine-level plan
-//!   interpreter, serial per query: a ϕ over a label scan or a join chain of
-//!   label scans drains `pathalg-pmr`'s lazy scan/chain kernel, every other
-//!   ϕ runs the frontier engine.
+//!   interpreter, serial per query: every ϕ runs on `pathalg-pmr`'s kernel,
+//!   over the label CSRs of a scan or join chain, or over the indexed paths
+//!   of any other base, evaluated first (DESIGN.md §8). The semi-naïve
+//!   fixpoint of `pathalg-core` is the §8.2 ablation baseline and the test
+//!   oracle every ϕ is cross-checked against.
 //! * [`cost`] — a simple cardinality/cost model over
 //!   [`pathalg_graph::stats::GraphStats`], the ingredient Section 7.3 says a
 //!   cost-based optimizer needs, the closure estimator behind admission
@@ -35,7 +32,6 @@
 pub mod baseline;
 pub mod cost;
 pub mod exec;
-pub mod physical;
 pub mod runner;
 
 pub use exec::{EngineEvaluator, ExecutionConfig};

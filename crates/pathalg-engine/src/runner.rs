@@ -12,9 +12,8 @@
 //!    pushdown, ϕWalk→ϕShortest, redundant-τ elimination) and estimates
 //!    every ϕ node's closure against the graph's [`GraphStats`];
 //! 4. the engine's physical evaluator ([`crate::exec::EngineEvaluator`]),
-//!    built by the same planner, executes it, collecting statistics — a ϕ
-//!    over a label scan or join chain drains the lazy `pathalg-pmr` kernel,
-//!    every other ϕ runs the per-source frontier engine, serial per query.
+//!    built by the same planner, executes it, collecting statistics — every
+//!    ϕ drains the `pathalg-pmr` kernel, serial per query.
 //!
 //! The [`Planner`] is the one plan stage of the workspace: the query service
 //! (`pathalg-server`) plans and builds its evaluators through it too, so a
@@ -183,11 +182,6 @@ impl QueryResult {
     /// The optimizer rewrites that fired.
     pub fn rewrites(&self) -> &[RewriteEvent] {
         &self.rewrites
-    }
-
-    /// Evaluation statistics (operators evaluated, intermediate sizes).
-    pub fn stats(&self) -> EvalStats {
-        self.stats
     }
 
     /// Cost estimates before and after optimization, computed on request

@@ -130,8 +130,8 @@ impl CsrGraph {
     /// The neighbours of `node` as raw parallel slices `(targets, edges)`.
     ///
     /// This is the zero-overhead form of [`CsrGraph::neighbors`] for hot
-    /// loops: the engine's frontier expansion indexes both slices directly
-    /// instead of driving a zipped iterator per node.
+    /// loops: the expansion kernel indexes both slices directly instead of
+    /// driving a zipped iterator per node.
     pub fn neighbor_slices(&self, node: NodeId) -> (&[NodeId], &[EdgeId]) {
         let row = self.row(node);
         (&self.columns.targets[row.clone()], &self.columns.edges[row])

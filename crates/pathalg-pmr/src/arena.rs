@@ -141,7 +141,8 @@ impl StepArena {
     /// at `id`, starting from `source`, into the caller's buffers (replacing
     /// their contents). This is the one reconstruction walk; `len` is
     /// threaded in by the caller (the arena stores no length column). Reused
-    /// buffers make it allocation-free once they hold the longest chain.
+    /// buffers make it allocation-free once they hold the longest chain. A
+    /// `len` of 0 is the bare source node, whatever `id` says.
     pub(crate) fn fill_chain(
         &self,
         id: u32,
@@ -153,6 +154,9 @@ impl StepArena {
         nodes.clear();
         nodes.resize(len + 1, source);
         edges.clear();
+        if len == 0 {
+            return;
+        }
         edges.resize(len, EdgeId(0));
         let (parents, step_edges, targets) = (
             self.parents.as_slice(),

@@ -1,46 +1,68 @@
-//! The scan/chain expansion kernel: `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` as a lazy,
-//! level-ordered composite product — `k = 1` is the plain label scan
-//! `ϕ(σℓ(E))`.
+//! The expansion kernel: `ϕ(B)` as a lazy, per-source, level-ordered
+//! product, for the two kinds of base `B` the engine hands it.
 //!
-//! The base relation of patterns like `(:Likes/:Has_creator)+` is a *join* of
-//! label scans: every base path is a fixed-length **segment** walking one
-//! edge of each hop label in order (a label scan is the one-hop chain, its
-//! segments are single edges). The materialised pipeline evaluates this by
-//! hashing the full join result and feeding it to the frontier engine; this
-//! module instead keeps one CSR-shaped endpoint index *per hop* (the
-//! label-restricted [`CsrGraph`] snapshots, keyed by each hop's source node)
-//! and expands the concatenation lazily: a segment is enumerated by chaining
-//! through the per-hop indexes, and the closure is grown segment by segment,
-//! level by level and *pull-driven* — levels are computed only when a
-//! consumer asks for more paths — without either join side, the join
-//! result, or the closure ever being materialised.
+//! * **Label scans and chains**, `σℓ1(E) ⋈ … ⋈ σℓk(E)` (`k = 1` is the plain
+//!   scan `ϕ(σℓ(E))`): every base path is a fixed-length **segment** walking
+//!   one edge of each hop label in order. The kernel keeps one CSR-shaped
+//!   endpoint index *per hop* (the label-restricted [`CsrGraph`] snapshots,
+//!   keyed by each hop's source node) and enumerates a segment by chaining
+//!   through them, so neither join side, the join result, nor the closure
+//!   is ever materialised.
+//! * **Any other base**, evaluated by the engine first: its admitted paths
+//!   are indexed by first node ([`SegmentIndex`]) and a level appends one
+//!   whole indexed segment, walked edge by edge with the same admission
+//!   checks as a chain hop.
 //!
-//! The emission order is byte-identical to the engine's materialised
-//! evaluation (`join(…)` then `phi_frontier`): sources ascending, levels (=
-//! segment counts) in order, and within a level the lexicographic
-//! `(e1, …, ek)` adjacency order — which is the order the hash join feeds the
-//! frontier's per-source base index, and the canonical-order contract stated
-//! on [`crate::Pmr`]. All admission predicates, the Shortest per-target
-//! pruning, the unbounded-Walk infinite-answer detection and the `max_paths`
-//! accounting mirror `phi_frontier`'s expansion step for step (pinned in
-//! `tests/cross_validation.rs`).
+//! The closure is grown segment by segment, level by level and
+//! *pull-driven* — levels are computed only when a consumer asks for more
+//! paths. The emission order is the canonical order stated on
+//! [`crate::Pmr`]: sources ascending, levels (= segment counts) in order,
+//! and within a level the order of the parents, each extended by its
+//! segments in index order — for a chain the lexicographic `(e1, …, ek)`
+//! adjacency order.
 //!
-//! Levels are synchronous — every boundary step in the current level closes
-//! a chain of `cur_len` edges — so lengths are threaded beside step ids
-//! instead of stored per step (see [`crate::arena`]), and all per-level and
-//! per-source scratch (the `cur`/`next` candidate buffers, the Shortest
-//! saturation buffers) is owned by the expansion and recycled; the
-//! steady-state drain performs no heap allocation once the buffers and the
-//! arena have reached their high-water marks.
+//! ϕ's rules, per source:
+//!
+//! * a candidate `p ∘ q` is admitted by checking only `q`'s edges against
+//!   `p` (the base path `q` is admitted by itself);
+//! * under Shortest, a candidate longer than the best known path to its
+//!   target is pruned, and only the minimal paths per target are emitted;
+//! * under unbounded Walk, a non-acyclic candidate proves the answer is
+//!   infinite and aborts the drain, as does exceeding
+//!   `UNBOUNDED_WALK_ITERATION_LIMIT` levels;
+//! * base paths count toward `max_paths` without tripping it, candidates
+//!   are claimed against it, and a drain that claimed a candidate fails at
+//!   its end if the total exceeds the limit (a later source's base paths
+//!   can push it over after the last claim).
+//!
+//! A materialised base adds three rules the chain path never needs, kept
+//! in the segment variant only: empty (node) base paths are emitted first
+//! at their source and never expanded (under Shortest they seed the
+//! source's minimum, so closed paths back to it are pruned); segments of
+//! different lengths make a level a segment count rather than a path
+//! length, so lengths are kept per step; and when some segment has more
+//! than one edge, one path can be derived in several ways, so a per-source
+//! seen-set drops repeats after the Shortest prune and before the minimum
+//! is updated.
+//!
+//! On the chain path levels are synchronous — every boundary step in the
+//! current level closes a chain of `cur_len` edges — so lengths are threaded
+//! beside step ids instead of stored per step (see [`crate::arena`]), and
+//! all per-level and per-source scratch (the `cur`/`next` candidate
+//! buffers, the Shortest saturation buffers) is owned by the expansion and
+//! recycled; the steady-state drain performs no heap allocation once the
+//! buffers and the arena have reached their high-water marks.
 
 use crate::arena::StepArena;
+use crate::segments::SegmentIndex;
 use pathalg_core::budget::{CancelToken, PathBudget};
 use pathalg_core::error::AlgebraError;
+use pathalg_core::fasthash::FastSet;
 use pathalg_core::ops::recursive::{
     PathSemantics, RecursionConfig, UNBOUNDED_WALK_ITERATION_LIMIT,
 };
 use pathalg_graph::csr::CsrGraph;
-use pathalg_graph::ids::NodeId;
+use pathalg_graph::ids::{EdgeId, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -55,6 +77,40 @@ pub(crate) struct ReachInfo {
     pub min_closed: Option<usize>,
 }
 
+/// What one level appends to a chain (see the module docs).
+enum Base {
+    /// The per-hop label CSRs of a scan or chain.
+    Chain(Arc<[CsrGraph]>),
+    /// The segments of a materialised base, with the state only they need.
+    Segments(Box<SegmentState>),
+}
+
+impl Base {
+    /// Appends the boundary steps `ids` with their path lengths to `out`:
+    /// `len` on the chain path, each step's own length for segments.
+    fn with_lens(&self, ids: &[u32], len: u32, out: &mut impl Extend<(u32, u32)>) {
+        match self {
+            Base::Chain(_) => out.extend(ids.iter().map(|&id| (id, len))),
+            Base::Segments(seg) => out.extend(ids.iter().map(|&id| (id, seg.lens[id as usize]))),
+        }
+    }
+}
+
+/// The expansion state of a materialised base beyond what the chain path
+/// keeps.
+struct SegmentState {
+    index: SegmentIndex,
+    /// Per arena step, the length of the chain it closes (in lockstep with
+    /// the arena): a level is a segment count, not a path length.
+    lens: Vec<u32>,
+    /// Composite bases only: the edge sequences the current source has
+    /// produced so far, base paths included.
+    produced: FastSet<Box<[EdgeId]>>,
+    /// Reconstruction scratch for the seen-set key of a candidate.
+    key_nodes: Vec<NodeId>,
+    key: Vec<EdgeId>,
+}
+
 /// The canonical source schedule of a scan/chain expansion whose first hop
 /// is `hop0`: every node with an outgoing hop-0 edge, ascending.
 fn source_schedule(hop0: &CsrGraph) -> Vec<NodeId> {
@@ -64,11 +120,10 @@ fn source_schedule(hop0: &CsrGraph) -> Vec<NodeId> {
         .collect()
 }
 
-/// The lazy scan/chain expander (see the module docs). Arena steps hold one
-/// edge each; only steps at segment boundaries (path length a multiple of
-/// the hop count) are ever emitted.
-pub(crate) struct ChainExpansion {
-    hops: Arc<[CsrGraph]>,
+/// The lazy expander (see the module docs). Arena steps hold one edge each;
+/// only steps at segment boundaries are ever emitted.
+pub(crate) struct Expansion {
+    base: Base,
     semantics: PathSemantics,
     config: RecursionConfig,
     walk_unbounded: bool,
@@ -79,7 +134,8 @@ pub(crate) struct ChainExpansion {
     /// unbounded Walk (a non-acyclic candidate proves the fixpoint is
     /// infinite). In lockstep with the arena.
     acyclic: Vec<bool>,
-    /// Segment-boundary steps of the current level (`cur_len` edges each).
+    /// Segment-boundary steps of the current level (`cur_len` edges each on
+    /// the chain path).
     cur: Vec<u32>,
     /// Recycled buffer for the next level (swapped with `cur` per level).
     next_buf: Vec<u32>,
@@ -87,11 +143,11 @@ pub(crate) struct ChainExpansion {
     cur_source: NodeId,
     iterations: usize,
     src_emitted: usize,
-    /// Emitted-but-unpulled boundary steps with their path lengths.
+    /// Emitted-but-unpulled boundary steps with their path lengths; an
+    /// empty base path is queued as `(0, 0)` and owns no step.
     pending: VecDeque<(u32, u32)>,
-    /// The `max_paths` accounting. Level-0 segments are recorded (counted,
-    /// never limit-checked), recursion candidates are claimed, mirroring the
-    /// frontier engine.
+    /// The `max_paths` accounting: level-0 segments are recorded (counted,
+    /// never limit-checked), recursion candidates are claimed.
     budget: PathBudget,
     /// Cooperative cancellation, checked once per expansion level (never per
     /// edge, so successful runs stay byte-identical and near-free).
@@ -111,16 +167,49 @@ pub(crate) struct ChainExpansion {
     reach_dist: Vec<usize>,
 }
 
-impl ChainExpansion {
-    /// Builds the expander over per-hop CSR snapshots (all over the same
-    /// node universe; at least one hop).
-    pub fn new(hops: Arc<[CsrGraph]>, semantics: PathSemantics, config: RecursionConfig) -> Self {
-        let (n, k, sources) = {
-            assert!(!hops.is_empty(), "a chain expansion needs at least one hop");
-            (hops[0].node_count(), hops.len(), source_schedule(&hops[0]))
+impl Expansion {
+    /// The expander over per-hop CSR snapshots (all over the same node
+    /// universe; at least one hop).
+    pub fn chain(hops: Arc<[CsrGraph]>, semantics: PathSemantics, config: RecursionConfig) -> Self {
+        assert!(!hops.is_empty(), "a chain expansion needs at least one hop");
+        let (n, k, sources) = (hops[0].node_count(), hops.len(), source_schedule(&hops[0]));
+        Self::new(Base::Chain(hops), n, n * k, sources, semantics, config)
+    }
+
+    /// The expander over the segments of a materialised base.
+    pub fn segments(
+        index: SegmentIndex,
+        semantics: PathSemantics,
+        config: RecursionConfig,
+    ) -> Self {
+        let (n, sources) = (index.node_count(), index.sources().to_vec());
+        let state = SegmentState {
+            index,
+            lens: Vec::new(),
+            produced: FastSet::default(),
+            key_nodes: Vec::new(),
+            key: Vec::new(),
         };
+        Self::new(
+            Base::Segments(Box::new(state)),
+            n,
+            0,
+            sources,
+            semantics,
+            config,
+        )
+    }
+
+    fn new(
+        base: Base,
+        n: usize,
+        reach_states: usize,
+        sources: Vec<NodeId>,
+        semantics: PathSemantics,
+        config: RecursionConfig,
+    ) -> Self {
         Self {
-            hops,
+            base,
             semantics,
             config,
             walk_unbounded: semantics == PathSemantics::Walk && config.max_length.is_none(),
@@ -149,13 +238,14 @@ impl ChainExpansion {
             sp_all: Vec::new(),
             sp_cur: Vec::new(),
             sp_next: Vec::new(),
-            reach_seen: Frontier::new(n * k),
+            reach_seen: Frontier::new(reach_states),
             reach_dist: Vec::new(),
         }
     }
 
     /// The next emitted boundary step, with its source and path length, in
-    /// canonical order.
+    /// canonical order. A length of 0 is an empty base path: its step id
+    /// means nothing.
     pub fn next_id(&mut self) -> Result<Option<(u32, NodeId, u32)>, AlgebraError> {
         if !self.ensure_pending()? {
             return Ok(None);
@@ -187,8 +277,9 @@ impl ChainExpansion {
     }
 
     /// Number of base segments (level-0 paths: join results for a chain,
-    /// single edges for a scan) generated so far — the part of the base
-    /// relation the expansion actually touched.
+    /// single edges for a scan, the admitted base paths of a materialised
+    /// base) generated so far — the part of the base relation the expansion
+    /// actually touched.
     pub fn base_segments(&self) -> usize {
         self.level0_segments
     }
@@ -217,9 +308,13 @@ impl ChainExpansion {
         }
     }
 
-    /// Edges per segment: the hop count (1 for a scan).
+    /// Edges per segment on the chain path: the hop count (1 for a scan).
+    /// Segments of a materialised base carry their own lengths.
     fn seg_len(&self) -> usize {
-        self.hops.len()
+        match &self.base {
+            Base::Chain(hops) => hops.len(),
+            Base::Segments(_) => 0,
+        }
     }
 
     fn ensure_pending(&mut self) -> Result<bool, AlgebraError> {
@@ -232,6 +327,7 @@ impl ChainExpansion {
                 continue;
             }
             let Some(&s) = self.sources.get(self.next_source) else {
+                self.settle_budget()?;
                 return Ok(false);
             };
             self.next_source += 1;
@@ -243,37 +339,62 @@ impl ChainExpansion {
             } else {
                 let mut cur = std::mem::take(&mut self.cur);
                 self.cur_len = self.seg_len() as u32;
-                self.grow(None, self.cur_len as usize, &mut cur)?;
-                self.src_emitted = cur.len();
-                self.pending
-                    .extend(cur.iter().map(|&id| (id, self.cur_len)));
+                let empties = self.grow(None, self.cur_len as usize, &mut cur)?;
+                self.queue_empties(empties);
+                self.src_emitted += cur.len();
+                self.base.with_lens(&cur, self.cur_len, &mut self.pending);
                 self.cur = cur;
             }
         }
     }
 
+    /// The fixpoint's `max_paths` rule at the end of a drain: once a
+    /// candidate has been claimed, the base paths and the candidates must
+    /// fit together. A base path recorded after the last claim — at a later
+    /// source — can still be the one that exceeds the limit.
+    fn settle_budget(&self) -> Result<(), AlgebraError> {
+        let count = self.budget.count();
+        match self.config.max_paths {
+            Some(limit) if count > limit && count > self.level0_segments => {
+                Err(AlgebraError::ResultLimitExceeded { limit })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Queues the source's `n` empty base paths, ahead of everything else it
+    /// emits.
+    fn queue_empties(&mut self, n: usize) {
+        self.pending.extend(std::iter::repeat_n((0, 0), n));
+        self.src_emitted += n;
+    }
+
     /// Grows the current source's chains by one segment into `next`, in
-    /// lexicographic hop-adjacency order: the base segments (level 0) when
-    /// `parents` is `None` — exactly the join output restricted to this
-    /// source after the frontier's admission filter — otherwise one segment
-    /// appended to every boundary step of `parents`. `new_len` is the path
-    /// length at the new boundary.
+    /// canonical order: the base segments (level 0) when `parents` is
+    /// `None` — exactly the base restricted to this source after the
+    /// level-0 admission filter — otherwise one segment appended to every
+    /// boundary step of `parents`. `new_len` is the path length at the new
+    /// boundary on the chain path. Returns the number of empty base paths
+    /// at the source (level 0 of a materialised base only): they own no
+    /// step and are never expanded.
     fn grow(
         &mut self,
         parents: Option<&[u32]>,
         new_len: usize,
         next: &mut Vec<u32>,
-    ) -> Result<(), AlgebraError> {
-        if self.config.max_length.is_some_and(|l| new_len > l) {
-            return Ok(());
+    ) -> Result<usize, AlgebraError> {
+        if matches!(self.base, Base::Chain(_))
+            && self.config.max_length.is_some_and(|l| new_len > l)
+        {
+            return Ok(0);
         }
         let source = self.cur_source;
-        let simple = matches!(
-            self.semantics,
-            PathSemantics::Simple | PathSemantics::Shortest
-        );
+        let (hops, seg): (&[CsrGraph], _) = match &mut self.base {
+            Base::Chain(hops) => (hops, None),
+            Base::Segments(seg) => (&[], Some(seg)),
+        };
         let mut descent = Descent {
-            hops: &self.hops,
+            hops,
             semantics: self.semantics,
             source,
             walk_unbounded: self.walk_unbounded,
@@ -287,26 +408,26 @@ impl ChainExpansion {
             src_emitted: self.src_emitted,
             next,
         };
-        let Some(parents) = parents else {
-            descent.descend(0, None, source, false)?;
-            self.level0_segments += descent.next.len();
-            return Ok(());
-        };
-        for &pid in parents {
-            let head = descent.arena.target(pid);
-            // A closed simple chain cannot be extended.
-            if simple && head == source {
-                continue;
+        let empties = match (seg, parents) {
+            (None, parents) => {
+                descent.grow_chain(parents)?;
+                0
             }
-            let repeat = descent.walk_unbounded && !descent.acyclic[pid as usize];
-            descent.descend(0, Some(pid), head, repeat)?;
+            (Some(seg), None) => descent.seed_segments(seg),
+            (Some(seg), Some(parents)) => {
+                descent.extend_segments(seg, parents, &self.config)?;
+                0
+            }
+        };
+        if parents.is_none() {
+            self.level0_segments += descent.next.len() + empties;
         }
-        Ok(())
+        Ok(empties)
     }
 
     /// One level of expansion for the current source (non-Shortest
-    /// semantics), mirroring `phi_frontier`'s level step. The `cur`/`next`
-    /// buffers are recycled across levels and sources.
+    /// semantics). The `cur`/`next` buffers are recycled across levels and
+    /// sources.
     fn advance_level(&mut self) -> Result<(), AlgebraError> {
         self.check_cancel()?;
         self.iterations += 1;
@@ -322,8 +443,8 @@ impl ChainExpansion {
         let new_len = self.cur_len as usize + self.seg_len();
         self.grow(Some(&cur), new_len, &mut next)?;
         self.src_emitted += next.len();
-        self.pending
-            .extend(next.iter().map(|&id| (id, new_len as u32)));
+        self.base
+            .with_lens(&next, new_len as u32, &mut self.pending);
         self.cur = next;
         self.next_buf = cur;
         self.cur_len = new_len as u32;
@@ -331,9 +452,9 @@ impl ChainExpansion {
     }
 
     /// Shortest semantics saturates per source: the whole source is expanded
-    /// eagerly (as `phi_frontier` does) and the minimal boundary steps are
-    /// queued in level order after the per-target distance filter. The
-    /// saturation buffers (`sp_*`) are recycled across sources.
+    /// eagerly and the minimal boundary steps are queued in level order
+    /// after the per-target distance filter. The saturation buffers (`sp_*`)
+    /// are recycled across sources.
     fn expand_source_shortest(&mut self) -> Result<(), AlgebraError> {
         self.seen.reset();
         let mut all = std::mem::take(&mut self.sp_all);
@@ -344,12 +465,14 @@ impl ChainExpansion {
         next.clear();
         let seg_len = self.seg_len();
         let mut cur_len = seg_len;
-        self.grow(None, cur_len, &mut cur)?;
+        // An empty base path is the source's minimum to itself: always kept.
+        let empties = self.grow(None, cur_len, &mut cur)?;
+        self.queue_empties(empties);
         while !cur.is_empty() {
             self.check_cancel()?;
             next.clear();
             self.grow(Some(&cur), cur_len + seg_len, &mut next)?;
-            all.extend(cur.iter().map(|&id| (id, cur_len as u32)));
+            self.base.with_lens(&cur, cur_len as u32, &mut all);
             std::mem::swap(&mut cur, &mut next);
             cur_len += seg_len;
         }
@@ -376,9 +499,12 @@ impl ChainExpansion {
     /// over-approximate — the shortest composite walk may repeat nodes, so a
     /// listed group may hold no admitted path under Trail/Acyclic/Simple.
     /// The sliced evaluation only uses the set to *delay* a source stop, so
-    /// over-approximation costs work, never correctness.
-    pub fn reachability(&mut self, source: NodeId) -> ReachInfo {
-        let hops = &self.hops[..];
+    /// over-approximation costs work, never correctness. `None` for a
+    /// materialised base: its sliced drains never stop a source early.
+    pub fn reachability(&mut self, source: NodeId) -> Option<ReachInfo> {
+        let Base::Chain(hops) = &self.base else {
+            return None;
+        };
         let k = hops.len();
         let bound = self.config.max_length.unwrap_or(usize::MAX);
         let states = hops[0].node_count() * k;
@@ -425,14 +551,14 @@ impl ChainExpansion {
             .map(|m| NodeId((m.index() / k) as u32))
             .filter(|&v| v != source)
             .collect();
-        ReachInfo { open, min_closed }
+        Some(ReachInfo { open, min_closed })
     }
 }
 
-/// One [`ChainExpansion::grow`] call's view of the expansion state: the
-/// disjoint fields [`Descent::descend`] reads and writes while it walks the
-/// hop indexes.
+/// One [`Expansion::grow`] call's view of the expansion state: the disjoint
+/// fields the hop and segment walks read and write.
 struct Descent<'a> {
+    /// The per-hop CSRs of a scan or chain (empty for a materialised base).
     hops: &'a [CsrGraph],
     semantics: PathSemantics,
     source: NodeId,
@@ -445,24 +571,84 @@ struct Descent<'a> {
     /// Level 0 grows base segments: recorded against the budget, never
     /// limit-checked, and never an infinite-answer proof by themselves.
     level0: bool,
-    /// Path length at the boundary this call grows to.
+    /// Path length at the boundary this call grows to (chain path only).
     new_len: usize,
     src_emitted: usize,
     next: &'a mut Vec<u32>,
 }
 
 impl Descent<'_> {
+    /// The per-edge admission check: may the chain ending at `chain` (the
+    /// bare source for `None`) take edge `e` to `t`? `closes` marks a
+    /// segment's last edge — only a segment's final node may close a simple
+    /// path at the source. Checking every edge of an admitted segment this
+    /// way is exactly checking the whole segment against the chain.
+    #[inline(always)]
+    fn admits_edge(&self, chain: Option<u32>, e: EdgeId, t: NodeId, closes: bool) -> bool {
+        let arena = &*self.arena;
+        match self.semantics {
+            PathSemantics::Walk => true,
+            PathSemantics::Trail => chain.is_none_or(|id| !arena.chain_contains_edge(id, e)),
+            PathSemantics::Acyclic => {
+                t != self.source && chain.is_none_or(|id| !arena.chain_targets_contain(id, t))
+            }
+            PathSemantics::Simple | PathSemantics::Shortest => {
+                let fresh = chain.is_none_or(|id| !arena.chain_targets_contain(id, t));
+                if closes {
+                    t == self.source || fresh
+                } else {
+                    t != self.source && fresh
+                }
+            }
+        }
+    }
+
+    /// True if `t` is already on the chain ending at `chain` (the source
+    /// included): the unbounded-Walk repeat test.
+    #[inline(always)]
+    fn revisits(&self, chain: Option<u32>, t: NodeId) -> bool {
+        t == self.source || chain.is_some_and(|id| self.arena.chain_targets_contain(id, t))
+    }
+
+    /// The unbounded-Walk proof that the answer is infinite, raised by an
+    /// admitted candidate that repeats a node.
+    fn infinite(&self) -> AlgebraError {
+        AlgebraError::RecursionLimitExceeded {
+            bound: UNBOUNDED_WALK_ITERATION_LIMIT,
+            paths_so_far: self.src_emitted + self.next.len(),
+        }
+    }
+
+    /// One chain-path level: the base segments (level 0) when `parents` is
+    /// `None`, otherwise one segment appended to every boundary step of
+    /// `parents`.
+    fn grow_chain(&mut self, parents: Option<&[u32]>) -> Result<(), AlgebraError> {
+        let Some(parents) = parents else {
+            return self.descend(0, None, self.source, false);
+        };
+        let simple = matches!(
+            self.semantics,
+            PathSemantics::Simple | PathSemantics::Shortest
+        );
+        for &pid in parents {
+            let head = self.arena.target(pid);
+            // A closed simple chain cannot be extended.
+            if simple && head == self.source {
+                continue;
+            }
+            let repeat = self.walk_unbounded && !self.acyclic[pid as usize];
+            self.descend(0, Some(pid), head, repeat)?;
+        }
+        Ok(())
+    }
+
     /// Enumerates the admitted `hops[hop..]` continuations of the chain
     /// `(chain, node)` in lexicographic adjacency order, pushing one arena
-    /// step per edge and the boundary step ids to `next`. The per-edge
-    /// checks against the growing chain are exactly the frontier engine's
-    /// two-stage admission (`admits(q)` on the segment plus
-    /// `step_admissible(p, q)` against the parent) unrolled edge by edge;
-    /// `repeat` carries the unbounded-Walk acyclicity tracking. The last hop
-    /// — the only one a scan has — never recurses: it settles the boundary
-    /// candidate (infinite-answer proof, Shortest per-target pruning,
-    /// budget) before the step is pushed, so a rejected candidate costs no
-    /// arena slot.
+    /// step per edge and the boundary step ids to `next`. `repeat` carries
+    /// the unbounded-Walk acyclicity tracking. The last hop — the only one a
+    /// scan has — never recurses: it settles the boundary candidate
+    /// (infinite-answer proof, Shortest per-target pruning, budget) before
+    /// the step is pushed, so a rejected candidate costs no arena slot.
     fn descend(
         &mut self,
         hop: usize,
@@ -474,36 +660,13 @@ impl Descent<'_> {
         let last_hop = hop + 1 == hops.len();
         let (targets, edges) = hops[hop].neighbor_slices(node);
         for (&t, &e) in targets.iter().zip(edges) {
-            let arena = &*self.arena;
-            let admissible = match self.semantics {
-                PathSemantics::Walk => true,
-                PathSemantics::Trail => chain.is_none_or(|id| !arena.chain_contains_edge(id, e)),
-                PathSemantics::Acyclic => {
-                    t != self.source && chain.is_none_or(|id| !arena.chain_targets_contain(id, t))
-                }
-                PathSemantics::Simple | PathSemantics::Shortest => {
-                    let fresh = chain.is_none_or(|id| !arena.chain_targets_contain(id, t));
-                    if last_hop {
-                        // Only the segment's final node may close the path.
-                        t == self.source || fresh
-                    } else {
-                        t != self.source && fresh
-                    }
-                }
-            };
-            if !admissible {
+            if !self.admits_edge(chain, e, t, last_hop) {
                 continue;
             }
-            let repeat = self.walk_unbounded
-                && (repeat
-                    || t == self.source
-                    || chain.is_some_and(|id| arena.chain_targets_contain(id, t)));
+            let repeat = self.walk_unbounded && (repeat || self.revisits(chain, t));
             if last_hop {
                 if repeat && !self.level0 {
-                    return Err(AlgebraError::RecursionLimitExceeded {
-                        bound: UNBOUNDED_WALK_ITERATION_LIMIT,
-                        paths_so_far: self.src_emitted + self.next.len(),
-                    });
+                    return Err(self.infinite());
                 }
                 if let Some((seen, dist)) = &mut self.shortest {
                     if seen.contains(t) && self.new_len > dist[t.index()] {
@@ -530,6 +693,133 @@ impl Descent<'_> {
             }
         }
         Ok(())
+    }
+
+    /// Level 0 of a materialised base: the source's base paths, admitted at
+    /// index time, in base order. They seed the Shortest minimum (without
+    /// being pruned) and the seen-set, and are recorded against the budget.
+    /// Returns how many are empty: those are never pushed as steps.
+    fn seed_segments(&mut self, seg: &mut SegmentState) -> usize {
+        seg.produced.clear();
+        let composite = seg.index.is_composite();
+        let mut empties = 0;
+        for s in seg.index.starting_at(self.source) {
+            let (targets, edges) = seg.index.segment(s);
+            let last = targets.last().copied().unwrap_or(self.source);
+            self.lower_minimum(last, edges.len());
+            if composite {
+                seg.produced.insert(edges.into());
+            }
+            self.budget.record(1);
+            if edges.is_empty() {
+                empties += 1;
+                continue;
+            }
+            let repeat = self.walk_unbounded && !seg.index.is_acyclic(s);
+            self.push_segment(seg, None, 0, s, repeat);
+        }
+        empties
+    }
+
+    /// One level of a materialised base: every segment starting at the head
+    /// of each parent, appended in index order after the checks of the
+    /// module docs, in the order the rules list them.
+    fn extend_segments(
+        &mut self,
+        seg: &mut SegmentState,
+        parents: &[u32],
+        config: &RecursionConfig,
+    ) -> Result<(), AlgebraError> {
+        let simple = matches!(
+            self.semantics,
+            PathSemantics::Simple | PathSemantics::Shortest
+        );
+        let composite = seg.index.is_composite();
+        for &pid in parents {
+            let head = self.arena.target(pid);
+            // A closed simple chain cannot be extended.
+            if simple && head == self.source {
+                continue;
+            }
+            let parent_len = seg.lens[pid as usize] as usize;
+            for s in seg.index.starting_at(head) {
+                let (targets, edges) = seg.index.segment(s);
+                let Some(&last) = targets.last() else {
+                    continue;
+                };
+                let new_len = parent_len + edges.len();
+                if config.max_length.is_some_and(|l| new_len > l) {
+                    continue;
+                }
+                let closes = edges.len() - 1;
+                if !(0..edges.len())
+                    .all(|i| self.admits_edge(Some(pid), edges[i], targets[i], i == closes))
+                {
+                    continue;
+                }
+                let repeat = self.walk_unbounded
+                    && (!self.acyclic[pid as usize]
+                        || !seg.index.is_acyclic(s)
+                        || targets.iter().any(|&t| self.revisits(Some(pid), t)));
+                if repeat {
+                    return Err(self.infinite());
+                }
+                if let Some((seen, dist)) = &self.shortest {
+                    if seen.contains(last) && new_len > dist[last.index()] {
+                        continue;
+                    }
+                }
+                if composite {
+                    self.arena.fill_chain(
+                        pid,
+                        self.source,
+                        parent_len,
+                        &mut seg.key_nodes,
+                        &mut seg.key,
+                    );
+                    seg.key.extend_from_slice(edges);
+                    if !seg.produced.insert(seg.key.as_slice().into()) {
+                        continue;
+                    }
+                }
+                self.lower_minimum(last, new_len);
+                self.budget.claim(1)?;
+                self.push_segment(seg, Some(pid), parent_len, s, repeat);
+            }
+        }
+        Ok(())
+    }
+
+    /// Lowers the Shortest minimum of `t` to `len` (no-op otherwise).
+    fn lower_minimum(&mut self, t: NodeId, len: usize) {
+        if let Some((seen, dist)) = &mut self.shortest {
+            if seen.insert(t) || len < dist[t.index()] {
+                dist[t.index()] = len;
+            }
+        }
+    }
+
+    /// Pushes segment `s` onto the chain `parent` (of `parent_len` edges) as
+    /// one arena step per edge, and its boundary step to `next`.
+    fn push_segment(
+        &mut self,
+        seg: &mut SegmentState,
+        parent: Option<u32>,
+        parent_len: usize,
+        s: usize,
+        repeat: bool,
+    ) {
+        let (targets, edges) = seg.index.segment(s);
+        let mut chain = parent;
+        for (i, (&t, &e)) in targets.iter().zip(edges).enumerate() {
+            let id = self.arena.push(chain, e, t);
+            seg.lens.push((parent_len + i + 1) as u32);
+            if self.walk_unbounded {
+                self.acyclic.push(!repeat);
+            }
+            chain = Some(id);
+        }
+        self.next.push(chain.expect("a pushed segment has an edge"));
     }
 }
 
@@ -691,7 +981,7 @@ mod tests {
             CsrGraph::with_label(&f.graph, "Likes"),
             CsrGraph::with_label(&f.graph, "Has_creator"),
         ];
-        let mut exp = ChainExpansion::new(
+        let mut exp = Expansion::chain(
             hops.into(),
             PathSemantics::Trail,
             RecursionConfig::default(),
@@ -717,7 +1007,7 @@ mod tests {
             CsrGraph::with_label(&f.graph, "Likes"),
             CsrGraph::with_label(&f.graph, "Has_creator"),
         ];
-        let mut exp = ChainExpansion::new(
+        let mut exp = Expansion::chain(
             hops.into(),
             PathSemantics::Trail,
             RecursionConfig::default(),

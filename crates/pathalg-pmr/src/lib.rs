@@ -6,18 +6,18 @@
 //! cyclic graphs under `WALK`/`TRAIL` the multiset is exponential in the
 //! length bound while a `π(*,*,k)`-sliced answer is tiny. Following the
 //! PathFinder line of work, this crate represents the multiset *implicitly*
-//! as a step arena over the expansion of `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` — one
-//! per-source, level-ordered search over the per-label CSRs a graph builds
-//! once ([`PropertyGraph::label_csr`]) — and enumerates paths from it **on
-//! demand, in the engine's canonical order**:
+//! as a step arena over one per-source, level-ordered search — the engine's
+//! only implementation of ϕ — and enumerates paths from it **on demand, in
+//! canonical order**:
 //!
-//! * [`Pmr::from_label_scan`] / [`Pmr::from_csr`] and
-//!   [`Pmr::from_label_chain`] / [`Pmr::from_shared_join`] — the
+//! * [`Pmr::from_shared_csr`] and [`Pmr::from_shared_join`] — the
 //!   `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))` form, a label scan being the one-hop chain:
-//!   lazy per-source, level-ordered expansion over label-restricted CSRs by
-//!   one kernel (the `join` module), byte-order-identical to the engine's
-//!   `phi_frontier` over the materialised base. The label constructors share
-//!   the graph's stored CSRs; nothing is built per kernel.
+//!   lazy expansion over label-restricted CSRs (the graph's stored ones,
+//!   [`pathalg_graph::graph::PropertyGraph::label_csr`], shared rather than
+//!   built per kernel); the base is never materialised.
+//! * [`Pmr::from_base`] — ϕ over any other base, which the caller has
+//!   evaluated: its admitted paths are indexed by first node and the same
+//!   kernel (the `join` module) appends them as whole segments.
 //! * [`Pmr::next_batch`] / [`Pmr::top_k`] / [`Pmr::enumerate_all`] — pull as
 //!   much as you need; `top_k(k)` obeys the law
 //!   `top_k(k) == enumerate().take(k)` while expanding only what those `k`
@@ -27,21 +27,24 @@
 //!   this loop collecting into a `PathSet`.
 //! * [`Pmr::sliced`] — evaluates a recognised `π(τA?(γψ(ϕ(…))))` pipeline
 //!   ([`pathalg_core::slice`]) with per-group limits pushed into the
-//!   enumeration and a node-level reachability analysis that stops each
-//!   source as soon as its contribution to every kept group is complete.
+//!   enumeration and, over a scan or chain, a node-level reachability
+//!   analysis that stops each source as soon as its contribution to every
+//!   kept group is complete.
 //!
 //! Paths are stored as parent-pointer arena steps — `O(1)` words per path
 //! instead of `O(len)` — and a discovered-but-skipped path is never
-//! materialised at all. A general regular expression has no kernel here: it
-//! is compiled to algebra and served by the engine's frontier expansion.
+//! materialised at all. [`canonical_order`] states the emission order as a
+//! sort key, so a test can put any reference evaluation in it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arena;
 mod join;
+mod segments;
 
-use crate::join::{ChainExpansion, ReachInfo};
+use crate::join::{Expansion, ReachInfo};
+use crate::segments::SegmentIndex;
 use pathalg_core::budget::CancelToken;
 use pathalg_core::error::AlgebraError;
 use pathalg_core::obs::WorkCounters;
@@ -51,25 +54,29 @@ use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
 use pathalg_core::slice::{PartitionKey, SliceCollector, SliceSpec, SliceState};
 use pathalg_graph::csr::CsrGraph;
-use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::{EdgeId, NodeId};
 use std::sync::Arc;
 
 /// A compact, lazily enumerable path-multiset representation (see the crate
-/// docs). It owns (or shares) its CSR snapshots, so it borrows no graph.
+/// docs). It owns (or shares) its CSR snapshots or its segment index, so it
+/// borrows no graph.
 ///
-/// Every pull yields paths in *canonical order*, the order of the engine's
-/// materialised frontier evaluation: sources in ascending node order, and
-/// within one source level by level (so path length is non-decreasing per
-/// source). [`Pmr::sliced`] and the engine's lazy pipeline rely on this to
-/// reproduce the materialised operators byte for byte while stopping early.
+/// Every pull yields paths in *canonical order*: sources in ascending node
+/// order, within one source level by level — a level being a count of base
+/// segments, so on a scan or chain path length is non-decreasing per source
+/// — and within a level each parent's extensions in turn, in segment order
+/// (the lexicographic hop-adjacency order of a chain, base order for a
+/// materialised base). [`canonical_order`] states this as a sort key for a
+/// scan or chain. [`Pmr::sliced`] and the engine's lazy pipeline rely on it
+/// to reproduce the materialised operators byte for byte while stopping
+/// early.
 /// Pulls are fallible: the bounds that abort a materialised evaluation
 /// ([`AlgebraError::RecursionLimitExceeded`],
 /// [`AlgebraError::ResultLimitExceeded`]) surface when the enumeration
 /// reaches them, and a consumer that stops before that region never sees
 /// the error.
 pub struct Pmr {
-    expansion: Box<ChainExpansion>,
+    expansion: Box<Expansion>,
     /// Per-node target mask of the endpoint-σ pushdown: when set, paths whose
     /// last node is unmarked are skipped at emission (never reconstructed)
     /// while the expansion still runs *through* them.
@@ -120,62 +127,45 @@ struct Emit {
 }
 
 impl Pmr {
-    /// PMR of `ϕ_semantics(σ_{label=ℓ}(Edges(G)))`: the one-hop chain over
-    /// `graph`'s stored CSR of the label, base never materialised.
-    pub fn from_label_scan(
-        graph: &PropertyGraph,
-        label: &str,
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr {
-        Self::from_csr(graph.label_csr(label).clone(), semantics, config)
-    }
-
-    /// PMR of `ϕ_semantics` over the edge set of an arbitrary CSR snapshot
-    /// (every edge as a length-1 base path).
-    pub fn from_csr(csr: CsrGraph, semantics: PathSemantics, config: RecursionConfig) -> Pmr {
-        Self::from_shared_join(Arc::new([csr]), semantics, config)
-    }
-
-    /// [`Pmr::from_csr`] for a caller holding its snapshot in an `Arc`. A
-    /// [`CsrGraph`] clone shares its columns, so neither form copies edges.
+    /// PMR of `ϕ_semantics` over the edge set of a shared CSR snapshot (every
+    /// edge as a length-1 base path) — a label scan is `graph.label_csr(ℓ)`.
+    /// The one-hop chain of [`Pmr::from_shared_join`]; a [`CsrGraph`] clone
+    /// shares its columns, so no edge is copied.
     pub fn from_shared_csr(
         csr: Arc<CsrGraph>,
         semantics: PathSemantics,
         config: RecursionConfig,
     ) -> Pmr {
-        Self::from_csr(Arc::unwrap_or_clone(csr), semantics, config)
+        Self::from_shared_join(Arc::new([Arc::unwrap_or_clone(csr)]), semantics, config)
     }
 
-    /// PMR of `ϕ_semantics(σℓ1(E) ⋈ … ⋈ σℓk(E))` — the lazy endpoint-keyed
-    /// join of the per-label scans (see the `join` module) over `graph`'s
-    /// stored label CSRs: neither join side, the join result, nor the
-    /// closure is ever materialised, and the emission order is
-    /// byte-identical to materialising the join and running the engine's
-    /// frontier expansion.
-    pub fn from_label_chain(
-        graph: &PropertyGraph,
-        labels: &[&str],
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr {
-        Self::from_shared_join(
-            labels.iter().map(|l| graph.label_csr(l).clone()).collect(),
-            semantics,
-            config,
-        )
-    }
-
-    /// PMR of `ϕ_semantics` over the concatenation of *shared* per-hop CSR
-    /// snapshots (every base path walks one edge of each hop in order): the
-    /// expansion walks the caller's `Arc`ed hop list instead of a copy of it.
+    /// PMR of `ϕ_semantics(σℓ1(E) ⋈ … ⋈ σℓk(E))` over *shared* per-hop CSR
+    /// snapshots (every base path walks one edge of each hop in order) —
+    /// the lazy endpoint-keyed join of the per-label scans (see the `join`
+    /// module): neither join side, the join result, nor the closure is ever
+    /// materialised, and the expansion walks the caller's `Arc`ed hop list
+    /// instead of a copy of it.
     pub fn from_shared_join(
         hops: Arc<[CsrGraph]>,
         semantics: PathSemantics,
         config: RecursionConfig,
     ) -> Pmr {
+        Self::with_expansion(Expansion::chain(hops, semantics, config))
+    }
+
+    /// PMR of `ϕ_semantics(base)` over a base the caller has materialised —
+    /// anything that is not a label scan or chain. The base paths the
+    /// semantics admits within the length bound are indexed by first node,
+    /// in base order, and the kernel appends them as whole segments, each
+    /// checked edge by edge like a chain hop.
+    pub fn from_base(base: &PathSet, semantics: PathSemantics, config: RecursionConfig) -> Pmr {
+        let index = SegmentIndex::build(base, semantics, &config);
+        Self::with_expansion(Expansion::segments(index, semantics, config))
+    }
+
+    fn with_expansion(expansion: Expansion) -> Pmr {
         Pmr {
-            expansion: Box::new(ChainExpansion::new(hops, semantics, config)),
+            expansion: Box::new(expansion),
             target_mask: None,
             counts: LocalCounts::default(),
             nodes: Vec::new(),
@@ -214,7 +204,12 @@ impl Pmr {
             let e = &mut self.expansion;
             let emit = e.next_id()?.map(|(step, source, len)| Emit {
                 source,
-                last: e.arena.target(step),
+                // An empty base path owns no step.
+                last: if len == 0 {
+                    source
+                } else {
+                    e.arena.target(step)
+                },
                 step,
                 len,
             });
@@ -331,14 +326,14 @@ impl Pmr {
         Ok(self.next_batch(k)?.into_iter().collect())
     }
 
-    /// Drains the whole enumeration into a materialised [`PathSet`] —
-    /// identical, in content and order, to the engine's materialised
-    /// frontier evaluation of the same operator.
+    /// Drains the whole enumeration into a materialised [`PathSet`], in
+    /// canonical order. The paths are collected first and indexed once their
+    /// count is known, so the set's index never rehashes while it grows.
     pub fn enumerate_all(&mut self) -> Result<PathSet, AlgebraError> {
-        let mut out = PathSet::new();
-        self.for_each_path(|nodes, edges| {
-            out.insert(owned_path(nodes, edges));
-        })?;
+        let mut paths = Vec::new();
+        self.for_each_path(|nodes, edges| paths.push(owned_path(nodes, edges)))?;
+        let mut out = PathSet::with_capacity(paths.len());
+        out.extend(paths);
         Ok(out)
     }
 
@@ -484,7 +479,9 @@ impl Pmr {
         if semantics == PathSemantics::Shortest {
             return Vec::new();
         }
-        let ReachInfo { open, min_closed } = self.expansion.reachability(source);
+        let Some(ReachInfo { open, min_closed }) = self.expansion.reachability(source) else {
+            return Vec::new();
+        };
         let mut keys: Vec<PartitionKey> = open
             .into_iter()
             .filter(|&t| self.target_admits(t))
@@ -496,6 +493,32 @@ impl Pmr {
         }
         keys
     }
+}
+
+/// The canonical order of a scan or chain closure (see [`Pmr`]) as a sort:
+/// `paths` — the closure of `ϕ(hops[0] ⋈ … ⋈ hops[k−1])` computed any way,
+/// e.g. by the reference fixpoint — reordered by the key `(First(p), |p|,
+/// ranks)`, where the rank of the `i`-th edge is its position in its tail
+/// node's adjacency within `hops[i mod k]`, the CSR it was drawn from. A
+/// path splits into hop edges in only one way, so the key is total, and it
+/// orders a closure exactly as a drain of the same hops emits it.
+pub fn canonical_order(paths: &PathSet, hops: &[CsrGraph]) -> PathSet {
+    let mut ordered: Vec<&Path> = paths.iter().collect();
+    ordered.sort_by_cached_key(|p| {
+        let ranks: Vec<usize> = p
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let (_, out) = hops[i % hops.len()].neighbor_slices(p.nodes()[i]);
+                out.iter()
+                    .position(|x| x == e)
+                    .expect("every edge of the closure is in its hop's CSR")
+            })
+            .collect();
+        (p.first(), p.len(), ranks)
+    });
+    ordered.into_iter().cloned().collect()
 }
 
 /// An owned [`Path`] over copies of a reconstruction buffer's sequences.
@@ -513,6 +536,17 @@ mod tests {
     use pathalg_core::ops::selection::selection;
     use pathalg_graph::fixtures::figure1::Figure1;
     use pathalg_graph::generator::structured::{chain_graph, complete_graph, cycle_graph};
+    use pathalg_graph::graph::PropertyGraph;
+
+    /// The kernel over `graph`'s stored CSR of `label`.
+    fn scan(
+        graph: &PropertyGraph,
+        label: &str,
+        semantics: PathSemantics,
+        cfg: RecursionConfig,
+    ) -> Pmr {
+        Pmr::from_shared_csr(Arc::new(graph.label_csr(label).clone()), semantics, cfg)
+    }
 
     fn knows_closure(f: &Figure1, semantics: PathSemantics) -> PathSet {
         let base = selection(
@@ -533,8 +567,7 @@ mod tests {
             PathSemantics::Shortest,
         ] {
             let expected = knows_closure(&f, semantics);
-            let mut pmr =
-                Pmr::from_label_scan(&f.graph, "Knows", semantics, RecursionConfig::default());
+            let mut pmr = scan(&f.graph, "Knows", semantics, RecursionConfig::default());
             let out = pmr.enumerate_all().unwrap();
             assert_eq!(out, expected, "{semantics:?}");
         }
@@ -544,10 +577,10 @@ mod tests {
     fn top_k_is_a_prefix_of_the_enumeration() {
         let f = Figure1::new();
         let cfg = RecursionConfig::default();
-        let mut full = Pmr::from_label_scan(&f.graph, "Knows", PathSemantics::Trail, cfg);
+        let mut full = scan(&f.graph, "Knows", PathSemantics::Trail, cfg);
         let all = full.enumerate_all().unwrap();
         for k in [0, 1, 3, 7, 100] {
-            let mut pmr = Pmr::from_label_scan(&f.graph, "Knows", PathSemantics::Trail, cfg);
+            let mut pmr = scan(&f.graph, "Knows", PathSemantics::Trail, cfg);
             let top = pmr.top_k(k).unwrap();
             let expected: Vec<_> = all.iter().take(k).cloned().collect();
             assert_eq!(top.as_slice(), expected.as_slice(), "k = {k}");
@@ -563,9 +596,17 @@ mod tests {
             max_length: Some(4),
             max_paths: None,
         };
-        let mut full = Pmr::from_csr(CsrGraph::with_label(&g, "a"), PathSemantics::Walk, cfg);
+        let mut full = Pmr::from_shared_csr(
+            Arc::new(CsrGraph::with_label(&g, "a")),
+            PathSemantics::Walk,
+            cfg,
+        );
         let total = full.enumerate_all().unwrap().len();
-        let mut lazy = Pmr::from_csr(CsrGraph::with_label(&g, "a"), PathSemantics::Walk, cfg);
+        let mut lazy = Pmr::from_shared_csr(
+            Arc::new(CsrGraph::with_label(&g, "a")),
+            PathSemantics::Walk,
+            cfg,
+        );
         lazy.top_k(5).unwrap();
         assert!(
             lazy.steps_generated() * 10 < total,
@@ -585,7 +626,11 @@ mod tests {
             max_length: Some(4),
             max_paths: None,
         };
-        let mut full = Pmr::from_csr(CsrGraph::with_label(&g, "a"), PathSemantics::Walk, cfg);
+        let mut full = Pmr::from_shared_csr(
+            Arc::new(CsrGraph::with_label(&g, "a")),
+            PathSemantics::Walk,
+            cfg,
+        );
         let materialised = full.enumerate_all().unwrap();
         let expected = projection(
             &ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
@@ -601,7 +646,11 @@ mod tests {
             max_partitions: None,
             ordered_by_length: true,
         };
-        let mut lazy = Pmr::from_csr(CsrGraph::with_label(&g, "a"), PathSemantics::Walk, cfg);
+        let mut lazy = Pmr::from_shared_csr(
+            Arc::new(CsrGraph::with_label(&g, "a")),
+            PathSemantics::Walk,
+            cfg,
+        );
         let out = lazy.sliced(&spec).unwrap();
         assert_eq!(out.as_slice(), expected.as_slice());
         assert!(
@@ -621,7 +670,8 @@ mod tests {
         let g = cycle_graph(5, "a");
         let cfg = RecursionConfig::default();
         for semantics in [PathSemantics::Trail, PathSemantics::Simple] {
-            let mut full = Pmr::from_csr(CsrGraph::with_label(&g, "a"), semantics, cfg);
+            let mut full =
+                Pmr::from_shared_csr(Arc::new(CsrGraph::with_label(&g, "a")), semantics, cfg);
             let materialised = full.enumerate_all().unwrap();
             let expected = projection(
                 &ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
@@ -633,7 +683,8 @@ mod tests {
                 max_partitions: None,
                 ordered_by_length: false,
             };
-            let mut lazy = Pmr::from_csr(CsrGraph::with_label(&g, "a"), semantics, cfg);
+            let mut lazy =
+                Pmr::from_shared_csr(Arc::new(CsrGraph::with_label(&g, "a")), semantics, cfg);
             let out = lazy.sliced(&spec).unwrap();
             assert_eq!(out.as_slice(), expected.as_slice(), "{semantics:?}");
             // 5×5 ordered pairs, all connected on a cycle.
@@ -650,7 +701,11 @@ mod tests {
             max_length: Some(3),
             max_paths: None,
         };
-        let mut full = Pmr::from_csr(CsrGraph::with_label(&g, "a"), PathSemantics::Walk, cfg);
+        let mut full = Pmr::from_shared_csr(
+            Arc::new(CsrGraph::with_label(&g, "a")),
+            PathSemantics::Walk,
+            cfg,
+        );
         let materialised = full.enumerate_all().unwrap();
         let expected = projection(
             &ProjectionSpec::new(Take::Count(2), Take::All, Take::Count(2)),
@@ -662,7 +717,11 @@ mod tests {
             max_partitions: Some(2),
             ordered_by_length: false,
         };
-        let mut lazy = Pmr::from_csr(CsrGraph::with_label(&g, "a"), PathSemantics::Walk, cfg);
+        let mut lazy = Pmr::from_shared_csr(
+            Arc::new(CsrGraph::with_label(&g, "a")),
+            PathSemantics::Walk,
+            cfg,
+        );
         let out = lazy.sliced(&spec).unwrap();
         assert_eq!(out.as_slice(), expected.as_slice());
         assert!(lazy.steps_generated() * 20 < full.steps_generated());
@@ -672,14 +731,22 @@ mod tests {
     fn walk_errors_mirror_the_materialised_evaluation() {
         let g = cycle_graph(3, "a");
         let cfg = RecursionConfig::unbounded();
-        let mut pmr = Pmr::from_csr(CsrGraph::with_label(&g, "a"), PathSemantics::Walk, cfg);
+        let mut pmr = Pmr::from_shared_csr(
+            Arc::new(CsrGraph::with_label(&g, "a")),
+            PathSemantics::Walk,
+            cfg,
+        );
         assert!(matches!(
             pmr.enumerate_all(),
             Err(AlgebraError::RecursionLimitExceeded { .. })
         ));
         // On a DAG the unbounded walk closure is finite and enumerable.
         let dag = chain_graph(6, "a");
-        let mut pmr = Pmr::from_csr(CsrGraph::with_label(&dag, "a"), PathSemantics::Walk, cfg);
+        let mut pmr = Pmr::from_shared_csr(
+            Arc::new(CsrGraph::with_label(&dag, "a")),
+            PathSemantics::Walk,
+            cfg,
+        );
         assert_eq!(pmr.enumerate_all().unwrap().len(), 15);
     }
 
@@ -690,7 +757,7 @@ mod tests {
             max_length: Some(10),
             max_paths: Some(4),
         };
-        let mut pmr = Pmr::from_label_scan(&f.graph, "Knows", PathSemantics::Walk, cfg);
+        let mut pmr = scan(&f.graph, "Knows", PathSemantics::Walk, cfg);
         assert_eq!(
             pmr.enumerate_all(),
             Err(AlgebraError::ResultLimitExceeded { limit: 4 })
@@ -700,7 +767,7 @@ mod tests {
     #[test]
     fn empty_label_yields_an_empty_enumeration() {
         let f = Figure1::new();
-        let mut pmr = Pmr::from_label_scan(
+        let mut pmr = scan(
             &f.graph,
             "NoSuchLabel",
             PathSemantics::Trail,

@@ -816,8 +816,8 @@ impl QueryService {
     /// plan, under the request's tightened bounds and the request's
     /// cancellation token (checked cooperatively at every
     /// enumeration level across all engine strategies). The answer is
-    /// rendered as it is produced — a root scan/chain ϕ straight from the
-    /// kernel's reconstruction buffers — into the outcome's body.
+    /// rendered as it is produced — a root ϕ straight from the kernel's
+    /// reconstruction buffers — into the outcome's body.
     fn execute(
         &self,
         cached: &CachedPlan,

@@ -12,6 +12,7 @@
 use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_graph::generator::snb::{snb_label_csr, SnbConfig};
 use pathalg_pmr::Pmr;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Graph sizes of the full sweep, in persons.
@@ -48,8 +49,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let build = built.elapsed();
         let (nodes, edges) = (csr.node_count(), csr.edge_count());
 
-        let mut pmr = Pmr::from_csr(
-            csr,
+        let mut pmr = Pmr::from_shared_csr(
+            Arc::new(csr),
             PathSemantics::Walk,
             RecursionConfig {
                 max_length: Some(2),

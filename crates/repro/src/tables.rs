@@ -274,10 +274,9 @@ pub fn table7() {
 
 /// The strategy decision table (DESIGN.md §9): for the SNB and K-graph
 /// fixtures, each query's executed plan, what ran it — a full kernel drain
-/// (`pmr-lazy`), a sliced pipeline on the same kernel
-/// (`lazy-sliced-pipeline`), or the frontier over a materialised base — and
-/// the closure estimate recorded next to it. Cross-linked from
-/// EXPERIMENTS.md.
+/// (`pmr-lazy`) or a sliced pipeline on the same kernel
+/// (`lazy-sliced-pipeline`) — and the closure estimate recorded next to it.
+/// Cross-linked from EXPERIMENTS.md.
 pub fn joins() {
     use pathalg_engine::runner::QueryRunner;
     use pathalg_graph::generator::snb::{snb_like_graph, SnbConfig};

@@ -11,6 +11,7 @@
 use pathalg::graph::generator::snb::{snb_like_graph, SnbConfig};
 use pathalg::graph::stats::GraphStats;
 use pathalg::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // A deterministic SNB-shaped graph: 100 people, 200 messages.
@@ -112,9 +113,8 @@ fn main() {
     //    first ten bounded friendship walks, pulled without ever
     //    materialising the (enormous) full closure.
     use pathalg::algebra::ops::recursive::RecursionConfig;
-    let mut walks = Pmr::from_label_scan(
-        &graph,
-        "Knows",
+    let mut walks = Pmr::from_shared_csr(
+        Arc::new(graph.label_csr("Knows").clone()),
         PathSemantics::Walk,
         RecursionConfig {
             max_length: Some(6),

@@ -27,6 +27,7 @@ use pathalg::pmr::Pmr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Counts every allocation and reallocation made by a thread that set
 /// `COUNTED` (frees are irrelevant here: freeing recycled scratch would
@@ -74,8 +75,8 @@ static COUNTER: CountingAlloc = CountingAlloc;
 const NODES: usize = 32;
 const MAX_LEN: usize = 16;
 
-fn cycle_csr() -> CsrGraph {
-    CsrGraph::with_label(&cycle_graph(NODES, "k"), "k")
+fn cycle_csr() -> Arc<CsrGraph> {
+    Arc::new(CsrGraph::with_label(&cycle_graph(NODES, "k"), "k"))
 }
 
 fn config() -> RecursionConfig {
@@ -102,7 +103,7 @@ fn steady_state_drain_performs_zero_allocations() {
     for semantics in [PathSemantics::Walk, PathSemantics::Shortest] {
         // Scout pass: learn the exact step count of this drain, so the
         // measured pass can pre-reserve the arena.
-        let mut scout = Pmr::from_csr(cycle_csr(), semantics, config());
+        let mut scout = Pmr::from_shared_csr(cycle_csr(), semantics, config());
         let total = scout.count_all().unwrap();
         let steps = scout.steps_generated();
         assert!(
@@ -110,7 +111,7 @@ fn steady_state_drain_performs_zero_allocations() {
             "workload must outlast warm-up"
         );
 
-        let mut pmr = Pmr::from_csr(cycle_csr(), semantics, config());
+        let mut pmr = Pmr::from_shared_csr(cycle_csr(), semantics, config());
         pmr.reserve_steps(steps);
         // Warm-up: drain the first source completely, filling the level
         // buffers, the pending queue, and (for Shortest) the visited bitmap
@@ -137,7 +138,7 @@ fn steady_state_visitor_drain_renders_without_allocating() {
     for semantics in [PathSemantics::Walk, PathSemantics::Shortest] {
         // Scout pass: the full rendering and the step count, so the measured
         // pass can pre-reserve both the arena and the output buffer.
-        let mut scout = Pmr::from_csr(cycle_csr(), semantics, config());
+        let mut scout = Pmr::from_shared_csr(cycle_csr(), semantics, config());
         let mut expected = Vec::new();
         let total = scout
             .for_each_path(|nodes, edges| {
@@ -147,7 +148,7 @@ fn steady_state_visitor_drain_renders_without_allocating() {
             .unwrap();
         let steps = scout.steps_generated();
 
-        let mut pmr = Pmr::from_csr(cycle_csr(), semantics, config());
+        let mut pmr = Pmr::from_shared_csr(cycle_csr(), semantics, config());
         pmr.reserve_steps(steps);
         // Warm-up through the reconstructing pull, so the reconstruction
         // buffers, too, hold the longest path (every source's is the same).

@@ -1,9 +1,11 @@
 //! Cross-validation of the independent evaluation strategies.
 //!
 //! Three stacks compute the same queries through completely different code
-//! paths — the algebraic evaluator (ϕ fixpoint), the physical algorithms of
-//! the engine (the frontier expansion and the scan/chain kernel), and the
-//! classical automaton-product baseline. They must agree on every graph.
+//! paths — the algebraic evaluator (ϕ fixpoint), the engine's kernel (over
+//! label CSRs or over a materialised base's segments), and the classical
+//! automaton-product baseline. They must agree on every graph. Where the
+//! kernel's emission order is checked too, the oracle is the fixpoint's set
+//! put in canonical order (`pathalg::pmr::canonical_order`).
 
 use pathalg::algebra::condition::Condition;
 use pathalg::algebra::eval::{EvalConfig, Evaluator};
@@ -12,7 +14,6 @@ use pathalg::algebra::ops::selection::selection;
 use pathalg::algebra::pathset::PathSet;
 use pathalg::engine::baseline::evaluate_query_with_automaton;
 use pathalg::engine::exec::ExecutionConfig;
-use pathalg::engine::physical::frontier::phi_frontier;
 use pathalg::engine::runner::{QueryRunner, RunnerConfig};
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::fixtures::figure1::Figure1;
@@ -20,10 +21,12 @@ use pathalg::graph::generator::random::{random_labeled_graph, RandomGraphConfig}
 use pathalg::graph::generator::snb::{snb_like_graph, SnbConfig};
 use pathalg::graph::generator::structured::{chain_graph, cycle_graph, grid_graph, ladder_graph};
 use pathalg::graph::graph::PropertyGraph;
+use pathalg::pmr::canonical_order;
 use pathalg::rpq::automaton_eval::AutomatonEvaluator;
 use pathalg::rpq::compile::compile_to_algebra;
 use pathalg::rpq::parse::parse_regex;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn test_graphs() -> Vec<(String, PropertyGraph)> {
     let mut graphs = vec![
@@ -69,47 +72,66 @@ fn knows_base(graph: &PropertyGraph) -> PathSet {
     )
 }
 
-/// The frontier engine (DESIGN.md §7) against the executable
-/// specification: on every test graph and restricted semantics, the
-/// canonical (sorted) rendering of `phi_frontier`'s output is byte-identical
-/// to `recursive`'s.
+/// The graph's stored label CSR of each hop of a chain.
+fn chain_hops(graph: &PropertyGraph, labels: &[&str]) -> Arc<[CsrGraph]> {
+    labels.iter().map(|l| graph.label_csr(l).clone()).collect()
+}
+
+/// The engine's ϕ — over a label scan, and over the bases it materialises
+/// and indexes as segments (a union, a join that is not a label chain, and
+/// a base with node paths) — against the executable specification: on every
+/// test graph and restricted semantics, the canonical (sorted) rendering of
+/// the engine's output is byte-identical to `recursive`'s.
 #[test]
-fn phi_frontier_agrees_with_seminaive_everywhere() {
+fn engine_phi_agrees_with_seminaive_everywhere() {
+    use pathalg::algebra::plan::scan;
+    use pathalg::algebra::PlanExpr;
+    use pathalg::engine::EngineEvaluator;
+
     let cfg = RecursionConfig::default();
+    let bases = [
+        scan("Knows"),
+        scan("Knows").union(scan("Likes")),
+        scan("Knows").join(scan("Knows").union(scan("Likes"))),
+        scan("Knows").union(PlanExpr::nodes()),
+    ];
     for (name, graph) in test_graphs() {
-        let base = knows_base(&graph);
-        for semantics in [
-            PathSemantics::Trail,
-            PathSemantics::Acyclic,
-            PathSemantics::Simple,
-            PathSemantics::Shortest,
-        ] {
-            let reference = recursive(semantics, &base, &cfg).unwrap();
-            let reference_canonical: Vec<String> =
-                reference.sorted().iter().map(|p| p.display_ids()).collect();
-            let frontier = phi_frontier(semantics, &base, &cfg).unwrap();
-            let frontier_canonical: Vec<String> =
-                frontier.sorted().iter().map(|p| p.display_ids()).collect();
-            assert_eq!(
-                frontier_canonical, reference_canonical,
-                "{name}: frontier differs from seminaive under {semantics:?}"
-            );
+        for base in &bases {
+            let base_paths = Evaluator::new(&graph).eval_paths(base).unwrap();
+            for semantics in [
+                PathSemantics::Trail,
+                PathSemantics::Acyclic,
+                PathSemantics::Simple,
+                PathSemantics::Shortest,
+            ] {
+                let reference = recursive(semantics, &base_paths, &cfg).unwrap();
+                let reference_canonical: Vec<String> =
+                    reference.sorted().iter().map(|p| p.display_ids()).collect();
+                let plan = base.clone().recursive(semantics);
+                let engine = EngineEvaluator::new(&graph, cfg, ExecutionConfig::default())
+                    .eval_paths(&plan)
+                    .unwrap();
+                let engine_canonical: Vec<String> =
+                    engine.sorted().iter().map(|p| p.display_ids()).collect();
+                assert_eq!(
+                    engine_canonical, reference_canonical,
+                    "{name}: {plan} differs from seminaive"
+                );
+            }
         }
     }
 }
 
-/// The lazy scan kernel and the PathSet-based frontier engine are the same
-/// algorithm over two base representations — the label CSR and the
-/// materialised `σℓ(Edges(G))`: identical output, in the same order, on
-/// every test graph, for the full drain and for the sliced evaluation
-/// (uncoupled, partition-limited and γ∅ specs) against slicing the
-/// frontier's output.
+/// The lazy scan kernel over the label CSR against the fixpoint over the
+/// materialised `σℓ(Edges(G))`, put in canonical order: identical output, in
+/// the same order, on every test graph, for the full drain and for the
+/// sliced evaluation (uncoupled, partition-limited and γ∅ specs) against
+/// slicing the ordered reference.
 #[test]
 fn csr_native_frontier_agrees_with_the_pathset_frontier() {
     use pathalg::algebra::ops::group_by::GroupKey;
     use pathalg::algebra::slice::{SliceCollector, SliceSpec};
     use pathalg::pmr::Pmr;
-    use std::sync::Arc;
 
     let specs = [
         // Uncoupled: ANY 1 per endpoint pair.
@@ -152,7 +174,10 @@ fn csr_native_frontier_agrees_with_the_pathset_frontier() {
             (PathSemantics::Shortest, RecursionConfig::default()),
             (PathSemantics::Walk, bounded),
         ] {
-            let via_paths = phi_frontier(semantics, &base, &cfg).unwrap();
+            let via_paths = canonical_order(
+                &recursive(semantics, &base, &cfg).unwrap(),
+                std::slice::from_ref(&*csr),
+            );
             let via_csr = Pmr::from_shared_csr(csr.clone(), semantics, cfg)
                 .enumerate_all()
                 .unwrap();
@@ -303,7 +328,8 @@ fn end_to_end_queries_agree_between_runner_and_baseline() {
 /// The lazy-pipeline contract of the PMR subsystem (DESIGN.md §8): on every
 /// test graph, a slicing γ/τ/π pipeline over a recursive label scan —
 /// evaluated lazily by the engine — produces byte-identical canonical output
-/// to the materialised evaluation (frontier + γ/τ/π operators).
+/// to the materialised evaluation (the fixpoint in canonical order, then the
+/// γ/τ/π operators).
 #[test]
 fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
     use pathalg::algebra::ops::group_by::{group_by, GroupKey};
@@ -360,9 +386,10 @@ fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
     ];
     for (name, graph) in test_graphs() {
         for (semantics, recursion, gkey, order, spec) in &cases {
-            // The materialised evaluation: frontier closure of σℓ(Edges) +
-            // γ/τ/π.
-            let closure = phi_frontier(*semantics, &knows_base(&graph), recursion).unwrap();
+            // The materialised evaluation: the ordered closure of
+            // σℓ(Edges), then γ/τ/π.
+            let closure =
+                reference_join_closure(&graph, &["Knows"], *semantics, recursion).unwrap();
             let grouped = group_by(*gkey, &closure);
             let ranked = match order {
                 Some(key) => order_by(*key, &grouped),
@@ -413,8 +440,9 @@ fn join_semantics_cases() -> Vec<(PathSemantics, RecursionConfig)> {
 }
 
 /// The materialised evaluation of `ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))`: hash-join the
-/// label scans, then run the engine's frontier expansion.
-fn materialized_join_closure(
+/// label scans, run the reference fixpoint, and put its answer in the
+/// kernel's canonical order.
+fn reference_join_closure(
     graph: &PropertyGraph,
     labels: &[&str],
     semantics: PathSemantics,
@@ -426,7 +454,8 @@ fn materialized_join_closure(
         .map(|l| selection(graph, &Condition::edge_label(1, *l), &PathSet::edges(graph)))
         .reduce(|a, b| join(&a, &b, None).unwrap())
         .expect("at least one label");
-    phi_frontier(semantics, &base, cfg)
+    recursive(semantics, &base, cfg)
+        .map(|paths| canonical_order(&paths, &chain_hops(graph, labels)))
 }
 
 #[test]
@@ -442,8 +471,8 @@ fn lazy_arena_join_matches_materialised_join_then_phi_byte_for_byte() {
     for (name, graph) in test_graphs() {
         for labels in &chains {
             for (semantics, cfg) in join_semantics_cases() {
-                let expected = materialized_join_closure(&graph, labels, semantics, &cfg);
-                let mut pmr = Pmr::from_label_chain(&graph, labels, semantics, cfg);
+                let expected = reference_join_closure(&graph, labels, semantics, &cfg);
+                let mut pmr = Pmr::from_shared_join(chain_hops(&graph, labels), semantics, cfg);
                 let out = pmr.enumerate_all();
                 match (expected, out) {
                     (Ok(e), Ok(o)) => assert_eq!(
@@ -483,7 +512,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random graphs: the lazy arena join is byte-order identical to
-    /// materialising the ⋈ and running the frontier engine, for all five
+    /// materialising the ⋈ and ordering the fixpoint's answer, for all five
     /// path semantics and several chain shapes (including same-label chains,
     /// which exercise cross-segment edge dedup under Trail).
     #[test]
@@ -498,8 +527,8 @@ proptest! {
             1 => vec!["a", "a"],
             _ => vec!["b", "a", "b"],
         };
-        let expected = materialized_join_closure(&g, &labels, semantics, &cfg);
-        let mut pmr = pathalg::pmr::Pmr::from_label_chain(&g, &labels, semantics, cfg);
+        let expected = reference_join_closure(&g, &labels, semantics, &cfg);
+        let mut pmr = pathalg::pmr::Pmr::from_shared_join(chain_hops(&g, &labels), semantics, cfg);
         let out = pmr.enumerate_all();
         match (expected, out) {
             (Ok(e), Ok(o)) => prop_assert_eq!(o.as_slice(), e.as_slice()),
@@ -534,7 +563,7 @@ proptest! {
         };
         let labels: Vec<&str> = if chained == 1 { vec!["a", "b"] } else { vec!["a"] };
         // An Err means an infinite unbounded-Walk fixpoint: nothing to slice.
-        if let Ok(closure) = materialized_join_closure(&g, &labels, semantics, &cfg) {
+        if let Ok(closure) = reference_join_closure(&g, &labels, semantics, &cfg) {
             let filtered = selection(&g, &condition, &closure);
             let expected = projection(
                 &ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
@@ -558,12 +587,12 @@ proptest! {
 fn lazy_arena_join_walk_errors_match_the_frontier_on_cyclic_composites() {
     use pathalg::pmr::Pmr;
     // The Likes∘Has_creator composite of Figure 1 is cyclic: unbounded Walk
-    // must abort exactly like the materialised frontier does.
+    // must abort exactly like the reference fixpoint does.
     let f = Figure1::new();
     let labels = ["Likes", "Has_creator"];
     let cfg = RecursionConfig::unbounded();
-    let expected = materialized_join_closure(&f.graph, &labels, PathSemantics::Walk, &cfg);
-    let mut pmr = Pmr::from_label_chain(&f.graph, &labels, PathSemantics::Walk, cfg);
+    let expected = reference_join_closure(&f.graph, &labels, PathSemantics::Walk, &cfg);
+    let mut pmr = Pmr::from_shared_join(chain_hops(&f.graph, &labels), PathSemantics::Walk, cfg);
     let out = pmr.enumerate_all();
     assert!(matches!(
         expected,
@@ -576,8 +605,12 @@ fn lazy_arena_join_walk_errors_match_the_frontier_on_cyclic_composites() {
     // On a DAG composite the unbounded walk closure is finite and identical.
     let dag = chain_graph(6, "Knows");
     let expected =
-        materialized_join_closure(&dag, &["Knows", "Knows"], PathSemantics::Walk, &cfg).unwrap();
-    let mut pmr = Pmr::from_label_chain(&dag, &["Knows", "Knows"], PathSemantics::Walk, cfg);
+        reference_join_closure(&dag, &["Knows", "Knows"], PathSemantics::Walk, &cfg).unwrap();
+    let mut pmr = Pmr::from_shared_join(
+        chain_hops(&dag, &["Knows", "Knows"]),
+        PathSemantics::Walk,
+        cfg,
+    );
     assert_eq!(pmr.enumerate_all().unwrap().as_slice(), expected.as_slice());
 }
 
@@ -628,7 +661,7 @@ fn sigma_pushdown_lazy_equals_filter_after_materialise() {
             ] {
                 // Filter-after-materialise: full closure, then σ, γ, π.
                 let closure =
-                    materialized_join_closure(&graph, labels, semantics, &recursion).unwrap();
+                    reference_join_closure(&graph, labels, semantics, &recursion).unwrap();
                 let filtered = selection(&graph, condition, &closure);
                 let expected = projection(
                     &ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
@@ -668,7 +701,7 @@ fn sliced_pipelines_over_join_chains_match_materialised_evaluation() {
     let scan = |label: &str| pathalg::algebra::plan::scan(label);
     for (name, graph) in test_graphs() {
         for (semantics, recursion) in join_semantics_cases() {
-            let closure = match materialized_join_closure(
+            let closure = match reference_join_closure(
                 &graph,
                 &["Likes", "Has_creator"],
                 semantics,
@@ -709,7 +742,6 @@ fn serial_sharp_stop_matches_materialise_then_slice_on_snb_workload() {
     use pathalg::algebra::ops::group_by::GroupKey;
     use pathalg::algebra::slice::{SliceCollector, SliceSpec};
     use pathalg::pmr::Pmr;
-    use std::sync::Arc;
 
     let graph = snb_like_graph(&SnbConfig {
         persons: 16,
@@ -790,7 +822,7 @@ fn engine_work_counters_match_the_kernel_on_lazy_chains() {
                     "{name}: scan drain reported no kernel work for {plan}: {work}"
                 );
             }
-            let mut kernel = Pmr::from_label_chain(&graph, labels, semantics, cfg);
+            let mut kernel = Pmr::from_shared_join(chain_hops(&graph, labels), semantics, cfg);
             kernel.enumerate_all().unwrap();
             assert_eq!(
                 work.deterministic_line(),
@@ -850,4 +882,109 @@ fn evaluation_config_bounds_are_respected_end_to_end() {
         .eval_paths(&plan)
         .unwrap();
     assert!(out.iter().all(|p| p.len() <= 2));
+}
+
+/// A splitmix64 step: every generated regex case is a pure function of the
+/// seed proptest draws.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A random label regex over `:a`, `:b`, `:c` and `:_`, at most `depth`
+/// operators deep, built from `|`, `/`, `?`, `*` and `{m,n}`.
+fn random_regex(state: &mut u64, depth: u32) -> pathalg::rpq::regex::LabelRegex {
+    use pathalg::rpq::regex::LabelRegex;
+    let pick = splitmix(state) % if depth == 0 { 4 } else { 10 };
+    let sub = |state: &mut u64| random_regex(state, depth - 1);
+    match pick {
+        0..=2 => LabelRegex::label(["a", "b", "c"][pick as usize]),
+        3 => LabelRegex::AnyLabel,
+        4 | 5 => sub(state).or(sub(state)),
+        6 => sub(state).then(sub(state)),
+        7 => sub(state).optional(),
+        8 => sub(state).star(),
+        _ => {
+            let min = (splitmix(state) % 2) as usize;
+            let max = (min + (splitmix(state) % 2) as usize).max(1);
+            sub(state).repeat(min, Some(max))
+        }
+    }
+}
+
+/// One generated case of the regex differential: a random graph of 3–7
+/// nodes over the labels `a`/`b`/`c`, a regex under `+` — one of the four
+/// shapes that reach a non-chain base by name, or a random one — and the
+/// semantics and bounds to evaluate it under: `max_length` ∈ {2, 3, 4},
+/// or none except for Walk, and a small `max_paths`.
+fn regex_case(
+    seed: u64,
+) -> (
+    PropertyGraph,
+    pathalg::rpq::regex::LabelRegex,
+    PathSemantics,
+    RecursionConfig,
+) {
+    let mut state = seed;
+    let nodes = 3 + (splitmix(&mut state) % 5) as usize;
+    let graph = random_labeled_graph(&RandomGraphConfig {
+        nodes,
+        edges: (splitmix(&mut state) % (2 * nodes as u64 + 1)) as usize,
+        edge_labels: vec!["a".into(), "b".into(), "c".into()],
+        node_labels: vec!["N".into()],
+        seed: splitmix(&mut state),
+    });
+    let named = ["(:a|:b/:c)+", "(:a?)+", "(:a/:b*)+", "(:a{1,2})+"];
+    let regex = match (splitmix(&mut state) % 8) as usize {
+        i if i < named.len() => parse_regex(named[i]).unwrap(),
+        _ => random_regex(&mut state, 3).plus(),
+    };
+    let semantics = [
+        PathSemantics::Walk,
+        PathSemantics::Trail,
+        PathSemantics::Acyclic,
+        PathSemantics::Simple,
+        PathSemantics::Shortest,
+    ][(splitmix(&mut state) % 5) as usize];
+    let bounds: &[Option<usize>] = if semantics == PathSemantics::Walk {
+        &[Some(2), Some(3), Some(4)]
+    } else {
+        &[Some(2), Some(3), Some(4), None]
+    };
+    let recursion = RecursionConfig {
+        max_length: bounds[(splitmix(&mut state) % bounds.len() as u64) as usize],
+        max_paths: Some(64),
+    };
+    (graph, regex, semantics, recursion)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Generated regexes under `+`, whose bases are unions, nested ϕs and
+    /// node paths rather than label chains: the engine's kernel answers what
+    /// the reference evaluator does, as a set, and fails with the same kind
+    /// of error when either fails.
+    #[test]
+    fn generated_regex_closures_equal_the_reference(seed in 0u64..u64::MAX) {
+        use pathalg::engine::EngineEvaluator;
+
+        let (graph, regex, semantics, recursion) = regex_case(seed);
+        let plan = compile_to_algebra(&regex, semantics);
+        let reference = Evaluator::with_config(&graph, EvalConfig { recursion }).eval_paths(&plan);
+        let engine = EngineEvaluator::new(&graph, recursion, ExecutionConfig::default())
+            .eval_paths(&plan);
+        match (engine, reference) {
+            (Ok(out), Ok(expected)) => prop_assert_eq!(out, expected, "{} {:?}", regex, semantics),
+            (Err(a), Err(b)) => prop_assert_eq!(
+                std::mem::discriminant(&a),
+                std::mem::discriminant(&b),
+                "{} {:?}: {:?} vs {:?}", regex, semantics, a, b
+            ),
+            (a, b) => prop_assert!(false, "{} {:?} {:?}: {:?} vs {:?}", regex, semantics, recursion, a, b),
+        }
+    }
 }
