@@ -17,11 +17,19 @@
 //! * every other base is evaluated first, and the kernel walks its paths
 //!   as segments indexed by first node ([`Pmr::from_base`]).
 //!
-//! A sliceable `π(τ?(γ(σ?(ϕ(…)))))` pipeline over a scan/chain base runs the
-//! same kernel with the limits pushed into the enumeration
-//! (`crate::cost::choose_pipeline_strategy`). The collected [`EvalStats`]
-//! charge the skipped operators exactly as the reference evaluator would, so
-//! `EXPLAIN ANALYZE` output stays comparable between the two interpreters.
+//! A σ over a ϕ whose condition splits into first- and last-node parts
+//! ([`Condition::endpoint_split`]) is not evaluated over the drained closure:
+//! the drain takes it as node masks (unbounded Walk excepted), and a scan or
+//! chain whose target side marks fewer nodes than its source side is searched
+//! backwards from the targets over the graph's reverse label CSRs
+//! ([`PropertyGraph::reverse_label_csr`]), its answer then sorted into the
+//! forward canonical order. A sliceable `π(τ?(γ(σ?(ϕ(…)))))` pipeline over a
+//! scan/chain base runs the same kernel with the limits pushed into the
+//! enumeration as well (`crate::cost::choose_pipeline_strategy`). The
+//! collected [`EvalStats`] charge the skipped operators exactly as the
+//! reference evaluator would, except that a pushed σ's ϕ and a sliced
+//! pipeline are charged the work they performed, so `EXPLAIN ANALYZE` output
+//! stays comparable between the two interpreters.
 //!
 //! Evaluation is serial per query: one thread runs every operator of a plan,
 //! and a service runs queries concurrently, one per connection. Results are
@@ -50,7 +58,7 @@ use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::{EdgeId, NodeId};
 use pathalg_graph::stats::GraphStats;
-use pathalg_pmr::{EndpointFilter, Pmr};
+use pathalg_pmr::{canonical_ranks, EndpointFilter, Pmr};
 use std::sync::Arc;
 
 /// One recorded strategy decision: which physical implementation a ϕ node or
@@ -202,10 +210,13 @@ impl<'g> EngineEvaluator<'g> {
         let out = match expr {
             PlanExpr::Nodes => EvalOutput::Paths(PathSet::nodes(self.graph)),
             PlanExpr::Edges => EvalOutput::Paths(PathSet::edges(self.graph)),
-            PlanExpr::Selection { condition, input } => {
-                let input = self.eval_paths_internal(input, "selection")?;
-                EvalOutput::Paths(selection(self.graph, condition, &input))
-            }
+            PlanExpr::Selection { condition, input } => match self.kernel_drain(expr) {
+                Some(drain) => EvalOutput::Paths(self.collect_drain(drain)?),
+                None => {
+                    let input = self.eval_paths_internal(input, "selection")?;
+                    EvalOutput::Paths(selection(self.graph, condition, &input))
+                }
+            },
             PlanExpr::Join { left, right } => {
                 self.stats.join_calls += 1;
                 let l = self.eval_paths_internal(left, "join")?;
@@ -218,8 +229,11 @@ impl<'g> EngineEvaluator<'g> {
                 EvalOutput::Paths(union(&l, &r))
             }
             PlanExpr::Recursive { semantics, input } => {
-                self.stats.recursive_calls += 1;
-                EvalOutput::Paths(self.drain_kernel(input, *semantics, Pmr::enumerate_all)?)
+                EvalOutput::Paths(self.collect_drain(KernelDrain {
+                    semantics: *semantics,
+                    base: input,
+                    split: None,
+                })?)
             }
             PlanExpr::GroupBy { key, input } => {
                 let input = self.eval_paths_internal(input, "group-by")?;
@@ -273,18 +287,15 @@ impl<'g> EngineEvaluator<'g> {
             .base
             .label_scan_chain()
             .expect("lazy_eligible checked the base is a scan chain");
-        let (source_mask, target_mask) = match plan.filter {
-            Some(condition) => {
-                let (first, last) = condition
+        let filter = match plan.filter {
+            Some(condition) => self.endpoint_filter(
+                condition
                     .endpoint_split()
-                    .expect("lazy_eligible checked the filter splits");
-                (
-                    first.map(|c| self.node_mask(&c)),
-                    last.map(|c| self.node_mask(&c)),
-                )
-            }
-            None => (None, None),
+                    .expect("lazy_eligible checked the filter splits"),
+            ),
+            None => EndpointFilter::default(),
         };
+        let marked = self.marked_counts(&filter);
         self.record_decision(
             format!(
                 "sliced pipeline over ϕ{}{}{}",
@@ -301,14 +312,11 @@ impl<'g> EngineEvaluator<'g> {
                 }
             ),
             LAZY_SLICED_PIPELINE,
-            estimate,
+            estimate.map(|e| masked_estimate(e, marked, self.graph.node_count())),
         );
         let mut pmr = self.kernel(
             Pmr::from_shared_join(self.chain_hops(&chain), plan.semantics, self.recursion),
-            EndpointFilter {
-                sources: source_mask,
-                targets: target_mask,
-            },
+            filter,
         );
         let out = pmr.sliced(&plan.spec)?;
         self.work.merge(&pmr.work_counters());
@@ -331,37 +339,129 @@ impl<'g> EngineEvaluator<'g> {
         Ok(Some(out))
     }
 
-    /// Runs `ϕ_semantics(base)` on the kernel — the one place a ϕ runs.
-    /// A base of the shape `σℓ1(E) ⋈ … ⋈ σℓk(E)` is never evaluated: the
-    /// kernel walks the graph's label CSRs, and the bypassed Edges/σ/⋈
-    /// operators are charged as the reference evaluator would, the joins
-    /// with the slice of their output the expansion actually generated. Any
-    /// other base is evaluated first and handed to the kernel as a segment
-    /// index ([`Pmr::from_base`]).
+    /// Recognises a node that runs as one kernel drain: a ϕ, or `σc(ϕ(base))`
+    /// whose σ the drain takes as endpoint masks — `c` splits into first- and
+    /// last-node parts ([`Condition::endpoint_split`]), whatever the base.
+    /// Unbounded Walk keeps its σ above the drain, as in
+    /// [`pathalg_core::slice::SlicePlan::lazy_eligible`]: the kernel proves
+    /// that answer infinite by expanding every source, and a source mask
+    /// could hide the cycle. Any other σ is evaluated over the drained ϕ.
+    fn kernel_drain<'p>(&self, expr: &'p PlanExpr) -> Option<KernelDrain<'p>> {
+        let (semantics, base, split) = match expr {
+            PlanExpr::Recursive { semantics, input } => (*semantics, input, None),
+            PlanExpr::Selection { condition, input } => {
+                let PlanExpr::Recursive { semantics, input } = &**input else {
+                    return None;
+                };
+                if *semantics == PathSemantics::Walk && self.recursion.max_length.is_none() {
+                    return None;
+                }
+                (*semantics, input, Some(condition.endpoint_split()?))
+            }
+            _ => return None,
+        };
+        Some(KernelDrain {
+            semantics,
+            base,
+            split,
+        })
+    }
+
+    /// [`EngineEvaluator::drain_kernel`] collected into a `PathSet`, in
+    /// canonical order.
+    fn collect_drain(&mut self, drain: KernelDrain) -> Result<PathSet, AlgebraError> {
+        let mut paths = Vec::new();
+        self.drain_kernel(drain, |nodes, edges| {
+            paths.push(
+                Path::from_sequence(nodes.to_vec(), edges.to_vec(), None)
+                    .expect("kernel drains emit well-formed paths"),
+            )
+        })?;
+        let mut out = PathSet::with_capacity(paths.len());
+        out.extend(paths);
+        Ok(out)
+    }
+
+    /// Runs `ϕ_semantics(base)` on the kernel — the one place a ϕ runs —
+    /// with a pushed endpoint σ's masks installed. A base of the shape
+    /// `σℓ1(E) ⋈ … ⋈ σℓk(E)` is never evaluated: the kernel walks the
+    /// graph's label CSRs, and the bypassed Edges/σ/⋈ operators are charged
+    /// as the reference evaluator would, the joins with the slice of their
+    /// output the expansion actually generated. Any other base is evaluated
+    /// first and handed to the kernel as a segment index
+    /// ([`Pmr::from_base`]).
     ///
-    /// `drain` pulls the kernel: [`Pmr::enumerate_all`] to materialise, or a
-    /// [`Pmr::for_each_path`] visitor to stream.
-    fn drain_kernel<T>(
+    /// A scan or chain whose target mask marks fewer nodes than its source
+    /// mask (an absent mask marks every node) is searched backwards from
+    /// the targets: over the hops' reverse CSRs in reverse order, with the
+    /// masks swapped. Walk, Trail, Acyclic and Simple are closed under
+    /// reversal, Shortest keeps the shortest paths per endpoint pair, and a
+    /// chain's paths reverse into the reversed chain's, so the reversed
+    /// drain finds exactly the forward drain's paths; [`drain_reversed`]
+    /// puts them back in the forward canonical order.
+    ///
+    /// `visit` sees every path. The [`EvalStats`] of every operator beneath
+    /// the drain's root are charged here; the caller charges the root
+    /// itself, as `eval` does for every node. Under a pushed σ the ϕ is
+    /// charged with the arena steps the drain generated, as a sliced
+    /// pipeline charges its ϕ, and the σ's output is the drain's. Returns
+    /// the paths visited.
+    fn drain_kernel(
         &mut self,
-        base: &PlanExpr,
-        semantics: PathSemantics,
-        drain: impl FnOnce(&mut Pmr) -> Result<T, AlgebraError>,
-    ) -> Result<T, AlgebraError> {
+        drain: KernelDrain,
+        mut visit: impl FnMut(&[NodeId], &[EdgeId]),
+    ) -> Result<usize, AlgebraError> {
+        let KernelDrain {
+            semantics,
+            base,
+            split,
+        } = drain;
+        self.stats.recursive_calls += 1;
+        let pushed = split.is_some();
+        let filter = split.map(|split| self.endpoint_filter(split));
+        let marked = filter.as_ref().map(|f| self.marked_counts(f));
         let labels = base.label_scan_chain();
+        let reversed = labels.is_some() && marked.is_some_and(|(s, t)| t < s);
+        let pushdown = match marked {
+            Some((sources, targets)) => format!(
+                ", endpoint-σ pushed (sources {sources}, targets {targets}){}",
+                if reversed { ", reversed" } else { "" }
+            ),
+            None => String::new(),
+        };
+        let nodes = self.graph.node_count();
+        let scale = |estimate| match marked {
+            Some(marked) => masked_estimate(estimate, marked, nodes),
+            None => estimate,
+        };
         let pmr = match &labels {
             Some(labels) => {
-                let estimate = self
-                    .graph_stats
-                    .map(|stats| estimate_closure(stats, labels, semantics, &self.recursion));
+                let estimate = self.graph_stats.map(|stats| {
+                    scale(estimate_closure(stats, labels, semantics, &self.recursion))
+                });
                 self.record_decision(
                     match &labels[..] {
-                        [label] => format!("ϕ{} over label scan :{label}", semantics.keyword()),
-                        _ => format!("ϕ{} over join chain {labels:?}", semantics.keyword()),
+                        [label] => format!(
+                            "ϕ{} over label scan :{label}{pushdown}",
+                            semantics.keyword()
+                        ),
+                        _ => format!(
+                            "ϕ{} over join chain {labels:?}{pushdown}",
+                            semantics.keyword()
+                        ),
                     },
                     PMR_LAZY,
                     estimate,
                 );
-                let hops = self.chain_hops(labels);
+                let hops: Arc<[CsrGraph]> = if reversed {
+                    labels
+                        .iter()
+                        .rev()
+                        .map(|l| self.graph.reverse_label_csr(l).clone())
+                        .collect()
+                } else {
+                    self.chain_hops(labels)
+                };
                 for csr in hops.iter() {
                     self.charge_skipped(self.graph.edge_count()); // Edges(G)
                     self.charge_skipped(csr.edge_count()); // σ label
@@ -371,11 +471,11 @@ impl<'g> EngineEvaluator<'g> {
             None => {
                 let estimate = self
                     .graph_stats
-                    .map(|stats| estimate_phi(stats, semantics, base, &self.recursion));
+                    .map(|stats| scale(estimate_phi(stats, semantics, base, &self.recursion)));
                 let base = self.eval_paths_internal(base, "recursive")?;
                 self.record_decision(
                     format!(
-                        "ϕ{} over materialised base ({} paths)",
+                        "ϕ{} over materialised base ({} paths){pushdown}",
                         semantics.keyword(),
                         base.len()
                     ),
@@ -385,8 +485,24 @@ impl<'g> EngineEvaluator<'g> {
                 Pmr::from_base(&base, semantics, self.recursion)
             }
         };
-        let mut pmr = self.kernel(pmr, EndpointFilter::default());
-        let out = drain(&mut pmr)?;
+        let filter = filter.unwrap_or_default();
+        let mut pmr = self.kernel(
+            pmr,
+            if reversed {
+                EndpointFilter {
+                    sources: filter.targets,
+                    targets: filter.sources,
+                }
+            } else {
+                filter
+            },
+        );
+        let n = match &labels {
+            Some(labels) if reversed => {
+                drain_reversed(&mut pmr, &self.chain_hops(labels), &mut visit)?
+            }
+            _ => pmr.for_each_path(&mut visit)?,
+        };
         let work = pmr.work_counters();
         self.work.merge(&work);
         if let Some(labels) = labels {
@@ -395,7 +511,30 @@ impl<'g> EngineEvaluator<'g> {
                 self.charge_skipped(work.base_segments as usize);
             }
         }
-        Ok(out)
+        if pushed {
+            self.charge_skipped(work.arena_steps as usize); // ϕ under the σ
+        }
+        Ok(n)
+    }
+
+    /// The node masks of a split endpoint σ (see
+    /// [`EngineEvaluator::node_mask`]).
+    fn endpoint_filter(&self, (first, last): EndpointSplit) -> EndpointFilter {
+        EndpointFilter {
+            sources: first.map(|c| self.node_mask(&c)),
+            targets: last.map(|c| self.node_mask(&c)),
+        }
+    }
+
+    /// The nodes each side of `filter` marks, `(sources, targets)`; an
+    /// absent mask marks every node.
+    fn marked_counts(&self, filter: &EndpointFilter) -> (usize, usize) {
+        let marked = |mask: &Option<Vec<bool>>| {
+            mask.as_ref().map_or(self.graph.node_count(), |m| {
+                m.iter().filter(|&&b| b).count()
+            })
+        };
+        (marked(&filter.sources), marked(&filter.targets))
     }
 
     /// The graph's label CSR of each hop of a scan chain (a label scan is the
@@ -473,14 +612,15 @@ impl<'g> EngineEvaluator<'g> {
 
     /// [`EngineEvaluator::eval_paths`] into a visitor: `visit(nodes, edges)`
     /// sees every result path, in result order, as its node and edge
-    /// sequences. A ϕ at the root — bare, or under the ALL selector's
-    /// `π(*,*,*)(γ∅(…))`, which keeps its one group whole and in order —
-    /// streams its kernel drain straight into the visitor
-    /// ([`Pmr::for_each_path`]): no result `Path` and no result `PathSet` is
-    /// built (a materialised base still is). Every other root is evaluated
-    /// as usual and its `PathSet` walked. Paths,
-    /// order, statistics, work counters and decisions are those of
-    /// `eval_paths`. Returns the paths visited.
+    /// sequences. A kernel drain at the root — a ϕ or a σ the drain takes as
+    /// endpoint masks, bare or under the ALL selector's `π(*,*,*)(γ∅(…))`,
+    /// which keeps its one group whole and in order — streams straight into
+    /// the visitor ([`Pmr::for_each_path`]): no result `Path` and no result
+    /// `PathSet` is built (a materialised base still is, and a drain
+    /// searched backwards collects its answer to sort it). Every other root
+    /// is evaluated as usual and its `PathSet` walked. Paths, order,
+    /// statistics, work counters and decisions are those of `eval_paths`.
+    /// Returns the paths visited.
     pub fn for_each_path(
         &mut self,
         expr: &PlanExpr,
@@ -498,13 +638,12 @@ impl<'g> EngineEvaluator<'g> {
             }
             _ => (expr, 0),
         };
-        if let PlanExpr::Recursive { semantics, input } = root {
-            // `eval`'s bookkeeping for the wrappers and the ϕ arm, around a
-            // streamed drain.
+        if let Some(drain) = self.kernel_drain(root) {
+            // `eval`'s bookkeeping for the wrappers and the drain's root,
+            // around a streamed drain.
             self.stats.operators_evaluated += 1 + wrappers;
             self.check_cancel()?;
-            self.stats.recursive_calls += 1;
-            let n = self.drain_kernel(input, *semantics, |pmr| pmr.for_each_path(&mut visit))?;
+            let n = self.drain_kernel(drain, &mut visit)?;
             for _ in 0..=wrappers {
                 self.charge_output(n);
             }
@@ -554,6 +693,68 @@ impl<'g> EngineEvaluator<'g> {
             }),
         }
     }
+}
+
+/// The first-node and last-node parts of an endpoint σ
+/// ([`Condition::endpoint_split`]); an absent part constrains nothing.
+type EndpointSplit = (Option<Condition>, Option<Condition>);
+
+/// A plan node that runs as one kernel drain: `ϕ_semantics(base)`, or
+/// `σc(ϕ_semantics(base))` whose σ the drain takes as endpoint masks.
+struct KernelDrain<'p> {
+    semantics: PathSemantics,
+    base: &'p PlanExpr,
+    /// The pushed σ's parts; `None` for a bare ϕ.
+    split: Option<EndpointSplit>,
+}
+
+/// `estimate` narrowed to the paths endpoint masks admit: its closure scaled
+/// by each side's marked share of the graph's `nodes`, the masks marking
+/// `(sources, targets)` nodes.
+fn masked_estimate(
+    mut estimate: ClosureEstimate,
+    (sources, targets): (usize, usize),
+    nodes: usize,
+) -> ClosureEstimate {
+    let nodes = nodes.max(1) as f64;
+    estimate.paths *= (sources as f64 / nodes) * (targets as f64 / nodes);
+    estimate
+}
+
+/// Drains a kernel that searches a scan or chain closure backwards — over
+/// the reverse CSRs of `forward`'s hops in reverse order, masks swapped —
+/// into `visit`, in the order the forward drain emits the same paths: each
+/// path is turned around and the answer sorted by the canonical key
+/// `(First(p), |p|, ranks)` over the `forward` hops
+/// ([`pathalg_pmr::canonical_ranks`]). The paths sit in flat columns; the
+/// sort orders one packed `(First, |p|)` word per path and compares ranks
+/// only within runs of equal words. Returns the paths visited.
+fn drain_reversed(
+    pmr: &mut Pmr,
+    forward: &[CsrGraph],
+    mut visit: impl FnMut(&[NodeId], &[EdgeId]),
+) -> Result<usize, AlgebraError> {
+    let (mut nodes, mut edges, mut ranks) = (Vec::new(), Vec::new(), Vec::new());
+    // Per path: its sort word, and where its nodes and its edges (and their
+    // ranks) start.
+    let mut paths: Vec<(u64, usize, usize)> = Vec::new();
+    pmr.for_each_path(|n, e| {
+        let (at, from) = (nodes.len(), edges.len());
+        nodes.extend(n.iter().rev());
+        edges.extend(e.iter().rev());
+        ranks.extend(canonical_ranks(&nodes[at..], &edges[from..], forward));
+        paths.push(((u64::from(nodes[at].0) << 32) | e.len() as u64, at, from));
+    })?;
+    let len = |word: u64| (word & u64::from(u32::MAX)) as usize;
+    paths.sort_unstable_by_key(|&(word, ..)| word);
+    for run in paths.chunk_by_mut(|a, b| a.0 == b.0) {
+        let n = len(run[0].0);
+        run.sort_unstable_by(|a, b| ranks[a.2..a.2 + n].cmp(&ranks[b.2..b.2 + n]));
+    }
+    for &(word, at, from) in &paths {
+        visit(&nodes[at..=at + len(word)], &edges[from..from + len(word)]);
+    }
+    Ok(paths.len())
 }
 
 /// The conjuncts of `condition`: its `∧` tree flattened, left to right.
@@ -642,6 +843,23 @@ mod tests {
                 .recursive(PathSemantics::Trail)
                 .group_by(GroupKey::Source)
                 .project(ProjectionSpec::all()),
+            // The ALL selector over an endpoint σ: source-anchored, streamed
+            // forward; target-anchored, searched backwards and sorted.
+            knows()
+                .recursive(PathSemantics::Trail)
+                .select(Condition::first_property("name", "Moe"))
+                .group_by(GroupKey::Empty)
+                .project(ProjectionSpec::all()),
+            knows()
+                .recursive(PathSemantics::Walk)
+                .select(Condition::last_property("name", "Lisa"))
+                .group_by(GroupKey::Empty)
+                .project(ProjectionSpec::all()),
+            // A σ root that does not split: drained, then filtered.
+            knows().recursive(PathSemantics::Trail).select(
+                Condition::first_property("name", "Moe")
+                    .or(Condition::last_property("name", "Apu")),
+            ),
         ]);
         let cfg = RecursionConfig {
             max_length: Some(4),
@@ -735,6 +953,152 @@ mod tests {
             matches!(err, AlgebraError::RecursionLimitExceeded { .. }),
             "{err}"
         );
+    }
+
+    /// The kernel proves an unbounded Walk infinite by expanding every
+    /// source, so its σ is never pushed: anchored on Apu, who knows nobody
+    /// and so reaches no cycle, the answer still errors as the reference's
+    /// does. Bounded, the same σ is pushed.
+    #[test]
+    fn a_source_anchored_unbounded_walk_still_errors() {
+        let f = Figure1::new();
+        let plan = PlanExpr::edges()
+            .select(Condition::edge_label(1, "Knows"))
+            .recursive(PathSemantics::Walk)
+            .select(Condition::first_property("name", "Apu"));
+        let err = Evaluator::with_config(
+            &f.graph,
+            pathalg_core::EvalConfig {
+                recursion: RecursionConfig::unbounded(),
+            },
+        )
+        .eval_paths(&plan)
+        .unwrap_err();
+        assert!(matches!(err, AlgebraError::RecursionLimitExceeded { .. }));
+        let mut engine = EngineEvaluator::new(
+            &f.graph,
+            RecursionConfig::unbounded(),
+            ExecutionConfig::default(),
+        );
+        let err = engine.eval_paths(&plan).unwrap_err();
+        assert!(
+            matches!(err, AlgebraError::RecursionLimitExceeded { .. }),
+            "{err}"
+        );
+        assert_eq!(
+            engine.decisions()[0].operator,
+            "ϕWALK over label scan :Knows"
+        );
+
+        let bounded = RecursionConfig {
+            max_length: Some(3),
+            max_paths: None,
+        };
+        let mut engine = EngineEvaluator::new(&f.graph, bounded, ExecutionConfig::default());
+        assert!(engine.eval_paths(&plan).unwrap().is_empty());
+        assert_eq!(
+            engine.decisions()[0].operator,
+            "ϕWALK over label scan :Knows, endpoint-σ pushed (sources 1, targets 7)"
+        );
+    }
+
+    /// `max_paths` counts generated paths. The Knows trails of Figure 1
+    /// number 12, so a budget of 4 stops the reference, which materialises
+    /// them all before its σ; a drain with the source mask pushed generates
+    /// Bart's 3 and answers. The documented delta of DESIGN.md §8.
+    #[test]
+    fn a_pushed_source_mask_answers_within_a_budget_the_closure_exceeds() {
+        let f = Figure1::new();
+        let plan = PlanExpr::edges()
+            .select(Condition::edge_label(1, "Knows"))
+            .recursive(PathSemantics::Trail)
+            .select(Condition::first_property("name", "Bart"));
+        let budget = RecursionConfig {
+            max_length: None,
+            max_paths: Some(4),
+        };
+        let config = |recursion| pathalg_core::EvalConfig { recursion };
+        let err = Evaluator::with_config(&f.graph, config(budget))
+            .eval_paths(&plan)
+            .unwrap_err();
+        assert_eq!(err, AlgebraError::ResultLimitExceeded { limit: 4 });
+        let unbudgeted = Evaluator::with_config(&f.graph, config(RecursionConfig::default()))
+            .eval_paths(&plan)
+            .unwrap();
+        assert_eq!(unbudgeted.len(), 3);
+        let mut engine = EngineEvaluator::new(&f.graph, budget, ExecutionConfig::default());
+        assert_eq!(engine.eval_paths(&plan).unwrap(), unbudgeted);
+        assert_eq!(engine.work_counters().budget_claimed, 3);
+    }
+
+    /// With both ends anchored the drain starts from the side that marks
+    /// fewer nodes; a tie runs forward. Every direction answers the same.
+    #[test]
+    fn both_anchored_drains_start_from_the_side_with_fewer_marked_nodes() {
+        let f = Figure1::new();
+        let cases = [
+            (
+                Condition::first_label("Person").and(Condition::last_property("name", "Apu")),
+                "(sources 4, targets 1), reversed",
+            ),
+            (
+                Condition::first_property("name", "Moe").and(Condition::last_label("Person")),
+                "(sources 1, targets 4)",
+            ),
+            (
+                Condition::first_property("name", "Moe")
+                    .and(Condition::last_property("name", "Apu")),
+                "(sources 1, targets 1)",
+            ),
+        ];
+        for (filter, pushdown) in cases {
+            let plan = PlanExpr::edges()
+                .select(Condition::edge_label(1, "Knows"))
+                .recursive(PathSemantics::Trail)
+                .select(filter);
+            let reference = Evaluator::new(&f.graph).eval_paths(&plan).unwrap();
+            assert!(!reference.is_empty(), "{plan}");
+            let mut engine = EngineEvaluator::new(
+                &f.graph,
+                RecursionConfig::default(),
+                ExecutionConfig::default(),
+            );
+            assert_eq!(engine.eval_paths(&plan).unwrap(), reference, "{plan}");
+            assert_eq!(
+                engine.decisions()[0].operator,
+                format!("ϕTRAIL over label scan :Knows, endpoint-σ pushed {pushdown}")
+            );
+        }
+    }
+
+    /// A σ with `∨` across the two endpoints does not split into masks: the
+    /// whole closure is drained and the σ filters it afterwards.
+    #[test]
+    fn an_endpoint_disjunction_filters_after_the_drain() {
+        let f = Figure1::new();
+        let plan = PlanExpr::edges()
+            .select(Condition::edge_label(1, "Knows"))
+            .recursive(PathSemantics::Trail)
+            .select(
+                Condition::first_property("name", "Moe")
+                    .or(Condition::last_property("name", "Apu")),
+            );
+        let mut reference = Evaluator::new(&f.graph);
+        let expected = reference.eval_paths(&plan).unwrap();
+        let mut engine = EngineEvaluator::new(
+            &f.graph,
+            RecursionConfig::default(),
+            ExecutionConfig::default(),
+        );
+        assert_eq!(engine.eval_paths(&plan).unwrap(), expected);
+        assert_eq!(
+            engine.decisions()[0].operator,
+            "ϕTRAIL over label scan :Knows"
+        );
+        // Drained in full, every Knows trail emitted, and charged as the
+        // reference charges a σ over a ϕ.
+        assert_eq!(engine.work_counters().paths_emitted, 12);
+        assert_eq!(engine.stats(), reference.stats());
     }
 
     #[test]
@@ -932,9 +1296,10 @@ mod tests {
     }
 
     /// A graph of 3–12 nodes labelled `A`/`B`, whose properties `k` and `j`
-    /// are each set on about three nodes in four, and up to 24 `Knows`
-    /// edges. Each key holds floats or not, decided per graph, so both the
-    /// index's exact Int answer and its Float fallback are exercised.
+    /// are each set on about three nodes in four, up to 24 `Knows` edges and
+    /// up to 12 `Likes` edges. Each key holds floats or not, decided per
+    /// graph, so both the index's exact Int answer and its Float fallback
+    /// are exercised.
     fn property_graph(seed: u64) -> PropertyGraph {
         use pathalg_graph::graph::GraphBuilder;
         let mut state = seed;
@@ -951,15 +1316,17 @@ mod tests {
             }
             b.add_node(label, props);
         }
-        for _ in 0..next(&mut state) % (2 * nodes as u64 + 1) {
-            let s = NodeId((next(&mut state) % nodes as u64) as u32);
-            let t = NodeId((next(&mut state) % nodes as u64) as u32);
-            b.add_edge(
-                s,
-                t,
-                "Knows",
-                Vec::<(&str, pathalg_graph::value::Value)>::new(),
-            );
+        for (label, most) in [("Knows", 2 * nodes), ("Likes", nodes)] {
+            for _ in 0..next(&mut state) % (most as u64 + 1) {
+                let s = NodeId((next(&mut state) % nodes as u64) as u32);
+                let t = NodeId((next(&mut state) % nodes as u64) as u32);
+                b.add_edge(
+                    s,
+                    t,
+                    label,
+                    Vec::<(&str, pathalg_graph::value::Value)>::new(),
+                );
+            }
         }
         b.build()
     }
@@ -1065,5 +1432,162 @@ mod tests {
             prop_assert_eq!(engine.eval_paths(&plan).unwrap(), reference, "{}", plan);
             prop_assert!(engine.used_lazy_pipeline(), "{}", plan);
         }
+    }
+
+    /// One generated σ-over-ϕ case: the graph of `seed`; a `:Knows` scan
+    /// or a `(:Knows/:Likes)` chain; a filter on the first node, the last,
+    /// both, or one that does not split (`∨` across the endpoints); and
+    /// the σ bare, under the ALL selector, or under ALL SHORTEST.
+    ///
+    /// The bare σ is byte for byte the reference fixpoint in canonical
+    /// order with the σ applied; the selectors answer what the reference
+    /// evaluator does; `for_each_path` is `eval_paths` in every observable.
+    /// Returns whether the drain searched backwards; panics on a mismatch.
+    fn pushed_drain_case(
+        seed: u64,
+        semantics: PathSemantics,
+        max_length: usize,
+        chain: bool,
+        filter: usize,
+        shape: usize,
+    ) -> bool {
+        use pathalg_core::ops::order_by::OrderKey;
+        use pathalg_core::ops::projection::Take;
+        use pathalg_core::EvalConfig;
+
+        let g = property_graph(seed);
+        let mut state = !seed;
+        let first = node_condition(&mut state, Position::First, 2);
+        let last = node_condition(&mut state, Position::Last, 2);
+        let filter = match filter {
+            0 => first,
+            1 => last,
+            2 => first.and(last),
+            _ => first.or(last),
+        };
+        let scan = |label: &str| PlanExpr::edges().select(Condition::edge_label(1, label));
+        let (base, labels) = if chain {
+            (scan("Knows").join(scan("Likes")), vec!["Knows", "Likes"])
+        } else {
+            (scan("Knows"), vec!["Knows"])
+        };
+        let sigma = base.recursive(semantics).select(filter.clone());
+        let plan = match shape {
+            0 => sigma,
+            1 => sigma
+                .group_by(GroupKey::Empty)
+                .project(ProjectionSpec::all()),
+            _ => sigma
+                .group_by(GroupKey::SourceTarget)
+                .order_by(OrderKey::Group)
+                .project(ProjectionSpec::new(Take::All, Take::Count(1), Take::All)),
+        };
+        let recursion = RecursionConfig {
+            max_length: Some(max_length),
+            max_paths: None,
+        };
+        let mut engine = EngineEvaluator::new(&g, recursion, ExecutionConfig::default());
+        let out = engine.eval_paths(&plan).unwrap();
+        let reference = Evaluator::with_config(&g, EvalConfig { recursion })
+            .eval_paths(&plan)
+            .unwrap();
+        assert_eq!(&out, &reference, "{}", plan);
+        if shape < 2 {
+            let hops: Vec<CsrGraph> = labels.iter().map(|l| g.label_csr(l).clone()).collect();
+            let PlanExpr::Selection { input, .. } = sigma_of(&plan) else {
+                unreachable!()
+            };
+            let PlanExpr::Recursive { input: base, .. } = &**input else {
+                unreachable!()
+            };
+            let base = Evaluator::new(&g).eval_paths(base).unwrap();
+            let closure = canonical_order(&recursive(semantics, &base, &recursion).unwrap(), &hops);
+            let expected = selection(&g, &filter, &closure);
+            assert_eq!(out.as_slice(), expected.as_slice(), "{}", plan);
+        }
+
+        let mut streaming = EngineEvaluator::new(&g, recursion, ExecutionConfig::default());
+        let mut seen = Vec::new();
+        streaming
+            .for_each_path(&plan, |nodes, edges| {
+                seen.push((nodes.to_vec(), edges.to_vec()))
+            })
+            .unwrap();
+        let paths: Vec<_> = out
+            .iter()
+            .map(|p| (p.nodes().to_vec(), p.edges().to_vec()))
+            .collect();
+        assert_eq!(seen, paths, "{}", plan);
+        assert_eq!(streaming.stats(), engine.stats(), "{}", plan);
+        assert_eq!(
+            streaming.work_counters(),
+            engine.work_counters(),
+            "{}",
+            plan
+        );
+        assert_eq!(streaming.decisions(), engine.decisions(), "{}", plan);
+
+        let [decision] = engine.decisions() else {
+            panic!("{plan}: one ϕ, one decision");
+        };
+        let pushed = filter.endpoint_split().is_some();
+        assert_eq!(
+            decision.operator.contains("endpoint-σ pushed"),
+            pushed,
+            "{}",
+            decision
+        );
+        decision.operator.ends_with(", reversed")
+    }
+
+    /// The σ node of a generated plan (under the selector's wrappers).
+    fn sigma_of(plan: &PlanExpr) -> &PlanExpr {
+        match plan {
+            PlanExpr::Projection { input, .. }
+            | PlanExpr::GroupBy { input, .. }
+            | PlanExpr::OrderBy { input, .. } => sigma_of(input),
+            sigma => sigma,
+        }
+    }
+
+    const SEMANTICS: [PathSemantics; 5] = [
+        PathSemantics::Walk,
+        PathSemantics::Trail,
+        PathSemantics::Acyclic,
+        PathSemantics::Simple,
+        PathSemantics::Shortest,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Every σ over ϕ, pushed into the drain, searched backwards, or
+        /// evaluated over it, answers what the reference evaluator does.
+        #[test]
+        fn pushed_and_reversed_drains_equal_the_reference(
+            seed in 0u64..u64::MAX,
+            semantics in 0usize..5,
+            max_length in 1usize..5,
+            kind in 0usize..24,
+        ) {
+            // Base (2) × filter (4) × shape (3).
+            let (chain, filter, shape) = (kind % 2 == 1, kind / 2 % 4, kind / 8);
+            pushed_drain_case(seed, SEMANTICS[semantics], max_length, chain, filter, shape);
+        }
+    }
+
+    /// The generator above reaches the backward search: over a fixed grid
+    /// of its target-anchored cases, some drain runs reversed, and a
+    /// first-node filter alone never does.
+    #[test]
+    fn generated_target_anchored_drains_run_reversed() {
+        let mut reversed = 0;
+        for seed in 0..24u64 {
+            let semantics = SEMANTICS[seed as usize % 5];
+            let chain = seed % 2 == 0;
+            reversed += usize::from(pushed_drain_case(seed, semantics, 3, chain, 1, 0));
+            assert!(!pushed_drain_case(seed, semantics, 3, chain, 0, 1));
+        }
+        assert!(reversed > 0, "no generated drain searched backwards");
     }
 }

@@ -14,8 +14,10 @@
 //! ([`crate::csr`]): forward over all edges, its reverse, and one per edge
 //! label. The accessors, the optimizer statistics and the engine's recursive
 //! kernels all read those columns, and borrow the same graph without
-//! synchronisation. The node-property posting index (the `posting` module) is
-//! the one structure built later: each key's list on its first lookup.
+//! synchronisation. Two structures are built later, on first use: the
+//! node-property posting index (the `posting` module), each key's list on its
+//! first lookup, and each label's reverse CSR, which only a search from a
+//! target anchor reads.
 
 use crate::csr::CsrGraph;
 use crate::ids::{EdgeId, NodeId, ObjectId};
@@ -61,6 +63,8 @@ pub struct PropertyGraph {
     reverse: CsrGraph,
     /// The CSR of each label some edge carries.
     label_csrs: HashMap<String, CsrGraph>,
+    /// The reverse CSR of each label some edge carries, made on first use.
+    reverse_label_csrs: HashMap<String, OnceLock<CsrGraph>>,
     /// The edgeless CSR a label no edge carries maps to, made on first use.
     no_edges: OnceLock<CsrGraph>,
     /// The node-property posting index, each key's list made on first use.
@@ -169,10 +173,31 @@ impl PropertyGraph {
     /// [`CsrGraph::with_label`] would build, shared. A label no edge carries
     /// yields a CSR without edges.
     pub fn label_csr(&self, label: &str) -> &CsrGraph {
-        self.label_csrs.get(label).unwrap_or_else(|| {
-            self.no_edges
-                .get_or_init(|| CsrGraph::build(self.node_count(), &[], false, |_| true))
-        })
+        self.label_csrs
+            .get(label)
+            .unwrap_or_else(|| self.edgeless_csr())
+    }
+
+    /// The reverse CSR of the edges carrying `label`: row `v` holds the
+    /// `label` edges entering `v` and their sources, in edge-identifier
+    /// order. Built on the first call for the label, so a graph nobody
+    /// searches backwards pays nothing for it. A label no edge carries
+    /// yields a CSR without edges.
+    pub fn reverse_label_csr(&self, label: &str) -> &CsrGraph {
+        match self.reverse_label_csrs.get(label) {
+            Some(cell) => cell.get_or_init(|| {
+                CsrGraph::build(self.node_count(), &self.edges, true, |e| {
+                    e.label.as_deref() == Some(label)
+                })
+            }),
+            None => self.edgeless_csr(),
+        }
+    }
+
+    /// The CSR without edges over this graph's nodes.
+    fn edgeless_csr(&self) -> &CsrGraph {
+        self.no_edges
+            .get_or_init(|| CsrGraph::build(self.node_count(), &[], false, |_| true))
     }
 
     /// Each label some edge carries, with its CSR, in arbitrary order.
@@ -338,12 +363,17 @@ impl GraphBuilder {
                 );
             }
         }
+        let reverse_label_csrs = label_csrs
+            .keys()
+            .map(|label| (label.clone(), OnceLock::new()))
+            .collect();
         PropertyGraph {
             nodes: self.nodes,
             edges: self.edges,
             forward,
             reverse,
             label_csrs,
+            reverse_label_csrs,
             no_edges: OnceLock::new(),
             postings: NodePostings::default(),
         }
@@ -397,6 +427,54 @@ mod tests {
         assert_eq!(g.incoming(NodeId(1)).len(), 2);
         let knows = g.label_csr("Knows").neighbor_slices(NodeId(0)).1;
         assert_eq!(knows, &[EdgeId(0)]);
+    }
+
+    /// Every label's reverse CSR lists, for every node, exactly its incoming
+    /// edges carrying the label, in edge-identifier order; an unknown label
+    /// reverses to no edges.
+    #[test]
+    fn reverse_label_csrs_are_the_labelled_in_adjacency() {
+        let mut b = GraphBuilder::new();
+        let n: Vec<NodeId> = (0..5)
+            .map(|_| b.add_node("Person", Vec::<(&str, Value)>::new()))
+            .collect();
+        for (i, (s, t, label)) in [
+            (0, 1, "Knows"),
+            (2, 1, "Likes"),
+            (3, 1, "Knows"),
+            (1, 1, "Knows"),
+            (4, 0, "Knows"),
+            (0, 1, "Knows"),
+            (1, 3, "Likes"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let id = b.add_edge(n[s], n[t], label, Vec::<(&str, Value)>::new());
+            assert_eq!(id, EdgeId(i as u32));
+        }
+        let g = b.build();
+        for label in ["Knows", "Likes"] {
+            let reverse = g.reverse_label_csr(label);
+            assert_eq!(reverse.edge_count(), g.label_csr(label).edge_count());
+            for v in g.nodes() {
+                let expected: Vec<(NodeId, EdgeId)> = g
+                    .incoming(v)
+                    .iter()
+                    .filter(|&&e| g.label(e) == Some(label))
+                    .map(|&e| (g.edge(e).source, e))
+                    .collect();
+                let got: Vec<(NodeId, EdgeId)> = reverse.neighbors(v).collect();
+                assert_eq!(got, expected, "{label} into {v}");
+            }
+        }
+        assert_eq!(
+            g.reverse_label_csr("Knows").neighbor_slices(n[1]).1,
+            &[EdgeId(0), EdgeId(2), EdgeId(3), EdgeId(5)]
+        );
+        let none = g.reverse_label_csr("Has_creator");
+        assert_eq!(none.edge_count(), 0);
+        assert!(g.nodes().all(|v| none.out_degree(v) == 0));
     }
 
     #[test]

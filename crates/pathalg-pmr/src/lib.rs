@@ -498,27 +498,33 @@ impl Pmr {
 /// The canonical order of a scan or chain closure (see [`Pmr`]) as a sort:
 /// `paths` — the closure of `ϕ(hops[0] ⋈ … ⋈ hops[k−1])` computed any way,
 /// e.g. by the reference fixpoint — reordered by the key `(First(p), |p|,
-/// ranks)`, where the rank of the `i`-th edge is its position in its tail
-/// node's adjacency within `hops[i mod k]`, the CSR it was drawn from. A
-/// path splits into hop edges in only one way, so the key is total, and it
-/// orders a closure exactly as a drain of the same hops emits it.
+/// ranks)` of [`canonical_ranks`]. A path splits into hop edges in only one
+/// way, so the key is total, and it orders a closure exactly as a drain of
+/// the same hops emits it.
 pub fn canonical_order(paths: &PathSet, hops: &[CsrGraph]) -> PathSet {
     let mut ordered: Vec<&Path> = paths.iter().collect();
     ordered.sort_by_cached_key(|p| {
-        let ranks: Vec<usize> = p
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let (_, out) = hops[i % hops.len()].neighbor_slices(p.nodes()[i]);
-                out.iter()
-                    .position(|x| x == e)
-                    .expect("every edge of the closure is in its hop's CSR")
-            })
-            .collect();
+        let ranks: Vec<u32> = canonical_ranks(p.nodes(), p.edges(), hops).collect();
         (p.first(), p.len(), ranks)
     });
     ordered.into_iter().cloned().collect()
+}
+
+/// The ranks of the edges of the path `(nodes, edges)` of a scan or chain
+/// closure over `hops`, the last part of its canonical sort key (see
+/// [`canonical_order`]): the rank of the `i`-th edge is its position in its
+/// tail node's adjacency within `hops[i mod k]`, the CSR it was drawn from.
+pub fn canonical_ranks<'a>(
+    nodes: &'a [NodeId],
+    edges: &'a [EdgeId],
+    hops: &'a [CsrGraph],
+) -> impl Iterator<Item = u32> + 'a {
+    edges.iter().enumerate().map(move |(i, e)| {
+        let (_, out) = hops[i % hops.len()].neighbor_slices(nodes[i]);
+        out.iter()
+            .position(|x| x == e)
+            .expect("every edge of the closure is in its hop's CSR") as u32
+    })
 }
 
 /// An owned [`Path`] over copies of a reconstruction buffer's sequences.

@@ -287,6 +287,67 @@ fn the_runner_and_the_service_run_one_pipeline() {
     assert!(ran.contains(&message), "runner: {ran}; service: {message}");
 }
 
+/// The benchmark's three `reach_target` shapes (target-anchored `:Knows+`
+/// and `(:Likes/:Has_creator)+`, `max_length` 2) on an SNB graph. The two
+/// drains take the endpoint σ as masks and search backwards from their
+/// anchor, each generating under a tenth of the arena steps of the same
+/// query unanchored; the sliced `ANY SHORTEST` keeps its pipeline. Every
+/// answer is the reference evaluator's.
+#[test]
+fn target_anchored_drains_search_backwards_from_the_anchor() {
+    use pathalg::algebra::eval::{EvalConfig, Evaluator};
+
+    let graph = Arc::new(snb_like_graph(&SnbConfig::scale(200, 11)));
+    let recursion = RecursionConfig {
+        max_length: Some(2),
+        max_paths: None,
+    };
+    let config = ServiceConfig {
+        recursion,
+        admission_ceiling: None,
+        ..ServiceConfig::default()
+    };
+    let svc = QueryService::new(graph.clone(), config);
+    let anchor = r#" {name:"Apu1"}"#;
+    for (query, reversed) in [
+        ("MATCH ANY SHORTEST WALK p = (?x)-[:Knows+]->(?y@)", false),
+        (
+            "MATCH ALL SHORTEST WALK p = (?x)-[(:Likes/:Has_creator)+]->(?y@)",
+            true,
+        ),
+        ("MATCH ALL TRAIL p = (?x)-[:Knows+]->(?y@)", true),
+    ] {
+        let anchored = query.replace('@', anchor);
+        let served = svc.submit(&anchored).unwrap();
+        let (planned, _) = svc.prepare(&anchored).unwrap();
+        let reference = Evaluator::with_config(&graph, EvalConfig { recursion })
+            .eval_paths(&planned.plan)
+            .unwrap();
+        let mut expected: Vec<String> = reference.iter().map(Path::display_ids).collect();
+        let mut lines = served.outcome.canonical_lines();
+        assert!(!lines.is_empty(), "{anchored}");
+        expected.sort();
+        lines.sort();
+        assert_eq!(lines, expected, "{anchored}");
+        let [decision] = &served.outcome.decisions[..] else {
+            panic!("{anchored}: one ϕ, one decision");
+        };
+        assert_eq!(
+            decision.operator.ends_with(", reversed"),
+            reversed,
+            "{anchored}: {decision}"
+        );
+        if reversed {
+            let unanchored = svc.submit(&query.replace('@', "")).unwrap();
+            let (masked, full) = (
+                served.outcome.work.arena_steps,
+                unanchored.outcome.work.arena_steps,
+            );
+            assert!(masked * 10 < full, "{anchored}: {masked} vs {full} steps");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Admission control + budget faults
 // ---------------------------------------------------------------------------
