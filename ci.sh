@@ -81,6 +81,10 @@ full() {
         echo "ci.sh: every ϕ runs on the pathalg-pmr kernel (Pmr::from_base for a materialised base)" >&2
         exit 1
     fi
+    if [ "$(grep -rn "Pmr::from_shared_join" crates/pathalg-engine/src | wc -l)" -ne 1 ]; then
+        echo "ci.sh: a scan or chain ϕ, sliced or not, runs through the one drain (EngineEvaluator::drain_kernel)" >&2
+        exit 1
+    fi
 
     quick
 

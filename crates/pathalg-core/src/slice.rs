@@ -233,24 +233,20 @@ impl SliceCollector {
         }
     }
 
-    /// The partition key of a path under the collector's grouping parameter.
-    pub(crate) fn key_of(&self, path: &crate::path::Path) -> PartitionKey {
+    /// The partition key of a path from `first` to `last` under the
+    /// collector's grouping parameter.
+    pub fn key(&self, first: NodeId, last: NodeId) -> PartitionKey {
+        let by = self.spec.group_key;
         (
-            self.spec
-                .group_key
-                .partitions_by_source()
-                .then(|| path.first()),
-            self.spec
-                .group_key
-                .partitions_by_target()
-                .then(|| path.last()),
+            by.partitions_by_source().then_some(first),
+            by.partitions_by_target().then_some(last),
         )
     }
 
     /// Offers the next path in canonical order; keeps or skips it and reports
     /// whether the kept set is now complete.
     pub fn offer(&mut self, path: crate::path::Path) -> SliceState {
-        let key = self.key_of(&path);
+        let key = self.key(path.first(), path.last());
         let gi = match self.index.get(&key) {
             Some(&gi) => gi,
             None => {

@@ -345,26 +345,6 @@ pub fn choose_pipeline_impl<'a>(
         .filter(|sliced| sliced.lazy_eligible(recursion))
 }
 
-/// [`choose_pipeline_impl`] plus the closure estimate of its base (when
-/// statistics are available): a sliceable pipeline is always evaluated
-/// lazily, by one serial [`pathalg_pmr::Pmr::sliced`] enumeration, and the
-/// estimate feeds the `EXPLAIN` strategy report.
-pub(crate) fn choose_pipeline_strategy<'a>(
-    plan: &'a pathalg_core::expr::PlanExpr,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
-    stats: Option<&GraphStats>,
-) -> Option<(pathalg_core::slice::SlicePlan<'a>, Option<ClosureEstimate>)> {
-    let sliced = choose_pipeline_impl(plan, recursion)?;
-    let estimate = stats.map(|s| {
-        let chain = sliced
-            .base
-            .label_scan_chain()
-            .expect("lazy_eligible checked the base is a scan chain");
-        estimate_closure(s, &chain, sliced.semantics, recursion)
-    });
-    Some((sliced, estimate))
-}
-
 /// Estimated fraction of paths satisfying a condition.
 pub(crate) fn condition_selectivity(condition: &Condition, stats: &GraphStats) -> f64 {
     match condition {
@@ -583,36 +563,6 @@ mod tests {
         let est = estimate_closure(&stats, &["a", "b"], PathSemantics::Walk, &recursion);
         assert!(!est.cyclic, "the empty (a,b) composite cannot cycle");
         assert!(!est.blows_up());
-    }
-
-    #[test]
-    fn pipeline_strategy_is_always_lazy_and_carries_the_estimate() {
-        use pathalg_core::ops::projection::Take;
-        use pathalg_graph::generator::structured::{chain_graph, complete_graph};
-
-        let plan = knows_scan()
-            .recursive(PathSemantics::Trail)
-            .group_by(GroupKey::SourceTarget)
-            .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)));
-        let recursion = RecursionConfig::default();
-        // Without statistics: lazy, no estimate.
-        let (_, est) = choose_pipeline_strategy(&plan, &recursion, None).unwrap();
-        assert!(est.is_none());
-        // A provably tiny closure stays lazy too: no estimate moves a
-        // sliceable pipeline off the kernel.
-        let sparse = GraphStats::compute(&chain_graph(6, "Knows"));
-        let (_, est) = choose_pipeline_strategy(&plan, &recursion, Some(&sparse)).unwrap();
-        assert!(!est.unwrap().blows_up());
-        // A predicted blow-up: still lazy, with the estimate that says so.
-        let dense = GraphStats::compute(&complete_graph(6, "Knows"));
-        let (_, est) = choose_pipeline_strategy(&plan, &recursion, Some(&dense)).unwrap();
-        assert!(est.unwrap().blows_up());
-        // A non-sliceable plan is not a pipeline at all.
-        let all = knows_scan()
-            .recursive(PathSemantics::Trail)
-            .group_by(GroupKey::SourceTarget)
-            .project(ProjectionSpec::all());
-        assert!(choose_pipeline_strategy(&all, &recursion, Some(&dense)).is_none());
     }
 
     #[test]

@@ -17,18 +17,20 @@
 //! * every other base is evaluated first, and the kernel walks its paths
 //!   as segments indexed by first node ([`Pmr::from_base`]).
 //!
-//! A σ over a ϕ whose condition splits into first- and last-node parts
-//! ([`Condition::endpoint_split`]) is not evaluated over the drained closure:
-//! the drain takes it as node masks (unbounded Walk excepted), and a scan or
-//! chain whose target side marks fewer nodes than its source side is searched
-//! backwards from the targets over the graph's reverse label CSRs
-//! ([`PropertyGraph::reverse_label_csr`]), its answer then sorted into the
-//! forward canonical order. A sliceable `π(τ?(γ(σ?(ϕ(…)))))` pipeline over a
-//! scan/chain base runs the same kernel with the limits pushed into the
-//! enumeration as well (`crate::cost::choose_pipeline_strategy`). The
-//! collected [`EvalStats`] charge the skipped operators exactly as the
-//! reference evaluator would, except that a pushed σ's ϕ and a sliced
-//! pipeline are charged the work they performed, so `EXPLAIN ANALYZE` output
+//! An anchored ϕ is one drain. A σ over a ϕ whose condition splits into
+//! first- and last-node parts ([`Condition::endpoint_split`]) becomes node
+//! masks (unbounded Walk excepted), and a sliceable `π(τ?(γ(σ?(ϕ(…)))))`
+//! pipeline over a scan/chain base ([`choose_pipeline_impl`]) a slice as
+//! well: its limits pushed into the enumeration. One function decides the
+//! masks, the direction — a scan or chain whose marked targets have fewer
+//! in-edges on its last hop than its marked sources have out-edges on its
+//! first is searched backwards over the graph's reverse label CSRs
+//! ([`PropertyGraph::reverse_label_csr`]) and put back in the forward
+//! canonical order, a slice only where that keeps its early stop
+//! ([`Pmr::slices_backwards`]) — the recorded decision and the
+//! [`EvalStats`]. Those charge the skipped operators exactly as the
+//! reference evaluator would, except that the ϕ beneath a pushed σ or a
+//! slice is charged the work it performed, so `EXPLAIN ANALYZE` output
 //! stays comparable between the two interpreters.
 //!
 //! Evaluation is serial per query: one thread runs every operator of a plan,
@@ -36,7 +38,7 @@
 //! identical to the reference evaluator as *sets* for every plan
 //! (cross-validated in `tests/cross_validation.rs`).
 
-use crate::cost::{choose_pipeline_strategy, estimate_closure, estimate_phi, ClosureEstimate};
+use crate::cost::{choose_pipeline_impl, estimate_phi, ClosureEstimate};
 use pathalg_core::budget::CancelToken;
 use pathalg_core::condition::{Accessor, CompareOp, Condition, Position};
 use pathalg_core::error::AlgebraError;
@@ -53,25 +55,27 @@ use pathalg_core::ops::selection::selection;
 use pathalg_core::ops::union::union;
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
+use pathalg_core::slice::SliceSpec;
 use pathalg_core::solution_space::SolutionSpace;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::{EdgeId, NodeId};
 use pathalg_graph::stats::GraphStats;
-use pathalg_pmr::{canonical_ranks, EndpointFilter, Pmr};
+use pathalg_pmr::{EndpointFilter, Pmr};
 use std::sync::Arc;
 
-/// One recorded strategy decision: which physical implementation a ϕ node or
-/// sliced pipeline was dispatched to, and the closure estimate (when graph
-/// statistics were available) that justified it. Surfaced by
-/// `QueryResult::explain` and the `repro joins` decision table.
+/// One recorded strategy decision: how a ϕ node or sliced pipeline ran —
+/// its base, any pushed endpoint σ with the two frontier sums that chose the
+/// direction — and the closure estimate (when graph statistics were
+/// available) next to it. Surfaced by `QueryResult::explain` and the
+/// `repro joins` decision table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StrategyDecision {
     /// Display form of the operator the decision applies to.
     pub operator: String,
-    /// Short name of the chosen implementation: `"pmr-lazy"` for a ϕ node (a
-    /// full kernel drain, whatever its base) and `"lazy-sliced-pipeline"`
-    /// for a sliced pipeline.
+    /// Short name of the chosen implementation: `"pmr-lazy"` for a full
+    /// kernel drain, whatever its base, and `"lazy-sliced-pipeline"` for a
+    /// drain with a slice.
     pub chosen: &'static str,
     /// The estimate behind the choice, if statistics were available.
     pub estimate: Option<ClosureEstimate>,
@@ -233,6 +237,7 @@ impl<'g> EngineEvaluator<'g> {
                     semantics: *semantics,
                     base: input,
                     split: None,
+                    slice: None,
                 })?)
             }
             PlanExpr::GroupBy { key, input } => {
@@ -245,11 +250,12 @@ impl<'g> EngineEvaluator<'g> {
             }
             PlanExpr::Projection { spec, input } => {
                 spec.validate()?;
-                if let Some(paths) = self.try_sliced_pipeline(expr)? {
-                    EvalOutput::Paths(paths)
-                } else {
-                    let input = self.eval_space_internal(input, "projection")?;
-                    EvalOutput::Paths(projection(spec, &input))
+                match self.kernel_drain(expr) {
+                    Some(drain) => EvalOutput::Paths(self.collect_drain(drain)?),
+                    None => {
+                        let input = self.eval_space_internal(input, "projection")?;
+                        EvalOutput::Paths(projection(spec, &input))
+                    }
                 }
             }
         };
@@ -263,92 +269,18 @@ impl<'g> EngineEvaluator<'g> {
         self.stats.max_intermediate = self.stats.max_intermediate.max(paths);
     }
 
-    /// Evaluates a recognised sliceable pipeline
-    /// (`π(τA?(γψ(σ?(ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))))))`, see
-    /// [`pathalg_core::slice`]) through the lazy PMR, pulling only the paths
-    /// the projection keeps. Endpoint filters are pushed into the expansion:
-    /// the first-node part restricts the source schedule, the last-node part
-    /// becomes a target mask consulted before any path is reconstructed and
-    /// inside the reachability-based source stop. Returns `None` when the
-    /// plan is not a lazily evaluable sliceable pipeline.
-    ///
-    /// The collected [`EvalStats`] charge the bypassed operators with the
-    /// work the lazy evaluation actually performed (arena steps generated,
-    /// kept paths flowing through γ/τ) — deliberately *not* the counts the
-    /// reference evaluator would report, since avoiding that work is the
-    /// point of the strategy.
-    fn try_sliced_pipeline(&mut self, expr: &PlanExpr) -> Result<Option<PathSet>, AlgebraError> {
-        let Some((plan, estimate)) =
-            choose_pipeline_strategy(expr, &self.recursion, self.graph_stats)
-        else {
-            return Ok(None);
-        };
-        let chain = plan
-            .base
-            .label_scan_chain()
-            .expect("lazy_eligible checked the base is a scan chain");
-        let filter = match plan.filter {
-            Some(condition) => self.endpoint_filter(
-                condition
-                    .endpoint_split()
-                    .expect("lazy_eligible checked the filter splits"),
-            ),
-            None => EndpointFilter::default(),
-        };
-        let marked = self.marked_counts(&filter);
-        self.record_decision(
-            format!(
-                "sliced pipeline over ϕ{}{}{}",
-                plan.semantics.keyword(),
-                if chain.len() > 1 {
-                    format!(" join chain {chain:?}")
-                } else {
-                    format!(" label scan :{}", chain[0])
-                },
-                if plan.filter.is_some() {
-                    " with endpoint-σ pushdown"
-                } else {
-                    ""
-                }
-            ),
-            LAZY_SLICED_PIPELINE,
-            estimate.map(|e| masked_estimate(e, marked, self.graph.node_count())),
-        );
-        let mut pmr = self.kernel(
-            Pmr::from_shared_join(self.chain_hops(&chain), plan.semantics, self.recursion),
-            filter,
-        );
-        let out = pmr.sliced(&plan.spec)?;
-        self.work.merge(&pmr.work_counters());
-        let generated = pmr.steps_generated();
-        // Bypassed operators: Edges and σ per hop, the k−1 joins, ϕ, the
-        // endpoint σ (when present), γ and (when present) τ; the π node
-        // itself is charged by the caller.
-        self.stats.recursive_calls += 1;
-        self.stats.join_calls += chain.len() - 1;
-        self.stats.operators_evaluated += 2 * chain.len()
-            + (chain.len() - 1)
-            + 2
-            + usize::from(plan.filter.is_some())
-            + usize::from(plan.spec.ordered_by_length);
-        self.stats.intermediate_paths += generated
-            + out.len()
-                * (1 + usize::from(plan.spec.ordered_by_length)
-                    + usize::from(plan.filter.is_some()));
-        self.stats.max_intermediate = self.stats.max_intermediate.max(generated);
-        Ok(Some(out))
-    }
-
-    /// Recognises a node that runs as one kernel drain: a ϕ, or `σc(ϕ(base))`
-    /// whose σ the drain takes as endpoint masks — `c` splits into first- and
-    /// last-node parts ([`Condition::endpoint_split`]), whatever the base.
-    /// Unbounded Walk keeps its σ above the drain, as in
+    /// Recognises a node that runs as one kernel drain: a ϕ; `σc(ϕ(base))`
+    /// whose `c` splits into first- and last-node parts
+    /// ([`Condition::endpoint_split`]), taken as endpoint masks; or a
+    /// sliceable `π(τ?(γ(σ?(ϕ(scan or chain)))))` pipeline
+    /// ([`choose_pipeline_impl`]), its limits taken as a slice. Unbounded
+    /// Walk keeps its σ above the drain and its pipeline materialised, as in
     /// [`pathalg_core::slice::SlicePlan::lazy_eligible`]: the kernel proves
-    /// that answer infinite by expanding every source, and a source mask
-    /// could hide the cycle. Any other σ is evaluated over the drained ϕ.
+    /// that answer infinite by expanding every source, and a source mask or
+    /// an early stop could hide the cycle.
     fn kernel_drain<'p>(&self, expr: &'p PlanExpr) -> Option<KernelDrain<'p>> {
-        let (semantics, base, split) = match expr {
-            PlanExpr::Recursive { semantics, input } => (*semantics, input, None),
+        let (semantics, base, split, slice) = match expr {
+            PlanExpr::Recursive { semantics, input } => (*semantics, &**input, None, None),
             PlanExpr::Selection { condition, input } => {
                 let PlanExpr::Recursive { semantics, input } = &**input else {
                     return None;
@@ -356,7 +288,21 @@ impl<'g> EngineEvaluator<'g> {
                 if *semantics == PathSemantics::Walk && self.recursion.max_length.is_none() {
                     return None;
                 }
-                (*semantics, input, Some(condition.endpoint_split()?))
+                (
+                    *semantics,
+                    &**input,
+                    Some(condition.endpoint_split()?),
+                    None,
+                )
+            }
+            // A projection `eval` refuses is left to it.
+            PlanExpr::Projection { spec, .. } if spec.validate().is_ok() => {
+                let plan = choose_pipeline_impl(expr, &self.recursion)?;
+                let split = plan.filter.map(|c| {
+                    c.endpoint_split()
+                        .expect("lazy_eligible checked the filter splits")
+                });
+                (plan.semantics, plan.base, split, Some(plan.spec))
             }
             _ => return None,
         };
@@ -364,6 +310,7 @@ impl<'g> EngineEvaluator<'g> {
             semantics,
             base,
             split,
+            slice,
         })
     }
 
@@ -371,139 +318,169 @@ impl<'g> EngineEvaluator<'g> {
     /// canonical order.
     fn collect_drain(&mut self, drain: KernelDrain) -> Result<PathSet, AlgebraError> {
         let mut paths = Vec::new();
-        self.drain_kernel(drain, |nodes, edges| {
-            paths.push(
-                Path::from_sequence(nodes.to_vec(), edges.to_vec(), None)
-                    .expect("kernel drains emit well-formed paths"),
-            )
-        })?;
-        let mut out = PathSet::with_capacity(paths.len());
-        out.extend(paths);
-        Ok(out)
+        match self.drain_kernel(drain, |nodes, edges| paths.push(owned_path(nodes, edges)))? {
+            Drained::Kept(kept) => Ok(kept),
+            Drained::Visited(_) => {
+                let mut out = PathSet::with_capacity(paths.len());
+                out.extend(paths);
+                Ok(out)
+            }
+        }
     }
 
     /// Runs `ϕ_semantics(base)` on the kernel — the one place a ϕ runs —
-    /// with a pushed endpoint σ's masks installed. A base of the shape
-    /// `σℓ1(E) ⋈ … ⋈ σℓk(E)` is never evaluated: the kernel walks the
+    /// with a pushed endpoint σ's masks and a sliced pipeline's limits. A
+    /// base `σℓ1(E) ⋈ … ⋈ σℓk(E)` is never evaluated: the kernel walks the
     /// graph's label CSRs, and the bypassed Edges/σ/⋈ operators are charged
     /// as the reference evaluator would, the joins with the slice of their
-    /// output the expansion actually generated. Any other base is evaluated
-    /// first and handed to the kernel as a segment index
-    /// ([`Pmr::from_base`]).
+    /// output the expansion generated. Any other base is evaluated first and
+    /// handed to the kernel as a segment index ([`Pmr::from_base`]).
     ///
-    /// A scan or chain whose target mask marks fewer nodes than its source
-    /// mask (an absent mask marks every node) is searched backwards from
-    /// the targets: over the hops' reverse CSRs in reverse order, with the
-    /// masks swapped. Walk, Trail, Acyclic and Simple are closed under
-    /// reversal, Shortest keeps the shortest paths per endpoint pair, and a
-    /// chain's paths reverse into the reversed chain's, so the reversed
-    /// drain finds exactly the forward drain's paths; [`drain_reversed`]
-    /// puts them back in the forward canonical order.
+    /// A side that marks no node, or no edge of a scan's or chain's hop,
+    /// answers at once. A scan or chain whose marked targets have fewer
+    /// in-edges on the last hop than its marked sources have out-edges on
+    /// the first (an absent mask counts every edge of its hop; ties run
+    /// forward) is searched backwards, over the hops' reverse CSRs in
+    /// reverse order with the masks swapped, and
+    /// [`Pmr::for_each_path_reversed`] puts the paths in the forward
+    /// canonical order; Walk, Trail, Acyclic and Simple are closed under
+    /// reversal and Shortest keeps the shortest paths per endpoint pair, so
+    /// they are the forward drain's. A slice runs forward as
+    /// [`Pmr::sliced`], and backwards as [`Pmr::sliced_reversed`] only where
+    /// that keeps an early stop as strong ([`Pmr::slices_backwards`]: γST
+    /// with a per-group cap and no partition limit); any other slice runs
+    /// forward whatever the edge sums say.
     ///
-    /// `visit` sees every path. The [`EvalStats`] of every operator beneath
-    /// the drain's root are charged here; the caller charges the root
-    /// itself, as `eval` does for every node. Under a pushed σ the ϕ is
-    /// charged with the arena steps the drain generated, as a sliced
-    /// pipeline charges its ϕ, and the σ's output is the drain's. Returns
-    /// the paths visited.
+    /// `visit` sees every path of a drain; a slice returns its kept set. The
+    /// [`EvalStats`] beneath the root are charged here: the ϕ beneath a
+    /// pushed σ or a slice with the arena steps generated, a slice's σ, γ and
+    /// τ with its kept set. The caller charges the root.
     fn drain_kernel(
         &mut self,
         drain: KernelDrain,
         mut visit: impl FnMut(&[NodeId], &[EdgeId]),
-    ) -> Result<usize, AlgebraError> {
+    ) -> Result<Drained, AlgebraError> {
         let KernelDrain {
             semantics,
             base,
             split,
+            slice,
         } = drain;
         self.stats.recursive_calls += 1;
         let pushed = split.is_some();
-        let filter = split.map(|split| self.endpoint_filter(split));
-        let marked = filter.as_ref().map(|f| self.marked_counts(f));
+        let mut filter = split
+            .map(|split| self.endpoint_filter(split))
+            .unwrap_or_default();
         let labels = base.label_scan_chain();
-        let reversed = labels.is_some() && marked.is_some_and(|(s, t)| t < s);
-        let pushdown = match marked {
-            Some((sources, targets)) => format!(
-                ", endpoint-σ pushed (sources {sources}, targets {targets}){}",
-                if reversed { ", reversed" } else { "" }
-            ),
-            None => String::new(),
-        };
-        let nodes = self.graph.node_count();
-        let scale = |estimate| match marked {
-            Some(marked) => masked_estimate(estimate, marked, nodes),
-            None => estimate,
-        };
-        let pmr = match &labels {
+        let graph = self.graph;
+        let first_hop = labels.as_ref().map(|l| graph.label_csr(l[0]));
+        // A reverse CSR is read, and so built, only under a target mask.
+        let last_hop = labels.as_ref().map(|l| match filter.targets {
+            Some(_) => graph.reverse_label_csr(l[l.len() - 1]),
+            None => graph.label_csr(l[l.len() - 1]),
+        });
+        let (sources, targets) = (
+            self.side(&filter.sources, first_hop),
+            self.side(&filter.targets, last_hop),
+        );
+        let empty = pushed
+            && [sources, targets]
+                .iter()
+                .any(|&(nodes, edges)| nodes == 0 || labels.is_some() && edges == 0);
+        let reversed = pushed
+            && !empty
+            && labels.is_some()
+            && targets.1 < sources.1
+            && slice.as_ref().is_none_or(Pmr::slices_backwards);
+        let estimate = self
+            .graph_stats
+            .map(|stats| estimate_phi(stats, semantics, base, &self.recursion));
+        let (shape, pmr) = match &labels {
             Some(labels) => {
-                let estimate = self.graph_stats.map(|stats| {
-                    scale(estimate_closure(stats, labels, semantics, &self.recursion))
-                });
-                self.record_decision(
-                    match &labels[..] {
-                        [label] => format!(
-                            "ϕ{} over label scan :{label}{pushdown}",
-                            semantics.keyword()
-                        ),
-                        _ => format!(
-                            "ϕ{} over join chain {labels:?}{pushdown}",
-                            semantics.keyword()
-                        ),
-                    },
-                    PMR_LAZY,
-                    estimate,
-                );
                 let hops: Arc<[CsrGraph]> = if reversed {
                     labels
                         .iter()
                         .rev()
-                        .map(|l| self.graph.reverse_label_csr(l).clone())
+                        .map(|l| graph.reverse_label_csr(l).clone())
                         .collect()
                 } else {
                     self.chain_hops(labels)
                 };
                 for csr in hops.iter() {
-                    self.charge_skipped(self.graph.edge_count()); // Edges(G)
+                    self.charge_skipped(graph.edge_count()); // Edges(G)
                     self.charge_skipped(csr.edge_count()); // σ label
                 }
-                Pmr::from_shared_join(hops, semantics, self.recursion)
+                let shape = match &labels[..] {
+                    [label] => format!("label scan :{label}"),
+                    _ => format!("join chain {labels:?}"),
+                };
+                let pmr = (!empty).then(|| Pmr::from_shared_join(hops, semantics, self.recursion));
+                (shape, pmr)
             }
             None => {
-                let estimate = self
-                    .graph_stats
-                    .map(|stats| scale(estimate_phi(stats, semantics, base, &self.recursion)));
                 let base = self.eval_paths_internal(base, "recursive")?;
-                self.record_decision(
-                    format!(
-                        "ϕ{} over materialised base ({} paths){pushdown}",
-                        semantics.keyword(),
-                        base.len()
-                    ),
-                    PMR_LAZY,
-                    estimate,
-                );
-                Pmr::from_base(&base, semantics, self.recursion)
+                let shape = format!("materialised base ({} paths)", base.len());
+                (
+                    shape,
+                    (!empty).then(|| Pmr::from_base(&base, semantics, self.recursion)),
+                )
             }
         };
-        let filter = filter.unwrap_or_default();
-        let mut pmr = self.kernel(
-            pmr,
-            if reversed {
-                EndpointFilter {
-                    sources: filter.targets,
-                    targets: filter.sources,
+        let (sliced, chosen) = match slice {
+            Some(_) => ("sliced pipeline over ", LAZY_SLICED_PIPELINE),
+            None => ("", PMR_LAZY),
+        };
+        let mut operator = format!("{sliced}ϕ{} over {shape}", semantics.keyword());
+        if pushed {
+            operator += &match labels {
+                Some(_) => format!(
+                    ", endpoint-σ pushed (sources {} with {} out-edges, targets {} with {} in-edges)",
+                    sources.0, sources.1, targets.0, targets.1
+                ),
+                None => format!(", endpoint-σ pushed (sources {}, targets {})", sources.0, targets.0),
+            };
+        }
+        if reversed {
+            operator += ", reversed";
+        }
+        // A pushed σ narrows the estimate by each side's marked share.
+        let share = |marked| marked as f64 / graph.node_count().max(1) as f64;
+        let estimate = estimate.map(|mut estimate| {
+            if pushed {
+                estimate.paths *= share(sources.0) * share(targets.0);
+            }
+            estimate
+        });
+        self.decisions.push(StrategyDecision {
+            operator,
+            chosen,
+            estimate,
+        });
+        let (drained, work) = match pmr {
+            None => (Drained::Kept(PathSet::new()), WorkCounters::default()),
+            Some(mut pmr) => {
+                if reversed {
+                    std::mem::swap(&mut filter.sources, &mut filter.targets);
                 }
-            } else {
-                filter
-            },
-        );
-        let n = match &labels {
-            Some(labels) if reversed => {
-                drain_reversed(&mut pmr, &self.chain_hops(labels), &mut visit)?
+                pmr.restrict_endpoints(filter);
+                if let Some(token) = &self.cancel {
+                    pmr.share_cancel(token.clone());
+                }
+                let forward = labels.as_ref().filter(|_| reversed);
+                let forward = forward.map(|labels| self.chain_hops(labels));
+                let drained = match (&slice, &forward) {
+                    (Some(spec), None) => Drained::Kept(pmr.sliced(spec)?),
+                    (Some(spec), Some(forward)) => {
+                        Drained::Kept(pmr.sliced_reversed(spec, forward)?)
+                    }
+                    (None, Some(forward)) => {
+                        Drained::Visited(pmr.for_each_path_reversed(forward, &mut visit)?)
+                    }
+                    (None, None) => Drained::Visited(pmr.for_each_path(&mut visit)?),
+                };
+                (drained, pmr.work_counters())
             }
-            _ => pmr.for_each_path(&mut visit)?,
         };
-        let work = pmr.work_counters();
         self.work.merge(&work);
         if let Some(labels) = labels {
             self.stats.join_calls += labels.len() - 1;
@@ -511,10 +488,16 @@ impl<'g> EngineEvaluator<'g> {
                 self.charge_skipped(work.base_segments as usize);
             }
         }
-        if pushed {
-            self.charge_skipped(work.arena_steps as usize); // ϕ under the σ
+        if pushed || slice.is_some() {
+            self.charge_skipped(work.arena_steps as usize); // ϕ beneath the root
         }
-        Ok(n)
+        if let (Some(spec), Drained::Kept(kept)) = (slice, &drained) {
+            // The slice's σ (when pushed), γ and τ (when present).
+            for _ in 0..1 + usize::from(pushed) + usize::from(spec.ordered_by_length) {
+                self.charge_skipped(kept.len());
+            }
+        }
+        Ok(drained)
     }
 
     /// The node masks of a split endpoint σ (see
@@ -526,15 +509,21 @@ impl<'g> EngineEvaluator<'g> {
         }
     }
 
-    /// The nodes each side of `filter` marks, `(sources, targets)`; an
-    /// absent mask marks every node.
-    fn marked_counts(&self, filter: &EndpointFilter) -> (usize, usize) {
-        let marked = |mask: &Option<Vec<bool>>| {
-            mask.as_ref().map_or(self.graph.node_count(), |m| {
-                m.iter().filter(|&&b| b).count()
-            })
-        };
-        (marked(&filter.sources), marked(&filter.targets))
+    /// One side of a drain: the nodes `mask` marks and the edges of `hop`
+    /// leaving them, an absent mask marking every node (and so counting
+    /// every edge of the hop); no hop, no edges.
+    fn side(&self, mask: &Option<Vec<bool>>, hop: Option<&CsrGraph>) -> (usize, usize) {
+        match mask {
+            None => (self.graph.node_count(), hop.map_or(0, CsrGraph::edge_count)),
+            Some(mask) => self
+                .graph
+                .nodes()
+                .zip(mask)
+                .filter(|&(_, &marked)| marked)
+                .fold((0, 0), |(nodes, edges), (v, _)| {
+                    (nodes + 1, edges + hop.map_or(0, |h| h.out_degree(v)))
+                }),
+        }
     }
 
     /// The graph's label CSR of each hop of a scan chain (a label scan is the
@@ -544,16 +533,6 @@ impl<'g> EngineEvaluator<'g> {
             .iter()
             .map(|l| self.graph.label_csr(l).clone())
             .collect()
-    }
-
-    /// Installs the endpoint-σ pushdown and this evaluator's cancellation
-    /// token on a fresh, unpulled kernel.
-    fn kernel(&self, mut pmr: Pmr, filter: EndpointFilter) -> Pmr {
-        pmr.restrict_endpoints(filter);
-        if let Some(token) = &self.cancel {
-            pmr.share_cancel(token.clone());
-        }
-        pmr
     }
 
     /// The keep-mask of a per-node condition (a pure first- or last-node
@@ -592,19 +571,6 @@ impl<'g> EngineEvaluator<'g> {
         mask
     }
 
-    fn record_decision(
-        &mut self,
-        operator: String,
-        chosen: &'static str,
-        estimate: Option<ClosureEstimate>,
-    ) {
-        self.decisions.push(StrategyDecision {
-            operator,
-            chosen,
-            estimate,
-        });
-    }
-
     /// Evaluates an expression that must produce a set of paths.
     pub fn eval_paths(&mut self, expr: &PlanExpr) -> Result<PathSet, AlgebraError> {
         self.eval(expr)?.into_paths()
@@ -617,8 +583,9 @@ impl<'g> EngineEvaluator<'g> {
     /// which keeps its one group whole and in order — streams straight into
     /// the visitor ([`Pmr::for_each_path`]): no result `Path` and no result
     /// `PathSet` is built (a materialised base still is, and a drain
-    /// searched backwards collects its answer to sort it). Every other root
-    /// is evaluated as usual and its `PathSet` walked. Paths, order,
+    /// searched backwards collects its answer to sort it). A sliced
+    /// pipeline's kept set, and every other root's `PathSet`, is walked
+    /// once evaluated. Paths, order,
     /// statistics, work counters and decisions are those of `eval_paths`.
     /// Returns the paths visited.
     pub fn for_each_path(
@@ -643,7 +610,15 @@ impl<'g> EngineEvaluator<'g> {
             // around a streamed drain.
             self.stats.operators_evaluated += 1 + wrappers;
             self.check_cancel()?;
-            let n = self.drain_kernel(drain, &mut visit)?;
+            let n = match self.drain_kernel(drain, &mut visit)? {
+                Drained::Visited(n) => n,
+                Drained::Kept(kept) => {
+                    for path in &kept {
+                        visit(path.nodes(), path.edges());
+                    }
+                    kept.len()
+                }
+            };
             for _ in 0..=wrappers {
                 self.charge_output(n);
             }
@@ -699,62 +674,30 @@ impl<'g> EngineEvaluator<'g> {
 /// ([`Condition::endpoint_split`]); an absent part constrains nothing.
 type EndpointSplit = (Option<Condition>, Option<Condition>);
 
-/// A plan node that runs as one kernel drain: `ϕ_semantics(base)`, or
-/// `σc(ϕ_semantics(base))` whose σ the drain takes as endpoint masks.
+/// A plan node that runs as one kernel drain: `ϕ_semantics(base)`,
+/// `σc(ϕ_semantics(base))` whose σ the drain takes as endpoint masks, or a
+/// sliced pipeline over either.
 struct KernelDrain<'p> {
     semantics: PathSemantics,
     base: &'p PlanExpr,
     /// The pushed σ's parts; `None` for a bare ϕ.
     split: Option<EndpointSplit>,
+    /// The sliced pipeline's limits; `None` for a drain.
+    slice: Option<SliceSpec>,
 }
 
-/// `estimate` narrowed to the paths endpoint masks admit: its closure scaled
-/// by each side's marked share of the graph's `nodes`, the masks marking
-/// `(sources, targets)` nodes.
-fn masked_estimate(
-    mut estimate: ClosureEstimate,
-    (sources, targets): (usize, usize),
-    nodes: usize,
-) -> ClosureEstimate {
-    let nodes = nodes.max(1) as f64;
-    estimate.paths *= (sources as f64 / nodes) * (targets as f64 / nodes);
-    estimate
+/// What [`EngineEvaluator::drain_kernel`] hands back: the number of paths a
+/// drain visited, or the kept set of a slice or of an empty side, which the
+/// caller walks itself.
+enum Drained {
+    Visited(usize),
+    Kept(PathSet),
 }
 
-/// Drains a kernel that searches a scan or chain closure backwards — over
-/// the reverse CSRs of `forward`'s hops in reverse order, masks swapped —
-/// into `visit`, in the order the forward drain emits the same paths: each
-/// path is turned around and the answer sorted by the canonical key
-/// `(First(p), |p|, ranks)` over the `forward` hops
-/// ([`pathalg_pmr::canonical_ranks`]). The paths sit in flat columns; the
-/// sort orders one packed `(First, |p|)` word per path and compares ranks
-/// only within runs of equal words. Returns the paths visited.
-fn drain_reversed(
-    pmr: &mut Pmr,
-    forward: &[CsrGraph],
-    mut visit: impl FnMut(&[NodeId], &[EdgeId]),
-) -> Result<usize, AlgebraError> {
-    let (mut nodes, mut edges, mut ranks) = (Vec::new(), Vec::new(), Vec::new());
-    // Per path: its sort word, and where its nodes and its edges (and their
-    // ranks) start.
-    let mut paths: Vec<(u64, usize, usize)> = Vec::new();
-    pmr.for_each_path(|n, e| {
-        let (at, from) = (nodes.len(), edges.len());
-        nodes.extend(n.iter().rev());
-        edges.extend(e.iter().rev());
-        ranks.extend(canonical_ranks(&nodes[at..], &edges[from..], forward));
-        paths.push(((u64::from(nodes[at].0) << 32) | e.len() as u64, at, from));
-    })?;
-    let len = |word: u64| (word & u64::from(u32::MAX)) as usize;
-    paths.sort_unstable_by_key(|&(word, ..)| word);
-    for run in paths.chunk_by_mut(|a, b| a.0 == b.0) {
-        let n = len(run[0].0);
-        run.sort_unstable_by(|a, b| ranks[a.2..a.2 + n].cmp(&ranks[b.2..b.2 + n]));
-    }
-    for &(word, at, from) in &paths {
-        visit(&nodes[at..=at + len(word)], &edges[from..from + len(word)]);
-    }
-    Ok(paths.len())
+/// An owned [`Path`] over copies of a drain's node and edge sequences.
+fn owned_path(nodes: &[NodeId], edges: &[EdgeId]) -> Path {
+    Path::from_sequence(nodes.to_vec(), edges.to_vec(), None)
+        .expect("kernel drains emit well-formed paths")
 }
 
 /// The conjuncts of `condition`: its `∧` tree flattened, left to right.
@@ -998,7 +941,8 @@ mod tests {
         assert!(engine.eval_paths(&plan).unwrap().is_empty());
         assert_eq!(
             engine.decisions()[0].operator,
-            "ϕWALK over label scan :Knows, endpoint-σ pushed (sources 1, targets 7)"
+            "ϕWALK over label scan :Knows, endpoint-σ pushed \
+             (sources 1 with 0 out-edges, targets 7 with 4 in-edges)"
         );
     }
 
@@ -1031,24 +975,39 @@ mod tests {
         assert_eq!(engine.work_counters().budget_claimed, 3);
     }
 
-    /// With both ends anchored the drain starts from the side that marks
-    /// fewer nodes; a tie runs forward. Every direction answers the same.
+    /// With both ends anchored the drain starts from the side with fewer
+    /// frontier edges — out of the marked sources, into the marked targets —
+    /// whatever the marked node counts; a tie runs forward. Every direction
+    /// answers the same. (Figure 1's Knows edges: Moe→Lisa, Lisa→Bart,
+    /// Bart→Lisa, Lisa→Apu.)
     #[test]
-    fn both_anchored_drains_start_from_the_side_with_fewer_marked_nodes() {
+    fn both_anchored_drains_start_from_the_side_with_fewer_frontier_edges() {
         let f = Figure1::new();
+        let first = |name: &str| Condition::first_property("name", name);
+        let last = |name: &str| Condition::last_property("name", name);
         let cases = [
             (
-                Condition::first_label("Person").and(Condition::last_property("name", "Apu")),
-                "(sources 4, targets 1), reversed",
+                Condition::first_label("Person").and(last("Apu")),
+                "(sources 4 with 4 out-edges, targets 1 with 1 in-edges), reversed",
             ),
             (
-                Condition::first_property("name", "Moe").and(Condition::last_label("Person")),
-                "(sources 1, targets 4)",
+                first("Moe").and(Condition::last_label("Person")),
+                "(sources 1 with 1 out-edges, targets 4 with 4 in-edges)",
             ),
             (
-                Condition::first_property("name", "Moe")
-                    .and(Condition::last_property("name", "Apu")),
-                "(sources 1, targets 1)",
+                first("Moe").and(last("Apu")),
+                "(sources 1 with 1 out-edges, targets 1 with 1 in-edges)",
+            ),
+            // One marked node each, but Lisa has two out-edges and Apu one
+            // in-edge: backwards.
+            (
+                first("Lisa").and(last("Apu")),
+                "(sources 1 with 2 out-edges, targets 1 with 1 in-edges), reversed",
+            ),
+            // Fewer marked targets, as many frontier edges: forward.
+            (
+                first("Moe").or(first("Bart")).and(last("Lisa")),
+                "(sources 2 with 2 out-edges, targets 1 with 2 in-edges)",
             ),
         ];
         for (filter, pushdown) in cases {
@@ -1068,6 +1027,164 @@ mod tests {
                 engine.decisions()[0].operator,
                 format!("ϕTRAIL over label scan :Knows, endpoint-σ pushed {pushdown}")
             );
+        }
+    }
+
+    /// A side with no marked node, or whose marked nodes have no edge on
+    /// the hop they anchor, answers at once: no arena step is generated on a
+    /// drain, on a target-anchored drain the old node rule searched
+    /// backwards, on a sliced pipeline and over a chain. A materialised base
+    /// is still evaluated, so its errors would surface.
+    #[test]
+    fn an_empty_side_answers_without_expanding() {
+        use pathalg_core::ops::projection::Take;
+
+        let f = Figure1::new();
+        let scan = |label| PlanExpr::edges().select(Condition::edge_label(1, label));
+        let nobody = |first| match first {
+            true => Condition::first_property("name", "Nobody"),
+            false => Condition::last_property("name", "Nobody"),
+        };
+        let any = ProjectionSpec::new(Take::All, Take::All, Take::Count(1));
+        let trail = |base: PlanExpr| base.recursive(PathSemantics::Trail);
+        let cases = [
+            trail(scan("Knows")).select(nobody(true)),
+            trail(scan("Knows")).select(nobody(false)),
+            // Moe marks one node, but no Knows edge enters it.
+            trail(scan("Knows")).select(Condition::last_property("name", "Moe")),
+            trail(scan("Knows"))
+                .select(nobody(false))
+                .group_by(GroupKey::SourceTarget)
+                .project(any),
+            trail(scan("Likes").join(scan("Has_creator"))).select(nobody(false)),
+            trail(scan("Knows").union(scan("Likes"))).select(nobody(true)),
+        ];
+        for plan in cases {
+            assert!(Evaluator::new(&f.graph)
+                .eval_paths(&plan)
+                .unwrap()
+                .is_empty());
+            let mut engine = EngineEvaluator::new(
+                &f.graph,
+                RecursionConfig::default(),
+                ExecutionConfig::default(),
+            );
+            assert!(engine.eval_paths(&plan).unwrap().is_empty(), "{plan}");
+            assert_eq!(engine.work_counters(), WorkCounters::default(), "{plan}");
+            let [decision] = engine.decisions() else {
+                panic!("{plan}: one ϕ, one decision");
+            };
+            assert!(!decision.operator.ends_with("reversed"), "{decision}");
+        }
+    }
+
+    /// A sliceable pipeline always runs as a sliced drain, whatever its
+    /// closure estimate predicts, and its decision carries that estimate
+    /// when statistics are attached.
+    #[test]
+    fn sliced_drains_are_always_lazy_and_carry_the_estimate() {
+        use pathalg_core::ops::projection::Take;
+        use pathalg_graph::generator::structured::{chain_graph, complete_graph};
+
+        let plan = PlanExpr::edges()
+            .select(Condition::edge_label(1, "Knows"))
+            .recursive(PathSemantics::Trail)
+            .group_by(GroupKey::SourceTarget)
+            .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)));
+        let recursion = RecursionConfig::with_max_length(4);
+        // A provably tiny closure and a predicted blow-up.
+        for (graph, blows_up) in [
+            (chain_graph(6, "Knows"), false),
+            (complete_graph(6, "Knows"), true),
+        ] {
+            let stats = GraphStats::compute(&graph);
+            let mut engine = EngineEvaluator::new(&graph, recursion, ExecutionConfig::default())
+                .with_graph_stats(&stats);
+            engine.eval_paths(&plan).unwrap();
+            let [decision] = engine.decisions() else {
+                panic!("{plan}: one ϕ, one decision");
+            };
+            assert_eq!(decision.chosen, "lazy-sliced-pipeline");
+            assert_eq!(decision.estimate.map(|e| e.blows_up()), Some(blows_up));
+            let mut bare = EngineEvaluator::new(&graph, recursion, ExecutionConfig::default());
+            bare.eval_paths(&plan).unwrap();
+            assert_eq!(bare.decisions()[0].chosen, "lazy-sliced-pipeline");
+            assert!(bare.decisions()[0].estimate.is_none());
+        }
+    }
+
+    /// A weak target mask — half of a complete graph's nodes, so half its
+    /// in-edges — sends a drain backwards, into a closure over the path
+    /// budget. A slice goes backwards only where it keeps an early stop:
+    /// `π(*,*,1)` under γ∅ or γS and the partition limit `π(2,*,1)(γST)`
+    /// end the forward stream after a few paths, so they run forward and
+    /// generate exactly the arena steps of the forward kernel's
+    /// `Pmr::sliced`; `π(*,*,k)(γST)` runs backwards and abandons each
+    /// target once its groups are full, within the forward kernel's steps.
+    /// All of them answer within the budget, byte for byte as the forward
+    /// kernel does.
+    #[test]
+    fn weak_target_masks_keep_the_early_stops_of_a_slice() {
+        use pathalg_core::ops::projection::Take;
+        use pathalg_graph::generator::structured::complete_graph;
+        use pathalg_graph::value::Value;
+
+        let g = complete_graph(8, "Knows");
+        let limit = 5_000;
+        let budget = RecursionConfig {
+            max_length: Some(6),
+            max_paths: Some(limit),
+        };
+        let half = Condition::Compare {
+            accessor: Accessor::NodeProperty(Position::Last, "id".into()),
+            op: CompareOp::Lt,
+            value: Value::Int(4),
+        };
+        let sigma = PlanExpr::edges()
+            .select(Condition::edge_label(1, "Knows"))
+            .recursive(PathSemantics::Walk)
+            .select(half.clone());
+        let mut drain = EngineEvaluator::new(&g, budget, ExecutionConfig::default());
+        let err = drain.eval_paths(&sigma).unwrap_err();
+        assert_eq!(err, AlgebraError::ResultLimitExceeded { limit });
+        assert!(drain.decisions()[0].operator.ends_with(", reversed"));
+
+        let take =
+            |partitions, paths| ProjectionSpec::new(partitions, Take::All, Take::Count(paths));
+        for (key, spec, backwards) in [
+            (GroupKey::Empty, take(Take::All, 1), false),
+            (GroupKey::Source, take(Take::All, 1), false),
+            (GroupKey::SourceTarget, take(Take::Count(2), 1), false),
+            (GroupKey::SourceTarget, take(Take::All, 1), true),
+            (GroupKey::SourceTarget, take(Take::All, 2), true),
+        ] {
+            let plan = sigma.clone().group_by(key).project(spec);
+            let slice = choose_pipeline_impl(&plan, &budget).unwrap().spec;
+            let csr = Arc::new(g.label_csr("Knows").clone());
+            let mut forward = Pmr::from_shared_csr(csr, PathSemantics::Walk, budget);
+            forward.restrict_endpoints(EndpointFilter {
+                sources: None,
+                targets: Some(drain.node_mask(&half)),
+            });
+            let expected = forward.sliced(&slice).unwrap();
+            let mut engine = EngineEvaluator::new(&g, budget, ExecutionConfig::default());
+            let out = engine.eval_paths(&plan).unwrap();
+            assert_eq!(out.as_slice(), expected.as_slice(), "{plan}");
+            let decision = &engine.decisions()[0];
+            assert_eq!(
+                decision.operator.ends_with(", reversed"),
+                backwards,
+                "{decision}"
+            );
+            let steps = engine.work_counters().arena_steps;
+            let forward_steps = forward.work_counters().arena_steps;
+            if backwards {
+                // Four targets settle as soon as eight sources do: 224
+                // steps, against 252 and 448 forward.
+                assert!(steps <= forward_steps, "{plan}: {steps} > {forward_steps}");
+            } else {
+                assert_eq!(steps, forward_steps, "{plan}");
+            }
         }
     }
 
@@ -1437,11 +1554,16 @@ mod tests {
     /// One generated σ-over-ϕ case: the graph of `seed`; a `:Knows` scan
     /// or a `(:Knows/:Likes)` chain; a filter on the first node, the last,
     /// both, or one that does not split (`∨` across the endpoints); and
-    /// the σ bare, under the ALL selector, or under ALL SHORTEST.
+    /// the σ bare (shape 0), under the ALL selector (1), under ALL SHORTEST
+    /// (2), or under a sliced pipeline: SHORTEST 1 `π(*,*,1)(τA(γST))` (3),
+    /// `π(*,*,2)(γS)` (4), the partition limit `π(2,*,1)(γST)` (5) and
+    /// `π(*,*,2)(γST)` (6).
     ///
-    /// The bare σ is byte for byte the reference fixpoint in canonical
-    /// order with the σ applied; the selectors answer what the reference
-    /// evaluator does; `for_each_path` is `eval_paths` in every observable.
+    /// Every answer is byte for byte the plan's γ/τ/π over the reference
+    /// fixpoint in canonical order with the σ applied; the unsliced shapes
+    /// also answer what the reference evaluator does (a slice keeps the
+    /// first paths of the order it is fed, so only the canonical one
+    /// agrees). `for_each_path` is `eval_paths` in every observable.
     /// Returns whether the drain searched backwards; panics on a mismatch.
     fn pushed_drain_case(
         seed: u64,
@@ -1471,16 +1593,30 @@ mod tests {
         } else {
             (scan("Knows"), vec!["Knows"])
         };
-        let sigma = base.recursive(semantics).select(filter.clone());
+        let sigma = base.clone().recursive(semantics).select(filter.clone());
+        let take = |p: Take, a: Take| ProjectionSpec::new(p, Take::All, a);
         let plan = match shape {
             0 => sigma,
             1 => sigma
                 .group_by(GroupKey::Empty)
                 .project(ProjectionSpec::all()),
-            _ => sigma
+            2 => sigma
                 .group_by(GroupKey::SourceTarget)
                 .order_by(OrderKey::Group)
                 .project(ProjectionSpec::new(Take::All, Take::Count(1), Take::All)),
+            3 => sigma
+                .group_by(GroupKey::SourceTarget)
+                .order_by(OrderKey::Path)
+                .project(take(Take::All, Take::Count(1))),
+            4 => sigma
+                .group_by(GroupKey::Source)
+                .project(take(Take::All, Take::Count(2))),
+            5 => sigma
+                .group_by(GroupKey::SourceTarget)
+                .project(take(Take::Count(2), Take::Count(1))),
+            _ => sigma
+                .group_by(GroupKey::SourceTarget)
+                .project(take(Take::All, Take::Count(2))),
         };
         let recursion = RecursionConfig {
             max_length: Some(max_length),
@@ -1488,23 +1624,18 @@ mod tests {
         };
         let mut engine = EngineEvaluator::new(&g, recursion, ExecutionConfig::default());
         let out = engine.eval_paths(&plan).unwrap();
-        let reference = Evaluator::with_config(&g, EvalConfig { recursion })
-            .eval_paths(&plan)
-            .unwrap();
-        assert_eq!(&out, &reference, "{}", plan);
-        if shape < 2 {
-            let hops: Vec<CsrGraph> = labels.iter().map(|l| g.label_csr(l).clone()).collect();
-            let PlanExpr::Selection { input, .. } = sigma_of(&plan) else {
-                unreachable!()
-            };
-            let PlanExpr::Recursive { input: base, .. } = &**input else {
-                unreachable!()
-            };
-            let base = Evaluator::new(&g).eval_paths(base).unwrap();
-            let closure = canonical_order(&recursive(semantics, &base, &recursion).unwrap(), &hops);
-            let expected = selection(&g, &filter, &closure);
-            assert_eq!(out.as_slice(), expected.as_slice(), "{}", plan);
+        let sliced = shape >= 3;
+        if !sliced {
+            let reference = Evaluator::with_config(&g, EvalConfig { recursion })
+                .eval_paths(&plan)
+                .unwrap();
+            assert_eq!(&out, &reference, "{}", plan);
         }
+        let hops: Vec<CsrGraph> = labels.iter().map(|l| g.label_csr(l).clone()).collect();
+        let base = Evaluator::new(&g).eval_paths(&base).unwrap();
+        let closure = canonical_order(&recursive(semantics, &base, &recursion).unwrap(), &hops);
+        let expected = above_sigma(&plan, selection(&g, &filter, &closure));
+        assert_eq!(out.as_slice(), expected.as_slice(), "{}", plan);
 
         let mut streaming = EngineEvaluator::new(&g, recursion, ExecutionConfig::default());
         let mut seen = Vec::new();
@@ -1537,16 +1668,25 @@ mod tests {
             "{}",
             decision
         );
+        // A slice whose σ splits runs on the kernel; one that does not is
+        // evaluated over the drained, filtered closure.
+        assert_eq!(engine.used_lazy_pipeline(), sliced && pushed, "{}", plan);
         decision.operator.ends_with(", reversed")
     }
 
-    /// The σ node of a generated plan (under the selector's wrappers).
-    fn sigma_of(plan: &PlanExpr) -> &PlanExpr {
+    /// The γ/τ/π operators of a generated plan above its σ, applied to
+    /// `paths` by the core operators.
+    fn above_sigma(plan: &PlanExpr, paths: PathSet) -> PathSet {
+        fn space(plan: &PlanExpr, paths: PathSet) -> SolutionSpace {
+            match plan {
+                PlanExpr::OrderBy { key, input } => order_by(*key, &space(input, paths)),
+                PlanExpr::GroupBy { key, .. } => group_by(*key, &paths),
+                other => unreachable!("{other} is not a γ or τ"),
+            }
+        }
         match plan {
-            PlanExpr::Projection { input, .. }
-            | PlanExpr::GroupBy { input, .. }
-            | PlanExpr::OrderBy { input, .. } => sigma_of(input),
-            sigma => sigma,
+            PlanExpr::Projection { spec, input } => projection(spec, &space(input, paths)),
+            _ => paths,
         }
     }
 
@@ -1561,33 +1701,63 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
-        /// Every σ over ϕ, pushed into the drain, searched backwards, or
-        /// evaluated over it, answers what the reference evaluator does.
+        /// Every σ over ϕ, pushed into the drain or a slice, searched
+        /// backwards, or evaluated over it, answers what the materialised
+        /// plan does.
         #[test]
         fn pushed_and_reversed_drains_equal_the_reference(
             seed in 0u64..u64::MAX,
             semantics in 0usize..5,
             max_length in 1usize..5,
-            kind in 0usize..24,
+            kind in 0usize..56,
         ) {
-            // Base (2) × filter (4) × shape (3).
+            // Base (2) × filter (4) × shape (7).
             let (chain, filter, shape) = (kind % 2 == 1, kind / 2 % 4, kind / 8);
             pushed_drain_case(seed, SEMANTICS[semantics], max_length, chain, filter, shape);
         }
     }
 
+    /// A backward slice settles a target once each of its groups is full,
+    /// but drains the rest of the current level before abandoning it: a
+    /// path of the same length as a group's k-th can come first in the
+    /// forward order. Generated cases that lose such a tie when the target
+    /// is abandoned at once.
+    #[test]
+    fn a_settled_target_keeps_the_ties_of_its_level() {
+        for (seed, semantics, max_length, shape) in [
+            (4, PathSemantics::Walk, 4, 6),
+            (4, PathSemantics::Simple, 4, 6),
+            (67, PathSemantics::Walk, 2, 3),
+        ] {
+            assert!(pushed_drain_case(
+                seed, semantics, max_length, false, 1, shape
+            ));
+        }
+    }
+
     /// The generator above reaches the backward search: over a fixed grid
-    /// of its target-anchored cases, some drain runs reversed, and a
-    /// first-node filter alone never does.
+    /// of its target-anchored cases, some drain and some case of each γST
+    /// slice with a cap (shapes 3 and 6) runs reversed, while the γS and
+    /// partition-limited slices (4 and 5), whose forward stops a backward
+    /// search would lose, never do. A first-node filter alone never
+    /// reverses a scan: its marked sources cannot have more out-edges than
+    /// the scan has edges.
     #[test]
     fn generated_target_anchored_drains_run_reversed() {
-        let mut reversed = 0;
-        for seed in 0..24u64 {
-            let semantics = SEMANTICS[seed as usize % 5];
-            let chain = seed % 2 == 0;
-            reversed += usize::from(pushed_drain_case(seed, semantics, 3, chain, 1, 0));
-            assert!(!pushed_drain_case(seed, semantics, 3, chain, 0, 1));
+        for shape in [0, 3, 4, 5, 6] {
+            let mut reversed = 0;
+            for seed in 0..24u64 {
+                let semantics = SEMANTICS[seed as usize % 5];
+                let chain = seed % 2 == 0;
+                reversed += usize::from(pushed_drain_case(seed, semantics, 3, chain, 1, shape));
+                assert!(!pushed_drain_case(seed, semantics, 3, false, 0, shape));
+            }
+            let forward_only = matches!(shape, 4 | 5);
+            assert_eq!(
+                reversed == 0,
+                forward_only,
+                "shape {shape}: {reversed} generated cases searched backwards"
+            );
         }
-        assert!(reversed > 0, "no generated drain searched backwards");
     }
 }

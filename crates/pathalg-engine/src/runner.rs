@@ -461,7 +461,7 @@ mod tests {
             .run("MATCH ANY SHORTEST TRAIL p = (?x {name:\"Moe\"})-[:Knows+]->(?y)")
             .unwrap();
         assert!(filtered.used_lazy_pipeline());
-        assert!(filtered.explain().contains("endpoint-σ pushdown"));
+        assert!(filtered.explain().contains("endpoint-σ pushed"));
         // A non-endpoint WHERE clause (interior node) keeps materialising.
         let interior = runner
             .run("MATCH ANY SHORTEST TRAIL p = (?x)-[:Knows+]->(?y) WHERE node(2).name = \"Lisa\"")

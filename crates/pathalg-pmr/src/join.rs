@@ -254,6 +254,13 @@ impl Expansion {
         Ok(Some((id, self.cur_source, len)))
     }
 
+    /// [`Expansion::next_id`] among the steps already queued — the rest of
+    /// the current level — without expanding the next level or source.
+    pub(crate) fn next_queued(&mut self) -> Option<(u32, NodeId, u32)> {
+        let (id, len) = self.pending.pop_front()?;
+        Some((id, self.cur_source, len))
+    }
+
     /// Drops everything still queued or expandable for the current source;
     /// the next pull starts the next source.
     pub(crate) fn skip_source(&mut self) {

@@ -30,6 +30,10 @@
 //!   enumeration and, over a scan or chain, a node-level reachability
 //!   analysis that stops each source as soon as its contribution to every
 //!   kept group is complete.
+//! * [`Pmr::for_each_path_reversed`] / [`Pmr::sliced_reversed`] — a kernel
+//!   over the reversed hops searches a scan or chain closure from its last
+//!   node; these put its paths back in the forward canonical order, the
+//!   slice with the per-source stop turned into a per-target one.
 //!
 //! Paths are stored as parent-pointer arena steps — `O(1)` words per path
 //! instead of `O(len)` — and a discovered-but-skipped path is never
@@ -40,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod arena;
+mod backward;
 mod join;
 mod segments;
 
@@ -200,9 +205,16 @@ impl Pmr {
     }
 
     fn next_emit(&mut self) -> Result<Option<Emit>, AlgebraError> {
+        self.pull(true)
+    }
+
+    /// The next emitted path, expanding the next level or source when the
+    /// queue runs dry only if `grow`; otherwise `None` ends the level.
+    fn pull(&mut self, grow: bool) -> Result<Option<Emit>, AlgebraError> {
         loop {
             let e = &mut self.expansion;
-            let emit = e.next_id()?.map(|(step, source, len)| Emit {
+            let next = if grow { e.next_id()? } else { e.next_queued() };
+            let emit = next.map(|(step, source, len)| Emit {
                 source,
                 // An empty base path owns no step.
                 last: if len == 0 {
@@ -406,6 +418,16 @@ impl Pmr {
         // fill before the sharp (partition-limit-closed) stop may skip the
         // source.
         let mut src_keys: Vec<PartitionKey> = Vec::new();
+        // How many leading groups of `requirements` / `src_keys` are full. A
+        // full group never empties, so each cursor only moves forward and
+        // every group is found full once, not once per emitted path.
+        let (mut required_full, mut opened_full) = (0, 0);
+        let advance = |cursor: &mut usize, keys: &[PartitionKey], c: &SliceCollector| {
+            while keys.get(*cursor).is_some_and(|k| c.group_is_full(k)) {
+                *cursor += 1;
+            }
+            *cursor == keys.len()
+        };
 
         while let Some(emit) = self.next_emit()? {
             if cur_source != Some(emit.source) {
@@ -418,24 +440,17 @@ impl Pmr {
                 }
                 requirements = self.requirements_for(emit.source, spec);
                 src_keys.clear();
+                (required_full, opened_full) = (0, 0);
             }
-            let key: PartitionKey = (
-                spec.group_key.partitions_by_source().then_some(emit.source),
-                spec.group_key.partitions_by_target().then_some(emit.last),
-            );
-            if collector.would_keep(&key) {
-                let path = self.realize(&emit);
-                let partitions_before = collector.partition_count();
-                let state = collector.offer(path);
+            let key = collector.key(emit.source, emit.last);
+            let partitions_before = collector.partition_count();
+            if let Some(state) = self.offer(&mut collector, key, |pmr| pmr.realize(&emit)) {
                 if collector.partition_count() > partitions_before {
                     src_keys.push(key);
                 }
                 if state == SliceState::Complete {
                     break;
                 }
-            } else {
-                // Provably not kept: skipped without reconstruction.
-                self.counts.skipped += 1;
             }
             if spec.per_group.is_some() {
                 let source_done = match spec.group_key {
@@ -446,10 +461,10 @@ impl Pmr {
                             // closed, so no further group of this source can
                             // be admitted — only the already-opened ones need
                             // to fill, not every reachable one.
-                            src_keys.iter().all(|k| collector.group_is_full(k))
+                            advance(&mut opened_full, &src_keys, &collector)
                         } else {
                             !requirements.is_empty()
-                                && requirements.iter().all(|k| collector.group_is_full(k))
+                                && advance(&mut required_full, &requirements, &collector)
                         }
                     }
                     _ => false,
@@ -459,10 +474,33 @@ impl Pmr {
                 }
             }
         }
+        Ok(self.finish_slice(collector))
+    }
+
+    /// Offers the next path of a canonical stream, keyed `key`, to
+    /// `collector`: `path` builds it only if the collector would keep it;
+    /// otherwise it is provably not kept and counted as skipped (`None`).
+    fn offer(
+        &mut self,
+        collector: &mut SliceCollector,
+        key: PartitionKey,
+        path: impl FnOnce(&mut Pmr) -> Path,
+    ) -> Option<SliceState> {
+        if !collector.would_keep(&key) {
+            self.counts.skipped += 1;
+            return None;
+        }
+        let path = path(self);
+        Some(collector.offer(path))
+    }
+
+    /// The kept set of a slice, its partition and kept-path tallies recorded
+    /// for [`Pmr::work_counters`].
+    fn finish_slice(&mut self, collector: SliceCollector) -> PathSet {
         self.counts.partitions = collector.partition_count() as u64;
         let out = collector.finish();
         self.counts.kept = out.len() as u64;
-        Ok(out)
+        out
     }
 
     /// The full set of groups source `s` can ever contribute to, for the

@@ -289,10 +289,10 @@ fn the_runner_and_the_service_run_one_pipeline() {
 
 /// The benchmark's three `reach_target` shapes (target-anchored `:Knows+`
 /// and `(:Likes/:Has_creator)+`, `max_length` 2) on an SNB graph. The two
-/// drains take the endpoint σ as masks and search backwards from their
-/// anchor, each generating under a tenth of the arena steps of the same
-/// query unanchored; the sliced `ANY SHORTEST` keeps its pipeline. Every
-/// answer is the reference evaluator's.
+/// drains and the sliced `ANY SHORTEST` take the endpoint σ as masks and
+/// search backwards from their anchor, each generating under a tenth of the
+/// arena steps of the same query unanchored. Every answer is the reference
+/// evaluator's.
 #[test]
 fn target_anchored_drains_search_backwards_from_the_anchor() {
     use pathalg::algebra::eval::{EvalConfig, Evaluator};
@@ -310,7 +310,7 @@ fn target_anchored_drains_search_backwards_from_the_anchor() {
     let svc = QueryService::new(graph.clone(), config);
     let anchor = r#" {name:"Apu1"}"#;
     for (query, reversed) in [
-        ("MATCH ANY SHORTEST WALK p = (?x)-[:Knows+]->(?y@)", false),
+        ("MATCH ANY SHORTEST WALK p = (?x)-[:Knows+]->(?y@)", true),
         (
             "MATCH ALL SHORTEST WALK p = (?x)-[(:Likes/:Has_creator)+]->(?y@)",
             true,
@@ -345,6 +345,49 @@ fn target_anchored_drains_search_backwards_from_the_anchor() {
             );
             assert!(masked * 10 < full, "{anchored}: {masked} vs {full} steps");
         }
+    }
+}
+
+/// `mixed_concurrent`'s four templates at its `max_length` (3) on the
+/// benchmark's SNB-10 000 graph, under the **default** `ServiceConfig` quota
+/// and admission ceiling. The target-anchored `ANY SHORTEST` starts at its
+/// anchor instead of expanding all 30 000 sources past the quota; every
+/// answer is the reference evaluator's.
+#[test]
+fn mixed_concurrent_templates_answer_under_the_default_quota() {
+    use pathalg::algebra::eval::{EvalConfig, Evaluator};
+
+    let graph = Arc::new(snb_like_graph(&SnbConfig::scale(10_000, 11)));
+    let recursion = RecursionConfig {
+        max_length: Some(3),
+        max_paths: None,
+    };
+    let config = ServiceConfig {
+        recursion,
+        ..ServiceConfig::default()
+    };
+    let svc = QueryService::new(graph.clone(), config);
+    let anchor = r#"{name:"Lisa1266"}"#;
+    for query in [
+        "MATCH ANY SHORTEST WALK p = (?x @)-[:Knows+]->(?y)",
+        "MATCH ANY SHORTEST TRAIL p = (?x @)-[(:Likes/:Has_creator)+]->(?y)",
+        "MATCH ANY SHORTEST WALK p = (?x)-[:Knows+]->(?y @)",
+        "MATCH ALL SHORTEST WALK p = (?x)-[(:Likes/:Has_creator)+]->(?y @)",
+    ] {
+        let query = query.replace('@', anchor);
+        let served = svc
+            .submit(&query)
+            .unwrap_or_else(|e| panic!("{query}: {e}"));
+        let (planned, _) = svc.prepare(&query).unwrap();
+        let reference = Evaluator::with_config(&graph, EvalConfig { recursion })
+            .eval_paths(&planned.plan)
+            .unwrap();
+        let mut expected: Vec<String> = reference.iter().map(Path::display_ids).collect();
+        let mut lines = served.outcome.canonical_lines();
+        assert!(!lines.is_empty(), "{query}");
+        expected.sort();
+        lines.sort();
+        assert_eq!(lines, expected, "{query}");
     }
 }
 
