@@ -3,7 +3,8 @@
 #
 #   ./ci.sh               full gate: fmt, clippy -D warnings, no allow of
 #                         dead or unused code, no index builds on the
-#                         request path, no second ϕ implementation,
+#                         request path, no second ϕ implementation, no
+#                         Path built between the kernel and the wire,
 #                         release build, tests, docs
 #                         -D warnings, bench compile, benchmark package
 #                         check, examples
@@ -83,6 +84,19 @@ full() {
     fi
     if [ "$(grep -rn "Pmr::from_shared_join" crates/pathalg-engine/src | wc -l)" -ne 1 ]; then
         echo "ci.sh: a scan or chain ϕ, sliced or not, runs through the one drain (EngineEvaluator::drain_kernel)" >&2
+        exit 1
+    fi
+
+    step "no Path between the kernel and the wire: one id-level slice collector, one collect_drain"
+    if [ "$(grep -rn "owned_path(" crates/pathalg-engine/src | grep -vc "fn owned_path(")" -ne 1 ] ||
+        ! awk '/fn [a-z_0-9]+[<(]/ { f = $0 }
+               /owned_path\(/ && !/fn owned_path\(/ && f !~ /fn collect_drain\(/ { bad = 1 }
+               END { exit bad }' crates/pathalg-engine/src/*.rs; then
+        echo "ci.sh: the engine builds a Path from a drain only in EngineEvaluator::collect_drain; render from the (nodes, edges) visitor" >&2
+        exit 1
+    fi
+    if sed '/#\[cfg(test)\]/,$d' crates/pathalg-core/src/slice.rs | grep -nw "Path"; then
+        echo "ci.sh: slice.rs only recognises pipelines; the pathalg-pmr slice collector keeps arena ids, not Paths" >&2
         exit 1
     fi
 

@@ -36,6 +36,7 @@ fn top1_spec() -> (ProjectionSpec, SliceSpec) {
             group_key: GroupKey::SourceTarget,
             per_group: Some(1),
             max_partitions: None,
+            max_groups: None,
             ordered_by_length: true,
         },
     )
@@ -104,6 +105,7 @@ fn bench_snb_topk(c: &mut Criterion) {
         group_key: GroupKey::Source,
         per_group: Some(3),
         max_partitions: Some(8),
+        max_groups: None,
         ordered_by_length: false,
     };
     for persons in [100usize, 200] {

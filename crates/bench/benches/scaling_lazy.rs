@@ -38,6 +38,7 @@ fn top1_spec() -> (ProjectionSpec, SliceSpec) {
             group_key: GroupKey::SourceTarget,
             per_group: Some(1),
             max_partitions: None,
+            max_groups: None,
             ordered_by_length: true,
         },
     )

@@ -4,19 +4,23 @@
 //! paths; the union operator "eliminates duplicates" (Section 1), so the
 //! carrier is a genuine set. [`PathSet`] keeps insertion order (so evaluation
 //! is deterministic and plans are easy to debug) while giving O(1) membership
-//! checks through an auxiliary hash set.
+//! checks through an auxiliary hash set, built on the first `insert` or
+//! `contains`: a set made of paths already known distinct
+//! ([`PathSet::from_distinct`]) and only read in order never hashes one.
 
 use crate::fasthash::{FastBuild, FastSet};
 use crate::path::Path;
 use pathalg_graph::graph::PropertyGraph;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An insertion-ordered, duplicate-free collection of [`Path`]s.
 #[derive(Clone, Debug, Default)]
 pub struct PathSet {
     paths: Vec<Path>,
-    index: FastSet<Path>,
+    /// Every path of `paths`, once the first `insert` or `contains` needs it.
+    index: OnceLock<FastSet<Path>>,
 }
 
 impl PathSet {
@@ -29,8 +33,36 @@ impl PathSet {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             paths: Vec::with_capacity(n),
-            index: HashSet::with_capacity_and_hasher(n, FastBuild::default()),
+            index: OnceLock::new(),
         }
+    }
+
+    /// The set of `paths`, which the caller knows to be pairwise distinct
+    /// (a kernel drain proves it), in their order. No path is hashed until
+    /// the set is first probed or extended. Distinctness is checked in
+    /// debug builds only.
+    pub fn from_distinct(paths: Vec<Path>) -> Self {
+        debug_assert!(
+            {
+                let mut seen = FastSet::default();
+                paths.iter().all(|p| seen.insert(p))
+            },
+            "PathSet::from_distinct given a repeated path"
+        );
+        Self {
+            paths,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The membership index, built over the paths so far on first use.
+    fn index(&self) -> &FastSet<Path> {
+        self.index.get_or_init(|| {
+            let mut index =
+                HashSet::with_capacity_and_hasher(self.paths.capacity(), FastBuild::default());
+            index.extend(self.paths.iter().cloned());
+            index
+        })
     }
 
     /// The `Nodes(G)` atom: all paths of length zero.
@@ -57,7 +89,9 @@ impl PathSet {
     /// the index is probed once, and the clone it keeps is a shared-handle
     /// bump, not a copy of the id sequences.
     pub fn insert(&mut self, path: Path) -> bool {
-        if self.index.insert(path.clone()) {
+        self.index();
+        let index = self.index.get_mut().expect("index() initialised it");
+        if index.insert(path.clone()) {
             self.paths.push(path);
             true
         } else {
@@ -67,7 +101,7 @@ impl PathSet {
 
     /// True if the set contains `path`.
     pub fn contains(&self, path: &Path) -> bool {
-        self.index.contains(path)
+        self.index().contains(path)
     }
 
     /// Number of paths in the set.
@@ -190,6 +224,33 @@ mod tests {
         assert!(!set.insert(Path::edge(&f.graph, f.e1)));
         assert!(set.insert(Path::node(f.n1)));
         assert_eq!(set.len(), 2);
+    }
+
+    #[test]
+    fn a_set_of_distinct_paths_indexes_itself_on_first_use() {
+        let f = Figure1::new();
+        let paths = vec![Path::node(f.n3), Path::edge(&f.graph, f.e1)];
+        let mut set = PathSet::from_distinct(paths.clone());
+        assert_eq!(set.as_slice(), paths.as_slice());
+        assert!(set.index.get().is_none(), "nothing hashed before a probe");
+        assert!(set.contains(&Path::node(f.n3)));
+        assert!(!set.insert(Path::edge(&f.graph, f.e1)));
+        assert!(set.insert(Path::node(f.n1)));
+        assert_eq!(set.len(), 3);
+        let mut extended = PathSet::from_distinct(paths);
+        assert!(
+            !extended.insert(Path::node(f.n3)),
+            "the first insert indexes"
+        );
+        assert_eq!(extended.len(), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "repeated path")]
+    fn from_distinct_rejects_a_repeat_in_debug_builds() {
+        let f = Figure1::new();
+        PathSet::from_distinct(vec![Path::node(f.n1), Path::node(f.n1)]);
     }
 
     #[test]

@@ -1,52 +1,55 @@
-//! Recognition and streaming evaluation of *sliceable* γ/τ/π pipelines.
+//! Recognition of *sliceable* γ/τ/π pipelines.
 //!
 //! The γ → τ → π pipelines GQL selectors translate to (Table 7) often keep
 //! only a few paths per partition — `π(*,*,k)` — while the recursive operator
-//! underneath can produce exponentially many. This module recognises the
-//! pipeline shapes whose result is fully determined by a *prefix* of the
-//! canonical enumeration order (the contract stated on `pathalg_pmr::Pmr`)
-//! so that a lazy enumeration can evaluate them without materialising the
-//! whole closure:
+//! underneath can produce exponentially many. [`PlanExpr::sliceable_pipeline`]
+//! recognises the pipeline shapes whose result is fully determined by the
+//! canonical enumeration order (the contract stated on `pathalg_pmr::Pmr`),
+//! read one source at a time, so that a lazy enumeration can evaluate them
+//! without materialising the whole closure:
 //!
-//! * [`PlanExpr::sliceable_pipeline`] — the shape recogniser. It accepts
-//!   `π(spec)(τA?(γψ(ϕsem(base))))` where ψ ∈ {∅, S, ST}, the order-by is
-//!   absent or ranks paths by length (`τA`), groups are taken whole, and at
-//!   least one of the partition/path components actually slices. These are
-//!   exactly the shapes where "first k in canonical order per group" equals
-//!   the materialised projection: γ's groups collect paths in enumeration
-//!   order, canonical order is length-non-decreasing within each source, and
-//!   ψ ∈ {∅, S, ST} keeps every group inside a single source segment, so the
-//!   stable rank sort of Algorithm 1 is the identity.
-//! * [`SliceCollector`] — the incremental kept-set builder: fed paths in
-//!   canonical order it reproduces `π(spec)(τ?(γψ(...)))` byte for byte and
-//!   reports when the kept set is complete (single-partition keys after k
-//!   paths; partition-limited specs once every kept group is full).
-//!   `Pmr::sliced` drives it and layers a reachability-aware early stop on
-//!   top.
+//! * `π(spec)(τA?(γψ(σ?(ϕsem(base)))))` where ψ ∈ {∅, S, ST}, the order-by is
+//!   absent or ranks paths by length (`τA`), groups are taken whole, and the
+//!   projection slices (or, under γST, regroups by target): "first k in
+//!   canonical order per group" is the materialised projection, because γ
+//!   collects paths in enumeration order, canonical order is
+//!   length-non-decreasing within each source, and ψ ∈ {∅, S, ST} keeps
+//!   every group inside a single source segment, so the stable rank sort of
+//!   Algorithm 1 is the identity.
+//! * `π(*,k,*)(τG(γSTL(σ?(ϕsem(base)))))` — ALL SHORTEST and SHORTEST k
+//!   GROUP: a pair's groups are its path lengths, and since a source's
+//!   paths come length by length, its first k groups are the paths of its
+//!   first k lengths, in canonical order.
+//!
+//! The `pathalg-pmr` crate's slice collector evaluates the recognised
+//! [`SliceSpec`] over a kernel's stream.
 
 use crate::condition::{Accessor, CompareOp, Condition, Position};
 use crate::expr::PlanExpr;
-use crate::fasthash::FastMap;
 use crate::ops::group_by::GroupKey;
+use crate::ops::order_by::OrderKey;
+use crate::ops::projection::Take;
 use crate::ops::recursive::PathSemantics;
-use crate::pathset::PathSet;
-use pathalg_graph::ids::NodeId;
 
 /// The slicing parameters pushed down into a lazy enumeration: which grouping
 /// the projection slices along and how many elements each level keeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SliceSpec {
-    /// The grouping parameter ψ of the pipeline (∅, S or ST).
+    /// The grouping parameter ψ of the pipeline (∅, S, ST or STL).
     pub group_key: GroupKey,
     /// Paths kept per group (`π(…,…,k)`), `None` for `*`.
     pub per_group: Option<usize>,
     /// Partitions kept (`π(k,…,…)`), `None` for `*`. Only recognised when no
     /// order-by ranks partitions, so "first k" is first-occurrence order.
     pub max_partitions: Option<usize>,
-    /// True when the pipeline contains `τA` (paths ranked by length). The
-    /// kept set is the same either way — canonical order is already
-    /// length-sorted within each group — but the flag documents the original
-    /// pipeline in traces.
+    /// Groups kept per partition (`π(…,k,…)`), `None` for `*`. Only
+    /// recognised under `τG(γSTL)`, where a partition `(s, t)`'s groups are
+    /// its path lengths, ascending: the paths of its first k lengths.
+    pub max_groups: Option<usize>,
+    /// True when the pipeline contains a τ: `τA` ranking paths by length, or
+    /// `τG` ranking γSTL's length groups. The kept set is the same either
+    /// way — canonical order is already length-sorted within each source —
+    /// but the flag documents the original pipeline in traces.
     pub ordered_by_length: bool,
 }
 
@@ -86,50 +89,55 @@ impl SlicePlan<'_> {
 }
 
 impl PlanExpr {
-    /// Recognises a sliceable `π(τA?(γψ(ϕ(…))))` pipeline rooted at this
-    /// expression (see the module docs for the exact conditions). Returns
-    /// `None` when the plan must be evaluated by materialising.
+    /// Recognises a sliceable pipeline rooted at this expression (see the
+    /// module docs for the exact shapes). Returns `None` when the plan must
+    /// be evaluated by materialising.
     pub fn sliceable_pipeline(&self) -> Option<SlicePlan<'_>> {
         let PlanExpr::Projection { spec, input } = self else {
             return None;
         };
-        if !spec.keeps_groups_whole() {
-            return None;
-        }
-        let per_group = spec.path_limit();
-        let max_partitions = spec.partition_limit();
-        // π(*,*,*) slices nothing; materialising is as good as streaming.
-        if per_group.is_none() && max_partitions.is_none() {
-            return None;
-        }
-        let (ordered_by_length, grouped) = match input.as_ref() {
-            PlanExpr::OrderBy { key, input } => {
-                if !key.ranks_only_paths() {
-                    return None;
-                }
-                (true, input.as_ref())
-            }
-            other => (false, other),
+        let (order, grouped) = match input.as_ref() {
+            PlanExpr::OrderBy { key, input } => (Some(*key), input.as_ref()),
+            other => (None, other),
         };
-        // A partition limit is only "first k in occurrence order" when no τ
-        // ranks partitions; τA leaves partition ranks at 1, so first-occurrence
-        // order still decides — but combined with a partition limit we keep
-        // the conservative rule simple and require no order-by at all.
-        if max_partitions.is_some() && ordered_by_length {
-            return None;
-        }
         let PlanExpr::GroupBy { key, input } = grouped else {
             return None;
         };
-        match key {
-            GroupKey::Empty | GroupKey::Source | GroupKey::SourceTarget => {}
+        let per_group = spec.path_limit();
+        let max_partitions = spec.partition_limit();
+        let max_groups = match key {
+            GroupKey::SourceTargetLength => {
+                let Take::Count(k) = spec.groups else {
+                    return None;
+                };
+                if order != Some(OrderKey::Group) || per_group.is_some() || max_partitions.is_some()
+                {
+                    return None;
+                }
+                Some(k)
+            }
+            GroupKey::Empty | GroupKey::Source | GroupKey::SourceTarget => {
+                if !spec.keeps_groups_whole() || order.is_some_and(|o| !o.ranks_only_paths()) {
+                    return None;
+                }
+                // π(*,*,*) leaves the stream as it is, except that γST
+                // regroups each source's paths by target.
+                if per_group.is_none() && max_partitions.is_none() && *key != GroupKey::SourceTarget
+                {
+                    return None;
+                }
+                // τA leaves partition ranks at 1, so a partition limit still
+                // takes first-occurrence order — but the rule stays simple:
+                // a partition limit takes no order-by at all. And γ∅ collects
+                // every source into one group, so τA would order it globally,
+                // while canonical order is only length-sorted per source.
+                if order.is_some() && (max_partitions.is_some() || *key == GroupKey::Empty) {
+                    return None;
+                }
+                None
+            }
             _ => return None,
-        }
-        // γ∅ collects every source into one group, so length order is global
-        // — canonical order is only length-sorted per source.
-        if *key == GroupKey::Empty && ordered_by_length {
-            return None;
-        }
+        };
         // An endpoint filter may sit between γ and ϕ (the shape every
         // filtered selector query compiles to); σ preserves enumeration
         // order, so slicing the filtered stream equals filtering after
@@ -146,14 +154,14 @@ impl PlanExpr {
                 group_key: *key,
                 per_group,
                 max_partitions,
-                ordered_by_length,
+                max_groups,
+                ordered_by_length: order.is_some(),
             },
             semantics: *semantics,
             base: input,
             filter,
         })
     }
-
     /// Recognises `σ_{label(edge(1)) = ℓ}(Edges(G))` — the shape every
     /// `[:ℓ+]` pattern compiles its base relation to — and returns `ℓ`.
     pub fn label_scan_target(&self) -> Option<&str> {
@@ -194,167 +202,12 @@ impl PlanExpr {
     }
 }
 
-/// Whether a slice collector can still accept paths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SliceState {
-    /// Further paths may still be kept.
-    Open,
-    /// The kept set is complete; no future path (in canonical order) can be
-    /// kept, so enumeration may stop.
-    Complete,
-}
-
-/// The incremental kept-set builder behind the `pathalg-pmr` crate's
-/// reachability-aware sliced evaluation: groups paths by the partition key
-/// in first-occurrence order, caps each group at `per_group`, ignores
-/// partitions beyond `max_partitions`, and reports when the kept set cannot
-/// grow any more.
-pub struct SliceCollector {
-    spec: SliceSpec,
-    groups: Vec<(PartitionKey, Vec<crate::path::Path>)>,
-    index: FastMap<PartitionKey, usize>,
-    /// Number of kept groups still below the `per_group` cap — kept
-    /// incrementally so completion checks are O(1) per offered path.
-    unfilled: usize,
-}
-
-/// The partition identity under ψ ∈ {∅, S, ST}: the source and/or target
-/// component of the grouping key (both `None` for γ∅).
-pub type PartitionKey = (Option<NodeId>, Option<NodeId>);
-
-impl SliceCollector {
-    /// Creates an empty collector for `spec`.
-    pub fn new(spec: &SliceSpec) -> Self {
-        Self {
-            spec: *spec,
-            groups: Vec::new(),
-            index: FastMap::default(),
-            unfilled: 0,
-        }
-    }
-
-    /// The partition key of a path from `first` to `last` under the
-    /// collector's grouping parameter.
-    pub fn key(&self, first: NodeId, last: NodeId) -> PartitionKey {
-        let by = self.spec.group_key;
-        (
-            by.partitions_by_source().then_some(first),
-            by.partitions_by_target().then_some(last),
-        )
-    }
-
-    /// Offers the next path in canonical order; keeps or skips it and reports
-    /// whether the kept set is now complete.
-    pub fn offer(&mut self, path: crate::path::Path) -> SliceState {
-        let key = self.key(path.first(), path.last());
-        let gi = match self.index.get(&key) {
-            Some(&gi) => gi,
-            None => {
-                if self
-                    .spec
-                    .max_partitions
-                    .is_some_and(|kp| self.groups.len() >= kp)
-                {
-                    return self.state();
-                }
-                self.groups.push((key, Vec::new()));
-                self.index.insert(key, self.groups.len() - 1);
-                if self.spec.per_group.is_some() {
-                    self.unfilled += 1;
-                }
-                self.groups.len() - 1
-            }
-        };
-        let cap = self.spec.per_group;
-        let members = &mut self.groups[gi].1;
-        if cap.is_none_or(|k| members.len() < k) {
-            members.push(path);
-            if cap.is_some_and(|k| members.len() == k) {
-                self.unfilled -= 1;
-            }
-        }
-        self.state()
-    }
-
-    /// True once the kept set cannot grow: every kept group is full and no
-    /// new partition may be admitted. O(1) via the `unfilled` counter.
-    fn state(&self) -> SliceState {
-        if self.spec.per_group.is_none() {
-            return SliceState::Open;
-        }
-        let all_full = self.unfilled == 0;
-        let partitions_closed = match self.spec.group_key {
-            // γ∅: there is only ever one partition.
-            GroupKey::Empty => !self.groups.is_empty(),
-            _ => self
-                .spec
-                .max_partitions
-                .is_some_and(|kp| self.groups.len() >= kp),
-        };
-        if all_full && partitions_closed {
-            SliceState::Complete
-        } else {
-            SliceState::Open
-        }
-    }
-
-    /// Number of partitions discovered so far.
-    pub fn partition_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True if the group of `key` already holds `per_group` paths (always
-    /// false when no per-group cap is set).
-    pub fn group_is_full(&self, key: &PartitionKey) -> bool {
-        match (self.spec.per_group, self.index.get(key)) {
-            (Some(k), Some(&gi)) => self.groups[gi].1.len() >= k,
-            _ => false,
-        }
-    }
-
-    /// True if the next path with this key would actually be kept (rather
-    /// than skipped as a duplicate beyond the group cap or as a partition
-    /// beyond the partition limit). Producers use this to avoid
-    /// materialising paths that are about to be discarded.
-    pub fn would_keep(&self, key: &PartitionKey) -> bool {
-        match self.index.get(key) {
-            Some(&gi) => self
-                .spec
-                .per_group
-                .is_none_or(|k| self.groups[gi].1.len() < k),
-            None => self.accepts_new_partition(),
-        }
-    }
-
-    /// True if a path with this key could still be kept.
-    pub fn accepts_new_partition(&self) -> bool {
-        self.spec
-            .max_partitions
-            .is_none_or(|kp| self.groups.len() < kp)
-    }
-
-    /// Assembles the kept paths: partitions in first-occurrence order, paths
-    /// within each group in canonical order — exactly the output order of
-    /// Algorithm 1 on these pipeline shapes.
-    pub fn finish(self) -> PathSet {
-        let mut out = PathSet::new();
-        for (_, members) in self.groups {
-            out.extend(members);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::condition::Condition;
     use crate::ops::order_by::OrderKey;
     use crate::ops::projection::{ProjectionSpec, Take};
-    use crate::ops::recursive::{recursive, RecursionConfig};
-    use crate::ops::selection::selection;
-    use crate::path::Path;
-    use pathalg_graph::fixtures::figure1::Figure1;
 
     fn scan(label: &str) -> PlanExpr {
         PlanExpr::edges().select(Condition::edge_label(1, label))
@@ -385,6 +238,31 @@ mod tests {
         assert!(!sliced.spec.ordered_by_length);
         assert_eq!(sliced.spec.per_group, Some(1));
 
+        // ALL SHORTEST WALK's optimized form: π(*,*,*)(γST(ϕSHORTEST)), a
+        // regrouping by target with nothing sliced.
+        let plan = scan("Knows")
+            .recursive(PathSemantics::Shortest)
+            .group_by(GroupKey::SourceTarget)
+            .project(ProjectionSpec::all());
+        let sliced = plan.sliceable_pipeline().unwrap();
+        assert_eq!(
+            (sliced.spec.per_group, sliced.spec.max_groups),
+            (None, None)
+        );
+
+        // SHORTEST 2 GROUP: π(*,2,*)(τG(γSTL(ϕ))), the paths of each pair's
+        // two shortest lengths.
+        let plan = scan("Knows")
+            .recursive(PathSemantics::Trail)
+            .group_by(GroupKey::SourceTargetLength)
+            .order_by(OrderKey::Group)
+            .project(ProjectionSpec::new(Take::All, Take::Count(2), Take::All));
+        let sliced = plan.sliceable_pipeline().unwrap();
+        assert_eq!(sliced.spec.group_key, GroupKey::SourceTargetLength);
+        assert_eq!(sliced.spec.max_groups, Some(2));
+        assert_eq!(sliced.spec.per_group, None);
+        assert!(sliced.spec.ordered_by_length);
+
         // Extended form: 2 PARTITIONS, 3 PATHS, no order.
         let plan = scan("Knows")
             .recursive(PathSemantics::Trail)
@@ -402,18 +280,39 @@ mod tests {
     #[test]
     fn rejects_non_sliceable_shapes() {
         let phi = scan("Knows").recursive(PathSemantics::Trail);
-        // π(*,*,*) slices nothing.
-        assert!(phi
-            .clone()
-            .group_by(GroupKey::SourceTarget)
-            .project(ProjectionSpec::all())
-            .sliceable_pipeline()
-            .is_none());
-        // Group limits are not streamable.
+        // π(*,*,*) over γ∅ or γS leaves the stream as it is: nothing to
+        // slice.
+        for key in [GroupKey::Empty, GroupKey::Source] {
+            assert!(phi
+                .clone()
+                .group_by(key)
+                .project(ProjectionSpec::all())
+                .sliceable_pipeline()
+                .is_none());
+        }
+        // Group limits are streamed only as γSTL's lengths ranked by τG.
         assert!(phi
             .clone()
             .group_by(GroupKey::SourceTargetLength)
             .project(ProjectionSpec::new(Take::All, Take::Count(1), Take::All))
+            .sliceable_pipeline()
+            .is_none());
+        assert!(phi
+            .clone()
+            .group_by(GroupKey::SourceLength)
+            .order_by(OrderKey::Group)
+            .project(ProjectionSpec::new(Take::All, Take::Count(1), Take::All))
+            .sliceable_pipeline()
+            .is_none());
+        assert!(phi
+            .clone()
+            .group_by(GroupKey::SourceTargetLength)
+            .order_by(OrderKey::Group)
+            .project(ProjectionSpec::new(
+                Take::All,
+                Take::Count(1),
+                Take::Count(1)
+            ))
             .sliceable_pipeline()
             .is_none());
         // Length-keyed groups span levels.
@@ -516,44 +415,5 @@ mod tests {
             None
         );
         assert_eq!(PlanExpr::edges().label_scan_target(), None);
-    }
-
-    /// The materialised trail closure of the Knows subgraph, in a canonical
-    /// per-source, level-ordered sequence.
-    fn canonical_trails(f: &Figure1) -> Vec<Path> {
-        let base = selection(
-            &f.graph,
-            &Condition::edge_label(1, "Knows"),
-            &PathSet::edges(&f.graph),
-        );
-        let closure = recursive(PathSemantics::Trail, &base, &RecursionConfig::default()).unwrap();
-        let mut v: Vec<Path> = closure.into_vec();
-        // Source-major, level-ordered: the canonical-order contract.
-        v.sort_by_key(|p| (p.first(), p.len()));
-        v
-    }
-
-    #[test]
-    fn collector_completes_as_soon_as_the_kept_set_is_full() {
-        let f = Figure1::new();
-        let canonical = canonical_trails(&f);
-        assert!(canonical.len() > 2);
-        // γ∅, first 2 paths: the second offer completes the kept set, so a
-        // canonical-order producer can stop pulling right there.
-        let spec = SliceSpec {
-            group_key: GroupKey::Empty,
-            per_group: Some(2),
-            max_partitions: None,
-            ordered_by_length: false,
-        };
-        let mut collector = SliceCollector::new(&spec);
-        let states: Vec<SliceState> = canonical
-            .iter()
-            .take(2)
-            .map(|p| collector.offer(p.clone()))
-            .collect();
-        assert_eq!(states, [SliceState::Open, SliceState::Complete]);
-        let out = collector.finish();
-        assert_eq!(out.as_slice(), &canonical[..2]);
     }
 }

@@ -514,12 +514,16 @@ mod tests {
             .group_by(GroupKey::SourceTarget)
             .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)));
         assert!(choose_pipeline_impl(&sliced, &recursion).is_some());
-        // π(*,*,*) slices nothing.
-        let all = knows_scan()
-            .recursive(PathSemantics::Trail)
-            .group_by(GroupKey::SourceTarget)
-            .project(ProjectionSpec::all());
-        assert!(choose_pipeline_impl(&all, &recursion).is_none());
+        // π(*,*,*) over γ∅ (the ALL selector) slices nothing; over γST
+        // (ALL SHORTEST WALK's optimized form) it regroups by target.
+        let all = |key| {
+            knows_scan()
+                .recursive(PathSemantics::Trail)
+                .group_by(key)
+                .project(ProjectionSpec::all())
+        };
+        assert!(choose_pipeline_impl(&all(GroupKey::Empty), &recursion).is_none());
+        assert!(choose_pipeline_impl(&all(GroupKey::SourceTarget), &recursion).is_some());
         // Unbounded Walk must keep the materialised infinite-answer check;
         // with a bound the lazy pipeline applies.
         let walk = knows_scan()

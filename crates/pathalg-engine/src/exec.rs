@@ -20,18 +20,23 @@
 //! An anchored ϕ is one drain. A σ over a ϕ whose condition splits into
 //! first- and last-node parts ([`Condition::endpoint_split`]) becomes node
 //! masks (unbounded Walk excepted), and a sliceable `π(τ?(γ(σ?(ϕ(…)))))`
-//! pipeline over a scan/chain base ([`choose_pipeline_impl`]) a slice as
-//! well: its limits pushed into the enumeration. One function decides the
-//! masks, the direction — a scan or chain whose marked targets have fewer
-//! in-edges on its last hop than its marked sources have out-edges on its
-//! first is searched backwards over the graph's reverse label CSRs
+//! pipeline over a scan/chain base ([`choose_pipeline_impl`]) — every GQL
+//! selector but ALL, which is a plain drain — a slice as well: its limits
+//! pushed into the enumeration. One function decides the masks, the
+//! direction — a scan or chain whose marked targets have fewer in-edges on
+//! its last hop than its marked sources have out-edges on its first is
+//! searched backwards over the graph's reverse label CSRs
 //! ([`PropertyGraph::reverse_label_csr`]) and put back in the forward
 //! canonical order, a slice only where that keeps its early stop
 //! ([`Pmr::slices_backwards`]) — the recorded decision and the
 //! [`EvalStats`]. Those charge the skipped operators exactly as the
 //! reference evaluator would, except that the ϕ beneath a pushed σ or a
 //! slice is charged the work it performed, so `EXPLAIN ANALYZE` output
-//! stays comparable between the two interpreters.
+//! stays comparable between the two interpreters. Every drain, sliced or
+//! not, hands its paths to a `(nodes, edges)` visitor straight off the
+//! kernel: [`EngineEvaluator::for_each_path`] streams a root drain into the
+//! caller's renderer, and a `Path` is built only where a `PathSet` is asked
+//! for.
 //!
 //! Evaluation is serial per query: one thread runs every operator of a plan,
 //! and a service runs queries concurrently, one per connection. Results are
@@ -315,17 +320,12 @@ impl<'g> EngineEvaluator<'g> {
     }
 
     /// [`EngineEvaluator::drain_kernel`] collected into a `PathSet`, in
-    /// canonical order.
+    /// order: the one place the engine builds a `Path` from a drain. The
+    /// kernel never emits a path twice, so none is hashed.
     fn collect_drain(&mut self, drain: KernelDrain) -> Result<PathSet, AlgebraError> {
         let mut paths = Vec::new();
-        match self.drain_kernel(drain, |nodes, edges| paths.push(owned_path(nodes, edges)))? {
-            Drained::Kept(kept) => Ok(kept),
-            Drained::Visited(_) => {
-                let mut out = PathSet::with_capacity(paths.len());
-                out.extend(paths);
-                Ok(out)
-            }
-        }
+        self.drain_kernel(drain, |nodes, edges| paths.push(owned_path(nodes, edges)))?;
+        Ok(PathSet::from_distinct(paths))
     }
 
     /// Runs `ϕ_semantics(base)` on the kernel — the one place a ϕ runs —
@@ -346,20 +346,22 @@ impl<'g> EngineEvaluator<'g> {
     /// canonical order; Walk, Trail, Acyclic and Simple are closed under
     /// reversal and Shortest keeps the shortest paths per endpoint pair, so
     /// they are the forward drain's. A slice runs forward as
-    /// [`Pmr::sliced`], and backwards as [`Pmr::sliced_reversed`] only where
-    /// that keeps an early stop as strong ([`Pmr::slices_backwards`]: γST
-    /// with a per-group cap and no partition limit); any other slice runs
-    /// forward whatever the edge sums say.
+    /// [`Pmr::for_each_sliced`], and backwards as
+    /// [`Pmr::for_each_sliced_reversed`] only where that keeps an early
+    /// stop as strong ([`Pmr::slices_backwards`]: a slice keyed by `(s, t)`
+    /// with no partition limit); any other slice runs forward whatever the
+    /// edge sums say.
     ///
-    /// `visit` sees every path of a drain; a slice returns its kept set. The
-    /// [`EvalStats`] beneath the root are charged here: the ϕ beneath a
-    /// pushed σ or a slice with the arena steps generated, a slice's σ, γ and
-    /// τ with its kept set. The caller charges the root.
+    /// `visit` sees every path of the answer, a slice's kept paths in the
+    /// slice's order; returns how many. The [`EvalStats`] beneath the root
+    /// are charged here: the ϕ beneath a pushed σ or a slice with the arena
+    /// steps generated, a slice's σ, γ and τ with its kept set. The caller
+    /// charges the root.
     fn drain_kernel(
         &mut self,
         drain: KernelDrain,
         mut visit: impl FnMut(&[NodeId], &[EdgeId]),
-    ) -> Result<Drained, AlgebraError> {
+    ) -> Result<usize, AlgebraError> {
         let KernelDrain {
             semantics,
             base,
@@ -456,8 +458,8 @@ impl<'g> EngineEvaluator<'g> {
             chosen,
             estimate,
         });
-        let (drained, work) = match pmr {
-            None => (Drained::Kept(PathSet::new()), WorkCounters::default()),
+        let (n, work) = match pmr {
+            None => (0, WorkCounters::default()),
             Some(mut pmr) => {
                 if reversed {
                     std::mem::swap(&mut filter.sources, &mut filter.targets);
@@ -468,17 +470,15 @@ impl<'g> EngineEvaluator<'g> {
                 }
                 let forward = labels.as_ref().filter(|_| reversed);
                 let forward = forward.map(|labels| self.chain_hops(labels));
-                let drained = match (&slice, &forward) {
-                    (Some(spec), None) => Drained::Kept(pmr.sliced(spec)?),
+                let n = match (&slice, &forward) {
+                    (Some(spec), None) => pmr.for_each_sliced(spec, &mut visit)?,
                     (Some(spec), Some(forward)) => {
-                        Drained::Kept(pmr.sliced_reversed(spec, forward)?)
+                        pmr.for_each_sliced_reversed(spec, forward, &mut visit)?
                     }
-                    (None, Some(forward)) => {
-                        Drained::Visited(pmr.for_each_path_reversed(forward, &mut visit)?)
-                    }
-                    (None, None) => Drained::Visited(pmr.for_each_path(&mut visit)?),
+                    (None, Some(forward)) => pmr.for_each_path_reversed(forward, &mut visit)?,
+                    (None, None) => pmr.for_each_path(&mut visit)?,
                 };
-                (drained, pmr.work_counters())
+                (n, pmr.work_counters())
             }
         };
         self.work.merge(&work);
@@ -491,13 +491,13 @@ impl<'g> EngineEvaluator<'g> {
         if pushed || slice.is_some() {
             self.charge_skipped(work.arena_steps as usize); // ϕ beneath the root
         }
-        if let (Some(spec), Drained::Kept(kept)) = (slice, &drained) {
+        if let Some(spec) = slice {
             // The slice's σ (when pushed), γ and τ (when present).
             for _ in 0..1 + usize::from(pushed) + usize::from(spec.ordered_by_length) {
-                self.charge_skipped(kept.len());
+                self.charge_skipped(n);
             }
         }
-        Ok(drained)
+        Ok(n)
     }
 
     /// The node masks of a split endpoint σ (see
@@ -580,14 +580,14 @@ impl<'g> EngineEvaluator<'g> {
     /// sees every result path, in result order, as its node and edge
     /// sequences. A kernel drain at the root — a ϕ or a σ the drain takes as
     /// endpoint masks, bare or under the ALL selector's `π(*,*,*)(γ∅(…))`,
-    /// which keeps its one group whole and in order — streams straight into
-    /// the visitor ([`Pmr::for_each_path`]): no result `Path` and no result
-    /// `PathSet` is built (a materialised base still is, and a drain
-    /// searched backwards collects its answer to sort it). A sliced
-    /// pipeline's kept set, and every other root's `PathSet`, is walked
-    /// once evaluated. Paths, order,
-    /// statistics, work counters and decisions are those of `eval_paths`.
-    /// Returns the paths visited.
+    /// which keeps its one group whole and in order, or a sliced pipeline —
+    /// streams straight into the visitor ([`Pmr::for_each_path`],
+    /// [`Pmr::for_each_sliced`]): no result `Path` and no result `PathSet`
+    /// is built (a materialised base still is, and a drain searched
+    /// backwards collects its answer's ids to sort them). Every other root's
+    /// `PathSet` is walked once evaluated. Paths, order, statistics, work
+    /// counters and decisions are those of `eval_paths`. Returns the paths
+    /// visited.
     pub fn for_each_path(
         &mut self,
         expr: &PlanExpr,
@@ -610,15 +610,7 @@ impl<'g> EngineEvaluator<'g> {
             // around a streamed drain.
             self.stats.operators_evaluated += 1 + wrappers;
             self.check_cancel()?;
-            let n = match self.drain_kernel(drain, &mut visit)? {
-                Drained::Visited(n) => n,
-                Drained::Kept(kept) => {
-                    for path in &kept {
-                        visit(path.nodes(), path.edges());
-                    }
-                    kept.len()
-                }
-            };
+            let n = self.drain_kernel(drain, &mut visit)?;
             for _ in 0..=wrappers {
                 self.charge_output(n);
             }
@@ -684,14 +676,6 @@ struct KernelDrain<'p> {
     split: Option<EndpointSplit>,
     /// The sliced pipeline's limits; `None` for a drain.
     slice: Option<SliceSpec>,
-}
-
-/// What [`EngineEvaluator::drain_kernel`] hands back: the number of paths a
-/// drain visited, or the kept set of a slice or of an empty side, which the
-/// caller walks itself.
-enum Drained {
-    Visited(usize),
-    Kept(PathSet),
 }
 
 /// An owned [`Path`] over copies of a drain's node and edge sequences.
@@ -1554,15 +1538,20 @@ mod tests {
     /// One generated σ-over-ϕ case: the graph of `seed`; a `:Knows` scan
     /// or a `(:Knows/:Likes)` chain; a filter on the first node, the last,
     /// both, or one that does not split (`∨` across the endpoints); and
-    /// the σ bare (shape 0), under the ALL selector (1), under ALL SHORTEST
-    /// (2), or under a sliced pipeline: SHORTEST 1 `π(*,*,1)(τA(γST))` (3),
-    /// `π(*,*,2)(γS)` (4), the partition limit `π(2,*,1)(γST)` (5) and
-    /// `π(*,*,2)(γST)` (6).
+    /// the σ bare (shape 0), under the ALL selector (1), under
+    /// `π(*,1,*)(τG(γST))` (2), which keeps each pair's one group whole and
+    /// is materialised, or under a sliced pipeline: SHORTEST 1
+    /// `π(*,*,1)(τA(γST))` (3), `π(*,*,2)(γS)` (4), the partition limit
+    /// `π(2,*,1)(γST)` (5), `π(*,*,2)(γST)` (6), `π(*,*,2)(γ∅)` (7), ALL
+    /// SHORTEST WALK's optimized form `π(*,*,*)(γST)` (8), ALL SHORTEST
+    /// `π(*,1,*)(τG(γSTL))` (9) and SHORTEST 2 GROUP `π(*,2,*)(τG(γSTL))`
+    /// (10).
     ///
     /// Every answer is byte for byte the plan's γ/τ/π over the reference
-    /// fixpoint in canonical order with the σ applied; the unsliced shapes
-    /// also answer what the reference evaluator does (a slice keeps the
-    /// first paths of the order it is fed, so only the canonical one
+    /// fixpoint in canonical order with the σ applied; the shapes whose
+    /// answer does not depend on the order of the stream (0–2 and 8–10)
+    /// also answer what the reference evaluator does (any other slice keeps
+    /// the first paths of the order it is fed, so only the canonical one
     /// agrees). `for_each_path` is `eval_paths` in every observable.
     /// Returns whether the drain searched backwards; panics on a mismatch.
     fn pushed_drain_case(
@@ -1614,9 +1603,23 @@ mod tests {
             5 => sigma
                 .group_by(GroupKey::SourceTarget)
                 .project(take(Take::Count(2), Take::Count(1))),
-            _ => sigma
+            6 => sigma
                 .group_by(GroupKey::SourceTarget)
                 .project(take(Take::All, Take::Count(2))),
+            7 => sigma
+                .group_by(GroupKey::Empty)
+                .project(take(Take::All, Take::Count(2))),
+            8 => sigma
+                .group_by(GroupKey::SourceTarget)
+                .project(ProjectionSpec::all()),
+            _ => sigma
+                .group_by(GroupKey::SourceTargetLength)
+                .order_by(OrderKey::Group)
+                .project(ProjectionSpec::new(
+                    Take::All,
+                    Take::Count(shape - 8),
+                    Take::All,
+                )),
         };
         let recursion = RecursionConfig {
             max_length: Some(max_length),
@@ -1625,7 +1628,7 @@ mod tests {
         let mut engine = EngineEvaluator::new(&g, recursion, ExecutionConfig::default());
         let out = engine.eval_paths(&plan).unwrap();
         let sliced = shape >= 3;
-        if !sliced {
+        if matches!(shape, 0..=2 | 8..) {
             let reference = Evaluator::with_config(&g, EvalConfig { recursion })
                 .eval_paths(&plan)
                 .unwrap();
@@ -1709,9 +1712,9 @@ mod tests {
             seed in 0u64..u64::MAX,
             semantics in 0usize..5,
             max_length in 1usize..5,
-            kind in 0usize..56,
+            kind in 0usize..88,
         ) {
-            // Base (2) × filter (4) × shape (7).
+            // Base (2) × filter (4) × shape (11).
             let (chain, filter, shape) = (kind % 2 == 1, kind / 2 % 4, kind / 8);
             pushed_drain_case(seed, SEMANTICS[semantics], max_length, chain, filter, shape);
         }
@@ -1736,15 +1739,16 @@ mod tests {
     }
 
     /// The generator above reaches the backward search: over a fixed grid
-    /// of its target-anchored cases, some drain and some case of each γST
-    /// slice with a cap (shapes 3 and 6) runs reversed, while the γS and
-    /// partition-limited slices (4 and 5), whose forward stops a backward
-    /// search would lose, never do. A first-node filter alone never
-    /// reverses a scan: its marked sources cannot have more out-edges than
-    /// the scan has edges.
+    /// of its target-anchored cases, some drain and some case of each slice
+    /// keyed by `(s, t)` without a partition limit — γST with a cap (shapes
+    /// 3 and 6) and without (8), γSTL's length groups (9 and 10) — runs
+    /// reversed, while the γS, partition-limited and γ∅ slices (4, 5 and
+    /// 7), whose forward stops a backward search would lose, never do. A
+    /// first-node filter alone never reverses a scan: its marked sources
+    /// cannot have more out-edges than the scan has edges.
     #[test]
     fn generated_target_anchored_drains_run_reversed() {
-        for shape in [0, 3, 4, 5, 6] {
+        for shape in [0, 3, 4, 5, 6, 7, 8, 9, 10] {
             let mut reversed = 0;
             for seed in 0..24u64 {
                 let semantics = SEMANTICS[seed as usize % 5];
@@ -1752,7 +1756,7 @@ mod tests {
                 reversed += usize::from(pushed_drain_case(seed, semantics, 3, chain, 1, shape));
                 assert!(!pushed_drain_case(seed, semantics, 3, false, 0, shape));
             }
-            let forward_only = matches!(shape, 4 | 5);
+            let forward_only = matches!(shape, 4 | 5 | 7);
             assert_eq!(
                 reversed == 0,
                 forward_only,

@@ -448,9 +448,14 @@ mod tests {
         assert!(lazy.used_lazy_pipeline());
         assert!(lazy.explain().contains("lazy sliced pipeline"));
         assert_eq!(lazy.paths().len(), 9);
-        // ALL keeps everything: no slicing, no lazy pipeline.
-        let all = runner
+        // ALL SHORTEST regroups the stream by target pair: a slice too.
+        let all_shortest = runner
             .run("MATCH ALL SHORTEST WALK p = (?x)-[:Knows+]->(?y)")
+            .unwrap();
+        assert!(all_shortest.used_lazy_pipeline());
+        // ALL keeps everything in stream order: a plain drain.
+        let all = runner
+            .run("MATCH ALL TRAIL p = (?x)-[:Knows+]->(?y)")
             .unwrap();
         assert!(!all.used_lazy_pipeline());
         assert!(!all.explain().contains("lazy sliced pipeline"));

@@ -5,26 +5,29 @@
 //! the forward canonical order, so their caller sees what the forward
 //! kernel over the same masks yields.
 
-use crate::{canonical_ranks, owned_path, Pmr};
+use crate::slice::SliceCollector;
+use crate::{canonical_ranks, Pmr};
 use pathalg_core::error::AlgebraError;
 use pathalg_core::fasthash::FastMap;
 use pathalg_core::ops::group_by::GroupKey;
-use pathalg_core::pathset::PathSet;
-use pathalg_core::slice::{SliceCollector, SliceSpec};
+use pathalg_core::slice::SliceSpec;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::ids::{EdgeId, NodeId};
 
 impl Pmr {
     /// True when a backward kernel can evaluate the slice `spec`
-    /// ([`Pmr::sliced_reversed`]) with an early stop as strong as the one
-    /// [`Pmr::sliced`] has forward: γST with a per-group cap and no
-    /// partition limit, whose per-source stop has a per-target twin. A γ∅
-    /// or γS cap or a partition limit can end the forward stream after its
-    /// first paths, which a search from the other end cannot tell.
+    /// ([`Pmr::for_each_sliced_reversed`]) with an early stop as strong as
+    /// the one [`Pmr::for_each_sliced`] has forward: a slice keyed by
+    /// `(s, t)` — γST, or γSTL's length groups — with no partition limit.
+    /// Forward it either has no stop at all, or a per-source stop with a
+    /// per-target twin. A γ∅ or γS cap or a partition limit can end the
+    /// forward stream after its first paths, which a search from the other
+    /// end cannot tell.
     pub fn slices_backwards(spec: &SliceSpec) -> bool {
-        spec.group_key == GroupKey::SourceTarget
-            && spec.per_group.is_some()
-            && spec.max_partitions.is_none()
+        matches!(
+            spec.group_key,
+            GroupKey::SourceTarget | GroupKey::SourceTargetLength
+        ) && spec.max_partitions.is_none()
     }
 
     /// Drains this backward kernel — the closure of the `forward` hops
@@ -36,36 +39,45 @@ impl Pmr {
     pub fn for_each_path_reversed(
         &mut self,
         forward: &[CsrGraph],
-        visit: impl FnMut(&[NodeId], &[EdgeId]),
+        mut visit: impl FnMut(&[NodeId], &[EdgeId]),
     ) -> Result<usize, AlgebraError> {
         let mut turned = Turned::default();
         self.for_each_path(|nodes, edges| turned.push(nodes, edges, forward))?;
-        Ok(turned.visit_sorted(visit))
+        turned.sort();
+        for row in 0..turned.len() {
+            let (nodes, edges) = turned.path(row);
+            visit(nodes, edges);
+        }
+        Ok(turned.len())
     }
 
-    /// [`Pmr::sliced`] over the forward kernel of the `forward` hops,
-    /// evaluated on this backward one for a `spec` that
+    /// [`Pmr::for_each_sliced`] over the forward kernel of the `forward`
+    /// hops, evaluated on this backward one for a `spec` that
     /// [`Pmr::slices_backwards`] accepts. Within a group `(s, t)` the
-    /// backward search emits paths by length, so the forward slice's first
-    /// `k` of the group are among the paths no longer than its `k`-th
-    /// emitted one: those are kept, sorted as [`Pmr::for_each_path_reversed`]
-    /// sorts and fed to the same collector. Once every group the target can
-    /// reach ([`Pmr::sliced`]'s reachability, searched backwards) holds `k`
-    /// paths, the rest of the current level is drained and the target
-    /// abandoned before its next level is expanded: every later path is
-    /// longer than each group's `k`-th. That is the forward per-source stop,
-    /// turned around.
-    pub fn sliced_reversed(
+    /// backward search emits paths by length, so under a cap — `k` paths,
+    /// or `k` lengths — the forward slice keeps only paths no longer than
+    /// the group's `k`-th path or length: those are kept, sorted as
+    /// [`Pmr::for_each_path_reversed`] sorts, and their rows fed to the
+    /// forward slice's collector. Once every group the target can reach
+    /// ([`Pmr::for_each_sliced`]'s reachability, searched backwards) has
+    /// reached its cap, the rest of the current level is drained and the
+    /// target abandoned before its next level is expanded: every later path
+    /// is longer than each group's `k`-th. That is the forward per-source
+    /// stop, turned around. Returns the paths visited.
+    pub fn for_each_sliced_reversed(
         &mut self,
         spec: &SliceSpec,
         forward: &[CsrGraph],
-    ) -> Result<PathSet, AlgebraError> {
+        mut visit: impl FnMut(&[NodeId], &[EdgeId]),
+    ) -> Result<usize, AlgebraError> {
         assert!(Self::slices_backwards(spec), "{spec:?} slices forward only");
-        let cap = spec.per_group.unwrap_or(usize::MAX);
+        let cap = spec.per_group.or(spec.max_groups);
         let mut turned = Turned::default();
         let mut target = None;
-        // The groups of the current target, keyed by their forward source.
+        // The groups of the current target, keyed by their forward source,
+        // and the sources that reach it.
         let mut groups: FastMap<NodeId, Group> = FastMap::default();
+        let mut reachable = Vec::new();
         // Reachable groups still below the cap; once none is, the target is
         // settled: only the rest of the current level can still be kept.
         let (mut unfilled, mut bounded) = (0, false);
@@ -79,45 +91,76 @@ impl Pmr {
                 bounded = false;
                 continue;
             };
-            if target != Some(emit.source) {
-                target = Some(emit.source);
-                groups.clear();
-                let reachable = self.requirements_for(emit.source, spec);
-                for (_, source) in &reachable {
-                    let source = source.expect("a γST key names both ends");
-                    groups.entry(source).or_default().reachable = true;
+            if let Some(cap) = cap {
+                if target != Some(emit.source) {
+                    target = Some(emit.source);
+                    groups.clear();
+                    self.requirements_for(emit.source, &mut reachable);
+                    for &source in &reachable {
+                        groups.entry(source).or_default().reachable = true;
+                    }
+                    (unfilled, bounded) = (groups.len(), !groups.is_empty());
                 }
-                (unfilled, bounded) = (groups.len(), !groups.is_empty());
-            }
-            let group = groups.entry(emit.last).or_default();
-            if group.paths >= cap && emit.len > group.kth_len {
-                // Longer than the group's k-th path: the slice keeps none.
-                self.counts.skipped += 1;
-                continue;
-            }
-            group.paths += 1;
-            if group.paths == cap {
-                group.kth_len = emit.len;
-                unfilled -= usize::from(group.reachable);
+                let group = groups.entry(emit.last).or_default();
+                if group.units >= cap && emit.len > group.kth_len {
+                    // Longer than the group's k-th: the slice keeps none.
+                    self.counts.skipped += 1;
+                    continue;
+                }
+                // Every path is a unit of a path cap; a new length is one of
+                // a length cap.
+                let unit =
+                    spec.max_groups.is_none() || group.units == 0 || emit.len != group.last_len;
+                group.last_len = emit.len;
+                if unit {
+                    group.units += 1;
+                    if group.units == cap {
+                        group.kth_len = emit.len;
+                        unfilled -= usize::from(group.reachable);
+                    }
+                }
             }
             self.fill(&emit);
             turned.push(&self.nodes, &self.edges, forward);
         }
-        let mut collector = SliceCollector::new(spec);
-        turned.visit_sorted(|nodes, edges| {
-            let key = collector.key(nodes[0], nodes[nodes.len() - 1]);
-            self.offer(&mut collector, key, |_| owned_path(nodes, edges));
-        });
-        Ok(self.finish_slice(collector))
+        turned.sort();
+        let mut collector = SliceCollector::new(spec, self.expansion.node_count());
+        let mut end_source = |collector: &mut SliceCollector| {
+            collector.end_source(|row, _| {
+                let (nodes, edges) = turned.path(row as usize);
+                visit(nodes, edges);
+            })
+        };
+        let mut source = None;
+        for row in 0..turned.len() {
+            let (nodes, edges) = turned.path(row);
+            if source != Some(nodes[0]) {
+                source = Some(nodes[0]);
+                end_source(&mut collector);
+            }
+            let last = nodes[nodes.len() - 1];
+            if collector
+                .offer(last, edges.len() as u32, row as u32)
+                .is_none()
+            {
+                self.counts.skipped += 1;
+            }
+        }
+        end_source(&mut collector);
+        Ok(self.finish_slice(&collector))
     }
 }
 
-/// One group `(s, t)` of [`Pmr::sliced_reversed`]'s current target `t`.
+/// One group `(s, t)` of [`Pmr::for_each_sliced_reversed`]'s current
+/// target `t`.
 #[derive(Default)]
 struct Group {
-    /// Paths emitted into the group so far, those past the cap included.
-    paths: usize,
-    /// The length of the group's `k`-th path, once it has one.
+    /// Units of the cap emitted into the group so far — paths, or distinct
+    /// lengths — those past the cap included.
+    units: usize,
+    /// The length of the last path emitted into the group.
+    last_len: u32,
+    /// The length of the group's `k`-th unit, once it has one.
     kth_len: u32,
     /// Whether `t` reaches `s`: the target's stop waits for the group.
     reachable: bool,
@@ -148,23 +191,29 @@ impl Turned {
         self.paths.push((word, at, from));
     }
 
-    /// Visits the paths in the forward canonical order; returns how many.
-    fn visit_sorted(self, mut visit: impl FnMut(&[NodeId], &[EdgeId])) -> usize {
-        let Turned {
-            nodes,
-            edges,
-            ranks,
-            mut paths,
-        } = self;
-        let len = |word: u64| (word & u64::from(u32::MAX)) as usize;
-        paths.sort_unstable_by_key(|&(word, ..)| word);
-        for run in paths.chunk_by_mut(|a, b| a.0 == b.0) {
-            let n = len(run[0].0);
+    /// Puts the rows in the forward canonical order.
+    fn sort(&mut self) {
+        let ranks = &self.ranks;
+        self.paths.sort_unstable_by_key(|&(word, ..)| word);
+        for run in self.paths.chunk_by_mut(|a, b| a.0 == b.0) {
+            let n = path_len(run[0].0);
             run.sort_unstable_by(|a, b| ranks[a.2..a.2 + n].cmp(&ranks[b.2..b.2 + n]));
         }
-        for &(word, at, from) in &paths {
-            visit(&nodes[at..=at + len(word)], &edges[from..from + len(word)]);
-        }
-        paths.len()
     }
+
+    fn len(&self) -> usize {
+        self.paths.len()
+    }
+
+    /// The nodes and edges of row `row`.
+    fn path(&self, row: usize) -> (&[NodeId], &[EdgeId]) {
+        let (word, at, from) = self.paths[row];
+        let len = path_len(word);
+        (&self.nodes[at..=at + len], &self.edges[from..from + len])
+    }
+}
+
+/// The path length packed in a sort word.
+fn path_len(word: u64) -> usize {
+    (word & u64::from(u32::MAX)) as usize
 }

@@ -66,12 +66,11 @@ use pathalg_graph::ids::{EdgeId, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Reachability summary of one source, used by the sliced evaluation to
-/// decide when a source's contribution to every kept group is complete.
+/// Reachability summary of one source beyond its open targets (which
+/// [`Expansion::reachability`] writes into the caller's buffer), used by the
+/// sliced evaluation to decide when a source's contribution to every kept
+/// group is complete.
 pub(crate) struct ReachInfo {
-    /// Targets with at least one composite walk from the source (excluding
-    /// the source itself), within the configured length bound.
-    pub open: Vec<NodeId>,
     /// Length of the shortest closed composite walk through the source
     /// within the bound, if one exists.
     pub min_closed: Option<usize>,
@@ -291,6 +290,12 @@ impl Expansion {
         self.level0_segments
     }
 
+    /// The node universe the expansion walks: every node id it emits is
+    /// below this.
+    pub(crate) fn node_count(&self) -> usize {
+        self.seen.capacity
+    }
+
     /// The path semantics this expansion enumerates under.
     pub fn semantics(&self) -> PathSemantics {
         self.semantics
@@ -508,7 +513,10 @@ impl Expansion {
     /// The sliced evaluation only uses the set to *delay* a source stop, so
     /// over-approximation costs work, never correctness. `None` for a
     /// materialised base: its sliced drains never stop a source early.
-    pub fn reachability(&mut self, source: NodeId) -> Option<ReachInfo> {
+    /// Otherwise `open` is overwritten with the targets that have at least
+    /// one composite walk from the source (the source itself excluded),
+    /// within the bound; a warm buffer makes the call allocation-free.
+    pub fn reachability(&mut self, source: NodeId, open: &mut Vec<NodeId>) -> Option<ReachInfo> {
         let Base::Chain(hops) = &self.base else {
             return None;
         };
@@ -550,15 +558,16 @@ impl Expansion {
                 }
             }
         }
-        let open: Vec<NodeId> = self
-            .reach_seen
-            .members()
-            .iter()
-            .filter(|m| m.index() % k == 0)
-            .map(|m| NodeId((m.index() / k) as u32))
-            .filter(|&v| v != source)
-            .collect();
-        Some(ReachInfo { open, min_closed })
+        open.clear();
+        open.extend(
+            self.reach_seen
+                .members()
+                .iter()
+                .filter(|m| m.index() % k == 0)
+                .map(|m| NodeId((m.index() / k) as u32))
+                .filter(|&v| v != source),
+        );
+        Some(ReachInfo { min_closed })
     }
 }
 

@@ -25,15 +25,21 @@
 //! * [`Pmr::for_each_path`] — the visitor drain: each path's node and edge
 //!   sequences in two reused buffers, no `Path` built; `enumerate_all` is
 //!   this loop collecting into a `PathSet`.
-//! * [`Pmr::sliced`] — evaluates a recognised `π(τA?(γψ(ϕ(…))))` pipeline
-//!   ([`pathalg_core::slice`]) with per-group limits pushed into the
-//!   enumeration and, over a scan or chain, a node-level reachability
-//!   analysis that stops each source as soon as its contribution to every
-//!   kept group is complete.
-//! * [`Pmr::for_each_path_reversed`] / [`Pmr::sliced_reversed`] — a kernel
-//!   over the reversed hops searches a scan or chain closure from its last
-//!   node; these put its paths back in the forward canonical order, the
-//!   slice with the per-source stop turned into a per-target one.
+//! * [`Pmr::for_each_sliced`] — evaluates a recognised γ/τ/π pipeline
+//!   ([`pathalg_core::slice`]) into the same visitor. The slice collector
+//!   keeps an arena step and a length per kept path, keyed by target within
+//!   the current source, and visits a source's kept paths in group order
+//!   when the source ends, so no `Path` is built and memory grows with one
+//!   source's answer. Per-group limits are pushed into the enumeration and,
+//!   over a scan or chain, a node-level reachability analysis stops each
+//!   source as soon as its contribution to every kept group is complete.
+//!   [`Pmr::sliced`] is this visitor collected into a `PathSet`.
+//! * [`Pmr::for_each_path_reversed`] / [`Pmr::for_each_sliced_reversed`] —
+//!   a kernel over the reversed hops searches a scan or chain closure from
+//!   its last node; these put its paths back in the forward canonical
+//!   order, sorted rows of one buffer, and the slice feeds those rows to
+//!   the same collector, with the per-source stop turned into a per-target
+//!   one.
 //!
 //! Paths are stored as parent-pointer arena steps — `O(1)` words per path
 //! instead of `O(len)` — and a discovered-but-skipped path is never
@@ -47,9 +53,11 @@ mod arena;
 mod backward;
 mod join;
 mod segments;
+mod slice;
 
 use crate::join::{Expansion, ReachInfo};
 use crate::segments::SegmentIndex;
+use crate::slice::{SliceCollector, SliceState};
 use pathalg_core::budget::CancelToken;
 use pathalg_core::error::AlgebraError;
 use pathalg_core::obs::WorkCounters;
@@ -57,7 +65,7 @@ use pathalg_core::ops::group_by::GroupKey;
 use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
-use pathalg_core::slice::{PartitionKey, SliceCollector, SliceSpec, SliceState};
+use pathalg_core::slice::SliceSpec;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::ids::{EdgeId, NodeId};
 use std::sync::Arc;
@@ -292,7 +300,7 @@ impl Pmr {
     /// The deterministic work totals of everything pulled from this PMR so
     /// far: arena steps and base segments off the expansion state, emission
     /// and skip tallies from the pull loop, per-source abandonments, budget
-    /// claims, and — after a [`Pmr::sliced`] run — the admitting collector's
+    /// claims, and — after a [`Pmr::for_each_sliced`] run — the collector's
     /// partition and kept-path counts. A path filtered before realisation
     /// (target-mask miss, or a sliced path the collector provably would not
     /// keep) counts as skipped; a sliced would-not-keep path was also
@@ -335,18 +343,16 @@ impl Pmr {
     /// The first `k` paths of the enumeration — `enumerate().take(k)`,
     /// computed without expanding past what those `k` paths require.
     pub fn top_k(&mut self, k: usize) -> Result<PathSet, AlgebraError> {
-        Ok(self.next_batch(k)?.into_iter().collect())
+        Ok(PathSet::from_distinct(self.next_batch(k)?))
     }
 
     /// Drains the whole enumeration into a materialised [`PathSet`], in
-    /// canonical order. The paths are collected first and indexed once their
-    /// count is known, so the set's index never rehashes while it grows.
+    /// canonical order. The kernel never emits a path twice, so no path is
+    /// hashed ([`PathSet::from_distinct`]).
     pub fn enumerate_all(&mut self) -> Result<PathSet, AlgebraError> {
         let mut paths = Vec::new();
         self.for_each_path(|nodes, edges| paths.push(owned_path(nodes, edges)))?;
-        let mut out = PathSet::with_capacity(paths.len());
-        out.extend(paths);
-        Ok(out)
+        Ok(PathSet::from_distinct(paths))
     }
 
     /// Drains the rest of the enumeration into a visitor, in canonical
@@ -396,10 +402,16 @@ impl Pmr {
         Ok(n)
     }
 
-    /// Evaluates `π(τA?(γψ(ϕ(…))))` over this multiset with the limits of
-    /// `spec` pushed into the enumeration. Byte-identical to materialising
-    /// [`Pmr::enumerate_all`] and running the γ/τ/π operators, but:
+    /// Evaluates a recognised γ/τ/π pipeline ([`pathalg_core::slice`]) over
+    /// this multiset with the limits of `spec` pushed into the enumeration,
+    /// into a visitor like [`Pmr::for_each_path`]'s: byte-identical, path
+    /// for path and in order, to materialising [`Pmr::enumerate_all`] and
+    /// running the γ/τ/π operators, but:
     ///
+    /// * no [`Path`] is built: a kept path is an arena step and a length,
+    ///   and a source's kept paths are reconstructed and visited in group
+    ///   order when the source ends — the arena only grows, so the steps
+    ///   stay valid;
     /// * paths beyond a group's cap are skipped without reconstruction,
     /// * a source is abandoned as soon as every group it can still
     ///   contribute to (computed by a node-level reachability BFS) holds its
@@ -409,28 +421,40 @@ impl Pmr {
     ///   mid-expansion by the closing limit switches to per-partition
     ///   accounting (only its already-opened groups must fill: the sharp
     ///   stop).
-    pub fn sliced(&mut self, spec: &SliceSpec) -> Result<PathSet, AlgebraError> {
-        let mut collector = SliceCollector::new(spec);
+    ///
+    /// Groups of lengths (`max_groups`) rely on each source's paths coming
+    /// length by length, which holds over a scan or chain. Returns the paths
+    /// visited.
+    pub fn for_each_sliced(
+        &mut self,
+        spec: &SliceSpec,
+        mut visit: impl FnMut(&[NodeId], &[EdgeId]),
+    ) -> Result<usize, AlgebraError> {
+        let mut collector = SliceCollector::new(spec, self.expansion.node_count());
         let source_partitioned = spec.group_key.partitions_by_source();
+        let reach_stop = spec.group_key == GroupKey::SourceTarget && spec.per_group.is_some();
         let mut cur_source: Option<NodeId> = None;
-        let mut requirements: Vec<PartitionKey> = Vec::new();
-        // Partitions the current source has opened — the only ones that must
-        // fill before the sharp (partition-limit-closed) stop may skip the
-        // source.
-        let mut src_keys: Vec<PartitionKey> = Vec::new();
-        // How many leading groups of `requirements` / `src_keys` are full. A
-        // full group never empties, so each cursor only moves forward and
-        // every group is found full once, not once per emitted path.
+        // The targets whose groups the current source must fill before the
+        // reachability stop may skip it, and the groups it has opened — the
+        // only ones that must fill before the sharp (partition-limit-closed)
+        // stop may.
+        let (mut required, mut opened) = (Vec::new(), Vec::new());
+        // How many leading groups of `required` / `opened` are full. A full
+        // group never empties, so each cursor only moves forward and every
+        // group is found full once, not once per emitted path.
         let (mut required_full, mut opened_full) = (0, 0);
-        let advance = |cursor: &mut usize, keys: &[PartitionKey], c: &SliceCollector| {
-            while keys.get(*cursor).is_some_and(|k| c.group_is_full(k)) {
+        let advance = |cursor: &mut usize, targets: &[NodeId], c: &SliceCollector| {
+            while targets.get(*cursor).is_some_and(|&t| c.is_full(t)) {
                 *cursor += 1;
             }
-            *cursor == keys.len()
+            *cursor == targets.len()
         };
 
         while let Some(emit) = self.next_emit()? {
             if cur_source != Some(emit.source) {
+                if let Some(source) = cur_source {
+                    self.visit_kept(&mut collector, source, &mut visit);
+                }
                 cur_source = Some(emit.source);
                 // Every path of a fresh source opens a fresh partition under
                 // source-partitioned keys; once the partition limit is
@@ -438,33 +462,37 @@ impl Pmr {
                 if source_partitioned && !collector.accepts_new_partition() {
                     break;
                 }
-                requirements = self.requirements_for(emit.source, spec);
-                src_keys.clear();
+                if reach_stop {
+                    self.requirements_for(emit.source, &mut required);
+                }
+                opened.clear();
                 (required_full, opened_full) = (0, 0);
             }
-            let key = collector.key(emit.source, emit.last);
-            let partitions_before = collector.partition_count();
-            if let Some(state) = self.offer(&mut collector, key, |pmr| pmr.realize(&emit)) {
-                if collector.partition_count() > partitions_before {
-                    src_keys.push(key);
-                }
-                if state == SliceState::Complete {
-                    break;
+            let partitions = collector.partition_count();
+            match collector.offer(emit.last, emit.len, emit.step) {
+                None => self.counts.skipped += 1,
+                Some(state) => {
+                    if collector.partition_count() > partitions {
+                        opened.push(emit.last);
+                    }
+                    if state == SliceState::Complete {
+                        break;
+                    }
                 }
             }
             if spec.per_group.is_some() {
                 let source_done = match spec.group_key {
-                    GroupKey::Source => collector.group_is_full(&(Some(emit.source), None)),
+                    GroupKey::Source => collector.is_full(emit.last),
                     GroupKey::SourceTarget => {
                         if !collector.accepts_new_partition() {
                             // Per-partition accounting: the partition limit is
                             // closed, so no further group of this source can
                             // be admitted — only the already-opened ones need
                             // to fill, not every reachable one.
-                            advance(&mut opened_full, &src_keys, &collector)
+                            advance(&mut opened_full, &opened, &collector)
                         } else {
-                            !requirements.is_empty()
-                                && advance(&mut required_full, &requirements, &collector)
+                            !required.is_empty()
+                                && advance(&mut required_full, &required, &collector)
                         }
                     }
                     _ => false,
@@ -474,62 +502,65 @@ impl Pmr {
                 }
             }
         }
-        Ok(self.finish_slice(collector))
+        if let Some(source) = cur_source {
+            self.visit_kept(&mut collector, source, &mut visit);
+        }
+        Ok(self.finish_slice(&collector))
     }
 
-    /// Offers the next path of a canonical stream, keyed `key`, to
-    /// `collector`: `path` builds it only if the collector would keep it;
-    /// otherwise it is provably not kept and counted as skipped (`None`).
-    fn offer(
+    /// [`Pmr::for_each_sliced`] collected into a [`PathSet`]: the kept set
+    /// of `π(τ?(γψ(ϕ(…))))`, partitions in first-occurrence order and paths
+    /// within each group in canonical order — exactly the output order of
+    /// Algorithm 1 on these pipeline shapes.
+    pub fn sliced(&mut self, spec: &SliceSpec) -> Result<PathSet, AlgebraError> {
+        let mut paths = Vec::new();
+        self.for_each_sliced(spec, |nodes, edges| paths.push(owned_path(nodes, edges)))?;
+        Ok(PathSet::from_distinct(paths))
+    }
+
+    /// Ends `source` in `collector`: reconstructs its kept arena steps in
+    /// group order into the reused buffers and visits them.
+    fn visit_kept(
         &mut self,
         collector: &mut SliceCollector,
-        key: PartitionKey,
-        path: impl FnOnce(&mut Pmr) -> Path,
-    ) -> Option<SliceState> {
-        if !collector.would_keep(&key) {
-            self.counts.skipped += 1;
-            return None;
-        }
-        let path = path(self);
-        Some(collector.offer(path))
+        source: NodeId,
+        visit: &mut impl FnMut(&[NodeId], &[EdgeId]),
+    ) {
+        let (arena, nodes, edges) = (&self.expansion.arena, &mut self.nodes, &mut self.edges);
+        collector.end_source(|step, len| {
+            arena.fill_chain(step, source, len as usize, nodes, edges);
+            visit(nodes, edges);
+        });
     }
 
-    /// The kept set of a slice, its partition and kept-path tallies recorded
-    /// for [`Pmr::work_counters`].
-    fn finish_slice(&mut self, collector: SliceCollector) -> PathSet {
+    /// Records a finished slice's partition and kept-path tallies for
+    /// [`Pmr::work_counters`]; returns the paths kept.
+    fn finish_slice(&mut self, collector: &SliceCollector) -> usize {
         self.counts.partitions = collector.partition_count() as u64;
-        let out = collector.finish();
-        self.counts.kept = out.len() as u64;
-        out
+        self.counts.kept = collector.kept() as u64;
+        collector.kept()
     }
 
-    /// The full set of groups source `s` can ever contribute to, for the
-    /// reachability-based source stop — only computed under γST with a
-    /// per-group cap, and skipped for Shortest (whose
-    /// per-source expansion saturates on its own). Groups outside the pushed
-    /// target mask are excluded: they can never receive a path, so waiting
-    /// for them would block the stop forever.
-    fn requirements_for(&mut self, source: NodeId, spec: &SliceSpec) -> Vec<PartitionKey> {
-        if spec.group_key != GroupKey::SourceTarget || spec.per_group.is_none() {
-            return Vec::new();
-        }
+    /// Overwrites `out` with the targets whose groups source `s` can ever
+    /// fill, for the reachability-based source stop — left empty for
+    /// Shortest (whose per-source expansion saturates on its own) and for a
+    /// materialised base. Targets outside the pushed target mask are
+    /// excluded: they can never receive a path, so waiting for them would
+    /// block the stop forever.
+    fn requirements_for(&mut self, source: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
         let semantics = self.expansion.semantics();
         if semantics == PathSemantics::Shortest {
-            return Vec::new();
+            return;
         }
-        let Some(ReachInfo { open, min_closed }) = self.expansion.reachability(source) else {
-            return Vec::new();
+        let Some(ReachInfo { min_closed }) = self.expansion.reachability(source, out) else {
+            return;
         };
-        let mut keys: Vec<PartitionKey> = open
-            .into_iter()
-            .filter(|&t| self.target_admits(t))
-            .map(|t| (Some(source), Some(t)))
-            .collect();
+        out.retain(|&t| self.target_admits(t));
         if semantics != PathSemantics::Acyclic && min_closed.is_some() && self.target_admits(source)
         {
-            keys.push((Some(source), Some(source)));
+            out.push(source);
         }
-        keys
     }
 }
 
@@ -545,7 +576,7 @@ pub fn canonical_order(paths: &PathSet, hops: &[CsrGraph]) -> PathSet {
         let ranks: Vec<u32> = canonical_ranks(p.nodes(), p.edges(), hops).collect();
         (p.first(), p.len(), ranks)
     });
-    ordered.into_iter().cloned().collect()
+    PathSet::from_distinct(ordered.into_iter().cloned().collect())
 }
 
 /// The ranks of the edges of the path `(nodes, edges)` of a scan or chain
@@ -688,6 +719,7 @@ mod tests {
             group_key: GroupKey::SourceTarget,
             per_group: Some(1),
             max_partitions: None,
+            max_groups: None,
             ordered_by_length: true,
         };
         let mut lazy = Pmr::from_shared_csr(
@@ -725,6 +757,7 @@ mod tests {
                 group_key: GroupKey::SourceTarget,
                 per_group: Some(1),
                 max_partitions: None,
+                max_groups: None,
                 ordered_by_length: false,
             };
             let mut lazy =
@@ -733,6 +766,60 @@ mod tests {
             assert_eq!(out.as_slice(), expected.as_slice(), "{semantics:?}");
             // 5×5 ordered pairs, all connected on a cycle.
             assert_eq!(out.len(), 25, "{semantics:?}");
+        }
+    }
+
+    /// ALL SHORTEST WALK's `π(*,*,*)(γST)` regroups each source's paths by
+    /// target, and `π(*,k,*)(τG(γSTL))` keeps each pair's first k lengths:
+    /// both as the materialised operators order them.
+    #[test]
+    fn regrouping_slices_equal_the_materialised_pipeline() {
+        use pathalg_core::ops::order_by::{order_by, OrderKey};
+        use pathalg_core::ops::projection::{projection, ProjectionSpec, Take};
+
+        let g = complete_graph(4, "a");
+        let cfg = RecursionConfig {
+            max_length: Some(3),
+            max_paths: None,
+        };
+        let kernel = || {
+            Pmr::from_shared_csr(
+                Arc::new(CsrGraph::with_label(&g, "a")),
+                PathSemantics::Trail,
+                cfg,
+            )
+        };
+        let closure = kernel().enumerate_all().unwrap();
+        let regrouped = projection(
+            &ProjectionSpec::all(),
+            &group_by(GroupKey::SourceTarget, &closure),
+        );
+        let spec = SliceSpec {
+            group_key: GroupKey::SourceTarget,
+            per_group: None,
+            max_partitions: None,
+            max_groups: None,
+            ordered_by_length: false,
+        };
+        let out = kernel().sliced(&spec).unwrap();
+        assert_eq!(out.as_slice(), regrouped.as_slice());
+        assert_ne!(out.as_slice(), closure.as_slice(), "the order changed");
+        for k in [1, 2] {
+            let expected = projection(
+                &ProjectionSpec::new(Take::All, Take::Count(k), Take::All),
+                &order_by(
+                    OrderKey::Group,
+                    &group_by(GroupKey::SourceTargetLength, &closure),
+                ),
+            );
+            let spec = SliceSpec {
+                group_key: GroupKey::SourceTargetLength,
+                max_groups: Some(k),
+                ordered_by_length: true,
+                ..spec
+            };
+            let out = kernel().sliced(&spec).unwrap();
+            assert_eq!(out.as_slice(), expected.as_slice(), "k = {k}");
         }
     }
 
@@ -759,6 +846,7 @@ mod tests {
             group_key: GroupKey::Source,
             per_group: Some(2),
             max_partitions: Some(2),
+            max_groups: None,
             ordered_by_length: false,
         };
         let mut lazy = Pmr::from_shared_csr(

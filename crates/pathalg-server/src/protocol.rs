@@ -773,6 +773,9 @@ fn write_lines(writer: &mut impl Write, lines: &[String]) -> io::Result<()> {
 pub struct Client {
     reader: BufReader<UnixStream>,
     writer: BufWriter<UnixStream>,
+    /// The line being read, reused across lines: each returned `String` is
+    /// allocated once, at its final size.
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -782,6 +785,7 @@ impl Client {
         Ok(Self {
             reader: BufReader::with_capacity(IO_CHUNK_BYTES, stream.try_clone()?),
             writer: BufWriter::new(stream),
+            line: Vec::new(),
         })
     }
 
@@ -851,17 +855,19 @@ impl Client {
     }
 
     fn read_line(&mut self) -> io::Result<String> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        self.line.clear();
+        if self.reader.read_until(b'\n', &mut self.line)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        while line.ends_with(['\n', '\r']) {
-            line.pop();
+        let mut end = self.line.len();
+        while end > 0 && matches!(self.line[end - 1], b'\n' | b'\r') {
+            end -= 1;
         }
-        Ok(line)
+        String::from_utf8(self.line[..end].to_vec())
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 

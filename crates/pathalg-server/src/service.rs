@@ -142,7 +142,7 @@ pub struct QueryOutcome {
     /// The rendered answer: one `PATH <ids>\n` line per path, in the
     /// engine's canonical order — exactly the bytes a `QUERY` response
     /// carries between its `OK` header and `END`.
-    pub body: Arc<[u8]>,
+    pub body: Box<[u8]>,
     /// The strategy decisions the evaluator recorded.
     pub decisions: Vec<StrategyDecision>,
     /// The deterministic work counters of the evaluation that produced this
@@ -838,7 +838,7 @@ impl QueryService {
             .map_err(ServiceError::Evaluation)?;
         Ok(Arc::new(QueryOutcome {
             path_count,
-            body: body.into(),
+            body: body.into_boxed_slice(),
             decisions: evaluator.decisions().to_vec(),
             work: evaluator.work_counters(),
         }))

@@ -8,7 +8,9 @@
 //! remaining sources of a uniform workload performs **zero** heap
 //! allocations — counting paths, and rendering each one straight from the
 //! arena through the visitor drain ([`Pmr::for_each_path`]) into a
-//! pre-reserved byte buffer.
+//! pre-reserved byte buffer. A sliced drain ([`Pmr::for_each_sliced`])
+//! keeps an arena step per kept path, not a path, so it renders the same
+//! way without allocating once its collector's buffers are warm.
 //!
 //! The workload is a directed cycle, where every source expands an
 //! identical single-chain frontier: the capacities warmed by the first
@@ -19,8 +21,10 @@
 //! on its first blocking wait, which can land inside the window when the
 //! host is busy.
 
+use pathalg::algebra::ops::group_by::GroupKey;
 use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg::algebra::path::write_ids;
+use pathalg::algebra::slice::SliceSpec;
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::generator::structured::cycle_graph;
 use pathalg::pmr::Pmr;
@@ -177,6 +181,64 @@ fn steady_state_visitor_drain_renders_without_allocating() {
             after - before,
             0,
             "rendering {rest} paths after warm-up must not allocate ({semantics:?})"
+        );
+    }
+}
+
+#[test]
+fn steady_state_sliced_drain_renders_without_allocating() {
+    // ANY: one path per endpoint pair.
+    let spec = SliceSpec {
+        group_key: GroupKey::SourceTarget,
+        per_group: Some(1),
+        max_partitions: None,
+        max_groups: None,
+        ordered_by_length: false,
+    };
+    for semantics in [PathSemantics::Walk, PathSemantics::Shortest] {
+        // Scout pass: the full rendering and the step count.
+        let mut scout = Pmr::from_shared_csr(cycle_csr(), semantics, config());
+        let mut expected = Vec::new();
+        let total = scout
+            .for_each_sliced(&spec, |nodes, edges| {
+                write_ids(nodes, edges, &mut expected);
+                expected.push(b'\n');
+            })
+            .unwrap();
+        let steps = scout.steps_generated();
+        assert!(
+            total > per_source(semantics),
+            "workload must outlast warm-up"
+        );
+
+        let mut pmr = Pmr::from_shared_csr(cycle_csr(), semantics, config());
+        pmr.reserve_steps(steps);
+        let mut out = Vec::with_capacity(expected.len());
+        let (mut visited, mut before) = (0, 0);
+        // A source's kept paths are visited when the next source begins.
+        // The window opens at the first source's last one: from there on
+        // every scratch buffer, the collector's included, is warm.
+        let n = pmr
+            .for_each_sliced(&spec, |nodes, edges| {
+                write_ids(nodes, edges, &mut out);
+                out.push(b'\n');
+                visited += 1;
+                if visited == per_source(semantics) {
+                    COUNTED.with(|c| c.set(true));
+                    before = ALLOCATIONS.load(Ordering::Relaxed);
+                }
+            })
+            .unwrap();
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        COUNTED.with(|c| c.set(false));
+
+        assert_eq!(n, total, "kept paths ({semantics:?})");
+        assert_eq!(out, expected, "rendered bytes ({semantics:?})");
+        assert_eq!(
+            after - before,
+            0,
+            "rendering {} kept paths after warm-up must not allocate ({semantics:?})",
+            total - per_source(semantics)
         );
     }
 }

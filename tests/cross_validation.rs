@@ -122,6 +122,16 @@ fn engine_phi_agrees_with_seminaive_everywhere() {
     }
 }
 
+/// The γ/π pipeline of a `SliceSpec` without an order-by or a group
+/// limit, run by the core operators over `paths` in their order.
+fn materialised_slice(spec: &pathalg::algebra::slice::SliceSpec, paths: &PathSet) -> PathSet {
+    use pathalg::algebra::ops::group_by::group_by;
+    use pathalg::algebra::ops::projection::{projection, ProjectionSpec, Take};
+    let take = |limit: Option<usize>| limit.map_or(Take::All, Take::Count);
+    let pi = ProjectionSpec::new(take(spec.max_partitions), Take::All, take(spec.per_group));
+    projection(&pi, &group_by(spec.group_key, paths))
+}
+
 /// The lazy scan kernel over the label CSR against the fixpoint over the
 /// materialised `σℓ(Edges(G))`, put in canonical order: identical output, in
 /// the same order, on every test graph, for the full drain and for the
@@ -130,7 +140,7 @@ fn engine_phi_agrees_with_seminaive_everywhere() {
 #[test]
 fn csr_native_frontier_agrees_with_the_pathset_frontier() {
     use pathalg::algebra::ops::group_by::GroupKey;
-    use pathalg::algebra::slice::{SliceCollector, SliceSpec};
+    use pathalg::algebra::slice::SliceSpec;
     use pathalg::pmr::Pmr;
 
     let specs = [
@@ -139,6 +149,7 @@ fn csr_native_frontier_agrees_with_the_pathset_frontier() {
             group_key: GroupKey::SourceTarget,
             per_group: Some(1),
             max_partitions: None,
+            max_groups: None,
             ordered_by_length: false,
         },
         // Partition-limited γST — exercises the sharp stop.
@@ -146,6 +157,7 @@ fn csr_native_frontier_agrees_with_the_pathset_frontier() {
             group_key: GroupKey::SourceTarget,
             per_group: Some(2),
             max_partitions: Some(3),
+            max_groups: None,
             ordered_by_length: false,
         },
         // Partition-limited γS.
@@ -153,6 +165,7 @@ fn csr_native_frontier_agrees_with_the_pathset_frontier() {
             group_key: GroupKey::Source,
             per_group: Some(2),
             max_partitions: Some(2),
+            max_groups: None,
             ordered_by_length: false,
         },
         // γ∅ global prefix.
@@ -160,6 +173,7 @@ fn csr_native_frontier_agrees_with_the_pathset_frontier() {
             group_key: GroupKey::Empty,
             per_group: Some(4),
             max_partitions: None,
+            max_groups: None,
             ordered_by_length: false,
         },
     ];
@@ -187,11 +201,7 @@ fn csr_native_frontier_agrees_with_the_pathset_frontier() {
                 "{name}: scan kernel diverged under {semantics:?}"
             );
             for spec in &specs {
-                let mut collector = SliceCollector::new(spec);
-                for path in via_paths.iter() {
-                    collector.offer(path.clone());
-                }
-                let expected = collector.finish();
+                let expected = materialised_slice(spec, &via_paths);
                 let sliced = Pmr::from_shared_csr(csr.clone(), semantics, cfg)
                     .sliced(spec)
                     .unwrap();
@@ -740,7 +750,7 @@ fn sliced_pipelines_over_join_chains_match_materialised_evaluation() {
 #[test]
 fn serial_sharp_stop_matches_materialise_then_slice_on_snb_workload() {
     use pathalg::algebra::ops::group_by::GroupKey;
-    use pathalg::algebra::slice::{SliceCollector, SliceSpec};
+    use pathalg::algebra::slice::SliceSpec;
     use pathalg::pmr::Pmr;
 
     let graph = snb_like_graph(&SnbConfig {
@@ -763,6 +773,7 @@ fn serial_sharp_stop_matches_materialise_then_slice_on_snb_workload() {
         group_key: GroupKey::SourceTarget,
         per_group: Some(1),
         max_partitions: Some(4),
+        max_groups: None,
         ordered_by_length: false,
     };
     let factory = || Pmr::from_shared_csr(csr.clone(), PathSemantics::Trail, cfg);
@@ -770,11 +781,7 @@ fn serial_sharp_stop_matches_materialise_then_slice_on_snb_workload() {
     // Ground truth: materialise the whole closure, then slice it.
     let mut full = factory();
     let everything = full.enumerate_all().unwrap();
-    let mut collector = SliceCollector::new(&spec);
-    for path in everything.iter() {
-        collector.offer(path.clone());
-    }
-    let reference = collector.finish();
+    let reference = materialised_slice(&spec, &everything);
 
     // Serial sharp stop: byte parity with strictly less expansion work.
     let mut serial = factory();

@@ -226,6 +226,7 @@ fn sliced_evaluation_matches_the_materialised_pipeline_on_every_fixture() {
                     group_key,
                     per_group: spec.path_limit(),
                     max_partitions: spec.partition_limit(),
+                    max_groups: None,
                     ordered_by_length: order.is_some(),
                 };
                 let mut pmr = Pmr::from_shared_csr(Arc::new(csr.clone()), semantics, cfg);
@@ -545,6 +546,7 @@ proptest! {
             group_key: GroupKey::SourceTarget,
             per_group: Some(k),
             max_partitions: None,
+            max_groups: None,
             ordered_by_length: true,
         };
         let mut pmr = Pmr::from_shared_csr(Arc::new(csr), semantics, cfg);

@@ -34,6 +34,7 @@ use pathalg::parser::{
     lower_to_checked_plan, parse_query, parse_surface, plan_cache_key, QuerySurface,
 };
 use pathalg::rpq::parse::MAX_NESTING_DEPTH;
+use pathalg::server::service::QueryOutcome;
 use pathalg::server::{
     handle_line, AdmissionError, CacheStatus, DedupRole, QueryService, ServiceConfig, ServiceError,
 };
@@ -88,7 +89,7 @@ fn thundering_herd_coalesces_onto_one_evaluation() {
             thread::sleep(Duration::from_millis(1));
         }
     }));
-    let outputs: Vec<(DedupRole, Vec<String>, Arc<[u8]>)> = thread::scope(|scope| {
+    let outputs: Vec<(DedupRole, Vec<String>, Arc<QueryOutcome>)> = thread::scope(|scope| {
         let workers: Vec<_> = (0..HERD)
             .map(|_| {
                 let svc = svc.clone();
@@ -97,7 +98,7 @@ fn thundering_herd_coalesces_onto_one_evaluation() {
                     (
                         response.dedup,
                         response.outcome.canonical_lines(),
-                        response.outcome.body.clone(),
+                        response.outcome.clone(),
                     )
                 })
             })
@@ -116,15 +117,15 @@ fn thundering_herd_coalesces_onto_one_evaluation() {
     assert_eq!(leaders, 1, "exactly one request led the flight");
     let reference = &outputs[0].1;
     assert!(!reference.is_empty());
-    let leader_body = &outputs
+    let leader = &outputs
         .iter()
         .find(|(role, ..)| *role == DedupRole::Leader)
         .expect("one leader")
         .2;
-    for (_, lines, body) in &outputs {
+    for (_, lines, outcome) in &outputs {
         assert_eq!(lines, reference, "every waiter got identical bytes");
         assert!(
-            Arc::ptr_eq(body, leader_body),
+            Arc::ptr_eq(outcome, leader) && std::ptr::eq(&*outcome.body, &*leader.body),
             "every waiter shares the leader's rendered body"
         );
     }
