@@ -7,7 +7,9 @@
 #                         Path built between the kernel and the wire,
 #                         release build, tests, docs
 #                         -D warnings, bench compile, benchmark package
-#                         check, examples
+#                         check, a 2 s benchmark run of every workload
+#                         (answers checked against the expected digests),
+#                         examples
 #   ./ci.sh --quick       tier-1 subset only (see ROADMAP.md):
 #                         cargo build --release && cargo test -q
 #   ./ci.sh --bench-json  run every bench target under PATHALG_BENCH_MAX_MS
@@ -110,6 +112,9 @@ full() {
 
     step "benchmark package compiles (its own workspace, see BENCHMARK.json)"
     cargo check --locked --offline -q --manifest-path benchmark/Cargo.toml
+
+    step "benchmark end to end (every workload, 2 s each: fails on a failed operation or a digest mismatch)"
+    bash benchmark/run.sh --seconds 2 --trace 0
 
     step "examples compile"
     cargo build -q --examples

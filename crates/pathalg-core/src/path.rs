@@ -269,35 +269,91 @@ impl Path {
 /// [`Path::display_ids`] and of every `PATH` line the query service sends.
 /// This is the one id renderer; it formats decimals by hand and allocates
 /// nothing beyond `out`'s growth, so a drain can render straight from the
-/// kernel's reconstruction buffers.
+/// kernel's reconstruction buffers. The line is built in a stack buffer and
+/// appended to `out` in one copy; a path too long for the buffer goes out
+/// in several.
 pub fn write_ids(nodes: &[NodeId], edges: &[EdgeId], out: &mut Vec<u8>) {
     debug_assert_eq!(nodes.len(), edges.len() + 1, "k + 1 nodes for k edges");
-    out.push(b'(');
-    for (i, node) in nodes.iter().enumerate() {
-        if i > 0 {
-            out.extend_from_slice(b", e");
-            write_decimal(edges[i - 1].0, out);
-            out.extend_from_slice(b", ");
+    let mut line = LineBuf::new();
+    line.push(b"(n");
+    line.decimal(nodes[0].0);
+    for (edge, node) in edges.iter().zip(&nodes[1..]) {
+        // Room for the step and the closing `)`.
+        if line.len + MAX_STEP_BYTES >= LINE_BUF_BYTES {
+            out.extend_from_slice(line.take());
         }
-        out.push(b'n');
-        write_decimal(node.0, out);
+        line.push(b", e");
+        line.decimal(edge.0);
+        line.push(b", n");
+        line.decimal(node.0);
     }
-    out.push(b')');
+    line.push(b")");
+    out.extend_from_slice(line.take());
 }
 
-/// Appends the decimal digits of `v` to `out`.
-fn write_decimal(mut v: u32, out: &mut Vec<u8>) {
-    let mut digits = [0u8; 10];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+/// The stack buffer [`write_ids`] builds a line in: room for the opening
+/// node and about nine steps of ten-digit ids, or twenty of five digits.
+const LINE_BUF_BYTES: usize = 256;
+
+/// The longest step `, e<edge>, n<node>` renders to.
+const MAX_STEP_BYTES: usize = 2 * (3 + 10);
+
+/// `"00" "01" … "99"`: two decimal digits per entry.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// A line under construction: `bytes[..len]` is written.
+struct LineBuf {
+    bytes: [u8; LINE_BUF_BYTES],
+    len: usize,
+}
+
+impl LineBuf {
+    fn new() -> Self {
+        Self {
+            bytes: [0; LINE_BUF_BYTES],
+            len: 0,
         }
     }
-    out.extend_from_slice(&digits[at..]);
+
+    fn push(&mut self, text: &[u8]) {
+        self.bytes[self.len..self.len + text.len()].copy_from_slice(text);
+        self.len += text.len();
+    }
+
+    /// Writes the decimal digits of `v`, two at a time from the back.
+    fn decimal(&mut self, mut v: u32) {
+        let n = v.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let digits = &mut self.bytes[self.len..self.len + n];
+        let mut at = n;
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            let pair = v as usize * 2;
+            digits[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            digits[0] = b'0' + v as u8;
+        }
+        self.len += n;
+    }
+
+    /// The written bytes; the buffer starts over empty.
+    fn take(&mut self) -> &[u8] {
+        let len = std::mem::take(&mut self.len);
+        &self.bytes[..len]
+    }
 }
 
 #[cfg(test)]
@@ -312,11 +368,38 @@ mod tests {
             write_ids(nodes, edges, &mut out);
             String::from_utf8(out).unwrap()
         };
-        for v in [0, 9, 10, 99, 100, 4_294_967_294, u32::MAX] {
+        let formatted = |nodes: &[NodeId], edges: &[EdgeId]| {
+            let mut parts = vec![nodes[0].to_string()];
+            for (e, n) in edges.iter().zip(&nodes[1..]) {
+                parts.extend([e.to_string(), n.to_string()]);
+            }
+            format!("({})", parts.join(", "))
+        };
+        // Every digit-count boundary: 10^k − 1 and 10^k, up to u32::MAX.
+        let mut values = vec![0, 1, u32::MAX - 1, u32::MAX];
+        for k in 1..=9 {
+            values.extend([10u32.pow(k) - 1, 10u32.pow(k)]);
+        }
+        for &v in &values {
             assert_eq!(render(&[NodeId(v)], &[]), format!("({})", NodeId(v)));
             assert_eq!(
                 render(&[NodeId(v), NodeId(0)], &[EdgeId(v)]),
                 format!("({}, {}, {})", NodeId(v), EdgeId(v), NodeId(0))
+            );
+        }
+        // Lengths 0–20 with ids of every width: the longest lines outgrow
+        // the stack buffer and are appended in several chunks.
+        for len in 0..=20 {
+            let pick = |i: usize| values[(i * 7 + len) % values.len()];
+            let nodes: Vec<NodeId> = (0..=len).map(|i| NodeId(pick(2 * i))).collect();
+            let edges: Vec<EdgeId> = (0..len).map(|i| EdgeId(pick(2 * i + 1))).collect();
+            assert_eq!(render(&nodes, &edges), formatted(&nodes, &edges), "{len}");
+            let widest = vec![NodeId(u32::MAX); len + 1];
+            let widest_edges = vec![EdgeId(u32::MAX); len];
+            assert_eq!(
+                render(&widest, &widest_edges),
+                formatted(&widest, &widest_edges),
+                "{len}"
             );
         }
         // Length 0: one node, no edges; and appending keeps what was there.

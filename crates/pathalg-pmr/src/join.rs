@@ -320,6 +320,22 @@ impl Expansion {
         }
     }
 
+    /// True when the length bound admits at most one segment per path:
+    /// every path of a source is then on its first level, expanded before
+    /// the source emits anything. Never for a materialised base, whose
+    /// segments carry their own lengths.
+    pub(crate) fn single_level(&self) -> bool {
+        let k = self.seg_len();
+        k > 0 && self.config.max_length.is_some_and(|bound| bound < 2 * k)
+    }
+
+    /// Whether [`Expansion::reachability`] has ever run (its distance table
+    /// is sized on first use).
+    #[cfg(test)]
+    pub(crate) fn reachability_searched(&self) -> bool {
+        !self.reach_dist.is_empty()
+    }
+
     /// Edges per segment on the chain path: the hop count (1 for a scan).
     /// Segments of a materialised base carry their own lengths.
     fn seg_len(&self) -> usize {

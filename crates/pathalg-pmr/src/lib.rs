@@ -543,14 +543,16 @@ impl Pmr {
 
     /// Overwrites `out` with the targets whose groups source `s` can ever
     /// fill, for the reachability-based source stop — left empty for
-    /// Shortest (whose per-source expansion saturates on its own) and for a
-    /// materialised base. Targets outside the pushed target mask are
-    /// excluded: they can never receive a path, so waiting for them would
-    /// block the stop forever.
+    /// Shortest (whose per-source expansion saturates on its own), for a
+    /// materialised base, and under a bound of one segment (the source's
+    /// one level is expanded before it emits, so a stop would save no
+    /// expansion and the BFS is not run). Targets outside the pushed target
+    /// mask are excluded: they can never receive a path, so waiting for
+    /// them would block the stop forever.
     fn requirements_for(&mut self, source: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
         let semantics = self.expansion.semantics();
-        if semantics == PathSemantics::Shortest {
+        if semantics == PathSemantics::Shortest || self.expansion.single_level() {
             return;
         }
         let Some(ReachInfo { min_closed }) = self.expansion.reachability(source, out) else {
@@ -820,6 +822,48 @@ mod tests {
             };
             let out = kernel().sliced(&spec).unwrap();
             assert_eq!(out.as_slice(), expected.as_slice(), "k = {k}");
+        }
+    }
+
+    /// Under a bound of one segment every path of a source is on its first
+    /// level, so the γST stop has nothing to save: the reachability BFS is
+    /// not run and its state stays unallocated, and the slice is unchanged.
+    #[test]
+    fn one_segment_bounds_skip_the_reachability_search() {
+        use pathalg_core::ops::projection::{projection, ProjectionSpec, Take};
+
+        let g = complete_graph(5, "a");
+        let csr = CsrGraph::with_label(&g, "a");
+        let spec = SliceSpec {
+            group_key: GroupKey::SourceTarget,
+            per_group: Some(1),
+            max_partitions: None,
+            max_groups: None,
+            ordered_by_length: false,
+        };
+        for hops in [1, 2] {
+            for max_length in [hops, 2 * hops - 1, 2 * hops] {
+                let cfg = RecursionConfig {
+                    max_length: Some(max_length),
+                    max_paths: None,
+                };
+                let kernel = || {
+                    let chain: Arc<[CsrGraph]> = vec![csr.clone(); hops].into();
+                    Pmr::from_shared_join(chain, PathSemantics::Trail, cfg)
+                };
+                let expected = projection(
+                    &ProjectionSpec::new(Take::All, Take::All, Take::Count(1)),
+                    &group_by(GroupKey::SourceTarget, &kernel().enumerate_all().unwrap()),
+                );
+                let mut lazy = kernel();
+                let out = lazy.sliced(&spec).unwrap();
+                assert_eq!(out.as_slice(), expected.as_slice(), "{hops} {max_length}");
+                assert_eq!(
+                    lazy.expansion.reachability_searched(),
+                    max_length >= 2 * hops,
+                    "{hops} {max_length}"
+                );
+            }
         }
     }
 

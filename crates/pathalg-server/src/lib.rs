@@ -52,5 +52,7 @@ pub mod service;
 pub mod trace;
 pub use error::{AdmissionError, ServiceError};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use protocol::{handle_line, serve, Client, QueryReply, Request, Response, ServerHandle};
+pub use protocol::{
+    handle_line, serve, Client, PathLines, QueryReply, Request, Response, ServerHandle,
+};
 pub use service::{CacheStatus, DedupRole, FailAction, QueryService, ServiceConfig};

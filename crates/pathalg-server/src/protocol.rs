@@ -38,7 +38,8 @@
 //! and a blocked connection thread costs nothing while the engine threads do
 //! the real work. [`Client`] is the matching blocking client used by the
 //! `repro serve` demo, the benches, and the tests; [`Client::query`] returns
-//! the typed [`Response`].
+//! the typed [`Response`], whose query answer keeps its `PATH` lines in the
+//! one buffer they were read into ([`PathLines`]).
 
 use crate::metrics::Metrics;
 use crate::service::{
@@ -194,7 +195,70 @@ pub struct QueryReply {
     /// `None` only when talking to a pre-trace server.
     pub trace: Option<u64>,
     /// The canonical result lines, one per path, in result order.
-    pub paths: Vec<String>,
+    pub paths: PathLines,
+}
+
+/// The result lines of a query answer, kept as the text the wire carries
+/// between the `OK` header and `END`: one `PATH <ids>\n` line per path, in
+/// one buffer. Every line is checked to carry the `PATH ` prefix when the
+/// value is built; [`PathLines::iter`] cuts it off.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PathLines {
+    text: String,
+    len: usize,
+}
+
+impl PathLines {
+    /// The number of paths.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the answer holds no path.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The canonical line of each path (its `display_ids` form), in result
+    /// order.
+    pub fn iter(&self) -> PathLineIter<'_> {
+        PathLineIter(self.text.lines())
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for PathLines {
+    /// Builds the lines of the paths whose canonical lines are `paths`.
+    fn from_iter<I: IntoIterator<Item = S>>(paths: I) -> Self {
+        let mut lines = Self::default();
+        for path in paths {
+            lines.text.push_str(PATH_PREFIX);
+            lines.text.push_str(path.as_ref());
+            lines.text.push('\n');
+            lines.len += 1;
+        }
+        lines
+    }
+}
+
+impl<'a> IntoIterator for &'a PathLines {
+    type Item = &'a str;
+    type IntoIter = PathLineIter<'a>;
+
+    fn into_iter(self) -> PathLineIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator of [`PathLines::iter`].
+#[derive(Clone, Debug)]
+pub struct PathLineIter<'a>(std::str::Lines<'a>);
+
+impl<'a> Iterator for PathLineIter<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(|line| &line[PATH_PREFIX.len()..])
+    }
 }
 
 /// One typed protocol response.
@@ -272,7 +336,7 @@ impl Response {
                     reply.epoch,
                     reply.trace,
                 ));
-                out.extend(reply.paths.iter().map(|path| [PATH_PREFIX, path].concat()));
+                out.extend(reply.paths.text.lines().map(str::to_string));
                 out.push("END".to_string());
                 out
             }
@@ -299,12 +363,6 @@ impl Response {
     /// Parses response lines back into the typed form (the client side of
     /// the boundary). Errors mean the peer violated the protocol.
     pub fn parse(lines: &[String]) -> Result<Response, String> {
-        Self::parse_owned(lines.to_vec())
-    }
-
-    /// [`Response::parse`] over lines the caller owns: the `PATH` lines
-    /// become the reply's paths in place, without a copy.
-    fn parse_owned(mut lines: Vec<String>) -> Result<Response, String> {
         let Some(first) = lines.first() else {
             return Ok(Response::Empty);
         };
@@ -321,14 +379,14 @@ impl Response {
             return Ok(Response::Stats(counters.to_string()));
         }
         if first == "METRICS" {
-            let body = framed_body(&lines)?;
+            let body = framed_body(lines)?;
             return Ok(Response::Metrics(body));
         }
         if let Some(id) = first.strip_prefix("TRACE ") {
             let id = id
                 .parse()
                 .map_err(|_| format!("malformed trace header: {first}"))?;
-            let report = framed_body(&lines)?;
+            let report = framed_body(lines)?;
             return Ok(Response::Trace { id, report });
         }
         if let Some(error) = first.strip_prefix("ERR ") {
@@ -340,57 +398,51 @@ impl Response {
                 message: message.to_string(),
             });
         }
-        if let Some(header) = first.strip_prefix("OK ") {
-            let mut cache = None;
-            let mut dedup = None;
-            let mut epoch = None;
-            let mut trace = None;
-            for field in header.split(' ').skip(1) {
-                match field.split_once('=') {
-                    Some(("cache", "hit")) => cache = Some(CacheStatus::Hit),
-                    Some(("cache", "miss")) => cache = Some(CacheStatus::Miss),
-                    Some(("dedup", "leader")) => dedup = Some(DedupRole::Leader),
-                    Some(("dedup", "waiter")) => dedup = Some(DedupRole::Waiter),
-                    Some(("epoch", e)) => epoch = e.parse().ok(),
-                    Some(("trace", t)) => trace = t.parse().ok(),
-                    _ => {}
-                }
-            }
-            let (Some(cache), Some(dedup), Some(epoch)) = (cache, dedup, epoch) else {
-                return Err(format!("malformed OK header: {first}"));
-            };
+        if first.starts_with("OK ") {
             if lines.len() < 2 || lines.last().map(String::as_str) != Some("END") {
                 return Err("query response not terminated by END".to_string());
             }
-            lines.pop();
-            lines.remove(0);
-            for line in &mut lines {
+            let body = &lines[1..lines.len() - 1];
+            let mut text = String::with_capacity(body.iter().map(|l| l.len() + 1).sum());
+            for line in body {
                 if !line.starts_with(PATH_PREFIX) {
                     return Err(format!("malformed path line: {line}"));
                 }
-                line.drain(..PATH_PREFIX.len());
+                text.push_str(line);
+                text.push('\n');
             }
-            let paths = lines;
-            return Ok(Response::Query(QueryReply {
-                cache,
-                dedup,
-                epoch,
-                trace,
-                paths,
-            }));
+            let len = body.len();
+            return query_reply(first, PathLines { text, len });
         }
         Err(format!("unrecognised response line: {first}"))
     }
+}
 
-    /// The result paths of a successful query, or the error rendered as
-    /// `Err` — the convenient view for callers that only want the answer.
-    pub fn into_paths(self) -> Result<Vec<String>, String> {
-        match self {
-            Response::Query(reply) => Ok(reply.paths),
-            Response::Error { kind, message } => Err(format!("ERR {kind}: {message}")),
-            other => Err(format!("not a query response: {other:?}")),
+/// The typed query response of an `OK …` header line and its checked path
+/// lines.
+fn query_reply(header: &str, paths: PathLines) -> Result<Response, String> {
+    let (mut cache, mut dedup, mut epoch, mut trace) = (None, None, None, None);
+    for field in header.split(' ').skip(2) {
+        match field.split_once('=') {
+            Some(("cache", "hit")) => cache = Some(CacheStatus::Hit),
+            Some(("cache", "miss")) => cache = Some(CacheStatus::Miss),
+            Some(("dedup", "leader")) => dedup = Some(DedupRole::Leader),
+            Some(("dedup", "waiter")) => dedup = Some(DedupRole::Waiter),
+            Some(("epoch", e)) => epoch = e.parse().ok(),
+            Some(("trace", t)) => trace = t.parse().ok(),
+            _ => {}
         }
     }
+    let (Some(cache), Some(dedup), Some(epoch)) = (cache, dedup, epoch) else {
+        return Err(format!("malformed OK header: {header}"));
+    };
+    Ok(Response::Query(QueryReply {
+        cache,
+        dedup,
+        epoch,
+        trace,
+        paths,
+    }))
 }
 
 /// The body of a header / body / `END` framed response: the lines between
@@ -451,7 +503,11 @@ pub(crate) fn handle_request(service: &QueryService, request: &Request) -> Optio
                 dedup: response.dedup,
                 epoch: response.epoch,
                 trace: Some(response.trace.id),
-                paths: response.outcome.canonical_lines(),
+                paths: PathLines {
+                    text: String::from_utf8(response.outcome.body.to_vec())
+                        .expect("the body is rendered ASCII"),
+                    len: response.outcome.path_count,
+                },
             }),
             Err(error) => error,
         }),
@@ -793,37 +849,32 @@ impl Client {
     /// the `END`-framed forms (`OK …`, `METRICS`, `TRACE <id>`), a single
     /// line for everything else.
     pub fn request(&mut self, line: &str) -> io::Result<Vec<String>> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.write_line(line)?;
         let first = self.read_line()?;
-        let mut out = vec![first];
-        if out[0].starts_with("OK ") || out[0] == "METRICS" || out[0].starts_with("TRACE ") {
-            loop {
-                let line = self.read_line()?;
-                let done = line == "END";
-                out.push(line);
-                if done {
-                    break;
-                }
-            }
-        }
-        Ok(out)
+        self.read_response(first)
     }
 
     /// Sends a typed request and parses the typed response. `Ok(None)`
     /// means the request was [`Request::Quit`] (no response follows).
     /// Protocol violations by the peer surface as `InvalidData` errors.
+    ///
+    /// A query answer is read into one buffer: the `PATH` lines are
+    /// appended as they arrive, checked line by line, and become the
+    /// reply's [`PathLines`] without a copy.
     pub fn send(&mut self, request: &Request) -> io::Result<Option<Response>> {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
         if matches!(request, Request::Quit) {
-            self.writer.write_all(b"QUIT\n")?;
-            self.writer.flush()?;
+            self.write_line("QUIT")?;
             return Ok(None);
         }
-        let lines = self.request(&request.render())?;
-        Response::parse_owned(lines)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        self.write_line(&request.render())?;
+        let first = self.read_line()?;
+        if first.starts_with("OK ") {
+            let paths = self.read_path_lines()?;
+            return query_reply(&first, paths).map(Some).map_err(invalid);
+        }
+        let lines = self.read_response(first)?;
+        Response::parse(&lines).map(Some).map_err(invalid)
     }
 
     /// Sends `QUERY GQL <text>` and returns the typed [`Response`] — a
@@ -854,21 +905,81 @@ impl Client {
         Ok(response.expect("query requests always get a response"))
     }
 
+    fn write_line(&mut self, line: &str) -> io::Result<()> {
+        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()
+    }
+
+    /// The lines of the response that begins with `first`: up to and
+    /// including `END` for the framed forms, `first` alone otherwise.
+    fn read_response(&mut self, first: String) -> io::Result<Vec<String>> {
+        let framed = first.starts_with("OK ") || first == "METRICS" || first.starts_with("TRACE ");
+        let mut lines = vec![first];
+        while framed && lines.last().is_none_or(|line| line != "END") {
+            lines.push(self.read_line()?);
+        }
+        Ok(lines)
+    }
+
     fn read_line(&mut self) -> io::Result<String> {
         self.line.clear();
         if self.reader.read_until(b'\n', &mut self.line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
+            return Err(closed());
         }
-        let mut end = self.line.len();
-        while end > 0 && matches!(self.line[end - 1], b'\n' | b'\r') {
-            end -= 1;
-        }
+        let end = trimmed_len(&self.line);
         String::from_utf8(self.line[..end].to_vec())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
+
+    /// Reads a query answer's body up to its `END` line, appending each
+    /// line to one buffer with its end normalised to `\n`. A line without
+    /// the `PATH ` prefix, or a body that is not UTF-8, is `InvalidData`
+    /// once the whole body is read, so the connection stays in step.
+    fn read_path_lines(&mut self) -> io::Result<PathLines> {
+        let mut text = Vec::new();
+        let (mut len, mut malformed) = (0, None);
+        loop {
+            let start = text.len();
+            if self.reader.read_until(b'\n', &mut text)? == 0 {
+                return Err(closed());
+            }
+            let end = start + trimmed_len(&text[start..]);
+            let line = &text[start..end];
+            if line == b"END" {
+                text.truncate(start);
+                break;
+            }
+            if !line.starts_with(PATH_PREFIX.as_bytes()) {
+                malformed.get_or_insert_with(|| {
+                    format!("malformed path line: {}", String::from_utf8_lossy(line))
+                });
+                text.truncate(start);
+                continue;
+            }
+            text.truncate(end);
+            text.push(b'\n');
+            len += 1;
+        }
+        if let Some(message) = malformed {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, message));
+        }
+        let text =
+            String::from_utf8(text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        Ok(PathLines { text, len })
+    }
+}
+
+/// The error of a connection the server closed mid-response.
+fn closed() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+}
+
+/// The length of `line` without its trailing `\n` / `\r` bytes.
+fn trimmed_len(line: &[u8]) -> usize {
+    line.iter()
+        .rposition(|&b| !matches!(b, b'\n' | b'\r'))
+        .map_or(0, |at| at + 1)
 }
 
 #[cfg(test)]
@@ -1057,14 +1168,14 @@ mod tests {
                 dedup: DedupRole::Waiter,
                 epoch: 3,
                 trace: Some(9),
-                paths: vec!["n1-e1-n2".to_string(), "n2-e2-n3".to_string()],
+                paths: ["n1-e1-n2", "n2-e2-n3"].into_iter().collect(),
             }),
             Response::Query(QueryReply {
                 cache: CacheStatus::Miss,
                 dedup: DedupRole::Leader,
                 epoch: 0,
                 trace: None,
-                paths: Vec::new(),
+                paths: PathLines::default(),
             }),
         ];
         for response in cases {
@@ -1243,6 +1354,137 @@ mod tests {
             format!("{expected}\n").into_bytes()
         );
         handle.shutdown();
+    }
+
+    #[test]
+    fn send_reads_what_request_and_parse_read() {
+        use pathalg_graph::generator::structured::cycle_graph;
+
+        let svc = Arc::new(QueryService::with_defaults(Arc::new(cycle_graph(
+            3_000, "k",
+        ))));
+        let path = std::env::temp_dir().join(format!("pathalg-send-{}.sock", std::process::id()));
+        let handle = serve(svc, path.clone()).unwrap();
+        let mut client = Client::connect(&path).unwrap();
+        let mut both = |request: &Request| {
+            let sent = client.send(request).unwrap().unwrap();
+            let lines = client.request(&request.render()).unwrap();
+            (sent, Response::parse(&lines).unwrap())
+        };
+        let query = |text: &str| Request::Query {
+            surface: QuerySurface::Gql,
+            deadline_ms: None,
+            text: text.to_string(),
+        };
+        let mut trace = None;
+        for (text, paths) in [
+            ("MATCH ALL WALK p = (?x {name:\"nobody\"})-[:k]->(?y)", 0),
+            ("MATCH ALL WALK p = (?x {name:\"p7\"})-[:k]->(?y)", 1),
+            ("MATCH ALL WALK p = (?x)-[:k]->(?y)", 3_000),
+        ] {
+            let (Response::Query(mut sent), Response::Query(mut parsed)) = both(&query(text))
+            else {
+                panic!("expected two query replies to {text}");
+            };
+            assert_eq!(sent.paths.len(), paths, "{text}");
+            assert_eq!(sent.paths.iter().count(), paths, "{text}");
+            // Each request has a trace of its own, and the second one finds
+            // the plan the first one cached.
+            assert!(sent.trace < parsed.trace, "{text}");
+            assert_eq!(parsed.cache, CacheStatus::Hit, "{text}");
+            trace = sent.trace;
+            (sent.trace, parsed.trace, sent.cache) = (None, None, CacheStatus::Hit);
+            assert_eq!(sent, parsed, "{text}");
+        }
+        let (sent, parsed) = both(&query("THIS IS NOT GQL"));
+        assert!(matches!(sent, Response::Error { ref kind, .. } if kind == "parse"));
+        assert_eq!(sent, parsed);
+        for request in [Request::Metrics, Request::Trace(trace.unwrap())] {
+            let (sent, parsed) = both(&request);
+            assert!(
+                matches!(sent, Response::Metrics(_) | Response::Trace { .. }),
+                "{sent:?}"
+            );
+            assert_eq!(sent, parsed);
+        }
+        drop(client);
+        handle.shutdown();
+    }
+
+    /// A one-connection peer that answers the first request line with
+    /// `bytes`, then closes its sending side and reads until the client
+    /// hangs up.
+    fn canned_peer(name: &str, bytes: &'static [u8]) -> (PathBuf, JoinHandle<()>) {
+        let path =
+            std::env::temp_dir().join(format!("pathalg-canned-{name}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(&stream);
+            reader.read_line(&mut String::new()).unwrap();
+            (&stream).write_all(bytes).unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            io::copy(&mut reader, &mut io::sink()).unwrap();
+        });
+        (path, peer)
+    }
+
+    #[test]
+    fn broken_query_bodies_are_errors_not_panics() {
+        const HEADER: &str = "OK 2 cache=hit dedup=leader epoch=0 trace=1\n";
+        let cases: [(&str, &[u8], io::ErrorKind); 4] = [
+            (
+                "prefix",
+                b"OK 2 cache=hit dedup=leader epoch=0 trace=1\nPATH (n0)\nROUTE (n1)\nEND\nPONG\n",
+                io::ErrorKind::InvalidData,
+            ),
+            (
+                "eof",
+                b"OK 2 cache=hit dedup=leader epoch=0 trace=1\nPATH (n0)\nPATH (n1)\n",
+                io::ErrorKind::UnexpectedEof,
+            ),
+            (
+                "utf8",
+                b"OK 2 cache=hit dedup=leader epoch=0 trace=1\nPATH (n0)\nPATH (n\xff)\nEND\nPONG\n",
+                io::ErrorKind::InvalidData,
+            ),
+            (
+                "header",
+                b"OK 2 cache=hit epoch=0\nPATH (n0)\nPATH (n1)\nEND\nPONG\n",
+                io::ErrorKind::InvalidData,
+            ),
+        ];
+        for (name, bytes, kind) in cases {
+            let (path, peer) = canned_peer(name, bytes);
+            let mut client = Client::connect(&path).unwrap();
+            let error = client
+                .query("MATCH ALL WALK p = (?x)-[:k]->(?y)")
+                .unwrap_err();
+            assert_eq!(error.kind(), kind, "{name}: {error}");
+            if kind == io::ErrorKind::InvalidData {
+                // The whole body was read: the connection is still in step.
+                assert_eq!(client.send(&Request::Ping).unwrap(), Some(Response::Pong));
+            }
+            drop(client);
+            peer.join().unwrap();
+            let _ = std::fs::remove_file(&path);
+        }
+        // The same bodies as collected lines.
+        let lines = |body: &[&str]| -> Vec<String> {
+            std::iter::once(HEADER.trim_end())
+                .chain(body.iter().copied())
+                .map(str::to_string)
+                .collect()
+        };
+        assert!(Response::parse(&lines(&["PATH (n0)", "ROUTE (n1)", "END"])).is_err());
+        assert!(Response::parse(&lines(&["PATH (n0)", "PATH (n1)"])).is_err());
+        let Ok(Response::Query(reply)) =
+            Response::parse(&lines(&["PATH (n0)", "PATH (n1)", "END"]))
+        else {
+            panic!("a well-formed body parses");
+        };
+        assert_eq!(reply.paths.iter().collect::<Vec<_>>(), ["(n0)", "(n1)"]);
     }
 
     #[test]

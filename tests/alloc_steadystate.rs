@@ -17,9 +17,13 @@
 //! source are exactly the capacities every later source needs, so "no
 //! allocation after warm-up" is deterministic rather than
 //! workload-dependent. Only allocations made by the thread that opened the
-//! measurement window are counted: the test harness's own thread allocates
-//! on its first blocking wait, which can land inside the window when the
-//! host is busy.
+//! measurement window are counted, in a count of its own: the test
+//! harness's own thread allocates on its first blocking wait, which can land
+//! inside the window when the host is busy, and tests run in parallel.
+//!
+//! The same counter pins the client end of the wire: a query reply is read
+//! into one buffer, so its allocations grow with the answer's size in bytes
+//! (logarithmically), not with its number of paths.
 
 use pathalg::algebra::ops::group_by::GroupKey;
 use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
@@ -27,29 +31,39 @@ use pathalg::algebra::path::write_ids;
 use pathalg::algebra::slice::SliceSpec;
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::generator::structured::cycle_graph;
+use pathalg::parser::QuerySurface;
 use pathalg::pmr::Pmr;
+use pathalg::server::{serve, Client, QueryService, Response, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Counts every allocation and reallocation made by a thread that set
-/// `COUNTED` (frees are irrelevant here: freeing recycled scratch would
-/// itself be a bug, but the symptom we pin is the re-acquisition).
+/// Counts every allocation and reallocation made by a thread while it has
+/// a measurement window open (frees are irrelevant here: freeing recycled
+/// scratch would itself be a bug, but the symptom we pin is the
+/// re-acquisition). The count is the thread's own, so tests running in
+/// parallel never see each other's allocations.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    // `const`-initialised `Cell<bool>`: reading it never allocates and it
-    // has no destructor, so the allocator may consult it.
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
+    // The open window's count, `None` outside one. `const`-initialised and
+    // without a destructor: reading it never allocates, so the allocator
+    // may consult it.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn count() {
-    if COUNTED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
+
+/// Opens this thread's measurement window.
+fn start_counting() {
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+}
+
+/// Closes this thread's measurement window; returns the allocations it saw.
+fn stop_counting() -> u64 {
+    ALLOCATIONS.with(|n| n.take()).expect("a window is open")
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -122,16 +136,13 @@ fn steady_state_drain_performs_zero_allocations() {
         // and distance table to their steady-state capacities.
         let warm = pmr.count_batch(per_source(semantics)).unwrap();
 
-        COUNTED.with(|c| c.set(true));
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        start_counting();
         let rest = pmr.count_all().unwrap();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        COUNTED.with(|c| c.set(false));
+        let allocations = stop_counting();
 
         assert_eq!(warm + rest, total, "split drain lost paths ({semantics:?})");
         assert_eq!(
-            after - before,
-            0,
+            allocations, 0,
             "draining {rest} paths after warm-up must not allocate ({semantics:?})"
         );
     }
@@ -159,16 +170,14 @@ fn steady_state_visitor_drain_renders_without_allocating() {
         let warm = pmr.next_batch(per_source(semantics)).unwrap().len();
         let mut out = Vec::with_capacity(expected.len());
 
-        COUNTED.with(|c| c.set(true));
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        start_counting();
         let rest = pmr
             .for_each_path(|nodes, edges| {
                 write_ids(nodes, edges, &mut out);
                 out.push(b'\n');
             })
             .unwrap();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        COUNTED.with(|c| c.set(false));
+        let allocations = stop_counting();
 
         assert_eq!(warm + rest, total, "split drain lost paths ({semantics:?})");
         let skipped: usize = expected
@@ -178,8 +187,7 @@ fn steady_state_visitor_drain_renders_without_allocating() {
             .sum();
         assert_eq!(out, expected[skipped..], "rendered bytes ({semantics:?})");
         assert_eq!(
-            after - before,
-            0,
+            allocations, 0,
             "rendering {rest} paths after warm-up must not allocate ({semantics:?})"
         );
     }
@@ -214,7 +222,7 @@ fn steady_state_sliced_drain_renders_without_allocating() {
         let mut pmr = Pmr::from_shared_csr(cycle_csr(), semantics, config());
         pmr.reserve_steps(steps);
         let mut out = Vec::with_capacity(expected.len());
-        let (mut visited, mut before) = (0, 0);
+        let mut visited = 0;
         // A source's kept paths are visited when the next source begins.
         // The window opens at the first source's last one: from there on
         // every scratch buffer, the collector's included, is warm.
@@ -224,21 +232,62 @@ fn steady_state_sliced_drain_renders_without_allocating() {
                 out.push(b'\n');
                 visited += 1;
                 if visited == per_source(semantics) {
-                    COUNTED.with(|c| c.set(true));
-                    before = ALLOCATIONS.load(Ordering::Relaxed);
+                    start_counting();
                 }
             })
             .unwrap();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        COUNTED.with(|c| c.set(false));
+        let allocations = stop_counting();
 
         assert_eq!(n, total, "kept paths ({semantics:?})");
         assert_eq!(out, expected, "rendered bytes ({semantics:?})");
         assert_eq!(
-            after - before,
+            allocations,
             0,
             "rendering {} kept paths after warm-up must not allocate ({semantics:?})",
             total - per_source(semantics)
         );
     }
+}
+
+#[test]
+fn steady_state_client_reply_allocates_per_answer_not_per_path() {
+    // A cycle of 1 000 nodes under a bound of 10: every node starts one
+    // walk of each length, 10 000 paths.
+    let graph = Arc::new(cycle_graph(1_000, "k"));
+    let config = ServiceConfig {
+        recursion: RecursionConfig {
+            max_length: Some(10),
+            max_paths: None,
+        },
+        ..ServiceConfig::default()
+    };
+    let service = Arc::new(QueryService::new(graph, config));
+    let socket =
+        std::env::temp_dir().join(format!("pathalg-alloc-client-{}.sock", std::process::id()));
+    let server = serve(service, socket.clone()).expect("bind");
+    let mut client = Client::connect(&socket).expect("connect");
+    let query = "MATCH ALL WALK p = (?x)-[(:k)+]->(?y)";
+    // Warm-up: the plan is cached and the client's line buffer holds a
+    // header.
+    let warm = client.query_on(QuerySurface::Gql, query).expect("warm-up");
+
+    start_counting();
+    let reply = client.query_on(QuerySurface::Gql, query);
+    let allocations = stop_counting();
+
+    let Ok(Response::Query(reply)) = reply else {
+        panic!("expected a query reply, got {reply:?}");
+    };
+    assert_eq!(reply.paths.len(), 10_000);
+    let Response::Query(warm) = warm else {
+        panic!("expected a query reply, got {warm:?}");
+    };
+    assert_eq!(reply.paths, warm.paths);
+    assert!(
+        allocations < 64,
+        "reading a {}-path reply made {allocations} allocations",
+        reply.paths.len()
+    );
+    drop(client);
+    server.shutdown();
 }
