@@ -5,6 +5,7 @@
 #                         dead or unused code, no index builds on the
 #                         request path, no second ϕ implementation, no
 #                         Path built between the kernel and the wire,
+#                         no second plan walk in the engine,
 #                         release build, tests, docs
 #                         -D warnings, bench compile, benchmark package
 #                         check, a 2 s benchmark run of every workload
@@ -85,7 +86,7 @@ full() {
         exit 1
     fi
     if [ "$(grep -rn "Pmr::from_shared_join" crates/pathalg-engine/src | wc -l)" -ne 1 ]; then
-        echo "ci.sh: a scan or chain ϕ, sliced or not, runs through the one drain (EngineEvaluator::drain_kernel)" >&2
+        echo "ci.sh: a scan or chain ϕ, sliced or not, runs through the one drain (drain_kernel in exec.rs)" >&2
         exit 1
     fi
 
@@ -94,11 +95,18 @@ full() {
         ! awk '/fn [a-z_0-9]+[<(]/ { f = $0 }
                /owned_path\(/ && !/fn owned_path\(/ && f !~ /fn collect_drain\(/ { bad = 1 }
                END { exit bad }' crates/pathalg-engine/src/*.rs; then
-        echo "ci.sh: the engine builds a Path from a drain only in EngineEvaluator::collect_drain; render from the (nodes, edges) visitor" >&2
+        echo "ci.sh: the engine builds a Path from a drain only in collect_drain (exec.rs); render from the (nodes, edges) visitor" >&2
         exit 1
     fi
     if sed '/#\[cfg(test)\]/,$d' crates/pathalg-core/src/slice.rs | grep -nw "Path"; then
         echo "ci.sh: slice.rs only recognises pipelines; the pathalg-pmr slice collector keeps arena ids, not Paths" >&2
+        exit 1
+    fi
+
+    step "one plan walk: the engine is core's Evaluator with the kernel drains plugged in"
+    if sed '/#\[cfg(test)\]/,$d' crates/pathalg-engine/src/exec.rs |
+        grep -nE "(^|[^A-Za-z0-9_.])(selection|join|union|group_by|order_by|projection)\("; then
+        echo "ci.sh: exec.rs runs no core operator itself; Evaluator::eval_with walks the plan and the kernel half takes the drains" >&2
         exit 1
     fi
 

@@ -165,11 +165,6 @@ impl PathBudget {
     pub fn count(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
-
-    /// The configured limit, if any.
-    pub fn limit(&self) -> Option<usize> {
-        self.limit
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +206,6 @@ mod tests {
         for _ in 0..1000 {
             b.claim(usize::MAX / 2000).unwrap();
         }
-        assert!(b.limit().is_none());
     }
 
     #[test]

@@ -114,15 +114,6 @@ impl Condition {
         }
     }
 
-    /// `label(node(i)) = label`.
-    pub fn node_label(i: usize, label: impl Into<String>) -> Self {
-        Condition::Compare {
-            accessor: Accessor::NodeLabel(Position::Index(i)),
-            op: CompareOp::Eq,
-            value: Value::Str(label.into()),
-        }
-    }
-
     /// `label(first) = label`.
     pub fn first_label(label: impl Into<String>) -> Self {
         Condition::Compare {
@@ -154,24 +145,6 @@ impl Condition {
     pub fn last_property(prop: impl Into<String>, value: impl Into<Value>) -> Self {
         Condition::Compare {
             accessor: Accessor::NodeProperty(Position::Last, prop.into()),
-            op: CompareOp::Eq,
-            value: value.into(),
-        }
-    }
-
-    /// `node(i).prop = value`.
-    pub fn node_property(i: usize, prop: impl Into<String>, value: impl Into<Value>) -> Self {
-        Condition::Compare {
-            accessor: Accessor::NodeProperty(Position::Index(i), prop.into()),
-            op: CompareOp::Eq,
-            value: value.into(),
-        }
-    }
-
-    /// `edge(i).prop = value`.
-    pub fn edge_property(i: usize, prop: impl Into<String>, value: impl Into<Value>) -> Self {
-        Condition::Compare {
-            accessor: Accessor::EdgeProperty(Position::Index(i), prop.into()),
             op: CompareOp::Eq,
             value: value.into(),
         }
@@ -473,6 +446,15 @@ mod tests {
     use pathalg_graph::fixtures::figure1::Figure1;
     use pathalg_graph::graph::GraphBuilder;
 
+    /// The literal comparison `accessor = value`.
+    fn eq(accessor: Accessor, value: impl Into<Value>) -> Condition {
+        Condition::Compare {
+            accessor,
+            op: CompareOp::Eq,
+            value: value.into(),
+        }
+    }
+
     fn knows_path(f: &Figure1) -> Path {
         // (n1, e1, n2, e4, n4): Moe -Knows-> Lisa -Knows-> Apu
         Path::edge(&f.graph, f.e1)
@@ -489,8 +471,8 @@ mod tests {
         assert!(!Condition::edge_label(1, "Likes").eval(&p, &f.graph));
         assert!(Condition::first_label("Person").eval(&p, &f.graph));
         assert!(Condition::last_label("Person").eval(&p, &f.graph));
-        assert!(Condition::node_label(2, "Person").eval(&p, &f.graph));
-        assert!(!Condition::node_label(2, "Message").eval(&p, &f.graph));
+        assert!(eq(Accessor::NodeLabel(Position::Index(2)), "Person").eval(&p, &f.graph));
+        assert!(!eq(Accessor::NodeLabel(Position::Index(2)), "Message").eval(&p, &f.graph));
     }
 
     #[test]
@@ -503,8 +485,16 @@ mod tests {
         assert!(cond.eval(&p, &f.graph));
         let wrong = Condition::first_property("name", "Apu");
         assert!(!wrong.eval(&p, &f.graph));
-        assert!(Condition::node_property(2, "name", "Lisa").eval(&p, &f.graph));
-        assert!(Condition::edge_property(1, "since", 2010i64).eval(&p, &f.graph));
+        assert!(eq(
+            Accessor::NodeProperty(Position::Index(2), "name".into()),
+            "Lisa"
+        )
+        .eval(&p, &f.graph));
+        assert!(eq(
+            Accessor::EdgeProperty(Position::Index(1), "since".into()),
+            2010i64
+        )
+        .eval(&p, &f.graph));
     }
 
     #[test]
@@ -512,7 +502,7 @@ mod tests {
         let f = Figure1::new();
         let p = Path::edge(&f.graph, f.e1);
         assert!(!Condition::edge_label(3, "Knows").eval(&p, &f.graph));
-        assert!(!Condition::node_label(5, "Person").eval(&p, &f.graph));
+        assert!(!eq(Accessor::NodeLabel(Position::Index(5)), "Person").eval(&p, &f.graph));
         assert!(!Condition::first_property("nonexistent", 1i64).eval(&p, &f.graph));
         // But their negation is true (ev returns False, ¬False = True).
         assert!(Condition::edge_label(3, "Knows").not().eval(&p, &f.graph));

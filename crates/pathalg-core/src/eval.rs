@@ -4,9 +4,16 @@
 //! each operator is evaluated bottom-up by calling the corresponding function
 //! from [`crate::ops`], materialising its full result. The paper's Section 7.2
 //! points out that a sound reference implementation of GQL / SQL-PGQ only
-//! needs an algorithm per operator — this module is exactly that. The
-//! `pathalg-engine` crate layers smarter physical algorithms on top; their
-//! results are cross-checked against this evaluator in the integration tests.
+//! needs an algorithm per operator — this module is exactly that.
+//!
+//! The walk has one extension point, [`Physical`]: [`Evaluator::eval_with`]
+//! offers every node, in pre-order, to a physical implementation before the
+//! node's reference operator runs, and a node the implementation takes is not
+//! walked further. The `pathalg-engine` crate plugs its kernel drains in
+//! there, so the engine and this evaluator share one walk, one set of
+//! [`EvalStats`] and one set of type errors. The unit type `()` takes no
+//! node, so [`Evaluator::eval`] is `eval_with(expr, &mut ())` and stays the
+//! oracle the engine's answers are cross-checked against.
 
 use crate::error::AlgebraError;
 use crate::expr::PlanExpr;
@@ -35,22 +42,29 @@ pub enum EvalOutput {
 impl EvalOutput {
     /// Unwraps a set of paths, failing with a type error otherwise.
     pub fn into_paths(self) -> Result<PathSet, AlgebraError> {
+        self.paths_operand("evaluation result")
+    }
+
+    /// Unwraps the set of paths `operator` takes as its operand, failing
+    /// with a type error that names `operator` otherwise.
+    pub fn paths_operand(self, operator: &'static str) -> Result<PathSet, AlgebraError> {
         match self {
             EvalOutput::Paths(p) => Ok(p),
             EvalOutput::Space(_) => Err(AlgebraError::TypeMismatch {
-                operator: "evaluation result",
+                operator,
                 expected: "a set of paths",
                 found: "a solution space",
             }),
         }
     }
 
-    /// Unwraps a solution space, failing with a type error otherwise.
-    pub fn into_space(self) -> Result<SolutionSpace, AlgebraError> {
+    /// Unwraps the solution space `operator` takes as its operand, failing
+    /// with a type error that names `operator` otherwise.
+    fn space_operand(self, operator: &'static str) -> Result<SolutionSpace, AlgebraError> {
         match self {
             EvalOutput::Space(s) => Ok(s),
             EvalOutput::Paths(_) => Err(AlgebraError::TypeMismatch {
-                operator: "evaluation result",
+                operator,
                 expected: "a solution space",
                 found: "a set of paths",
             }),
@@ -104,6 +118,15 @@ pub struct EvalStats {
     pub join_calls: usize,
 }
 
+impl EvalStats {
+    /// Counts one evaluated operator whose output holds `paths` paths.
+    pub fn charge(&mut self, paths: usize) {
+        self.operators_evaluated += 1;
+        self.intermediate_paths += paths;
+        self.max_intermediate = self.max_intermediate.max(paths);
+    }
+}
+
 impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -115,6 +138,35 @@ impl fmt::Display for EvalStats {
             self.recursive_calls,
             self.join_calls
         )
+    }
+}
+
+/// A physical implementation plugged into the reference walk (see the
+/// module docs).
+pub trait Physical {
+    /// Offered `expr` before its reference operator runs. `Ok(Some(out))`
+    /// takes the node: the walk charges it once with `out` and does not
+    /// visit its operands, so the implementation charges any operator it
+    /// evaluated beneath it to `walk`'s statistics ([`EvalStats::charge`],
+    /// plus the ϕ and ⋈ counts); an operand it evaluates through
+    /// `walk.eval_with(operand, self)` is walked as usual. `Ok(None)`
+    /// leaves the node to its reference operator; an error ends the
+    /// evaluation.
+    fn take(
+        &mut self,
+        walk: &mut Evaluator<'_>,
+        expr: &PlanExpr,
+    ) -> Result<Option<EvalOutput>, AlgebraError>;
+}
+
+/// The reference evaluator itself: takes no node.
+impl Physical for () {
+    fn take(
+        &mut self,
+        _walk: &mut Evaluator<'_>,
+        _expr: &PlanExpr,
+    ) -> Result<Option<EvalOutput>, AlgebraError> {
+        Ok(None)
     }
 }
 
@@ -145,6 +197,12 @@ impl<'g> Evaluator<'g> {
         self.stats
     }
 
+    /// The statistics a [`Physical`] implementation charges the operators
+    /// it evaluated beneath a node it took.
+    pub fn stats_mut(&mut self) -> &mut EvalStats {
+        &mut self.stats
+    }
+
     /// Resets the statistics counters.
     pub fn reset_stats(&mut self) {
         self.stats = EvalStats::default();
@@ -153,95 +211,82 @@ impl<'g> Evaluator<'g> {
     /// Evaluates an expression, returning paths or a solution space according
     /// to the root operator.
     pub fn eval(&mut self, expr: &PlanExpr) -> Result<EvalOutput, AlgebraError> {
-        self.stats.operators_evaluated += 1;
-        let out = match expr {
+        self.eval_with(expr, &mut ())
+    }
+
+    /// [`Evaluator::eval`] with `physical` plugged in: every node is offered
+    /// to it, in pre-order, before its reference operator runs (see
+    /// [`Physical::take`]). Every node evaluated, taken or not, is charged
+    /// once with its output.
+    pub fn eval_with(
+        &mut self,
+        expr: &PlanExpr,
+        physical: &mut impl Physical,
+    ) -> Result<EvalOutput, AlgebraError> {
+        let out = match physical.take(self, expr)? {
+            Some(out) => out,
+            None => self.operator(expr, physical)?,
+        };
+        self.stats.charge(out.path_count());
+        Ok(out)
+    }
+
+    /// The reference operator of `expr`'s root over its operands, each
+    /// evaluated by [`Evaluator::eval_with`].
+    fn operator(
+        &mut self,
+        expr: &PlanExpr,
+        physical: &mut impl Physical,
+    ) -> Result<EvalOutput, AlgebraError> {
+        Ok(match expr {
             PlanExpr::Nodes => EvalOutput::Paths(PathSet::nodes(self.graph)),
             PlanExpr::Edges => EvalOutput::Paths(PathSet::edges(self.graph)),
             PlanExpr::Selection { condition, input } => {
-                let input = self.eval_paths_internal(input, "selection")?;
+                let input = self
+                    .eval_with(input, physical)?
+                    .paths_operand("selection")?;
                 EvalOutput::Paths(selection(self.graph, condition, &input))
             }
             PlanExpr::Join { left, right } => {
                 self.stats.join_calls += 1;
-                let l = self.eval_paths_internal(left, "join")?;
-                let r = self.eval_paths_internal(right, "join")?;
+                let l = self.eval_with(left, physical)?.paths_operand("join")?;
+                let r = self.eval_with(right, physical)?.paths_operand("join")?;
                 EvalOutput::Paths(join(&l, &r, self.config.recursion.max_paths)?)
             }
             PlanExpr::Union { left, right } => {
-                let l = self.eval_paths_internal(left, "union")?;
-                let r = self.eval_paths_internal(right, "union")?;
+                let l = self.eval_with(left, physical)?.paths_operand("union")?;
+                let r = self.eval_with(right, physical)?.paths_operand("union")?;
                 EvalOutput::Paths(union(&l, &r))
             }
             PlanExpr::Recursive { semantics, input } => {
                 self.stats.recursive_calls += 1;
-                let input = self.eval_paths_internal(input, "recursive")?;
+                let input = self
+                    .eval_with(input, physical)?
+                    .paths_operand("recursive")?;
                 EvalOutput::Paths(recursive(*semantics, &input, &self.config.recursion)?)
             }
             PlanExpr::GroupBy { key, input } => {
-                let input = self.eval_paths_internal(input, "group-by")?;
+                let input = self.eval_with(input, physical)?.paths_operand("group-by")?;
                 EvalOutput::Space(group_by(*key, &input))
             }
             PlanExpr::OrderBy { key, input } => {
-                let input = self.eval_space_internal(input, "order-by")?;
+                let input = self.eval_with(input, physical)?.space_operand("order-by")?;
                 EvalOutput::Space(order_by(*key, &input))
             }
             PlanExpr::Projection { spec, input } => {
                 spec.validate()?;
-                let input = self.eval_space_internal(input, "projection")?;
+                let input = self
+                    .eval_with(input, physical)?
+                    .space_operand("projection")?;
                 EvalOutput::Paths(projection(spec, &input))
             }
-        };
-        let n = out.path_count();
-        self.stats.intermediate_paths += n;
-        self.stats.max_intermediate = self.stats.max_intermediate.max(n);
-        Ok(out)
+        })
     }
 
     /// Evaluates an expression that must produce a set of paths.
     pub fn eval_paths(&mut self, expr: &PlanExpr) -> Result<PathSet, AlgebraError> {
         self.eval(expr)?.into_paths()
     }
-
-    /// Evaluates an expression that must produce a solution space.
-    pub fn eval_space(&mut self, expr: &PlanExpr) -> Result<SolutionSpace, AlgebraError> {
-        self.eval(expr)?.into_space()
-    }
-
-    fn eval_paths_internal(
-        &mut self,
-        expr: &PlanExpr,
-        operator: &'static str,
-    ) -> Result<PathSet, AlgebraError> {
-        match self.eval(expr)? {
-            EvalOutput::Paths(p) => Ok(p),
-            EvalOutput::Space(_) => Err(AlgebraError::TypeMismatch {
-                operator,
-                expected: "a set of paths",
-                found: "a solution space",
-            }),
-        }
-    }
-
-    fn eval_space_internal(
-        &mut self,
-        expr: &PlanExpr,
-        operator: &'static str,
-    ) -> Result<SolutionSpace, AlgebraError> {
-        match self.eval(expr)? {
-            EvalOutput::Space(s) => Ok(s),
-            EvalOutput::Paths(_) => Err(AlgebraError::TypeMismatch {
-                operator,
-                expected: "a solution space",
-                found: "a set of paths",
-            }),
-        }
-    }
-}
-
-/// One-shot convenience: evaluates `expr` over `graph` with the default
-/// configuration and expects a set of paths.
-pub fn evaluate(graph: &PropertyGraph, expr: &PlanExpr) -> Result<PathSet, AlgebraError> {
-    Evaluator::new(graph).eval_paths(expr)
 }
 
 #[cfg(test)]
@@ -254,6 +299,10 @@ mod tests {
     use crate::GroupKey;
     use crate::OrderKey;
     use pathalg_graph::fixtures::figure1::Figure1;
+
+    fn evaluate(graph: &PropertyGraph, expr: &PlanExpr) -> Result<PathSet, AlgebraError> {
+        Evaluator::new(graph).eval_paths(expr)
+    }
 
     #[test]
     fn leaves_evaluate_to_the_graph_atoms() {
@@ -333,7 +382,9 @@ mod tests {
         let f = Figure1::new();
         let plan = PlanExpr::edges().group_by(GroupKey::Source);
         let mut ev = Evaluator::new(&f.graph);
-        let space = ev.eval_space(&plan).unwrap();
+        let EvalOutput::Space(space) = ev.eval(&plan).unwrap() else {
+            panic!("γ yields a solution space");
+        };
         assert_eq!(space.path_count(), 11);
         assert!(ev.eval_paths(&plan).is_err());
     }
@@ -416,5 +467,137 @@ mod tests {
         ev.reset_stats();
         assert_eq!(ev.stats(), EvalStats::default());
         assert!(stats.to_string().contains("operators: 6"));
+    }
+
+    /// The plans of the tests above: every operator, a type error and an
+    /// invalid projection among them.
+    fn plans() -> Vec<PlanExpr> {
+        let knows = || PlanExpr::edges().select(Condition::edge_label(1, "Knows"));
+        let outer = PlanExpr::edges()
+            .select(Condition::edge_label(1, "Likes"))
+            .join(PlanExpr::edges().select(Condition::edge_label(1, "Has_creator")));
+        vec![
+            PlanExpr::nodes(),
+            knows()
+                .union(knows().join(knows()))
+                .select(Condition::first_property("name", "Moe")),
+            knows()
+                .recursive(PathSemantics::Simple)
+                .union(outer.recursive(PathSemantics::Simple)),
+            knows()
+                .recursive(PathSemantics::Trail)
+                .group_by(GroupKey::SourceTarget)
+                .order_by(OrderKey::Path)
+                .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1))),
+            PlanExpr::edges().group_by(GroupKey::Source),
+            PlanExpr::edges().order_by(OrderKey::Path),
+            PlanExpr::edges()
+                .group_by(GroupKey::Empty)
+                .project(ProjectionSpec::new(Take::Count(0), Take::All, Take::All)),
+        ]
+    }
+
+    /// Records every node it is offered and takes the ⋈ nodes, answering
+    /// each with `taken`.
+    struct Recorder {
+        seen: Vec<String>,
+        taken: PathSet,
+    }
+
+    impl Physical for Recorder {
+        fn take(
+            &mut self,
+            _walk: &mut Evaluator<'_>,
+            expr: &PlanExpr,
+        ) -> Result<Option<EvalOutput>, AlgebraError> {
+            self.seen.push(expr.to_string());
+            Ok(
+                matches!(expr, PlanExpr::Join { .. })
+                    .then(|| EvalOutput::Paths(self.taken.clone())),
+            )
+        }
+    }
+
+    /// `expr`'s nodes in pre-order, without descending below a ⋈.
+    fn pre_order(expr: &PlanExpr, out: &mut Vec<String>) {
+        out.push(expr.to_string());
+        if !matches!(expr, PlanExpr::Join { .. }) {
+            for child in expr.children() {
+                pre_order(child, out);
+            }
+        }
+    }
+
+    #[test]
+    fn a_physical_sees_each_node_once_in_pre_order() {
+        let f = Figure1::new();
+        for plan in plans() {
+            let mut recorder = Recorder {
+                seen: Vec::new(),
+                taken: PathSet::new(),
+            };
+            let answered = Evaluator::new(&f.graph)
+                .eval_with(&plan, &mut recorder)
+                .is_ok();
+            let mut expected = Vec::new();
+            pre_order(&plan, &mut expected);
+            if answered {
+                assert_eq!(recorder.seen, expected, "{plan}");
+            } else {
+                // The walk stops at the first error: a prefix is seen.
+                assert!(!recorder.seen.is_empty(), "{plan}");
+                assert!(expected.starts_with(&recorder.seen), "{plan}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_taken_node_is_charged_once_with_its_output() {
+        // σ first.name="Moe" (σKnows(E) ⋈ σKnows(E)), the ⋈ answered with
+        // Moe's and Lisa's Knows edges.
+        let f = Figure1::new();
+        let knows = || PlanExpr::edges().select(Condition::edge_label(1, "Knows"));
+        let plan = knows()
+            .join(knows())
+            .select(Condition::first_property("name", "Moe"));
+        let taken =
+            PathSet::from_distinct(vec![Path::edge(&f.graph, f.e1), Path::edge(&f.graph, f.e2)]);
+        let mut recorder = Recorder {
+            seen: Vec::new(),
+            taken: taken.clone(),
+        };
+        let mut ev = Evaluator::new(&f.graph);
+        let out = ev
+            .eval_with(&plan, &mut recorder)
+            .unwrap()
+            .into_paths()
+            .unwrap();
+        assert_eq!(out.as_slice(), [Path::edge(&f.graph, f.e1)]);
+        // The σ and the taken ⋈, whose operands were never offered.
+        assert_eq!(recorder.seen.len(), 2);
+        assert_eq!(
+            ev.stats(),
+            EvalStats {
+                operators_evaluated: 2,
+                intermediate_paths: 2 + 1,
+                max_intermediate: 2,
+                recursive_calls: 0,
+                join_calls: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn the_unit_physical_is_the_reference_walk() {
+        let f = Figure1::new();
+        let config = EvalConfig::with_walk_bound(4);
+        for plan in plans() {
+            let mut reference = Evaluator::with_config(&f.graph, config);
+            let mut walk = Evaluator::with_config(&f.graph, config);
+            let expected = reference.eval(&plan).map(|out| out.into_paths());
+            let out = walk.eval_with(&plan, &mut ()).map(|out| out.into_paths());
+            assert_eq!(format!("{out:?}"), format!("{expected:?}"), "{plan}");
+            assert_eq!(walk.stats(), reference.stats(), "{plan}");
+        }
     }
 }

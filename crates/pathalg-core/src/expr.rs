@@ -188,16 +188,6 @@ impl PlanExpr {
             .sum::<usize>()
     }
 
-    /// Height of the tree (a leaf has height 1).
-    pub fn height(&self) -> usize {
-        1 + self
-            .children()
-            .iter()
-            .map(|c| c.height())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// True if the expression produces a *solution space* (its root is γ or τ)
     /// rather than a set of paths.
     pub(crate) fn produces_solution_space(&self) -> bool {
@@ -295,7 +285,6 @@ mod tests {
         let plan = figure2_plan();
         assert_eq!(plan.operator_name(), "Selection");
         assert_eq!(plan.operator_count(), 11);
-        assert_eq!(plan.height(), 6);
         plan.type_check().unwrap();
     }
 
@@ -304,7 +293,6 @@ mod tests {
         let leaf = PlanExpr::nodes();
         assert!(leaf.children().is_empty());
         assert_eq!(leaf.operator_count(), 1);
-        assert_eq!(leaf.height(), 1);
         let join = PlanExpr::edges().join(PlanExpr::edges());
         assert_eq!(join.children().len(), 2);
         assert_eq!(join.operator_count(), 3);

@@ -223,11 +223,6 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one duration (relaxed; ordering with other metrics is not
     /// needed — each sample is independent).
     pub fn record(&self, d: Duration) {
@@ -236,11 +231,6 @@ impl LatencyHistogram {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy for rendering.
@@ -359,12 +349,11 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_bit_width_and_exposes_cumulatively() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         h.record(Duration::from_nanos(0)); // bucket 0
         h.record(Duration::from_nanos(1)); // bucket 1
         h.record(Duration::from_nanos(3)); // bucket 2
         h.record(Duration::from_nanos(1000)); // bucket 10
-        assert_eq!(h.count(), 4);
         let snap = h.snapshot();
         assert_eq!(snap.buckets[0], 1);
         assert_eq!(snap.buckets[1], 1);
@@ -392,7 +381,7 @@ mod tests {
 
     #[test]
     fn oversized_durations_clamp_into_the_last_bucket() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         h.record(Duration::from_secs(3600));
         let snap = h.snapshot();
         assert_eq!(snap.buckets[LATENCY_BUCKETS - 1], 1);

@@ -15,7 +15,7 @@
 //! // π(*,*,1)(τA(γST(ϕTRAIL(σLikes(E) ⋈ σHas_creator(E)))))
 //! let plan = scan(":Likes")
 //!     .join(scan(":Has_creator"))
-//!     .closure(PathSemantics::Trail)
+//!     .recursive(PathSemantics::Trail)
 //!     .with_selector(Selector::AnyShortest);
 //! assert!(plan.to_string().starts_with("π(*,*,1)(τA(γST(ϕTRAIL("));
 //! ```
@@ -31,7 +31,6 @@ use crate::gql::Selector;
 use crate::ops::group_by::GroupKey;
 use crate::ops::order_by::OrderKey;
 use crate::ops::projection::{ProjectionSpec, Take};
-use crate::ops::recursive::PathSemantics;
 
 /// A label scan: `σ label(edge(1))=label (Edges(G))`. A leading `:` on the
 /// label (GQL spelling, `":Likes"`) is accepted and stripped.
@@ -57,13 +56,6 @@ where
 }
 
 impl PlanExpr {
-    /// Wraps the expression in the recursive operator ϕ — a readable alias
-    /// for [`PlanExpr::recursive`] in builder chains (`closure` is what the
-    /// paper calls the operation).
-    pub fn closure(self, semantics: PathSemantics) -> Self {
-        self.recursive(semantics)
-    }
-
     /// Applies the γ/τ/π pipeline of a GQL selector (Table 7) to this
     /// expression. The expression is expected to already produce the matched
     /// path set (ϕ applied where the pattern requires it); this adds only
@@ -109,6 +101,7 @@ impl PlanExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::recursive::PathSemantics;
 
     #[test]
     fn scan_strips_the_gql_colon() {
@@ -130,16 +123,8 @@ mod tests {
     }
 
     #[test]
-    fn closure_is_an_alias_for_recursive() {
-        assert_eq!(
-            scan("Knows").closure(PathSemantics::Trail),
-            scan("Knows").recursive(PathSemantics::Trail)
-        );
-    }
-
-    #[test]
     fn with_selector_matches_the_table7_templates() {
-        let base = || scan("Knows").closure(PathSemantics::Walk);
+        let base = || scan("Knows").recursive(PathSemantics::Walk);
         let expected = [
             (Selector::All, "π(*,*,*)(γ∅("),
             (Selector::AnyShortest, "π(*,*,1)(τA(γST("),

@@ -355,7 +355,11 @@ mod tests {
         assert!(sliced.lazy_eligible(&RecursionConfig::default()));
         // …a non-endpoint σ (interior node) is recognised but not eligible…
         let plan = phi()
-            .select(Condition::node_property(2, "name", "Moe"))
+            .select(Condition::Compare {
+                accessor: Accessor::NodeProperty(Position::Index(2), "name".into()),
+                op: CompareOp::Eq,
+                value: "Moe".into(),
+            })
             .group_by(GroupKey::SourceTarget)
             .project(take1());
         let sliced = plan.sliceable_pipeline().unwrap();

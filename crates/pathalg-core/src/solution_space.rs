@@ -79,11 +79,6 @@ impl SolutionSpace {
         }
     }
 
-    /// The underlying set of paths `S`, in insertion order.
-    pub fn paths(&self) -> &[Path] {
-        &self.paths
-    }
-
     /// The groups `G`.
     pub fn groups(&self) -> &[Group] {
         &self.groups

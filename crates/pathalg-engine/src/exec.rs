@@ -1,42 +1,45 @@
 //! Execution configuration and the engine-level plan evaluator.
 //!
-//! `pathalg-core`'s [`pathalg_core::eval::Evaluator`] is the
-//! *reference* interpreter: one algorithm per operator, single-threaded,
-//! always the semi-naïve fixpoint for ϕ. [`EngineEvaluator`] is the engine's
-//! physical counterpart: it walks the same logical plans and calls the same
-//! `pathalg-core` operator implementations for σ/⋈/∪/γ/τ/π, and runs every
-//! ϕ node on one kernel, `pathalg-pmr`'s [`Pmr`]. The shape of the base
-//! alone decides what the kernel walks — no estimate, threshold or
-//! configuration value takes part:
+//! `pathalg-core`'s [`Evaluator`] is the *reference* interpreter: one
+//! algorithm per operator, single-threaded, always the semi-naïve fixpoint
+//! for ϕ. [`EngineEvaluator`] is that same walk with the kernel drains
+//! plugged in ([`Physical`]): the walk offers every node to the engine's
+//! kernel half before its reference operator runs, the kernel half takes
+//! every node that runs as one drain of `pathalg-pmr`'s [`Pmr`], and every
+//! other node runs the core operator it names. So the walk, the
+//! [`EvalStats`] and the type errors are the reference evaluator's own. The
+//! shape of a ϕ's base alone decides what the kernel walks — no estimate,
+//! threshold or configuration value takes part:
 //!
 //! * a base of the shape `σℓ1(Edges) ⋈ … ⋈ σℓk(Edges)` — the base relation
 //!   of every `[:ℓ+]` and `[(:ℓ1/…/:ℓk)+]` pattern — is never materialised:
 //!   the kernel walks the graph's stored label CSRs
 //!   ([`PropertyGraph::label_csr`]), one per hop, shared rather than built
 //!   per evaluation;
-//! * every other base is evaluated first, and the kernel walks its paths
-//!   as segments indexed by first node ([`Pmr::from_base`]).
+//! * every other base is evaluated first, by the walk, and the kernel walks
+//!   its paths as segments indexed by first node ([`Pmr::from_base`]).
 //!
 //! An anchored ϕ is one drain. A σ over a ϕ whose condition splits into
 //! first- and last-node parts ([`Condition::endpoint_split`]) becomes node
-//! masks (unbounded Walk excepted), and a sliceable `π(τ?(γ(σ?(ϕ(…)))))`
-//! pipeline over a scan/chain base ([`choose_pipeline_impl`]) — every GQL
-//! selector but ALL, which is a plain drain — a slice as well: its limits
-//! pushed into the enumeration. One function decides the masks, the
-//! direction — a scan or chain whose marked targets have fewer in-edges on
-//! its last hop than its marked sources have out-edges on its first is
+//! masks (unbounded Walk excepted), the ALL selector's `π(*,*,*)(γ∅(…))`
+//! keeps the drain beneath it whole and in order, and a sliceable
+//! `π(τ?(γ(σ?(ϕ(…)))))` pipeline over a scan/chain base
+//! ([`choose_pipeline_impl`]) — every other GQL selector — becomes a slice:
+//! its limits pushed into the enumeration. One function decides the masks,
+//! the direction — a scan or chain whose marked targets have fewer in-edges
+//! on its last hop than its marked sources have out-edges on its first is
 //! searched backwards over the graph's reverse label CSRs
 //! ([`PropertyGraph::reverse_label_csr`]) and put back in the forward
 //! canonical order, a slice only where that keeps its early stop
 //! ([`Pmr::slices_backwards`]) — the recorded decision and the
-//! [`EvalStats`]. Those charge the skipped operators exactly as the
-//! reference evaluator would, except that the ϕ beneath a pushed σ or a
-//! slice is charged the work it performed, so `EXPLAIN ANALYZE` output
-//! stays comparable between the two interpreters. Every drain, sliced or
-//! not, hands its paths to a `(nodes, edges)` visitor straight off the
-//! kernel: [`EngineEvaluator::for_each_path`] streams a root drain into the
-//! caller's renderer, and a `Path` is built only where a `PathSet` is asked
-//! for.
+//! [`EvalStats`] of the operators the drain skips. Those are charged
+//! exactly as the reference evaluator would charge them, except that the ϕ
+//! beneath a pushed σ or a slice is charged the work it performed, so
+//! `EXPLAIN ANALYZE` output stays comparable between the two interpreters.
+//! Every drain hands its paths to a `(nodes, edges)` visitor straight off
+//! the kernel: [`EngineEvaluator::for_each_path`] streams a root drain into
+//! the caller's renderer, and a `Path` is built only where a `PathSet` is
+//! asked for.
 //!
 //! Evaluation is serial per query: one thread runs every operator of a plan,
 //! and a service runs queries concurrently, one per connection. Results are
@@ -47,21 +50,16 @@ use crate::cost::{choose_pipeline_impl, estimate_phi, ClosureEstimate};
 use pathalg_core::budget::CancelToken;
 use pathalg_core::condition::{Accessor, CompareOp, Condition, Position};
 use pathalg_core::error::AlgebraError;
-use pathalg_core::eval::{EvalOutput, EvalStats};
+use pathalg_core::eval::{EvalConfig, EvalOutput, EvalStats, Evaluator, Physical};
 use pathalg_core::expr::PlanExpr;
 use pathalg_core::obs::WorkCounters;
-use pathalg_core::ops::group_by::{group_by, GroupKey};
-use pathalg_core::ops::join::join;
-use pathalg_core::ops::order_by::order_by;
-use pathalg_core::ops::projection::{projection, ProjectionSpec};
+use pathalg_core::ops::group_by::GroupKey;
+use pathalg_core::ops::projection::ProjectionSpec;
 use pathalg_core::ops::recursive::PathSemantics;
 use pathalg_core::ops::recursive::RecursionConfig;
-use pathalg_core::ops::selection::selection;
-use pathalg_core::ops::union::union;
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
 use pathalg_core::slice::SliceSpec;
-use pathalg_core::solution_space::SolutionSpace;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::{EdgeId, NodeId};
@@ -124,15 +122,11 @@ impl ExecutionConfig {
     }
 }
 
-/// The engine's physical plan interpreter (see the module docs).
+/// The engine's physical plan interpreter (see the module docs): the
+/// reference walk with the kernel half plugged in.
 pub struct EngineEvaluator<'g> {
-    graph: &'g PropertyGraph,
-    recursion: RecursionConfig,
-    graph_stats: Option<&'g GraphStats>,
-    cancel: Option<Arc<CancelToken>>,
-    stats: EvalStats,
-    work: WorkCounters,
-    decisions: Vec<StrategyDecision>,
+    walk: Evaluator<'g>,
+    kernel: Kernel<'g>,
 }
 
 impl<'g> EngineEvaluator<'g> {
@@ -146,13 +140,15 @@ impl<'g> EngineEvaluator<'g> {
         _exec: ExecutionConfig,
     ) -> Self {
         Self {
-            graph,
-            recursion,
-            graph_stats: None,
-            cancel: None,
-            stats: EvalStats::default(),
-            work: WorkCounters::default(),
-            decisions: Vec::new(),
+            walk: Evaluator::with_config(graph, EvalConfig { recursion }),
+            kernel: Kernel {
+                graph,
+                recursion,
+                graph_stats: None,
+                cancel: None,
+                work: WorkCounters::default(),
+                decisions: Vec::new(),
+            },
         }
     }
 
@@ -161,22 +157,123 @@ impl<'g> EngineEvaluator<'g> {
     /// it ran. The runner always does this; statistics never change results
     /// or which implementation runs.
     pub fn with_graph_stats(mut self, stats: &'g GraphStats) -> Self {
-        self.graph_stats = Some(stats);
+        self.kernel.graph_stats = Some(stats);
         self
     }
 
-    /// Attaches a shared [`CancelToken`]: every ϕ dispatch (full drains and
-    /// sliced pipelines) threads the token into its enumeration loops, so
-    /// firing it — or its deadline passing — aborts the evaluation with a
-    /// typed [`AlgebraError::Cancelled`] / [`AlgebraError::DeadlineExceeded`]
+    /// Attaches a shared [`CancelToken`]: it is polled before every operator
+    /// runs, so a deadline also stops plans without ϕ, and every drain
+    /// threads it into its enumeration loops, so firing it — or its deadline
+    /// passing — aborts the evaluation with a typed
+    /// [`AlgebraError::Cancelled`] / [`AlgebraError::DeadlineExceeded`]
     /// within one expansion level or source. A token that never fires leaves
     /// results byte-identical.
     pub fn with_cancel(mut self, cancel: Arc<CancelToken>) -> Self {
-        self.cancel = Some(cancel);
+        self.kernel.cancel = Some(cancel);
         self
     }
 
-    /// The evaluator-level cancellation point, polled at every ϕ dispatch.
+    /// The statistics collected so far (same counters as the reference
+    /// evaluator).
+    pub fn stats(&self) -> EvalStats {
+        self.walk.stats()
+    }
+
+    /// The deterministic work counters accumulated across every ϕ this
+    /// evaluator dispatched: the kernel's own [`Pmr::work_counters`] of each
+    /// full drain and sliced pipeline.
+    pub fn work_counters(&self) -> WorkCounters {
+        self.kernel.work
+    }
+
+    /// The strategy decisions recorded so far, in evaluation order — one per
+    /// dispatched ϕ node or sliced pipeline.
+    pub fn decisions(&self) -> &[StrategyDecision] {
+        &self.kernel.decisions
+    }
+
+    /// True if a sliceable pipeline was actually evaluated through the lazy
+    /// PMR during this evaluator's lifetime — read off the recorded
+    /// decisions, so an observation of what ran, not a prediction.
+    pub fn used_lazy_pipeline(&self) -> bool {
+        ran_lazy_pipeline(&self.kernel.decisions)
+    }
+
+    /// Evaluates an expression, returning paths or a solution space according
+    /// to the root operator: [`Evaluator::eval_with`] with the kernel half
+    /// plugged in.
+    pub fn eval(&mut self, expr: &PlanExpr) -> Result<EvalOutput, AlgebraError> {
+        self.walk.eval_with(expr, &mut self.kernel)
+    }
+
+    /// Evaluates an expression that must produce a set of paths.
+    pub fn eval_paths(&mut self, expr: &PlanExpr) -> Result<PathSet, AlgebraError> {
+        self.eval(expr)?.into_paths()
+    }
+
+    /// [`EngineEvaluator::eval_paths`] into a visitor: `visit(nodes, edges)`
+    /// sees every result path, in result order, as its node and edge
+    /// sequences. A root the kernel half takes — a ϕ, a σ the drain takes as
+    /// endpoint masks, either under the ALL selector, or a sliced pipeline —
+    /// streams straight into the visitor ([`Pmr::for_each_path`],
+    /// [`Pmr::for_each_sliced`]): no result `Path` and no result `PathSet`
+    /// is built (a materialised base still is, and a drain searched
+    /// backwards collects its answer's ids to sort them). Every other root's
+    /// `PathSet` is walked once evaluated. Paths, order, statistics, work
+    /// counters and decisions are those of `eval_paths`. Returns the paths
+    /// visited.
+    pub fn for_each_path(
+        &mut self,
+        expr: &PlanExpr,
+        mut visit: impl FnMut(&[NodeId], &[EdgeId]),
+    ) -> Result<usize, AlgebraError> {
+        let Some(drain) = self.kernel.kernel_drain(expr) else {
+            let paths = self.eval_paths(expr)?;
+            for path in &paths {
+                visit(path.nodes(), path.edges());
+            }
+            return Ok(paths.len());
+        };
+        // The walk's poll and charge of the root, around a streamed drain.
+        self.kernel.check_cancel()?;
+        let n = self
+            .kernel
+            .drain_kernel(&mut self.walk, drain, &mut visit)?;
+        self.walk.stats_mut().charge(n);
+        Ok(n)
+    }
+}
+
+/// The kernel half of an [`EngineEvaluator`]: the [`Physical`]
+/// implementation that takes every node running as one kernel drain, and
+/// what those drains record.
+struct Kernel<'g> {
+    graph: &'g PropertyGraph,
+    recursion: RecursionConfig,
+    graph_stats: Option<&'g GraphStats>,
+    cancel: Option<Arc<CancelToken>>,
+    work: WorkCounters,
+    decisions: Vec<StrategyDecision>,
+}
+
+impl Physical for Kernel<'_> {
+    /// Polls the cancellation token before every operator, and takes every
+    /// node [`Kernel::kernel_drain`] recognises.
+    fn take(
+        &mut self,
+        walk: &mut Evaluator<'_>,
+        expr: &PlanExpr,
+    ) -> Result<Option<EvalOutput>, AlgebraError> {
+        self.check_cancel()?;
+        match self.kernel_drain(expr) {
+            Some(drain) => Ok(Some(EvalOutput::Paths(self.collect_drain(walk, drain)?))),
+            None => Ok(None),
+        }
+    }
+}
+
+impl Kernel<'_> {
+    /// The evaluator-level cancellation point, polled before every operator.
     fn check_cancel(&self) -> Result<(), AlgebraError> {
         match &self.cancel {
             Some(token) => token.check(),
@@ -184,102 +281,14 @@ impl<'g> EngineEvaluator<'g> {
         }
     }
 
-    /// The statistics collected so far (same counters as the reference
-    /// evaluator).
-    pub fn stats(&self) -> EvalStats {
-        self.stats
-    }
-
-    /// The deterministic work counters accumulated across every ϕ this
-    /// evaluator dispatched: the kernel's own [`Pmr::work_counters`] of each
-    /// full drain and sliced pipeline.
-    pub fn work_counters(&self) -> WorkCounters {
-        self.work
-    }
-
-    /// The strategy decisions recorded so far, in evaluation order — one per
-    /// dispatched ϕ node or sliced pipeline.
-    pub fn decisions(&self) -> &[StrategyDecision] {
-        &self.decisions
-    }
-
-    /// True if a sliceable pipeline was actually evaluated through the lazy
-    /// PMR during this evaluator's lifetime — read off the recorded
-    /// decisions, so an observation of what ran, not a prediction.
-    pub fn used_lazy_pipeline(&self) -> bool {
-        ran_lazy_pipeline(&self.decisions)
-    }
-
-    /// Evaluates an expression, returning paths or a solution space according
-    /// to the root operator. Every operator polls the cancellation token
-    /// before it runs, so a deadline also stops plans without ϕ.
-    pub fn eval(&mut self, expr: &PlanExpr) -> Result<EvalOutput, AlgebraError> {
-        self.check_cancel()?;
-        self.stats.operators_evaluated += 1;
-        let out = match expr {
-            PlanExpr::Nodes => EvalOutput::Paths(PathSet::nodes(self.graph)),
-            PlanExpr::Edges => EvalOutput::Paths(PathSet::edges(self.graph)),
-            PlanExpr::Selection { condition, input } => match self.kernel_drain(expr) {
-                Some(drain) => EvalOutput::Paths(self.collect_drain(drain)?),
-                None => {
-                    let input = self.eval_paths_internal(input, "selection")?;
-                    EvalOutput::Paths(selection(self.graph, condition, &input))
-                }
-            },
-            PlanExpr::Join { left, right } => {
-                self.stats.join_calls += 1;
-                let l = self.eval_paths_internal(left, "join")?;
-                let r = self.eval_paths_internal(right, "join")?;
-                EvalOutput::Paths(join(&l, &r, self.recursion.max_paths)?)
-            }
-            PlanExpr::Union { left, right } => {
-                let l = self.eval_paths_internal(left, "union")?;
-                let r = self.eval_paths_internal(right, "union")?;
-                EvalOutput::Paths(union(&l, &r))
-            }
-            PlanExpr::Recursive { semantics, input } => {
-                EvalOutput::Paths(self.collect_drain(KernelDrain {
-                    semantics: *semantics,
-                    base: input,
-                    split: None,
-                    slice: None,
-                })?)
-            }
-            PlanExpr::GroupBy { key, input } => {
-                let input = self.eval_paths_internal(input, "group-by")?;
-                EvalOutput::Space(group_by(*key, &input))
-            }
-            PlanExpr::OrderBy { key, input } => {
-                let input = self.eval_space_internal(input, "order-by")?;
-                EvalOutput::Space(order_by(*key, &input))
-            }
-            PlanExpr::Projection { spec, input } => {
-                spec.validate()?;
-                match self.kernel_drain(expr) {
-                    Some(drain) => EvalOutput::Paths(self.collect_drain(drain)?),
-                    None => {
-                        let input = self.eval_space_internal(input, "projection")?;
-                        EvalOutput::Paths(projection(spec, &input))
-                    }
-                }
-            }
-        };
-        self.charge_output(out.path_count());
-        Ok(out)
-    }
-
-    /// Charges an operator's output size to the collected [`EvalStats`].
-    fn charge_output(&mut self, paths: usize) {
-        self.stats.intermediate_paths += paths;
-        self.stats.max_intermediate = self.stats.max_intermediate.max(paths);
-    }
-
     /// Recognises a node that runs as one kernel drain: a ϕ; `σc(ϕ(base))`
     /// whose `c` splits into first- and last-node parts
-    /// ([`Condition::endpoint_split`]), taken as endpoint masks; or a
-    /// sliceable `π(τ?(γ(σ?(ϕ(scan or chain)))))` pipeline
-    /// ([`choose_pipeline_impl`]), its limits taken as a slice. Unbounded
-    /// Walk keeps its σ above the drain and its pipeline materialised, as in
+    /// ([`Condition::endpoint_split`]), taken as endpoint masks; either of
+    /// them under the ALL selector's `π(*,*,*)(γ∅(…))`, which keeps its one
+    /// group whole and in order; or a sliceable
+    /// `π(τ?(γ(σ?(ϕ(scan or chain)))))` pipeline ([`choose_pipeline_impl`]),
+    /// its limits taken as a slice. Unbounded Walk keeps its σ above the
+    /// drain and its pipeline materialised, as in
     /// [`pathalg_core::slice::SlicePlan::lazy_eligible`]: the kernel proves
     /// that answer infinite by expanding every source, and a source mask or
     /// an early stop could hide the cycle.
@@ -300,8 +309,17 @@ impl<'g> EngineEvaluator<'g> {
                     None,
                 )
             }
-            // A projection `eval` refuses is left to it.
-            PlanExpr::Projection { spec, .. } if spec.validate().is_ok() => {
+            // A projection the walk refuses is left to it.
+            PlanExpr::Projection { spec, input } if spec.validate().is_ok() => {
+                if let PlanExpr::GroupBy { key, input } = &**input {
+                    if *key == GroupKey::Empty && *spec == ProjectionSpec::all() {
+                        let drain = self.kernel_drain(input)?;
+                        return Some(KernelDrain {
+                            wrappers: drain.wrappers + 2,
+                            ..drain
+                        });
+                    }
+                }
                 let plan = choose_pipeline_impl(expr, &self.recursion)?;
                 let split = plan.filter.map(|c| {
                     c.endpoint_split()
@@ -316,15 +334,22 @@ impl<'g> EngineEvaluator<'g> {
             base,
             split,
             slice,
+            wrappers: 0,
         })
     }
 
-    /// [`EngineEvaluator::drain_kernel`] collected into a `PathSet`, in
-    /// order: the one place the engine builds a `Path` from a drain. The
-    /// kernel never emits a path twice, so none is hashed.
-    fn collect_drain(&mut self, drain: KernelDrain) -> Result<PathSet, AlgebraError> {
+    /// [`Kernel::drain_kernel`] collected into a `PathSet`, in order: the
+    /// one place the engine builds a `Path` from a drain. The kernel never
+    /// emits a path twice, so none is hashed.
+    fn collect_drain(
+        &mut self,
+        walk: &mut Evaluator<'_>,
+        drain: KernelDrain,
+    ) -> Result<PathSet, AlgebraError> {
         let mut paths = Vec::new();
-        self.drain_kernel(drain, |nodes, edges| paths.push(owned_path(nodes, edges)))?;
+        self.drain_kernel(walk, drain, |nodes, edges| {
+            paths.push(owned_path(nodes, edges))
+        })?;
         Ok(PathSet::from_distinct(paths))
     }
 
@@ -341,24 +366,24 @@ impl<'g> EngineEvaluator<'g> {
     /// in-edges on the last hop than its marked sources have out-edges on
     /// the first (an absent mask counts every edge of its hop; ties run
     /// forward) is searched backwards, over the hops' reverse CSRs in
-    /// reverse order with the masks swapped, and
-    /// [`Pmr::for_each_path_reversed`] puts the paths in the forward
-    /// canonical order; Walk, Trail, Acyclic and Simple are closed under
-    /// reversal and Shortest keeps the shortest paths per endpoint pair, so
-    /// they are the forward drain's. A slice runs forward as
-    /// [`Pmr::for_each_sliced`], and backwards as
-    /// [`Pmr::for_each_sliced_reversed`] only where that keeps an early
-    /// stop as strong ([`Pmr::slices_backwards`]: a slice keyed by `(s, t)`
-    /// with no partition limit); any other slice runs forward whatever the
-    /// edge sums say.
+    /// reverse order with the masks swapped, and [`Pmr::for_each_reversed`]
+    /// puts the paths in the forward canonical order; Walk, Trail, Acyclic
+    /// and Simple are closed under reversal and Shortest keeps the shortest
+    /// paths per endpoint pair, so they are the forward drain's. A slice
+    /// runs forward as [`Pmr::for_each_sliced`], and backwards only where
+    /// that keeps an early stop as strong ([`Pmr::slices_backwards`]: a
+    /// slice keyed by `(s, t)` with no partition limit); any other slice
+    /// runs forward whatever the edge sums say.
     ///
     /// `visit` sees every path of the answer, a slice's kept paths in the
     /// slice's order; returns how many. The [`EvalStats`] beneath the root
-    /// are charged here: the ϕ beneath a pushed σ or a slice with the arena
-    /// steps generated, a slice's σ, γ and τ with its kept set. The caller
+    /// are charged here, to `walk`'s: the ϕ beneath a pushed σ or a slice
+    /// with the arena steps generated, a slice's σ, γ and τ with its kept
+    /// set, and the ALL selectors' wrappers with the answer. The walk
     /// charges the root.
     fn drain_kernel(
         &mut self,
+        walk: &mut Evaluator<'_>,
         drain: KernelDrain,
         mut visit: impl FnMut(&[NodeId], &[EdgeId]),
     ) -> Result<usize, AlgebraError> {
@@ -367,8 +392,9 @@ impl<'g> EngineEvaluator<'g> {
             base,
             split,
             slice,
+            wrappers,
         } = drain;
-        self.stats.recursive_calls += 1;
+        walk.stats_mut().recursive_calls += 1;
         let pushed = split.is_some();
         let mut filter = split
             .map(|split| self.endpoint_filter(split))
@@ -409,8 +435,8 @@ impl<'g> EngineEvaluator<'g> {
                     self.chain_hops(labels)
                 };
                 for csr in hops.iter() {
-                    self.charge_skipped(graph.edge_count()); // Edges(G)
-                    self.charge_skipped(csr.edge_count()); // σ label
+                    walk.stats_mut().charge(graph.edge_count()); // Edges(G)
+                    walk.stats_mut().charge(csr.edge_count()); // σ label
                 }
                 let shape = match &labels[..] {
                     [label] => format!("label scan :{label}"),
@@ -420,7 +446,7 @@ impl<'g> EngineEvaluator<'g> {
                 (shape, pmr)
             }
             None => {
-                let base = self.eval_paths_internal(base, "recursive")?;
+                let base = walk.eval_with(base, self)?.paths_operand("recursive")?;
                 let shape = format!("materialised base ({} paths)", base.len());
                 (
                     shape,
@@ -470,38 +496,36 @@ impl<'g> EngineEvaluator<'g> {
                 }
                 let forward = labels.as_ref().filter(|_| reversed);
                 let forward = forward.map(|labels| self.chain_hops(labels));
-                let n = match (&slice, &forward) {
-                    (Some(spec), None) => pmr.for_each_sliced(spec, &mut visit)?,
-                    (Some(spec), Some(forward)) => {
-                        pmr.for_each_sliced_reversed(spec, forward, &mut visit)?
-                    }
-                    (None, Some(forward)) => pmr.for_each_path_reversed(forward, &mut visit)?,
+                let n = match (&forward, &slice) {
+                    (Some(hops), _) => pmr.for_each_reversed(slice.as_ref(), hops, &mut visit)?,
+                    (None, Some(spec)) => pmr.for_each_sliced(spec, &mut visit)?,
                     (None, None) => pmr.for_each_path(&mut visit)?,
                 };
                 (n, pmr.work_counters())
             }
         };
         self.work.merge(&work);
+        let stats = walk.stats_mut();
         if let Some(labels) = labels {
-            self.stats.join_calls += labels.len() - 1;
+            stats.join_calls += labels.len() - 1;
             for _ in 1..labels.len() {
-                self.charge_skipped(work.base_segments as usize);
+                stats.charge(work.base_segments as usize);
             }
         }
         if pushed || slice.is_some() {
-            self.charge_skipped(work.arena_steps as usize); // ϕ beneath the root
+            stats.charge(work.arena_steps as usize); // ϕ beneath the root
         }
-        if let Some(spec) = slice {
-            // The slice's σ (when pushed), γ and τ (when present).
-            for _ in 0..1 + usize::from(pushed) + usize::from(spec.ordered_by_length) {
-                self.charge_skipped(n);
-            }
+        // A slice's σ (when pushed), γ and τ (when present).
+        let above = slice.map_or(0, |spec| {
+            1 + usize::from(pushed) + usize::from(spec.ordered_by_length)
+        });
+        for _ in 0..above + wrappers {
+            stats.charge(n);
         }
         Ok(n)
     }
 
-    /// The node masks of a split endpoint σ (see
-    /// [`EngineEvaluator::node_mask`]).
+    /// The node masks of a split endpoint σ (see [`Kernel::node_mask`]).
     fn endpoint_filter(&self, (first, last): EndpointSplit) -> EndpointFilter {
         EndpointFilter {
             sources: first.map(|c| self.node_mask(&c)),
@@ -570,96 +594,6 @@ impl<'g> EngineEvaluator<'g> {
         }
         mask
     }
-
-    /// Evaluates an expression that must produce a set of paths.
-    pub fn eval_paths(&mut self, expr: &PlanExpr) -> Result<PathSet, AlgebraError> {
-        self.eval(expr)?.into_paths()
-    }
-
-    /// [`EngineEvaluator::eval_paths`] into a visitor: `visit(nodes, edges)`
-    /// sees every result path, in result order, as its node and edge
-    /// sequences. A kernel drain at the root — a ϕ or a σ the drain takes as
-    /// endpoint masks, bare or under the ALL selector's `π(*,*,*)(γ∅(…))`,
-    /// which keeps its one group whole and in order, or a sliced pipeline —
-    /// streams straight into the visitor ([`Pmr::for_each_path`],
-    /// [`Pmr::for_each_sliced`]): no result `Path` and no result `PathSet`
-    /// is built (a materialised base still is, and a drain searched
-    /// backwards collects its answer's ids to sort them). Every other root's
-    /// `PathSet` is walked once evaluated. Paths, order, statistics, work
-    /// counters and decisions are those of `eval_paths`. Returns the paths
-    /// visited.
-    pub fn for_each_path(
-        &mut self,
-        expr: &PlanExpr,
-        mut visit: impl FnMut(&[NodeId], &[EdgeId]),
-    ) -> Result<usize, AlgebraError> {
-        let (root, wrappers) = match expr {
-            PlanExpr::Projection { spec, input } if *spec == ProjectionSpec::all() => {
-                match &**input {
-                    PlanExpr::GroupBy {
-                        key: GroupKey::Empty,
-                        input,
-                    } => (&**input, 2),
-                    _ => (expr, 0),
-                }
-            }
-            _ => (expr, 0),
-        };
-        if let Some(drain) = self.kernel_drain(root) {
-            // `eval`'s bookkeeping for the wrappers and the drain's root,
-            // around a streamed drain.
-            self.stats.operators_evaluated += 1 + wrappers;
-            self.check_cancel()?;
-            let n = self.drain_kernel(drain, &mut visit)?;
-            for _ in 0..=wrappers {
-                self.charge_output(n);
-            }
-            return Ok(n);
-        }
-        let paths = self.eval_paths(expr)?;
-        for path in &paths {
-            visit(path.nodes(), path.edges());
-        }
-        Ok(paths.len())
-    }
-
-    /// Accounts for an operator the CSR fast path evaluated implicitly, with
-    /// the same counters the reference evaluator would have charged.
-    fn charge_skipped(&mut self, paths: usize) {
-        self.stats.operators_evaluated += 1;
-        self.stats.intermediate_paths += paths;
-        self.stats.max_intermediate = self.stats.max_intermediate.max(paths);
-    }
-
-    fn eval_paths_internal(
-        &mut self,
-        expr: &PlanExpr,
-        operator: &'static str,
-    ) -> Result<PathSet, AlgebraError> {
-        match self.eval(expr)? {
-            EvalOutput::Paths(p) => Ok(p),
-            EvalOutput::Space(_) => Err(AlgebraError::TypeMismatch {
-                operator,
-                expected: "a set of paths",
-                found: "a solution space",
-            }),
-        }
-    }
-
-    fn eval_space_internal(
-        &mut self,
-        expr: &PlanExpr,
-        operator: &'static str,
-    ) -> Result<SolutionSpace, AlgebraError> {
-        match self.eval(expr)? {
-            EvalOutput::Space(s) => Ok(s),
-            EvalOutput::Paths(_) => Err(AlgebraError::TypeMismatch {
-                operator,
-                expected: "a solution space",
-                found: "a set of paths",
-            }),
-        }
-    }
 }
 
 /// The first-node and last-node parts of an endpoint σ
@@ -668,7 +602,7 @@ type EndpointSplit = (Option<Condition>, Option<Condition>);
 
 /// A plan node that runs as one kernel drain: `ϕ_semantics(base)`,
 /// `σc(ϕ_semantics(base))` whose σ the drain takes as endpoint masks, or a
-/// sliced pipeline over either.
+/// sliced pipeline over either, under any number of ALL selectors.
 struct KernelDrain<'p> {
     semantics: PathSemantics,
     base: &'p PlanExpr,
@@ -676,6 +610,9 @@ struct KernelDrain<'p> {
     split: Option<EndpointSplit>,
     /// The sliced pipeline's limits; `None` for a drain.
     slice: Option<SliceSpec>,
+    /// The ALL selectors' `π(*,*,*)` and `γ∅` between the node taken and
+    /// the drain's own root, each charged with the answer.
+    wrappers: usize,
 }
 
 /// An owned [`Path`] over copies of a drain's node and edge sequences.
@@ -700,10 +637,12 @@ mod tests {
     use super::*;
     use crate::cost::choose_pipeline_impl;
     use pathalg_core::condition::Condition;
-    use pathalg_core::eval::Evaluator;
-    use pathalg_core::ops::projection::ProjectionSpec;
+    use pathalg_core::ops::group_by::group_by;
+    use pathalg_core::ops::order_by::order_by;
+    use pathalg_core::ops::projection::projection;
     use pathalg_core::ops::recursive::recursive;
-    use pathalg_core::GroupKey;
+    use pathalg_core::ops::selection::selection;
+    use pathalg_core::solution_space::SolutionSpace;
     use pathalg_graph::fixtures::figure1::Figure1;
     use pathalg_graph::generator::snb::{snb_like_graph, SnbConfig};
     use pathalg_pmr::canonical_order;
@@ -834,6 +773,27 @@ mod tests {
         );
         engine.eval_paths(&plan).unwrap();
         assert_eq!(engine.stats(), reference.stats());
+    }
+
+    /// The kernel half polls the token before every operator, so a fired
+    /// token stops a plan without ϕ before any operator runs.
+    #[test]
+    fn a_fired_token_stops_a_plan_without_phi() {
+        let f = Figure1::new();
+        let plan = PlanExpr::edges()
+            .join(PlanExpr::edges())
+            .select(Condition::first_property("name", "Moe"));
+        let token = Arc::new(CancelToken::new());
+        token.cancel();
+        let mut engine = EngineEvaluator::new(
+            &f.graph,
+            RecursionConfig::default(),
+            ExecutionConfig::default(),
+        )
+        .with_cancel(token);
+        assert_eq!(engine.eval(&plan).unwrap_err(), AlgebraError::Cancelled);
+        assert_eq!(engine.stats(), EvalStats::default());
+        assert!(engine.decisions().is_empty());
     }
 
     #[test]
@@ -1148,7 +1108,7 @@ mod tests {
             let mut forward = Pmr::from_shared_csr(csr, PathSemantics::Walk, budget);
             forward.restrict_endpoints(EndpointFilter {
                 sources: None,
-                targets: Some(drain.node_mask(&half)),
+                targets: Some(drain.kernel.node_mask(&half)),
             });
             let expected = forward.sliced(&slice).unwrap();
             let mut engine = EngineEvaluator::new(&g, budget, ExecutionConfig::default());
@@ -1486,7 +1446,7 @@ mod tests {
                 .nodes()
                 .map(|v| condition.eval(&Path::node(v), &g))
                 .collect();
-            prop_assert_eq!(engine.node_mask(&condition), scan, "{}", condition);
+            prop_assert_eq!(engine.kernel.node_mask(&condition), scan, "{}", condition);
         }
     }
 

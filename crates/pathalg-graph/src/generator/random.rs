@@ -38,18 +38,6 @@ impl Default for RandomGraphConfig {
     }
 }
 
-impl RandomGraphConfig {
-    /// Convenience constructor with the default three-letter edge alphabet.
-    pub fn new(nodes: usize, edges: usize, seed: u64) -> Self {
-        Self {
-            nodes,
-            edges,
-            seed,
-            ..Self::default()
-        }
-    }
-}
-
 /// Generates a random labelled digraph according to `config`.
 pub fn random_labeled_graph(config: &RandomGraphConfig) -> PropertyGraph {
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -87,16 +75,26 @@ pub fn random_labeled_graph(config: &RandomGraphConfig) -> PropertyGraph {
 mod tests {
     use super::*;
 
+    /// The default alphabets with the given sizes and seed.
+    fn config(nodes: usize, edges: usize, seed: u64) -> RandomGraphConfig {
+        RandomGraphConfig {
+            nodes,
+            edges,
+            seed,
+            ..RandomGraphConfig::default()
+        }
+    }
+
     #[test]
     fn respects_requested_sizes() {
-        let g = random_labeled_graph(&RandomGraphConfig::new(50, 120, 7));
+        let g = random_labeled_graph(&config(50, 120, 7));
         assert_eq!(g.node_count(), 50);
         assert_eq!(g.edge_count(), 120);
     }
 
     #[test]
     fn same_seed_same_graph() {
-        let cfg = RandomGraphConfig::new(30, 80, 42);
+        let cfg = config(30, 80, 42);
         let g1 = random_labeled_graph(&cfg);
         let g2 = random_labeled_graph(&cfg);
         assert_eq!(g1.node_count(), g2.node_count());
@@ -109,8 +107,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let g1 = random_labeled_graph(&RandomGraphConfig::new(30, 80, 1));
-        let g2 = random_labeled_graph(&RandomGraphConfig::new(30, 80, 2));
+        let g1 = random_labeled_graph(&config(30, 80, 1));
+        let g2 = random_labeled_graph(&config(30, 80, 2));
         let same = g1
             .edges()
             .all(|e| g1.endpoints(e) == g2.endpoints(e) && g1.label(e) == g2.label(e));
@@ -156,7 +154,7 @@ mod tests {
 
     #[test]
     fn zero_nodes_produces_empty_graph_even_with_edges_requested() {
-        let cfg = RandomGraphConfig::new(0, 10, 5);
+        let cfg = config(0, 10, 5);
         let g = random_labeled_graph(&cfg);
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);

@@ -16,7 +16,7 @@ use pathalg_graph::ids::{EdgeId, NodeId};
 
 impl Pmr {
     /// True when a backward kernel can evaluate the slice `spec`
-    /// ([`Pmr::for_each_sliced_reversed`]) with an early stop as strong as
+    /// ([`Pmr::for_each_reversed`]) with an early stop as strong as
     /// the one [`Pmr::for_each_sliced`] has forward: a slice keyed by
     /// `(s, t)` — γST, or γSTL's length groups — with no partition limit.
     /// Forward it either has no stop at all, or a per-source stop with a
@@ -32,46 +32,37 @@ impl Pmr {
 
     /// Drains this backward kernel — the closure of the `forward` hops
     /// searched from its last node — into `visit` in the forward canonical
-    /// order: each path is turned around and the answer sorted by the key
-    /// `(First(p), |p|, ranks)` over the `forward` hops
-    /// ([`canonical_ranks`]), so the whole answer is collected before the
-    /// first path is visited. Returns the paths visited.
-    pub fn for_each_path_reversed(
-        &mut self,
-        forward: &[CsrGraph],
-        mut visit: impl FnMut(&[NodeId], &[EdgeId]),
-    ) -> Result<usize, AlgebraError> {
-        let mut turned = Turned::default();
-        self.for_each_path(|nodes, edges| turned.push(nodes, edges, forward))?;
-        turned.sort();
-        for row in 0..turned.len() {
-            let (nodes, edges) = turned.path(row);
-            visit(nodes, edges);
-        }
-        Ok(turned.len())
-    }
-
-    /// [`Pmr::for_each_sliced`] over the forward kernel of the `forward`
-    /// hops, evaluated on this backward one for a `spec` that
-    /// [`Pmr::slices_backwards`] accepts. Within a group `(s, t)` the
-    /// backward search emits paths by length, so under a cap — `k` paths,
-    /// or `k` lengths — the forward slice keeps only paths no longer than
-    /// the group's `k`-th path or length: those are kept, sorted as
-    /// [`Pmr::for_each_path_reversed`] sorts, and their rows fed to the
-    /// forward slice's collector. Once every group the target can reach
+    /// order, as [`Pmr::for_each_path`] over the forward kernel would, or,
+    /// given a `slice` that [`Pmr::slices_backwards`] accepts, as
+    /// [`Pmr::for_each_sliced`] would. Each path is turned around and the
+    /// answer sorted by the key `(First(p), |p|, ranks)` over the `forward`
+    /// hops ([`canonical_ranks`]), so the whole answer is collected before
+    /// the first path is visited.
+    ///
+    /// Within a group `(s, t)` the backward search emits paths by length,
+    /// so under a slice's cap — `k` paths, or `k` lengths — the forward
+    /// slice keeps only paths no longer than the group's `k`-th path or
+    /// length: those are kept, sorted, and their rows fed to the forward
+    /// slice's collector. Once every group the target can reach
     /// ([`Pmr::for_each_sliced`]'s reachability, searched backwards) has
     /// reached its cap, the rest of the current level is drained and the
     /// target abandoned before its next level is expanded: every later path
     /// is longer than each group's `k`-th. That is the forward per-source
-    /// stop, turned around. Returns the paths visited.
-    pub fn for_each_sliced_reversed(
+    /// stop, turned around. Without a cap no target settles. Returns the
+    /// paths visited.
+    pub fn for_each_reversed(
         &mut self,
-        spec: &SliceSpec,
+        slice: Option<&SliceSpec>,
         forward: &[CsrGraph],
         mut visit: impl FnMut(&[NodeId], &[EdgeId]),
     ) -> Result<usize, AlgebraError> {
-        assert!(Self::slices_backwards(spec), "{spec:?} slices forward only");
-        let cap = spec.per_group.or(spec.max_groups);
+        if let Some(spec) = slice {
+            assert!(Self::slices_backwards(spec), "{spec:?} slices forward only");
+        }
+        let cap = slice.and_then(|spec| spec.per_group.or(spec.max_groups));
+        // Every path is a unit of a path cap; a new length is one of a
+        // length cap.
+        let length_cap = slice.is_some_and(|spec| spec.max_groups.is_some());
         let mut turned = Turned::default();
         let mut target = None;
         // The groups of the current target, keyed by their forward source,
@@ -107,10 +98,7 @@ impl Pmr {
                     self.counts.skipped += 1;
                     continue;
                 }
-                // Every path is a unit of a path cap; a new length is one of
-                // a length cap.
-                let unit =
-                    spec.max_groups.is_none() || group.units == 0 || emit.len != group.last_len;
+                let unit = !length_cap || group.units == 0 || emit.len != group.last_len;
                 group.last_len = emit.len;
                 if unit {
                     group.units += 1;
@@ -124,6 +112,13 @@ impl Pmr {
             turned.push(&self.nodes, &self.edges, forward);
         }
         turned.sort();
+        let Some(spec) = slice else {
+            for row in 0..turned.len() {
+                let (nodes, edges) = turned.path(row);
+                visit(nodes, edges);
+            }
+            return Ok(turned.len());
+        };
         let mut collector = SliceCollector::new(spec, self.expansion.node_count());
         let mut end_source = |collector: &mut SliceCollector| {
             collector.end_source(|row, _| {
@@ -151,7 +146,7 @@ impl Pmr {
     }
 }
 
-/// One group `(s, t)` of [`Pmr::for_each_sliced_reversed`]'s current
+/// One group `(s, t)` of [`Pmr::for_each_reversed`]'s current
 /// target `t`.
 #[derive(Default)]
 struct Group {

@@ -18,7 +18,7 @@
 //! * [`Pmr::from_base`] — ϕ over any other base, which the caller has
 //!   evaluated: its admitted paths are indexed by first node and the same
 //!   kernel (the `join` module) appends them as whole segments.
-//! * [`Pmr::next_batch`] / [`Pmr::top_k`] / [`Pmr::enumerate_all`] — pull as
+//! * [`Pmr::top_k`] / [`Pmr::enumerate_all`] — pull as
 //!   much as you need; `top_k(k)` obeys the law
 //!   `top_k(k) == enumerate().take(k)` while expanding only what those `k`
 //!   paths require.
@@ -34,12 +34,11 @@
 //!   over a scan or chain, a node-level reachability analysis stops each
 //!   source as soon as its contribution to every kept group is complete.
 //!   [`Pmr::sliced`] is this visitor collected into a `PathSet`.
-//! * [`Pmr::for_each_path_reversed`] / [`Pmr::for_each_sliced_reversed`] —
-//!   a kernel over the reversed hops searches a scan or chain closure from
-//!   its last node; these put its paths back in the forward canonical
-//!   order, sorted rows of one buffer, and the slice feeds those rows to
-//!   the same collector, with the per-source stop turned into a per-target
-//!   one.
+//! * [`Pmr::for_each_reversed`] — a kernel over the reversed hops searches
+//!   a scan or chain closure from its last node; this puts its paths back
+//!   in the forward canonical order, sorted rows of one buffer, and a slice
+//!   feeds those rows to the same collector, with the per-source stop
+//!   turned into a per-target one.
 //!
 //! Paths are stored as parent-pointer arena steps — `O(1)` words per path
 //! instead of `O(len)` — and a discovered-but-skipped path is never
@@ -320,30 +319,17 @@ impl Pmr {
         }
     }
 
-    /// The next path in canonical order, or `None` when exhausted.
-    pub(crate) fn next_path(&mut self) -> Result<Option<Path>, AlgebraError> {
-        match self.next_emit()? {
-            Some(emit) => Ok(Some(self.realize(&emit))),
-            None => Ok(None),
-        }
-    }
-
-    /// Up to `max` further paths in canonical order.
-    pub fn next_batch(&mut self, max: usize) -> Result<Vec<Path>, AlgebraError> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            match self.next_path()? {
-                Some(p) => out.push(p),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
-
     /// The first `k` paths of the enumeration — `enumerate().take(k)`,
     /// computed without expanding past what those `k` paths require.
     pub fn top_k(&mut self, k: usize) -> Result<PathSet, AlgebraError> {
-        Ok(PathSet::from_distinct(self.next_batch(k)?))
+        let mut paths = Vec::new();
+        while paths.len() < k {
+            let Some(emit) = self.next_emit()? else {
+                break;
+            };
+            paths.push(self.realize(&emit));
+        }
+        Ok(PathSet::from_distinct(paths))
     }
 
     /// Drains the whole enumeration into a materialised [`PathSet`], in

@@ -91,37 +91,11 @@ impl LabelRegex {
         }
     }
 
-    /// The set of labels mentioned by the expression, in first-occurrence
-    /// order.
-    pub fn labels(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_labels(&mut out);
-        out
-    }
-
-    fn collect_labels<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            LabelRegex::Epsilon | LabelRegex::AnyLabel => {}
-            LabelRegex::Label(l) => {
-                if !out.contains(&l.as_str()) {
-                    out.push(l);
-                }
-            }
-            LabelRegex::Concat(a, b) | LabelRegex::Alt(a, b) => {
-                a.collect_labels(out);
-                b.collect_labels(out);
-            }
-            LabelRegex::Star(a)
-            | LabelRegex::Plus(a)
-            | LabelRegex::Optional(a)
-            | LabelRegex::Repeat { inner: a, .. } => a.collect_labels(out),
-        }
-    }
-
     /// True if a word (sequence of labels) belongs to the language of the
     /// expression. Implemented directly on the syntax tree (no automaton);
     /// used as a test oracle for the NFA construction and the
     /// automaton-product evaluation.
+    #[cfg(test)]
     pub fn matches(&self, word: &[&str]) -> bool {
         match self {
             LabelRegex::Epsilon => word.is_empty(),
@@ -209,7 +183,6 @@ mod tests {
     fn builders_and_display() {
         let re = knows_or_outer();
         assert_eq!(re.to_string(), "((:Knows)+|((:Likes/:Has_creator))*)");
-        assert_eq!(re.labels(), vec!["Knows", "Likes", "Has_creator"]);
     }
 
     #[test]
@@ -283,13 +256,5 @@ mod tests {
         let open = LabelRegex::label("a").repeat(2, None);
         assert!(open.matches(&["a", "a", "a", "a", "a"]));
         assert!(!open.matches(&["a"]));
-    }
-
-    #[test]
-    fn labels_dedup_preserving_order() {
-        let re = LabelRegex::label("x")
-            .then(LabelRegex::label("y"))
-            .or(LabelRegex::label("x").plus());
-        assert_eq!(re.labels(), vec!["x", "y"]);
     }
 }

@@ -630,11 +630,6 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// The socket path the server is listening on.
-    pub fn socket_path(&self) -> &Path {
-        &self.path
-    }
-
     /// The connection threads the server still holds: the open connections
     /// plus finished ones not yet reaped by the next accept.
     #[cfg(test)]

@@ -29,7 +29,7 @@
 use crate::cache::{CacheKey, CachedPlan, Lru, PlanCache};
 use crate::error::{AdmissionError, ServiceError};
 use crate::metrics::Metrics;
-use crate::trace::{QueryTrace, TraceRing, DEFAULT_TRACE_CAPACITY};
+use crate::trace::{QueryTrace, TraceRing};
 use pathalg_core::budget::{CancelToken, RequestQuota};
 use pathalg_core::error::AlgebraError;
 use pathalg_core::expr::PlanExpr;
@@ -69,12 +69,6 @@ pub struct ServiceConfig {
     /// Reject predicted blow-ups whose estimated closure exceeds this many
     /// paths; `None` disables estimate-based rejection.
     pub admission_ceiling: Option<f64>,
-    /// Bound on the plan cache (entries).
-    pub plan_cache_capacity: usize,
-    /// Whether to run the logical optimizer when planning.
-    pub optimize: bool,
-    /// Bound on the per-request trace ring (entries; 0 disables retention).
-    pub trace_capacity: usize,
     /// Deadline applied to every request that does not carry its own;
     /// a per-request deadline is min-combined with it. `None` means
     /// requests without their own deadline run unbounded.
@@ -96,16 +90,13 @@ impl ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// `DEFAULT_QUOTA_PATHS` per request, the default admission ceiling and
-    /// cache bound, no deadline and no shedding.
+    /// `DEFAULT_QUOTA_PATHS` per request, the default admission ceiling, no
+    /// deadline and no shedding.
     fn default() -> Self {
         Self {
             recursion: RecursionConfig::default(),
             quota: RequestQuota::new(Some(DEFAULT_QUOTA_PATHS), None),
             admission_ceiling: Some(DEFAULT_ADMISSION_CEILING),
-            plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
-            optimize: true,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
             default_deadline: None,
             max_concurrent: None,
         }
@@ -287,17 +278,19 @@ pub struct QueryService {
 
 impl QueryService {
     /// Creates a service over `graph` at epoch 0; its planner computes the
-    /// graph's statistics here, once.
+    /// graph's statistics here, once. Every plan is optimized, the plan
+    /// caches hold `DEFAULT_PLAN_CACHE_CAPACITY` entries and the trace ring
+    /// the last `DEFAULT_TRACE_CAPACITY` requests.
     pub fn new(graph: Arc<PropertyGraph>, config: ServiceConfig) -> Self {
         Self {
-            planner: Planner::new(&graph, config.optimize),
+            planner: Planner::new(&graph, true),
             graph,
             config,
-            cache: Mutex::new(PlanCache::new(config.plan_cache_capacity)),
-            text_cache: Mutex::new(Lru::new(config.plan_cache_capacity)),
+            cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
+            text_cache: Mutex::new(Lru::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             flights: Mutex::new(HashMap::new()),
             metrics: Metrics::default(),
-            traces: TraceRing::new(config.trace_capacity),
+            traces: TraceRing::default(),
             pre_execute: RwLock::new(None),
             failpoints: RwLock::new(HashMap::new()),
             in_flight_executions: AtomicUsize::new(0),
@@ -312,11 +305,6 @@ impl QueryService {
     /// The shared graph.
     pub fn graph(&self) -> &Arc<PropertyGraph> {
         &self.graph
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
     }
 
     /// The service counters.

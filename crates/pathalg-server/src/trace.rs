@@ -189,13 +189,9 @@ impl TraceRing {
     }
 
     /// Number of retained traces.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.ring.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// True when no trace is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -228,7 +224,7 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_evicts_oldest() {
         let ring = TraceRing::new(2);
-        assert!(ring.is_empty());
+        assert_eq!(ring.len(), 0);
         for _ in 0..3 {
             let id = ring.next_id();
             ring.push(trace(id));

@@ -167,7 +167,7 @@ fn steady_state_visitor_drain_renders_without_allocating() {
         pmr.reserve_steps(steps);
         // Warm-up through the reconstructing pull, so the reconstruction
         // buffers, too, hold the longest path (every source's is the same).
-        let warm = pmr.next_batch(per_source(semantics)).unwrap().len();
+        let warm = pmr.top_k(per_source(semantics)).unwrap().len();
         let mut out = Vec::with_capacity(expected.len());
 
         start_counting();
