@@ -6,6 +6,7 @@
 #                         request path, no second ϕ implementation, no
 #                         Path built between the kernel and the wire,
 #                         no second plan walk in the engine,
+#                         one request record, one SNB generator,
 #                         release build, tests, docs
 #                         -D warnings, bench compile, benchmark package
 #                         check, a 2 s benchmark run of every workload
@@ -107,6 +108,16 @@ full() {
     if sed '/#\[cfg(test)\]/,$d' crates/pathalg-engine/src/exec.rs |
         grep -nE "(^|[^A-Za-z0-9_.])(selection|join|union|group_by|order_by|projection)\("; then
         echo "ci.sh: exec.rs runs no core operator itself; Evaluator::eval_with walks the plan and the kernel half takes the drains" >&2
+        exit 1
+    fi
+
+    step "one request record, one SNB generator"
+    if [ "$(sed '/^mod tests/,$d' crates/pathalg-server/src/service.rs | grep -c 'traces\.push(')" -gt 1 ]; then
+        echo "ci.sh: a request's trace is retained in one place, QueryService::finish (service.rs)" >&2
+        exit 1
+    fi
+    if [ "$(sed '/^mod tests/,$d' crates/pathalg-graph/src/generator/snb.rs | grep -c 'seed_from_u64')" -gt 1 ]; then
+        echo "ci.sh: the SNB graph and its streamed label CSR read one edge stream, snb_edges (generator/snb.rs)" >&2
         exit 1
     fi
 

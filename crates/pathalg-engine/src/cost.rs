@@ -283,7 +283,11 @@ pub(crate) fn estimate_phi(
 }
 
 /// Estimates every recursive closure of a plan: walks the tree and returns
-/// one `(operator rendering, estimate)` pair per ϕ node, outermost first.
+/// one `(operator rendering, estimate)` pair per ϕ node, outermost first. A
+/// ϕ under an endpoint σ is priced at the anchored share of its closure:
+/// its `paths` scaled by the selectivity of each part of the σ's
+/// [`Condition::endpoint_split`] (not under unbounded Walk, whose σ is
+/// evaluated above the closure).
 /// This is the admission-control view of the cost model — a serving layer
 /// calls it *before* evaluation starts, so a query whose closure is
 /// predicted to blow up past the service's ceiling can be rejected with a
@@ -308,8 +312,26 @@ fn collect_plan_closures(
 ) {
     match plan {
         PlanExpr::Nodes | PlanExpr::Edges => {}
-        PlanExpr::Selection { input, .. }
-        | PlanExpr::GroupBy { input, .. }
+        PlanExpr::Selection { condition, input } => {
+            let at = out.len();
+            collect_plan_closures(input, stats, recursion, out);
+            // A σ directly above a ϕ whose condition splits into first- and
+            // last-node parts runs as that drain's endpoint masks, so only
+            // the anchored share of the closure is enumerated — except under
+            // unbounded Walk, where the σ stays above the drain.
+            if let PlanExpr::Recursive { semantics, .. } = &**input {
+                let unbounded_walk =
+                    *semantics == PathSemantics::Walk && recursion.max_length.is_none();
+                if let (false, Some((first, last))) = (unbounded_walk, condition.endpoint_split()) {
+                    out[at].1.paths *= [first, last]
+                        .iter()
+                        .flatten()
+                        .map(|part| condition_selectivity(part, stats))
+                        .product::<f64>();
+                }
+            }
+        }
+        PlanExpr::GroupBy { input, .. }
         | PlanExpr::OrderBy { input, .. }
         | PlanExpr::Projection { input, .. } => collect_plan_closures(input, stats, recursion, out),
         PlanExpr::Join { left, right } | PlanExpr::Union { left, right } => {
@@ -590,6 +612,57 @@ mod tests {
             .recursive(PathSemantics::Trail)
             .union(knows_scan().recursive(PathSemantics::Acyclic));
         assert_eq!(estimate_plan_closures(&two, &s, &recursion).len(), 2);
+    }
+
+    #[test]
+    fn an_endpoint_sigma_prices_only_the_anchored_closure() {
+        let s = GraphStats::compute(&snb_like_graph(&SnbConfig::scale(200, 11)));
+        let bounded = RecursionConfig {
+            max_length: Some(5),
+            max_paths: None,
+        };
+        let anchor =
+            Condition::first_property("name", "Lisa2").and(Condition::last_label("Person"));
+        let selectivity = condition_selectivity(&Condition::first_property("name", "Lisa2"), &s)
+            * condition_selectivity(&Condition::last_label("Person"), &s);
+        assert!(selectivity < 1.0);
+        for semantics in [PathSemantics::Walk, PathSemantics::Shortest] {
+            let phi = knows_scan().recursive(semantics);
+            let bare = estimate_plan_closures(&phi, &s, &bounded);
+            let anchored =
+                estimate_plan_closures(&phi.clone().select(anchor.clone()), &s, &bounded);
+            assert_eq!(anchored.len(), 1);
+            assert_eq!(anchored[0].0, bare[0].0, "the ϕ itself is reported");
+            assert!(
+                (anchored[0].1.paths - bare[0].1.paths * selectivity).abs()
+                    <= 1e-9 * bare[0].1.paths,
+                "{semantics:?}: {} vs {} × {selectivity}",
+                anchored[0].1.paths,
+                bare[0].1.paths
+            );
+            assert_eq!(anchored[0].1.blows_up(), bare[0].1.blows_up());
+        }
+        // Unbounded Walk evaluates the σ above the closure: not scaled.
+        let unbounded = RecursionConfig::default();
+        assert_eq!(unbounded.max_length, None);
+        let walk = knows_scan().recursive(PathSemantics::Walk);
+        assert_eq!(
+            estimate_plan_closures(&walk.clone().select(anchor), &s, &unbounded),
+            estimate_plan_closures(&walk, &s, &unbounded)
+        );
+        // A σ that does not split (it reads an edge) is not scaled either.
+        let interior = knows_scan()
+            .recursive(PathSemantics::Shortest)
+            .select(Condition::edge_label(1, "Knows"));
+        assert_eq!(
+            estimate_plan_closures(&interior, &s, &bounded)[0].1,
+            estimate_plan_closures(
+                &knows_scan().recursive(PathSemantics::Shortest),
+                &s,
+                &bounded
+            )[0]
+            .1
+        );
     }
 
     #[test]

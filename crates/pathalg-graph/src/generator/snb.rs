@@ -76,7 +76,6 @@ impl SnbConfig {
 
 /// Generates an SNB-shaped property graph.
 pub fn snb_like_graph(config: &SnbConfig) -> PropertyGraph {
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let mut b = GraphBuilder::with_capacity(
         config.persons + config.messages,
         config.persons * (config.knows_per_person + config.likes_per_person) + config.messages,
@@ -88,70 +87,81 @@ pub fn snb_like_graph(config: &SnbConfig) -> PropertyGraph {
         config.names.clone()
     };
 
-    let persons: Vec<NodeId> = (0..config.persons)
-        .map(|i| {
-            let name = format!("{}{}", names[i % names.len()], i);
-            b.add_node(
-                "Person",
-                [
-                    ("id", Value::Int(i as i64)),
-                    ("name", Value::str(name)),
-                    ("age", Value::Int(18 + (i as i64 * 7) % 60)),
-                ],
-            )
-        })
-        .collect();
+    for i in 0..config.persons {
+        let name = format!("{}{}", names[i % names.len()], i);
+        b.add_node(
+            "Person",
+            [
+                ("id", Value::Int(i as i64)),
+                ("name", Value::str(name)),
+                ("age", Value::Int(18 + (i as i64 * 7) % 60)),
+            ],
+        );
+    }
+    for i in 0..config.messages {
+        b.add_node(
+            "Message",
+            [
+                ("id", Value::Int((config.persons + i) as i64)),
+                ("length", Value::Int((i as i64 * 13) % 280)),
+            ],
+        );
+    }
 
-    let messages: Vec<NodeId> = (0..config.messages)
-        .map(|i| {
-            b.add_node(
-                "Message",
-                [
-                    ("id", Value::Int((config.persons + i) as i64)),
-                    ("length", Value::Int((i as i64 * 13) % 280)),
-                ],
-            )
-        })
-        .collect();
+    snb_edges(config, &mut |source, target, label, since| {
+        b.add_edge(
+            source,
+            target,
+            label,
+            since.map(|since| ("since", Value::Int(since))),
+        );
+    });
+    b.build()
+}
+
+/// The edges of [`snb_like_graph`], in edge-id order: one
+/// `emit(source, target, label, since)` per edge, `since` the property a
+/// `Knows` edge carries. Persons are the nodes `0..persons`, messages the
+/// nodes `persons..persons + messages`. This is the generator's one random
+/// stream, so the graph and [`snb_label_csr`] cannot drift apart; taking
+/// the sink as `dyn` compiles it once for both.
+fn snb_edges(config: &SnbConfig, emit: &mut dyn FnMut(NodeId, NodeId, &'static str, Option<i64>)) {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let (persons, messages) = (config.persons, config.messages);
+    let node = |i: usize| NodeId(i as u32);
 
     // Knows: for each person, `knows_per_person` targets drawn uniformly from
     // the other persons. Reciprocal edges arise naturally, giving short cycles.
-    if persons.len() > 1 {
-        for &p in &persons {
+    if persons > 1 {
+        for p in 0..persons {
             for _ in 0..config.knows_per_person {
-                let mut q = persons[rng.random_range(0..persons.len())];
+                let mut q = rng.random_range(0..persons);
                 while q == p {
-                    q = persons[rng.random_range(0..persons.len())];
+                    q = rng.random_range(0..persons);
                 }
-                b.add_edge(
-                    p,
-                    q,
-                    "Knows",
-                    [("since", Value::Int(rng.random_range(2000..2025)))],
-                );
+                let since = rng.random_range(2000..2025);
+                emit(node(p), node(q), "Knows", Some(since));
             }
         }
     }
 
     // Has_creator: every message has exactly one creator.
-    if !persons.is_empty() {
-        for &m in &messages {
-            let creator = persons[rng.random_range(0..persons.len())];
-            b.add_edge(m, creator, "Has_creator", Vec::<(&str, Value)>::new());
+    if persons > 0 {
+        for m in 0..messages {
+            let creator = rng.random_range(0..persons);
+            emit(node(persons + m), node(creator), "Has_creator", None);
         }
     }
 
     // Likes: persons like random messages.
-    if !messages.is_empty() {
-        for &p in &persons {
+    if messages > 0 {
+        for p in 0..persons {
             for _ in 0..config.likes_per_person {
-                let m = messages[rng.random_range(0..messages.len())];
-                b.add_edge(p, m, "Likes", Vec::<(&str, Value)>::new());
+                let m = rng.random_range(0..messages);
+                emit(node(p), node(persons + m), "Likes", None);
             }
         }
     }
-
-    b.build()
 }
 
 /// Streams the label-restricted CSR of [`snb_like_graph`] directly, without
@@ -161,84 +171,34 @@ pub fn snb_like_graph(config: &SnbConfig) -> PropertyGraph {
 /// of the two other labels' edge columns. This is what makes the 10⁶-person
 /// workloads of `scaling_million` and `repro scale` feasible.
 ///
-/// Two invariants make the single streaming pass possible:
-///
-/// 1. The generator's RNG draw sequence is replicated exactly — including
-///    draws whose edges are *not* kept (the `since` property of every
-///    `Knows` edge, and the other labels' endpoint draws) — so the kept
-///    edges land on the same `(source, target, EdgeId)` triples as in the
-///    materialised graph.
-/// 2. Within each label block, sources are generated in ascending node
-///    order (`Knows`/`Likes` iterate persons, `Has_creator` iterates
-///    messages, and message node ids follow person ids), which is exactly
-///    CSR fill order: the offsets column closes monotonically as edges
-///    stream in.
+/// It reads the graph's own edge stream (`snb_edges`), so the kept edges
+/// land on the same `(source, target, EdgeId)` triples as in the
+/// materialised graph. Within each label block, sources are generated in
+/// ascending node order, which is exactly CSR fill order: the offsets
+/// column closes monotonically as edges stream in.
 pub fn snb_label_csr(config: &SnbConfig, label: &str) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let (persons, messages) = (config.persons, config.messages);
-    let n = persons + messages;
-    let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
     let kept = match label {
-        "Knows" if persons > 1 => persons * config.knows_per_person,
-        "Has_creator" if persons > 0 => messages,
-        "Likes" if messages > 0 => persons * config.likes_per_person,
+        "Knows" => persons * config.knows_per_person,
+        "Has_creator" => messages,
+        "Likes" => persons * config.likes_per_person,
         _ => 0,
     };
+    let mut offsets: Vec<usize> = Vec::with_capacity(persons + messages + 1);
     let mut targets: Vec<NodeId> = Vec::with_capacity(kept);
     let mut edges: Vec<EdgeId> = Vec::with_capacity(kept);
-    let mut push = |source: usize, target: NodeId, edge: u32| {
-        while offsets.len() <= source {
-            offsets.push(targets.len());
-        }
-        targets.push(target);
-        edges.push(EdgeId(edge));
-    };
-
-    let mut edge_id = 0u32;
-    // Knows: replicate both endpoint draws (with the `q == p` rejection
-    // loop) and the discarded `since` property draw.
-    if persons > 1 {
-        let keep = label == "Knows";
-        for p in 0..persons {
-            for _ in 0..config.knows_per_person {
-                let mut q = rng.random_range(0..persons);
-                while q == p {
-                    q = rng.random_range(0..persons);
-                }
-                let _since = rng.random_range(2000..2025);
-                if keep {
-                    push(p, NodeId(q as u32), edge_id);
-                }
-                edge_id += 1;
+    let mut edge = 0u32;
+    snb_edges(config, &mut |source, target, edge_label, _| {
+        if edge_label == label {
+            while offsets.len() <= source.index() {
+                offsets.push(targets.len());
             }
+            targets.push(target);
+            edges.push(EdgeId(edge));
         }
-    }
-    // Has_creator: sources are the message nodes `persons + i`, ascending.
-    if persons > 0 {
-        let keep = label == "Has_creator";
-        for i in 0..messages {
-            let creator = rng.random_range(0..persons);
-            if keep {
-                push(persons + i, NodeId(creator as u32), edge_id);
-            }
-            edge_id += 1;
-        }
-    }
-    // Likes: person sources again, targets in the message id range.
-    if messages > 0 {
-        let keep = label == "Likes";
-        for p in 0..persons {
-            for _ in 0..config.likes_per_person {
-                let m = rng.random_range(0..messages);
-                if keep {
-                    push(p, NodeId((persons + m) as u32), edge_id);
-                }
-                edge_id += 1;
-            }
-        }
-    }
-
-    while offsets.len() <= n {
+        edge += 1;
+    });
+    while offsets.len() <= persons + messages {
         offsets.push(targets.len());
     }
     CsrGraph::from_parts(offsets, targets, edges)

@@ -1,28 +1,65 @@
 //! Service counters: cheap, always-on, and the observability the concurrency
 //! tests assert against (e.g. "a deduplicated 8-way herd ran exactly one
-//! evaluation" is `executions() == 1`).
+//! evaluation" is `snapshot().executions == 1`).
 //!
 //! Three kinds of signal live here (DESIGN.md §13):
 //!
 //! * **Monotonic counters** — request outcomes (served, executions, cache
-//!   hits/misses, dedup hits, admission rejections) plus per-surface request
-//!   tallies, all relaxed atomics.
+//!   hits/misses, dedup hits, admission rejections, timeouts,
+//!   cancellations, panics, sheds) in one table of relaxed atomics indexed
+//!   by `Counter` and bumped by one `inc`, plus per-surface request
+//!   tallies. The service's one request finish counts the outcomes; the
+//!   counters that tests fence on are counted where their action happens
+//!   (DESIGN.md §13).
 //! * **Stage latency histograms** — one fixed-bucket
 //!   [`LatencyHistogram`] per pipeline [`Stage`], recorded by the service on
 //!   every request (and by the protocol layer for render).
 //! * **Work totals** — the deterministic [`WorkCounters`] of every leader
 //!   evaluation, folded into service-lifetime totals.
 //!
-//! [`Metrics::snapshot`] yields the cloneable [`MetricsSnapshot`] the
-//! `STATS` wire command renders (single line), and [`Metrics::expose`]
-//! renders the multi-line Prometheus-style text the `METRICS` command
-//! serves.
+//! Every read goes through [`Metrics::snapshot`]: the cloneable
+//! [`MetricsSnapshot`] the `STATS` wire command renders (single line), and
+//! whose [`MetricsSnapshot::expose`] is the multi-line Prometheus-style
+//! text the `METRICS` command serves. Both render the counters from one
+//! name table.
 
 use pathalg_core::obs::{HistogramSnapshot, LatencyHistogram, Stage, WorkCounters};
 use pathalg_parser::QuerySurface;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// The request counters of [`Metrics`], one slot each in its counter
+/// table, in `STATS` and `METRICS` order. Every read goes through
+/// [`Metrics::snapshot`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Counter {
+    /// Requests answered successfully (leaders and waiters alike).
+    Served,
+    /// Evaluations actually started — the number a deduplicated herd keeps
+    /// at one.
+    Executions,
+    /// Plan-cache hits (optimize and closure estimates skipped).
+    CacheHits,
+    /// Plan-cache misses (full planning ran).
+    CacheMisses,
+    /// Requests that joined an in-flight identical query instead of
+    /// executing.
+    DedupHits,
+    /// Requests refused at admission (never started enumerating).
+    AdmissionRejected,
+    /// Requests whose deadline fired before evaluation finished.
+    Timeouts,
+    /// Requests aborted by explicit cancellation (not deadline expiry).
+    Cancelled,
+    /// Leader evaluations that panicked and were isolated.
+    Panicked,
+    /// Requests shed at the concurrency cap before execution started.
+    Shed,
+}
+
+/// Number of [`Counter`] variants.
+const COUNTERS: usize = Counter::Shed as usize + 1;
 
 /// Monotonic counters of one [`crate::service::QueryService`].
 ///
@@ -33,16 +70,7 @@ use std::time::Duration;
 /// that sees the action's effect also sees the count.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    served: AtomicU64,
-    executions: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    dedup_hits: AtomicU64,
-    admission_rejected: AtomicU64,
-    timeouts: AtomicU64,
-    cancelled: AtomicU64,
-    panicked: AtomicU64,
-    shed: AtomicU64,
+    counters: [AtomicU64; COUNTERS],
     /// Open protocol connections (a gauge: up on accept, down on hang-up).
     connections: AtomicU64,
     /// `f64::to_bits` of the estimate that drove the most recent rejection
@@ -106,96 +134,9 @@ impl WorkTotals {
 }
 
 impl Metrics {
-    /// Requests answered successfully (leaders and waiters alike).
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Evaluations actually started — the number a deduplicated herd keeps
-    /// at one.
-    pub fn executions(&self) -> u64 {
-        self.executions.load(Ordering::Relaxed)
-    }
-
-    /// Plan-cache hits (optimize and closure estimates skipped).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Plan-cache misses (full planning ran).
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Requests that joined an in-flight identical query instead of
-    /// executing.
-    pub fn dedup_hits(&self) -> u64 {
-        self.dedup_hits.load(Ordering::Relaxed)
-    }
-
-    /// Requests refused at admission (never started enumerating).
-    pub fn admission_rejected(&self) -> u64 {
-        self.admission_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Requests whose deadline fired before evaluation finished (leaders
-    /// aborted mid-enumeration and waiters that timed out waiting alike).
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Requests aborted by explicit cancellation (not deadline expiry).
-    pub fn cancelled(&self) -> u64 {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Leader evaluations that panicked and were isolated at the execute
-    /// boundary (the herd received a typed error instead of hanging).
-    pub fn panicked(&self) -> u64 {
-        self.panicked.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed at the concurrency cap before execution started.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Protocol connections currently open on a server of this service.
-    pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    /// The `(estimated paths, ceiling)` pair of the most recent admission
-    /// rejection, so observed-vs-ceiling is reportable from the metrics
-    /// alone. `None` until a rejection happens.
-    pub fn last_rejection(&self) -> Option<(f64, f64)> {
-        if self.admission_rejected() == 0 {
-            return None;
-        }
-        Some((
-            f64::from_bits(self.rejected_estimate_bits.load(Ordering::Relaxed)),
-            f64::from_bits(self.rejected_ceiling_bits.load(Ordering::Relaxed)),
-        ))
-    }
-
-    pub(crate) fn inc_served(&self) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_executions(&self) {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_cache_hits(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_cache_misses(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_dedup_hits(&self) {
-        self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+    /// Counts one more of `counter`.
+    pub(crate) fn inc(&self, counter: Counter) {
+        self.counters[counter as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a rejection together with the estimate that condemned it and
@@ -206,23 +147,7 @@ impl Metrics {
             .store(estimated_paths.to_bits(), Ordering::Relaxed);
         self.rejected_ceiling_bits
             .store(ceiling.to_bits(), Ordering::Relaxed);
-        self.admission_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_timeouts(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_panicked(&self) {
-        self.panicked.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.inc(Counter::AdmissionRejected);
     }
 
     pub(crate) fn connection_opened(&self) {
@@ -248,19 +173,26 @@ impl Metrics {
     /// A cloneable point-in-time copy of every counter — what the `STATS`
     /// command renders and what tests compare before/after a workload.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let count = |counter: Counter| self.counters[counter as usize].load(Ordering::Relaxed);
+        let admission_rejected = count(Counter::AdmissionRejected);
         MetricsSnapshot {
-            served: self.served(),
-            executions: self.executions(),
-            cache_hits: self.cache_hits(),
-            cache_misses: self.cache_misses(),
-            dedup_hits: self.dedup_hits(),
-            admission_rejected: self.admission_rejected(),
-            timeouts: self.timeouts(),
-            cancelled: self.cancelled(),
-            panicked: self.panicked(),
-            shed: self.shed(),
-            connections: self.connections(),
-            last_rejection: self.last_rejection(),
+            served: count(Counter::Served),
+            executions: count(Counter::Executions),
+            cache_hits: count(Counter::CacheHits),
+            cache_misses: count(Counter::CacheMisses),
+            dedup_hits: count(Counter::DedupHits),
+            admission_rejected,
+            timeouts: count(Counter::Timeouts),
+            cancelled: count(Counter::Cancelled),
+            panicked: count(Counter::Panicked),
+            shed: count(Counter::Shed),
+            connections: self.connections.load(Ordering::Relaxed),
+            last_rejection: (admission_rejected > 0).then(|| {
+                (
+                    f64::from_bits(self.rejected_estimate_bits.load(Ordering::Relaxed)),
+                    f64::from_bits(self.rejected_ceiling_bits.load(Ordering::Relaxed)),
+                )
+            }),
             by_surface: std::array::from_fn(|i| self.by_surface[i].load(Ordering::Relaxed)),
             stages: std::array::from_fn(|i| self.stage_latency[i].snapshot()),
             work: self.work.snapshot(),
@@ -321,6 +253,39 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The request counters in [`Counter`] order, each with its `STATS` key
+    /// and its `METRICS` name: the one table both renderings read.
+    fn counters(&self) -> [(&'static str, &'static str, u64); COUNTERS] {
+        [
+            ("served", "pathalg_requests_served_total", self.served),
+            ("executions", "pathalg_executions_total", self.executions),
+            (
+                "cache_hits",
+                "pathalg_plan_cache_hits_total",
+                self.cache_hits,
+            ),
+            (
+                "cache_misses",
+                "pathalg_plan_cache_misses_total",
+                self.cache_misses,
+            ),
+            ("dedup_hits", "pathalg_dedup_hits_total", self.dedup_hits),
+            (
+                "admission_rejected",
+                "pathalg_admission_rejected_total",
+                self.admission_rejected,
+            ),
+            ("timeouts", "pathalg_requests_timeout_total", self.timeouts),
+            (
+                "cancelled",
+                "pathalg_requests_cancelled_total",
+                self.cancelled,
+            ),
+            ("panicked", "pathalg_requests_panicked_total", self.panicked),
+            ("shed", "pathalg_requests_shed_total", self.shed),
+        ]
+    }
+
     /// The latency snapshot of one stage.
     pub fn stage(&self, stage: Stage) -> &HistogramSnapshot {
         &self.stages[stage as usize]
@@ -331,19 +296,7 @@ impl MetricsSnapshot {
     pub fn expose(&self) -> String {
         use fmt::Write;
         let mut out = String::new();
-        let counters: [(&str, u64); 10] = [
-            ("pathalg_requests_served_total", self.served),
-            ("pathalg_executions_total", self.executions),
-            ("pathalg_plan_cache_hits_total", self.cache_hits),
-            ("pathalg_plan_cache_misses_total", self.cache_misses),
-            ("pathalg_dedup_hits_total", self.dedup_hits),
-            ("pathalg_admission_rejected_total", self.admission_rejected),
-            ("pathalg_requests_timeout_total", self.timeouts),
-            ("pathalg_requests_cancelled_total", self.cancelled),
-            ("pathalg_requests_panicked_total", self.panicked),
-            ("pathalg_requests_shed_total", self.shed),
-        ];
-        for (name, value) in counters {
+        for (_, name, value) in self.counters() {
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {value}");
         }
@@ -398,21 +351,10 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "served={} executions={} cache_hits={} cache_misses={} dedup_hits={} \
-             admission_rejected={} timeouts={} cancelled={} panicked={} shed={}",
-            self.served,
-            self.executions,
-            self.cache_hits,
-            self.cache_misses,
-            self.dedup_hits,
-            self.admission_rejected,
-            self.timeouts,
-            self.cancelled,
-            self.panicked,
-            self.shed
-        )?;
+        for (i, (key, _, value)) in self.counters().into_iter().enumerate() {
+            let sep = if i > 0 { " " } else { "" };
+            write!(f, "{sep}{key}={value}")?;
+        }
         for surface in QuerySurface::ALL {
             write!(
                 f,
@@ -440,7 +382,7 @@ mod tests {
     #[test]
     fn snapshot_is_cloneable_and_single_line() {
         let m = Metrics::default();
-        m.inc_served();
+        m.inc(Counter::Served);
         m.inc_surface(QuerySurface::Rpq);
         m.record_stage(Stage::Parse, Duration::from_nanos(100));
         m.record_work(&WorkCounters {
@@ -461,15 +403,15 @@ mod tests {
     #[test]
     fn robustness_outcomes_are_counted_and_exposed() {
         let m = Metrics::default();
-        m.inc_timeouts();
-        m.inc_timeouts();
-        m.inc_cancelled();
-        m.inc_panicked();
-        m.inc_shed();
-        assert_eq!(m.timeouts(), 2);
-        assert_eq!(m.cancelled(), 1);
-        assert_eq!(m.panicked(), 1);
-        assert_eq!(m.shed(), 1);
+        m.inc(Counter::Timeouts);
+        m.inc(Counter::Timeouts);
+        m.inc(Counter::Cancelled);
+        m.inc(Counter::Panicked);
+        m.inc(Counter::Shed);
+        assert_eq!(m.snapshot().timeouts, 2);
+        assert_eq!(m.snapshot().cancelled, 1);
+        assert_eq!(m.snapshot().panicked, 1);
+        assert_eq!(m.snapshot().shed, 1);
         let text = m.expose();
         assert!(text.contains("pathalg_requests_timeout_total 2"), "{text}");
         assert!(
@@ -481,7 +423,7 @@ mod tests {
         m.connection_opened();
         m.connection_opened();
         m.connection_closed();
-        assert_eq!(m.connections(), 1);
+        assert_eq!(m.snapshot().connections, 1);
         assert!(m.expose().contains("pathalg_connections 1"));
         let line = m.snapshot().to_string();
         assert!(line.contains("timeouts=2"), "{line}");
@@ -492,10 +434,10 @@ mod tests {
     #[test]
     fn rejection_evidence_is_recorded_with_the_counter() {
         let m = Metrics::default();
-        assert_eq!(m.last_rejection(), None);
+        assert_eq!(m.snapshot().last_rejection, None);
         m.inc_admission_rejected(123456.0, 1000.0);
-        assert_eq!(m.admission_rejected(), 1);
-        assert_eq!(m.last_rejection(), Some((123456.0, 1000.0)));
+        assert_eq!(m.snapshot().admission_rejected, 1);
+        assert_eq!(m.snapshot().last_rejection, Some((123456.0, 1000.0)));
         let exposed = m.expose();
         assert!(
             exposed.contains("pathalg_admission_last_estimate_paths 123456"),

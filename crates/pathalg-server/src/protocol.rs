@@ -7,9 +7,10 @@
 //! [`Response::render`]). A query answer is the exception that carries the
 //! load: its `PATH` lines are rendered once, by the evaluating request,
 //! into the shared [`crate::service::QueryOutcome::body`], and the socket loop
-//! writes those bytes unchanged after the `OK` header. `handle_request`
-//! (typed) and [`handle_line`] (wire lines) are the collecting views tests
-//! and embedders drive directly; both cut their paths from the same body.
+//! writes those bytes unchanged after the `OK` header. One dispatch,
+//! `respond`, answers every request line for the socket loop and for
+//! [`handle_line`], the collecting view tests and embedders drive directly,
+//! which cuts its paths from the same body.
 //!
 //! A request line longer than [`MAX_REQUEST_LINE_BYTES`] is answered with
 //! `ERR protocol` and closes the connection.
@@ -42,9 +43,7 @@
 //! one buffer they were read into ([`PathLines`]).
 
 use crate::metrics::Metrics;
-use crate::service::{
-    CacheStatus, DedupRole, QueryOutcome, QueryResponse, QueryService, PATH_PREFIX,
-};
+use crate::service::{CacheStatus, DedupRole, QueryOutcome, QueryService, PATH_PREFIX};
 use pathalg_parser::QuerySurface;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -303,19 +302,7 @@ fn query_header(
     epoch: u64,
     trace: Option<u64>,
 ) -> String {
-    let mut header = format!(
-        "OK {} cache={} dedup={} epoch={}",
-        paths,
-        match cache {
-            CacheStatus::Hit => "hit",
-            CacheStatus::Miss => "miss",
-        },
-        match dedup {
-            DedupRole::Leader => "leader",
-            DedupRole::Waiter => "waiter",
-        },
-        epoch
-    );
+    let mut header = format!("OK {paths} cache={cache} dedup={dedup} epoch={epoch}");
     if let Some(trace) = trace {
         header.push_str(&format!(" trace={trace}"));
     }
@@ -469,66 +456,6 @@ impl fmt::Display for Response {
     }
 }
 
-/// Handles one typed request. Returns `None` for [`Request::Quit`] (close
-/// the connection), otherwise the typed response. This is the whole server
-/// logic — no strings until [`Response::render`].
-pub(crate) fn handle_request(service: &QueryService, request: &Request) -> Option<Response> {
-    match request {
-        Request::Quit => None,
-        Request::Empty => Some(Response::Empty),
-        Request::Ping => Some(Response::Pong),
-        Request::Epoch => Some(Response::Epoch(service.epoch())),
-        Request::Bump => Some(Response::Epoch(service.bump_epoch())),
-        Request::Stats => Some(Response::Stats(service.metrics().snapshot().to_string())),
-        Request::Metrics => Some(Response::Metrics(
-            service.metrics().expose().trim_end().to_string(),
-        )),
-        Request::Trace(id) => Some(match service.trace(*id) {
-            Some(trace) => Response::Trace {
-                id: *id,
-                report: trace.to_string().trim_end().to_string(),
-            },
-            None => Response::Error {
-                kind: "protocol".to_string(),
-                message: format!("no retained trace with id {id}"),
-            },
-        }),
-        Request::Query {
-            surface,
-            deadline_ms,
-            text,
-        } => Some(match submit(service, *surface, text, *deadline_ms) {
-            Ok(response) => Response::Query(QueryReply {
-                cache: response.cache,
-                dedup: response.dedup,
-                epoch: response.epoch,
-                trace: Some(response.trace.id),
-                paths: PathLines {
-                    text: String::from_utf8(response.outcome.body.to_vec())
-                        .expect("the body is rendered ASCII"),
-                    len: response.outcome.path_count,
-                },
-            }),
-            Err(error) => error,
-        }),
-    }
-}
-
-/// Runs one `QUERY`; a failure comes back as its `ERR` response.
-fn submit(
-    service: &QueryService,
-    surface: QuerySurface,
-    text: &str,
-    deadline_ms: Option<u64>,
-) -> Result<QueryResponse, Response> {
-    service
-        .submit_on_deadline(surface, text, deadline_ms.map(Duration::from_millis))
-        .map_err(|e| Response::Error {
-            kind: e.kind().to_string(),
-            message: e.to_string().replace('\n', " "),
-        })
-}
-
 fn protocol_error(message: String) -> Response {
     Response::Error {
         kind: "protocol".to_string(),
@@ -547,36 +474,58 @@ enum Outgoing {
     },
 }
 
-/// Parses and dispatches one wire line. `None` for `QUIT`. A `QUERY`
-/// answer keeps the outcome's rendered body as it is — shared with every
-/// request that coalesced onto the same evaluation.
+/// Parses and answers one wire line: the whole server logic, for every
+/// command. `None` for `QUIT`. A `QUERY` answer keeps the outcome's
+/// rendered body as it is — shared with every request that coalesced onto
+/// the same evaluation; every other response is typed until
+/// [`Response::render`].
 fn respond(service: &QueryService, line: &str) -> Option<Outgoing> {
-    let request = match Request::parse(line) {
-        Ok(request) => request,
-        Err(message) => return Some(Outgoing::Lines(protocol_error(message).render())),
-    };
-    let Request::Query {
-        surface,
-        deadline_ms,
-        text,
-    } = &request
-    else {
-        return handle_request(service, &request).map(|r| Outgoing::Lines(r.render()));
-    };
-    Some(match submit(service, *surface, text, *deadline_ms) {
-        Ok(response) => Outgoing::Answer {
-            header: query_header(
-                response.outcome.path_count,
-                response.cache,
-                response.dedup,
-                response.epoch,
-                Some(response.trace.id),
-            ),
-            outcome: response.outcome,
-            trace: response.trace.id,
+    let response = match Request::parse(line) {
+        Err(message) => protocol_error(message),
+        Ok(Request::Quit) => return None,
+        Ok(Request::Empty) => Response::Empty,
+        Ok(Request::Ping) => Response::Pong,
+        Ok(Request::Epoch) => Response::Epoch(service.epoch()),
+        Ok(Request::Bump) => Response::Epoch(service.bump_epoch()),
+        Ok(Request::Stats) => Response::Stats(service.metrics().snapshot().to_string()),
+        Ok(Request::Metrics) => {
+            Response::Metrics(service.metrics().expose().trim_end().to_string())
+        }
+        Ok(Request::Trace(id)) => match service.trace(id) {
+            Some(trace) => Response::Trace {
+                id,
+                report: trace.to_string().trim_end().to_string(),
+            },
+            None => protocol_error(format!("no retained trace with id {id}")),
         },
-        Err(error) => Outgoing::Lines(error.render()),
-    })
+        Ok(Request::Query {
+            surface,
+            deadline_ms,
+            text,
+        }) => {
+            let deadline = deadline_ms.map(Duration::from_millis);
+            match service.submit_on_deadline(surface, &text, deadline) {
+                Ok(answer) => {
+                    return Some(Outgoing::Answer {
+                        header: query_header(
+                            answer.outcome.path_count,
+                            answer.cache,
+                            answer.dedup,
+                            answer.epoch,
+                            Some(answer.trace.id),
+                        ),
+                        trace: answer.trace.id,
+                        outcome: answer.outcome,
+                    })
+                }
+                Err(e) => Response::Error {
+                    kind: e.kind().to_string(),
+                    message: e.to_string().replace('\n', " "),
+                },
+            }
+        }
+    };
+    Some(Outgoing::Lines(response.render()))
 }
 
 /// Records the render span of a query answer — the protocol boundary
@@ -1087,34 +1036,31 @@ mod tests {
     #[test]
     fn handle_request_covers_the_whole_command_table() {
         let svc = service();
-        assert_eq!(handle_request(&svc, &Request::Ping), Some(Response::Pong));
-        assert_eq!(
-            handle_request(&svc, &Request::Epoch),
-            Some(Response::Epoch(0))
-        );
-        assert_eq!(
-            handle_request(&svc, &Request::Bump),
-            Some(Response::Epoch(1))
-        );
+        let ask = |svc: &QueryService, request: &Request| {
+            handle_line(svc, &request.render()).map(|lines| Response::parse(&lines).unwrap())
+        };
+        assert_eq!(ask(&svc, &Request::Ping), Some(Response::Pong));
+        assert_eq!(ask(&svc, &Request::Epoch), Some(Response::Epoch(0)));
+        assert_eq!(ask(&svc, &Request::Bump), Some(Response::Epoch(1)));
         assert!(matches!(
-            handle_request(&svc, &Request::Stats),
+            ask(&svc, &Request::Stats),
             Some(Response::Stats(_))
         ));
         assert!(matches!(
-            handle_request(&svc, &Request::Metrics),
+            ask(&svc, &Request::Metrics),
             Some(Response::Metrics(_))
         ));
         assert!(
             matches!(
-                handle_request(&svc, &Request::Trace(99)),
+                ask(&svc, &Request::Trace(99)),
                 Some(Response::Error { ref kind, .. }) if kind == "protocol"
             ),
             "unknown trace id is a protocol error"
         );
-        assert_eq!(handle_request(&svc, &Request::Quit), None);
-        assert_eq!(handle_request(&svc, &Request::Empty), Some(Response::Empty));
+        assert_eq!(ask(&svc, &Request::Quit), None);
+        assert_eq!(ask(&svc, &Request::Empty), Some(Response::Empty));
 
-        let ok = handle_request(
+        let ok = ask(
             &svc,
             &Request::Query {
                 surface: QuerySurface::Gql,
@@ -1130,7 +1076,7 @@ mod tests {
         assert_eq!(reply.dedup, DedupRole::Leader);
         assert!(!reply.paths.is_empty());
 
-        let bad = handle_request(
+        let bad = ask(
             &svc,
             &Request::Query {
                 surface: QuerySurface::Gql,
@@ -1492,7 +1438,7 @@ mod tests {
             assert_eq!(client.send(&Request::Ping).unwrap(), Some(Response::Pong));
         }
         let deadline = Instant::now() + Duration::from_secs(30);
-        while svc.metrics().connections() > 0 {
+        while svc.metrics().snapshot().connections > 0 {
             assert!(Instant::now() < deadline, "connections never closed");
             std::thread::sleep(Duration::from_millis(1));
         }

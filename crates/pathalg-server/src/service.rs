@@ -22,18 +22,24 @@
 //!    `Arc`-shared outcome. N identical concurrent queries cost one
 //!    evaluation.
 //!
+//! Each request has one record, its [`QueryTrace`]: one stage recorder
+//! times each stage into the trace and the stage's latency histogram, and
+//! whatever becomes of the request — a parse failure, an admission refusal,
+//! a shed, an evaluation error or an answer — it ends in one finish, which
+//! stamps the trace, counts the outcome and retains the trace.
+//!
 //! An epoch bump ([`QueryService::bump_epoch`]) advances the epoch and purges
 //! every cached plan, under the plan cache's mutex. It does no statistics
 //! work: the graph cannot change, so neither can its statistics.
 
 use crate::cache::{CacheKey, CachedPlan, Lru, PlanCache};
 use crate::error::{AdmissionError, ServiceError};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::trace::{QueryTrace, TraceRing};
 use pathalg_core::budget::{CancelToken, RequestQuota};
 use pathalg_core::error::AlgebraError;
 use pathalg_core::expr::PlanExpr;
-use pathalg_core::obs::{Stage, StageSpans, WorkCounters};
+use pathalg_core::obs::{Stage, WorkCounters};
 use pathalg_core::ops::recursive::RecursionConfig;
 use pathalg_core::path::write_ids;
 use pathalg_engine::exec::{ExecutionConfig, StrategyDecision};
@@ -42,6 +48,7 @@ use pathalg_graph::graph::PropertyGraph;
 use pathalg_parser::normalize::{plan_cache_key, PlanKey};
 use pathalg_parser::{lower_to_checked_plan, parse_surface, QuerySurface};
 use std::collections::HashMap;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -113,6 +120,16 @@ pub enum CacheStatus {
     Miss,
 }
 
+impl fmt::Display for CacheStatus {
+    /// `hit` or `miss`, as the `OK` header and the `TRACE` report spell it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            CacheStatus::Hit => "hit",
+            CacheStatus::Miss => "miss",
+        })
+    }
+}
+
 /// A request's role in the in-flight deduplication.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DedupRole {
@@ -121,6 +138,17 @@ pub enum DedupRole {
     /// This request joined an identical in-flight evaluation and received
     /// the shared outcome.
     Waiter,
+}
+
+impl fmt::Display for DedupRole {
+    /// `leader` or `waiter`, as the `OK` header and the `TRACE` report spell
+    /// it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            DedupRole::Leader => "leader",
+            DedupRole::Waiter => "waiter",
+        })
+    }
 }
 
 /// The shared outcome of one evaluation — what the wait-map fans out. The
@@ -458,20 +486,9 @@ impl QueryService {
         cancel: Arc<CancelToken>,
     ) -> Result<QueryResponse, ServiceError> {
         self.metrics.inc_surface(surface);
-        let mut spans = StageSpans::new();
-        let started = Instant::now();
-        let parsed = self.plan_of(surface, text);
-        let parse_span = started.elapsed();
-        spans.set(Stage::Parse, parse_span);
-        self.metrics.record_stage(Stage::Parse, parse_span);
-        let (plan, key) = match parsed {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                self.record_failure(surface, text, spans, None, &e, None);
-                return Err(e);
-            }
-        };
-        self.submit_keyed(surface, text, &plan, key, spans, cancel)
+        let mut trace = QueryTrace::new(surface, text);
+        let parsed = self.timed(&mut trace, Stage::Parse, || self.plan_of(surface, text));
+        self.submit_keyed(trace, parsed, cancel)
     }
 
     /// [`QueryService::submit`] for a hand-built (already checked) plan: the
@@ -481,11 +498,8 @@ impl QueryService {
     fn submit_plan(&self, plan: &PlanExpr) -> Result<QueryResponse, ServiceError> {
         let key = plan_cache_key(plan, &self.effective_recursion());
         self.submit_keyed(
-            QuerySurface::Gql,
-            &plan.to_string(),
-            plan,
-            key,
-            StageSpans::new(),
+            QueryTrace::new(QuerySurface::Gql, &plan.to_string()),
+            Ok((plan.clone(), key)),
             self.request_token(None),
         )
     }
@@ -504,142 +518,147 @@ impl QueryService {
         })
     }
 
+    /// Runs a parsed request through the remaining stages and ends it, once,
+    /// in [`QueryService::finish`] — whatever stage it failed in.
     fn submit_keyed(
         &self,
-        surface: QuerySurface,
-        query: &str,
-        plan: &PlanExpr,
-        key: PlanKey,
-        mut spans: StageSpans,
+        mut trace: QueryTrace,
+        parsed: Result<(PlanExpr, PlanKey), ServiceError>,
         cancel: Arc<CancelToken>,
     ) -> Result<QueryResponse, ServiceError> {
+        let result = parsed.and_then(|(plan, key)| self.run(&mut trace, &plan, key, &cancel));
+        self.finish(trace, result)
+    }
+
+    /// One stage of a request: runs it, and records its span both in the
+    /// request's trace and in the stage's latency histogram.
+    fn timed<T>(&self, trace: &mut QueryTrace, stage: Stage, run: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let out = run();
+        let span = started.elapsed();
+        trace.spans.set(stage, span);
+        self.metrics.record_stage(stage, span);
+        out
+    }
+
+    /// Plan → admit → execute (or coalesce). Stamps the trace with what the
+    /// request got through: its cache status and epoch once planned, its
+    /// dedup role once it holds a flight.
+    fn run(
+        &self,
+        trace: &mut QueryTrace,
+        plan: &PlanExpr,
+        key: PlanKey,
+        cancel: &Arc<CancelToken>,
+    ) -> Result<Arc<QueryOutcome>, ServiceError> {
         let recursion = self.effective_recursion();
-        let stage = Instant::now();
-        let (cache_key, cached, cache_status) = self.planned(plan, key, &recursion);
-        let epoch = cache_key.1;
-        let plan_span = stage.elapsed();
-        spans.set(Stage::Plan, plan_span);
-        self.metrics.record_stage(Stage::Plan, plan_span);
-        let stage = Instant::now();
-        let admitted = self.admit(&cached);
-        let admit_span = stage.elapsed();
-        spans.set(Stage::Admit, admit_span);
-        self.metrics.record_stage(Stage::Admit, admit_span);
-        if let Err(e) = admitted {
-            self.record_failure(surface, query, spans, Some(cache_status), &e, None);
-            return Err(e);
-        }
+        let (cache_key, cached, cache_status) =
+            self.timed(trace, Stage::Plan, || self.planned(plan, key, &recursion));
+        trace.cache = Some(cache_status);
+        trace.epoch = cache_key.1;
+        self.timed(trace, Stage::Admit, || self.admit(&cached))?;
 
         // Join or open the flight for this (plan, epoch). A would-be leader
         // must also hold an execution permit — acquired under the flights
         // lock so cap accounting and leadership are decided atomically; past
         // the cap the request is shed before any flight is registered.
-        let joined = {
+        let (flight, role, permit) = {
             let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
             match flights.get(&cache_key) {
-                Some(flight) => Ok((flight.clone(), DedupRole::Waiter, None)),
-                None => match self.try_acquire_permit() {
-                    Ok(permit) => {
-                        let flight = Arc::new(Flight::default());
-                        flights.insert(cache_key.clone(), flight.clone());
-                        Ok((flight, DedupRole::Leader, permit))
-                    }
-                    Err(e) => Err(e),
-                },
-            }
-        };
-        let (flight, role, permit) = match joined {
-            Ok(joined) => joined,
-            Err(e) => {
-                self.metrics.inc_shed();
-                self.record_failure(surface, query, spans, Some(cache_status), &e, Some("shed"));
-                return Err(e);
-            }
-        };
-        let outcome = match role {
-            DedupRole::Waiter => {
-                // A waiter's trace gets NO execute span — it never ran one.
-                // Its evaluation cost is attributed to the leader's trace.
-                // The wait is bounded by the waiter's OWN deadline: a stuck
-                // or slow leader cannot hold it past that.
-                self.metrics.inc_dedup_hits();
-                flight.wait(&cancel)
-            }
-            DedupRole::Leader => {
-                self.metrics.inc_executions();
-                if let Some(hook) = self
-                    .pre_execute
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .as_ref()
-                {
-                    hook(&self.metrics);
+                Some(flight) => (flight.clone(), DedupRole::Waiter, None),
+                None => {
+                    let permit = self.try_acquire_permit()?;
+                    let flight = Arc::new(Flight::default());
+                    flights.insert(cache_key.clone(), flight.clone());
+                    (flight, DedupRole::Leader, permit)
                 }
-                let stage = Instant::now();
-                // Panic isolation: the `"execute"` failpoint and the
-                // evaluation itself run under `catch_unwind`, so one bad
-                // request becomes a typed, clonable error fanned out to the
-                // waiters instead of a poisoned service.
-                let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                    self.hit_failpoint("execute");
-                    self.execute(&cached, recursion, &cancel)
-                })) {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        self.metrics.inc_panicked();
-                        Err(ServiceError::InternalPanic(panic_message(payload)))
-                    }
-                };
-                let execute_span = stage.elapsed();
-                spans.set(Stage::Execute, execute_span);
-                self.metrics.record_stage(Stage::Execute, execute_span);
-                if let Ok(outcome) = &outcome {
-                    self.metrics.record_work(&outcome.work);
-                }
-                // Unregister before publishing: a request arriving after the
-                // publish must start a fresh flight, not join a finished one.
-                self.flights
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&cache_key);
-                flight.publish(outcome.clone());
-                drop(permit);
-                outcome
             }
         };
-        let outcome = match outcome {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                let mut trace = self.new_trace(surface, query, spans);
-                trace.cache = Some(cache_status);
-                trace.dedup = Some(role);
-                trace.epoch = epoch;
-                trace.error = Some(e.to_string());
-                trace.outcome = outcome_of(&e);
-                match trace.outcome {
-                    Some("timeout") => self.metrics.inc_timeouts(),
-                    Some("cancelled") => self.metrics.inc_cancelled(),
-                    _ => {}
-                }
-                self.traces.push(trace);
-                return Err(e);
-            }
-        };
-        self.metrics.inc_served();
-        let mut trace = self.new_trace(surface, query, spans);
-        trace.cache = Some(cache_status);
         trace.dedup = Some(role);
-        trace.epoch = epoch;
-        trace.paths = outcome.path_count;
-        if role == DedupRole::Leader {
-            trace.work = outcome.work;
+        if role == DedupRole::Waiter {
+            // A waiter's trace gets NO execute span — it never ran one. Its
+            // evaluation cost is attributed to the leader's trace. The wait
+            // is bounded by the waiter's OWN deadline: a stuck or slow
+            // leader cannot hold it past that.
+            self.metrics.inc(Counter::DedupHits);
+            return flight.wait(cancel);
+        }
+        self.metrics.inc(Counter::Executions);
+        if let Some(hook) = self
+            .pre_execute
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+        {
+            hook(&self.metrics);
+        }
+        // Panic isolation: the `"execute"` failpoint and the evaluation
+        // itself run under `catch_unwind`, so one bad request becomes a
+        // typed, clonable error fanned out to the waiters instead of a
+        // poisoned service.
+        let outcome = self.timed(trace, Stage::Execute, || {
+            catch_unwind(AssertUnwindSafe(|| {
+                self.hit_failpoint("execute");
+                self.execute(&cached, recursion, cancel)
+            }))
+            .unwrap_or_else(|payload| {
+                self.metrics.inc(Counter::Panicked);
+                Err(ServiceError::InternalPanic(panic_message(payload)))
+            })
+        });
+        if let Ok(outcome) = &outcome {
+            self.metrics.record_work(&outcome.work);
+        }
+        // Unregister before publishing: a request arriving after the
+        // publish must start a fresh flight, not join a finished one.
+        self.flights
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&cache_key);
+        flight.publish(outcome.clone());
+        drop(permit);
+        outcome
+    }
+
+    /// Ends a request, whatever became of it — a parse failure, an
+    /// admission refusal, a shed, an evaluation error or a success: stamps
+    /// its trace with the answer or the error, counts its outcome (`served`,
+    /// `timeouts`, `cancelled` or `shed`) and retains the trace.
+    fn finish(
+        &self,
+        mut trace: QueryTrace,
+        result: Result<Arc<QueryOutcome>, ServiceError>,
+    ) -> Result<QueryResponse, ServiceError> {
+        trace.id = self.traces.next_id();
+        if trace.cache.is_none() {
+            // Refused before the plan stage: no cache key carries its epoch.
+            trace.epoch = self.epoch();
+        }
+        let counter = match &result {
+            Ok(outcome) => {
+                trace.paths = outcome.path_count;
+                if trace.dedup == Some(DedupRole::Leader) {
+                    trace.work = outcome.work;
+                }
+                Some(Counter::Served)
+            }
+            Err(error) => {
+                trace.error = Some(error.to_string());
+                let (outcome, counter) = outcome_of(error);
+                trace.outcome = outcome;
+                counter
+            }
+        };
+        if let Some(counter) = counter {
+            self.metrics.inc(counter);
         }
         let trace = self.traces.push(trace);
+        let outcome = result?;
         Ok(QueryResponse {
             outcome,
-            cache: cache_status,
-            dedup: role,
-            epoch,
+            cache: trace.cache.expect("an answered request was planned"),
+            dedup: trace.dedup.expect("an answered request held a flight"),
+            epoch: trace.epoch,
             trace,
         })
     }
@@ -666,41 +685,6 @@ impl QueryService {
                 Err(now) => in_flight = now,
             }
         }
-    }
-
-    /// A fresh trace skeleton stamped with the next request id.
-    fn new_trace(&self, surface: QuerySurface, query: &str, spans: StageSpans) -> QueryTrace {
-        QueryTrace {
-            id: self.traces.next_id(),
-            surface,
-            query: query.to_string(),
-            cache: None,
-            dedup: None,
-            epoch: self.epoch(),
-            spans,
-            work: WorkCounters::default(),
-            paths: 0,
-            error: None,
-            outcome: None,
-        }
-    }
-
-    /// Retains the trace of a request that failed before reaching a flight
-    /// (parse, admission, or the concurrency cap).
-    fn record_failure(
-        &self,
-        surface: QuerySurface,
-        query: &str,
-        spans: StageSpans,
-        cache: Option<CacheStatus>,
-        error: &ServiceError,
-        outcome: Option<&'static str>,
-    ) {
-        let mut trace = self.new_trace(surface, query, spans);
-        trace.cache = cache;
-        trace.error = Some(error.to_string());
-        trace.outcome = outcome;
-        self.traces.push(trace);
     }
 
     /// Runs the parse, plan and admission stages — populating both caches —
@@ -767,12 +751,12 @@ impl QueryService {
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
             let cache_key: CacheKey = (key, cache.epoch());
             if let Some(entry) = cache.get(&cache_key) {
-                self.metrics.inc_cache_hits();
+                self.metrics.inc(Counter::CacheHits);
                 return (cache_key, entry, CacheStatus::Hit);
             }
             cache_key
         };
-        self.metrics.inc_cache_misses();
+        self.metrics.inc(Counter::CacheMisses);
         let entry = Arc::new(self.planner.plan(plan, recursion));
         self.cache
             .lock()
@@ -833,15 +817,21 @@ impl QueryService {
     }
 }
 
-/// The robustness class of a failed request, for the trace's `outcome`
-/// stamp: `None` for ordinary (parse/admission/evaluation) failures.
-fn outcome_of(error: &ServiceError) -> Option<&'static str> {
+/// The robustness class of a failed request — the trace's `outcome` stamp,
+/// `None` for ordinary (parse/admission/evaluation) failures — and the
+/// counter [`QueryService::finish`] counts it on. A panic is counted where
+/// it is caught, once per evaluation, not once per coalesced request.
+fn outcome_of(error: &ServiceError) -> (Option<&'static str>, Option<Counter>) {
     match error {
-        ServiceError::Evaluation(AlgebraError::DeadlineExceeded) => Some("timeout"),
-        ServiceError::Evaluation(AlgebraError::Cancelled) => Some("cancelled"),
-        ServiceError::InternalPanic(_) => Some("panic"),
-        ServiceError::Overloaded { .. } => Some("shed"),
-        _ => None,
+        ServiceError::Evaluation(AlgebraError::DeadlineExceeded) => {
+            (Some("timeout"), Some(Counter::Timeouts))
+        }
+        ServiceError::Evaluation(AlgebraError::Cancelled) => {
+            (Some("cancelled"), Some(Counter::Cancelled))
+        }
+        ServiceError::InternalPanic(_) => (Some("panic"), None),
+        ServiceError::Overloaded { .. } => (Some("shed"), Some(Counter::Shed)),
+        _ => (None, None),
     }
 }
 
@@ -890,9 +880,9 @@ mod tests {
             first.outcome.canonical_lines(),
             second.outcome.canonical_lines()
         );
-        assert_eq!(svc.metrics().cache_hits(), 1);
-        assert_eq!(svc.metrics().cache_misses(), 1);
-        assert_eq!(svc.metrics().executions(), 2);
+        assert_eq!(svc.metrics().snapshot().cache_hits, 1);
+        assert_eq!(svc.metrics().snapshot().cache_misses, 1);
+        assert_eq!(svc.metrics().snapshot().executions, 2);
         assert_eq!(svc.cached_plans(), 1);
         assert!(!first.outcome.decisions.is_empty());
     }
@@ -903,7 +893,11 @@ mod tests {
         let (cold, cold_status) = svc.prepare(SHORTEST).unwrap();
         assert_eq!(cold_status, CacheStatus::Miss);
         assert!(!cold.closures.is_empty(), "ϕ node estimated at prepare");
-        assert_eq!(svc.metrics().executions(), 0, "prepare never evaluates");
+        assert_eq!(
+            svc.metrics().snapshot().executions,
+            0,
+            "prepare never evaluates"
+        );
         let (_, warm_status) = svc.prepare(SHORTEST).unwrap();
         assert_eq!(warm_status, CacheStatus::Hit);
         // A later submit reuses the prepared entry.
@@ -960,8 +954,12 @@ mod tests {
             err,
             ServiceError::Admission(AdmissionError::PredictedBlowup { .. })
         ));
-        assert_eq!(svc.metrics().admission_rejected(), 1);
-        assert_eq!(svc.metrics().executions(), 0, "never started enumerating");
+        assert_eq!(svc.metrics().snapshot().admission_rejected, 1);
+        assert_eq!(
+            svc.metrics().snapshot().executions,
+            0,
+            "never started enumerating"
+        );
     }
 
     #[test]
@@ -1005,7 +1003,7 @@ mod tests {
             ServiceError::Evaluation(AlgebraError::DeadlineExceeded)
         );
         assert_eq!(err.kind(), "timeout");
-        assert_eq!(svc.metrics().timeouts(), 1);
+        assert_eq!(svc.metrics().snapshot().timeouts, 1);
         assert_eq!(
             svc.latest_trace().unwrap().outcome,
             Some("timeout"),
@@ -1027,7 +1025,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ServiceError::Evaluation(AlgebraError::Cancelled));
         assert_eq!(err.kind(), "cancelled");
-        assert_eq!(svc.metrics().cancelled(), 1);
+        assert_eq!(svc.metrics().snapshot().cancelled, 1);
         assert_eq!(svc.latest_trace().unwrap().outcome, Some("cancelled"));
     }
 
@@ -1039,14 +1037,18 @@ mod tests {
         assert!(matches!(err, ServiceError::InternalPanic(_)), "{err:?}");
         assert_eq!(err.kind(), "internal");
         assert!(err.to_string().contains("chaos"), "{err}");
-        assert_eq!(svc.metrics().panicked(), 1);
+        assert_eq!(svc.metrics().snapshot().panicked, 1);
         assert_eq!(svc.latest_trace().unwrap().outcome, Some("panic"));
         // Disarm and the SAME instance keeps serving — no poison, no stale
         // flight.
         svc.clear_failpoints();
         let ok = svc.submit(SHORTEST).unwrap();
         assert!(ok.outcome.path_count > 0);
-        assert_eq!(svc.metrics().panicked(), 1, "one panic, not a cascade");
+        assert_eq!(
+            svc.metrics().snapshot().panicked,
+            1,
+            "one panic, not a cascade"
+        );
     }
 
     #[test]
@@ -1065,8 +1067,12 @@ mod tests {
             }
         );
         assert_eq!(err.kind(), "overloaded");
-        assert_eq!(svc.metrics().shed(), 1);
-        assert_eq!(svc.metrics().executions(), 0, "shed before execute");
+        assert_eq!(svc.metrics().snapshot().shed, 1);
+        assert_eq!(
+            svc.metrics().snapshot().executions,
+            0,
+            "shed before execute"
+        );
         assert_eq!(svc.latest_trace().unwrap().outcome, Some("shed"));
     }
 

@@ -62,28 +62,34 @@ pub struct QueryTrace {
     pub outcome: Option<&'static str>,
 }
 
+impl QueryTrace {
+    /// The record of a request that has just arrived: nothing stamped yet.
+    /// Its id is stamped when the request ends.
+    pub(crate) fn new(surface: QuerySurface, query: &str) -> Self {
+        Self {
+            id: 0,
+            surface,
+            query: query.to_string(),
+            cache: None,
+            dedup: None,
+            epoch: 0,
+            spans: StageSpans::new(),
+            work: WorkCounters::default(),
+            paths: 0,
+            error: None,
+            outcome: None,
+        }
+    }
+}
+
 impl fmt::Display for QueryTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "trace {} surface={}", self.id, self.surface.tag())?;
         if let Some(cache) = self.cache {
-            write!(
-                f,
-                " cache={}",
-                match cache {
-                    CacheStatus::Hit => "hit",
-                    CacheStatus::Miss => "miss",
-                }
-            )?;
+            write!(f, " cache={cache}")?;
         }
         if let Some(dedup) = self.dedup {
-            write!(
-                f,
-                " dedup={}",
-                match dedup {
-                    DedupRole::Leader => "leader",
-                    DedupRole::Waiter => "waiter",
-                }
-            )?;
+            write!(f, " dedup={dedup}")?;
         }
         if let Some(outcome) = self.outcome {
             write!(f, " outcome={outcome}")?;

@@ -78,14 +78,14 @@ pub fn chaos() {
     println!();
 
     println!("-- robustness counters --");
-    let m = service.metrics();
+    let m = service.metrics().snapshot();
     println!(
         "timeouts={} cancelled={} panicked={} shed(this service)={} | shed(capped service)={}",
-        m.timeouts(),
-        m.cancelled(),
-        m.panicked(),
-        m.shed(),
-        capped.metrics().shed()
+        m.timeouts,
+        m.cancelled,
+        m.panicked,
+        m.shed,
+        capped.metrics().snapshot().shed
     );
 }
 

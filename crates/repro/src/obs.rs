@@ -51,7 +51,7 @@ pub fn obs() {
         .expect_err("the K14 walk closure must be refused");
     println!("-- admission rejection recorded with its evidence --");
     println!("refused: {refused}");
-    if let Some((estimate, ceiling)) = gated.metrics().last_rejection() {
+    if let Some((estimate, ceiling)) = gated.metrics().snapshot().last_rejection {
         println!("last rejection: estimate={estimate:.3e} paths vs ceiling={ceiling}");
     }
     println!();

@@ -106,7 +106,7 @@ fn leader_panic_fans_out_typed_to_every_coalesced_waiter() {
     // fully assembled herd rather than racing it.
     svc.set_pre_execute_hook(Box::new(|metrics| {
         let fence = Instant::now() + Duration::from_secs(30);
-        while metrics.dedup_hits() < HERD - 1 {
+        while metrics.snapshot().dedup_hits < HERD - 1 {
             assert!(Instant::now() < fence, "herd never assembled");
             thread::sleep(Duration::from_millis(1));
         }
@@ -140,9 +140,17 @@ fn leader_panic_fans_out_typed_to_every_coalesced_waiter() {
         assert_eq!(err.kind(), "internal", "not a timeout — fan-out beat it");
         assert_eq!(err, &errors[0], "identical typed error for the herd");
     }
-    assert_eq!(svc.metrics().panicked(), 1, "one leader panic counted");
-    assert_eq!(svc.metrics().executions(), 1, "one leader entered execute");
-    assert_eq!(svc.metrics().dedup_hits(), HERD - 1);
+    assert_eq!(
+        svc.metrics().snapshot().panicked,
+        1,
+        "one leader panic counted"
+    );
+    assert_eq!(
+        svc.metrics().snapshot().executions,
+        1,
+        "one leader entered execute"
+    );
+    assert_eq!(svc.metrics().snapshot().dedup_hits, HERD - 1);
     let stamped = svc
         .traces()
         .all()
@@ -180,7 +188,7 @@ fn deadline_fires_mid_enumeration_and_the_service_moves_on() {
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     assert_eq!(err.kind(), "timeout");
-    assert_eq!(svc.metrics().timeouts(), 1);
+    assert_eq!(svc.metrics().snapshot().timeouts, 1);
     let trace = svc.latest_trace().expect("failed request leaves a trace");
     assert_eq!(trace.outcome, Some("timeout"));
 
@@ -225,8 +233,16 @@ fn aborted_run_is_reserved_byte_identically() {
     let second = svc.submit(TRAIL).expect("warm re-serve");
     assert_eq!(second.outcome.canonical_lines(), reference);
 
-    assert_eq!(svc.metrics().timeouts(), 1, "exactly the aborted run");
-    assert_eq!(svc.metrics().served(), 2, "both re-serves succeeded");
+    assert_eq!(
+        svc.metrics().snapshot().timeouts,
+        1,
+        "exactly the aborted run"
+    );
+    assert_eq!(
+        svc.metrics().snapshot().served,
+        2,
+        "both re-serves succeeded"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -419,7 +435,7 @@ fn shutdown_returns_with_an_idle_and_a_never_reading_client_connected() {
         .write_all(format!("{}\n", request.render()).as_bytes())
         .expect("send the query");
     let deadline = Instant::now() + Duration::from_secs(30);
-    while svc.metrics().snapshot().served == 0 || svc.metrics().connections() < 2 {
+    while svc.metrics().snapshot().served == 0 || svc.metrics().snapshot().connections < 2 {
         assert!(Instant::now() < deadline, "the query was never answered");
         thread::sleep(Duration::from_millis(1));
     }
@@ -439,5 +455,5 @@ fn shutdown_returns_with_an_idle_and_a_never_reading_client_connected() {
         !received.ends_with(b"END\n"),
         "the unread answer was cut off, not completed"
     );
-    assert_eq!(svc.metrics().connections(), 0);
+    assert_eq!(svc.metrics().snapshot().connections, 0);
 }

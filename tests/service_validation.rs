@@ -84,7 +84,7 @@ fn thundering_herd_coalesces_onto_one_evaluation() {
     let svc = dense_service(7, 5);
     svc.set_pre_execute_hook(Box::new(|metrics| {
         let deadline = Instant::now() + Duration::from_secs(30);
-        while metrics.dedup_hits() < HERD - 1 {
+        while metrics.snapshot().dedup_hits < HERD - 1 {
             assert!(Instant::now() < deadline, "herd never assembled");
             thread::sleep(Duration::from_millis(1));
         }
@@ -107,9 +107,13 @@ fn thundering_herd_coalesces_onto_one_evaluation() {
     });
     svc.clear_pre_execute_hook();
 
-    assert_eq!(svc.metrics().executions(), 1, "one leader evaluation");
-    assert_eq!(svc.metrics().dedup_hits(), HERD - 1);
-    assert_eq!(svc.metrics().served(), HERD);
+    assert_eq!(
+        svc.metrics().snapshot().executions,
+        1,
+        "one leader evaluation"
+    );
+    assert_eq!(svc.metrics().snapshot().dedup_hits, HERD - 1);
+    assert_eq!(svc.metrics().snapshot().served, HERD);
     let leaders = outputs
         .iter()
         .filter(|(role, ..)| *role == DedupRole::Leader)
@@ -185,7 +189,7 @@ fn herd_output_matches_solo() {
         assert_eq!(lines, &solo, "herd ≡ solo bytes");
     }
     assert!(
-        svc.metrics().executions() <= 8,
+        svc.metrics().snapshot().executions <= 8,
         "never more evaluations than submitters"
     );
 }
@@ -419,16 +423,52 @@ fn admission_rejects_predicted_blowup_before_enumerating() {
     }
     assert_eq!(err.kind(), "admission");
     assert_eq!(
-        svc.metrics().executions(),
+        svc.metrics().snapshot().executions,
         0,
         "rejection precedes evaluation"
     );
-    assert_eq!(svc.metrics().admission_rejected(), 1);
+    assert_eq!(svc.metrics().snapshot().admission_rejected, 1);
     // The rejecting estimate rides along with the counter, so observed vs
     // ceiling is reportable from the metrics alone.
-    let (estimate, ceiling) = svc.metrics().last_rejection().expect("evidence");
+    let (estimate, ceiling) = svc.metrics().snapshot().last_rejection.expect("evidence");
     assert_eq!(ceiling, 1_000.0);
     assert!(estimate > ceiling, "estimate {estimate} over ceiling");
+}
+
+/// Admission prices an anchored ϕ at its anchored share: a source- and a
+/// target-anchored lookup on the benchmark's SNB-10 000 graph, whose bare
+/// closures are estimated past the default ceiling (≈ 7.3 and ≈ 21.9
+/// million paths), are admitted under the default `ServiceConfig` and
+/// answered.
+#[test]
+fn anchored_lookups_answer_under_the_default_ceiling() {
+    let graph = Arc::new(snb_like_graph(&SnbConfig::scale(10_000, 11)));
+    for (query, max_length, paths) in [
+        (
+            r#"MATCH ANY SHORTEST WALK p = (?x {name:"Lisa1234"})-[:Knows+]->(?y)"#,
+            5,
+            359,
+        ),
+        (
+            r#"MATCH ALL SHORTEST WALK p = (?x)-[:Knows+]->(?y {name:"Lisa1234"})"#,
+            6,
+            1_375,
+        ),
+    ] {
+        let config = ServiceConfig {
+            recursion: RecursionConfig {
+                max_length: Some(max_length),
+                ..RecursionConfig::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let svc = QueryService::new(graph.clone(), config);
+        let served = svc
+            .submit(query)
+            .unwrap_or_else(|e| panic!("{query} at max_length {max_length}: {e}"));
+        assert_eq!(served.outcome.path_count, paths, "{query}");
+        assert_eq!(svc.metrics().snapshot().admission_rejected, 0, "{query}");
+    }
 }
 
 /// The default per-request quota is one constant: a thread count handed to
@@ -501,6 +541,135 @@ fn budget_exhaustion_is_typed_and_does_not_wedge_the_service() {
             .expect("service must recover after a budget fault");
         assert!(followup.outcome.path_count > 0);
     }
+}
+
+// ---------------------------------------------------------------------------
+// One record per request: every counter agrees with the kept traces
+// ---------------------------------------------------------------------------
+
+/// One request of every kind — a success, a parse error, an admission
+/// refusal, a shed behind a fenced leader, a deadline timeout and an
+/// explicit cancel — and every counter in the snapshot equals the number of
+/// retained traces with that outcome.
+#[test]
+fn every_counter_matches_the_traces_of_one_request_of_each_kind() {
+    use pathalg::algebra::budget::CancelToken;
+    use pathalg::server::trace::QueryTrace;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let config = ServiceConfig {
+        admission_ceiling: Some(1_000.0),
+        max_concurrent: Some(1),
+        ..ServiceConfig::default()
+    };
+    let svc = Arc::new(QueryService::new(
+        Arc::new(complete_graph(14, "Knows")),
+        config,
+    ));
+    let hop = "MATCH ALL WALK p = (?x)-[:Knows]->(?y)";
+    let two_hops = "MATCH ALL WALK p = (?x)-[:Knows/:Knows]->(?y)";
+
+    let ok = svc
+        .submit(hop)
+        .expect("a plain hop is admitted and answered");
+    assert!(ok.outcome.path_count > 0);
+    assert_eq!(svc.submit("NOT GQL AT ALL").unwrap_err().kind(), "parse");
+    assert_eq!(svc.submit(TRAIL).unwrap_err().kind(), "admission");
+
+    // The shed: a leader holds the only execution permit on the fence
+    // while a different query arrives.
+    let (entered, release) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    svc.set_pre_execute_hook(Box::new({
+        let (entered, release) = (entered.clone(), release.clone());
+        move |_| {
+            entered.store(true, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !release.load(Ordering::SeqCst) {
+                assert!(Instant::now() < deadline, "the fence was never released");
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }));
+    let leader = {
+        let svc = svc.clone();
+        thread::spawn(move || svc.submit(two_hops))
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !entered.load(Ordering::SeqCst) {
+        assert!(
+            Instant::now() < deadline,
+            "the leader never reached the fence"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(svc.submit(hop).unwrap_err().kind(), "overloaded");
+    release.store(true, Ordering::SeqCst);
+    assert!(
+        leader.join().unwrap().is_ok(),
+        "the fenced leader is served"
+    );
+    svc.clear_pre_execute_hook();
+
+    assert_eq!(
+        svc.submit_with_deadline(hop, Duration::ZERO)
+            .unwrap_err()
+            .kind(),
+        "timeout"
+    );
+    let token = Arc::new(CancelToken::new());
+    token.cancel();
+    assert_eq!(
+        svc.submit_on_token(QuerySurface::Gql, hop, token)
+            .unwrap_err()
+            .kind(),
+        "cancelled"
+    );
+
+    let traces = svc.traces().all();
+    assert_eq!(traces.len(), 7, "one trace per request");
+    let count =
+        |keep: &dyn Fn(&QueryTrace) -> bool| traces.iter().filter(|t| keep(t)).count() as u64;
+    let outcome = |name: &'static str| move |t: &QueryTrace| t.outcome == Some(name);
+    let m = svc.metrics().snapshot();
+    assert_eq!(m.served, count(&|t| t.error.is_none()));
+    assert_eq!(m.served, 2);
+    assert_eq!(m.timeouts, count(&outcome("timeout")));
+    assert_eq!(m.cancelled, count(&outcome("cancelled")));
+    assert_eq!(m.shed, count(&outcome("shed")));
+    assert_eq!(m.panicked, count(&outcome("panic")));
+    assert_eq!((m.timeouts, m.cancelled, m.shed, m.panicked), (1, 1, 1, 0));
+    assert_eq!(
+        m.admission_rejected,
+        count(&|t| t
+            .error
+            .as_deref()
+            .is_some_and(|e| e.starts_with("admission rejected")))
+    );
+    assert_eq!(m.admission_rejected, 1);
+    assert_eq!(
+        m.executions,
+        count(&|t| t.spans.get(Stage::Execute).is_some())
+    );
+    assert_eq!(
+        m.executions, 4,
+        "the two successes, the timeout and the cancel"
+    );
+    assert_eq!(m.dedup_hits, count(&|t| t.dedup == Some(DedupRole::Waiter)));
+    assert_eq!(m.cache_hits, count(&|t| t.cache == Some(CacheStatus::Hit)));
+    assert_eq!(
+        m.cache_misses,
+        count(&|t| t.cache == Some(CacheStatus::Miss))
+    );
+    assert_eq!(
+        m.cache_hits + m.cache_misses,
+        6,
+        "all but the parse error planned"
+    );
+    assert_eq!(m.by_surface.iter().sum::<u64>(), traces.len() as u64);
+    assert_eq!(m.last_rejection.map(|(_, ceiling)| ceiling), Some(1_000.0));
 }
 
 // ---------------------------------------------------------------------------
