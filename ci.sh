@@ -7,6 +7,7 @@
 #                         Path built between the kernel and the wire,
 #                         no second plan walk in the engine,
 #                         one request record, one SNB generator,
+#                         one price per anchored ϕ,
 #                         release build, tests, docs
 #                         -D warnings, bench compile, benchmark package
 #                         check, a 2 s benchmark run of every workload
@@ -118,6 +119,13 @@ full() {
     fi
     if [ "$(sed '/^mod tests/,$d' crates/pathalg-graph/src/generator/snb.rs | grep -c 'seed_from_u64')" -gt 1 ]; then
         echo "ci.sh: the SNB graph and its streamed label CSR read one edge stream, snb_edges (generator/snb.rs)" >&2
+        exit 1
+    fi
+
+    step "one price per anchored ϕ: admission and the recorded decision read one estimate"
+    if sed '/#\[cfg(test)\]/,$d' crates/pathalg-engine/src/exec.rs | grep -n "estimate_phi(" ||
+        sed '/#\[cfg(test)\]/,$d' crates/pathalg-engine/src/cost.rs | grep -n "endpoint_split("; then
+        echo "ci.sh: cost::estimate_drain prices the drains exec::kernel_drain recognises; neither file prices or recognises an anchor itself" >&2
         exit 1
     fi
 

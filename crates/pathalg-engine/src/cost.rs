@@ -13,10 +13,13 @@
 //! strategy report, and the shape of a ϕ base alone picks its
 //! implementation (see [`crate::exec`]).
 
-use pathalg_core::condition::{Accessor, Condition, Position};
+use crate::exec::{kernel_drain, EndpointSplit};
+use pathalg_core::condition::{Accessor, CompareOp, Condition, Position};
 use pathalg_core::expr::PlanExpr;
 use pathalg_core::ops::projection::Take;
-use pathalg_core::ops::recursive::PathSemantics;
+use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
+use pathalg_graph::graph::PropertyGraph;
+use pathalg_graph::ids::NodeId;
 use pathalg_graph::stats::GraphStats;
 
 /// Default selectivity of a property-equality predicate when nothing better is
@@ -202,7 +205,7 @@ fn closure_estimate_from(
 /// The expansion horizon charged to a closure estimate: the recursion bound
 /// expressed in `seg_len`-edge levels when one is set, capped by the fixed
 /// [`RECURSION_HORIZON`].
-fn closure_levels(recursion: &pathalg_core::ops::recursive::RecursionConfig, seg_len: f64) -> f64 {
+fn closure_levels(recursion: &RecursionConfig, seg_len: f64) -> f64 {
     recursion
         .max_length
         .map(|l| (l as f64 / seg_len).floor().max(1.0))
@@ -233,7 +236,7 @@ pub(crate) fn estimate_closure(
     stats: &GraphStats,
     labels: &[&str],
     semantics: PathSemantics,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
+    recursion: &RecursionConfig,
 ) -> ClosureEstimate {
     let seg_len = labels.len().max(1) as f64;
     let base = labels
@@ -271,7 +274,7 @@ pub(crate) fn estimate_phi(
     stats: &GraphStats,
     semantics: PathSemantics,
     base_plan: &PlanExpr,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
+    recursion: &RecursionConfig,
 ) -> ClosureEstimate {
     if let Some(chain) = base_plan.label_scan_chain() {
         return estimate_closure(stats, &chain, semantics, recursion);
@@ -282,69 +285,92 @@ pub(crate) fn estimate_phi(
     closure_estimate_from(base, base / nodes, stats.is_cyclic(), semantics, levels)
 }
 
-/// Estimates every recursive closure of a plan: walks the tree and returns
-/// one `(operator rendering, estimate)` pair per ϕ node, outermost first. A
-/// ϕ under an endpoint σ is priced at the anchored share of its closure:
-/// its `paths` scaled by the selectivity of each part of the σ's
-/// [`Condition::endpoint_split`] (not under unbounded Walk, whose σ is
-/// evaluated above the closure).
+/// Estimates every recursive closure of a plan: one `(ϕ rendering,
+/// estimate)` pair per drain the engine runs (`exec`'s one recogniser),
+/// outermost first, each priced as its strategy decision records it
+/// (`estimate_drain`), here without the graph's posting index.
 /// This is the admission-control view of the cost model — a serving layer
 /// calls it *before* evaluation starts, so a query whose closure is
 /// predicted to blow up past the service's ceiling can be rejected with a
-/// typed error instead of aborting mid-enumeration (`estimate_phi` is the
-/// per-node estimator; the blow-up predicate is
-/// [`ClosureEstimate::blows_up`]).
+/// typed error instead of aborting mid-enumeration (the blow-up predicate
+/// is [`ClosureEstimate::blows_up`]).
 pub fn estimate_plan_closures(
     plan: &PlanExpr,
     stats: &GraphStats,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
+    recursion: &RecursionConfig,
 ) -> Vec<(String, ClosureEstimate)> {
     let mut out = Vec::new();
-    collect_plan_closures(plan, stats, recursion, &mut out);
+    collect_plan_closures(plan, stats, None, recursion, &mut out);
     out
 }
 
-fn collect_plan_closures(
+/// Appends [`estimate_plan_closures`]' pairs to `out`, reading the posting
+/// index of `graph` when given: the planner's admission estimates.
+pub(crate) fn collect_plan_closures(
     plan: &PlanExpr,
     stats: &GraphStats,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
+    graph: Option<&PropertyGraph>,
+    recursion: &RecursionConfig,
     out: &mut Vec<(String, ClosureEstimate)>,
 ) {
-    match plan {
-        PlanExpr::Nodes | PlanExpr::Edges => {}
-        PlanExpr::Selection { condition, input } => {
-            let at = out.len();
-            collect_plan_closures(input, stats, recursion, out);
-            // A σ directly above a ϕ whose condition splits into first- and
-            // last-node parts runs as that drain's endpoint masks, so only
-            // the anchored share of the closure is enumerated — except under
-            // unbounded Walk, where the σ stays above the drain.
-            if let PlanExpr::Recursive { semantics, .. } = &**input {
-                let unbounded_walk =
-                    *semantics == PathSemantics::Walk && recursion.max_length.is_none();
-                if let (false, Some((first, last))) = (unbounded_walk, condition.endpoint_split()) {
-                    out[at].1.paths *= [first, last]
-                        .iter()
-                        .flatten()
-                        .map(|part| condition_selectivity(part, stats))
-                        .product::<f64>();
-                }
-            }
+    let Some(drain) = kernel_drain(plan, recursion) else {
+        for child in plan.children() {
+            collect_plan_closures(child, stats, graph, recursion, out);
         }
-        PlanExpr::GroupBy { input, .. }
-        | PlanExpr::OrderBy { input, .. }
-        | PlanExpr::Projection { input, .. } => collect_plan_closures(input, stats, recursion, out),
-        PlanExpr::Join { left, right } | PlanExpr::Union { left, right } => {
-            collect_plan_closures(left, stats, recursion, out);
-            collect_plan_closures(right, stats, recursion, out);
-        }
-        PlanExpr::Recursive { semantics, input } => {
-            out.push((
-                plan.to_string(),
-                estimate_phi(stats, *semantics, input, recursion),
-            ));
-            collect_plan_closures(input, stats, recursion, out);
-        }
+        return;
+    };
+    let (semantics, base, split) = (drain.semantics, drain.base, drain.split.as_ref());
+    let estimate = estimate_drain(stats, graph, semantics, base, split, recursion);
+    out.push((format!("ϕ{}({base})", semantics.keyword()), estimate));
+    collect_plan_closures(base, stats, graph, recursion, out);
+}
+
+/// The estimate of one drain, `ϕ_semantics(base)` under an endpoint σ's
+/// parts: [`estimate_phi`] times each part's share of the nodes — its
+/// posting length over the node count where the graph's posting index
+/// answers it ([`smallest_posting`]), its `condition_selectivity`
+/// otherwise. Admission and the engine's strategy decision read this.
+pub(crate) fn estimate_drain(
+    stats: &GraphStats,
+    graph: Option<&PropertyGraph>,
+    semantics: PathSemantics,
+    base: &PlanExpr,
+    split: Option<&EndpointSplit>,
+    recursion: &RecursionConfig,
+) -> ClosureEstimate {
+    let mut estimate = estimate_phi(stats, semantics, base, recursion);
+    let nodes = stats.node_count().max(1) as f64;
+    let share = |part: &Condition| match graph.and_then(|g| smallest_posting(g, part)) {
+        Some(postings) => postings.len() as f64 / nodes,
+        None => condition_selectivity(part, stats),
+    };
+    if let Some((first, last)) = split {
+        let parts = [first, last].into_iter().flatten();
+        estimate.paths *= parts.map(share).product::<f64>();
+    }
+    estimate
+}
+
+/// The smallest posting list of a conjunct `first|last.key = c` of
+/// `condition` that the graph's posting index answers exactly
+/// ([`PropertyGraph::nodes_with_property_value`]), the leftmost on a tie:
+/// no node outside it satisfies the condition.
+pub(crate) fn smallest_posting<'g>(
+    graph: &'g PropertyGraph,
+    condition: &Condition,
+) -> Option<&'g [NodeId]> {
+    match condition {
+        Condition::And(a, b) => match (smallest_posting(graph, a), smallest_posting(graph, b)) {
+            (Some(a), Some(b)) => Some(if b.len() < a.len() { b } else { a }),
+            (a, b) => a.or(b),
+        },
+        Condition::Compare {
+            accessor:
+                Accessor::NodeProperty(Position::First | Position::Last | Position::Index(1), key),
+            op: CompareOp::Eq,
+            value,
+        } => graph.nodes_with_property_value(key, value),
+        _ => None,
     }
 }
 
@@ -361,7 +387,7 @@ fn collect_plan_closures(
 /// [`pathalg_core::slice::SlicePlan::lazy_eligible`]).
 pub fn choose_pipeline_impl<'a>(
     plan: &'a pathalg_core::expr::PlanExpr,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
+    recursion: &RecursionConfig,
 ) -> Option<pathalg_core::slice::SlicePlan<'a>> {
     plan.sliceable_pipeline()
         .filter(|sliced| sliced.lazy_eligible(recursion))
@@ -663,6 +689,57 @@ mod tests {
             )[0]
             .1
         );
+    }
+
+    /// An anchor value many nodes hold: with the graph, admission prices
+    /// the anchored ϕ at the value's posting share (15 of 20 nodes), not
+    /// the flat 0.1, and the engine's decision records the same estimate.
+    #[test]
+    fn a_posting_anchor_is_priced_at_its_posting_share() {
+        use crate::exec::{EngineEvaluator, ExecutionConfig};
+        use pathalg_graph::graph::GraphBuilder;
+        use pathalg_graph::value::Value;
+
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<_> = (0..20)
+            .map(|i| {
+                b.add_node(
+                    "Person",
+                    [("team", if i % 4 == 0 { "red" } else { "blue" })],
+                )
+            })
+            .collect();
+        for i in 0..20 {
+            for hop in [1, 3] {
+                b.add_edge(
+                    nodes[i],
+                    nodes[(i + hop) % 20],
+                    "Knows",
+                    Vec::<(&str, Value)>::new(),
+                );
+            }
+        }
+        let g = b.build();
+        let s = GraphStats::compute(&g);
+        let recursion = RecursionConfig::with_max_length(4);
+        let phi = knows_scan().recursive(PathSemantics::Shortest);
+        let anchored = phi
+            .clone()
+            .select(Condition::first_property("team", "blue"));
+        let bare = estimate_plan_closures(&phi, &s, &recursion)[0].1.paths;
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b;
+        let stats_only = estimate_plan_closures(&anchored, &s, &recursion)[0].1;
+        assert!(close(stats_only.paths, bare * 0.1), "{stats_only}");
+        let mut priced = Vec::new();
+        collect_plan_closures(&anchored, &s, Some(&g), &recursion, &mut priced);
+        let [(_, priced)] = priced[..] else {
+            panic!("one ϕ, one estimate");
+        };
+        assert!(close(priced.paths, bare * 0.75), "{priced}");
+        let mut engine =
+            EngineEvaluator::new(&g, recursion, ExecutionConfig::default()).with_graph_stats(&s);
+        engine.eval_paths(&anchored).unwrap();
+        assert_eq!(engine.decisions()[0].estimate, Some(priced));
     }
 
     #[test]

@@ -46,9 +46,9 @@
 //! identical to the reference evaluator as *sets* for every plan
 //! (cross-validated in `tests/cross_validation.rs`).
 
-use crate::cost::{choose_pipeline_impl, estimate_phi, ClosureEstimate};
+use crate::cost::{choose_pipeline_impl, estimate_drain, smallest_posting, ClosureEstimate};
 use pathalg_core::budget::CancelToken;
-use pathalg_core::condition::{Accessor, CompareOp, Condition, Position};
+use pathalg_core::condition::Condition;
 use pathalg_core::error::AlgebraError;
 use pathalg_core::eval::{EvalConfig, EvalOutput, EvalStats, Evaluator, Physical};
 use pathalg_core::expr::PlanExpr;
@@ -153,7 +153,7 @@ impl<'g> EngineEvaluator<'g> {
     }
 
     /// Attaches precomputed [`GraphStats`]: every ϕ dispatch then records its
-    /// closure estimate (`crate::cost::estimate_phi`) next to the strategy
+    /// closure estimate (`crate::cost::estimate_drain`) next to the strategy
     /// it ran. The runner always does this; statistics never change results
     /// or which implementation runs.
     pub fn with_graph_stats(mut self, stats: &'g GraphStats) -> Self {
@@ -227,7 +227,7 @@ impl<'g> EngineEvaluator<'g> {
         expr: &PlanExpr,
         mut visit: impl FnMut(&[NodeId], &[EdgeId]),
     ) -> Result<usize, AlgebraError> {
-        let Some(drain) = self.kernel.kernel_drain(expr) else {
+        let Some(drain) = kernel_drain(expr, &self.kernel.recursion) else {
             let paths = self.eval_paths(expr)?;
             for path in &paths {
                 visit(path.nodes(), path.edges());
@@ -258,14 +258,14 @@ struct Kernel<'g> {
 
 impl Physical for Kernel<'_> {
     /// Polls the cancellation token before every operator, and takes every
-    /// node [`Kernel::kernel_drain`] recognises.
+    /// node [`kernel_drain`] recognises.
     fn take(
         &mut self,
         walk: &mut Evaluator<'_>,
         expr: &PlanExpr,
     ) -> Result<Option<EvalOutput>, AlgebraError> {
         self.check_cancel()?;
-        match self.kernel_drain(expr) {
+        match kernel_drain(expr, &self.recursion) {
             Some(drain) => Ok(Some(EvalOutput::Paths(self.collect_drain(walk, drain)?))),
             None => Ok(None),
         }
@@ -279,63 +279,6 @@ impl Kernel<'_> {
             Some(token) => token.check(),
             None => Ok(()),
         }
-    }
-
-    /// Recognises a node that runs as one kernel drain: a ϕ; `σc(ϕ(base))`
-    /// whose `c` splits into first- and last-node parts
-    /// ([`Condition::endpoint_split`]), taken as endpoint masks; either of
-    /// them under the ALL selector's `π(*,*,*)(γ∅(…))`, which keeps its one
-    /// group whole and in order; or a sliceable
-    /// `π(τ?(γ(σ?(ϕ(scan or chain)))))` pipeline ([`choose_pipeline_impl`]),
-    /// its limits taken as a slice. Unbounded Walk keeps its σ above the
-    /// drain and its pipeline materialised, as in
-    /// [`pathalg_core::slice::SlicePlan::lazy_eligible`]: the kernel proves
-    /// that answer infinite by expanding every source, and a source mask or
-    /// an early stop could hide the cycle.
-    fn kernel_drain<'p>(&self, expr: &'p PlanExpr) -> Option<KernelDrain<'p>> {
-        let (semantics, base, split, slice) = match expr {
-            PlanExpr::Recursive { semantics, input } => (*semantics, &**input, None, None),
-            PlanExpr::Selection { condition, input } => {
-                let PlanExpr::Recursive { semantics, input } = &**input else {
-                    return None;
-                };
-                if *semantics == PathSemantics::Walk && self.recursion.max_length.is_none() {
-                    return None;
-                }
-                (
-                    *semantics,
-                    &**input,
-                    Some(condition.endpoint_split()?),
-                    None,
-                )
-            }
-            // A projection the walk refuses is left to it.
-            PlanExpr::Projection { spec, input } if spec.validate().is_ok() => {
-                if let PlanExpr::GroupBy { key, input } = &**input {
-                    if *key == GroupKey::Empty && *spec == ProjectionSpec::all() {
-                        let drain = self.kernel_drain(input)?;
-                        return Some(KernelDrain {
-                            wrappers: drain.wrappers + 2,
-                            ..drain
-                        });
-                    }
-                }
-                let plan = choose_pipeline_impl(expr, &self.recursion)?;
-                let split = plan.filter.map(|c| {
-                    c.endpoint_split()
-                        .expect("lazy_eligible checked the filter splits")
-                });
-                (plan.semantics, plan.base, split, Some(plan.spec))
-            }
-            _ => return None,
-        };
-        Some(KernelDrain {
-            semantics,
-            base,
-            split,
-            slice,
-            wrappers: 0,
-        })
     }
 
     /// [`Kernel::drain_kernel`] collected into a `PathSet`, in order: the
@@ -395,9 +338,12 @@ impl Kernel<'_> {
             wrappers,
         } = drain;
         walk.stats_mut().recursive_calls += 1;
-        let pushed = split.is_some();
+        let (split, pushed) = (split.as_ref(), split.is_some());
         let mut filter = split
-            .map(|split| self.endpoint_filter(split))
+            .map(|(first, last)| EndpointFilter {
+                sources: first.as_ref().map(|c| self.node_mask(c)),
+                targets: last.as_ref().map(|c| self.node_mask(c)),
+            })
             .unwrap_or_default();
         let labels = base.label_scan_chain();
         let graph = self.graph;
@@ -420,9 +366,9 @@ impl Kernel<'_> {
             && labels.is_some()
             && targets.1 < sources.1
             && slice.as_ref().is_none_or(Pmr::slices_backwards);
-        let estimate = self
-            .graph_stats
-            .map(|stats| estimate_phi(stats, semantics, base, &self.recursion));
+        let estimate = self.graph_stats.map(|stats| {
+            estimate_drain(stats, Some(graph), semantics, base, split, &self.recursion)
+        });
         let (shape, pmr) = match &labels {
             Some(labels) => {
                 let hops: Arc<[CsrGraph]> = if reversed {
@@ -471,14 +417,6 @@ impl Kernel<'_> {
         if reversed {
             operator += ", reversed";
         }
-        // A pushed σ narrows the estimate by each side's marked share.
-        let share = |marked| marked as f64 / graph.node_count().max(1) as f64;
-        let estimate = estimate.map(|mut estimate| {
-            if pushed {
-                estimate.paths *= share(sources.0) * share(targets.0);
-            }
-            estimate
-        });
         self.decisions.push(StrategyDecision {
             operator,
             chosen,
@@ -525,14 +463,6 @@ impl Kernel<'_> {
         Ok(n)
     }
 
-    /// The node masks of a split endpoint σ (see [`Kernel::node_mask`]).
-    fn endpoint_filter(&self, (first, last): EndpointSplit) -> EndpointFilter {
-        EndpointFilter {
-            sources: first.map(|c| self.node_mask(&c)),
-            targets: last.map(|c| self.node_mask(&c)),
-        }
-    }
-
     /// One side of a drain: the nodes `mask` marks and the edges of `hop`
     /// leaving them, an absent mask marking every node (and so counting
     /// every edge of the hop); no hop, no edges.
@@ -561,31 +491,13 @@ impl Kernel<'_> {
 
     /// The keep-mask of a per-node condition (a pure first- or last-node
     /// predicate, see [`Condition::endpoint_split`]), pushed into the PMR
-    /// expansion. When a conjunct `first|last.key = c` is one the graph's
-    /// posting index answers exactly
-    /// ([`PropertyGraph::nodes_with_property_value`]), the condition is
-    /// evaluated only on the postings of the smallest such conjunct: no
-    /// other node can satisfy it. Otherwise it is evaluated on every node.
+    /// expansion. When the graph's posting index answers a conjunct
+    /// ([`smallest_posting`]), the condition is evaluated only on that
+    /// conjunct's postings: no other node can satisfy it. Otherwise it is
+    /// evaluated on every node.
     fn node_mask(&self, condition: &Condition) -> Vec<bool> {
         let holds = |v: NodeId| condition.eval(&Path::node(v), self.graph);
-        let mut conjuncts = Vec::new();
-        flatten_and(condition, &mut conjuncts);
-        let postings = conjuncts
-            .into_iter()
-            .filter_map(|c| match c {
-                Condition::Compare {
-                    accessor:
-                        Accessor::NodeProperty(
-                            Position::First | Position::Last | Position::Index(1),
-                            key,
-                        ),
-                    op: CompareOp::Eq,
-                    value,
-                } => self.graph.nodes_with_property_value(key, value),
-                _ => None,
-            })
-            .min_by_key(|postings| postings.len());
-        let Some(postings) = postings else {
+        let Some(postings) = smallest_posting(self.graph, condition) else {
             return self.graph.nodes().map(holds).collect();
         };
         let mut mask = vec![false; self.graph.node_count()];
@@ -596,18 +508,76 @@ impl Kernel<'_> {
     }
 }
 
+/// Recognises a node that runs as one kernel drain: a ϕ; `σc(ϕ(base))`
+/// whose `c` splits into first- and last-node parts
+/// ([`Condition::endpoint_split`]), taken as endpoint masks; either of
+/// them under the ALL selector's `π(*,*,*)(γ∅(…))`, which keeps its one
+/// group whole and in order; or a sliceable
+/// `π(τ?(γ(σ?(ϕ(scan or chain)))))` pipeline ([`choose_pipeline_impl`]),
+/// its limits taken as a slice. Unbounded Walk keeps its σ above the
+/// drain and its pipeline materialised, as in
+/// [`pathalg_core::slice::SlicePlan::lazy_eligible`]: the kernel proves
+/// that answer infinite by expanding every source, and a source mask or
+/// an early stop could hide the cycle. The one recogniser: the kernel half
+/// runs what it returns, and admission
+/// ([`crate::cost::estimate_plan_closures`]) prices it.
+pub(crate) fn kernel_drain<'p>(
+    expr: &'p PlanExpr,
+    recursion: &RecursionConfig,
+) -> Option<KernelDrain<'p>> {
+    let (semantics, base, split, slice) = match expr {
+        PlanExpr::Recursive { semantics, input } => (*semantics, &**input, None, None),
+        PlanExpr::Selection { condition, input } => {
+            let PlanExpr::Recursive { semantics, input } = &**input else {
+                return None;
+            };
+            if *semantics == PathSemantics::Walk && recursion.max_length.is_none() {
+                return None;
+            }
+            let split = condition.endpoint_split()?;
+            (*semantics, &**input, Some(split), None)
+        }
+        // A projection the walk refuses is left to it.
+        PlanExpr::Projection { spec, input } if spec.validate().is_ok() => {
+            if let PlanExpr::GroupBy { key, input } = &**input {
+                if *key == GroupKey::Empty && *spec == ProjectionSpec::all() {
+                    let drain = kernel_drain(input, recursion)?;
+                    return Some(KernelDrain {
+                        wrappers: drain.wrappers + 2,
+                        ..drain
+                    });
+                }
+            }
+            let plan = choose_pipeline_impl(expr, recursion)?;
+            let split = plan.filter.map(|c| {
+                c.endpoint_split()
+                    .expect("lazy_eligible checked the filter splits")
+            });
+            (plan.semantics, plan.base, split, Some(plan.spec))
+        }
+        _ => return None,
+    };
+    Some(KernelDrain {
+        semantics,
+        base,
+        split,
+        slice,
+        wrappers: 0,
+    })
+}
+
 /// The first-node and last-node parts of an endpoint σ
 /// ([`Condition::endpoint_split`]); an absent part constrains nothing.
-type EndpointSplit = (Option<Condition>, Option<Condition>);
+pub(crate) type EndpointSplit = (Option<Condition>, Option<Condition>);
 
 /// A plan node that runs as one kernel drain: `ϕ_semantics(base)`,
 /// `σc(ϕ_semantics(base))` whose σ the drain takes as endpoint masks, or a
 /// sliced pipeline over either, under any number of ALL selectors.
-struct KernelDrain<'p> {
-    semantics: PathSemantics,
-    base: &'p PlanExpr,
+pub(crate) struct KernelDrain<'p> {
+    pub(crate) semantics: PathSemantics,
+    pub(crate) base: &'p PlanExpr,
     /// The pushed σ's parts; `None` for a bare ϕ.
-    split: Option<EndpointSplit>,
+    pub(crate) split: Option<EndpointSplit>,
     /// The sliced pipeline's limits; `None` for a drain.
     slice: Option<SliceSpec>,
     /// The ALL selectors' `π(*,*,*)` and `γ∅` between the node taken and
@@ -621,22 +591,11 @@ fn owned_path(nodes: &[NodeId], edges: &[EdgeId]) -> Path {
         .expect("kernel drains emit well-formed paths")
 }
 
-/// The conjuncts of `condition`: its `∧` tree flattened, left to right.
-fn flatten_and<'c>(condition: &'c Condition, out: &mut Vec<&'c Condition>) {
-    match condition {
-        Condition::And(a, b) => {
-            flatten_and(a, out);
-            flatten_and(b, out);
-        }
-        other => out.push(other),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::choose_pipeline_impl;
-    use pathalg_core::condition::Condition;
+    use pathalg_core::condition::{Accessor, CompareOp, Condition, Position};
     use pathalg_core::ops::group_by::group_by;
     use pathalg_core::ops::order_by::order_by;
     use pathalg_core::ops::projection::projection;

@@ -26,7 +26,7 @@
 //! the evaluation statistics, so callers can print an `EXPLAIN ANALYZE`-style
 //! report.
 
-use crate::cost::{estimate, estimate_plan_closures, ClosureEstimate, CostEstimate};
+use crate::cost::{collect_plan_closures, estimate, ClosureEstimate, CostEstimate};
 use crate::exec::{ran_lazy_pipeline, EngineEvaluator, ExecutionConfig, StrategyDecision};
 use pathalg_core::error::AlgebraError;
 use pathalg_core::eval::EvalStats;
@@ -90,8 +90,8 @@ pub struct PlannedQuery {
     pub plan: PlanExpr,
     /// The optimizer rewrites that fired.
     pub rewrites: Vec<RewriteEvent>,
-    /// Closure estimates of every recursive operator, outermost first
-    /// ([`estimate_plan_closures`]) — the service's admission evidence.
+    /// Closure estimates of every kernel drain, outermost first, priced as
+    /// its strategy decision records it — the service's admission evidence.
     pub closures: Vec<(String, ClosureEstimate)>,
 }
 
@@ -117,15 +117,21 @@ impl Planner {
         }
     }
 
-    /// Optimizes a checked plan (when enabled) and estimates the closures of
-    /// the optimized plan under `recursion`.
-    pub fn plan(&self, checked: &PlanExpr, recursion: &RecursionConfig) -> PlannedQuery {
+    /// Optimizes a checked plan (when enabled) and estimates its closures on
+    /// `graph` under `recursion`, as [`Planner::evaluator`]'s decisions do.
+    pub fn plan(
+        &self,
+        graph: &PropertyGraph,
+        checked: &PlanExpr,
+        recursion: &RecursionConfig,
+    ) -> PlannedQuery {
         let (plan, rewrites) = if self.optimize {
             self.optimizer.optimize_with_trace(checked)
         } else {
             (checked.clone(), Vec::new())
         };
-        let closures = estimate_plan_closures(&plan, &self.stats, recursion);
+        let mut closures = Vec::new();
+        collect_plan_closures(&plan, &self.stats, Some(graph), recursion, &mut closures);
         PlannedQuery {
             plan,
             rewrites,
@@ -304,8 +310,9 @@ impl<'g> QueryRunner<'g> {
         &self,
         checked: &PlanExpr,
     ) -> Result<(PlannedQuery, PathSet, EngineEvaluator<'_>), AlgebraError> {
-        let planned = self.planner.plan(checked, &self.config.recursion);
-        let mut evaluator = self.planner.evaluator(self.graph, self.config.recursion);
+        let (graph, recursion) = (self.graph, self.config.recursion);
+        let planned = self.planner.plan(graph, checked, &recursion);
+        let mut evaluator = self.planner.evaluator(graph, recursion);
         let paths = evaluator.eval_paths(&planned.plan)?;
         Ok((planned, paths, evaluator))
     }

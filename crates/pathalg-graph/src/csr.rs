@@ -4,11 +4,12 @@
 //! representation. A [`CsrGraph`] is the equivalent immutable snapshot:
 //! node-indexed offsets over parallel neighbour/edge columns, each row in
 //! edge-identifier order. [`crate::graph::GraphBuilder::build`] makes every
-//! CSR a graph holds — forward over all edges, its reverse, and one per edge
-//! label, the `σℓ(Edges(G))` each `[:ℓ+]` pattern expands — with the one
-//! builder behind [`CsrGraph::with_label`], so statistics, accessors and the
-//! engine's recursive kernels all read the same columns. The columns sit
-//! behind `Arc`, so a clone shares them.
+//! CSR a graph holds — one per edge label, the `σℓ(Edges(G))` each `[:ℓ+]`
+//! pattern expands, which together hold every edge — with the one builder
+//! behind [`CsrGraph::with_label`], so statistics and the engine's
+//! recursive kernels read the same columns. [`CsrGraph::from_graph`] builds
+//! a fresh CSR over every edge for callers that walk the whole graph. The
+//! columns sit behind `Arc`, so a clone shares them.
 
 use crate::graph::{EdgeData, PropertyGraph};
 use crate::ids::{EdgeId, NodeId};
@@ -55,8 +56,9 @@ impl CsrGraph {
         }
     }
 
-    /// Builds a fresh CSR over all edges of the graph. A built graph already
-    /// holds this snapshot: [`PropertyGraph::csr`] shares it.
+    /// Builds a fresh CSR over all edges of the graph: row `v` holds the
+    /// edges leaving `v` and their targets. A graph holds no such snapshot,
+    /// only its label CSRs.
     pub fn from_graph(graph: &PropertyGraph) -> Self {
         Self::build(graph.node_count(), graph.edge_table(), false, |_| true)
     }
@@ -177,7 +179,7 @@ mod tests {
     #[test]
     fn full_csr_covers_all_edges() {
         let g = labeled_graph();
-        let csr = g.csr();
+        let csr = CsrGraph::from_graph(&g);
         assert_eq!(csr.node_count(), 4);
         assert_eq!(csr.edge_count(), 5);
         let from0: Vec<_> = csr.neighbors(NodeId(0)).collect();
@@ -199,24 +201,22 @@ mod tests {
     #[test]
     fn csr_agrees_with_adjacency_index() {
         let g = labeled_graph();
+        let forward = CsrGraph::from_graph(&g);
+        let reverse = CsrGraph::build(g.node_count(), g.edge_table(), true, |_| true);
         for n in g.nodes() {
-            let via_adj: Vec<_> = g.outgoing(n).iter().map(|&e| (g.target(e), e)).collect();
-            let via_csr: Vec<_> = g.csr().neighbors(n).collect();
-            assert_eq!(via_adj, via_csr);
-            let via_adj: Vec<_> = g
-                .incoming(n)
-                .iter()
-                .map(|&e| (g.endpoints(e).0, e))
-                .collect();
-            let via_csr: Vec<_> = g.reverse_csr().neighbors(n).collect();
-            assert_eq!(via_adj, via_csr);
+            let leaving = g.edges().filter(|&e| g.endpoints(e).0 == n);
+            let via_table: Vec<_> = leaving.map(|e| (g.target(e), e)).collect();
+            assert_eq!(forward.neighbors(n).collect::<Vec<_>>(), via_table);
+            let entering = g.edges().filter(|&e| g.target(e) == n);
+            let via_table: Vec<_> = entering.map(|e| (g.endpoints(e).0, e)).collect();
+            assert_eq!(reverse.neighbors(n).collect::<Vec<_>>(), via_table);
         }
     }
 
     #[test]
     fn out_of_range_node_is_empty() {
         let g = labeled_graph();
-        let csr = g.csr();
+        let csr = CsrGraph::from_graph(&g);
         assert_eq!(csr.neighbors(NodeId(99)).count(), 0);
         assert_eq!(csr.out_degree(NodeId(99)), 0);
         let (targets, edges) = csr.neighbor_slices(NodeId(99));
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn neighbor_slices_agree_with_the_iterator() {
         let g = labeled_graph();
-        for csr in [g.csr().clone(), CsrGraph::with_label(&g, "a")] {
+        for csr in [CsrGraph::from_graph(&g), CsrGraph::with_label(&g, "a")] {
             for n in g.nodes() {
                 let (targets, edges) = csr.neighbor_slices(n);
                 let zipped: Vec<_> = targets.iter().copied().zip(edges.iter().copied()).collect();

@@ -251,12 +251,7 @@ mod tests {
     fn every_message_has_exactly_one_creator() {
         let g = snb_like_graph(&SnbConfig::scale(30, 5));
         for m in g.nodes_with_label("Message") {
-            let creators = g
-                .outgoing(m)
-                .iter()
-                .filter(|&&e| g.label(e) == Some("Has_creator"))
-                .count();
-            assert_eq!(creators, 1);
+            assert_eq!(g.label_csr("Has_creator").out_degree(m), 1);
         }
     }
 

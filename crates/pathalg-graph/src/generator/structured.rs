@@ -134,8 +134,9 @@ mod tests {
         assert_eq!(g.edge_count(), 9);
         assert_eq!(g.edges_with_label("Knows").count(), 9);
         // First node has no incoming, last has no outgoing.
-        assert_eq!(g.incoming(crate::ids::NodeId(0)).len(), 0);
-        assert!(g.outgoing(crate::ids::NodeId(9)).is_empty());
+        let first = crate::ids::NodeId(0);
+        assert_eq!(g.reverse_label_csr("Knows").out_degree(first), 0);
+        assert_eq!(g.label_csr("Knows").out_degree(crate::ids::NodeId(9)), 0);
     }
 
     #[test]
@@ -150,8 +151,8 @@ mod tests {
         assert_eq!(g.node_count(), 6);
         assert_eq!(g.edge_count(), 6);
         for n in g.nodes() {
-            assert_eq!(g.outgoing(n).len(), 1);
-            assert_eq!(g.incoming(n).len(), 1);
+            assert_eq!(g.label_csr("Knows").out_degree(n), 1);
+            assert_eq!(g.reverse_label_csr("Knows").out_degree(n), 1);
         }
     }
 
@@ -178,8 +179,8 @@ mod tests {
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 20);
         for n in g.nodes() {
-            assert_eq!(g.outgoing(n).len(), 4);
-            assert_eq!(g.incoming(n).len(), 4);
+            assert_eq!(g.label_csr("Knows").out_degree(n), 4);
+            assert_eq!(g.reverse_label_csr("Knows").out_degree(n), 4);
         }
     }
 }

@@ -10,10 +10,10 @@
 //! * `ν : (N ∪ E) × P ⇀ V` — a partial function assigning property values.
 //!
 //! Graphs are constructed with [`GraphBuilder`] and are immutable afterwards.
-//! [`GraphBuilder::build`] makes the graph's adjacency once, as CSRs
-//! ([`crate::csr`]): forward over all edges, its reverse, and one per edge
-//! label. The accessors, the optimizer statistics and the engine's recursive
-//! kernels all read those columns, and borrow the same graph without
+//! [`GraphBuilder::build`] makes the graph's adjacency once, as one CSR
+//! ([`crate::csr`]) per edge label; every edge carries a label, so together
+//! they hold every edge. The optimizer statistics and the engine's
+//! recursive kernels read those columns, and borrow the same graph without
 //! synchronisation. Two structures are built later, on first use: the
 //! node-property posting index (the `posting` module), each key's list on its
 //! first lookup, and each label's reverse CSR, which only a search from a
@@ -57,10 +57,6 @@ pub struct EdgeData {
 pub struct PropertyGraph {
     nodes: Vec<NodeData>,
     edges: Vec<EdgeData>,
-    /// Every edge, keyed by source: the graph's out-adjacency.
-    forward: CsrGraph,
-    /// Every edge, keyed by target: the graph's in-adjacency.
-    reverse: CsrGraph,
     /// The CSR of each label some edge carries.
     label_csrs: HashMap<String, CsrGraph>,
     /// The reverse CSR of each label some edge carries, made on first use.
@@ -157,18 +153,6 @@ impl PropertyGraph {
         &self.edges
     }
 
-    /// The CSR over all edges: row `v` holds the edges leaving `v` and their
-    /// targets.
-    pub fn csr(&self) -> &CsrGraph {
-        &self.forward
-    }
-
-    /// The CSR over all edges reversed: row `v` holds the edges entering `v`
-    /// and their sources.
-    pub fn reverse_csr(&self) -> &CsrGraph {
-        &self.reverse
-    }
-
     /// The CSR of the edges carrying `label` — the columns
     /// [`CsrGraph::with_label`] would build, shared. A label no edge carries
     /// yields a CSR without edges.
@@ -205,16 +189,6 @@ impl PropertyGraph {
         self.label_csrs
             .iter()
             .map(|(label, csr)| (label.as_str(), csr))
-    }
-
-    /// Outgoing edges of a node, in edge-identifier order.
-    pub fn outgoing(&self, node: NodeId) -> &[EdgeId] {
-        self.forward.neighbor_slices(node).1
-    }
-
-    /// Incoming edges of a node, in edge-identifier order.
-    pub fn incoming(&self, node: NodeId) -> &[EdgeId] {
-        self.reverse.neighbor_slices(node).1
     }
 
     /// All edges carrying a given label.
@@ -346,12 +320,9 @@ impl GraphBuilder {
         id
     }
 
-    /// Finalises the graph, building its CSRs: forward, reverse, and one per
-    /// edge label.
+    /// Finalises the graph, building one CSR per edge label.
     pub fn build(self) -> PropertyGraph {
         let n = self.nodes.len();
-        let forward = CsrGraph::build(n, &self.edges, false, |_| true);
-        let reverse = CsrGraph::build(n, &self.edges, true, |_| true);
         let mut label_csrs = HashMap::new();
         for edge in &self.edges {
             let Some(label) = &edge.label else { continue };
@@ -370,8 +341,6 @@ impl GraphBuilder {
         PropertyGraph {
             nodes: self.nodes,
             edges: self.edges,
-            forward,
-            reverse,
             label_csrs,
             reverse_label_csrs,
             no_edges: OnceLock::new(),
@@ -383,6 +352,17 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The edges leaving `v`, off a fresh CSR over every edge.
+    fn outgoing(g: &PropertyGraph, v: NodeId) -> Vec<EdgeId> {
+        CsrGraph::from_graph(g).neighbor_slices(v).1.to_vec()
+    }
+
+    /// The edges entering `v`, off a fresh reverse CSR over every edge.
+    fn incoming(g: &PropertyGraph, v: NodeId) -> Vec<EdgeId> {
+        let reverse = CsrGraph::build(g.node_count(), g.edge_table(), true, |_| true);
+        reverse.neighbor_slices(v).1.to_vec()
+    }
 
     fn small_graph() -> PropertyGraph {
         let mut b = GraphBuilder::new();
@@ -422,9 +402,9 @@ mod tests {
     #[test]
     fn adjacency_queries() {
         let g = small_graph();
-        assert_eq!(g.outgoing(NodeId(0)), &[EdgeId(0), EdgeId(1)]);
-        assert_eq!(g.incoming(NodeId(1)), &[EdgeId(0), EdgeId(2)]);
-        assert_eq!(g.incoming(NodeId(1)).len(), 2);
+        assert_eq!(outgoing(&g, NodeId(0)), &[EdgeId(0), EdgeId(1)]);
+        assert_eq!(incoming(&g, NodeId(1)), &[EdgeId(0), EdgeId(2)]);
+        assert_eq!(incoming(&g, NodeId(1)).len(), 2);
         let knows = g.label_csr("Knows").neighbor_slices(NodeId(0)).1;
         assert_eq!(knows, &[EdgeId(0)]);
     }
@@ -458,8 +438,7 @@ mod tests {
             let reverse = g.reverse_label_csr(label);
             assert_eq!(reverse.edge_count(), g.label_csr(label).edge_count());
             for v in g.nodes() {
-                let expected: Vec<(NodeId, EdgeId)> = g
-                    .incoming(v)
+                let expected: Vec<(NodeId, EdgeId)> = incoming(&g, v)
                     .iter()
                     .filter(|&&e| g.label(e) == Some(label))
                     .map(|&e| (g.edge(e).source, e))
@@ -506,8 +485,8 @@ mod tests {
         assert_ne!(e1, e2);
         assert_eq!(g.endpoints(e1), g.endpoints(e2));
         assert_eq!(g.endpoints(loop_edge), (a, a));
-        assert_eq!(g.outgoing(a).len(), 3);
-        assert_eq!(g.incoming(a).len(), 1);
+        assert_eq!(outgoing(&g, a).len(), 3);
+        assert_eq!(incoming(&g, a).len(), 1);
     }
 
     #[test]
@@ -522,12 +501,12 @@ mod tests {
         let e3 = b.add_edge(n2, n0, "x", Vec::<(&str, Value)>::new());
         let g = b.build();
 
-        assert_eq!(g.outgoing(n0), &[e0, e2]);
-        assert_eq!(g.outgoing(n1), &[e1]);
-        assert_eq!(g.outgoing(n2), &[e3]);
-        assert_eq!(g.incoming(n0), &[e3]);
-        assert_eq!(g.incoming(n1), &[e0]);
-        assert_eq!(g.incoming(n2), &[e1, e2]);
+        assert_eq!(outgoing(&g, n0), &[e0, e2]);
+        assert_eq!(outgoing(&g, n1), &[e1]);
+        assert_eq!(outgoing(&g, n2), &[e3]);
+        assert_eq!(incoming(&g, n0), &[e3]);
+        assert_eq!(incoming(&g, n1), &[e0]);
+        assert_eq!(incoming(&g, n2), &[e1, e2]);
     }
 
     #[test]
@@ -536,16 +515,16 @@ mod tests {
         let n0 = b.add_node("A", Vec::<(&str, Value)>::new());
         let _n1 = b.add_node("A", Vec::<(&str, Value)>::new());
         let g = b.build();
-        assert!(g.outgoing(n0).is_empty());
-        assert!(g.incoming(n0).is_empty());
+        assert!(outgoing(&g, n0).is_empty());
+        assert!(incoming(&g, n0).is_empty());
     }
 
     #[test]
     fn out_of_range_node_yields_empty_slices() {
         let g = GraphBuilder::new().build();
-        assert!(g.outgoing(NodeId(5)).is_empty());
-        assert!(g.incoming(NodeId(5)).is_empty());
-        assert_eq!(g.csr().edge_count(), 0);
+        assert!(outgoing(&g, NodeId(5)).is_empty());
+        assert!(incoming(&g, NodeId(5)).is_empty());
+        assert_eq!(CsrGraph::from_graph(&g).edge_count(), 0);
     }
 
     #[test]
@@ -554,8 +533,8 @@ mod tests {
         let n = b.add_node("A", Vec::<(&str, Value)>::new());
         let e = b.add_edge(n, n, "loop", Vec::<(&str, Value)>::new());
         let g = b.build();
-        assert_eq!(g.outgoing(n), &[e]);
-        assert_eq!(g.incoming(n), &[e]);
+        assert_eq!(outgoing(&g, n), &[e]);
+        assert_eq!(incoming(&g, n), &[e]);
     }
 
     #[test]
@@ -572,8 +551,8 @@ mod tests {
             }
         }
         let g = b.build();
-        let out_sum: usize = g.nodes().map(|n| g.outgoing(n).len()).sum();
-        let in_sum: usize = g.nodes().map(|n| g.incoming(n).len()).sum();
+        let out_sum: usize = g.nodes().map(|n| outgoing(&g, n).len()).sum();
+        let in_sum: usize = g.nodes().map(|n| incoming(&g, n).len()).sum();
         assert_eq!(out_sum, g.edge_count());
         assert_eq!(in_sum, g.edge_count());
     }

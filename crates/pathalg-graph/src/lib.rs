@@ -12,8 +12,8 @@
 //! * [`graph`] — the [`graph::PropertyGraph`] itself (`N`, `E`, ρ, λ, ν`), its
 //!   builder, and lookup accessors.
 //! * [`csr`] — Compressed-Sparse-Row adjacency (the representation Oracle
-//!   PGX uses), the graph's one adjacency format: every graph holds a forward,
-//!   a reverse and a per-edge-label CSR, built once.
+//!   PGX uses), the graph's one adjacency format: every graph holds one CSR
+//!   per edge label, built once, and together they hold every edge.
 //! * `posting` — the node-property posting index behind
 //!   [`graph::PropertyGraph::nodes_with_property_value`], built per key on
 //!   first use.

@@ -61,8 +61,9 @@ pub(crate) const MAX_PAIR_STAT_LABELS: usize = 8;
 pub(crate) const MAX_COMPOSITE_EDGES: usize = 200_000;
 
 impl GraphStats {
-    /// Computes statistics for a graph from its stored CSRs
-    /// ([`PropertyGraph::csr`], [`PropertyGraph::edge_label_csrs`]).
+    /// Computes statistics for a graph from its edge table (degrees) and its
+    /// stored label CSRs ([`PropertyGraph::edge_label_csrs`]), which
+    /// together hold every edge.
     pub fn compute(graph: &PropertyGraph) -> Self {
         let node_count = graph.node_count();
         let edge_count = graph.edge_count();
@@ -74,17 +75,27 @@ impl GraphStats {
             }
         }
 
-        let max_degree = |csr: &CsrGraph| graph.nodes().map(|n| csr.out_degree(n)).max();
-        let max_out_degree = max_degree(graph.csr()).unwrap_or(0);
-        let max_in_degree = max_degree(graph.reverse_csr()).unwrap_or(0);
+        let (mut out_degree, mut in_degree) = (vec![0usize; node_count], vec![0usize; node_count]);
+        for e in graph.edge_table() {
+            out_degree[e.source.index()] += 1;
+            in_degree[e.target.index()] += 1;
+        }
+        let max_out_degree = out_degree.into_iter().max().unwrap_or(0);
+        let max_in_degree = in_degree.into_iter().max().unwrap_or(0);
         let avg_out_degree = if node_count == 0 {
             0.0
         } else {
             edge_count as f64 / node_count as f64
         };
-        let cyclic = csr_has_directed_cycle(graph.csr());
 
         let labels: Vec<(&str, &CsrGraph)> = graph.edge_label_csrs().collect();
+        // Every edge carries a label: the label CSRs' union is the graph.
+        let cyclic = has_directed_cycle(node_count, |u| {
+            let u = NodeId(u as u32);
+            labels
+                .iter()
+                .flat_map(move |(_, csr)| csr.neighbor_slices(u).0)
+        });
         let mut edge_label_counts = HashMap::new();
         let mut label_expansion = HashMap::new();
         let mut label_cyclic = HashMap::new();
@@ -279,7 +290,10 @@ impl GraphStats {
 /// Kahn's algorithm over the successor lists of nodes `0..node_count`: the
 /// graph has a directed cycle iff the topological peeling cannot consume
 /// every node.
-fn has_directed_cycle<'a>(node_count: usize, successors: impl Fn(usize) -> &'a [NodeId]) -> bool {
+fn has_directed_cycle<'a, S>(node_count: usize, successors: impl Fn(usize) -> S) -> bool
+where
+    S: IntoIterator<Item = &'a NodeId>,
+{
     let mut indegree = vec![0usize; node_count];
     for u in 0..node_count {
         for v in successors(u) {

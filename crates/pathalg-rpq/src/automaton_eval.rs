@@ -23,6 +23,7 @@ use pathalg_core::error::AlgebraError;
 use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
+use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::NodeId;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -36,6 +37,9 @@ type ProductEntry = (Path, usize, Vec<(NodeId, usize)>);
 /// graph and the expression's NFA.
 pub struct AutomatonEvaluator<'g> {
     graph: &'g PropertyGraph,
+    /// The graph's out-adjacency over every edge, built once per evaluator:
+    /// the product search steps along any edge the NFA may read.
+    adjacency: CsrGraph,
     nfa: Nfa,
     accepts_empty: bool,
     /// States from which an accepting state is reachable; product states
@@ -51,6 +55,7 @@ impl<'g> AutomatonEvaluator<'g> {
         let accepts_empty = regex.is_nullable();
         Self {
             graph,
+            adjacency: CsrGraph::from_graph(graph),
             nfa,
             accepts_empty,
             co_accepting,
@@ -132,7 +137,7 @@ impl<'g> AutomatonEvaluator<'g> {
 
         while let Some((path, state, seen)) = queue.pop_front() {
             let here = path.last();
-            for &edge in self.graph.outgoing(here) {
+            for &edge in self.adjacency.neighbor_slices(here).1 {
                 let label = self.graph.label(edge);
                 for next_state in self.nfa.step(state, label) {
                     if !self.co_accepting[next_state] {

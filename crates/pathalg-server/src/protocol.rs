@@ -790,16 +790,22 @@ impl Client {
     }
 
     /// Sends one request line and reads the full response: multi-line for
-    /// the `END`-framed forms (`OK …`, `METRICS`, `TRACE <id>`), a single
-    /// line for everything else.
+    /// the `END`-framed forms (`OK …`, `METRICS`, `TRACE <id>`), none for a
+    /// line [`Request::parse`] reads as [`Request::Empty`] (the server
+    /// answers it with nothing), a single line for everything else.
     pub fn request(&mut self, line: &str) -> io::Result<Vec<String>> {
         self.write_line(line)?;
+        if Request::parse(line) == Ok(Request::Empty) {
+            return Ok(Vec::new());
+        }
         let first = self.read_line()?;
         self.read_response(first)
     }
 
     /// Sends a typed request and parses the typed response. `Ok(None)`
-    /// means the request was [`Request::Quit`] (no response follows).
+    /// means the request was [`Request::Quit`] (no response follows);
+    /// [`Request::Empty`] gets [`Response::Empty`] without a read, as the
+    /// server answers it with nothing.
     /// Protocol violations by the peer surface as `InvalidData` errors.
     ///
     /// A query answer is read into one buffer: the `PATH` lines are
@@ -812,6 +818,9 @@ impl Client {
             return Ok(None);
         }
         self.write_line(&request.render())?;
+        if matches!(request, Request::Empty) {
+            return Ok(Some(Response::Empty));
+        }
         let first = self.read_line()?;
         if first.starts_with("OK ") {
             let paths = self.read_path_lines()?;
@@ -1227,6 +1236,31 @@ mod tests {
         drop(second);
         handle.shutdown();
         assert!(!path.exists(), "socket file removed on shutdown");
+    }
+
+    /// An empty request line gets no response, so the client reads none:
+    /// `Empty` then `Ping` on one connection, and a blank raw line, return
+    /// at once (a client reading a reply to the empty line would block).
+    #[test]
+    fn an_empty_request_line_returns_without_a_read() {
+        let path = std::env::temp_dir().join(format!("pathalg-empty-{}.sock", std::process::id()));
+        let handle = serve(service(), path.clone()).unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        let client_path = path.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&client_path).unwrap();
+            let empty = client.send(&Request::Empty).unwrap();
+            let blank = client.request("").unwrap();
+            let pong = client.send(&Request::Ping).unwrap();
+            done.send((empty, blank, pong)).unwrap();
+        });
+        let (empty, blank, pong) = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the client blocked on a reply to the empty line");
+        assert_eq!(empty, Some(Response::Empty));
+        assert!(blank.is_empty());
+        assert_eq!(pong, Some(Response::Pong));
+        handle.shutdown();
     }
 
     /// Sends `line` on a raw socket and returns the response bytes up to and

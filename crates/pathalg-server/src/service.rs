@@ -757,7 +757,7 @@ impl QueryService {
             cache_key
         };
         self.metrics.inc(Counter::CacheMisses);
-        let entry = Arc::new(self.planner.plan(plan, recursion));
+        let entry = Arc::new(self.planner.plan(&self.graph, plan, recursion));
         self.cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())

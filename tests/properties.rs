@@ -259,12 +259,18 @@ proptest! {
 // The graph's stored adjacency and statistics
 // ---------------------------------------------------------------------------
 
-/// The rows a CSR over every edge keyed by source (or by target when
-/// `reverse`) must hold, read straight off the edge table.
-fn rows_from_the_edge_table(g: &PropertyGraph, reverse: bool) -> Vec<Vec<(NodeId, EdgeId)>> {
+/// The rows a CSR over every edge (or every `label` edge) keyed by source
+/// (or by target when `reverse`) must hold, read straight off the edge
+/// table.
+fn rows_from_the_edge_table(
+    g: &PropertyGraph,
+    reverse: bool,
+    label: Option<&str>,
+) -> Vec<Vec<(NodeId, EdgeId)>> {
     g.nodes()
         .map(|v| {
             g.edges()
+                .filter(|&e| label.is_none_or(|l| g.label(e) == Some(l)))
                 .filter_map(|e| {
                     let (s, t) = g.endpoints(e);
                     let (row, column) = if reverse { (t, s) } else { (s, t) };
@@ -275,28 +281,33 @@ fn rows_from_the_edge_table(g: &PropertyGraph, reverse: bool) -> Vec<Vec<(NodeId
         .collect()
 }
 
-/// Every CSR a graph holds agrees with a fresh build or the edge table.
+/// A fresh CSR over every edge, and every label CSR a graph holds and its
+/// reverse, agree with a fresh build or the edge table; the label CSRs
+/// together hold every edge.
 fn assert_stored_csrs_are_sound(g: &PropertyGraph) {
-    assert_eq!(g.csr(), &CsrGraph::from_graph(g));
-    for (csr, reverse) in [(g.csr(), false), (g.reverse_csr(), true)] {
-        assert_eq!(csr.node_count(), g.node_count());
-        assert_eq!(csr.edge_count(), g.edge_count());
-        for (v, row) in g.nodes().zip(rows_from_the_edge_table(g, reverse)) {
-            assert_eq!(csr.neighbors(v).collect::<Vec<_>>(), row);
-        }
+    let all = CsrGraph::from_graph(g);
+    assert_eq!(all.node_count(), g.node_count());
+    assert_eq!(all.edge_count(), g.edge_count());
+    for (v, row) in g.nodes().zip(rows_from_the_edge_table(g, false, None)) {
+        assert_eq!(all.neighbors(v).collect::<Vec<_>>(), row);
     }
-    for v in g.nodes() {
-        let targeting: Vec<_> = g.edges().filter(|&e| g.target(e) == v).collect();
-        assert_eq!(g.incoming(v), targeting.as_slice());
-    }
-    let mut labels = 0;
+    let (mut labels, mut edges) = (0, 0);
     for (label, csr) in g.edge_label_csrs() {
         assert_eq!(csr, &CsrGraph::with_label(g, label), "label {label}");
         assert_eq!(g.label_csr(label), csr);
+        let reverse = g.reverse_label_csr(label);
+        for (v, row) in g
+            .nodes()
+            .zip(rows_from_the_edge_table(g, true, Some(label)))
+        {
+            assert_eq!(reverse.neighbors(v).collect::<Vec<_>>(), row, "{label}");
+        }
         labels += 1;
+        edges += csr.edge_count();
     }
     let carried: BTreeSet<_> = g.edges().filter_map(|e| g.label(e)).collect();
     assert_eq!(labels, carried.len());
+    assert_eq!(edges, g.edge_count());
 }
 
 #[test]

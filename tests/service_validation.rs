@@ -471,6 +471,80 @@ fn anchored_lookups_answer_under_the_default_ceiling() {
     }
 }
 
+/// The benchmark's seven templates on its SNB-10 000 graph, each under its
+/// workload's `max_length`: admission (`prepare_on`) prices every anchored
+/// ϕ with the number the served request's strategy decision records, and
+/// that number is the bare ϕ's estimate times the anchor's share of the
+/// 30 000 nodes (one name, one node) per anchored side.
+#[test]
+fn admission_and_the_recorded_decision_read_one_estimate() {
+    use pathalg::engine::cost::estimate_plan_closures;
+    use pathalg::graph::stats::GraphStats;
+
+    let graph = Arc::new(snb_like_graph(&SnbConfig::scale(10_000, 11)));
+    let stats = GraphStats::compute(&graph);
+    assert_eq!(stats.node_count(), 30_000);
+    let name = r#"{name:"Lisa1234"}"#;
+    for (template, max_length, anchored_sides) in [
+        ("MATCH ANY SHORTEST WALK p = (?x @)-[:Knows+]->(?y)", 4, 1),
+        (
+            "MATCH ANY SHORTEST TRAIL p = (?x @)-[(:Likes/:Has_creator)+]->(?y)",
+            4,
+            1,
+        ),
+        ("MATCH ANY SHORTEST WALK p = (?x)-[:Knows+]->(?y @)", 2, 1),
+        (
+            "MATCH ALL SHORTEST WALK p = (?x)-[(:Likes/:Has_creator)+]->(?y @)",
+            2,
+            1,
+        ),
+        ("MATCH ALL TRAIL p = (?x)-[:Knows+]->(?y @)", 2, 1),
+        ("MATCH ALL WALK p = (?x)-[:Knows+]->(?y @)", 2, 0),
+        (
+            "MATCH ANY SHORTEST TRAIL p = (?x)-[(:Likes/:Has_creator)+]->(?y @)",
+            2,
+            0,
+        ),
+    ] {
+        let query = template.replace('@', if anchored_sides > 0 { name } else { "" });
+        let recursion = RecursionConfig {
+            max_length: Some(max_length),
+            max_paths: None,
+        };
+        let config = ServiceConfig {
+            recursion,
+            quota: RequestQuota::new(Some(2_000_000), None),
+            ..ServiceConfig::default()
+        };
+        let svc = QueryService::new(graph.clone(), config);
+        let served = svc
+            .submit(&query)
+            .unwrap_or_else(|e| panic!("{query}: {e}"));
+        let (planned, _) = svc.prepare_on(QuerySurface::Gql, &query).unwrap();
+        let [(_, admitted)] = planned.closures[..] else {
+            panic!("{query}: one ϕ, one admission estimate");
+        };
+        let [decision] = &served.outcome.decisions[..] else {
+            panic!("{query}: one ϕ, one decision");
+        };
+        assert_eq!(decision.estimate, Some(admitted), "{query}");
+        let phi = first_phi(&planned.plan).expect("every template has a ϕ");
+        let [(_, bare)] = estimate_plan_closures(phi, &stats, &recursion)[..] else {
+            panic!("{query}: one bare ϕ");
+        };
+        let share = (1.0 / 30_000.0_f64).powi(anchored_sides);
+        assert_eq!(admitted.paths, bare.paths * share, "{query}");
+    }
+}
+
+/// The outermost ϕ node of a plan.
+fn first_phi(plan: &PlanExpr) -> Option<&PlanExpr> {
+    match plan {
+        PlanExpr::Recursive { .. } => Some(plan),
+        _ => plan.children().into_iter().find_map(first_phi),
+    }
+}
+
 /// The default per-request quota is one constant: a thread count handed to
 /// the service is accepted and ignored, and never scales admission.
 #[test]
